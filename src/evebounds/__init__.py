@@ -1,6 +1,7 @@
-"""Upper bounds on an eavesdropper's von Neumann entropy for discretely
-modulated continuous-variable QKD under the entangling-cloner attack,
-with a truncated Fock-space oracle for validation."""
+"""Upper bounds and a Gram-matrix estimate of an eavesdropper's von Neumann
+entropy for discretely modulated continuous-variable QKD under the
+entangling-cloner attack, with a truncated Fock-space oracle for
+validation."""
 
 from .states import (
     GaussianState,
@@ -18,7 +19,7 @@ from .states import (
     average_covariance,
     omega,
 )
-from .linalg import MatchedSVD, matched_svd, principal_sqrt, takagi_symmetric_unitary
+from .linalg import MatchedSVD, matched_svd, principal_sqrt
 from .unitaries import (
     BogoliubovPair,
     Displacement,
@@ -44,7 +45,6 @@ from .cloner import (
     eve_conditional_mean,
     displaced_thermal_ensemble,
     eve_average_covariance,
-    qpsk_average_covariance,
 )
 from .bounds import (
     GramMatrix,

@@ -17,8 +17,8 @@ from .linalg import (
     matched_svd,
     max_abs,
     principal_angles,
+    principal_sqrt,
     require_unitary,
-    takagi_symmetric_unitary,
     _unitary_eig,
 )
 from .unitaries import Displacement, Rotation, Squeezer
@@ -77,7 +77,7 @@ def bloch_messiah(pair):
         raise ValueError(
             f"balancing input G = W_E^dag conj(W_F) not symmetric: residual {sym_residual:.3e}"
         )
-    d = takagi_symmetric_unitary((g + g.T) / 2)
+    d = principal_sqrt((g + g.T) / 2)  # Takagi factor: d @ d.T = g
 
     factors = BMFactors(
         cal_u=m.u @ d,

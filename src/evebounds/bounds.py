@@ -1,6 +1,7 @@
 """Eavesdropper-entropy estimators for a discretely modulated protocol.
 
-Three estimators are compared:
+Three estimators are compared; the first two are upper bounds, the third
+is not:
 
 * `eb_qpsk_entropy`: the entangled-based bound.  The four-state average is
   purified, the purification's covariance is pushed through the channel,
@@ -8,11 +9,15 @@ Three estimators are compared:
   plus global purity make it an upper bound).
 * `bm_get_entropy`: Gaussian extremality applied directly to the
   covariance of the displaced-thermal ensemble that carries the
-  eavesdropper's average state.
+  eavesdropper's average state; an upper bound.
 * `bm_gme_entropy`: the entropy of the ensemble's normalized Gram matrix.
   For a pure ensemble the Gram spectrum equals the average-state spectrum,
-  so the "pure-exact" variant is exact there; for mixed ensembles the Gram
-  entry is ambiguous and both conjectured variants are provided.
+  so the "pure-exact" variant is exact at nbar = 0.  For nbar > 0 it drops
+  the thermal noise and is a lower estimate, not a security bound: at
+  (tau, nbar, alpha) = (0.5, 0.01, 0.05) it gives 0.01404 bits against
+  0.05942 for the true entropy and for `bm_get_entropy`.  The Gram entry of
+  a mixed ensemble is ambiguous; the phase-free "hs-normalized" variant is
+  the other conjectured rule and can exceed `bm_get_entropy`.
 """
 
 from dataclasses import dataclass

@@ -20,7 +20,7 @@ from .cloner import (
     initial_covariance,
     qpsk,
 )
-from .linalg import max_abs, takagi_symmetric_unitary, unitarity_defect
+from .linalg import max_abs, principal_sqrt, unitarity_defect
 from .states import (
     GaussianState,
     apply_symplectic,
@@ -37,6 +37,9 @@ from .unitaries import (
     bogoliubov_of,
     compose,
     from_symplectic,
+    switch_disp_rotation,
+    switch_disp_squeezer,
+    switch_squeezer_rotation,
     to_symplectic,
 )
 
@@ -105,7 +108,7 @@ def check_takagi():
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         q = np.linalg.qr(m)[0]
         g = q @ q.T
-        d = takagi_symmetric_unitary(g)
+        d = principal_sqrt(g)
         worst = max(worst, max_abs(d @ d.T - g), unitarity_defect(d))
     return CheckResult("takagi-reconstruction", worst, 1e-9)
 
@@ -123,8 +126,28 @@ def check_williamson_grid():
     return CheckResult("williamson-grid", worst, 1e-9)
 
 
+def _switched_displacement(circuit, beta):
+    """Displacement beta' with D(beta) R2 S R1 = R2 S R1 D(beta')."""
+    rot1, squeezer, rot2 = circuit[:3]
+    g = switch_disp_rotation(rot2.phi, beta)
+    g = switch_disp_squeezer(squeezer.z, g)
+    return switch_disp_rotation(rot1.phi, g)
+
+
+def bloch_messiah_amplitudes(constellation, params):
+    """K x 2 displacements of the eavesdropper's ensemble, obtained by pushing
+    each conditional displacement (-r alpha_i, 0) through the Bloch-Messiah
+    circuit of her thermal decomposition; the reference for the closed form
+    in `displaced_thermal_ensemble`."""
+    smap, _, _ = williamson_standard_two_mode(eve_reduced_covariance(params))
+    circuit = factors_to_circuit(bloch_messiah(from_symplectic(smap)))
+    return np.array([_switched_displacement(circuit, np.array([-params.r * amp, 0.0]))
+                     for amp in constellation.amplitudes])
+
+
 def check_eca_pipeline():
     worst = 0.0
+    constellation = qpsk(1.0)
     for tau in np.linspace(0.05, 0.95, 10):
         for nbar in (0.01, 0.02, 0.1):
             params = ChannelParams(tau=tau, nbar=nbar)
@@ -133,6 +156,8 @@ def check_eca_pipeline():
             worst = max(worst, max_abs(reduced.cov - eve_reduced_covariance(params).as_matrix()))
             nu1, nu2 = standard_symplectic_spectrum(eve_reduced_covariance(params))
             worst = max(worst, abs(nu1 - (2 * (1 - tau) * nbar + 1)), abs(nu2 - 1))
+            closed = displaced_thermal_ensemble(constellation, params).mode_amplitudes()
+            worst = max(worst, max_abs(closed - bloch_messiah_amplitudes(constellation, params)))
     return CheckResult("eca-pipeline", worst, 1e-9)
 
 
@@ -223,8 +248,6 @@ def _pure_trace_distance(k1, k2):
 
 
 def _switch_rule_distances(space, alpha, herm, sym, rng):
-    from .unitaries import switch_disp_rotation, switch_disp_squeezer, switch_squeezer_rotation
-
     ket = _random_gaussian_ket(space, rng)
     gen_d = fock.displacement_generator(space, alpha)
     gen_s = fock.squeeze_generator(space, sym)

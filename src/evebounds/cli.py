@@ -31,8 +31,6 @@ class ScanConfig:
     tau_steps: int = 50
     nbars: list = field(default_factory=lambda: [0.01, 0.02])
     alpha: float = 1.0
-    constellation: str = "qpsk"
-    order: int = 4
     methods: list = field(default_factory=lambda: ["eb", "bm-get", "bm-gme"])
     gram_variant: str = "pure-exact"
     log_base: str = "bits"
@@ -53,10 +51,6 @@ class ScanConfig:
             raise ValueError(f"--nbar values must be >= 0, got {self.nbars}")
         if self.alpha <= 0:
             raise ValueError(f"--alpha must be positive, got {self.alpha}")
-        if self.constellation != "qpsk":
-            raise ValueError(f"only the qpsk constellation is wired up, got {self.constellation!r}")
-        if self.order != 4:
-            raise ValueError(f"qpsk has order 4, got --order {self.order}")
         bad = [m for m in self.methods if m not in METHODS]
         if bad or not self.methods:
             raise ValueError(f"--methods must be a nonempty subset of {METHODS}, got {self.methods}")
@@ -139,13 +133,13 @@ def _config_from_file(values, path):
         for key, value in values.items():
             if key in ("tau_min", "tau_max", "alpha"):
                 kwargs[key] = float(value)
-            elif key in ("tau_steps", "order", "cutoff"):
+            elif key in ("tau_steps", "cutoff"):
                 kwargs[key] = int(value)
             elif key == "nbar":
                 kwargs["nbars"] = [float(v) for v in value.split(",") if v.strip()]
             elif key == "methods":
                 kwargs["methods"] = [m.strip() for m in value.split(",") if m.strip()]
-            elif key in ("constellation", "gram_variant", "log_base", "out"):
+            elif key in ("gram_variant", "log_base", "out"):
                 kwargs[key] = value
             elif key == "check":
                 kwargs["check"] = value.lower() in ("1", "true", "yes")
@@ -168,8 +162,6 @@ def build_parser():
     parser.add_argument("--nbar", type=float, action="append", dest="nbars",
                         help="channel thermal photon number; repeatable")
     parser.add_argument("--alpha", type=float)
-    parser.add_argument("--constellation", choices=["qpsk"])
-    parser.add_argument("--order", type=int)
     parser.add_argument("--methods", help="comma list from: " + ",".join(METHODS))
     parser.add_argument("--gram-variant", choices=list(GRAM_VARIANTS), dest="gram_variant")
     parser.add_argument("--log-base", choices=["bits", "nats"], dest="log_base")
@@ -185,8 +177,8 @@ def parse_config(argv):
     kwargs = {}
     if args.config:
         kwargs.update(_config_from_file(_parse_config_file(args.config), args.config))
-    for key in ("tau_min", "tau_max", "tau_steps", "nbars", "alpha", "constellation",
-                "order", "gram_variant", "log_base", "cutoff", "out", "check"):
+    for key in ("tau_min", "tau_max", "tau_steps", "nbars", "alpha", "gram_variant",
+                "log_base", "cutoff", "out", "check"):
         value = getattr(args, key)
         if value is not None:
             kwargs[key] = value

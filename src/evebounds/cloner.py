@@ -15,18 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blochmessiah import bloch_messiah, factors_to_circuit
 from .states import (
     StandardTwoModeCov,
     SymplecticMap,
     average_covariance,
     make_tmsv,
     williamson_standard_two_mode,
-)
-from .unitaries import (
-    from_symplectic,
-    switch_disp_rotation,
-    switch_disp_squeezer,
 )
 
 __all__ = [
@@ -40,7 +34,6 @@ __all__ = [
     "eve_conditional_mean",
     "displaced_thermal_ensemble",
     "eve_average_covariance",
-    "qpsk_average_covariance",
 ]
 
 
@@ -176,34 +169,25 @@ def eve_conditional_mean(alpha_i, params):
     return np.array([-params.r * 2 * alpha_i.real, -params.r * 2 * alpha_i.imag, 0.0, 0.0])
 
 
-def _switched_displacement(circuit, beta):
-    """Displacement beta' with D(beta) R2 S R1 = R2 S R1 D(beta')."""
-    rot1, squeezer, rot2 = circuit[:3]
-    g = switch_disp_rotation(rot2.phi, beta)
-    g = switch_disp_squeezer(squeezer.z, g)
-    return switch_disp_rotation(rot1.phi, g)
-
-
 def displaced_thermal_ensemble(constellation, params):
     """Reduce the eavesdropper's conditional states to displaced thermals.
 
-    The thermal decomposition of her covariance supplies the fixed Gaussian
-    unitary; pulling the conditional displacement through its
-    rotation-squeezer-rotation circuit leaves an ensemble of displaced
-    two-mode thermal states with the same entropy as her true average
-    state.  For each amplitude the switched displacement comes out as
-    (-w1 r alpha_i, w2 r conj(alpha_i)).
+    The thermal decomposition S = [[w1 I, w2 Z], [w2 Z, w1 I]] of her
+    covariance supplies the fixed Gaussian unitary.  Pulling the conditional
+    displacement (-r alpha_i, 0) through its Bloch-Messiah
+    rotation-squeezer-rotation circuit leaves the displacement
+    (-w1 r alpha_i, w2 r conj(alpha_i)) on a pair of thermal modes, an
+    ensemble with the same entropy as her true average state.  The
+    displacement is taken in that closed form; `checks.check_eca_pipeline`
+    rebuilds it through the circuit.
     """
-    std = eve_reduced_covariance(params)
-    smap, nu1, nu2 = williamson_standard_two_mode(std)
-    circuit = factors_to_circuit(bloch_messiah(from_symplectic(smap)))
-
-    means = np.zeros((constellation.amplitudes.size, 4))
-    for i, amp in enumerate(constellation.amplitudes):
-        beta = np.array([-params.r * amp, 0.0], dtype=complex)
-        beta_p = _switched_displacement(circuit, beta)
-        means[i, 0::2] = 2 * beta_p.real
-        means[i, 1::2] = 2 * beta_p.imag
+    smap, nu1, nu2 = williamson_standard_two_mode(eve_reduced_covariance(params))
+    w1, w2 = smap.s[0, 0], smap.s[0, 2]
+    amps = constellation.amplitudes
+    beta = np.stack([-w1 * params.r * amps, w2 * params.r * np.conj(amps)], axis=1)
+    means = np.empty((amps.size, 4))
+    means[:, 0::2] = 2 * beta.real
+    means[:, 1::2] = 2 * beta.imag
     return DisplacedThermalEnsemble(
         nu1p=(nu1 - 1) / 2,
         nu2p=(nu2 - 1) / 2,
@@ -217,27 +201,3 @@ def eve_average_covariance(constellation, params):
     unitary stripped off, which leaves the entropy unchanged)."""
     ens = displaced_thermal_ensemble(constellation, params)
     return average_covariance(ens.means, ens.probs, ens.common_covariance())
-
-
-def qpsk_average_covariance(alpha, params):
-    """Closed form of `eve_average_covariance` for the four-state ensemble.
-
-    With x = w1 r alpha and y = w2 r alpha the average covariance is
-    [[(2(n1 + x^2) + 1) I, -2xy Z], [-2xy Z, (2(n2 + y^2) + 1) I]] where
-    n1, n2 are the thermal photon numbers of modes 1 and 2.
-    """
-    if alpha <= 0:
-        raise ValueError(f"amplitude must be positive, got {alpha}")
-    std = eve_reduced_covariance(params)
-    smap, nu1, nu2 = williamson_standard_two_mode(std)
-    w1 = smap.s[0, 0]
-    w2 = smap.s[0, 2]
-    x = w1 * params.r * alpha
-    y = w2 * params.r * alpha
-    n1 = (nu2 - 1) / 2
-    n2 = (nu1 - 1) / 2
-    cov = np.diag([2 * (n1 + x * x) + 1] * 2 + [2 * (n2 + y * y) + 1] * 2)
-    z = np.diag([1.0, -1.0])
-    cov[:2, 2:] = -2 * x * y * z
-    cov[2:, :2] = -2 * x * y * z
-    return cov

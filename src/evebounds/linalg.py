@@ -15,7 +15,6 @@ from scipy.linalg import schur
 __all__ = [
     "MatchedSVD",
     "principal_sqrt",
-    "takagi_symmetric_unitary",
     "matched_svd",
 ]
 
@@ -85,6 +84,9 @@ def principal_angles(eigvals):
 def principal_sqrt(m):
     """Principal square root of a symmetric unitary matrix.
 
+    The root is itself symmetric and unitary, so it is also a Takagi factor
+    D of the input: D @ D.T = m.
+
     Args:
         m (array[complex]): symmetric unitary matrix.
 
@@ -102,22 +104,6 @@ def principal_sqrt(m):
     eigvals, q = _unitary_eig(m)
     roots = np.sqrt(np.abs(eigvals)) * np.exp(0.5j * principal_angles(eigvals))
     return q @ np.diag(roots) @ q.conj().T
-
-
-def takagi_symmetric_unitary(g):
-    """Takagi factor of a symmetric unitary matrix.
-
-    For symmetric unitary G the factorization G = D D^T is solved by the
-    principal square root D = G^(1/2), which is itself symmetric and
-    unitary.
-
-    Args:
-        g (array[complex]): symmetric unitary matrix.
-
-    Returns:
-        array[complex]: unitary D with D @ D.T = g.
-    """
-    return principal_sqrt(g)
 
 
 @dataclass

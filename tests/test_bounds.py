@@ -16,6 +16,10 @@ from evebounds.bounds import (
 from evebounds.cloner import ChannelParams, Constellation, displaced_thermal_ensemble, qpsk
 from evebounds.states import make_coherent, make_thermal, make_tmsv
 
+# 1.42e-11 leaves the thermal decomposition a squeezing so small that the
+# matched SVD of the Bloch-Messiah route raised at most taus of the grid.
+GRID_NBARS = [0.01, 0.02, 1.42e-11]
+
 
 def qpsk_coherent_reference_entropy(alpha):
     """Average-state entropy of the four-state ensemble from the mod-4
@@ -177,7 +181,7 @@ class TestGramEntropyBound:
         value = bm_gme_entropy(qpsk(1.0), ChannelParams(tau=0.0, nbar=0.0), variant="pure-exact")
         assert value == pytest.approx(reference, abs=1e-9)
 
-    @pytest.mark.parametrize("nbar", [0.01, 0.02])
+    @pytest.mark.parametrize("nbar", GRID_NBARS)
     def test_below_gaussian_bound_on_grid(self, nbar):
         c = qpsk(1.0)
         for tau in np.linspace(0.05, 0.95, 10):
@@ -222,7 +226,7 @@ class TestEntangledBasedBound:
         value = eb_qpsk_entropy(1.0, ChannelParams(tau=0.5, nbar=0.01))
         assert value == pytest.approx(2.1570, abs=2e-3)
 
-    @pytest.mark.parametrize("nbar", [0.01, 0.02])
+    @pytest.mark.parametrize("nbar", GRID_NBARS)
     def test_dominates_gaussian_bound(self, nbar):
         c = qpsk(1.0)
         for tau in np.linspace(0.05, 0.95, 10):

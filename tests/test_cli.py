@@ -27,8 +27,6 @@ class TestConfig:
             ScanConfig(methods=[])
         with pytest.raises(ValueError, match="gram-variant"):
             ScanConfig(gram_variant="other")
-        with pytest.raises(ValueError, match="order"):
-            ScanConfig(order=8)
         with pytest.raises(ValueError, match="nbar"):
             ScanConfig(nbars=[-0.1])
 

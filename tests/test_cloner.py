@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from evebounds import fock
+from evebounds.checks import bloch_messiah_amplitudes
 from evebounds.cloner import (
     ChannelParams,
     Constellation,
@@ -14,7 +15,6 @@ from evebounds.cloner import (
     eve_reduced_covariance,
     initial_covariance,
     qpsk,
-    qpsk_average_covariance,
 )
 from evebounds.states import (
     GaussianState,
@@ -171,15 +171,11 @@ class TestDisplacedThermalEnsemble:
 
     @pytest.mark.parametrize("tau,nbar", [(0.3, 0.01), (0.5, 0.02), (0.85, 0.1)])
     def test_closed_form_displacements(self, tau, nbar):
+        # the closed form against the conditional displacement pushed
+        # through the Bloch-Messiah circuit
         p = ChannelParams(tau=tau, nbar=nbar)
-        smap, _, _ = williamson_standard_two_mode(eve_reduced_covariance(p))
-        w1, w2 = smap.s[0, 0], smap.s[0, 2]
-        ens = displaced_thermal_ensemble(qpsk(1.0), p)
-        amps = ens.mode_amplitudes()
-        expected_1 = -w1 * p.r * qpsk(1.0).amplitudes
-        expected_2 = w2 * p.r * np.conj(qpsk(1.0).amplitudes)
-        assert np.max(np.abs(amps[:, 0] - expected_1)) < 1e-10
-        assert np.max(np.abs(amps[:, 1] - expected_2)) < 1e-10
+        amps = displaced_thermal_ensemble(qpsk(1.0), p).mode_amplitudes()
+        assert np.max(np.abs(amps - bloch_messiah_amplitudes(qpsk(1.0), p))) < 1e-10
 
     @pytest.mark.parametrize("tau,nbar", [(0.3, 0.01), (0.6, 0.05)])
     def test_transformed_means_match_conditional(self, tau, nbar):
@@ -205,9 +201,17 @@ class TestAverageCovariance:
 
     @pytest.mark.parametrize("tau,nbar", GRID)
     def test_closed_form_matches_moments(self, tau, nbar):
+        # with x = w1 r alpha, y = w2 r alpha and n1, n2 the thermal photon
+        # numbers of modes 1 and 2 the four-state average covariance is
+        # [[(2(n1 + x^2) + 1) I, -2xy Z], [-2xy Z, (2(n2 + y^2) + 1) I]]
         p = ChannelParams(tau=tau, nbar=nbar)
+        smap, nu1, nu2 = williamson_standard_two_mode(eve_reduced_covariance(p))
+        x = smap.s[0, 0] * p.r
+        y = smap.s[0, 2] * p.r
+        n1, n2 = (nu2 - 1) / 2, (nu1 - 1) / 2
+        closed = np.diag([2 * (n1 + x * x) + 1] * 2 + [2 * (n2 + y * y) + 1] * 2)
+        closed[:2, 2:] = closed[2:, :2] = -2 * x * y * np.diag([1.0, -1.0])
         numeric = eve_average_covariance(qpsk(1.0), p)
-        closed = qpsk_average_covariance(1.0, p)
         assert np.max(np.abs(numeric - closed)) < 1e-10
 
     def test_transformed_average_matches_direct(self):

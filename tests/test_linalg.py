@@ -4,7 +4,6 @@ import pytest
 from evebounds.linalg import (
     matched_svd,
     principal_sqrt,
-    takagi_symmetric_unitary,
     unitarity_defect,
 )
 
@@ -67,10 +66,10 @@ class TestPrincipalSqrt:
 
 class TestTakagi:
     def test_identity(self):
-        assert np.allclose(takagi_symmetric_unitary(np.eye(2)), np.eye(2), atol=1e-12)
+        assert np.allclose(principal_sqrt(np.eye(2)), np.eye(2), atol=1e-12)
 
     def test_pauli_x_balancing_matrix(self):
-        assert np.max(np.abs(takagi_symmetric_unitary(X) - SQRT_X)) < 1e-10
+        assert np.max(np.abs(principal_sqrt(X) - SQRT_X)) < 1e-10
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(11)
@@ -78,7 +77,7 @@ class TestTakagi:
             n = int(rng.integers(1, 5))
             q = random_unitary(rng, n)
             g = q @ q.T
-            d = takagi_symmetric_unitary(g)
+            d = principal_sqrt(g)
             assert np.max(np.abs(d @ d.T - g)) < 1e-9
             assert unitarity_defect(d) < 1e-10
 

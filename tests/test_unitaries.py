@@ -182,18 +182,15 @@ class TestSwitchingRules:
 
     def test_eca_closed_form(self):
         # the full chain through the rotation-squeezer-rotation circuit
-        from evebounds.blochmessiah import bloch_messiah, factors_to_circuit
-        from evebounds.cloner import _switched_displacement
+        # reproduces the closed-form ensemble, amplitude by amplitude
+        from evebounds.checks import bloch_messiah_amplitudes
+        from evebounds.cloner import Constellation, displaced_thermal_ensemble
 
         params = ChannelParams(tau=0.5, nbar=0.01)
-        smap, _, _ = williamson_standard_two_mode(eve_reduced_covariance(params))
-        w1, w2 = smap.s[0, 0], smap.s[0, 2]
-        circuit = factors_to_circuit(bloch_messiah(from_symplectic(smap)))
-        for alpha_i in (1.0, np.exp(1j * np.pi / 4), 0.3 - 0.7j):
-            beta = np.array([-params.r * alpha_i, 0.0], dtype=complex)
-            beta_p = _switched_displacement(circuit, beta)
-            expected = np.array([-w1 * params.r * alpha_i, w2 * params.r * np.conj(alpha_i)])
-            assert np.max(np.abs(beta_p - expected)) < 1e-12
+        ensemble = Constellation(amplitudes=[1.0, np.exp(1j * np.pi / 4), 0.3 - 0.7j],
+                                 probs=[0.5, 0.25, 0.25])
+        closed = displaced_thermal_ensemble(ensemble, params).mode_amplitudes()
+        assert np.max(np.abs(closed - bloch_messiah_amplitudes(ensemble, params))) < 1e-12
 
     def test_zero_rotation_neutral(self):
         z = 0.2 * np.eye(2, dtype=complex)
