@@ -1,14 +1,45 @@
-"""Committed golden output: the default scan must not change by a byte."""
+"""Committed golden output: the default scan must not change by a byte, and
+a small oracle scan must keep its values and statuses."""
 
 import hashlib
+
+import pytest
 
 from evebounds.cli import ScanConfig, run_scan, write_csv
 
 # SHA-256 of the default 300-row scan (README reference settings).
 REFERENCE_SCAN_SHA256 = "d4d84f5ee0f506c4f21ac7a7bb84dd38dae93861a50891edc64be258b74f31dc"
 
+# One oracle row per (tau, nbar, alpha) cell at the default cutoff 18,
+# including the pure case nbar = 0 and a cell that does not converge.
+ORACLE_ROWS = [
+    "0.2,0.01,0.5,oracle,-,0.841736630014,bits,ok",
+    "0.5,0.5,0.5,oracle,-,1.58185676533,bits,ok",
+    "0.8,0.1,1,oracle,-,1.00817725496,bits,ok",
+    "0.5,0,1,oracle,-,1.32030635339,bits,ok",
+    "0.2,0.1,1,oracle,-,2.06308443157,bits,ok",
+    "0.5,0.01,2,oracle,-,,bits,not-converged",
+]
+# Entropies may move by round-off from another BLAS or summation order,
+# far below this relative tolerance; a change of method would not.
+ORACLE_RTOL = 1e-9
+
 
 def test_reference_scan_matches_golden(tmp_path):
     out = tmp_path / "scan.csv"
     write_csv(run_scan(ScanConfig()), str(out))
     assert hashlib.sha256(out.read_bytes()).hexdigest() == REFERENCE_SCAN_SHA256
+
+
+@pytest.mark.parametrize("want", ORACLE_ROWS)
+def test_oracle_scan_matches_golden(want):
+    tau, nbar, alpha = (float(v) for v in want.split(",")[:3])
+    cfg = ScanConfig(tau_min=tau, tau_max=tau, tau_steps=1, nbars=[nbar], alpha=alpha,
+                     methods=["oracle"])
+    (row,) = run_scan(cfg)
+    got, exp = row.split(","), want.split(",")
+    assert got[:5] + got[6:] == exp[:5] + exp[6:]
+    if exp[5] == "":
+        assert got[5] == ""
+    else:
+        assert float(got[5]) == pytest.approx(float(exp[5]), rel=ORACLE_RTOL, abs=0)
