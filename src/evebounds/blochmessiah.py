@@ -105,13 +105,15 @@ def factors_to_circuit(factors, alpha=None):
 
     Returns [Rotation(phi1), Squeezer(diag(r)), Rotation(phi2)] in
     application order (index 0 acts first), with exp(i phi1) = cal_we^dag,
-    cosh(r_k) = lambda_e[k] on the principal branch (r_k >= 0, phases live
-    in the rotations), and exp(i phi2) = cal_u.  If `alpha` is given a
+    sinh(r_k) = lambda_f[k], so cosh(r_k) = lambda_e[k] (r_k >= 0, phases
+    live in the rotations), and exp(i phi2) = cal_u.  If `alpha` is given a
     final Displacement(alpha) is appended, acting last.
     """
     phi1 = _hermitian_phase(factors.cal_we.conj().T)
     phi2 = _hermitian_phase(factors.cal_u)
-    r = np.arccosh(np.maximum(factors.lambda_e, 1.0))
+    # arcsinh keeps full precision for tiny squeezing, where arccosh of a
+    # lambda_e rounded to 1 would lose it.
+    r = np.arcsinh(factors.lambda_f)
     ops = [Rotation(phi1), Squeezer(np.diag(r).astype(complex)), Rotation(phi2)]
     if alpha is not None:
         ops.append(Displacement(alpha))

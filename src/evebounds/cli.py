@@ -39,8 +39,8 @@ class ScanConfig:
     check: bool = False
 
     def __post_init__(self):
-        if not 0 < self.tau_min <= 1 or not 0 < self.tau_max <= 1:
-            raise ValueError(f"--tau-min/--tau-max must lie in (0, 1], got {self.tau_min}, {self.tau_max}")
+        if not 0 <= self.tau_min <= 1 or not 0 <= self.tau_max <= 1:
+            raise ValueError(f"--tau-min/--tau-max must lie in [0, 1], got {self.tau_min}, {self.tau_max}")
         if self.tau_max < self.tau_min:
             raise ValueError("--tau-max must be >= --tau-min")
         if self.tau_steps < 1:

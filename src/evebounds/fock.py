@@ -1,14 +1,18 @@
 """Brute-force reference calculations in a truncated Fock space.
 
-Dense density-matrix simulation at desk scale, used to validate the
-phase-space pipeline: moment extraction, operator-reordering identities,
-exact ensemble entropies of the eavesdropper state, and the cross moment
-of the purification of a four-state coherent ensemble.
+Dense simulation at desk scale, used to validate the phase-space
+pipeline: moment extraction, operator-reordering identities, exact
+ensemble entropies of the eavesdropper state, and the cross moment of the
+purification of a four-state coherent ensemble.
 
 Unitaries are exponentials of the truncated anti-Hermitian generator, so
 they stay exactly unitary; truncation error shows up as population
 reaching the top of the photon ladder, which is what the leakage checks
-measure.
+measure.  The beam splitter conserves the photon number of its two modes,
+so `fock_bs` exponentiates its generator one photon-number sector at a
+time.  The eavesdropper's entropy is taken from pure-state amplitudes: her
+average state rho = M^T conj(M) has the same nonzero spectrum as the much
+smaller Gram matrix conj(M) M^T, so rho itself is never formed.
 """
 
 import math
@@ -251,7 +255,27 @@ def fock_squeezer(z, space):
 
 
 def fock_bs(tau, space, modes=(0, 1)):
-    return fock_unitary(bs_generator(space, tau, modes))
+    """Dense beam-splitter unitary, built one photon-number sector at a time.
+
+    The truncated generator `bs_generator(space, tau, modes)` keeps the
+    total photon number of the two modes fixed, and leaves every spectator
+    mode alone.  So it is block diagonal, one block per (total photon
+    number, spectator levels), and each block (at most cutoff+1 square) is
+    exponentiated on its own, as `fock_unitary` does for the whole matrix.
+    """
+    h = 1j * bs_generator(space, tau, modes).toarray()
+    levels = np.indices((space.ldim,) * space.nmodes).reshape(space.nmodes, -1)
+    total = levels[modes[0]] + levels[modes[1]]
+    levels[list(modes)] = 0
+    key = total * space.dim + np.ravel_multi_index(levels, (space.ldim,) * space.nmodes)
+    order = np.argsort(key, kind="stable")
+    starts = np.flatnonzero(np.diff(key[order])) + 1
+    u = np.zeros_like(h)
+    for idx in np.split(order, starts):
+        block = np.ix_(idx, idx)
+        vals, vecs = np.linalg.eigh(h[block])
+        u[block] = (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+    return u
 
 
 def fock_partial_trace(rho, dims, keep):
@@ -330,35 +354,43 @@ class OracleEntropy:
 
 
 def _eve_average_state(constellation, params, cutoff):
-    """Average eavesdropper density matrix on her two modes, plus leakage.
+    """Factor M of the average eavesdropper state on her two modes, plus
+    leakage.
 
     For each amplitude: coherent (x) TMSV on modes (A, C, E), beam splitter
-    on (A, C), trace out the first output.  Works with pure-state tensors
-    until the final partial trace.
+    on (A, C), then the rows of the output tensor indexed by the first
+    output b, weighted by sqrt(p_k).  The average state is
+    rho = M^T conj(M) (d^2 x d^2); it is never formed.
     """
     d = cutoff + 1
     psi_ce, tmsv_deficit = tmsv_ket(params.nbar, cutoff)
     psi_ce = psi_ce.reshape(d, d)
-    bs2 = fock_bs(params.tau, FockSpace(cutoff=cutoff, nmodes=2)).reshape(d, d, d, d)
+    bs2 = fock_bs(params.tau, FockSpace(cutoff=cutoff, nmodes=2))
 
-    rho = np.zeros((d * d, d * d), dtype=complex)
+    rows = []
     worst_leak = tmsv_deficit
     for amp, prob in zip(constellation.amplitudes, constellation.probs):
         ket_a, a_deficit = coherent_ket(amp, cutoff)
-        psi = np.einsum("a,ce->ace", ket_a, psi_ce)
-        out = np.einsum("bdac,ace->bde", bs2, psi)
+        psi = (ket_a[:, None, None] * psi_ce).reshape(d * d, d)
+        out = (bs2 @ psi).reshape(d, d, d)
         top = (
             (np.abs(out[-1, :, :]) ** 2).sum()
             + (np.abs(out[:, -1, :]) ** 2).sum()
             + (np.abs(out[:, :, -1]) ** 2).sum()
         )
         worst_leak = max(worst_leak, a_deficit, float(top))
-        rho += prob * np.einsum("bde,bfg->defg", out, out.conj()).reshape(d * d, d * d)
-    return rho, worst_leak
+        rows.append(math.sqrt(prob) * out.reshape(d, d * d))
+    return np.concatenate(rows), worst_leak
 
 
 def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
-    """Exact average-state entropy of the eavesdropper, by density matrix.
+    """Exact average-state entropy of the eavesdropper in a truncated Fock
+    space.
+
+    The state of the eavesdropper's two modes is rho = M^T conj(M), with M
+    the K*d x d^2 factor of `_eve_average_state` (K amplitudes, d = cutoff+1
+    levels).  Its entropy is taken from the K*d x K*d Gram side conj(M) M^T,
+    which has the same nonzero spectrum.
 
     The same entropy is recomputed at cutoff-5; the run only counts as
     converged if the two values agree within 1e-4 (and truncation leakage
@@ -372,12 +404,12 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
         raise ValueError(f"cutoff must be >= 7 to allow the convergence sweep, got {cutoff}")
     values = []
     for c in (cutoff, cutoff - 5):
-        rho, leak = _eve_average_state(constellation, params, c)
+        m, leak = _eve_average_state(constellation, params, c)
         if leak > DEFICIT_LIMIT:
             raise FockConvergenceError(
                 f"truncation leakage {leak:.3e} > {DEFICIT_LIMIT:.0e} at cutoff {c}"
             )
-        values.append(fock_entropy(rho, base=base))
+        values.append(fock_entropy(m.conj() @ m.T, base=base))
     result = OracleEntropy(
         value=values[0], value_check=values[1], cutoff=cutoff, check_cutoff=cutoff - 5
     )

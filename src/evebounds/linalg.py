@@ -183,13 +183,15 @@ def matched_svd(e, f):
     u = u[:, order]
 
     lambda_e = np.sqrt(np.maximum(evals, 0.0))
-    lambda_f = np.sqrt(np.maximum(evals - 1.0, 0.0))
+    # Columns of F^dag u have norms lambda_f to full relative precision;
+    # sqrt(evals - 1) would lose it all when the squeezing is tiny.
+    g = f.conj().T @ u
+    lambda_f = np.linalg.norm(g, axis=0)
 
     w_e = e.conj().T @ u / lambda_e[np.newaxis, :]
     w_f = np.empty_like(w_e)
     support = lambda_f > 1e-12
-    if np.any(support):
-        w_f[:, support] = f.conj().T @ u[:, support] / lambda_f[np.newaxis, support]
+    w_f[:, support] = g[:, support] / lambda_f[np.newaxis, support]
     w_f[:, ~support] = w_e[:, ~support].conj()
 
     return MatchedSVD(u=u, lambda_e=lambda_e, lambda_f=lambda_f, w_e=w_e, w_f=w_f)

@@ -18,7 +18,7 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="tau"):
-            ScanConfig(tau_min=0.0)
+            ScanConfig(tau_min=-0.1)
         with pytest.raises(ValueError, match="tau-steps"):
             ScanConfig(tau_steps=0)
         with pytest.raises(ValueError, match="methods"):
@@ -82,6 +82,19 @@ class TestScan:
         assert fields[3] == "bm-get"
         assert abs(float(fields[5])) < 1e-9
         assert fields[7] == "ok"
+
+    def test_zero_transmittance_row(self):
+        # tau = 0: every method is finite; at nbar = 0 the eavesdropper holds
+        # the pure coherent ensemble, whose entropy bm-gme gives exactly
+        cfg = ScanConfig(tau_min=0.0, tau_max=0.0, tau_steps=1, nbars=[0.0],
+                         methods=["eb", "bm-get", "bm-gme", "oracle"])
+        rows = {row.split(",")[3]: row.split(",") for row in run_scan(cfg)}
+        assert all(fields[0] == "0" and fields[7] == "ok" for fields in rows.values())
+        values = {method: float(fields[5]) for method, fields in rows.items()}
+        assert values["eb"] == pytest.approx(2.0, abs=1e-9)
+        assert values["bm-get"] == pytest.approx(2.0, abs=1e-9)
+        assert values["bm-gme"] == pytest.approx(1.7579584, abs=1e-6)
+        assert values["oracle"] == pytest.approx(values["bm-gme"], abs=1e-6)
 
     def test_header_and_shape(self, tmp_path):
         assert CSV_HEADER == "tau,nbar,alpha,method,variant,entropy,log_base,status"
@@ -149,7 +162,7 @@ class TestMain:
         assert read(out1) == read(out2)
 
     def test_bad_flag_exits_nonzero(self, capsys):
-        assert main(["--tau-min", "0"]) == 2
+        assert main(["--tau-min", "1.5"]) == 2
         assert "tau" in capsys.readouterr().err
 
     def test_stdout_default(self, capsys):

@@ -169,7 +169,10 @@ class TestDisplacedThermalEnsemble:
         assert np.allclose(amps[:, 1], 0.0, atol=1e-12)
         assert ens.nu1p == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("tau,nbar", [(0.3, 0.01), (0.5, 0.02), (0.85, 0.1)])
+    # The last two points have tiny squeezing (lambda_f about 3e-6 and 1e-8),
+    # which the Bloch-Messiah path must keep to full relative precision.
+    @pytest.mark.parametrize("tau,nbar", [(0.3, 0.01), (0.5, 0.02), (0.85, 0.1),
+                                          (0.57, 1.42e-11), (0.3, 1e-16)])
     def test_closed_form_displacements(self, tau, nbar):
         # the closed form against the conditional displacement pushed
         # through the Bloch-Messiah circuit

@@ -86,6 +86,19 @@ class TestOperators:
         assert np.allclose(mean, [2 * t * alpha, 0.0, -2 * r * alpha, 0.0], atol=1e-8)
         assert np.allclose(cov, np.eye(4), atol=1e-8)
 
+    @pytest.mark.parametrize("cutoff", [5, 18])
+    @pytest.mark.parametrize("tau", [0.0, 0.2, 0.5, 1.0])
+    def test_bs_sectors_match_dense_exponential(self, tau, cutoff):
+        space = fock.FockSpace(cutoff=cutoff, nmodes=2)
+        dense = fock.fock_unitary(fock.bs_generator(space, tau))
+        assert np.max(np.abs(fock.fock_bs(tau, space) - dense)) < 1e-12
+
+    @pytest.mark.parametrize("tau", [0.2, 0.5])
+    def test_bs_sectors_with_spectator_mode(self, tau):
+        space = fock.FockSpace(cutoff=5, nmodes=3)
+        dense = fock.fock_unitary(fock.bs_generator(space, tau, modes=(0, 2)))
+        assert np.max(np.abs(fock.fock_bs(tau, space, modes=(0, 2)) - dense)) < 1e-12
+
     def test_unitaries_are_unitary(self):
         space = fock.FockSpace(cutoff=12)
         u = fock.fock_squeezer(np.array([[0.3]]), space)
@@ -160,6 +173,16 @@ class TestEveExact:
         result = fock.eve_exact_entropy(qpsk(1.0), params, cutoff=15)
         assert result.drift < 1e-4
         assert result.value <= bm_get_entropy(qpsk(1.0), params) + 1e-6
+
+    @pytest.mark.parametrize("tau,nbar,alpha", [(0.5, 0.1, 1.0), (0.2, 0.5, 0.5)])
+    def test_gram_side_spectrum_matches_density_matrix(self, tau, nbar, alpha):
+        m, _ = fock._eve_average_state(qpsk(alpha), ChannelParams(tau=tau, nbar=nbar), 13)
+        gram = np.sort(np.linalg.eigvalsh(m.conj() @ m.T))[::-1]
+        rho = np.sort(np.linalg.eigvalsh(m.T @ m.conj()))[::-1]
+        assert gram.size == 4 * 14 and rho.size == 14 * 14
+        assert np.max(np.abs(gram - rho[: gram.size])) < 1e-12
+        assert np.max(np.abs(rho[gram.size :])) < 1e-12
+        assert gram.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_nonconvergence_raises(self):
         with pytest.raises(fock.FockConvergenceError):

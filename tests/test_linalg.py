@@ -97,6 +97,15 @@ class TestMatchedSVD:
         assert np.allclose(m.w_e.conj().T, np.eye(2), atol=1e-12)
         assert np.allclose(m.w_f.conj().T, X, atol=1e-12)
 
+    def test_tiny_squeezing_keeps_precision(self):
+        # lambda_f^2 ~ 8e-12 sits near round-off of lambda_e^2 - 1, which
+        # would keep only about five digits of lambda_f
+        w2 = 2.845009834961859e-06
+        e, f = eve_pair(np.sqrt(1 + w2**2), w2)
+        m = matched_svd(e, f)
+        assert np.allclose(m.lambda_f, [w2, w2], rtol=1e-12, atol=0)
+        assert np.allclose(m.w_f.conj().T, X, atol=1e-12)
+
     def test_identity_pair(self):
         m = matched_svd(np.eye(3, dtype=complex), np.zeros((3, 3), dtype=complex))
         assert np.allclose(m.lambda_e, 1.0)
