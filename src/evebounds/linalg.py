@@ -184,7 +184,7 @@ def matched_svd(e, f):
 
     lambda_e = np.sqrt(np.maximum(evals, 0.0))
     # Columns of F^dag u have norms lambda_f to full relative precision;
-    # sqrt(evals - 1) would lose it all when the squeezing is tiny.
+    # sqrt(evals - 1) keeps only a few digits when the squeezing is tiny.
     g = f.conj().T @ u
     lambda_f = np.linalg.norm(g, axis=0)
 
