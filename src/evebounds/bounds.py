@@ -6,7 +6,10 @@ is not:
 * `eb_qpsk_entropy`: the entangled-based bound.  The four-state average is
   purified, the purification's covariance is pushed through the channel,
   and the Gaussian entropy of the result is taken (Gaussian extremality
-  plus global purity make it an upper bound).
+  plus global purity make it an upper bound).  Its one non-Gaussian input,
+  the purification cross moment Z4, has a closed form.  The bound is valid
+  but loose near tau = 1: at alpha = 1 it gives 2.0853 bits there for any
+  nbar, where the true entropy is 0.
 * `bm_get_entropy`: Gaussian extremality applied directly to the
   covariance of the displaced-thermal ensemble that carries the
   eavesdropper's average state; an upper bound.
@@ -17,7 +20,9 @@ is not:
   (tau, nbar, alpha) = (0.5, 0.01, 0.05) it gives 0.01404 bits against
   0.05942 for the true entropy and for `bm_get_entropy`.  The Gram entry of
   a mixed ensemble is ambiguous; the phase-free "hs-normalized" variant is
-  the other conjectured rule and can exceed `bm_get_entropy`.
+  the other conjectured rule and can exceed `bm_get_entropy`.  Both Gram
+  variants are closed-form array expressions over the K x M displacement
+  amplitudes (K states, M modes).
 """
 
 from dataclasses import dataclass
@@ -27,7 +32,7 @@ import numpy as np
 from . import fock
 from .cloner import Constellation, displaced_thermal_ensemble, eve_average_covariance
 from .linalg import max_abs
-from .states import GaussianState, entropy_from_cov
+from .states import entropy_from_cov
 
 __all__ = [
     "GramMatrix",
@@ -47,7 +52,9 @@ def gaussian_hs_overlap(s1, s2):
 
     tr(rho1 rho2) = 2^N det(S1 + S2)^(-1/2) exp(-delta^T (S1+S2)^{-1} delta / 2)
     with delta the mean difference.  Symmetric in its arguments and in
-    (0, 1] for physical states.
+    (0, 1] for physical states.  The "hs-normalized" Gram entries are its
+    closed form for equal-covariance displaced thermal states, and the
+    tests check them against it.
     """
     if s1.nmodes != s2.nmodes:
         raise ValueError(f"mode mismatch: {s1.nmodes} vs {s2.nmodes}")
@@ -80,70 +87,54 @@ class GramMatrix:
             raise ValueError(f"Gram matrix has eigenvalue {min_eig:.3e} below -1e-8")
 
 
-def _coherent_overlap(a, b):
-    """<a|b> = exp(-(|a|^2 + |b|^2)/2 + conj(a) b) for coherent states."""
-    return np.exp(-0.5 * (abs(a) ** 2 + abs(b) ** 2) + np.conj(a) * b)
-
-
 def _ensemble_data(ensemble):
     """(amplitudes K x M, probs, mode photon numbers) for either input kind."""
     if isinstance(ensemble, Constellation):
-        return ensemble.amplitudes.reshape(-1, 1), ensemble.probs, (0.0,)
+        return ensemble.amplitudes.reshape(-1, 1), ensemble.probs, np.zeros(1)
     amps = ensemble.mode_amplitudes()
-    return amps, ensemble.probs, (ensemble.nu2p, ensemble.nu1p)
+    return amps, ensemble.probs, np.array([ensemble.nu2p, ensemble.nu1p])
 
 
 def gram_matrix(ensemble, variant="pure-exact"):
     """Gram matrix of a displaced-thermal ensemble or coherent constellation.
 
-    "pure-exact": entries sqrt(p_m p_n) <psi_m|psi_n> built from the complex
-    coherent-state overlaps of the displacement amplitudes.  Exact whenever
-    the thermal photon numbers vanish; for mixed ensembles it deliberately
-    drops the thermal covariance, keeping the overlap phases (the
-    conjectured mixed-state extension; its entropy provably stays below the
+    "pure-exact": entries sqrt(p_m p_n) <psi_m|psi_n>, with the complex
+    coherent-state overlap <a|b> = exp(-(|a|^2 + |b|^2)/2 + conj(a) b) taken
+    per mode and multiplied over the modes.  Exact whenever the thermal
+    photon numbers vanish; for mixed ensembles it deliberately drops the
+    thermal covariance, keeping the overlap phases (the conjectured
+    mixed-state extension; its entropy provably stays below the
     Gaussian-extremality bound because the true average state is the pure
     surrogate convolved with thermal noise).
 
     "hs-normalized": entries
     sqrt(p_m p_n) tr(rho_m rho_n) / sqrt(tr(rho_m^2) tr(rho_n^2)), so the
-    diagonal is p_m.  Phase-free; recorded for comparison.
+    diagonal is p_m.  For displaced thermal modes with photon numbers n_k
+    this is sqrt(p_m p_n) exp(-sum_k |b_m^k - b_n^k|^2 / (2 n_k + 1)), the
+    closed form of `gaussian_hs_overlap` over the purities.  Phase-free;
+    recorded for comparison.
     """
     if variant not in GRAM_VARIANTS:
         raise ValueError(f"unknown Gram variant {variant!r}, expected one of {GRAM_VARIANTS}")
     amps, probs, mode_nbars = _ensemble_data(ensemble)
-    k = probs.size
     root_p = np.sqrt(probs)
+    weights = root_p[:, None] * root_p[None, :]
+    a, b = amps[:, None, :], amps[None, :, :]
 
     if variant == "pure-exact":
-        m = np.empty((k, k), dtype=complex)
-        for i in range(k):
-            for j in range(k):
-                overlap = np.prod([_coherent_overlap(amps[i, mode], amps[j, mode])
-                                   for mode in range(amps.shape[1])])
-                m[i, j] = root_p[i] * root_p[j] * overlap
-        return GramMatrix(matrix=m, variant=variant)
+        overlap = np.prod(np.exp(-0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2) + np.conj(a) * b), axis=2)
+        return GramMatrix(matrix=weights * overlap, variant=variant)
 
-    cov = np.diag(np.repeat([2 * nb + 1 for nb in mode_nbars], 2)).astype(float)
-    states = []
-    for i in range(k):
-        mean = np.empty(2 * amps.shape[1])
-        mean[0::2] = 2 * amps[i].real
-        mean[1::2] = 2 * amps[i].imag
-        states.append(GaussianState(mean=mean, cov=cov))
-    hs = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            hs[i, j] = hs[j, i] = gaussian_hs_overlap(states[i], states[j])
-    purity = np.sqrt(np.diag(hs))
-    m = root_p[:, None] * root_p[None, :] * hs / (purity[:, None] * purity[None, :])
-    return GramMatrix(matrix=m.astype(complex), variant=variant)
+    distance = (np.abs(a - b) ** 2 / (2 * mode_nbars + 1)).sum(axis=2)
+    return GramMatrix(matrix=(weights * np.exp(-distance)).astype(complex), variant=variant)
 
 
 def gram_entropy(gm, base="bits"):
     """Entropy -sum lambda log lambda of a Gram matrix's spectrum.
 
     Eigenvalues in [-1e-8, 0) are clipped to zero (Hermitian eigensolves
-    dip slightly negative) and the spectrum renormalized.
+    dip slightly negative) and the spectrum renormalized.  The result is
+    never negative, and 0.0 rather than -0.0 for a pure spectrum.
     """
     if base not in ("bits", "nats"):
         raise ValueError(f"log base must be 'bits' or 'nats', got {base!r}")
@@ -154,7 +145,7 @@ def gram_entropy(gm, base="bits"):
     eigs = eigs / eigs.sum()
     eigs = eigs[eigs > 1e-15]
     logs = np.log2(eigs) if base == "bits" else np.log(eigs)
-    return float(-(eigs * logs).sum())
+    return max(0.0, float(-(eigs * logs).sum()))
 
 
 def bm_get_entropy(constellation, params, base="bits"):
@@ -168,20 +159,20 @@ def bm_gme_entropy(constellation, params, variant="pure-exact", base="bits"):
     return gram_entropy(gram_matrix(ens, variant=variant), base=base)
 
 
-def eb_qpsk_entropy(alpha, params, base="bits", cutoff=40):
+def eb_qpsk_entropy(alpha, params, base="bits"):
     """Entangled-based bound for the four-state protocol.
 
     Builds the two-mode covariance [[X I, Z4 Z], [Z4 Z, X I]] of the
     purification of the sender's average state, with X = 1 + 2 alpha^2 and
-    Z4 the numerically computed purification cross moment, sends the second
-    mode through the channel (variance tau X + (1 - tau)(2 nbar + 1),
+    Z4 the purification cross moment (closed form, `fock.eb_z4`), sends the
+    second mode through the channel (variance tau X + (1 - tau)(2 nbar + 1),
     correlation sqrt(tau) Z4) and returns the Gaussian entropy of the
     result, which bounds the eavesdropper entropy by global purity.
     """
     if alpha <= 0:
         raise ValueError(f"amplitude must be positive, got {alpha}")
     x = 1 + 2 * alpha * alpha
-    z4 = fock.eb_z4(alpha, cutoff)
+    z4 = fock.eb_z4(alpha)
     bob = params.tau * x + (1 - params.tau) * (2 * params.nbar + 1)
     corr = np.sqrt(params.tau) * z4
     cov = np.diag([x, x, bob, bob]).astype(float)

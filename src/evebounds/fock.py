@@ -1,9 +1,12 @@
 """Brute-force reference calculations in a truncated Fock space.
 
 Dense simulation at desk scale, used to validate the phase-space
-pipeline: moment extraction, operator-reordering identities, exact
-ensemble entropies of the eavesdropper state, and the cross moment of the
-purification of a four-state coherent ensemble.
+pipeline: moment extraction, operator-reordering identities and exact
+ensemble entropies of the eavesdropper state.  The module also holds
+`eb_z4`, the cross moment of the purification of a four-state coherent
+ensemble; it is computed in closed form from the mod-4 photon-number
+classes, and the tests check it against the purification built in a
+truncated Fock space.
 
 Unitaries are exponentials of the truncated anti-Hermitian generator, so
 they stay exactly unitary; truncation error shows up as population
@@ -300,13 +303,18 @@ def fock_partial_trace(rho, dims, keep):
 
 
 def fock_entropy(rho, base="bits"):
-    """Von Neumann entropy by eigendecomposition; eigenvalues <= 1e-15 skipped."""
+    """Von Neumann entropy by eigendecomposition; eigenvalues <= 1e-15 skipped.
+
+    A pure state can come out with an eigenvalue of 1 + 4e-16 and so a
+    slightly negative sum; the result is floored at 0.0 (never -0.0), and
+    any positive sum is returned unchanged.
+    """
     if base not in ("bits", "nats"):
         raise ValueError(f"log base must be 'bits' or 'nats', got {base!r}")
     eigs = np.linalg.eigvalsh(rho)
     eigs = eigs[eigs > 1e-15]
     logs = np.log2(eigs) if base == "bits" else np.log(eigs)
-    return float(-(eigs * logs).sum())
+    return max(0.0, float(-(eigs * logs).sum()))
 
 
 def fock_hs_product(rho1, rho2):
@@ -420,85 +428,29 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
     return result
 
 
-def _qpsk_average_state(alpha, cutoff):
-    d = cutoff + 1
-    rho = np.zeros((d, d), dtype=complex)
-    worst = 0.0
-    for k in range(4):
-        ket, deficit = coherent_ket(alpha * np.exp(1j * (2 * k + 1) * np.pi / 4), cutoff)
-        worst = max(worst, deficit)
-        rho += 0.25 * np.outer(ket, ket.conj())
-    return rho, worst
-
-
-def _z4_at_cutoff(alpha, cutoff):
-    rho, deficit = _qpsk_average_state(alpha, cutoff)
-    _require_deficit(deficit, f"qpsk alpha={alpha}")
-    lam, vecs = np.linalg.eigh(rho)
-    sel = lam > 1e-12
-    lam, vecs = lam[sel], vecs[:, sel]
-
-    d = cutoff + 1
-    a = np.diag(np.sqrt(np.arange(1, d)), k=1)
-    q = a + a.conj().T
-    p = -1j * (a - a.conj().T)
-
-    c = np.sqrt(lam)
-    moments = {}
-    for name, op in (("q", q), ("p", p)):
-        moments_a = vecs.conj().T @ op @ vecs
-        moments_b = vecs.T @ op @ vecs.conj()
-        moments[name] = (moments_a, moments_b)
-
-    def cross(na, nb):
-        ma = moments[na][0]
-        mb = moments[nb][1]
-        return complex(np.einsum("j,k,jk,jk->", c, c, ma, mb))
-
-    z_qq = cross("q", "q")
-    z_pp = cross("p", "p")
-    z_qp = cross("q", "p")
-    z_pq = cross("p", "q")
-    for name, val in (("qq", z_qq), ("pp", z_pp), ("qp", z_qp), ("pq", z_pq)):
-        if abs(val.imag) > 1e-8:
-            raise FockConvergenceError(f"purification {name} moment not real: {val.imag:.3e}")
-    if abs(z_qp.real) > 1e-8 or abs(z_pq.real) > 1e-8:
-        raise FockConvergenceError("purification q-p cross moments did not vanish")
-    if abs(z_pp.real + z_qq.real) > 1e-8 * max(1.0, abs(z_qq.real)):
-        raise FockConvergenceError("purification does not have the (Z4, -Z4) correlation structure")
-
-    x_a = float(np.trace(rho @ q @ q).real)
-    x_expected = 1 + 2 * alpha * alpha
-    if abs(x_a - x_expected) > 1e-6:
-        raise FockConvergenceError(
-            f"ensemble variance check failed: <q^2> = {x_a!r}, expected {x_expected!r}"
-        )
-    x_b = float(np.einsum("j,jj->", lam, (vecs.T @ q @ q @ vecs.conj()).real))
-    if abs(x_b - x_expected) > 1e-6:
-        raise FockConvergenceError("purification partner variance does not reproduce the ensemble")
-
-    z4 = z_qq.real
-    if z4 < 0:
-        raise FockConvergenceError(f"purification cross moment came out negative: {z4!r}")
-    return z4
-
-
 @lru_cache(maxsize=128)
-def eb_z4(alpha, cutoff=40):
+def eb_z4(alpha):
     """q-q cross moment of the Schmidt purification of the four-state
     coherent average state, with partner vectors conjugated in the Fock
     basis (which makes the moment nonnegative).
 
-    Cached by value; convergence is enforced by a cutoff-5 sweep.
+    The average state is diagonal in the mod-4 photon-number classes, with
+    eigenvalues lambda_k = exp(-alpha^2) sum_{n = k mod 4} alpha^(2n) / n!,
+    and the moment is Z4 = 2 alpha^2 sum_k lambda_k^(3/2) lambda_{k+1}^(-1/2)
+    (Leverrier and Grangier, PRL 102, 180504, 2009).  The Poisson sums and
+    the powers are taken in log space, so the value stays accurate for
+    large alpha, where cosh overflows, and for small alpha, where the
+    differences of cosh and cos (sinh and sin) cancel.  Cached by value.
     """
     if alpha <= 0:
         raise ValueError(f"amplitude must be positive, got {alpha}")
-    if cutoff < 7:
-        raise ValueError(f"cutoff must be >= 7 to allow the convergence sweep, got {cutoff}")
-    fine = _z4_at_cutoff(float(alpha), int(cutoff))
-    coarse = _z4_at_cutoff(float(alpha), int(cutoff) - 5)
-    if abs(fine - coarse) >= 1e-6:
-        raise FockConvergenceError(
-            f"Z4 drift {abs(fine - coarse):.3e} >= 1e-6 between cutoffs {cutoff} and {cutoff - 5}"
-        )
-    return fine
+    a2 = float(alpha) ** 2
+    # The sums run over the Poisson mean +- (12 standard deviations + 40
+    # terms), starting at a multiple of 4; the mass left out is below 1e-25.
+    reach = 12 * math.sqrt(a2) + 40
+    n = np.arange(4 * max(0, math.floor((a2 - reach) / 4)), 4 * math.ceil((a2 + reach) / 4))
+    log_factorials = np.fromiter(map(math.lgamma, n + 1.0), float, n.size)
+    log_terms = (n * math.log(a2) - log_factorials - a2).reshape(-1, 4)
+    peak = log_terms.max(axis=0)
+    log_lam = peak + np.log(np.exp(log_terms - peak).sum(axis=0))
+    return 2 * a2 * float(np.exp(1.5 * log_lam - 0.5 * np.roll(log_lam, -1)).sum())

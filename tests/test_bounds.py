@@ -116,7 +116,8 @@ class TestGramMatrix:
 
     def test_qpsk_entropy_vs_fock_oracle(self):
         gm = gram_matrix(qpsk(1.0), variant="pure-exact")
-        rho, _ = fock._qpsk_average_state(1.0, 30)
+        kets = [fock.coherent_ket(amp, 30)[0] for amp in qpsk(1.0).amplitudes]
+        rho = sum(0.25 * np.outer(ket, ket.conj()) for ket in kets)
         assert gram_entropy(gm) == pytest.approx(fock.fock_entropy(rho), abs=1e-3)
 
     def test_hs_variant_diagonal_is_probability(self):
@@ -124,6 +125,37 @@ class TestGramMatrix:
         gm = gram_matrix(ens, variant="hs-normalized")
         assert np.allclose(np.diag(gm.matrix).real, 0.25, atol=1e-12)
         assert np.trace(gm.matrix).real == pytest.approx(1.0, abs=1e-12)
+
+    def test_pure_exact_matches_pairwise_overlaps(self):
+        # entry by entry: sqrt(p_m p_n) times the product over both modes of
+        # <a|b> = exp(-(|a|^2 + |b|^2)/2 + conj(a) b); the array form may
+        # round differently in the last bits
+        ens = displaced_thermal_ensemble(qpsk(1.3), ChannelParams(tau=0.4, nbar=0.5))
+        amps = ens.mode_amplitudes()
+        expected = np.empty((4, 4), dtype=complex)
+        for i in range(4):
+            for j in range(4):
+                overlap = 1.0
+                for a, b in zip(amps[i], amps[j]):
+                    overlap *= np.exp(-0.5 * (abs(a) ** 2 + abs(b) ** 2) + np.conj(a) * b)
+                expected[i, j] = math.sqrt(ens.probs[i] * ens.probs[j]) * overlap
+        gm = gram_matrix(ens, variant="pure-exact")
+        assert np.max(np.abs(gm.matrix - expected)) < 1e-14
+
+    def test_hs_variant_matches_gaussian_overlap(self):
+        # the closed-form entries against tr(rho_m rho_n) over the purities,
+        # from the Gaussian Hilbert-Schmidt product, on a mixed ensemble
+        from evebounds.states import GaussianState
+
+        ens = displaced_thermal_ensemble(qpsk(1.0), ChannelParams(tau=0.4, nbar=0.5))
+        assert ens.nu1p > 0.1  # the retained squeezed-vacuum arm is thermal
+        states = [GaussianState(mean=mean, cov=ens.common_covariance()) for mean in ens.means]
+        hs = np.array([[gaussian_hs_overlap(s1, s2) for s2 in states] for s1 in states])
+        purity = np.sqrt(np.diag(hs))
+        root_p = np.sqrt(ens.probs)
+        expected = np.outer(root_p, root_p) * hs / np.outer(purity, purity)
+        gm = gram_matrix(ens, variant="hs-normalized")
+        assert np.max(np.abs(gm.matrix - expected)) < 1e-12
 
     def test_hs_variant_pure_limit_entries(self):
         # for a pure ensemble the normalized HS entry is |<a|b>|^2
@@ -209,8 +241,8 @@ class TestGramEntropyBound:
 
 class TestEntangledBasedBound:
     def test_modulation_variance(self):
-        # X = 1 + 2 alpha^2 is the ensemble second moment, checked in the
-        # Fock oracle inside eb_z4; here probe the resulting covariance
+        # X = 1 + 2 alpha^2 is the ensemble second moment; here probe the
+        # resulting covariance
         params = ChannelParams(tau=1.0, nbar=0.0)
         value = eb_qpsk_entropy(1.0, params)
         x = 3.0

@@ -73,15 +73,18 @@ class TestConfig:
 
 
 class TestScan:
-    def test_single_row_trivial(self):
-        cfg = ScanConfig(tau_min=1.0, tau_max=1.0, tau_steps=1, nbars=[0.01], methods=["bm-get"])
-        rows = run_scan(cfg)
-        assert len(rows) == 1
-        fields = rows[0].split(",")
-        assert fields[0] == "1"
-        assert fields[3] == "bm-get"
-        assert abs(float(fields[5])) < 1e-9
-        assert fields[7] == "ok"
+    @pytest.mark.parametrize("methods", [["bm-get"], ["eb", "bm-get", "bm-gme", "oracle"]])
+    def test_single_row_trivial(self, methods):
+        # tau = 1: the eavesdropper learns nothing, and the estimators that
+        # are exact there print a plain 0, with no sign and no round-off
+        cfg = ScanConfig(tau_min=1.0, tau_max=1.0, tau_steps=1, nbars=[0.01], methods=methods)
+        rows = [row.split(",") for row in run_scan(cfg)]
+        assert len(rows) == len(methods)
+        assert all(fields[0] == "1" and fields[7] == "ok" for fields in rows)
+        entropies = {fields[3]: fields[5] for fields in rows}
+        assert sorted(entropies) == sorted(methods)
+        for method in ("bm-get", "bm-gme", "oracle"):
+            assert entropies.get(method, "0") == "0"
 
     def test_zero_transmittance_row(self):
         # tau = 0: every method is finite; at nbar = 0 the eavesdropper holds
@@ -112,12 +115,16 @@ class TestScan:
         keys = [(float(r.split(",")[1]), float(r.split(",")[0]), r.split(",")[3]) for r in rows]
         assert keys == sorted(keys)
 
-    def test_ordering_holds_rowwise(self):
-        cfg = ScanConfig(tau_steps=5, nbars=[0.01], methods=["eb", "bm-get", "bm-gme"])
+    # at alpha = 4 a 41-level truncated Fock space no longer resolves the
+    # purification behind eb's Z4 (it leaks past alpha ~ 3.4)
+    @pytest.mark.parametrize("alpha", [1.0, 4.0])
+    def test_ordering_holds_rowwise(self, alpha):
+        cfg = ScanConfig(tau_steps=5, nbars=[0.01], alpha=alpha, methods=["eb", "bm-get", "bm-gme"])
         rows = run_scan(cfg)
         by_point = {}
         for row in rows:
             f = row.split(",")
+            assert f[7] == "ok"
             by_point.setdefault(f[0], {})[f[3]] = float(f[5])
         for values in by_point.values():
             assert values["bm-gme"] <= values["bm-get"] + 1e-9

@@ -193,12 +193,64 @@ class TestEveExact:
             fock.eve_exact_entropy(qpsk(1.0), ChannelParams(tau=0.5, nbar=0.01), cutoff=5)
 
 
+def qpsk_purification_moments(alpha, cutoff=40):
+    """Moments of the Schmidt purification of the four-state coherent
+    average state, built in a truncated Fock space; the reference for the
+    closed-form `fock.eb_z4`.
+
+    Returns the cross moments {"qq", "qp", "pq", "pp"} between a mode and
+    its purifying partner (partner vectors conjugated in the Fock basis),
+    and <q^2> of the ensemble and of the partner.
+    """
+    d = cutoff + 1
+    rho = np.zeros((d, d), dtype=complex)
+    for amp in qpsk(alpha).amplitudes:
+        ket, deficit = fock.coherent_ket(amp, cutoff)
+        assert deficit < fock.DEFICIT_LIMIT
+        rho += 0.25 * np.outer(ket, ket.conj())
+    lam, vecs = np.linalg.eigh(rho)
+    keep = lam > 1e-12
+    lam, vecs = lam[keep], vecs[:, keep]
+    a = np.diag(np.sqrt(np.arange(1, d)), k=1)
+    quads = {"q": a + a.T, "p": -1j * (a - a.T)}
+    c = np.sqrt(lam)
+    cross = {
+        x + y: complex(np.einsum("j,k,jk,jk->", c, c, vecs.conj().T @ quads[x] @ vecs,
+                                 vecs.T @ quads[y] @ vecs.conj()))
+        for x in "qp"
+        for y in "qp"
+    }
+    q2 = quads["q"] @ quads["q"]
+    x_ensemble = float(np.trace(rho @ q2).real)
+    x_partner = float(np.einsum("j,jj->", lam, (vecs.T @ q2 @ vecs.conj()).real))
+    return cross, x_ensemble, x_partner
+
+
+REFERENCE_ALPHAS = [0.05, 0.3, 1.0, 1.7, 2.5, 3.0]
+
+
 class TestPurificationCrossMoment:
+    @pytest.mark.parametrize("alpha", REFERENCE_ALPHAS)
+    def test_fock_reference_structure(self, alpha):
+        # the purification has the covariance [[X I, Z4 Z], [Z4 Z, X I]]
+        cross, x_ensemble, x_partner = qpsk_purification_moments(alpha)
+        assert all(abs(v.imag) < 1e-8 for v in cross.values())
+        assert abs(cross["qp"].real) < 1e-8 and abs(cross["pq"].real) < 1e-8
+        assert abs(cross["pp"].real + cross["qq"].real) < 1e-8 * max(1.0, abs(cross["qq"].real))
+        assert cross["qq"].real > 0
+        assert x_ensemble == pytest.approx(1 + 2 * alpha**2, abs=1e-6)
+        assert x_partner == pytest.approx(1 + 2 * alpha**2, abs=1e-6)
+
+    @pytest.mark.parametrize("alpha", REFERENCE_ALPHAS)
+    def test_matches_fock_reference(self, alpha):
+        cross, _, _ = qpsk_purification_moments(alpha)
+        assert fock.eb_z4(alpha) == pytest.approx(cross["qq"].real, rel=1e-12, abs=0)
+
     def test_small_amplitude_limit(self):
         # Z4 -> 2 alpha as alpha -> 0: the dominant Gram term is
         # 2 a^2 lam_0^1.5 / lam_1^0.5 with lam_0 -> 1 and lam_1 -> a^2
-        assert fock.eb_z4(1e-3, cutoff=12) == pytest.approx(2e-3, rel=1e-3)
-        assert fock.eb_z4(0.05, cutoff=12) == pytest.approx(0.1, rel=1e-2)
+        assert fock.eb_z4(1e-3) == pytest.approx(2e-3, rel=1e-3)
+        assert fock.eb_z4(0.05) == pytest.approx(0.1, rel=1e-2)
 
     def test_reference_value_from_closed_form(self):
         # independent route: mod-4 Poisson sums give the average-state
@@ -218,13 +270,15 @@ class TestPurificationCrossMoment:
         assert fock.eb_z4(1.0) == pytest.approx(2.5197051, abs=1e-6)
 
     def test_physicality_bound(self):
-        for alpha in (0.5, 1.0, 1.5):
+        # from where cos/sin differences cancel to where cosh overflows
+        for alpha in np.geomspace(1e-3, 30, 200):
             x = 1 + 2 * alpha**2
             z4 = fock.eb_z4(alpha)
-            assert z4 * z4 <= x * x - 1 + 1e-9
+            assert math.isfinite(z4)
+            assert x * x - z4 * z4 >= 1
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             fock.eb_z4(-1.0)
         with pytest.raises(ValueError):
-            fock.eb_z4(1.0, cutoff=4)
+            fock.eb_z4(0.0)

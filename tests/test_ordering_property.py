@@ -1,0 +1,27 @@
+"""Randomized check of the estimator ordering bm-gme <= bm-get <= eb over
+the whole channel domain and a wide amplitude range."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evebounds.bounds import bm_get_entropy, bm_gme_entropy, eb_qpsk_entropy
+from evebounds.cloner import ChannelParams, qpsk
+
+# The tolerance of checks.check_estimator_ordering.
+ORDER_TOL = 1e-9
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    tau=st.floats(0.0, 1.0),
+    nbar=st.floats(0.0, 5.0),
+    alpha=st.floats(0.05, 6.0),
+)
+def test_estimator_ordering(tau, nbar, alpha):
+    params = ChannelParams(tau=tau, nbar=nbar)
+    constellation = qpsk(alpha)
+    gme = bm_gme_entropy(constellation, params)
+    get = bm_get_entropy(constellation, params)
+    eb = eb_qpsk_entropy(alpha, params)
+    assert gme <= get + ORDER_TOL
+    assert get <= eb + ORDER_TOL
