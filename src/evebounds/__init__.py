@@ -47,7 +47,6 @@ from .cloner import (
     eve_average_covariance,
 )
 from .bounds import (
-    GramMatrix,
     gaussian_hs_overlap,
     gram_matrix,
     gram_entropy,
@@ -63,7 +62,6 @@ from .fock import (
     fock_thermal,
     fock_tmsv,
     fock_displacement,
-    fock_rotation,
     fock_squeezer,
     fock_bs,
     fock_partial_trace,

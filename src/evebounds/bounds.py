@@ -22,10 +22,10 @@ is not:
   a mixed ensemble is ambiguous; the phase-free "hs-normalized" variant is
   the other conjectured rule and can exceed `bm_get_entropy`.  Both Gram
   variants are closed-form array expressions over the K x M displacement
-  amplitudes (K states, M modes).
+  amplitudes (K states, M modes); `gram_matrix` returns the K x K array and
+  `gram_entropy` checks it (Hermitian, unit trace, no eigenvalue below
+  -1e-8) with the one eigensolve that gives its entropy.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .linalg import max_abs
 from .states import entropy_from_cov
 
 __all__ = [
-    "GramMatrix",
     "gaussian_hs_overlap",
     "gram_matrix",
     "gram_entropy",
@@ -67,26 +66,6 @@ def gaussian_hs_overlap(s1, s2):
     return float(2**s1.nmodes / np.sqrt(det) * np.exp(exponent))
 
 
-@dataclass
-class GramMatrix:
-    """Normalized weighted-overlap matrix of an ensemble."""
-
-    matrix: np.ndarray
-    variant: str
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        herm = max_abs(self.matrix - self.matrix.conj().T)
-        if herm > 1e-10:
-            raise ValueError(f"Gram matrix not Hermitian: residual {herm:.3e}")
-        trace = complex(np.trace(self.matrix)).real
-        if abs(trace - 1.0) > 1e-9:
-            raise ValueError(f"Gram matrix trace is {trace!r}, expected 1 within 1e-9")
-        min_eig = float(np.linalg.eigvalsh(self.matrix).min())
-        if min_eig < -1e-8:
-            raise ValueError(f"Gram matrix has eigenvalue {min_eig:.3e} below -1e-8")
-
-
 def _ensemble_data(ensemble):
     """(amplitudes K x M, probs, mode photon numbers) for either input kind."""
     if isinstance(ensemble, Constellation):
@@ -113,6 +92,8 @@ def gram_matrix(ensemble, variant="pure-exact"):
     this is sqrt(p_m p_n) exp(-sum_k |b_m^k - b_n^k|^2 / (2 n_k + 1)), the
     closed form of `gaussian_hs_overlap` over the purities.  Phase-free;
     recorded for comparison.
+
+    Returns the K x K complex array unchecked; `gram_entropy` checks it.
     """
     if variant not in GRAM_VARIANTS:
         raise ValueError(f"unknown Gram variant {variant!r}, expected one of {GRAM_VARIANTS}")
@@ -123,24 +104,33 @@ def gram_matrix(ensemble, variant="pure-exact"):
 
     if variant == "pure-exact":
         overlap = np.prod(np.exp(-0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2) + np.conj(a) * b), axis=2)
-        return GramMatrix(matrix=weights * overlap, variant=variant)
+        return weights * overlap
 
     distance = (np.abs(a - b) ** 2 / (2 * mode_nbars + 1)).sum(axis=2)
-    return GramMatrix(matrix=(weights * np.exp(-distance)).astype(complex), variant=variant)
+    return (weights * np.exp(-distance)).astype(complex)
 
 
-def gram_entropy(gm, base="bits"):
+def gram_entropy(matrix, base="bits"):
     """Entropy -sum lambda log lambda of a Gram matrix's spectrum.
 
-    Eigenvalues in [-1e-8, 0) are clipped to zero (Hermitian eigensolves
-    dip slightly negative) and the spectrum renormalized.  The result is
-    never negative, and 0.0 rather than -0.0 for a pure spectrum.
+    The one place a Gram matrix is checked: it must be Hermitian to 1e-10,
+    have unit trace to 1e-9 and no eigenvalue below -1e-8.  Eigenvalues in
+    [-1e-8, 0) are clipped to zero (Hermitian eigensolves dip slightly
+    negative) and the spectrum renormalized.  The result is never negative,
+    and 0.0 rather than -0.0 for a pure spectrum.
     """
     if base not in ("bits", "nats"):
         raise ValueError(f"log base must be 'bits' or 'nats', got {base!r}")
-    eigs = np.linalg.eigvalsh(gm.matrix)
+    matrix = np.asarray(matrix, dtype=complex)
+    herm = max_abs(matrix - matrix.conj().T)
+    if herm > 1e-10:
+        raise ValueError(f"Gram matrix not Hermitian: residual {herm:.3e}")
+    trace = complex(np.trace(matrix)).real
+    if abs(trace - 1.0) > 1e-9:
+        raise ValueError(f"Gram matrix trace is {trace!r}, expected 1 within 1e-9")
+    eigs = np.linalg.eigvalsh(matrix)
     if eigs.min() < -1e-8:
-        raise ValueError(f"Gram eigenvalue {eigs.min():.3e} below -1e-8")
+        raise ValueError(f"Gram matrix has eigenvalue {eigs.min():.3e} below -1e-8")
     eigs = np.clip(eigs, 0.0, None)
     eigs = eigs / eigs.sum()
     eigs = eigs[eigs > 1e-15]

@@ -193,12 +193,12 @@ def check_gram_validity():
     for variant in ("pure-exact", "hs-normalized"):
         for tau in (0.2, 0.6, 0.9):
             ens = displaced_thermal_ensemble(constellation, ChannelParams(tau=tau, nbar=0.02))
-            gm = gram_matrix(ens, variant=variant)
-            eigs = np.linalg.eigvalsh(gm.matrix)
+            gram = gram_matrix(ens, variant=variant)
+            eigs = np.linalg.eigvalsh(gram)
             worst = max(
                 worst,
-                max_abs(gm.matrix - gm.matrix.conj().T),
-                abs(float(np.trace(gm.matrix).real) - 1.0),
+                max_abs(gram - gram.conj().T),
+                abs(float(np.trace(gram).real) - 1.0),
                 max(0.0, -float(eigs.min())),
             )
     return CheckResult("gram-validity", worst, 1e-8)

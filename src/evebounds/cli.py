@@ -69,10 +69,8 @@ def _fmt(value):
     return f"{value:.12g}"
 
 
-def _evaluate(method, cfg, tau, nbar):
+def _evaluate(method, cfg, constellation, params):
     """(variant, entropy string, status) for one grid cell."""
-    params = ChannelParams(tau=float(tau), nbar=float(nbar))
-    constellation = qpsk(cfg.alpha)
     if method == "eb":
         return "-", _fmt(eb_qpsk_entropy(cfg.alpha, params, base=cfg.log_base)), "ok"
     if method == "bm-get":
@@ -92,10 +90,12 @@ def _evaluate(method, cfg, tau, nbar):
 def run_scan(cfg):
     """All CSV rows (header excluded) for a configuration, sorted."""
     rows = []
+    constellation = qpsk(cfg.alpha)
     for nbar in sorted(cfg.nbars):
         for tau in cfg.tau_grid():
+            params = ChannelParams(tau=float(tau), nbar=float(nbar))
             for method in sorted(cfg.methods):
-                variant, entropy, status = _evaluate(method, cfg, tau, nbar)
+                variant, entropy, status = _evaluate(method, cfg, constellation, params)
                 rows.append(
                     f"{_fmt(tau)},{_fmt(nbar)},{_fmt(cfg.alpha)},{method},"
                     f"{variant},{entropy},{cfg.log_base},{status}"

@@ -35,7 +35,6 @@ __all__ = [
     "fock_thermal",
     "fock_tmsv",
     "fock_displacement",
-    "fock_rotation",
     "fock_squeezer",
     "fock_bs",
     "fock_partial_trace",
@@ -247,10 +246,6 @@ def apply_generator(gen, ket):
 
 def fock_displacement(alpha, space):
     return fock_unitary(displacement_generator(space, alpha))
-
-
-def fock_rotation(phi, space):
-    return fock_unitary(rotation_generator(space, phi))
 
 
 def fock_squeezer(z, space):

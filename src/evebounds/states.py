@@ -40,7 +40,11 @@ PHYSICALITY_ATOL = 1e-9
 
 def omega(nmodes):
     """Symplectic form for `nmodes` modes in (q1, p1, ...) ordering."""
-    return np.kron(np.eye(nmodes), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    om = np.zeros((2 * nmodes, 2 * nmodes))
+    q = np.arange(0, 2 * nmodes, 2)
+    om[q, q + 1] = 1.0
+    om[q + 1, q] = -1.0
+    return om
 
 
 def _check_cov(cov, atol_sym=1e-10):
@@ -127,7 +131,11 @@ class StandardTwoModeCov:
                 raise ValueError(f"standard-form entry {name} is not finite")
         if self.a < 1 - PHYSICALITY_ATOL or self.b < 1 - PHYSICALITY_ATOL:
             raise ValueError(f"standard form needs a, b >= 1, got a={self.a}, b={self.b}")
-        _check_cov(self.as_matrix())
+        # With a, b >= 1, cov + i Omega >= 0 exactly when both symplectic
+        # eigenvalues are >= 1, so the closed-form spectrum decides it.
+        nu_min = min(standard_symplectic_spectrum(self))
+        if nu_min < 1 - PHYSICALITY_ATOL:
+            raise ValueError(f"unphysical standard form: symplectic eigenvalue {nu_min:.12g} below 1")
 
     def as_matrix(self):
         m = np.zeros((4, 4))

@@ -10,6 +10,7 @@ from evebounds.states import (
     GaussianState,
     StandardTwoModeCov,
     SymplecticMap,
+    _check_cov,
     apply_symplectic,
     average_covariance,
     entropy_from_cov,
@@ -156,6 +157,41 @@ class TestWilliamson:
             StandardTwoModeCov(a=1.0, b=1.0, c=1.5)
 
 
+def _accepts(check, *args):
+    try:
+        check(*args)
+    except ValueError:
+        return False
+    return True
+
+
+class TestStandardFormPhysicality:
+    """StandardTwoModeCov decides physicality from its closed-form
+    symplectic spectrum; the reference is the eigen-check of cov + i Omega."""
+
+    def test_matches_eigen_check_on_random_forms(self):
+        rng = np.random.default_rng(20261018)
+        outcomes = []
+        for _ in range(2000):
+            a, b = 1 + rng.exponential(2.0, size=2)
+            c = rng.uniform(-1.2, 1.2) * math.sqrt(a * b)
+            matrix = np.block([[a * np.eye(2), c * Z], [c * Z, b * np.eye(2)]])
+            if abs(np.linalg.eigvalsh(matrix + 1j * omega(2)).min()) < 1e-6:
+                continue  # too close to the boundary for the tolerances to agree
+            expected = _accepts(_check_cov, matrix)
+            assert _accepts(StandardTwoModeCov, a, b, c) == expected, (a, b, c)
+            outcomes.append(expected)
+        assert 500 < sum(outcomes) < len(outcomes) - 500
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("nbar", [0.0, 5.0])
+    def test_conditional_covariance_on_the_boundary(self, tau, nbar):
+        # nu2 = 1 exactly: the eavesdropper holds a purification
+        std = eve_reduced_covariance(ChannelParams(tau=tau, nbar=nbar))
+        assert min(standard_symplectic_spectrum(std)) == pytest.approx(1.0, abs=1e-12)
+        _check_cov(std.as_matrix())
+
+
 class TestEntropy:
     def test_vacuum(self):
         assert entropy_from_cov(np.eye(2)) == 0.0
@@ -274,3 +310,9 @@ class TestAverageCovariance:
 def test_omega_blocks():
     assert np.allclose(omega(2)[:2, :2], [[0, 1], [-1, 0]])
     assert np.allclose(omega(2)[:2, 2:], 0)
+
+
+@pytest.mark.parametrize("nmodes", [1, 2, 3, 6])
+def test_omega_is_block_diagonal_j(nmodes):
+    j = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert np.array_equal(omega(nmodes), np.kron(np.eye(nmodes), j))
