@@ -56,13 +56,9 @@ from .bounds import (
 )
 from .fock import (
     FockSpace,
-    FockState,
     FockConvergenceError,
-    fock_coherent,
     fock_thermal,
     fock_tmsv,
-    fock_displacement,
-    fock_squeezer,
     fock_bs,
     fock_partial_trace,
     fock_entropy,

@@ -16,6 +16,7 @@ from .cloner import (
     ChannelParams,
     bs_symplectic,
     displaced_thermal_ensemble,
+    eve_average_covariance,
     eve_reduced_covariance,
     initial_covariance,
     qpsk,
@@ -24,7 +25,6 @@ from .linalg import max_abs, principal_sqrt, unitarity_defect
 from .states import (
     GaussianState,
     apply_symplectic,
-    average_covariance,
     entropy_from_cov,
     partial_trace_modes,
     standard_symplectic_spectrum,
@@ -166,8 +166,7 @@ def check_entropy_unitary_invariance():
     constellation = qpsk(1.0)
     for tau, nbar in ((0.3, 0.01), (0.5, 0.02), (0.8, 0.1)):
         params = ChannelParams(tau=tau, nbar=nbar)
-        ens = displaced_thermal_ensemble(constellation, params)
-        avg = average_covariance(ens.means, ens.probs, ens.common_covariance())
+        avg = eve_average_covariance(constellation, params)
         smap, _, _ = williamson_standard_two_mode(eve_reduced_covariance(params))
         conjugated = smap.s @ avg @ smap.s.T
         worst = max(worst, abs(entropy_from_cov(avg) - entropy_from_cov(conjugated)))
@@ -274,13 +273,11 @@ def _switch_rule_distances(space, alpha, herm, sym, rng):
 
 def check_oracle_entropy_agreement():
     worst = 0.0
-    space = fock.FockSpace(cutoff=30)
     for nbar in (0.02, 0.5, 1.0):
-        exact = fock.fock_entropy(fock.fock_thermal(nbar, space).rho)
+        exact = fock.fock_entropy(fock.fock_thermal(nbar, 30))
         gauss = entropy_from_cov((2 * nbar + 1) * np.eye(2))
         worst = max(worst, abs(exact - gauss))
-    two_mode = fock.FockSpace(cutoff=20, nmodes=2)
-    marginal = fock.fock_partial_trace(fock.fock_tmsv(0.3, two_mode).rho, (21, 21), keep=(0,))
+    marginal = fock.fock_partial_trace(fock.fock_tmsv(0.3, 20), (21, 21), keep=(0,))
     worst = max(worst, abs(fock.fock_entropy(marginal) - entropy_from_cov(1.6 * np.eye(2))))
     return CheckResult("oracle-entropy-agreement", worst, 1e-5)
 

@@ -199,7 +199,12 @@ def main(argv=None):
             print(line, file=sys.stderr)
         if not all(r.passed for r in results):
             return 1
-    write_csv(run_scan(cfg), cfg.out)
+    try:
+        rows = run_scan(cfg)
+    except ValueError as exc:
+        print(f"evebounds: {exc}", file=sys.stderr)
+        return 1
+    write_csv(rows, cfg.out)
     return 0
 
 

@@ -8,14 +8,20 @@ ensemble; it is computed in closed form from the mod-4 photon-number
 classes, and the tests check it against the purification built in a
 truncated Fock space.
 
-Unitaries are exponentials of the truncated anti-Hermitian generator, so
-they stay exactly unitary; truncation error shows up as population
-reaching the top of the photon ladder, which is what the leakage checks
-measure.  The beam splitter conserves the photon number of its two modes,
-so `fock_bs` exponentiates its generator one photon-number sector at a
-time.  The eavesdropper's entropy is taken from pure-state amplitudes: her
-average state rho = M^T conj(M) has the same nonzero spectrum as the much
-smaller Gram matrix conj(M) M^T, so rho itself is never formed.
+States are plain arrays at an explicit cutoff: `coherent_ket` and
+`tmsv_ket` return a ket with the trace lost to truncation, and
+`fock_thermal` and `fock_tmsv` return a density matrix, or raise
+FockConvergenceError if more than `DEFICIT_LIMIT` is lost.  Unitaries are
+exponentials of the truncated anti-Hermitian generator, so they stay
+exactly unitary; truncation error shows up as population reaching the top
+of the photon ladder, which is what the leakage checks measure.  The beam
+splitter conserves the total photon number N of its two modes, so
+`fock_bs` builds its generator directly as one tridiagonal block per N and
+exponentiates each block on its own; `fock_unitary` of the sparse
+`bs_generator` is the dense reference.  The eavesdropper's entropy is
+taken from pure-state amplitudes: her average state rho = M^T conj(M) has
+the same nonzero spectrum as the much smaller Gram matrix conj(M) M^T, so
+rho itself is never formed.
 """
 
 import math
@@ -28,14 +34,10 @@ from scipy.sparse.linalg import expm_multiply
 
 __all__ = [
     "FockSpace",
-    "FockState",
     "FockConvergenceError",
     "OracleEntropy",
-    "fock_coherent",
     "fock_thermal",
     "fock_tmsv",
-    "fock_displacement",
-    "fock_squeezer",
     "fock_bs",
     "fock_partial_trace",
     "fock_entropy",
@@ -88,23 +90,6 @@ class FockSpace:
         return out
 
 
-@dataclass
-class FockState:
-    """Dense density matrix plus the trace lost to truncation."""
-
-    rho: np.ndarray
-    trace_deficit: float
-
-    def __post_init__(self):
-        self.rho = np.asarray(self.rho, dtype=complex)
-        herm = float(np.max(np.abs(self.rho - self.rho.conj().T)))
-        if herm > 1e-9:
-            raise ValueError(f"density matrix not Hermitian: residual {herm:.3e}")
-        min_eig = float(np.linalg.eigvalsh(self.rho).min())
-        if min_eig < -1e-9:
-            raise ValueError(f"density matrix not PSD: min eigenvalue {min_eig:.3e}")
-
-
 def coherent_ket(alpha, cutoff):
     """(ket, deficit) for |alpha> truncated at `cutoff` photons."""
     alpha = complex(alpha)
@@ -139,35 +124,23 @@ def tmsv_ket(nbar, cutoff):
     return (psi / math.sqrt(norm2)).astype(complex), deficit
 
 
-def fock_coherent(alpha, space):
-    """Coherent state |alpha><alpha| on a single-mode space."""
-    if space.nmodes != 1:
-        raise ValueError("fock_coherent builds a single-mode state")
-    ket, deficit = coherent_ket(alpha, space.cutoff)
-    _require_deficit(deficit, f"coherent alpha={alpha}")
-    return FockState(rho=np.outer(ket, ket.conj()), trace_deficit=deficit)
-
-
-def fock_thermal(nbar, space):
-    """Thermal state of mean photon number `nbar` on a single-mode space."""
-    if space.nmodes != 1:
-        raise ValueError("fock_thermal builds a single-mode state")
+def fock_thermal(nbar, cutoff):
+    """Density matrix of the thermal state with mean photon number `nbar`,
+    truncated at `cutoff` photons and renormalized."""
     if nbar < 0:
         raise ValueError(f"mean photon number must be >= 0, got {nbar}")
-    n = np.arange(space.ldim)
-    p = (1.0 / (1.0 + nbar)) * (nbar / (1.0 + nbar)) ** n if nbar > 0 else np.eye(1, space.ldim, 0)[0]
-    deficit = 1.0 - float(p.sum())
-    _require_deficit(deficit, f"thermal nbar={nbar}")
-    return FockState(rho=np.diag(p / p.sum()).astype(complex), trace_deficit=deficit)
+    n = np.arange(cutoff + 1)
+    p = (1.0 / (1.0 + nbar)) * (nbar / (1.0 + nbar)) ** n if nbar > 0 else np.eye(1, cutoff + 1, 0)[0]
+    _require_deficit(1.0 - float(p.sum()), f"thermal nbar={nbar}")
+    return np.diag(p / p.sum())
 
 
-def fock_tmsv(nbar, space):
-    """Two-mode squeezed vacuum density matrix."""
-    if space.nmodes != 2:
-        raise ValueError("fock_tmsv builds a two-mode state")
-    ket, deficit = tmsv_ket(nbar, space.cutoff)
+def fock_tmsv(nbar, cutoff):
+    """Density matrix of the two-mode squeezed vacuum, truncated at `cutoff`
+    photons per mode."""
+    ket, deficit = tmsv_ket(nbar, cutoff)
     _require_deficit(deficit, f"tmsv nbar={nbar}")
-    return FockState(rho=np.outer(ket, ket.conj()), trace_deficit=deficit)
+    return np.outer(ket, ket.conj())
 
 
 def _require_deficit(deficit, what):
@@ -214,18 +187,22 @@ def squeeze_generator(space, z):
     return g
 
 
-def bs_generator(space, tau, modes=(0, 1)):
-    """Generator of the beam splitter exp(theta (a^dag b - a b^dag)).
+def _bs_angle(tau):
+    if not 0 <= tau <= 1:
+        raise ValueError(f"transmittance must lie in [0, 1], got {tau}")
+    return math.acos(math.sqrt(tau))
+
+
+def bs_generator(space, tau):
+    """Generator of the beam splitter exp(theta (a^dag b - a b^dag)) on
+    modes 0 and 1.
 
     cos(theta) = sqrt(tau), so the outputs are t a + r b and -r a + t b
     with t = sqrt(tau), r = sqrt(1 - tau).
     """
-    if not 0 <= tau <= 1:
-        raise ValueError(f"transmittance must lie in [0, 1], got {tau}")
-    theta = math.acos(math.sqrt(tau))
-    a = space.destroy(modes[0])
-    b = space.destroy(modes[1])
-    return theta * (a.conj().T @ b - a @ b.conj().T)
+    a = space.destroy(0)
+    b = space.destroy(1)
+    return _bs_angle(tau) * (a.conj().T @ b - a @ b.conj().T)
 
 
 def fock_unitary(gen):
@@ -244,35 +221,27 @@ def apply_generator(gen, ket):
     return expm_multiply(gen, ket)
 
 
-def fock_displacement(alpha, space):
-    return fock_unitary(displacement_generator(space, alpha))
+def fock_bs(tau, cutoff):
+    """Dense two-mode beam-splitter unitary exp(`bs_generator`), built one
+    photon-number sector at a time.
 
-
-def fock_squeezer(z, space):
-    return fock_unitary(squeeze_generator(space, z))
-
-
-def fock_bs(tau, space, modes=(0, 1)):
-    """Dense beam-splitter unitary, built one photon-number sector at a time.
-
-    The truncated generator `bs_generator(space, tau, modes)` keeps the
-    total photon number of the two modes fixed, and leaves every spectator
-    mode alone.  So it is block diagonal, one block per (total photon
-    number, spectator levels), and each block (at most cutoff+1 square) is
-    exponentiated on its own, as `fock_unitary` does for the whole matrix.
+    The generator keeps the total photon number N fixed.  In sector N the
+    basis is |n, N - n> with 0 <= n, N - n <= cutoff, and the generator is
+    tridiagonal there, with <n+1, N-n-1| G |n, N-n> = theta sqrt(n+1)
+    sqrt(N-n) and its negative transpose.  Each block (at most cutoff+1
+    square) is exponentiated on its own, as `fock_unitary` does for the
+    whole matrix.
     """
-    h = 1j * bs_generator(space, tau, modes).toarray()
-    levels = np.indices((space.ldim,) * space.nmodes).reshape(space.nmodes, -1)
-    total = levels[modes[0]] + levels[modes[1]]
-    levels[list(modes)] = 0
-    key = total * space.dim + np.ravel_multi_index(levels, (space.ldim,) * space.nmodes)
-    order = np.argsort(key, kind="stable")
-    starts = np.flatnonzero(np.diff(key[order])) + 1
-    u = np.zeros_like(h)
-    for idx in np.split(order, starts):
-        block = np.ix_(idx, idx)
-        vals, vecs = np.linalg.eigh(h[block])
-        u[block] = (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+    theta = _bs_angle(tau)
+    d = cutoff + 1
+    u = np.zeros((d * d, d * d), dtype=complex)
+    for total in range(2 * cutoff + 1):
+        n = np.arange(max(0, total - cutoff), min(total, cutoff) + 1)
+        up = theta * (np.sqrt(n[:-1] + 1) * np.sqrt(total - n[:-1]))
+        h = 1j * (np.diag(up, -1) - np.diag(up, 1))
+        vals, vecs = np.linalg.eigh(h)
+        idx = n * d + total - n
+        u[np.ix_(idx, idx)] = (vecs * np.exp(-1j * vals)) @ vecs.conj().T
     return u
 
 
@@ -368,7 +337,7 @@ def _eve_average_state(constellation, params, cutoff):
     d = cutoff + 1
     psi_ce, tmsv_deficit = tmsv_ket(params.nbar, cutoff)
     psi_ce = psi_ce.reshape(d, d)
-    bs2 = fock_bs(params.tau, FockSpace(cutoff=cutoff, nmodes=2))
+    bs2 = fock_bs(params.tau, cutoff)
 
     rows = []
     worst_leak = tmsv_deficit

@@ -47,7 +47,7 @@ def omega(nmodes):
     return om
 
 
-def _check_cov(cov, atol_sym=1e-10):
+def _check_symmetric(cov, atol_sym=1e-10):
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
         raise ValueError(f"covariance matrix must be square 2N x 2N, got {cov.shape}")
@@ -55,6 +55,11 @@ def _check_cov(cov, atol_sym=1e-10):
     sym_defect = max_abs(cov - cov.T)
     if sym_defect > atol_sym:
         raise ValueError(f"covariance matrix not symmetric: residual {sym_defect:.3e}")
+    return cov
+
+
+def _check_cov(cov):
+    cov = _check_symmetric(cov)
     n = cov.shape[0] // 2
     min_eig = float(np.linalg.eigvalsh(cov + 1j * omega(n)).min())
     if min_eig < -PHYSICALITY_ATOL:
@@ -181,10 +186,19 @@ def symplectic_eigenvalues(cov):
     sorted in decreasing order and every other one kept.  Adjacent pair
     members must agree to 1e-8 relative.
 
+    A covariance is physical (cov + i Omega >= 0) exactly when it is
+    positive definite and every symplectic eigenvalue is >= 1, so the
+    spectrum itself decides physicality, after a Cholesky test for
+    positive definiteness.
+
     Returns:
         array[float]: N symplectic eigenvalues, decreasing, each >= 1 - 1e-9.
     """
-    cov = _check_cov(cov)
+    cov = _check_symmetric(cov)
+    try:
+        np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        raise ValueError("unphysical covariance matrix: not positive definite") from None
     n = cov.shape[0] // 2
     mags = np.sort(np.abs(np.linalg.eigvals(1j * omega(n) @ cov)))[::-1]
     pair_gap = np.abs(mags[0::2] - mags[1::2]) / np.maximum(mags[0::2], 1.0)
@@ -192,7 +206,10 @@ def symplectic_eigenvalues(cov):
         raise ValueError(
             f"symplectic eigenvalues did not pair up: relative gap {pair_gap.max():.3e}"
         )
-    return mags[0::2]
+    nus = mags[0::2]
+    if nus[-1] < 1 - PHYSICALITY_ATOL:
+        raise ValueError(f"unphysical covariance matrix: symplectic eigenvalue {nus[-1]:.12g} below 1")
+    return nus
 
 
 def standard_symplectic_spectrum(std):

@@ -44,20 +44,17 @@ class TestHSOverlap:
         alpha = 0.9
         value = gaussian_hs_overlap(make_coherent(alpha), make_coherent(0))
         assert value == pytest.approx(math.exp(-alpha**2), rel=1e-12)
-        space = fock.FockSpace(cutoff=40)
-        oracle = fock.fock_hs_product(
-            fock.fock_coherent(alpha, space).rho, fock.fock_coherent(0, space).rho
-        )
+        ket, _ = fock.coherent_ket(alpha, 40)
+        vac, _ = fock.coherent_ket(0, 40)
+        oracle = fock.fock_hs_product(np.outer(ket, ket.conj()), np.outer(vac, vac.conj()))
         assert value == pytest.approx(oracle, rel=1e-8)
 
     def test_thermal_purity(self):
         nbar = 0.7
         value = gaussian_hs_overlap(make_thermal(nbar), make_thermal(nbar))
         assert value == pytest.approx(1 / (2 * nbar + 1), rel=1e-12)
-        space = fock.FockSpace(cutoff=60)
-        oracle = fock.fock_hs_product(
-            fock.fock_thermal(nbar, space).rho, fock.fock_thermal(nbar, space).rho
-        )
+        rho = fock.fock_thermal(nbar, 60)
+        oracle = fock.fock_hs_product(rho, rho)
         assert value == pytest.approx(oracle, rel=1e-8)
 
     def test_displaced_thermal_pair_vs_fock_oracle(self):
@@ -67,9 +64,9 @@ class TestHSOverlap:
 
         space = fock.FockSpace(cutoff=40)
         nbar = 0.05
-        rho = fock.fock_thermal(nbar, space).rho
-        u1 = fock.fock_displacement(0.4 + 0.2j, space)
-        u2 = fock.fock_displacement(-0.3j, space)
+        rho = fock.fock_thermal(nbar, space.cutoff)
+        u1 = fock.fock_unitary(fock.displacement_generator(space, 0.4 + 0.2j))
+        u2 = fock.fock_unitary(fock.displacement_generator(space, -0.3j))
         oracle = fock.fock_hs_product(u1 @ rho @ u1.conj().T, u2 @ rho @ u2.conj().T)
         cov = (2 * nbar + 1) * np.eye(2)
         s1 = GaussianState(mean=[0.8, 0.4], cov=cov)

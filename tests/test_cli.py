@@ -188,6 +188,17 @@ class TestMain:
         assert main(["--tau-min", "1.5"]) == 2
         assert "tau" in capsys.readouterr().err
 
+    def test_scan_error_reported_on_one_line(self, tmp_path, capsys):
+        # past alpha ~ 5000 rounding in eb's Z4 gives an unphysical covariance
+        out = tmp_path / "scan.csv"
+        code = main(["--alpha", "5000", "--methods", "eb", "--tau-min", "0.1",
+                     "--tau-max", "0.1", "--tau-steps", "1", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evebounds: ") and "unphysical" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_stdout_default(self, capsys):
         assert main(["--tau-min", "1", "--tau-max", "1", "--tau-steps", "1",
                      "--nbar", "0.01", "--methods", "bm-get"]) == 0

@@ -139,7 +139,7 @@ class TestConditionalMean:
             ket_a, _ = fock.coherent_ket(alpha_i, cutoff)
             psi_ce, _ = fock.tmsv_ket(p.nbar, cutoff)
             psi = np.einsum("a,ce->ace", ket_a, psi_ce.reshape(d, d))
-            bs2 = fock.fock_bs(p.tau, fock.FockSpace(cutoff=cutoff, nmodes=2)).reshape(d, d, d, d)
+            bs2 = fock.fock_bs(p.tau, cutoff).reshape(d, d, d, d)
             out = np.einsum("bdac,ace->bde", bs2, psi)
             rho = np.einsum("bde,bfg->defg", out, out.conj()).reshape(d * d, d * d)
             mean, cov = fock.fock_moments(rho, fock.FockSpace(cutoff=cutoff, nmodes=2))

@@ -59,7 +59,8 @@ class TestConstructors:
     def test_coherent_mean_matches_fock_oracle(self):
         space = fock.FockSpace(cutoff=30)
         for alpha in (1.0, (1 + 1j) / math.sqrt(2)):
-            mean, cov = fock.fock_moments(fock.fock_coherent(alpha, space).rho, space)
+            ket, _ = fock.coherent_ket(alpha, space.cutoff)
+            mean, cov = fock.fock_moments(np.outer(ket, ket.conj()), space)
             assert np.allclose(make_coherent(alpha).mean, mean, atol=1e-8)
             assert np.allclose(cov, np.eye(2), atol=1e-8)
         assert np.allclose(make_coherent(1.0).mean, [2.0, 0.0])
@@ -108,6 +109,29 @@ class TestSymplecticEigenvalues:
     def test_unphysical_rejected(self):
         with pytest.raises(ValueError):
             symplectic_eigenvalues(np.diag([0.2, 0.2]))
+
+    def test_negative_definite_rejected(self):
+        # every symplectic eigenvalue of -I is 1; only positive
+        # definiteness rules it out
+        with pytest.raises(ValueError, match="not positive definite"):
+            symplectic_eigenvalues(-np.eye(4))
+
+    def test_matches_eigen_check_on_random_covariances(self):
+        # S diag(nu) S^T with some nu below 1 and some negative, so all
+        # three outcomes occur: physical, unphysical, not positive definite
+        rng = np.random.default_rng(20261018)
+        outcomes = []
+        for trial in range(600):
+            n = 1 + trial % 3
+            s = to_symplectic(random_pair(rng, n)).s
+            cov = s @ np.diag(np.repeat(rng.uniform(-0.5, 2.5, size=n), 2)) @ s.T
+            cov = (cov + cov.T) / 2
+            if abs(np.linalg.eigvalsh(cov + 1j * omega(n)).min()) < 1e-6:
+                continue  # too close to the boundary for the tolerances to agree
+            expected = _accepts(_check_cov, cov)
+            assert _accepts(symplectic_eigenvalues, cov) == expected
+            outcomes.append(expected)
+        assert 100 < sum(outcomes) < len(outcomes) - 100
 
 
 class TestWilliamson:
@@ -198,13 +222,11 @@ class TestEntropy:
 
     def test_thermal_one_photon_is_two_bits(self):
         assert entropy_from_cov(make_thermal(1).cov) == pytest.approx(2.0, abs=1e-12)
-        space = fock.FockSpace(cutoff=60)
-        oracle = fock.fock_entropy(fock.fock_thermal(1.0, space).rho)
+        oracle = fock.fock_entropy(fock.fock_thermal(1.0, 60))
         assert entropy_from_cov(make_thermal(1).cov) == pytest.approx(oracle, abs=1e-5)
 
     def test_thermal_low_matches_fock_oracle(self):
-        space = fock.FockSpace(cutoff=20)
-        oracle = fock.fock_entropy(fock.fock_thermal(0.01, space).rho)
+        oracle = fock.fock_entropy(fock.fock_thermal(0.01, 20))
         value = entropy_from_cov(make_thermal(0.01).cov)
         assert value == pytest.approx(oracle, abs=1e-5)
         assert value == pytest.approx(0.0809374, abs=1e-6)
