@@ -27,12 +27,19 @@ is not:
   -1e-8) with the one eigensolve that gives its entropy.
 """
 
+import math
+
 import numpy as np
 
 from . import fock
 from .cloner import Constellation, displaced_thermal_ensemble, eve_average_covariance
 from .linalg import max_abs
-from .states import entropy_from_cov
+from .states import (
+    StandardTwoModeCov,
+    entropy_from_cov,
+    standard_symplectic_spectrum,
+    thermal_entropy,
+)
 
 __all__ = [
     "gaussian_hs_overlap",
@@ -157,16 +164,14 @@ def eb_qpsk_entropy(alpha, params, base="bits"):
     Z4 the purification cross moment (closed form, `fock.eb_z4`), sends the
     second mode through the channel (variance tau X + (1 - tau)(2 nbar + 1),
     correlation sqrt(tau) Z4) and returns the Gaussian entropy of the
-    result, which bounds the eavesdropper entropy by global purity.
+    result, which bounds the eavesdropper entropy by global purity.  The
+    result is already in standard form, so its symplectic spectrum is
+    taken in closed form.
     """
     if alpha <= 0:
         raise ValueError(f"amplitude must be positive, got {alpha}")
     x = 1 + 2 * alpha * alpha
-    z4 = fock.eb_z4(alpha)
     bob = params.tau * x + (1 - params.tau) * (2 * params.nbar + 1)
-    corr = np.sqrt(params.tau) * z4
-    cov = np.diag([x, x, bob, bob]).astype(float)
-    z = np.diag([1.0, -1.0])
-    cov[:2, 2:] = corr * z
-    cov[2:, :2] = corr * z
-    return entropy_from_cov(cov, base=base)
+    std = StandardTwoModeCov(a=x, b=bob, c=math.sqrt(params.tau) * fock.eb_z4(alpha))
+    nus = standard_symplectic_spectrum(std)
+    return sum(thermal_entropy(max(nu - 1.0, 0.0) / 2, base) for nu in nus)

@@ -258,13 +258,15 @@ def _switch_rule_distances(space, alpha, herm, sym, rng):
     beta = switch_disp_squeezer(sym, alpha)
     rhs = fock.apply_generator(gen_s, fock.apply_generator(fock.displacement_generator(space, beta), ket))
     worst = max(worst, _pure_trace_distance(lhs, rhs))
+    # Rules 2 and 3 both start from R(phi) applied to the probe.
+    rotated = fock.apply_generator(gen_r, ket)
     # S(z) R(phi) = R(phi) S(z')
-    lhs = fock.apply_generator(gen_s, fock.apply_generator(gen_r, ket))
+    lhs = fock.apply_generator(gen_s, rotated)
     zp = switch_squeezer_rotation(herm, sym)
     rhs = fock.apply_generator(gen_r, fock.apply_generator(fock.squeeze_generator(space, zp), ket))
     worst = max(worst, _pure_trace_distance(lhs, rhs))
     # D(alpha) R(phi) = R(phi) D(gamma)
-    lhs = fock.apply_generator(gen_d, fock.apply_generator(gen_r, ket))
+    lhs = fock.apply_generator(gen_d, rotated)
     gamma = switch_disp_rotation(herm, alpha)
     rhs = fock.apply_generator(gen_r, fock.apply_generator(fock.displacement_generator(space, gamma), ket))
     worst = max(worst, _pure_trace_distance(lhs, rhs))

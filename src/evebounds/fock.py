@@ -22,6 +22,11 @@ exponentiates each block on its own; `fock_unitary` of the sparse
 taken from pure-state amplitudes: her average state rho = M^T conj(M) has
 the same nonzero spectrum as the much smaller Gram matrix conj(M) M^T, so
 rho itself is never formed.
+
+The oracle and `eb_z4` use numpy alone.  The sparse generators
+(`FockSpace.destroy`, the `*_generator` builders) and `apply_generator`,
+which only the `--check` suites and the tests call, import scipy when
+called, so importing this module does not load it.
 """
 
 import math
@@ -29,8 +34,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 __all__ = [
     "FockSpace",
@@ -78,6 +81,8 @@ class FockSpace:
 
     def destroy(self, mode):
         """Sparse annihilation operator acting on `mode` (0-based)."""
+        import scipy.sparse as sp
+
         if not 0 <= mode < self.nmodes:
             raise ValueError(f"mode {mode} out of range for {self.nmodes} modes")
         d = self.ldim
@@ -152,6 +157,8 @@ def _require_deficit(deficit, what):
 
 def displacement_generator(space, alpha):
     """Anti-Hermitian generator of D(alpha) = exp(sum alpha_k a_k^dag - h.c.)."""
+    import scipy.sparse as sp
+
     alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
     if alpha.size != space.nmodes:
         raise ValueError("one displacement amplitude per mode required")
@@ -164,6 +171,8 @@ def displacement_generator(space, alpha):
 
 def rotation_generator(space, phi):
     """Anti-Hermitian generator of R(phi) = exp(i a^dag phi a), phi Hermitian."""
+    import scipy.sparse as sp
+
     phi = np.atleast_2d(np.asarray(phi, dtype=complex))
     ops = [space.destroy(k) for k in range(space.nmodes)]
     g = sp.csr_matrix((space.dim, space.dim), dtype=complex)
@@ -176,6 +185,8 @@ def rotation_generator(space, phi):
 
 def squeeze_generator(space, z):
     """Anti-Hermitian generator of S(z) = exp((a^dag z a^dag - a z^dag a) / 2)."""
+    import scipy.sparse as sp
+
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     ops = [space.destroy(k) for k in range(space.nmodes)]
     g = sp.csr_matrix((space.dim, space.dim), dtype=complex)
@@ -218,6 +229,8 @@ def fock_unitary(gen):
 
 def apply_generator(gen, ket):
     """exp(gen) @ ket without forming the dense exponential."""
+    from scipy.sparse.linalg import expm_multiply
+
     return expm_multiply(gen, ket)
 
 

@@ -10,7 +10,6 @@ matrix size.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 __all__ = [
     "MatchedSVD",
@@ -65,6 +64,8 @@ def _unitary_eig(m):
     input; the strictly upper-triangular residue is checked rather than
     assumed.
     """
+    from scipy.linalg import schur
+
     t, q = schur(np.asarray(m, dtype=complex), output="complex")
     residue = max_abs(np.triu(t, k=1))
     if residue > 1e-8:

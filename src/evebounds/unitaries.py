@@ -11,7 +11,6 @@ squeezer through the other fundamental operations.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import polar
 
 from .linalg import max_abs, require_finite
 from .states import SymplecticMap
@@ -122,6 +121,8 @@ def polar_squeeze(z):
     z = np.atleast_2d(np.asarray(z, dtype=complex))
     if max_abs(z) == 0.0:
         return np.zeros_like(z), np.eye(z.shape[0], dtype=complex)
+    from scipy.linalg import polar
+
     w, r = polar(z, side="left")
     return r, w
 

@@ -13,7 +13,7 @@ from evebounds.bounds import (
     gram_matrix,
 )
 from evebounds.cloner import ChannelParams, Constellation, displaced_thermal_ensemble, qpsk
-from evebounds.states import make_coherent, make_thermal, make_tmsv
+from evebounds.states import entropy_from_cov, make_coherent, make_thermal, make_tmsv
 
 # 1.42e-11 leaves the thermal decomposition a squeezing so small that the
 # matched SVD of the Bloch-Messiah route raised at most taus of the grid.
@@ -263,6 +263,22 @@ class TestEntangledBasedBound:
     def test_rejects_nonpositive_amplitude(self):
         with pytest.raises(ValueError):
             eb_qpsk_entropy(0.0, ChannelParams(tau=0.5, nbar=0.01))
+
+    def test_matches_general_eigensolve(self):
+        # The closed-form standard-form spectrum against entropy_from_cov of
+        # the hand-built 4x4 covariance, over the domain of
+        # test_ordering_property.py plus its edges.
+        rng = np.random.default_rng(2024)
+        points = [(0.0, 1.3, 0.7), (1.0, 1.3, 0.7), (0.4, 0.0, 0.7), (0.0, 0.0, 2.0), (1.0, 0.0, 2.0)]
+        points += list(zip(rng.uniform(0, 1, 300), rng.uniform(0, 5, 300), rng.uniform(0.05, 6, 300)))
+        z = np.diag([1.0, -1.0])
+        for tau, nbar, alpha in points:
+            x = 1 + 2 * alpha * alpha
+            bob = tau * x + (1 - tau) * (2 * nbar + 1)
+            corr = math.sqrt(tau) * fock.eb_z4(alpha)
+            cov = np.block([[x * np.eye(2), corr * z], [corr * z, bob * np.eye(2)]])
+            value = eb_qpsk_entropy(alpha, ChannelParams(tau=tau, nbar=nbar))
+            assert value == pytest.approx(entropy_from_cov(cov), abs=1e-12)
 
 
 class TestEntropyInvarianceUnderCircuit:
