@@ -50,6 +50,7 @@ from .bounds import (
     gaussian_hs_overlap,
     gram_matrix,
     gram_entropy,
+    gaussian_extremality_entropy,
     bm_get_entropy,
     bm_gme_entropy,
     eb_qpsk_entropy,

@@ -12,7 +12,9 @@ is not:
   nbar, where the true entropy is 0.
 * `bm_get_entropy`: Gaussian extremality applied directly to the
   covariance of the displaced-thermal ensemble that carries the
-  eavesdropper's average state; an upper bound.
+  eavesdropper's average state; an upper bound.  Its two-mode symplectic
+  spectrum is taken from the covariance's invariants (det A + det B +
+  2 det C and det V), with no eigensolve.
 * `bm_gme_entropy`: the entropy of the ensemble's normalized Gram matrix.
   For a pure ensemble the Gram spectrum equals the average-state spectrum,
   so the "pure-exact" variant is exact at nbar = 0.  For nbar > 0 it drops
@@ -32,11 +34,11 @@ import math
 import numpy as np
 
 from . import fock
-from .cloner import Constellation, displaced_thermal_ensemble, eve_average_covariance
+from .cloner import Constellation, displaced_thermal_ensemble
 from .linalg import max_abs
 from .states import (
     StandardTwoModeCov,
-    entropy_from_cov,
+    _two_mode_symplectic_spectrum,
     standard_symplectic_spectrum,
     thermal_entropy,
 )
@@ -45,6 +47,7 @@ __all__ = [
     "gaussian_hs_overlap",
     "gram_matrix",
     "gram_entropy",
+    "gaussian_extremality_entropy",
     "bm_get_entropy",
     "bm_gme_entropy",
     "eb_qpsk_entropy",
@@ -145,9 +148,24 @@ def gram_entropy(matrix, base="bits"):
     return max(0.0, float(-(eigs * logs).sum()))
 
 
+def gaussian_extremality_entropy(ensemble, base="bits"):
+    """Entropy of the Gaussian state with the average covariance of a
+    displaced-thermal ensemble, an upper bound on its average state's
+    entropy.
+
+    The symplectic spectrum comes from the two-mode invariants
+    (`states._two_mode_symplectic_spectrum`); the average covariance is
+    diag(nu2, nu2, nu1, nu1) >= 1 plus a positive-semidefinite spread, so
+    it meets that function's positive-definite precondition.
+    """
+    nus = _two_mode_symplectic_spectrum(ensemble.average_covariance())
+    return sum(thermal_entropy(max(nu - 1.0, 0.0) / 2, base) for nu in nus)
+
+
 def bm_get_entropy(constellation, params, base="bits"):
-    """Gaussian-extremality bound: entropy of the average-state covariance."""
-    return entropy_from_cov(eve_average_covariance(constellation, params), base=base)
+    """Gaussian-extremality bound: entropy of the covariance of the
+    eavesdropper's average state, through `gaussian_extremality_entropy`."""
+    return gaussian_extremality_entropy(displaced_thermal_ensemble(constellation, params), base)
 
 
 def bm_gme_entropy(constellation, params, variant="pure-exact", base="bits"):

@@ -169,7 +169,9 @@ def check_entropy_unitary_invariance():
         avg = eve_average_covariance(constellation, params)
         smap, _, _ = williamson_standard_two_mode(eve_reduced_covariance(params))
         conjugated = smap.s @ avg @ smap.s.T
-        worst = max(worst, abs(entropy_from_cov(avg) - entropy_from_cov(conjugated)))
+        reference = entropy_from_cov(avg)
+        worst = max(worst, abs(reference - entropy_from_cov(conjugated)),
+                    abs(reference - bm_get_entropy(constellation, params)))
     return CheckResult("entropy-unitary-invariance", worst, 1e-9)
 
 

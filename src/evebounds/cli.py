@@ -14,8 +14,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checks
-from .bounds import GRAM_VARIANTS, bm_get_entropy, bm_gme_entropy, eb_qpsk_entropy
-from .cloner import ChannelParams, qpsk
+from .bounds import (
+    GRAM_VARIANTS,
+    eb_qpsk_entropy,
+    gaussian_extremality_entropy,
+    gram_entropy,
+    gram_matrix,
+)
+from .cloner import ChannelParams, displaced_thermal_ensemble, qpsk
 from .fock import FockConvergenceError, eve_exact_entropy
 
 __all__ = ["ScanConfig", "run_scan", "main"]
@@ -69,14 +75,15 @@ def _fmt(value):
     return f"{value:.12g}"
 
 
-def _evaluate(method, cfg, constellation, params):
-    """(variant, entropy string, status) for one grid cell."""
+def _evaluate(method, cfg, constellation, params, ensemble):
+    """(variant, entropy string, status) for one grid cell.  `ensemble` is
+    the cell's displaced-thermal ensemble, shared by bm-get and bm-gme."""
     if method == "eb":
         return "-", _fmt(eb_qpsk_entropy(cfg.alpha, params, base=cfg.log_base)), "ok"
     if method == "bm-get":
-        return "-", _fmt(bm_get_entropy(constellation, params, base=cfg.log_base)), "ok"
+        return "-", _fmt(gaussian_extremality_entropy(ensemble, base=cfg.log_base)), "ok"
     if method == "bm-gme":
-        value = bm_gme_entropy(constellation, params, variant=cfg.gram_variant, base=cfg.log_base)
+        value = gram_entropy(gram_matrix(ensemble, variant=cfg.gram_variant), base=cfg.log_base)
         return cfg.gram_variant, _fmt(value), "ok"
     if method == "oracle":
         try:
@@ -91,11 +98,13 @@ def run_scan(cfg):
     """All CSV rows (header excluded) for a configuration, sorted."""
     rows = []
     constellation = qpsk(cfg.alpha)
+    needs_ensemble = not {"bm-get", "bm-gme"}.isdisjoint(cfg.methods)
     for nbar in sorted(cfg.nbars):
         for tau in cfg.tau_grid():
             params = ChannelParams(tau=float(tau), nbar=float(nbar))
+            ensemble = displaced_thermal_ensemble(constellation, params) if needs_ensemble else None
             for method in sorted(cfg.methods):
-                variant, entropy, status = _evaluate(method, cfg, constellation, params)
+                variant, entropy, status = _evaluate(method, cfg, constellation, params, ensemble)
                 rows.append(
                     f"{_fmt(tau)},{_fmt(nbar)},{_fmt(cfg.alpha)},{method},"
                     f"{variant},{entropy},{cfg.log_base},{status}"

@@ -20,7 +20,7 @@ from .states import (
     SymplecticMap,
     average_covariance,
     make_tmsv,
-    williamson_standard_two_mode,
+    williamson_weights,
 )
 
 __all__ = [
@@ -119,6 +119,11 @@ class DisplacedThermalEnsemble:
         nu2 = 2 * max(self.nu2p, 0.0) + 1
         return np.diag([nu2, nu2, nu1, nu1])
 
+    def average_covariance(self):
+        """4x4 covariance of the ensemble's average state: the common
+        covariance plus the spread of the means."""
+        return average_covariance(self.means, self.probs, self.common_covariance())
+
     def mode_amplitudes(self):
         """K x 2 complex displacement amplitudes, one column per mode."""
         return (self.means[:, 0::2] + 1j * self.means[:, 1::2]) / 2
@@ -178,11 +183,13 @@ def displaced_thermal_ensemble(constellation, params):
     rotation-squeezer-rotation circuit leaves the displacement
     (-w1 r alpha_i, w2 r conj(alpha_i)) on a pair of thermal modes, an
     ensemble with the same entropy as her true average state.  The
-    displacement is taken in that closed form; `checks.check_eca_pipeline`
-    rebuilds it through the circuit.
+    displacement is taken in that closed form from the entries w1, w2 of S
+    (`williamson_weights`), so no `SymplecticMap` is built or re-validated;
+    `checks.check_williamson_grid` verifies the map and
+    `checks.check_eca_pipeline` rebuilds the displacement through the
+    circuit.
     """
-    smap, nu1, nu2 = williamson_standard_two_mode(eve_reduced_covariance(params))
-    w1, w2 = smap.s[0, 0], smap.s[0, 2]
+    w1, w2, nu1, nu2 = williamson_weights(eve_reduced_covariance(params))
     amps = constellation.amplitudes
     beta = np.stack([-w1 * params.r * amps, w2 * params.r * np.conj(amps)], axis=1)
     means = np.empty((amps.size, 4))
@@ -199,5 +206,4 @@ def displaced_thermal_ensemble(constellation, params):
 def eve_average_covariance(constellation, params):
     """4x4 covariance of the displaced-thermal average state (the fixed
     unitary stripped off, which leaves the entropy unchanged)."""
-    ens = displaced_thermal_ensemble(constellation, params)
-    return average_covariance(ens.means, ens.probs, ens.common_covariance())
+    return displaced_thermal_ensemble(constellation, params).average_covariance()

@@ -25,6 +25,7 @@ __all__ = [
     "make_coherent",
     "symplectic_eigenvalues",
     "standard_symplectic_spectrum",
+    "williamson_weights",
     "williamson_standard_two_mode",
     "entropy_from_cov",
     "thermal_entropy",
@@ -227,12 +228,30 @@ def standard_symplectic_spectrum(std):
     return (root + (std.b - std.a)) / 2, (root - (std.b - std.a)) / 2
 
 
+def williamson_weights(std):
+    """Entries (w1, w2, nu1, nu2) of the thermal decomposition of a
+    standard-form two-mode covariance, without building the map.
+
+    w_{1,2} = sqrt((a+b) / (2 sqrt((a+b)^2 - 4 c^2)) +/- 1/2), so
+    w1^2 - w2^2 = 1; w2 carries the sign of c.  nu1, nu2 come from
+    `standard_symplectic_spectrum`.
+
+    Raises:
+        ValueError: if (a+b)^2 - 4c^2 <= 0.
+    """
+    nu1, nu2 = standard_symplectic_spectrum(std)
+    ratio = (std.a + std.b) / (2 * math.sqrt((std.a + std.b) ** 2 - 4 * std.c**2))
+    w1 = math.sqrt(ratio + 0.5)
+    w2 = math.sqrt(max(ratio - 0.5, 0.0))
+    w2 = math.copysign(w2, std.c) if std.c != 0 else 0.0
+    return w1, w2, nu1, nu2
+
+
 def williamson_standard_two_mode(std):
     """Thermal decomposition of a standard-form two-mode covariance.
 
     Returns (map, nu1, nu2) where map.s = [[w1 I, w2 Z], [w2 Z, w1 I]] with
-    w_{1,2} = sqrt((a+b) / (2 sqrt((a+b)^2 - 4 c^2)) +/- 1/2), which satisfy
-    w1^2 - w2^2 = 1, and nu1, nu2 from `standard_symplectic_spectrum`.
+    w1, w2, nu1 and nu2 from `williamson_weights`.
 
     The diagonal form pairs nu2 with the first mode:
     S diag(nu2, nu2, nu1, nu1) S^T reconstructs the input.  (Pairing nu1
@@ -243,17 +262,44 @@ def williamson_standard_two_mode(std):
     Raises:
         ValueError: if (a+b)^2 - 4c^2 <= 0.
     """
-    nu1, nu2 = standard_symplectic_spectrum(std)
-    ratio = (std.a + std.b) / (2 * math.sqrt((std.a + std.b) ** 2 - 4 * std.c**2))
-    w1 = math.sqrt(ratio + 0.5)
-    w2 = math.sqrt(max(ratio - 0.5, 0.0))
-    w2_signed = math.copysign(w2, std.c) if std.c != 0 else 0.0
+    w1, w2, nu1, nu2 = williamson_weights(std)
     s = np.zeros((4, 4))
     s[:2, :2] = w1 * np.eye(2)
     s[2:, 2:] = w1 * np.eye(2)
-    s[:2, 2:] = w2_signed * _Z
-    s[2:, :2] = w2_signed * _Z
+    s[:2, 2:] = w2 * _Z
+    s[2:, :2] = w2 * _Z
     return SymplecticMap(s=s), nu1, nu2
+
+
+def _two_mode_symplectic_spectrum(cov):
+    """Symplectic eigenvalues (nu+, nu-) of a two-mode covariance from its
+    invariants, without an eigensolve.
+
+    With blocks V = [[A, C], [C^T, B]], Delta = det A + det B + 2 det C and
+    det V give nu+^2 = (Delta + sqrt(Delta^2 - 4 det V)) / 2 (Serafini,
+    Illuminati and De Siena, J. Phys. B 37, L21, 2004).  nu-^2 is taken as
+    2 det V / (Delta + sqrt(Delta^2 - 4 det V)), which keeps its relative
+    precision when nu+ >> nu-, where the difference form cancels.
+
+    Precondition, not checked: cov is a symmetric positive-definite 4 x 4
+    matrix.  For such a matrix the discriminant is (nu+^2 - nu-^2)^2 >= 0,
+    and it is physical exactly when nu- >= 1.
+
+    Raises:
+        ValueError: ("unphysical ...") if the discriminant is below
+            -PHYSICALITY_ATOL Delta^2 or nu- < 1 - PHYSICALITY_ATOL.
+    """
+    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = cov.tolist()
+    delta = a00 * a11 - a01 * a10 + b00 * b11 - b01 * b10 + 2 * (c00 * c11 - c01 * c10)
+    det_v = float(np.linalg.det(cov))
+    disc = delta * delta - 4 * det_v
+    if disc < -PHYSICALITY_ATOL * delta * delta:
+        raise ValueError(f"unphysical covariance matrix: Delta^2 - 4 det V = {disc:.3e} is negative")
+    upper = delta + math.sqrt(max(disc, 0.0))
+    nu_minus = math.sqrt(2 * det_v / upper)
+    if nu_minus < 1 - PHYSICALITY_ATOL:
+        raise ValueError(f"unphysical covariance matrix: symplectic eigenvalue {nu_minus:.12g} below 1")
+    return math.sqrt(upper / 2), nu_minus
 
 
 def _log(x, base):

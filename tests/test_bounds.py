@@ -12,7 +12,13 @@ from evebounds.bounds import (
     gram_entropy,
     gram_matrix,
 )
-from evebounds.cloner import ChannelParams, Constellation, displaced_thermal_ensemble, qpsk
+from evebounds.cloner import (
+    ChannelParams,
+    Constellation,
+    displaced_thermal_ensemble,
+    eve_average_covariance,
+    qpsk,
+)
 from evebounds.states import entropy_from_cov, make_coherent, make_thermal, make_tmsv
 
 # 1.42e-11 leaves the thermal decomposition a squeezing so small that the
@@ -279,6 +285,23 @@ class TestEntangledBasedBound:
             cov = np.block([[x * np.eye(2), corr * z], [corr * z, bob * np.eye(2)]])
             value = eb_qpsk_entropy(alpha, ChannelParams(tau=tau, nbar=nbar))
             assert value == pytest.approx(entropy_from_cov(cov), abs=1e-12)
+
+    def test_bm_get_matches_general_eigensolve(self):
+        # bm-get's spectrum from the two-mode invariants against the general
+        # eigensolve of the same average covariance, over the domain of
+        # test_ordering_property.py, its edges, alpha = 30, and a
+        # constellation whose average covariance is not in standard form.
+        rng = np.random.default_rng(2025)
+        points = [(0.0, 1.3, 0.7), (1.0, 1.3, 0.7), (0.4, 0.0, 0.7), (0.0, 0.0, 2.0),
+                  (1.0, 0.0, 2.0), (0.4, 1.3, 30.0), (0.9, 0.02, 30.0)]
+        points += list(zip(rng.uniform(0, 1, 300), rng.uniform(0, 5, 300), rng.uniform(0.05, 6, 300)))
+        skewed = Constellation(amplitudes=[0.8, -0.3 + 0.9j, -0.5 - 0.6j], probs=[0.5, 0.3, 0.2])
+        cases = [(qpsk(alpha), ChannelParams(tau=tau, nbar=nbar)) for tau, nbar, alpha in points]
+        cases += [(skewed, ChannelParams(tau=tau, nbar=0.3)) for tau in (0.0, 0.35, 0.8, 1.0)]
+        for constellation, params in cases:
+            value = bm_get_entropy(constellation, params)
+            reference = entropy_from_cov(eve_average_covariance(constellation, params))
+            assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
 class TestEntropyInvarianceUnderCircuit:

@@ -175,6 +175,32 @@ class TestScan:
                          methods=["bm-gme"], gram_variant="hs-normalized")
         assert run_scan(cfg)[0].split(",")[4] == "hs-normalized"
 
+    def test_one_ensemble_per_cell(self, monkeypatch):
+        from evebounds import bounds, cli, cloner
+        from evebounds.bounds import bm_gme_entropy
+        from evebounds.cloner import ChannelParams, qpsk
+
+        builds = []
+        original = cloner.displaced_thermal_ensemble
+
+        def counting(constellation, params):
+            builds.append(params)
+            return original(constellation, params)
+
+        for module in (cli, bounds, cloner):
+            monkeypatch.setattr(module, "displaced_thermal_ensemble", counting, raising=False)
+        run_scan(ScanConfig())
+        assert len(builds) == 100  # 2 nbars x 50 taus, shared by bm-get and bm-gme
+        builds.clear()
+        run_scan(ScanConfig(methods=["eb"]))
+        assert builds == []
+        cfg = ScanConfig(tau_steps=3, methods=["bm-gme"], gram_variant="hs-normalized")
+        for row in run_scan(cfg):
+            tau, nbar, _, _, _, entropy = row.split(",")[:6]
+            params = ChannelParams(tau=float(tau), nbar=float(nbar))
+            expected = bm_gme_entropy(qpsk(1.0), params, variant="hs-normalized")
+            assert entropy == f"{expected:.12g}"
+
 
 class TestMain:
     def test_deterministic_output(self, tmp_path):
