@@ -15,13 +15,19 @@ FockConvergenceError if more than `DEFICIT_LIMIT` is lost.  Unitaries are
 exponentials of the truncated anti-Hermitian generator, so they stay
 exactly unitary; truncation error shows up as population reaching the top
 of the photon ladder, which is what the leakage checks measure.  The beam
-splitter conserves the total photon number N of its two modes, so
-`fock_bs` builds its generator directly as one tridiagonal block per N and
-exponentiates each block on its own; `fock_unitary` of the sparse
-`bs_generator` is the dense reference.  The eavesdropper's entropy is
-taken from pure-state amplitudes: her average state rho = M^T conj(M) has
-the same nonzero spectrum as the much smaller Gram matrix conj(M) M^T, so
-rho itself is never formed.
+splitter conserves the total photon number N of its two modes, and its
+generator is theta H_N in sector N with a tridiagonal H_N that does not
+depend on tau; `_bs_sectors` diagonalizes each H_N once per cutoff and
+caches the result, so a beam splitter at a new tau costs one phase per
+eigenvalue and one batched product over the sectors.  `fock_bs` scatters
+those blocks into the dense unitary; `fock_unitary` of the sparse
+`bs_generator` is its reference.  The oracle never forms the dense
+unitary: the TMSV input is diagonal, |e>_C |e>_E, so each input state
+lies in one sector and each output amplitude is a single product, which
+`_eve_average_state` scatters for all amplitudes at once.  The
+eavesdropper's entropy is taken from pure-state amplitudes: her average
+state rho = M^T conj(M) has the same nonzero spectrum as the much smaller
+Gram matrix conj(M) M^T, so rho itself is never formed.
 
 The oracle and `eb_z4` use numpy alone.  The sparse generators
 (`FockSpace.destroy`, the `*_generator` builders) and `apply_generator`,
@@ -234,27 +240,71 @@ def apply_generator(gen, ket):
     return expm_multiply(gen, ket)
 
 
-def fock_bs(tau, cutoff):
-    """Dense two-mode beam-splitter unitary exp(`bs_generator`), built one
+@lru_cache(maxsize=8)
+def _bs_sectors(cutoff):
+    """Tau-free eigenbasis of the beam-splitter generator, one
     photon-number sector at a time.
 
     The generator keeps the total photon number N fixed.  In sector N the
     basis is |n, N - n> with 0 <= n, N - n <= cutoff, and the generator is
-    tridiagonal there, with <n+1, N-n-1| G |n, N-n> = theta sqrt(n+1)
-    sqrt(N-n) and its negative transpose.  Each block (at most cutoff+1
-    square) is exponentiated on its own, as `fock_unitary` does for the
-    whole matrix.
+    theta H_N with H_N Hermitian, tridiagonal and free of tau:
+    <n+1, N-n-1| H_N |n, N-n> = i sqrt(n+1) sqrt(N-n).  Each H_N is
+    diagonalized once per cutoff.
+
+    Returns:
+        (vecs, vals, slots): eigenvectors (2c+1, d, d) and eigenvalues
+        (2c+1, d), zero-padded past each sector's size (c = cutoff,
+        d = c+1); slots = (flat, row, col) labels each in-sector block
+        entry by its flat index into a (2c+1, d, d) array and by the
+        two-mode basis states n d + (N - n) of its row and column.  All
+        arrays are read-only, since every caller shares them.
     """
-    theta = _bs_angle(tau)
     d = cutoff + 1
-    u = np.zeros((d * d, d * d), dtype=complex)
+    vecs = np.zeros((2 * cutoff + 1, d, d), dtype=complex)
+    vals = np.zeros((2 * cutoff + 1, d))
+    flat, row, col = [], [], []
     for total in range(2 * cutoff + 1):
         n = np.arange(max(0, total - cutoff), min(total, cutoff) + 1)
-        up = theta * (np.sqrt(n[:-1] + 1) * np.sqrt(total - n[:-1]))
-        h = 1j * (np.diag(up, -1) - np.diag(up, 1))
-        vals, vecs = np.linalg.eigh(h)
-        idx = n * d + total - n
-        u[np.ix_(idx, idx)] = (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+        up = np.sqrt(n[:-1] + 1) * np.sqrt(total - n[:-1])
+        size = n.size
+        vals[total, :size], vecs[total, :size, :size] = np.linalg.eigh(
+            1j * (np.diag(up, -1) - np.diag(up, 1))
+        )
+        i, j = np.divmod(np.arange(size * size), size)
+        state = n * d + total - n
+        flat.append(total * d * d + i * d + j)
+        row.append(state[i])
+        col.append(state[j])
+    slots = tuple(np.concatenate(labels) for labels in (flat, row, col))
+    for arr in (vecs, vals, *slots):
+        arr.flags.writeable = False
+    return vecs, vals, slots
+
+
+def _bs_slot_values(tau, cutoff):
+    """(values, row, col): the in-sector entries of the beam splitter
+    exp(`bs_generator`) and their two-mode basis states, from the cached
+    `_bs_sectors` eigenbasis with one batched product over the sectors."""
+    vecs, vals, (flat, row, col) = _bs_sectors(cutoff)
+    phases = np.exp(-1j * _bs_angle(tau) * vals)
+    blocks = (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    return blocks.reshape(-1)[flat], row, col
+
+
+def fock_bs(tau, cutoff):
+    """Dense two-mode beam-splitter unitary exp(`bs_generator`), built one
+    photon-number sector at a time.
+
+    Each sector block is exp(-i theta H_N) from the tau-free eigenbasis
+    that `_bs_sectors` caches per cutoff, so a call costs one phase per
+    eigenvalue and one batched product; the blocks are then scattered into
+    the (cutoff+1)^2 square matrix.  The oracle uses the same blocks
+    without forming this matrix.
+    """
+    values, row, col = _bs_slot_values(tau, cutoff)
+    dim = (cutoff + 1) ** 2
+    u = np.zeros((dim, dim), dtype=complex)
+    u[row, col] = values
     return u
 
 
@@ -346,26 +396,35 @@ def _eve_average_state(constellation, params, cutoff):
     on (A, C), then the rows of the output tensor indexed by the first
     output b, weighted by sqrt(p_k).  The average state is
     rho = M^T conj(M) (d^2 x d^2); it is never formed.
+
+    The TMSV is diagonal, lam_e |e>_C |e>_E, so the input |a, e, e> lies in
+    photon-number sector a + e, and each output entry is one product with
+    no sum: out_k[a', c', e] = lam_e ket_k[a] U_{a+e}[(a', c'), (a, e)],
+    with a = a' + c' - e.  M is filled by one scatter over the in-sector
+    block entries of `_bs_slot_values`, for all amplitudes at once; the
+    dense beam-splitter unitary is never formed.
     """
     d = cutoff + 1
     psi_ce, tmsv_deficit = tmsv_ket(params.nbar, cutoff)
-    psi_ce = psi_ce.reshape(d, d)
-    bs2 = fock_bs(params.tau, cutoff)
-
-    rows = []
-    worst_leak = tmsv_deficit
-    for amp, prob in zip(constellation.amplitudes, constellation.probs):
-        ket_a, a_deficit = coherent_ket(amp, cutoff)
-        psi = (ket_a[:, None, None] * psi_ce).reshape(d * d, d)
-        out = (bs2 @ psi).reshape(d, d, d)
-        top = (
-            (np.abs(out[-1, :, :]) ** 2).sum()
-            + (np.abs(out[:, -1, :]) ** 2).sum()
-            + (np.abs(out[:, :, -1]) ** 2).sum()
-        )
-        worst_leak = max(worst_leak, a_deficit, float(top))
-        rows.append(math.sqrt(prob) * out.reshape(d, d * d))
-    return np.concatenate(rows), worst_leak
+    lam = psi_ce[:: d + 1]  # the Schmidt coefficients, diagonal of the d x d ket
+    values, row, col = _bs_slot_values(params.tau, cutoff)
+    a, e = np.divmod(col, d)
+    kets, deficits = zip(*(coherent_ket(amp, cutoff) for amp in constellation.amplitudes))
+    # np.take and the in-place product keep the temporaries few: at cutoff
+    # 18 a broadcast product of the gathered kets took three times as long.
+    entries = np.take(np.array(kets), a, axis=1)
+    entries *= lam[e] * values
+    out = np.zeros((len(kets), d**3), dtype=complex)
+    out[:, row * d + e] = entries
+    out = out.reshape(-1, d, d, d)
+    top = (
+        (np.abs(out[:, -1, :, :]) ** 2).sum(axis=(1, 2))
+        + (np.abs(out[:, :, -1, :]) ** 2).sum(axis=(1, 2))
+        + (np.abs(out[:, :, :, -1]) ** 2).sum(axis=(1, 2))
+    )
+    worst_leak = max(tmsv_deficit, *deficits, *top.tolist())
+    out *= np.sqrt(constellation.probs)[:, None, None, None]
+    return out.reshape(-1, d * d), worst_leak
 
 
 def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):

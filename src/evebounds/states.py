@@ -302,20 +302,16 @@ def _two_mode_symplectic_spectrum(cov):
     return math.sqrt(upper / 2), nu_minus
 
 
-def _log(x, base):
-    if base == "bits":
-        return np.log2(x)
-    if base == "nats":
-        return np.log(x)
-    raise ValueError(f"log base must be 'bits' or 'nats', got {base!r}")
-
-
 def thermal_entropy(nbar, base="bits"):
     """g(nbar) = (nbar+1) log(nbar+1) - nbar log(nbar), the entropy of a
-    thermal state with mean photon number nbar; g(0) = 0."""
+    thermal state with mean photon number nbar; g(0) = 0.  `base` is
+    checked first, so a pure state rejects a bad base too."""
+    if base not in ("bits", "nats"):
+        raise ValueError(f"log base must be 'bits' or 'nats', got {base!r}")
     if nbar < 1e-12:
         return 0.0
-    return float((nbar + 1) * _log(nbar + 1, base) - nbar * _log(nbar, base))
+    log = np.log2 if base == "bits" else np.log
+    return float((nbar + 1) * log(nbar + 1) - nbar * log(nbar))
 
 
 def entropy_from_cov(cov, base="bits"):

@@ -196,6 +196,13 @@ class TestGaussianExtremalityBound:
         oracle = fock.eve_exact_entropy(qpsk(1.0), params, cutoff=15)
         assert oracle.value <= value + 1e-6
 
+    def test_bad_base_rejected_at_pure_point(self):
+        # tau = 1 with nbar = 0 leaves the eavesdropper in vacuum
+        params = ChannelParams(tau=1.0, nbar=0.0)
+        assert bm_get_entropy(qpsk(1.0), params, base="nats") == 0.0
+        with pytest.raises(ValueError, match="log base"):
+            bm_get_entropy(qpsk(1.0), params, base="foo")
+
     def test_nats(self):
         params = ChannelParams(tau=0.5, nbar=0.01)
         bits = bm_get_entropy(qpsk(1.0), params, base="bits")
@@ -269,6 +276,14 @@ class TestEntangledBasedBound:
     def test_rejects_nonpositive_amplitude(self):
         with pytest.raises(ValueError):
             eb_qpsk_entropy(0.0, ChannelParams(tau=0.5, nbar=0.01))
+
+    def test_bad_base_rejected_at_pure_point(self):
+        # at alpha = 1e-7 every symplectic eigenvalue is within 2e-14 of 1,
+        # so each mode takes the pure-state shortcut
+        params = ChannelParams(tau=0.0, nbar=0.0)
+        assert eb_qpsk_entropy(1e-7, params, base="nats") == 0.0
+        with pytest.raises(ValueError, match="log base"):
+            eb_qpsk_entropy(1e-7, params, base="foo")
 
     def test_matches_general_eigensolve(self):
         # The closed-form standard-form spectrum against entropy_from_cov of

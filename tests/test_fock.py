@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evebounds import fock
-from evebounds.cloner import ChannelParams, qpsk
+from evebounds.cloner import ChannelParams, Constellation, qpsk
 from evebounds.states import entropy_from_cov, make_thermal
 
 
@@ -163,6 +163,41 @@ class TestEveExact:
         assert np.max(np.abs(rho[gram.size :])) < 1e-12
         assert gram.sum() == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("cutoff", [7, 13, 18])
+    @pytest.mark.parametrize("tau", [0.0, 0.2, 0.5, 1.0])
+    def test_sector_sparse_state_matches_dense_unitary(self, tau, cutoff):
+        three = Constellation(amplitudes=[0.8, -0.3 + 0.6j, -0.5j], probs=[0.5, 0.3, 0.2])
+        cases = [(qpsk(alpha), nbar) for alpha in (0.5, 2.0) for nbar in (0.0, 0.01, 2.0)]
+        for constellation, nbar in cases + [(three, 0.01)]:
+            params = ChannelParams(tau=tau, nbar=nbar)
+            m, leak = fock._eve_average_state(constellation, params, cutoff)
+            m_ref, leak_ref = dense_eve_average_state(constellation, params, cutoff)
+            assert m.shape == m_ref.shape
+            assert np.max(np.abs(m - m_ref)) < 1e-13
+            assert abs(leak - leak_ref) < 1e-15
+
+    def test_cached_eigenbasis_read_only_and_call_order_free(self):
+        vecs, vals, slots = fock._bs_sectors(13)
+        assert fock._bs_sectors(13)[0] is vecs
+        for arr in (vecs, vals, *slots):
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 0
+        # cutoff 18 also sweeps 13, cutoff 13 also sweeps 8
+        calls = [(18, 0.5), (13, 0.2), (18, 0.9), (13, 0.5), (18, 0.2)]
+
+        def run(cutoff, tau):
+            params = ChannelParams(tau=tau, nbar=0.01)
+            m, leak = fock._eve_average_state(qpsk(0.5), params, cutoff)
+            oracle = fock.eve_exact_entropy(qpsk(0.5), params, cutoff=cutoff)
+            return m, leak, oracle.value, oracle.value_check
+
+        interleaved = [run(*call) for call in calls]
+        for call, first in zip(calls, interleaved):
+            fock._bs_sectors.cache_clear()
+            fresh = run(*call)
+            assert np.array_equal(first[0], fresh[0])
+            assert first[1:] == fresh[1:]
+
     def test_nonconvergence_raises(self):
         with pytest.raises(fock.FockConvergenceError):
             fock.eve_exact_entropy(qpsk(2.2), ChannelParams(tau=0.5, nbar=0.01), cutoff=7)
@@ -170,6 +205,24 @@ class TestEveExact:
     def test_cutoff_floor(self):
         with pytest.raises(ValueError, match="cutoff"):
             fock.eve_exact_entropy(qpsk(1.0), ChannelParams(tau=0.5, nbar=0.01), cutoff=5)
+
+
+def dense_eve_average_state(constellation, params, cutoff):
+    """`fock._eve_average_state` through the dense beam-splitter unitary:
+    fock_bs @ (ket_k (x) psi_CE) for each amplitude, with the leakage taken
+    from the top level of each output mode."""
+    d = cutoff + 1
+    psi_ce, tmsv_deficit = fock.tmsv_ket(params.nbar, cutoff)
+    bs = fock.fock_bs(params.tau, cutoff)
+    rows = []
+    leak = tmsv_deficit
+    for amp, prob in zip(constellation.amplitudes, constellation.probs):
+        ket, deficit = fock.coherent_ket(amp, cutoff)
+        out = (bs @ np.kron(ket, psi_ce).reshape(d * d, d)).reshape(d, d, d)
+        top = sum((np.abs(face) ** 2).sum() for face in (out[-1], out[:, -1], out[:, :, -1]))
+        leak = max(leak, deficit, float(top))
+        rows.append(math.sqrt(prob) * out.reshape(d, d * d))
+    return np.concatenate(rows), leak
 
 
 def qpsk_purification_moments(alpha, cutoff=40):

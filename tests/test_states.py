@@ -22,6 +22,7 @@ from evebounds.states import (
     partial_trace_modes,
     standard_symplectic_spectrum,
     symplectic_eigenvalues,
+    thermal_entropy,
     williamson_standard_two_mode,
 )
 from evebounds.unitaries import to_symplectic
@@ -263,6 +264,18 @@ class TestEntropy:
         bits = entropy_from_cov(make_thermal(0.7).cov, base="bits")
         nats = entropy_from_cov(make_thermal(0.7).cov, base="nats")
         assert nats == pytest.approx(bits * math.log(2), rel=1e-12)
+
+    @pytest.mark.parametrize("nbar", [0.0, 1e-13, 0.7])
+    def test_bad_base_rejected_at_pure_and_mixed_points(self, nbar):
+        # nbar below 1e-12 counts as pure and returns 0 without a log, so
+        # the base has to be checked before that shortcut
+        cov = make_thermal(nbar).cov
+        for f in (thermal_entropy, lambda n, base: entropy_from_cov(cov, base)):
+            with pytest.raises(ValueError, match="log base"):
+                f(nbar, "foo")
+        if nbar < 1e-12:
+            assert thermal_entropy(nbar, "nats") == 0.0
+            assert entropy_from_cov(cov, "bits") == 0.0
 
     def test_invariant_under_symplectic(self):
         rng = np.random.default_rng(3)
