@@ -7,9 +7,7 @@ from .states import (
     GaussianState,
     SymplecticMap,
     StandardTwoModeCov,
-    make_thermal,
     make_tmsv,
-    make_coherent,
     symplectic_eigenvalues,
     standard_symplectic_spectrum,
     williamson_standard_two_mode,
@@ -42,12 +40,10 @@ from .cloner import (
     initial_covariance,
     bs_symplectic,
     eve_reduced_covariance,
-    eve_conditional_mean,
     displaced_thermal_ensemble,
     eve_average_covariance,
 )
 from .bounds import (
-    gaussian_hs_overlap,
     gram_matrix,
     gram_entropy,
     gaussian_extremality_entropy,
@@ -63,8 +59,6 @@ from .fock import (
     fock_bs,
     fock_partial_trace,
     fock_entropy,
-    fock_hs_product,
-    fock_moments,
     eve_exact_entropy,
     eb_z4,
 )

@@ -44,7 +44,6 @@ from .states import (
 )
 
 __all__ = [
-    "gaussian_hs_overlap",
     "gram_matrix",
     "gram_entropy",
     "gaussian_extremality_entropy",
@@ -54,26 +53,6 @@ __all__ = [
 ]
 
 GRAM_VARIANTS = ("pure-exact", "hs-normalized")
-
-
-def gaussian_hs_overlap(s1, s2):
-    """Hilbert-Schmidt product tr(rho1 rho2) of two Gaussian states.
-
-    tr(rho1 rho2) = 2^N det(S1 + S2)^(-1/2) exp(-delta^T (S1+S2)^{-1} delta / 2)
-    with delta the mean difference.  Symmetric in its arguments and in
-    (0, 1] for physical states.  The "hs-normalized" Gram entries are its
-    closed form for equal-covariance displaced thermal states, and the
-    tests check them against it.
-    """
-    if s1.nmodes != s2.nmodes:
-        raise ValueError(f"mode mismatch: {s1.nmodes} vs {s2.nmodes}")
-    total = s1.cov + s2.cov
-    det = float(np.linalg.det(total))
-    if det <= 0:
-        raise ValueError(f"covariance sum is singular: det = {det!r}")
-    delta = s1.mean - s2.mean
-    exponent = -0.5 * float(delta @ np.linalg.solve(total, delta))
-    return float(2**s1.nmodes / np.sqrt(det) * np.exp(exponent))
 
 
 def _ensemble_data(ensemble):
@@ -100,8 +79,8 @@ def gram_matrix(ensemble, variant="pure-exact"):
     sqrt(p_m p_n) tr(rho_m rho_n) / sqrt(tr(rho_m^2) tr(rho_n^2)), so the
     diagonal is p_m.  For displaced thermal modes with photon numbers n_k
     this is sqrt(p_m p_n) exp(-sum_k |b_m^k - b_n^k|^2 / (2 n_k + 1)), the
-    closed form of `gaussian_hs_overlap` over the purities.  Phase-free;
-    recorded for comparison.
+    closed form of the Gaussian Hilbert-Schmidt product over the purities.
+    Phase-free; recorded for comparison.
 
     Returns the K x K complex array unchecked; `gram_entropy` checks it.
     """

@@ -31,7 +31,6 @@ __all__ = [
     "initial_covariance",
     "bs_symplectic",
     "eve_reduced_covariance",
-    "eve_conditional_mean",
     "displaced_thermal_ensemble",
     "eve_average_covariance",
 ]
@@ -165,13 +164,6 @@ def eve_reduced_covariance(params):
         b=2 * params.nbar + 1,
         c=2 * params.t * math.sqrt(params.nbar**2 + params.nbar),
     )
-
-
-def eve_conditional_mean(alpha_i, params):
-    """Mean quadratures of the eavesdropper's two modes given amplitude
-    alpha_i: (-r 2 Re alpha, -r 2 Im alpha, 0, 0)."""
-    alpha_i = complex(alpha_i)
-    return np.array([-params.r * 2 * alpha_i.real, -params.r * 2 * alpha_i.imag, 0.0, 0.0])
 
 
 def displaced_thermal_ensemble(constellation, params):

@@ -16,7 +16,7 @@ exponentials of the truncated anti-Hermitian generator, so they stay
 exactly unitary; truncation error shows up as population reaching the top
 of the photon ladder, which is what the leakage checks measure.  The beam
 splitter conserves the total photon number N of its two modes, and its
-generator is theta H_N in sector N with a tridiagonal H_N that does not
+generator is -i theta H_N in sector N with a tridiagonal H_N that does not
 depend on tau; `_bs_sectors` diagonalizes each H_N once per cutoff and
 caches the result, so a beam splitter at a new tau costs one phase per
 eigenvalue and one batched product over the sectors.  `fock_bs` scatters
@@ -29,10 +29,21 @@ eavesdropper's entropy is taken from pure-state amplitudes: her average
 state rho = M^T conj(M) has the same nonzero spectrum as the much smaller
 Gram matrix conj(M) M^T, so rho itself is never formed.
 
-The oracle and `eb_z4` use numpy alone.  The sparse generators
-(`FockSpace.destroy`, the `*_generator` builders) and `apply_generator`,
-which only the `--check` suites and the tests call, import scipy when
-called, so importing this module does not load it.
+The `--check` switching-rule probes exponentiate two of their three
+generator kinds from exact structure on the truncated space.  The two
+single-mode displacement generators commute even when truncated, so
+`apply_displacement` is a tensor product of two (cutoff+1)-level
+exponentials.  A rotation exp(i a^dag phi a) keeps the total photon number
+fixed, so `apply_rotation` diagonalizes one tridiagonal sector block at a
+time; the beam splitter is the rotation at phi = theta [[0, -i], [i, 0]], and
+`_bs_sectors` builds its blocks with the same helper.  Squeezers mix the
+sectors and stay on the sparse route.
+
+The oracle, `eb_z4`, `apply_displacement` and `apply_rotation` use numpy
+alone.  The sparse generators (`FockSpace.destroy`, the `*_generator`
+builders) and `apply_generator`, which `--check` calls only for squeezers
+and the tests call as the reference for the structured exponentials,
+import scipy when called, so importing this module does not load it.
 """
 
 import math
@@ -50,8 +61,6 @@ __all__ = [
     "fock_bs",
     "fock_partial_trace",
     "fock_entropy",
-    "fock_hs_product",
-    "fock_moments",
     "eve_exact_entropy",
     "eb_z4",
 ]
@@ -240,6 +249,79 @@ def apply_generator(gen, ket):
     return expm_multiply(gen, ket)
 
 
+def _displacement_factor(alpha, cutoff):
+    """exp(alpha a^dag - conj(alpha) a) on one mode truncated at `cutoff`,
+    from the eigh of its Hermitian tridiagonal generator i (alpha a^dag -
+    conj(alpha) a)."""
+    hop = np.sqrt(np.arange(1, cutoff + 1))
+    h = np.diag(1j * alpha * hop, -1)
+    h += h.conj().T
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+
+
+def apply_displacement(alpha, kets, cutoff):
+    """D(alpha) applied to two-mode kets (a (d^2,) ket or a (k, d^2) stack,
+    d = cutoff + 1), equal to exp(`displacement_generator`).
+
+    The two truncated single-mode generators act on different tensor
+    factors and so commute exactly, so D(alpha) = D0 (x) D1, and a ket
+    reshaped to (d, d) becomes D0 K D1^T.
+    """
+    alpha = np.asarray(alpha, dtype=complex)
+    if alpha.shape != (2,):
+        raise ValueError("one displacement amplitude per mode required")
+    d = cutoff + 1
+    kets = np.asarray(kets, dtype=complex)
+    square = kets.reshape(-1, d, d)
+    out = _displacement_factor(alpha[0], cutoff) @ square @ _displacement_factor(alpha[1], cutoff).T
+    return out.reshape(kets.shape)
+
+
+def _rotation_sector(phi, total, cutoff):
+    """(n, h): mode-0 photon numbers n of the basis |n, total - n> of
+    photon-number sector `total`, and the Hermitian tridiagonal block h of
+    -a^dag phi a there, so that R(phi) = exp(i a^dag phi a) is exp(-i h) on
+    that sector.
+
+    h has diagonal -(phi00 n + phi11 (total - n)) and
+    <n+1, total-n-1| h |n, total-n> = -phi01 sqrt(n+1) sqrt(total-n).
+    """
+    n = np.arange(max(0, total - cutoff), min(total, cutoff) + 1)
+    hop = np.sqrt(n[:-1] + 1) * np.sqrt(total - n[:-1])
+    h = np.diag(-phi[0, 1] * hop, -1)
+    h += h.conj().T
+    h[np.diag_indices(n.size)] = -(phi[0, 0].real * n + phi[1, 1].real * (total - n))
+    return n, h
+
+
+def apply_rotation(phi, kets, cutoff):
+    """R(phi) = exp(i a^dag phi a) applied to two-mode kets (a (d^2,) ket
+    or a (k, d^2) stack, d = cutoff + 1), equal to exp(`rotation_generator`)
+    for a Hermitian 2 x 2 phi.
+
+    R(phi) keeps the total photon number fixed, so it is exponentiated one
+    sector at a time: each block of `_rotation_sector` is diagonalized
+    once, and its exponential acts on every ket of the stack.
+    """
+    phi = np.asarray(phi, dtype=complex)
+    d = cutoff + 1
+    kets = np.asarray(kets, dtype=complex)
+    flat = kets.reshape(-1, d * d)
+    out = np.empty_like(flat)
+    for total in range(2 * cutoff + 1):
+        n, h = _rotation_sector(phi, total, cutoff)
+        vals, vecs = np.linalg.eigh(h)
+        block = (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+        states = n * d + total - n
+        out[:, states] = flat[:, states] @ block.T
+    return out.reshape(kets.shape)
+
+
+# The beam splitter exp(theta (a^dag b - a b^dag)) is R(theta _BS_PHI).
+_BS_PHI = np.array([[0, -1j], [1j, 0]])
+
+
 @lru_cache(maxsize=8)
 def _bs_sectors(cutoff):
     """Tau-free eigenbasis of the beam-splitter generator, one
@@ -247,7 +329,8 @@ def _bs_sectors(cutoff):
 
     The generator keeps the total photon number N fixed.  In sector N the
     basis is |n, N - n> with 0 <= n, N - n <= cutoff, and the generator is
-    theta H_N with H_N Hermitian, tridiagonal and free of tau:
+    -i theta H_N with H_N the `_rotation_sector` block of `_BS_PHI`,
+    Hermitian, tridiagonal and free of tau:
     <n+1, N-n-1| H_N |n, N-n> = i sqrt(n+1) sqrt(N-n).  Each H_N is
     diagonalized once per cutoff.
 
@@ -264,12 +347,9 @@ def _bs_sectors(cutoff):
     vals = np.zeros((2 * cutoff + 1, d))
     flat, row, col = [], [], []
     for total in range(2 * cutoff + 1):
-        n = np.arange(max(0, total - cutoff), min(total, cutoff) + 1)
-        up = np.sqrt(n[:-1] + 1) * np.sqrt(total - n[:-1])
+        n, h = _rotation_sector(_BS_PHI, total, cutoff)
         size = n.size
-        vals[total, :size], vecs[total, :size, :size] = np.linalg.eigh(
-            1j * (np.diag(up, -1) - np.diag(up, 1))
-        )
+        vals[total, :size], vecs[total, :size, :size] = np.linalg.eigh(h)
         i, j = np.divmod(np.arange(size * size), size)
         state = n * d + total - n
         flat.append(total * d * d + i * d + j)
@@ -342,36 +422,6 @@ def fock_entropy(rho, base="bits"):
     eigs = eigs[eigs > 1e-15]
     logs = np.log2(eigs) if base == "bits" else np.log(eigs)
     return max(0.0, float(-(eigs * logs).sum()))
-
-
-def fock_hs_product(rho1, rho2):
-    """Hilbert-Schmidt product tr(rho1 rho2) of two density matrices."""
-    val = complex(np.sum(np.asarray(rho1) * np.asarray(rho2).T))
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"tr(rho1 rho2) not real: imaginary part {val.imag:.3e}")
-    return float(val.real)
-
-
-def fock_moments(rho, space):
-    """Quadrature mean vector and covariance matrix of a Fock-basis state.
-
-    Uses q = a + a^dag, p = -i(a - a^dag) and the symmetrized second
-    moments, matching the phase-space convention of `evebounds.states`.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    quads = []
-    for k in range(space.nmodes):
-        a = space.destroy(k).toarray()
-        quads.append(a + a.conj().T)
-        quads.append(-1j * (a - a.conj().T))
-    mean = np.array([np.trace(rho @ r).real for r in quads])
-    n = len(quads)
-    cov = np.zeros((n, n))
-    for j in range(n):
-        for k in range(j, n):
-            second = np.trace(rho @ quads[j] @ quads[k])
-            cov[j, k] = cov[k, j] = second.real - mean[j] * mean[k]
-    return mean, cov
 
 
 @dataclass

@@ -20,9 +20,7 @@ __all__ = [
     "SymplecticMap",
     "StandardTwoModeCov",
     "omega",
-    "make_thermal",
     "make_tmsv",
-    "make_coherent",
     "symplectic_eigenvalues",
     "standard_symplectic_spectrum",
     "williamson_weights",
@@ -152,13 +150,6 @@ class StandardTwoModeCov:
         return m
 
 
-def make_thermal(nbar):
-    """Single-mode thermal state with mean photon number `nbar`."""
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {nbar}")
-    return GaussianState(mean=np.zeros(2), cov=(2 * nbar + 1) * np.eye(2))
-
-
 def make_tmsv(nbar):
     """Two-mode squeezed vacuum purifying a thermal state of `nbar` photons.
 
@@ -172,12 +163,6 @@ def make_tmsv(nbar):
         mean=np.zeros(4),
         cov=StandardTwoModeCov(a=nu, b=nu, c=math.sqrt(nu * nu - 1)).as_matrix(),
     )
-
-
-def make_coherent(alpha):
-    """Single-mode coherent state of complex amplitude `alpha`."""
-    alpha = complex(alpha)
-    return GaussianState(mean=np.array([2 * alpha.real, 2 * alpha.imag]), cov=np.eye(2))
 
 
 def symplectic_eigenvalues(cov):

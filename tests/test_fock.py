@@ -5,7 +5,8 @@ import pytest
 
 from evebounds import fock
 from evebounds.cloner import ChannelParams, Constellation, qpsk
-from evebounds.states import entropy_from_cov, make_thermal
+from evebounds.states import entropy_from_cov
+from reference import fock_hs_product, fock_moments, make_thermal
 
 
 class TestStates:
@@ -36,7 +37,7 @@ class TestStates:
         n = np.arange(4)
         assert np.allclose(np.diag(diag)[:4], (1 - lam**2) * lam ** (2 * n), atol=1e-12)
         # off-diagonal Schmidt structure with uniform sign: positive q-q correlation
-        mean, cov = fock.fock_moments(rho, space)
+        mean, cov = fock_moments(rho, space)
         assert cov[0, 2] == pytest.approx(2 * math.sqrt(nbar**2 + nbar), abs=1e-9)
         assert cov[1, 3] == pytest.approx(-2 * math.sqrt(nbar**2 + nbar), abs=1e-9)
 
@@ -70,7 +71,7 @@ class TestOperators:
         ket_b, _ = fock.coherent_ket(0.0, space.cutoff)
         psi = np.kron(ket_a, ket_b)
         out = fock.fock_bs(tau, space.cutoff) @ psi
-        mean, cov = fock.fock_moments(np.outer(out, out.conj()), space)
+        mean, cov = fock_moments(np.outer(out, out.conj()), space)
         t, r = math.sqrt(tau), math.sqrt(1 - tau)
         assert np.allclose(mean, [2 * t * alpha, 0.0, -2 * r * alpha, 0.0], atol=1e-8)
         assert np.allclose(cov, np.eye(4), atol=1e-8)
@@ -88,6 +89,72 @@ class TestOperators:
         assert np.max(np.abs(u.conj().T @ u - np.eye(13))) < 1e-12
 
 
+def random_kets(rng, count, cutoff):
+    shape = (count, (cutoff + 1) ** 2)
+    kets = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return kets / np.linalg.norm(kets, axis=1, keepdims=True)
+
+
+ROTATIONS = {
+    "random": np.array([[0.7, 0.4 - 0.9j], [0.4 + 0.9j, -1.3]]),
+    "diagonal": np.diag([0.6, -1.1]).astype(complex),
+    "zero": np.zeros((2, 2), dtype=complex),
+}
+DISPLACEMENTS = {
+    "random": np.array([0.6 - 0.3j, -0.4 + 0.5j]),
+    "zero": np.zeros(2, dtype=complex),
+    "mode-0-zero": np.array([0.0, 0.5 + 0.2j]),
+    "mode-1-zero": np.array([-0.7j, 0.0]),
+}
+
+
+class TestStructuredExponentials:
+    """`apply_displacement` and `apply_rotation` against the sparse
+    `expm_multiply` of the full generator."""
+
+    @pytest.mark.parametrize("cutoff", [5, 13, 50])
+    @pytest.mark.parametrize("name", sorted(DISPLACEMENTS))
+    def test_displacement_matches_generator(self, name, cutoff):
+        alpha = DISPLACEMENTS[name]
+        space = fock.FockSpace(cutoff=cutoff, nmodes=2)
+        gen = fock.displacement_generator(space, alpha)
+        for ket in random_kets(np.random.default_rng(cutoff), 2, cutoff):
+            reference = fock.apply_generator(gen, ket)
+            assert np.max(np.abs(fock.apply_displacement(alpha, ket, cutoff) - reference)) < 1e-12
+
+    @pytest.mark.parametrize("cutoff", [5, 13, 50])
+    @pytest.mark.parametrize("name", sorted(ROTATIONS))
+    def test_rotation_matches_generator(self, name, cutoff):
+        phi = ROTATIONS[name]
+        space = fock.FockSpace(cutoff=cutoff, nmodes=2)
+        gen = fock.rotation_generator(space, phi)
+        for ket in random_kets(np.random.default_rng(cutoff), 2, cutoff):
+            reference = fock.apply_generator(gen, ket)
+            assert np.max(np.abs(fock.apply_rotation(phi, ket, cutoff) - reference)) < 1e-12
+
+    @pytest.mark.parametrize("cutoff", [5, 13, 50])
+    def test_stack_equals_single_calls(self, cutoff):
+        kets = random_kets(np.random.default_rng(7), 3, cutoff)
+        for apply, arg in ((fock.apply_rotation, ROTATIONS["random"]),
+                           (fock.apply_displacement, DISPLACEMENTS["random"])):
+            stacked = apply(arg, kets, cutoff)
+            assert stacked.shape == kets.shape
+            singles = np.array([apply(arg, ket, cutoff) for ket in kets])
+            assert np.max(np.abs(stacked - singles)) < 1e-14
+
+    @pytest.mark.parametrize("cutoff", [5, 13, 50])
+    @pytest.mark.parametrize("tau", [0.0, 0.2, 0.5, 1.0])
+    def test_beam_splitter_is_a_rotation(self, tau, cutoff):
+        theta = math.acos(math.sqrt(tau))
+        ket = random_kets(np.random.default_rng(3), 1, cutoff)[0]
+        rotated = fock.apply_rotation(theta * np.array([[0, -1j], [1j, 0]]), ket, cutoff)
+        assert np.max(np.abs(rotated - fock.fock_bs(tau, cutoff) @ ket)) < 1e-12
+
+    def test_displacement_needs_two_amplitudes(self):
+        with pytest.raises(ValueError, match="per mode"):
+            fock.apply_displacement([0.1], np.zeros(36), 5)
+
+
 class TestScalars:
     def test_pure_state_entropy_zero(self):
         ket, _ = fock.coherent_ket(0.5, 20)
@@ -102,7 +169,7 @@ class TestScalars:
         alpha = 0.9
         ket, _ = fock.coherent_ket(alpha, 40)
         vac, _ = fock.coherent_ket(0.0, 40)
-        val = fock.fock_hs_product(np.outer(ket, ket.conj()), np.outer(vac, vac.conj()))
+        val = fock_hs_product(np.outer(ket, ket.conj()), np.outer(vac, vac.conj()))
         assert val == pytest.approx(math.exp(-alpha**2), rel=1e-8)
 
     def test_displaced_thermal_entropy_matches_gaussian(self):
