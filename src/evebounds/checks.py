@@ -2,6 +2,10 @@
 reports its worst residual against a fixed tolerance.
 
 Used by the command line (`--check`) to gate scans on a healthy build.
+Random inputs are validated once: `random_pair` composes its fundamental
+operations as plain (E, F) arrays and validates only the final pair, and
+the Bloch-Messiah reference moves all amplitudes through the circuit as
+the columns of one matrix.
 """
 
 import math
@@ -32,10 +36,11 @@ from .states import (
 )
 from .unitaries import (
     BogoliubovPair,
-    Rotation,
-    Squeezer,
+    _compose_arrays,
+    _squeezer_arrays,
     bogoliubov_of,
     compose,
+    expm_i_hermitian,
     from_symplectic,
     switch_disp_rotation,
     switch_disp_squeezer,
@@ -58,19 +63,23 @@ class CheckResult:
 
 
 def random_pair(rng, nmodes, with_displacement=False):
-    """Random Gaussian unitary built by composing fundamental operations."""
-    pair = bogoliubov_of(Rotation(np.zeros((nmodes, nmodes))))
+    """Random Gaussian unitary built by composing fundamental operations.
+
+    Three rotation-squeezer rounds are composed as plain (E, F) arrays, and
+    only the final pair is validated, by the `BogoliubovPair` returned; the
+    draws and the arithmetic are those of composing `bogoliubov_of` pairs.
+    """
+    zeros = np.zeros((nmodes, nmodes), dtype=complex)
+    pair = (expm_i_hermitian(zeros), zeros)
     for _ in range(3):
         herm = rng.normal(size=(nmodes, nmodes)) + 1j * rng.normal(size=(nmodes, nmodes))
         herm = (herm + herm.conj().T) / 2
         sym = rng.normal(size=(nmodes, nmodes)) + 1j * rng.normal(size=(nmodes, nmodes))
         sym = 0.25 * (sym + sym.T)
-        pair = compose(pair, bogoliubov_of(Rotation(herm)))
-        pair = compose(pair, bogoliubov_of(Squeezer(sym)))
-    if with_displacement:
-        alpha = rng.normal(size=nmodes) + 1j * rng.normal(size=nmodes)
-        pair = BogoliubovPair(e=pair.e, f=pair.f, alpha=alpha)
-    return pair
+        pair = _compose_arrays(pair, (expm_i_hermitian(herm), zeros))
+        pair = _compose_arrays(pair, _squeezer_arrays(sym))
+    alpha = rng.normal(size=nmodes) + 1j * rng.normal(size=nmodes) if with_displacement else None
+    return BogoliubovPair(e=pair[0], f=pair[1], alpha=alpha)
 
 
 def check_bogoliubov_roundtrip():
@@ -136,13 +145,15 @@ def _switched_displacement(circuit, beta):
 
 def bloch_messiah_amplitudes(constellation, params):
     """K x 2 displacements of the eavesdropper's ensemble, obtained by pushing
-    each conditional displacement (-r alpha_i, 0) through the Bloch-Messiah
-    circuit of her thermal decomposition; the reference for the closed form
-    in `displaced_thermal_ensemble`."""
+    the conditional displacements (-r alpha_i, 0) through the Bloch-Messiah
+    circuit of her thermal decomposition, all K at once as the columns of a
+    2 x K matrix; the reference for the closed form in
+    `displaced_thermal_ensemble`."""
     smap, _, _ = williamson_standard_two_mode(eve_reduced_covariance(params))
     circuit = factors_to_circuit(bloch_messiah(from_symplectic(smap)))
-    return np.array([_switched_displacement(circuit, np.array([-params.r * amp, 0.0]))
-                     for amp in constellation.amplitudes])
+    amps = constellation.amplitudes
+    betas = np.stack([-params.r * amps, np.zeros_like(amps)])
+    return _switched_displacement(circuit, betas).T
 
 
 def check_eca_pipeline():

@@ -20,8 +20,7 @@ generator is -i theta H_N in sector N with a tridiagonal H_N that does not
 depend on tau; `_bs_sectors` diagonalizes each H_N once per cutoff and
 caches the result, so a beam splitter at a new tau costs one phase per
 eigenvalue and one batched product over the sectors.  `fock_bs` scatters
-those blocks into the dense unitary; `fock_unitary` of the sparse
-`bs_generator` is its reference.  The oracle never forms the dense
+those blocks into the dense unitary.  The oracle never forms the dense
 unitary: the TMSV input is diagonal, |e>_C |e>_E, so each input state
 lies in one sector and each output amplitude is a single product, which
 `_eve_average_state` scatters for all amplitudes at once.  The
@@ -37,13 +36,17 @@ exponentials.  A rotation exp(i a^dag phi a) keeps the total photon number
 fixed, so `apply_rotation` diagonalizes one tridiagonal sector block at a
 time; the beam splitter is the rotation at phi = theta [[0, -i], [i, 0]], and
 `_bs_sectors` builds its blocks with the same helper.  Squeezers mix the
-sectors and stay on the sparse route.
+sectors and stay on the sparse route: `squeeze_generator` weights the
+products a_j^dag a_k^dag, which are built once per `FockSpace` and cached,
+and `apply_generator` exponentiates the result.
 
-The oracle, `eb_z4`, `apply_displacement` and `apply_rotation` use numpy
-alone.  The sparse generators (`FockSpace.destroy`, the `*_generator`
-builders) and `apply_generator`, which `--check` calls only for squeezers
-and the tests call as the reference for the structured exponentials,
-import scipy when called, so importing this module does not load it.
+The module keeps only what the oracle and `--check` call.  The sparse
+displacement, rotation and beam-splitter generators and the dense
+exponential they are checked against live with the tests
+(`tests/reference.py`).  The oracle, `eb_z4`, `apply_displacement` and
+`apply_rotation` use numpy alone; `FockSpace.destroy`, `squeeze_generator`
+and `apply_generator` import scipy when called, so importing this module
+does not load it.
 """
 
 import math
@@ -170,76 +173,42 @@ def _require_deficit(deficit, what):
         )
 
 
-def displacement_generator(space, alpha):
-    """Anti-Hermitian generator of D(alpha) = exp(sum alpha_k a_k^dag - h.c.)."""
-    import scipy.sparse as sp
-
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
-    if alpha.size != space.nmodes:
-        raise ValueError("one displacement amplitude per mode required")
-    g = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    for k, a_k in enumerate(alpha):
-        a = space.destroy(k)
-        g = g + a_k * a.conj().T - np.conj(a_k) * a
-    return g
-
-
-def rotation_generator(space, phi):
-    """Anti-Hermitian generator of R(phi) = exp(i a^dag phi a), phi Hermitian."""
-    import scipy.sparse as sp
-
-    phi = np.atleast_2d(np.asarray(phi, dtype=complex))
-    ops = [space.destroy(k) for k in range(space.nmodes)]
-    g = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    for j in range(space.nmodes):
-        for k in range(space.nmodes):
-            if phi[j, k] != 0:
-                g = g + 1j * phi[j, k] * (ops[j].conj().T @ ops[k])
-    return g
+@lru_cache(maxsize=4)
+def _creation_products(space):
+    """{(j, k): a_j^dag a_k^dag for j <= k} on `space`, built once per space
+    and shared, so callers only read them."""
+    ups = [space.destroy(k).conj().T for k in range(space.nmodes)]
+    return {
+        (j, k): (ups[j] @ ups[k]).tocsr()
+        for j in range(space.nmodes)
+        for k in range(j, space.nmodes)
+    }
 
 
 def squeeze_generator(space, z):
-    """Anti-Hermitian generator of S(z) = exp((a^dag z a^dag - a z^dag a) / 2)."""
+    """Anti-Hermitian generator of S(z) = exp((a^dag z a^dag - a z^dag a) / 2).
+
+    With C = sum_jk z_jk a_j^dag a_k^dag / 2 the generator is C - C^dag.
+    The products a_j^dag a_k^dag are cached per space (`_creation_products`),
+    so a call only forms the weighted sum; a_j^dag a_k^dag = a_k^dag a_j^dag,
+    so (j, k) and (k, j) share one product.
+    """
     import scipy.sparse as sp
 
     z = np.atleast_2d(np.asarray(z, dtype=complex))
-    ops = [space.destroy(k) for k in range(space.nmodes)]
-    g = sp.csr_matrix((space.dim, space.dim), dtype=complex)
+    products = _creation_products(space)
+    c = sp.csr_matrix((space.dim, space.dim), dtype=complex)
     for j in range(space.nmodes):
         for k in range(space.nmodes):
             if z[j, k] != 0:
-                g = g + 0.5 * z[j, k] * (ops[j].conj().T @ ops[k].conj().T)
-                g = g - 0.5 * np.conj(z[j, k]) * (ops[j] @ ops[k])
-    return g
+                c = c + 0.5 * z[j, k] * products[min(j, k), max(j, k)]
+    return c - c.conj().T
 
 
 def _bs_angle(tau):
     if not 0 <= tau <= 1:
         raise ValueError(f"transmittance must lie in [0, 1], got {tau}")
     return math.acos(math.sqrt(tau))
-
-
-def bs_generator(space, tau):
-    """Generator of the beam splitter exp(theta (a^dag b - a b^dag)) on
-    modes 0 and 1.
-
-    cos(theta) = sqrt(tau), so the outputs are t a + r b and -r a + t b
-    with t = sqrt(tau), r = sqrt(1 - tau).
-    """
-    a = space.destroy(0)
-    b = space.destroy(1)
-    return _bs_angle(tau) * (a.conj().T @ b - a @ b.conj().T)
-
-
-def fock_unitary(gen):
-    """Dense unitary exp(gen) of an anti-Hermitian generator.
-
-    Diagonalizes the Hermitian matrix i*gen, so the result is exactly
-    unitary up to round-off even on the truncated ladder.
-    """
-    h = 1j * gen.toarray()
-    vals, vecs = np.linalg.eigh(h)
-    return vecs @ np.diag(np.exp(-1j * vals)) @ vecs.conj().T
 
 
 def apply_generator(gen, ket):
@@ -262,7 +231,8 @@ def _displacement_factor(alpha, cutoff):
 
 def apply_displacement(alpha, kets, cutoff):
     """D(alpha) applied to two-mode kets (a (d^2,) ket or a (k, d^2) stack,
-    d = cutoff + 1), equal to exp(`displacement_generator`).
+    d = cutoff + 1), equal to the exponential of the sparse displacement
+    generator sum_k alpha_k a_k^dag - h.c.
 
     The two truncated single-mode generators act on different tensor
     factors and so commute exactly, so D(alpha) = D0 (x) D1, and a ket
@@ -297,8 +267,8 @@ def _rotation_sector(phi, total, cutoff):
 
 def apply_rotation(phi, kets, cutoff):
     """R(phi) = exp(i a^dag phi a) applied to two-mode kets (a (d^2,) ket
-    or a (k, d^2) stack, d = cutoff + 1), equal to exp(`rotation_generator`)
-    for a Hermitian 2 x 2 phi.
+    or a (k, d^2) stack, d = cutoff + 1), equal to the exponential of the
+    sparse generator i a^dag phi a for a Hermitian 2 x 2 phi.
 
     R(phi) keeps the total photon number fixed, so it is exponentiated one
     sector at a time: each block of `_rotation_sector` is diagonalized
@@ -363,8 +333,9 @@ def _bs_sectors(cutoff):
 
 def _bs_slot_values(tau, cutoff):
     """(values, row, col): the in-sector entries of the beam splitter
-    exp(`bs_generator`) and their two-mode basis states, from the cached
-    `_bs_sectors` eigenbasis with one batched product over the sectors."""
+    exp(theta (a^dag b - a b^dag)) and their two-mode basis states, from
+    the cached `_bs_sectors` eigenbasis with one batched product over the
+    sectors."""
     vecs, vals, (flat, row, col) = _bs_sectors(cutoff)
     phases = np.exp(-1j * _bs_angle(tau) * vals)
     blocks = (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
@@ -372,8 +343,8 @@ def _bs_slot_values(tau, cutoff):
 
 
 def fock_bs(tau, cutoff):
-    """Dense two-mode beam-splitter unitary exp(`bs_generator`), built one
-    photon-number sector at a time.
+    """Dense two-mode beam-splitter unitary exp(theta (a^dag b - a b^dag)),
+    cos(theta) = sqrt(tau), built one photon-number sector at a time.
 
     Each sector block is exp(-i theta H_N) from the tau-free eigenbasis
     that `_bs_sectors` caches per cutoff, so a call costs one phase per
@@ -514,6 +485,13 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
     return result
 
 
+# At and above this amplitude `eb_z4` takes the mod-4 class weights from
+# their discrete Fourier form, which has no cancellation there: the smallest
+# weight is within 2 exp(-16) of the largest.  Below it the log-space
+# Poisson sums keep the small weights accurate (lambda_3 ~ alpha^6 / 6).
+Z4_FOURIER_ALPHA = 4.0
+
+
 @lru_cache(maxsize=128)
 def eb_z4(alpha):
     """q-q cross moment of the Schmidt purification of the four-state
@@ -523,14 +501,25 @@ def eb_z4(alpha):
     The average state is diagonal in the mod-4 photon-number classes, with
     eigenvalues lambda_k = exp(-alpha^2) sum_{n = k mod 4} alpha^(2n) / n!,
     and the moment is Z4 = 2 alpha^2 sum_k lambda_k^(3/2) lambda_{k+1}^(-1/2)
-    (Leverrier and Grangier, PRL 102, 180504, 2009).  The Poisson sums and
-    the powers are taken in log space, so the value stays accurate for
-    large alpha, where cosh overflows, and for small alpha, where the
-    differences of cosh and cos (sinh and sin) cancel.  Cached by value.
+    (Leverrier and Grangier, PRL 102, 180504, 2009).  Below
+    `Z4_FOURIER_ALPHA` the Poisson sums and the powers are taken in log
+    space, so the small weights stay accurate where the differences of cosh
+    and cos (sinh and sin) cancel.  At and above it the weights come from
+    the four-point Fourier sum
+    lambda_k = [1 + (-1)^k e^(-2 alpha^2) + 2 Re(i^(-k) e^(alpha^2 (i - 1)))] / 4,
+    whose terms past the first are below 2 exp(-16).  With x = 1 + 2 alpha^2,
+    x - Z4 tends to 1; the log-space sums lose accuracy as alpha^2 eps and
+    gave 1.0016 at alpha = 1000 and a negative value at 5000, while this
+    form keeps it at 1 to rounding.  Cached by value.
     """
     if alpha <= 0:
         raise ValueError(f"amplitude must be positive, got {alpha}")
     a2 = float(alpha) ** 2
+    if alpha >= Z4_FOURIER_ALPHA:
+        c, s = math.cos(a2), math.sin(a2)
+        wave = 2 * math.exp(-a2) * np.array([c, s, -c, -s])
+        lam = 0.25 * (1 + np.array([1, -1, 1, -1]) * math.exp(-2 * a2) + wave)
+        return 2 * a2 * float((lam**1.5 / np.sqrt(np.roll(lam, -1))).sum())
     # The sums run over the Poisson mean +- (12 standard deviations + 40
     # terms), starting at a multiple of 4; the mass left out is below 1e-25.
     reach = 12 * math.sqrt(a2) + 40

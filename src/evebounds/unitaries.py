@@ -127,6 +127,13 @@ def polar_squeeze(z):
     return r, w
 
 
+def _squeezer_arrays(z):
+    """(E, F) = (cosh(r), sinh(r) w) of a squeezing matrix z = r w, as
+    plain arrays with no validation."""
+    r, w = polar_squeeze(z)
+    return _func_hermitian(r, np.cosh), _func_hermitian(r, np.sinh) @ w
+
+
 def bogoliubov_of(op):
     """Bogoliubov pair of a fundamental Gaussian operation.
 
@@ -142,8 +149,8 @@ def bogoliubov_of(op):
         n = op.phi.shape[0]
         return BogoliubovPair(e=expm_i_hermitian(op.phi), f=np.zeros((n, n), dtype=complex))
     if isinstance(op, Squeezer):
-        r, w = polar_squeeze(op.z)
-        return BogoliubovPair(e=_func_hermitian(r, np.cosh), f=_func_hermitian(r, np.sinh) @ w)
+        e, f = _squeezer_arrays(op.z)
+        return BogoliubovPair(e=e, f=f)
     raise TypeError(f"not a fundamental Gaussian operation: {op!r}")
 
 
@@ -189,17 +196,24 @@ def compose(first, then):
         raise ValueError(
             f"mode mismatch: composing {first.nmodes}-mode with {then.nmodes}-mode operation"
         )
-    return BogoliubovPair(
-        e=then.e @ first.e + then.f @ first.f.conj(),
-        f=then.e @ first.f + then.f @ first.e.conj(),
-        alpha=then.e @ first.alpha + then.f @ first.alpha.conj() + then.alpha,
-    )
+    e, f = _compose_arrays((first.e, first.f), (then.e, then.f))
+    alpha = then.e @ first.alpha + then.f @ first.alpha.conj() + then.alpha
+    return BogoliubovPair(e=e, f=f, alpha=alpha)
+
+
+def _compose_arrays(first, then):
+    """(E, F) of `then` applied after `first`, each given as a plain (E, F)
+    array pair; `compose` without the displacement and the validation."""
+    (e1, f1), (e2, f2) = first, then
+    return e2 @ e1 + f2 @ f1.conj(), e2 @ f1 + f2 @ e1.conj()
 
 
 def switch_disp_squeezer(z, alpha):
     """beta such that D(alpha) S(z) = S(z) D(beta).
 
     beta = cosh(r) alpha - sinh(r) exp(i theta) alpha*, with z = r exp(i theta).
+    `alpha` may also be an (N, K) matrix whose columns are K displacements;
+    the rule then maps each column.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
     r, w = polar_squeeze(z)
@@ -214,6 +228,9 @@ def switch_squeezer_rotation(phi, z):
 
 
 def switch_disp_rotation(phi, alpha):
-    """gamma such that D(alpha) R(phi) = R(phi) D(gamma): gamma = e^{-i phi} alpha."""
+    """gamma such that D(alpha) R(phi) = R(phi) D(gamma): gamma = e^{-i phi} alpha.
+
+    As in `switch_disp_squeezer`, an (N, K) `alpha` maps column by column.
+    """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
     return expm_i_hermitian(-np.atleast_2d(np.asarray(phi, dtype=complex))) @ alpha

@@ -1,10 +1,26 @@
 """Reference code that only the tests use: Gaussian state builders, the
-Gaussian Hilbert-Schmidt product, the eavesdropper's conditional mean and
-the Fock-basis moments and overlaps they are checked against."""
+Gaussian Hilbert-Schmidt product, the eavesdropper's conditional mean, the
+Fock-basis moments and overlaps they are checked against, the sparse Fock
+generators and dense exponential that the structured exponentials of
+`evebounds.fock` are checked against, and the per-operation and
+per-amplitude forms of two `evebounds.checks` helpers."""
 
 import numpy as np
+import scipy.sparse as sp
 
-from evebounds.states import GaussianState
+from evebounds.blochmessiah import bloch_messiah, factors_to_circuit
+from evebounds.checks import _switched_displacement
+from evebounds.cloner import eve_reduced_covariance
+from evebounds.fock import _bs_angle
+from evebounds.states import GaussianState, williamson_standard_two_mode
+from evebounds.unitaries import (
+    BogoliubovPair,
+    Rotation,
+    Squeezer,
+    bogoliubov_of,
+    compose,
+    from_symplectic,
+)
 
 
 def make_thermal(nbar):
@@ -74,3 +90,91 @@ def fock_moments(rho, space):
             second = np.trace(rho @ quads[j] @ quads[k])
             cov[j, k] = cov[k, j] = second.real - mean[j] * mean[k]
     return mean, cov
+
+
+def displacement_generator(space, alpha):
+    """Anti-Hermitian generator of D(alpha) = exp(sum alpha_k a_k^dag - h.c.)."""
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
+    if alpha.size != space.nmodes:
+        raise ValueError("one displacement amplitude per mode required")
+    g = sp.csr_matrix((space.dim, space.dim), dtype=complex)
+    for k, a_k in enumerate(alpha):
+        a = space.destroy(k)
+        g = g + a_k * a.conj().T - np.conj(a_k) * a
+    return g
+
+
+def rotation_generator(space, phi):
+    """Anti-Hermitian generator of R(phi) = exp(i a^dag phi a), phi Hermitian."""
+    phi = np.atleast_2d(np.asarray(phi, dtype=complex))
+    ops = [space.destroy(k) for k in range(space.nmodes)]
+    g = sp.csr_matrix((space.dim, space.dim), dtype=complex)
+    for j in range(space.nmodes):
+        for k in range(space.nmodes):
+            if phi[j, k] != 0:
+                g = g + 1j * phi[j, k] * (ops[j].conj().T @ ops[k])
+    return g
+
+
+def squeeze_generator_kron(space, z):
+    """Generator of S(z) = exp((a^dag z a^dag - a z^dag a) / 2), rebuilt from
+    `FockSpace.destroy` on every call: the reference for the cached
+    `evebounds.fock.squeeze_generator`."""
+    z = np.atleast_2d(np.asarray(z, dtype=complex))
+    ops = [space.destroy(k) for k in range(space.nmodes)]
+    g = sp.csr_matrix((space.dim, space.dim), dtype=complex)
+    for j in range(space.nmodes):
+        for k in range(space.nmodes):
+            if z[j, k] != 0:
+                g = g + 0.5 * z[j, k] * (ops[j].conj().T @ ops[k].conj().T)
+                g = g - 0.5 * np.conj(z[j, k]) * (ops[j] @ ops[k])
+    return g
+
+
+def bs_generator(space, tau):
+    """Generator of the beam splitter exp(theta (a^dag b - a b^dag)) on
+    modes 0 and 1.
+
+    cos(theta) = sqrt(tau), so the outputs are t a + r b and -r a + t b
+    with t = sqrt(tau), r = sqrt(1 - tau).
+    """
+    a = space.destroy(0)
+    b = space.destroy(1)
+    return _bs_angle(tau) * (a.conj().T @ b - a @ b.conj().T)
+
+
+def fock_unitary(gen):
+    """Dense unitary exp(gen) of an anti-Hermitian generator.
+
+    Diagonalizes the Hermitian matrix i*gen, so the result is exactly
+    unitary up to round-off even on the truncated ladder.
+    """
+    h = 1j * gen.toarray()
+    vals, vecs = np.linalg.eigh(h)
+    return vecs @ np.diag(np.exp(-1j * vals)) @ vecs.conj().T
+
+
+def random_pair_composed(rng, nmodes, with_displacement=False):
+    """Random Gaussian unitary composed from validated `bogoliubov_of`
+    pairs, one `compose` at a time."""
+    pair = bogoliubov_of(Rotation(np.zeros((nmodes, nmodes))))
+    for _ in range(3):
+        herm = rng.normal(size=(nmodes, nmodes)) + 1j * rng.normal(size=(nmodes, nmodes))
+        herm = (herm + herm.conj().T) / 2
+        sym = rng.normal(size=(nmodes, nmodes)) + 1j * rng.normal(size=(nmodes, nmodes))
+        sym = 0.25 * (sym + sym.T)
+        pair = compose(pair, bogoliubov_of(Rotation(herm)))
+        pair = compose(pair, bogoliubov_of(Squeezer(sym)))
+    if with_displacement:
+        alpha = rng.normal(size=nmodes) + 1j * rng.normal(size=nmodes)
+        pair = BogoliubovPair(e=pair.e, f=pair.f, alpha=alpha)
+    return pair
+
+
+def bloch_messiah_amplitudes_loop(constellation, params):
+    """`evebounds.checks.bloch_messiah_amplitudes` with one circuit pass per
+    amplitude."""
+    smap, _, _ = williamson_standard_two_mode(eve_reduced_covariance(params))
+    circuit = factors_to_circuit(bloch_messiah(from_symplectic(smap)))
+    return np.array([_switched_displacement(circuit, np.array([-params.r * amp, 0.0]))
+                     for amp in constellation.amplitudes])

@@ -35,6 +35,7 @@ from evebounds.unitaries import (
     switch_disp_squeezer,
     switch_squeezer_rotation,
 )
+from reference import displacement_generator, rotation_generator
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SQRT_X = (1 / np.sqrt(2)) * np.array(
@@ -199,17 +200,17 @@ def test_criterion_6_switching_rules():
         ket[0] = 1.0
         probe = rng.normal(size=2) + 1j * rng.normal(size=2)
         probe *= min(1.0, 0.3 / max(abs(probe)))
-        ket = fock.apply_generator(fock.displacement_generator(space, probe), ket)
+        ket = fock.apply_generator(displacement_generator(space, probe), ket)
         ket /= np.linalg.norm(ket)
 
-        gen_d = fock.displacement_generator(space, alpha)
+        gen_d = displacement_generator(space, alpha)
         gen_s = fock.squeeze_generator(space, sym)
-        gen_r = fock.rotation_generator(space, herm)
+        gen_r = rotation_generator(space, herm)
         beta = switch_disp_squeezer(sym, alpha)
         worst["disp-squeezer"] = max(
             worst["disp-squeezer"],
             distance([gen_s, gen_d],
-                     [fock.displacement_generator(space, beta), gen_s], ket),
+                     [displacement_generator(space, beta), gen_s], ket),
         )
         zp = switch_squeezer_rotation(herm, sym)
         worst["squeezer-rotation"] = max(
@@ -220,7 +221,7 @@ def test_criterion_6_switching_rules():
         worst["disp-rotation"] = max(
             worst["disp-rotation"],
             distance([gen_r, gen_d],
-                     [fock.displacement_generator(space, gamma), gen_r], ket),
+                     [displacement_generator(space, gamma), gen_r], ket),
         )
     ok = all(v < 1e-6 for v in worst.values())
     detail = ", ".join(f"{k} {v:.3e}" for k, v in worst.items())

@@ -5,6 +5,7 @@ import pytest
 
 from evebounds import fock
 from evebounds.bounds import (
+    EB_ALPHA_MAX,
     bm_get_entropy,
     bm_gme_entropy,
     eb_qpsk_entropy,
@@ -19,7 +20,14 @@ from evebounds.cloner import (
     qpsk,
 )
 from evebounds.states import entropy_from_cov, make_tmsv
-from reference import fock_hs_product, gaussian_hs_overlap, make_coherent, make_thermal
+from reference import (
+    displacement_generator,
+    fock_hs_product,
+    fock_unitary,
+    gaussian_hs_overlap,
+    make_coherent,
+    make_thermal,
+)
 
 # 1.42e-11 leaves the thermal decomposition a squeezing so small that the
 # matched SVD of the Bloch-Messiah route raised at most taus of the grid.
@@ -71,8 +79,8 @@ class TestHSOverlap:
         space = fock.FockSpace(cutoff=40)
         nbar = 0.05
         rho = fock.fock_thermal(nbar, space.cutoff)
-        u1 = fock.fock_unitary(fock.displacement_generator(space, 0.4 + 0.2j))
-        u2 = fock.fock_unitary(fock.displacement_generator(space, -0.3j))
+        u1 = fock_unitary(displacement_generator(space, 0.4 + 0.2j))
+        u2 = fock_unitary(displacement_generator(space, -0.3j))
         oracle = fock_hs_product(u1 @ rho @ u1.conj().T, u2 @ rho @ u2.conj().T)
         cov = (2 * nbar + 1) * np.eye(2)
         s1 = GaussianState(mean=[0.8, 0.4], cov=cov)
@@ -276,6 +284,30 @@ class TestEntangledBasedBound:
     def test_rejects_nonpositive_amplitude(self):
         with pytest.raises(ValueError):
             eb_qpsk_entropy(0.0, ChannelParams(tau=0.5, nbar=0.01))
+
+    @pytest.mark.parametrize("alpha", [1000.0, 4430.0, 5000.0, 1e4])
+    def test_large_amplitude_closed_forms(self, alpha):
+        # Z4 = x - 1 to rounding, so at tau = 1 both symplectic eigenvalues
+        # are sqrt(x^2 - Z4^2) = sqrt(2x - 1); at tau = 0, c = 0 and they
+        # are x and 2 nbar + 1.  With Z4 from the log-space sums alone,
+        # x - Z4 was 1.0016 at alpha = 1000 and alpha = 5000 raised.
+        def g(nu):
+            n = (nu - 1) / 2
+            return (n + 1) * math.log2(n + 1) - (n * math.log2(n) if n > 0 else 0.0)
+
+        x = 1 + 2 * alpha**2
+        for nbar in (0.0, 5.0):
+            at_one = eb_qpsk_entropy(alpha, ChannelParams(tau=1.0, nbar=nbar))
+            assert at_one == pytest.approx(2 * g(math.sqrt(2 * x - 1)), abs=1e-6)
+            at_zero = eb_qpsk_entropy(alpha, ChannelParams(tau=0.0, nbar=nbar))
+            assert at_zero == pytest.approx(g(x) + g(2 * nbar + 1), abs=1e-9)
+            for tau in (0.1, 0.5, 0.99):
+                assert math.isfinite(eb_qpsk_entropy(alpha, ChannelParams(tau=tau, nbar=nbar)))
+
+    @pytest.mark.parametrize("alpha", [np.nextafter(EB_ALPHA_MAX, np.inf), 2e4, 1e8])
+    def test_rejects_amplitude_past_domain(self, alpha):
+        with pytest.raises(ValueError, match=r"0 < alpha <= 10000"):
+            eb_qpsk_entropy(alpha, ChannelParams(tau=0.5, nbar=0.01))
 
     def test_bad_base_rejected_at_pure_point(self):
         # at alpha = 1e-7 every symplectic eigenvalue is within 2e-14 of 1,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evebounds.checks import format_report, run_checks
+from evebounds.checks import format_report
 from evebounds.cli import CSV_HEADER, ScanConfig, main, parse_config, run_scan, write_csv
 
 
@@ -215,13 +215,13 @@ class TestMain:
         assert "tau" in capsys.readouterr().err
 
     def test_scan_error_reported_on_one_line(self, tmp_path, capsys):
-        # past alpha ~ 5000 rounding in eb's Z4 gives an unphysical covariance
+        # eb rejects amplitudes past its documented domain, alpha <= 1e4
         out = tmp_path / "scan.csv"
-        code = main(["--alpha", "5000", "--methods", "eb", "--tau-min", "0.1",
+        code = main(["--alpha", "20000", "--methods", "eb", "--tau-min", "0.1",
                      "--tau-max", "0.1", "--tau-steps", "1", "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("evebounds: ") and "unphysical" in err
+        assert err.startswith("evebounds: ") and "0 < alpha <= 10000" in err
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
@@ -260,20 +260,16 @@ class TestMainWithChecks:
 
 
 class TestChecks:
-    def test_all_suites_pass_quickly(self):
-        import time
-
-        start = time.monotonic()
-        results = run_checks()
-        elapsed = time.monotonic() - start
+    def test_all_suites_pass_quickly(self, check_results):
+        results, elapsed = check_results
         report = format_report(results)
         assert len(report) == len(results)
         failing = [line for line in report if line.endswith("FAIL")]
         assert not failing, "\n".join(report)
         assert elapsed < 300.0
 
-    def test_report_format(self):
-        results = run_checks()
+    def test_report_format(self, check_results):
+        results, _ = check_results
         for line in format_report(results):
             name, residual, tol, status = line.split(" ")
             assert residual.startswith("max_residual=")

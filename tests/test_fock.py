@@ -6,7 +6,16 @@ import pytest
 from evebounds import fock
 from evebounds.cloner import ChannelParams, Constellation, qpsk
 from evebounds.states import entropy_from_cov
-from reference import fock_hs_product, fock_moments, make_thermal
+from reference import (
+    bs_generator,
+    displacement_generator,
+    fock_hs_product,
+    fock_moments,
+    fock_unitary,
+    make_thermal,
+    rotation_generator,
+    squeeze_generator_kron,
+)
 
 
 class TestStates:
@@ -48,7 +57,7 @@ class TestStates:
 
 class TestOperators:
     def test_displacement_zero_is_identity(self):
-        u = fock.fock_unitary(fock.displacement_generator(fock.FockSpace(cutoff=8), 0.0))
+        u = fock_unitary(displacement_generator(fock.FockSpace(cutoff=8), 0.0))
         assert np.allclose(u, np.eye(9), atol=1e-12)
 
     def test_bs_full_transmittance_is_identity(self):
@@ -57,7 +66,7 @@ class TestOperators:
     def test_displacement_matches_coherent(self):
         space = fock.FockSpace(cutoff=25)
         alpha = 0.6 - 0.3j
-        u = fock.fock_unitary(fock.displacement_generator(space, alpha))
+        u = fock_unitary(displacement_generator(space, alpha))
         moved = u[:, 0]
         ket, _ = fock.coherent_ket(alpha, space.cutoff)
         assert abs(abs(np.vdot(moved, ket)) - 1) < 1e-10
@@ -80,12 +89,12 @@ class TestOperators:
     @pytest.mark.parametrize("tau", [0.0, 0.2, 0.5, 1.0])
     def test_bs_sectors_match_dense_exponential(self, tau, cutoff):
         space = fock.FockSpace(cutoff=cutoff, nmodes=2)
-        dense = fock.fock_unitary(fock.bs_generator(space, tau))
+        dense = fock_unitary(bs_generator(space, tau))
         assert np.max(np.abs(fock.fock_bs(tau, cutoff) - dense)) < 1e-12
 
     def test_unitaries_are_unitary(self):
         space = fock.FockSpace(cutoff=12)
-        u = fock.fock_unitary(fock.squeeze_generator(space, np.array([[0.3]])))
+        u = fock_unitary(fock.squeeze_generator(space, np.array([[0.3]])))
         assert np.max(np.abs(u.conj().T @ u - np.eye(13))) < 1e-12
 
 
@@ -117,7 +126,7 @@ class TestStructuredExponentials:
     def test_displacement_matches_generator(self, name, cutoff):
         alpha = DISPLACEMENTS[name]
         space = fock.FockSpace(cutoff=cutoff, nmodes=2)
-        gen = fock.displacement_generator(space, alpha)
+        gen = displacement_generator(space, alpha)
         for ket in random_kets(np.random.default_rng(cutoff), 2, cutoff):
             reference = fock.apply_generator(gen, ket)
             assert np.max(np.abs(fock.apply_displacement(alpha, ket, cutoff) - reference)) < 1e-12
@@ -127,7 +136,7 @@ class TestStructuredExponentials:
     def test_rotation_matches_generator(self, name, cutoff):
         phi = ROTATIONS[name]
         space = fock.FockSpace(cutoff=cutoff, nmodes=2)
-        gen = fock.rotation_generator(space, phi)
+        gen = rotation_generator(space, phi)
         for ket in random_kets(np.random.default_rng(cutoff), 2, cutoff):
             reference = fock.apply_generator(gen, ket)
             assert np.max(np.abs(fock.apply_rotation(phi, ket, cutoff) - reference)) < 1e-12
@@ -155,6 +164,35 @@ class TestStructuredExponentials:
             fock.apply_displacement([0.1], np.zeros(36), 5)
 
 
+SQUEEZERS = {
+    (50, 2): np.array([[0.3 - 0.1j, 0.2 + 0.25j], [0.2 + 0.25j, 0.0]]),
+    (30, 1): np.array([[0.4 + 0.3j]]),
+}
+
+
+class TestSqueezeGenerator:
+    """`squeeze_generator` weights cached products a_j^dag a_k^dag; the
+    reference rebuilds them from `FockSpace.destroy` on every call."""
+
+    @pytest.mark.parametrize("cutoff, nmodes", sorted(SQUEEZERS))
+    def test_matches_kron_reference_entry_for_entry(self, cutoff, nmodes):
+        space = fock.FockSpace(cutoff=cutoff, nmodes=nmodes)
+        z = SQUEEZERS[cutoff, nmodes]
+        gen = fock.squeeze_generator(space, z)
+        reference = squeeze_generator_kron(space, z)
+        assert gen.shape == reference.shape
+        assert (gen != reference).nnz == 0
+
+    def test_mutating_a_result_leaves_the_next_call_unchanged(self):
+        space = fock.FockSpace(cutoff=50, nmodes=2)
+        z = SQUEEZERS[50, 2]
+        first = fock.squeeze_generator(space, z)
+        first.data[:] = 7.0
+        first *= 3.0
+        second = fock.squeeze_generator(space, z)
+        assert (second != squeeze_generator_kron(space, z)).nnz == 0
+
+
 class TestScalars:
     def test_pure_state_entropy_zero(self):
         ket, _ = fock.coherent_ket(0.5, 20)
@@ -175,7 +213,7 @@ class TestScalars:
     def test_displaced_thermal_entropy_matches_gaussian(self):
         # entropy is displacement-invariant
         rho = fock.fock_thermal(0.3, 40)
-        u = fock.fock_unitary(fock.displacement_generator(fock.FockSpace(cutoff=40), 0.6 - 0.2j))
+        u = fock_unitary(displacement_generator(fock.FockSpace(cutoff=40), 0.6 - 0.2j))
         moved = u @ rho @ u.conj().T
         assert fock.fock_entropy(moved) == pytest.approx(
             entropy_from_cov(make_thermal(0.3).cov), abs=1e-5
@@ -374,6 +412,28 @@ class TestPurificationCrossMoment:
             x = 1 + 2 * alpha**2
             z4 = fock.eb_z4(alpha)
             assert math.isfinite(z4)
+            assert x * x - z4 * z4 >= 1
+
+    @pytest.mark.parametrize("alpha", [3.5, 3.9999999, 4.0, 4.5])
+    def test_both_sides_of_fourier_crossover(self, alpha):
+        # near the crossover both routes are accurate: the log-space sums
+        # below it and the Fourier form at and above it agree to 1e-14
+        a2 = alpha**2
+        lam = [0.25 * (1 + (-1) ** k * math.exp(-2 * a2)
+                       + 2 * (1j ** -k * np.exp(a2 * (1j - 1))).real) for k in range(4)]
+        expected = 2 * a2 * sum(lam[k] ** 1.5 * lam[(k + 1) % 4] ** -0.5 for k in range(4))
+        assert fock.eb_z4(alpha) == pytest.approx(expected, rel=1e-14, abs=0)
+        below, above = fock.eb_z4(np.nextafter(4.0, 0.0)), fock.eb_z4(4.0)
+        assert above == pytest.approx(below, rel=1e-14, abs=0)
+
+    def test_large_amplitude_stays_physical(self):
+        # the log-space sums drifted to x - Z4 = 1.0016 at alpha = 1000 and
+        # below 0 at 5000; the Fourier form keeps it at 1 to rounding (from
+        # alpha = 5 on, its exact deviation from 1 is below 1e-20)
+        for alpha in np.geomspace(5.0, 1e6, 60):
+            x = 1 + 2 * alpha**2
+            z4 = fock.eb_z4(alpha)
+            assert abs(x - z4 - 1) <= 8 * np.finfo(float).eps * x
             assert x * x - z4 * z4 >= 1
 
     def test_rejects_bad_inputs(self):

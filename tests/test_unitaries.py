@@ -20,7 +20,7 @@ from evebounds.unitaries import (
     switch_squeezer_rotation,
     to_symplectic,
 )
-from reference import fock_moments
+from reference import displacement_generator, fock_moments, rotation_generator
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -175,8 +175,8 @@ class TestSwitchingRules:
         gen_s = fock.squeeze_generator(space, np.array([[r]]))
         dist = fock_rule_distance(
             space,
-            [gen_s, fock.displacement_generator(space, [alpha])],
-            [fock.displacement_generator(space, beta), gen_s],
+            [gen_s, displacement_generator(space, [alpha])],
+            [displacement_generator(space, beta), gen_s],
             vac,
         )
         assert 1 - dist * dist > 1 - 1e-8  # state fidelity
@@ -207,11 +207,11 @@ class TestSwitchingRules:
         space = fock.FockSpace(cutoff=30)
         vac = np.zeros(space.dim, dtype=complex)
         vac[0] = 1.0
-        gen_r = fock.rotation_generator(space, np.array([[phi]]))
+        gen_r = rotation_generator(space, np.array([[phi]]))
         dist = fock_rule_distance(
             space,
-            [gen_r, fock.displacement_generator(space, alpha)],
-            [fock.displacement_generator(space, gamma), gen_r],
+            [gen_r, displacement_generator(space, alpha)],
+            [displacement_generator(space, gamma), gen_r],
             vac,
         )
         assert dist < 1e-6
@@ -223,14 +223,14 @@ class TestSwitchingRules:
         ket = np.zeros(space.dim, dtype=complex)
         ket[0] = 1.0
         ket = fock.apply_generator(
-            fock.displacement_generator(space, [0.4 + 0.1j, -0.3j]), ket)
+            displacement_generator(space, [0.4 + 0.1j, -0.3j]), ket)
         herm = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         herm = (herm + herm.conj().T) / 2
         sym = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         sym = (sym + sym.T) / 2
         sym *= 0.5 / np.linalg.svd(sym, compute_uv=False)[0]
         zp = switch_squeezer_rotation(herm, sym)
-        gen_r = fock.rotation_generator(space, herm)
+        gen_r = rotation_generator(space, herm)
         dist = fock_rule_distance(
             space,
             [gen_r, fock.squeeze_generator(space, sym)],
