@@ -1,14 +1,19 @@
 """Self-check suites: each suite exercises one invariant family and
 reports its worst residual against a fixed tolerance.
 
-Used by the command line (`--check`) to gate scans on a healthy build.
+Used by the command line (`--check`) to gate scans on a healthy build;
+`run_checks` times each suite, and `format_report` prints that wall time.
 Random inputs are validated once: `random_pair` composes its fundamental
-operations as plain (E, F) arrays and validates only the final pair, and
-the Bloch-Messiah reference moves all amplitudes through the circuit as
-the columns of one matrix.
+operations as plain (E, F) arrays and validates only the final pair, the
+Bloch-Messiah check composes its circuits the same way, and the
+Bloch-Messiah reference moves all amplitudes through the circuit as the
+columns of one matrix.  The Fock-space reordering check takes rules 2 and
+3 in their R(phi)^dag form, so that one displacement and one rotation of
+its probes serve all three rules, with 12 sparse exponentials per pass.
 """
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +43,6 @@ from .unitaries import (
     BogoliubovPair,
     _compose_arrays,
     _squeezer_arrays,
-    bogoliubov_of,
-    compose,
     expm_i_hermitian,
     from_symplectic,
     switch_disp_rotation,
@@ -56,6 +59,7 @@ class CheckResult:
     name: str
     residual: float
     tolerance: float
+    seconds: float = 0.0  # the suite's wall time, set by `run_checks`
 
     @property
     def passed(self):
@@ -101,11 +105,11 @@ def check_bloch_messiah():
         factors = bloch_messiah(pair)
         e, f = factors.reconstruct()
         worst = max(worst, max_abs(e - pair.e), max_abs(f - pair.f))
-        circuit = factors_to_circuit(factors)
-        total = bogoliubov_of(circuit[0])
-        for op in circuit[1:]:
-            total = compose(total, bogoliubov_of(op))
-        worst = max(worst, max_abs(total.e - pair.e), max_abs(total.f - pair.f))
+        rot1, squeezer, rot2 = factors_to_circuit(factors)
+        zeros = np.zeros_like(pair.f)
+        total = _compose_arrays((expm_i_hermitian(rot1.phi), zeros), _squeezer_arrays(squeezer.z))
+        total = _compose_arrays(total, (expm_i_hermitian(rot2.phi), zeros))
+        worst = max(worst, max_abs(total[0] - pair.e), max_abs(total[1] - pair.f))
     return CheckResult("bloch-messiah-reconstruction", worst, 1e-9)
 
 
@@ -231,8 +235,10 @@ def random_rule_params(rng):
 def check_switching_rules_fock():
     # cutoff 50: at the |alpha| = 1, r = 0.5 corner the displaced-squeezed
     # probes still carry ~1e-8 population near level 30, well inside the
-    # ladder.  The worst distance over the three draws, about 7e-8, is
-    # round-off in 1 - |<lhs|rhs>|^2.
+    # ladder.  The worst distance over the three draws, 7.9e-8 in the
+    # squeezer rules, is truncation leakage, not round-off: it falls from
+    # 1.9e-6 at cutoff 40 to 3.2e-9 at 60, while the displacement-rotation
+    # rule, exact under truncation, stays near 2e-15.
     rng = np.random.default_rng(53)
     worst = 0.0
     space = fock.FockSpace(cutoff=50, nmodes=2)
@@ -256,37 +262,51 @@ def _random_gaussian_ket(space, rng):
 
 
 def _pure_trace_distance(k1, k2):
-    overlap = abs(np.vdot(k1, k2)) ** 2
-    return math.sqrt(max(0.0, 1.0 - overlap))
+    """sqrt(1 - |<k1|k2>|^2) for unit kets, without its cancellation.
+
+    With d0 = min_theta ||k1 - e^{i theta} k2||, |<k1|k2>| = 1 - d0^2 / 2,
+    so the distance is d0 sqrt(1 - d0^2 / 4): it keeps full relative
+    precision when the kets agree closely, where 1 - |<k1|k2>|^2 would be
+    round-off.
+    """
+    overlap = np.vdot(k2, k1)
+    phase = overlap / abs(overlap) if overlap != 0 else 1.0
+    d0 = float(np.linalg.norm(k1 - phase * k2))
+    return d0 * math.sqrt(1.0 - d0 * d0 / 4)  # d0 <= sqrt(2) after the phase
 
 
 def _switch_rule_distances(space, alpha, herm, sym, rng):
     """Worst trace distance between the two sides of the three reordering
-    rules on a random Gaussian probe.  Squeezers go through the sparse
-    `expm_multiply` route; displacements and rotations through their exact
-    tensor-product and photon-number-sector forms."""
+    rules on a random Gaussian probe psi.
+
+    Rules 2 and 3 are checked in their equivalent R(phi)^dag form,
+    R(phi)^dag S(z) = S(z') R(phi)^dag and R(phi)^dag D(alpha) =
+    D(gamma) R(phi)^dag, so that one displacement by alpha of
+    [S(z) psi, psi] and one rotation by -phi of [S(z) psi, psi, D(alpha)
+    psi] serve all three rules, and rule 2 reuses rule 1's S(z) psi.
+    Squeezers go through the sparse `expm_multiply` route, three here
+    after the one that builds the probe; displacements and rotations
+    through their exact tensor-product and photon-number-sector forms.
+    """
     cutoff = space.cutoff
     ket = _random_gaussian_ket(space, rng)
     gen_s = fock.squeeze_generator(space, sym)
-
-    worst = 0.0
-    # D(alpha) S(z) = S(z) D(beta)
-    lhs = fock.apply_displacement(alpha, fock.apply_generator(gen_s, ket), cutoff)
-    beta = switch_disp_squeezer(sym, alpha)
-    rhs = fock.apply_generator(gen_s, fock.apply_displacement(beta, ket, cutoff))
-    worst = max(worst, _pure_trace_distance(lhs, rhs))
-    # R(phi) acts on the probe and on both right-hand inputs in one pass.
-    zp = switch_squeezer_rotation(herm, sym)
-    gamma = switch_disp_rotation(herm, alpha)
-    squeezed = fock.apply_generator(fock.squeeze_generator(space, zp), ket)
-    rotated, rhs_s, rhs_d = fock.apply_rotation(
-        herm, np.stack([ket, squeezed, fock.apply_displacement(gamma, ket, cutoff)]), cutoff
+    squeezed = fock.apply_generator(gen_s, ket)
+    lhs_1, displaced = fock.apply_displacement(alpha, np.stack([squeezed, ket]), cutoff)
+    lhs_2, unrotated, lhs_3 = fock.apply_rotation(
+        -herm, np.stack([squeezed, ket, displaced]), cutoff
     )
+    # D(alpha) S(z) = S(z) D(beta)
+    beta = switch_disp_squeezer(sym, alpha)
+    rhs_1 = fock.apply_generator(gen_s, fock.apply_displacement(beta, ket, cutoff))
     # S(z) R(phi) = R(phi) S(z')
-    worst = max(worst, _pure_trace_distance(fock.apply_generator(gen_s, rotated), rhs_s))
+    zp = switch_squeezer_rotation(herm, sym)
+    rhs_2 = fock.apply_generator(fock.squeeze_generator(space, zp), unrotated)
     # D(alpha) R(phi) = R(phi) D(gamma)
-    worst = max(worst, _pure_trace_distance(fock.apply_displacement(alpha, rotated, cutoff), rhs_d))
-    return worst
+    gamma = switch_disp_rotation(herm, alpha)
+    rhs_3 = fock.apply_displacement(gamma, unrotated, cutoff)
+    return max(_pure_trace_distance(lhs, rhs)
+               for lhs, rhs in ((lhs_1, rhs_1), (lhs_2, rhs_2), (lhs_3, rhs_3)))
 
 
 def check_oracle_entropy_agreement():
@@ -315,13 +335,23 @@ SUITES = (
 
 
 def run_checks():
-    """Run every suite; failures are report content, not exceptions."""
-    return [suite() for suite in SUITES]
+    """Run every suite and time it; failures are report content, not
+    exceptions."""
+    results = []
+    for suite in SUITES:
+        start = time.perf_counter()
+        result = suite()
+        result.seconds = time.perf_counter() - start
+        results.append(result)
+    return results
 
 
 def format_report(results):
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{r.name} max_residual={r.residual:.3e} tol={r.tolerance:.0e} {status}")
+        lines.append(
+            f"{r.name} max_residual={r.residual:.3e} tol={r.tolerance:.0e} "
+            f"time={r.seconds:.3f}s {status}"
+        )
     return lines

@@ -33,9 +33,12 @@ generator kinds from exact structure on the truncated space.  The two
 single-mode displacement generators commute even when truncated, so
 `apply_displacement` is a tensor product of two (cutoff+1)-level
 exponentials.  A rotation exp(i a^dag phi a) keeps the total photon number
-fixed, so `apply_rotation` diagonalizes one tridiagonal sector block at a
-time; the beam splitter is the rotation at phi = theta [[0, -i], [i, 0]], and
-`_bs_sectors` builds its blocks with the same helper.  Squeezers mix the
+fixed, so `apply_rotation` exponentiates one tridiagonal sector block at a
+time.  Each of these Hermitian tridiagonal blocks is a diagonal phase
+similarity of a real symmetric one, so `_expm_tridiagonal` takes a real
+`eigh`.  The beam splitter is the rotation at phi = theta [[0, -i], [i, 0]],
+and `_bs_sectors` builds its blocks with the same helper and keeps its
+complex eigenbasis, cached per cutoff.  Squeezers mix the
 sectors and stay on the sparse route: `squeeze_generator` weights the
 products a_j^dag a_k^dag, which are built once per `FockSpace` and cached,
 and `apply_generator` exponentiates the result.
@@ -218,15 +221,27 @@ def apply_generator(gen, ket):
     return expm_multiply(gen, ket)
 
 
+def _expm_tridiagonal(diag, sub):
+    """exp(-i h) for the Hermitian tridiagonal h with real diagonal `diag`
+    and subdiagonal `sub` (h[k+1, k] = sub[k]), from one real `eigh`.
+
+    With P = diag(exp(i theta_k)), theta_k the running sum of arg(sub[:k]),
+    h = P t P^dag for the real symmetric tridiagonal t with diagonal `diag`
+    and off-diagonal |sub|, so exp(-i h) = P exp(-i t) P^dag.
+    """
+    off = np.abs(sub)
+    t = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
+    vals, vecs = np.linalg.eigh(t)
+    phase = np.exp(1j * np.concatenate(([0.0], np.cumsum(np.angle(sub)))))
+    return (phase[:, None] * vecs * np.exp(-1j * vals)) @ (vecs.T * phase.conj())
+
+
 def _displacement_factor(alpha, cutoff):
-    """exp(alpha a^dag - conj(alpha) a) on one mode truncated at `cutoff`,
-    from the eigh of its Hermitian tridiagonal generator i (alpha a^dag -
+    """exp(alpha a^dag - conj(alpha) a) on one mode truncated at `cutoff`:
+    exp(-i h) for the Hermitian tridiagonal generator h = i (alpha a^dag -
     conj(alpha) a)."""
     hop = np.sqrt(np.arange(1, cutoff + 1))
-    h = np.diag(1j * alpha * hop, -1)
-    h += h.conj().T
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+    return _expm_tridiagonal(np.zeros(cutoff + 1), 1j * alpha * hop)
 
 
 def apply_displacement(alpha, kets, cutoff):
@@ -249,20 +264,17 @@ def apply_displacement(alpha, kets, cutoff):
 
 
 def _rotation_sector(phi, total, cutoff):
-    """(n, h): mode-0 photon numbers n of the basis |n, total - n> of
-    photon-number sector `total`, and the Hermitian tridiagonal block h of
-    -a^dag phi a there, so that R(phi) = exp(i a^dag phi a) is exp(-i h) on
-    that sector.
+    """(n, diag, sub): mode-0 photon numbers n of the basis |n, total - n>
+    of photon-number sector `total`, and the real diagonal and the
+    subdiagonal of the Hermitian tridiagonal block h of -a^dag phi a there,
+    so that R(phi) = exp(i a^dag phi a) is exp(-i h) on that sector.
 
     h has diagonal -(phi00 n + phi11 (total - n)) and
     <n+1, total-n-1| h |n, total-n> = -phi01 sqrt(n+1) sqrt(total-n).
     """
     n = np.arange(max(0, total - cutoff), min(total, cutoff) + 1)
     hop = np.sqrt(n[:-1] + 1) * np.sqrt(total - n[:-1])
-    h = np.diag(-phi[0, 1] * hop, -1)
-    h += h.conj().T
-    h[np.diag_indices(n.size)] = -(phi[0, 0].real * n + phi[1, 1].real * (total - n))
-    return n, h
+    return n, -(phi[0, 0].real * n + phi[1, 1].real * (total - n)), -phi[0, 1] * hop
 
 
 def apply_rotation(phi, kets, cutoff):
@@ -271,8 +283,9 @@ def apply_rotation(phi, kets, cutoff):
     sparse generator i a^dag phi a for a Hermitian 2 x 2 phi.
 
     R(phi) keeps the total photon number fixed, so it is exponentiated one
-    sector at a time: each block of `_rotation_sector` is diagonalized
-    once, and its exponential acts on every ket of the stack.
+    sector at a time: each block of `_rotation_sector` is exponentiated
+    once, from the real `eigh` of `_expm_tridiagonal`, and acts on every
+    ket of the stack.
     """
     phi = np.asarray(phi, dtype=complex)
     d = cutoff + 1
@@ -280,11 +293,9 @@ def apply_rotation(phi, kets, cutoff):
     flat = kets.reshape(-1, d * d)
     out = np.empty_like(flat)
     for total in range(2 * cutoff + 1):
-        n, h = _rotation_sector(phi, total, cutoff)
-        vals, vecs = np.linalg.eigh(h)
-        block = (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+        n, diag, sub = _rotation_sector(phi, total, cutoff)
         states = n * d + total - n
-        out[:, states] = flat[:, states] @ block.T
+        out[:, states] = flat[:, states] @ _expm_tridiagonal(diag, sub).T
     return out.reshape(kets.shape)
 
 
@@ -317,8 +328,11 @@ def _bs_sectors(cutoff):
     vals = np.zeros((2 * cutoff + 1, d))
     flat, row, col = [], [], []
     for total in range(2 * cutoff + 1):
-        n, h = _rotation_sector(_BS_PHI, total, cutoff)
+        n, diag, sub = _rotation_sector(_BS_PHI, total, cutoff)
         size = n.size
+        h = np.diag(sub, -1)
+        h += h.conj().T
+        h[np.diag_indices(size)] = diag
         vals[total, :size], vecs[total, :size, :size] = np.linalg.eigh(h)
         i, j = np.divmod(np.arange(size * size), size)
         state = n * d + total - n

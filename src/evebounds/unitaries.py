@@ -2,10 +2,11 @@
 
 A Gaussian unitary acts on the annihilation operators as
 a -> E a + F a^dag + alpha, with E F^T = F E^T and E E^dag = F F^dag + I.
-This module builds the pairs for displacements, rotations and squeezers,
-converts to and from the quadrature (symplectic) picture, composes them,
-and implements the operator-reordering rules that move a displacement or
-squeezer through the other fundamental operations.
+This module builds the pairs for displacements, rotations and squeezers
+(a squeezer's from one SVD of its squeezing matrix), converts to and from
+the quadrature (symplectic) picture, composes them, and implements the
+operator-reordering rules that move a displacement or squeezer through
+the other fundamental operations.  It uses numpy alone.
 """
 
 from dataclasses import dataclass
@@ -111,27 +112,15 @@ def expm_i_hermitian(phi):
     return _func_hermitian(np.asarray(phi, dtype=complex), lambda v: np.exp(1j * v))
 
 
-def polar_squeeze(z):
-    """Left polar factors (r, w) of a squeezing matrix: z = r w.
-
-    r = (z z^dag)^(1/2) is Hermitian PSD and w unitary; on the kernel of r
-    the unitary factor is an arbitrary completion (identity for diagonal
-    nonnegative z) and never enters sinh(r) w.
-    """
-    z = np.atleast_2d(np.asarray(z, dtype=complex))
-    if max_abs(z) == 0.0:
-        return np.zeros_like(z), np.eye(z.shape[0], dtype=complex)
-    from scipy.linalg import polar
-
-    w, r = polar(z, side="left")
-    return r, w
-
-
 def _squeezer_arrays(z):
     """(E, F) = (cosh(r), sinh(r) w) of a squeezing matrix z = r w, as
-    plain arrays with no validation."""
-    r, w = polar_squeeze(z)
-    return _func_hermitian(r, np.cosh), _func_hermitian(r, np.sinh) @ w
+    plain arrays with no validation.
+
+    One SVD z = U Sigma V^dag gives both polar factors, r = U Sigma U^dag
+    and w = U V^dag, so E = U cosh(Sigma) U^dag and F = U sinh(Sigma) V^dag.
+    """
+    u, sigma, vh = np.linalg.svd(np.atleast_2d(np.asarray(z, dtype=complex)))
+    return (u * np.cosh(sigma)) @ u.conj().T, (u * np.sinh(sigma)) @ vh
 
 
 def bogoliubov_of(op):
@@ -139,8 +128,8 @@ def bogoliubov_of(op):
 
     Displacement(alpha): E = I, F = 0.  Rotation(phi): E = exp(i phi),
     F = 0.  Squeezer(z = r exp(i theta)): E = cosh(r),
-    F = sinh(r) exp(i theta), with the matrix functions evaluated through
-    the eigendecomposition of the Hermitian polar factor r.
+    F = sinh(r) exp(i theta), with both taken from one SVD of z
+    (`_squeezer_arrays`).
     """
     if isinstance(op, Displacement):
         n = op.alpha.size
@@ -211,13 +200,14 @@ def _compose_arrays(first, then):
 def switch_disp_squeezer(z, alpha):
     """beta such that D(alpha) S(z) = S(z) D(beta).
 
-    beta = cosh(r) alpha - sinh(r) exp(i theta) alpha*, with z = r exp(i theta).
-    `alpha` may also be an (N, K) matrix whose columns are K displacements;
-    the rule then maps each column.
+    beta = E alpha - F alpha*, with (E, F) = (cosh(r), sinh(r) exp(i theta))
+    the squeezer's pair for z = r exp(i theta).  `alpha` may also be an
+    (N, K) matrix whose columns are K displacements; the rule then maps
+    each column.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
-    r, w = polar_squeeze(z)
-    return _func_hermitian(r, np.cosh) @ alpha - _func_hermitian(r, np.sinh) @ w @ alpha.conj()
+    e, f = _squeezer_arrays(z)
+    return e @ alpha - f @ alpha.conj()
 
 
 def switch_squeezer_rotation(phi, z):

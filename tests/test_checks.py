@@ -1,9 +1,13 @@
+import numpy as np
+import pytest
+
 from evebounds import checks, fock
+from evebounds.unitaries import _squeezer_arrays, expm_i_hermitian
 
 
 def test_switching_rules_residual_and_sparse_calls(monkeypatch):
     # Squeezers are the one generator kind left on the sparse route: one
-    # for the probe and four for the rules, per draw, over three draws.
+    # for the probe and three for the rules, per draw, over three draws.
     calls = []
     sparse = fock.apply_generator
 
@@ -13,7 +17,55 @@ def test_switching_rules_residual_and_sparse_calls(monkeypatch):
 
     monkeypatch.setattr(fock, "apply_generator", counted)
     result = checks.check_switching_rules_fock()
-    assert len(calls) == 15
-    # The residual sits at the round-off floor of 1 - |<lhs|rhs>|^2.
-    assert abs(result.residual - 7.300048299977713e-08) < 1e-12
+    assert len(calls) == 12
+    # The residual is truncation leakage of the squeezer rules at cutoff
+    # 50, measured without the cancellation of 1 - |<lhs|rhs>|^2.
+    assert abs(result.residual - 7.90029790372787e-08) < 1e-12
     assert result.passed
+
+
+def _beta_from_alpha(z, alpha):
+    e, f = _squeezer_arrays(z)
+    return e @ alpha - f @ alpha
+
+
+def _zp_from_plus_phi(phi, z):
+    u = expm_i_hermitian(phi)
+    return u @ z @ u.T
+
+
+def _gamma_from_plus_phi(phi, alpha):
+    return expm_i_hermitian(phi) @ alpha
+
+
+@pytest.mark.parametrize(
+    "name, mutant",
+    [
+        ("switch_disp_squeezer", _beta_from_alpha),
+        ("switch_squeezer_rotation", _zp_from_plus_phi),
+        ("switch_disp_rotation", _gamma_from_plus_phi),
+    ],
+)
+def test_wrong_rule_fails_the_check(monkeypatch, name, mutant):
+    # Each rule is compared in its own pair of kets, so a wrong parameter
+    # in any one of them must lift the worst distance past the gate.
+    monkeypatch.setattr(checks, name, mutant)
+    result = checks.check_switching_rules_fock()
+    assert result.residual > 1e-6
+    assert not result.passed
+
+
+def test_pure_trace_distance_has_no_cancellation():
+    rng = np.random.default_rng(5)
+    ket = rng.normal(size=8) + 1j * rng.normal(size=8)
+    ket /= np.linalg.norm(ket)
+    tilt = 1e-9 * (rng.normal(size=8) + 1j * rng.normal(size=8))
+    tilt -= np.vdot(ket, tilt) * ket
+    other = (ket + tilt) / np.linalg.norm(ket + tilt)
+    # tilt is orthogonal to ket, so |<ket|other>|^2 = 1 / (1 + |tilt|^2)
+    # and the distance is |tilt| / sqrt(1 + |tilt|^2); 1 - |<ket|other>|^2
+    # would lose it to round-off.  A global phase does not count.
+    expected = np.linalg.norm(tilt) / np.linalg.norm(ket + tilt)
+    distance = checks._pure_trace_distance(np.exp(0.7j) * other, ket)
+    assert abs(distance - expected) < 1e-6 * expected
+    assert checks._pure_trace_distance(ket, ket) < 1e-15

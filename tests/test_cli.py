@@ -271,7 +271,9 @@ class TestChecks:
     def test_report_format(self, check_results):
         results, _ = check_results
         for line in format_report(results):
-            name, residual, tol, status = line.split(" ")
+            name, residual, tol, seconds, status = line.split(" ")
             assert residual.startswith("max_residual=")
             assert tol.startswith("tol=")
+            assert seconds.startswith("time=") and seconds.endswith("s")
+            assert float(seconds[5:-1]) > 0
             assert status in ("PASS", "FAIL")
