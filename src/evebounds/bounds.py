@@ -15,18 +15,17 @@ is not:
   eavesdropper's average state; an upper bound.  Its two-mode symplectic
   spectrum is taken from the covariance's invariants (det A + det B +
   2 det C and det V), with no eigensolve.
-* `bm_gme_entropy`: the entropy of the ensemble's normalized Gram matrix.
-  For a pure ensemble the Gram spectrum equals the average-state spectrum,
-  so the "pure-exact" variant is exact at nbar = 0.  For nbar > 0 it drops
-  the thermal noise and is a lower estimate, not a security bound: at
-  (tau, nbar, alpha) = (0.5, 0.01, 0.05) it gives 0.01404 bits against
-  0.05942 for the true entropy and for `bm_get_entropy`.  The Gram entry of
-  a mixed ensemble is ambiguous; the phase-free "hs-normalized" variant is
-  the other conjectured rule and can exceed `bm_get_entropy`.  Both Gram
-  variants are closed-form array expressions over the K x M displacement
-  amplitudes (K states, M modes); `gram_matrix` returns the K x K array and
-  `gram_entropy` checks it (Hermitian, unit trace, no eigenvalue below
-  -1e-8) with the one eigensolve that gives its entropy.
+* `bm_gme_entropy`: the entropy of the ensemble's normalized Gram matrix,
+  with the complex coherent-state overlaps of the displacement amplitudes
+  as entries.  For a pure ensemble the Gram spectrum equals the
+  average-state spectrum, so it is exact at nbar = 0.  For nbar > 0 it
+  drops the thermal noise and is a lower estimate, not a security bound:
+  at (tau, nbar, alpha) = (0.5, 0.01, 0.05) it gives 0.01404 bits against
+  0.05942 for the true entropy and for `bm_get_entropy`.  `gram_matrix`
+  returns the K x K array, a closed-form expression over the K x M
+  displacement amplitudes (K states, M modes), and `gram_entropy` checks
+  it (Hermitian, unit trace, no eigenvalue below -1e-8) with the one
+  eigensolve that gives its entropy.
 """
 
 import math
@@ -34,7 +33,7 @@ import math
 import numpy as np
 
 from . import fock
-from .cloner import Constellation, displaced_thermal_ensemble
+from .cloner import displaced_thermal_ensemble
 from .linalg import max_abs
 from .states import (
     StandardTwoModeCov,
@@ -52,51 +51,25 @@ __all__ = [
     "eb_qpsk_entropy",
 ]
 
-GRAM_VARIANTS = ("pure-exact", "hs-normalized")
 
+def gram_matrix(ensemble):
+    """Gram matrix of a displaced-thermal ensemble.
 
-def _ensemble_data(ensemble):
-    """(amplitudes K x M, probs, mode photon numbers) for either input kind."""
-    if isinstance(ensemble, Constellation):
-        return ensemble.amplitudes.reshape(-1, 1), ensemble.probs, np.zeros(1)
-    amps = ensemble.mode_amplitudes()
-    return amps, ensemble.probs, np.array([ensemble.nu2p, ensemble.nu1p])
-
-
-def gram_matrix(ensemble, variant="pure-exact"):
-    """Gram matrix of a displaced-thermal ensemble or coherent constellation.
-
-    "pure-exact": entries sqrt(p_m p_n) <psi_m|psi_n>, with the complex
-    coherent-state overlap <a|b> = exp(-(|a|^2 + |b|^2)/2 + conj(a) b) taken
-    per mode and multiplied over the modes.  Exact whenever the thermal
-    photon numbers vanish; for mixed ensembles it deliberately drops the
-    thermal covariance, keeping the overlap phases (the conjectured
-    mixed-state extension; its entropy provably stays below the
-    Gaussian-extremality bound because the true average state is the pure
-    surrogate convolved with thermal noise).
-
-    "hs-normalized": entries
-    sqrt(p_m p_n) tr(rho_m rho_n) / sqrt(tr(rho_m^2) tr(rho_n^2)), so the
-    diagonal is p_m.  For displaced thermal modes with photon numbers n_k
-    this is sqrt(p_m p_n) exp(-sum_k |b_m^k - b_n^k|^2 / (2 n_k + 1)), the
-    closed form of the Gaussian Hilbert-Schmidt product over the purities.
-    Phase-free; recorded for comparison.
+    Entries sqrt(p_m p_n) <psi_m|psi_n>, with the complex coherent-state
+    overlap <a|b> = exp(-(|a|^2 + |b|^2)/2 + conj(a) b) taken per mode and
+    multiplied over the modes.  Exact whenever the thermal photon numbers
+    vanish; for mixed ensembles it deliberately drops the thermal
+    covariance, keeping the overlap phases (its entropy provably stays
+    below the Gaussian-extremality bound because the true average state is
+    the pure surrogate convolved with thermal noise).
 
     Returns the K x K complex array unchecked; `gram_entropy` checks it.
     """
-    if variant not in GRAM_VARIANTS:
-        raise ValueError(f"unknown Gram variant {variant!r}, expected one of {GRAM_VARIANTS}")
-    amps, probs, mode_nbars = _ensemble_data(ensemble)
-    root_p = np.sqrt(probs)
-    weights = root_p[:, None] * root_p[None, :]
+    amps = ensemble.mode_amplitudes()
+    root_p = np.sqrt(ensemble.probs)
     a, b = amps[:, None, :], amps[None, :, :]
-
-    if variant == "pure-exact":
-        overlap = np.prod(np.exp(-0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2) + np.conj(a) * b), axis=2)
-        return weights * overlap
-
-    distance = (np.abs(a - b) ** 2 / (2 * mode_nbars + 1)).sum(axis=2)
-    return (weights * np.exp(-distance)).astype(complex)
+    overlap = np.prod(np.exp(-0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2) + np.conj(a) * b), axis=2)
+    return root_p[:, None] * root_p[None, :] * overlap
 
 
 def gram_entropy(matrix, base="bits"):
@@ -147,10 +120,9 @@ def bm_get_entropy(constellation, params, base="bits"):
     return gaussian_extremality_entropy(displaced_thermal_ensemble(constellation, params), base)
 
 
-def bm_gme_entropy(constellation, params, variant="pure-exact", base="bits"):
+def bm_gme_entropy(constellation, params, base="bits"):
     """Gram-matrix entropy of the eavesdropper's displaced-thermal ensemble."""
-    ens = displaced_thermal_ensemble(constellation, params)
-    return gram_entropy(gram_matrix(ens, variant=variant), base=base)
+    return gram_entropy(gram_matrix(displaced_thermal_ensemble(constellation, params)), base=base)
 
 
 # The domain of `eb_qpsk_entropy`.  The value loses about alpha^2 eps: a, b

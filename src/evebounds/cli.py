@@ -2,9 +2,11 @@
 
 Evaluates the selected estimators on a transmittance grid for one or more
 channel noise values and writes CSV with the fixed header
-``tau,nbar,alpha,method,variant,entropy,log_base,status``.  Rows are sorted
-by (nbar, tau, method) and floats printed with 12 significant digits, so a
-given configuration always produces byte-identical output.
+``tau,nbar,alpha,method,variant,entropy,log_base,status``.  The
+``variant`` column names the Gram rule of ``bm-gme`` rows, ``pure-exact``,
+and is ``-`` for the other methods.  Rows are sorted by (nbar, tau, method)
+and floats printed with 12 significant digits, so a given configuration
+always produces byte-identical output.
 """
 
 import argparse
@@ -14,13 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import checks
-from .bounds import (
-    GRAM_VARIANTS,
-    eb_qpsk_entropy,
-    gaussian_extremality_entropy,
-    gram_entropy,
-    gram_matrix,
-)
+from .bounds import eb_qpsk_entropy, gaussian_extremality_entropy, gram_entropy, gram_matrix
 from .cloner import ChannelParams, displaced_thermal_ensemble, qpsk
 from .fock import FockConvergenceError, eve_exact_entropy
 
@@ -38,7 +34,6 @@ class ScanConfig:
     nbars: list = field(default_factory=lambda: [0.01, 0.02])
     alpha: float = 1.0
     methods: list = field(default_factory=lambda: ["eb", "bm-get", "bm-gme"])
-    gram_variant: str = "pure-exact"
     log_base: str = "bits"
     cutoff: int = 18
     out: str = "-"
@@ -60,8 +55,6 @@ class ScanConfig:
         bad = [m for m in self.methods if m not in METHODS]
         if bad or not self.methods:
             raise ValueError(f"--methods must be a nonempty subset of {METHODS}, got {self.methods}")
-        if self.gram_variant not in GRAM_VARIANTS:
-            raise ValueError(f"--gram-variant must be one of {GRAM_VARIANTS}, got {self.gram_variant!r}")
         if self.log_base not in ("bits", "nats"):
             raise ValueError(f"--log-base must be bits or nats, got {self.log_base!r}")
         if self.cutoff < 7:
@@ -83,8 +76,7 @@ def _evaluate(method, cfg, constellation, params, ensemble):
     if method == "bm-get":
         return "-", _fmt(gaussian_extremality_entropy(ensemble, base=cfg.log_base)), "ok"
     if method == "bm-gme":
-        value = gram_entropy(gram_matrix(ensemble, variant=cfg.gram_variant), base=cfg.log_base)
-        return cfg.gram_variant, _fmt(value), "ok"
+        return "pure-exact", _fmt(gram_entropy(gram_matrix(ensemble), base=cfg.log_base)), "ok"
     if method == "oracle":
         try:
             result = eve_exact_entropy(constellation, params, cutoff=cfg.cutoff, base=cfg.log_base)
@@ -148,7 +140,7 @@ def _config_from_file(values, path):
                 kwargs["nbars"] = [float(v) for v in value.split(",") if v.strip()]
             elif key == "methods":
                 kwargs["methods"] = [m.strip() for m in value.split(",") if m.strip()]
-            elif key in ("gram_variant", "log_base", "out"):
+            elif key in ("log_base", "out"):
                 kwargs[key] = value
             elif key == "check":
                 kwargs["check"] = value.lower() in ("1", "true", "yes")
@@ -172,7 +164,6 @@ def build_parser():
                         help="channel thermal photon number; repeatable")
     parser.add_argument("--alpha", type=float)
     parser.add_argument("--methods", help="comma list from: " + ",".join(METHODS))
-    parser.add_argument("--gram-variant", choices=list(GRAM_VARIANTS), dest="gram_variant")
     parser.add_argument("--log-base", choices=["bits", "nats"], dest="log_base")
     parser.add_argument("--cutoff", type=int, help="oracle Fock cutoff")
     parser.add_argument("--out", help="output CSV path, '-' for stdout")
@@ -186,8 +177,8 @@ def parse_config(argv):
     kwargs = {}
     if args.config:
         kwargs.update(_config_from_file(_parse_config_file(args.config), args.config))
-    for key in ("tau_min", "tau_max", "tau_steps", "nbars", "alpha", "gram_variant",
-                "log_base", "cutoff", "out", "check"):
+    for key in ("tau_min", "tau_max", "tau_steps", "nbars", "alpha", "log_base", "cutoff",
+                "out", "check"):
         value = getattr(args, key)
         if value is not None:
             kwargs[key] = value

@@ -1,9 +1,9 @@
 """Reference code that only the tests use: Gaussian state builders, the
-Gaussian Hilbert-Schmidt product, the eavesdropper's conditional mean, the
-Fock-basis moments and overlaps they are checked against, the sparse Fock
-generators and dense exponential that the structured exponentials of
-`evebounds.fock` are checked against, and the per-operation and
-per-amplitude forms of two `evebounds.checks` helpers."""
+eavesdropper's conditional mean, the Fock-basis moments and overlaps they
+are checked against, the sparse Fock generators and dense exponential
+that the structured exponentials of `evebounds.fock` are checked against,
+and the per-operation and per-amplitude forms of two `evebounds.checks`
+helpers."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,25 +34,6 @@ def make_coherent(alpha):
     """Single-mode coherent state of complex amplitude `alpha`."""
     alpha = complex(alpha)
     return GaussianState(mean=np.array([2 * alpha.real, 2 * alpha.imag]), cov=np.eye(2))
-
-
-def gaussian_hs_overlap(s1, s2):
-    """Hilbert-Schmidt product tr(rho1 rho2) of two Gaussian states.
-
-    tr(rho1 rho2) = 2^N det(S1 + S2)^(-1/2) exp(-delta^T (S1+S2)^{-1} delta / 2)
-    with delta the mean difference.  Symmetric in its arguments and in
-    (0, 1] for physical states.  The "hs-normalized" Gram entries are its
-    closed form for equal-covariance displaced thermal states.
-    """
-    if s1.nmodes != s2.nmodes:
-        raise ValueError(f"mode mismatch: {s1.nmodes} vs {s2.nmodes}")
-    total = s1.cov + s2.cov
-    det = float(np.linalg.det(total))
-    if det <= 0:
-        raise ValueError(f"covariance sum is singular: det = {det!r}")
-    delta = s1.mean - s2.mean
-    exponent = -0.5 * float(delta @ np.linalg.solve(total, delta))
-    return float(2**s1.nmodes / np.sqrt(det) * np.exp(exponent))
 
 
 def eve_conditional_mean(alpha_i, params):

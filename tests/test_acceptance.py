@@ -95,7 +95,7 @@ def test_criterion_3_pure_limit_exactness():
     params = ChannelParams(tau=0.0, nbar=0.0)
     constellation = qpsk(1.0)
 
-    gme = bm_gme_entropy(constellation, params, variant="pure-exact")
+    gme = bm_gme_entropy(constellation, params)
     amps = constellation.amplitudes
     gram = np.empty((4, 4), dtype=complex)
     for i in range(4):

@@ -19,15 +19,7 @@ from evebounds.cloner import (
     eve_average_covariance,
     qpsk,
 )
-from evebounds.states import entropy_from_cov, make_tmsv
-from reference import (
-    displacement_generator,
-    fock_hs_product,
-    fock_unitary,
-    gaussian_hs_overlap,
-    make_coherent,
-    make_thermal,
-)
+from evebounds.states import entropy_from_cov
 
 # 1.42e-11 leaves the thermal decomposition a squeezing so small that the
 # matched SVD of the Bloch-Messiah route raised at most taus of the grid.
@@ -50,58 +42,15 @@ def qpsk_coherent_reference_entropy(alpha):
     return float(-(lam * np.log2(lam)).sum()), lam
 
 
-class TestHSOverlap:
-    def test_vacuum_with_itself(self):
-        assert gaussian_hs_overlap(make_coherent(0), make_coherent(0)) == pytest.approx(1.0)
-
-    def test_coherent_vs_vacuum(self):
-        alpha = 0.9
-        value = gaussian_hs_overlap(make_coherent(alpha), make_coherent(0))
-        assert value == pytest.approx(math.exp(-alpha**2), rel=1e-12)
-        ket, _ = fock.coherent_ket(alpha, 40)
-        vac, _ = fock.coherent_ket(0, 40)
-        oracle = fock_hs_product(np.outer(ket, ket.conj()), np.outer(vac, vac.conj()))
-        assert value == pytest.approx(oracle, rel=1e-8)
-
-    def test_thermal_purity(self):
-        nbar = 0.7
-        value = gaussian_hs_overlap(make_thermal(nbar), make_thermal(nbar))
-        assert value == pytest.approx(1 / (2 * nbar + 1), rel=1e-12)
-        rho = fock.fock_thermal(nbar, 60)
-        oracle = fock_hs_product(rho, rho)
-        assert value == pytest.approx(oracle, rel=1e-8)
-
-    def test_displaced_thermal_pair_vs_fock_oracle(self):
-        # the closed form must hold for the mixed, displaced states the
-        # Gram entries are built from
-        from evebounds.states import GaussianState
-
-        space = fock.FockSpace(cutoff=40)
-        nbar = 0.05
-        rho = fock.fock_thermal(nbar, space.cutoff)
-        u1 = fock_unitary(displacement_generator(space, 0.4 + 0.2j))
-        u2 = fock_unitary(displacement_generator(space, -0.3j))
-        oracle = fock_hs_product(u1 @ rho @ u1.conj().T, u2 @ rho @ u2.conj().T)
-        cov = (2 * nbar + 1) * np.eye(2)
-        s1 = GaussianState(mean=[0.8, 0.4], cov=cov)
-        s2 = GaussianState(mean=[0.0, -0.6], cov=cov)
-        assert gaussian_hs_overlap(s1, s2) == pytest.approx(oracle, rel=1e-8)
-
-    def test_symmetric_and_bounded(self):
-        s1, s2 = make_coherent(0.5 + 0.5j), make_thermal(0.3)
-        v12 = gaussian_hs_overlap(s1, s2)
-        v21 = gaussian_hs_overlap(s2, s1)
-        assert v12 == pytest.approx(v21, rel=1e-12)
-        assert 0 < v12 <= 1
-
-    def test_mode_mismatch(self):
-        with pytest.raises(ValueError):
-            gaussian_hs_overlap(make_coherent(0), make_tmsv(0.1))
+def pure_ensemble(constellation):
+    """The displaced-thermal ensemble at tau = 0, nbar = 0: pure, with mode
+    amplitudes (-alpha_k, 0), so its Gram matrix is the constellation's."""
+    return displaced_thermal_ensemble(constellation, ChannelParams(tau=0.0, nbar=0.0))
 
 
 class TestGramMatrix:
     def test_single_state(self):
-        gm = gram_matrix(Constellation(amplitudes=[0.5], probs=[1.0]))
+        gm = gram_matrix(pure_ensemble(Constellation(amplitudes=[0.5], probs=[1.0])))
         assert np.allclose(gm, [[1.0]])
         assert gram_entropy(gm) == pytest.approx(0.0, abs=1e-12)
 
@@ -111,29 +60,23 @@ class TestGramMatrix:
     def test_orthogonal_states_give_maximally_mixed_gram(self):
         # far-separated coherent states have negligible overlap
         c = Constellation(amplitudes=[-6.0, 6.0], probs=[0.5, 0.5])
-        gm = gram_matrix(c, variant="pure-exact")
+        gm = gram_matrix(pure_ensemble(c))
         assert np.allclose(gm, np.eye(2) / 2, atol=1e-12)
         assert gram_entropy(gm) == pytest.approx(1.0, abs=1e-12)
 
     def test_qpsk_pure_exact_spectrum(self):
         reference, lam = qpsk_coherent_reference_entropy(1.0)
-        gm = gram_matrix(qpsk(1.0), variant="pure-exact")
+        gm = gram_matrix(pure_ensemble(qpsk(1.0)))
         eigs = np.sort(np.linalg.eigvalsh(gm))[::-1]
         assert np.allclose(eigs, np.sort(lam)[::-1], atol=1e-12)
         assert gram_entropy(gm) == pytest.approx(reference, abs=1e-12)
         assert gram_entropy(gm) == pytest.approx(1.758, abs=1e-3)
 
     def test_qpsk_entropy_vs_fock_oracle(self):
-        gm = gram_matrix(qpsk(1.0), variant="pure-exact")
+        gm = gram_matrix(pure_ensemble(qpsk(1.0)))
         kets = [fock.coherent_ket(amp, 30)[0] for amp in qpsk(1.0).amplitudes]
         rho = sum(0.25 * np.outer(ket, ket.conj()) for ket in kets)
         assert gram_entropy(gm) == pytest.approx(fock.fock_entropy(rho), abs=1e-3)
-
-    def test_hs_variant_diagonal_is_probability(self):
-        ens = displaced_thermal_ensemble(qpsk(1.0), ChannelParams(tau=0.4, nbar=0.02))
-        gm = gram_matrix(ens, variant="hs-normalized")
-        assert np.allclose(np.diag(gm).real, 0.25, atol=1e-12)
-        assert np.trace(gm).real == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_exact_matches_pairwise_overlaps(self):
         # entry by entry: sqrt(p_m p_n) times the product over both modes of
@@ -148,34 +91,8 @@ class TestGramMatrix:
                 for a, b in zip(amps[i], amps[j]):
                     overlap *= np.exp(-0.5 * (abs(a) ** 2 + abs(b) ** 2) + np.conj(a) * b)
                 expected[i, j] = math.sqrt(ens.probs[i] * ens.probs[j]) * overlap
-        gm = gram_matrix(ens, variant="pure-exact")
+        gm = gram_matrix(ens)
         assert np.max(np.abs(gm - expected)) < 1e-14
-
-    def test_hs_variant_matches_gaussian_overlap(self):
-        # the closed-form entries against tr(rho_m rho_n) over the purities,
-        # from the Gaussian Hilbert-Schmidt product, on a mixed ensemble
-        from evebounds.states import GaussianState
-
-        ens = displaced_thermal_ensemble(qpsk(1.0), ChannelParams(tau=0.4, nbar=0.5))
-        assert ens.nu1p > 0.1  # the retained squeezed-vacuum arm is thermal
-        states = [GaussianState(mean=mean, cov=ens.common_covariance()) for mean in ens.means]
-        hs = np.array([[gaussian_hs_overlap(s1, s2) for s2 in states] for s1 in states])
-        purity = np.sqrt(np.diag(hs))
-        root_p = np.sqrt(ens.probs)
-        expected = np.outer(root_p, root_p) * hs / np.outer(purity, purity)
-        gm = gram_matrix(ens, variant="hs-normalized")
-        assert np.max(np.abs(gm - expected)) < 1e-12
-
-    def test_hs_variant_pure_limit_entries(self):
-        # for a pure ensemble the normalized HS entry is |<a|b>|^2
-        gm = gram_matrix(qpsk(1.0), variant="hs-normalized")
-        amps = qpsk(1.0).amplitudes
-        expected = 0.25 * math.exp(-abs(amps[0] - amps[1]) ** 2)
-        assert gm[0, 1].real == pytest.approx(expected, rel=1e-10)
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError, match="variant"):
-            gram_matrix(qpsk(1.0), variant="fidelity")
 
     def test_validation(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -226,7 +143,7 @@ class TestGramEntropyBound:
 
     def test_pure_loss_equals_exact(self):
         reference, _ = qpsk_coherent_reference_entropy(1.0)
-        value = bm_gme_entropy(qpsk(1.0), ChannelParams(tau=0.0, nbar=0.0), variant="pure-exact")
+        value = bm_gme_entropy(qpsk(1.0), ChannelParams(tau=0.0, nbar=0.0))
         assert value == pytest.approx(reference, abs=1e-9)
 
     @pytest.mark.parametrize("nbar", GRID_NBARS)
@@ -240,20 +157,7 @@ class TestGramEntropyBound:
         # dropping the thermal covariance can only lower the entropy
         params = ChannelParams(tau=0.5, nbar=0.01)
         oracle = fock.eve_exact_entropy(qpsk(1.0), params, cutoff=15)
-        assert bm_gme_entropy(qpsk(1.0), params, variant="pure-exact") <= oracle.value + 1e-6
-
-    def test_hs_variant_recorded_measurement(self):
-        # the phase-free normalized-HS entries overestimate the entropy of
-        # weakly displaced ensembles; at this point the value even exceeds
-        # the Gaussian bound, which is why it is not the default variant
-        params = ChannelParams(tau=0.7, nbar=0.01)
-        hs = bm_gme_entropy(qpsk(1.0), params, variant="hs-normalized")
-        pure = bm_gme_entropy(qpsk(1.0), params, variant="pure-exact")
-        get = bm_get_entropy(qpsk(1.0), params)
-        assert pure <= get + 1e-9
-        assert hs > pure
-        assert hs > get
-
+        assert bm_gme_entropy(qpsk(1.0), params) <= oracle.value + 1e-6
 
 class TestEntangledBasedBound:
     def test_modulation_variance(self):

@@ -69,3 +69,17 @@ def test_pure_trace_distance_has_no_cancellation():
     distance = checks._pure_trace_distance(np.exp(0.7j) * other, ket)
     assert abs(distance - expected) < 1e-6 * expected
     assert checks._pure_trace_distance(ket, ket) < 1e-15
+
+
+def test_nan_residual_fails_the_suite(monkeypatch):
+    # `max(0.0, nan)` is 0.0, so a fold through `max` would pass a suite
+    # whose computation turned NaN.
+    monkeypatch.setattr(checks, "principal_sqrt", lambda g: np.full_like(g, np.nan))
+    result = checks.check_takagi()
+    assert np.isnan(result.residual)
+    assert not result.passed
+
+
+@pytest.mark.parametrize("residuals", [(np.nan, 0.0, 1.0), (0.0, np.nan), (2.0, 1.0, np.nan)])
+def test_worst_keeps_nan_anywhere(residuals):
+    assert np.isnan(checks._worst(*residuals))

@@ -25,8 +25,6 @@ class TestConfig:
             ScanConfig(methods=["bogus"])
         with pytest.raises(ValueError, match="methods"):
             ScanConfig(methods=[])
-        with pytest.raises(ValueError, match="gram-variant"):
-            ScanConfig(gram_variant="other")
         with pytest.raises(ValueError, match="nbar"):
             ScanConfig(nbars=[-0.1])
 
@@ -35,14 +33,13 @@ class TestConfig:
             [
                 "--tau-min", "0.1", "--tau-max", "0.9", "--tau-steps", "3",
                 "--nbar", "0.01", "--nbar", "0.02", "--alpha", "0.7",
-                "--methods", "bm-get,bm-gme", "--gram-variant", "hs-normalized",
+                "--methods", "bm-get,bm-gme",
                 "--log-base", "nats", "--cutoff", "10", "--out", "x.csv",
             ]
         )
         assert cfg.tau_steps == 3
         assert cfg.nbars == [0.01, 0.02]
         assert cfg.methods == ["bm-get", "bm-gme"]
-        assert cfg.gram_variant == "hs-normalized"
         assert cfg.log_base == "nats"
 
     def test_config_file_with_flag_override(self, tmp_path):
@@ -70,6 +67,18 @@ class TestConfig:
         conf.write_text("zau-min = 0.2\n")
         with pytest.raises(ValueError, match="unknown key"):
             parse_config(["--config", str(conf)])
+
+    def test_gram_variant_is_no_option(self, tmp_path):
+        # bm-gme has one Gram rule; neither the config key nor the flag
+        # selects another
+        conf = tmp_path / "variant.conf"
+        conf.write_text("gram_variant = pure-exact\n")
+        with pytest.raises(ValueError) as err:
+            parse_config(["--config", str(conf)])
+        assert str(err.value) == f"config file {conf}: unknown key 'gram_variant'"
+        with pytest.raises(SystemExit) as exit_info:
+            parse_config(["--gram-variant", "pure-exact"])
+        assert exit_info.value.code == 2
 
 
 class TestScan:
@@ -170,15 +179,8 @@ class TestScan:
         assert nats_row[6] == "nats"
         assert float(nats_row[5]) == pytest.approx(bits * math.log(2), rel=1e-10)
 
-    def test_gme_row_records_variant(self):
-        cfg = ScanConfig(tau_min=0.3, tau_max=0.3, tau_steps=1, nbars=[0.01],
-                         methods=["bm-gme"], gram_variant="hs-normalized")
-        assert run_scan(cfg)[0].split(",")[4] == "hs-normalized"
-
     def test_one_ensemble_per_cell(self, monkeypatch):
         from evebounds import bounds, cli, cloner
-        from evebounds.bounds import bm_gme_entropy
-        from evebounds.cloner import ChannelParams, qpsk
 
         builds = []
         original = cloner.displaced_thermal_ensemble
@@ -194,12 +196,6 @@ class TestScan:
         builds.clear()
         run_scan(ScanConfig(methods=["eb"]))
         assert builds == []
-        cfg = ScanConfig(tau_steps=3, methods=["bm-gme"], gram_variant="hs-normalized")
-        for row in run_scan(cfg):
-            tau, nbar, _, _, _, entropy = row.split(",")[:6]
-            params = ChannelParams(tau=float(tau), nbar=float(nbar))
-            expected = bm_gme_entropy(qpsk(1.0), params, variant="hs-normalized")
-            assert entropy == f"{expected:.12g}"
 
 
 class TestMain:
