@@ -9,7 +9,8 @@ Bloch-Messiah check composes its circuits the same way, and the
 Bloch-Messiah reference moves all amplitudes through the circuit as the
 columns of one matrix.  The Fock-space reordering check takes rules 2 and
 3 in their R(phi)^dag form, so that one displacement and one rotation of
-its probes serve all three rules, with 12 sparse exponentials per pass.
+its probes serve all three rules, with 12 Chebyshev exponentials of
+squeezers per pass.  The suites run on numpy alone.
 Every suite folds its residuals with `_worst`, which keeps a NaN, so a
 suite whose computation turns NaN fails.
 """
@@ -294,9 +295,10 @@ def _switch_rule_distances(space, alpha, herm, sym, rng):
     D(gamma) R(phi)^dag, so that one displacement by alpha of
     [S(z) psi, psi] and one rotation by -phi of [S(z) psi, psi, D(alpha)
     psi] serve all three rules, and rule 2 reuses rule 1's S(z) psi.
-    Squeezers go through the sparse `expm_multiply` route, three here
-    after the one that builds the probe; displacements and rotations
-    through their exact tensor-product and photon-number-sector forms.
+    Squeezers go through the Chebyshev exponential of
+    `fock.apply_generator`, three here after the one that builds the
+    probe; displacements and rotations through their exact tensor-product
+    and photon-number-sector forms.
     """
     cutoff = space.cutoff
     ket = _random_gaussian_ket(space, rng)

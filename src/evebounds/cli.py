@@ -128,6 +128,16 @@ def _parse_config_file(path):
     return values
 
 
+_TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
+
+
+def _config_bool(key, value):
+    word = value.lower()
+    if word not in _TRUE + _FALSE:
+        raise ValueError(f"{key} must be one of {'/'.join(_TRUE + _FALSE)}, got {value!r}")
+    return word in _TRUE
+
+
 def _config_from_file(values, path):
     kwargs = {}
     try:
@@ -143,7 +153,7 @@ def _config_from_file(values, path):
             elif key in ("log_base", "out"):
                 kwargs[key] = value
             elif key == "check":
-                kwargs["check"] = value.lower() in ("1", "true", "yes")
+                kwargs["check"] = _config_bool(key, value)
             else:
                 raise ValueError(f"unknown key {key!r}")
     except ValueError as exc:

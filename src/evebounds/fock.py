@@ -38,23 +38,23 @@ time.  Each of these Hermitian tridiagonal blocks is a diagonal phase
 similarity of a real symmetric one, so `_expm_tridiagonal` takes a real
 `eigh`.  The beam splitter is the rotation at phi = theta [[0, -i], [i, 0]],
 and `_bs_sectors` builds its blocks with the same helper and keeps its
-complex eigenbasis, cached per cutoff.  Squeezers mix the
-sectors and stay on the sparse route: `squeeze_generator` weights the
-products a_j^dag a_k^dag, which are built once per `FockSpace` and cached,
-and `apply_generator` exponentiates the result.
+complex eigenbasis, cached per cutoff.  Squeezers mix the sectors:
+`squeeze_generator` returns the ladder weights of their Hermitian
+generator, and `apply_generator` exponentiates it by a Chebyshev
+expansion, in which the generator acts as six shifted slice products on
+flat kets and no sparse matrix is formed.
 
-The module keeps only what the oracle and `--check` call.  The sparse
-displacement, rotation and beam-splitter generators and the dense
-exponential they are checked against live with the tests
-(`tests/reference.py`).  The oracle, `eb_z4`, `apply_displacement` and
-`apply_rotation` use numpy alone; `FockSpace.destroy`, `squeeze_generator`
-and `apply_generator` import scipy when called, so importing this module
-does not load it.
+The module keeps only what the oracle and `--check` call, and it runs on
+numpy alone.  The sparse operators and generators, scipy's
+`expm_multiply` and the dense exponential that the structured and
+Chebyshev exponentials are checked against live with the tests
+(`tests/reference.py`).
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,21 +99,6 @@ class FockSpace:
     @property
     def dim(self):
         return self.ldim**self.nmodes
-
-    def destroy(self, mode):
-        """Sparse annihilation operator acting on `mode` (0-based)."""
-        import scipy.sparse as sp
-
-        if not 0 <= mode < self.nmodes:
-            raise ValueError(f"mode {mode} out of range for {self.nmodes} modes")
-        d = self.ldim
-        a = sp.diags(np.sqrt(np.arange(1, d)), offsets=1, format="csr")
-        ops = [sp.identity(d, format="csr")] * self.nmodes
-        ops[mode] = a
-        out = ops[0]
-        for op in ops[1:]:
-            out = sp.kron(out, op, format="csr")
-        return out
 
 
 def coherent_ket(alpha, cutoff):
@@ -176,49 +161,155 @@ def _require_deficit(deficit, what):
         )
 
 
-@lru_cache(maxsize=4)
-def _creation_products(space):
-    """{(j, k): a_j^dag a_k^dag for j <= k} on `space`, built once per space
-    and shared, so callers only read them."""
-    ups = [space.destroy(k).conj().T for k in range(space.nmodes)]
-    return {
-        (j, k): (ups[j] @ ups[k]).tocsr()
-        for j in range(space.nmodes)
-        for k in range(j, space.nmodes)
-    }
+class SqueezeGenerator(NamedTuple):
+    """The Hermitian generator H of a two-mode squeezer, S(z) = exp(-i H),
+    as the weights of its three raising terms on a (d, d) ket grid
+    K[n0, n1].  H also holds the three conjugate lowering terms, which
+    `apply_generator` takes from the same arrays.
+
+    mode0[n0] raises n0 by two, cross[n0, n1] raises both modes by one and
+    mode1[n1] raises n1 by two; mode0 has shape (d-2, 1) and mode1 (d-2,),
+    so each broadcasts over the other mode.
+    """
+
+    mode0: np.ndarray
+    cross: np.ndarray
+    mode1: np.ndarray
+
+    @property
+    def ldim(self):
+        """Levels per mode, d = cutoff + 1."""
+        return self.cross.shape[0] + 1
 
 
 def squeeze_generator(space, z):
-    """Anti-Hermitian generator of S(z) = exp((a^dag z a^dag - a z^dag a) / 2).
+    """Generator of S(z) = exp((a^dag z a^dag - a z^dag a) / 2) on a two-mode
+    space, as the weights of H = i (C - C^dag) with
+    C = sum_jk z_jk a_j^dag a_k^dag / 2.
 
-    With C = sum_jk z_jk a_j^dag a_k^dag / 2 the generator is C - C^dag.
-    The products a_j^dag a_k^dag are cached per space (`_creation_products`),
-    so a call only forms the weighted sum; a_j^dag a_k^dag = a_k^dag a_j^dag,
-    so (j, k) and (k, j) share one product.
+    a_j^dag a_k^dag = a_k^dag a_j^dag, so the cross term weighs
+    (z_01 + z_10) / 2 and a z that is symmetric only to rounding still
+    gives a Hermitian H.
     """
-    import scipy.sparse as sp
+    if space.nmodes != 2:
+        raise ValueError(f"squeeze_generator needs two modes, got {space.nmodes}")
+    z = np.asarray(z, dtype=complex)
+    if z.shape != (2, 2):
+        raise ValueError(f"squeezing matrix must be 2 x 2, got shape {z.shape}")
+    root = np.sqrt(np.arange(1, space.ldim))  # sqrt(n + 1), n = 0 .. d-2
+    pair = root[:-1] * root[1:]  # sqrt((n + 1)(n + 2)), n = 0 .. d-3
+    return SqueezeGenerator(
+        mode0=0.5j * z[0, 0] * pair[:, None],
+        cross=0.5j * (z[0, 1] + z[1, 0]) * np.outer(root, root),
+        mode1=0.5j * z[1, 1] * pair,
+    )
 
-    z = np.atleast_2d(np.asarray(z, dtype=complex))
-    products = _creation_products(space)
-    c = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    for j in range(space.nmodes):
-        for k in range(space.nmodes):
-            if z[j, k] != 0:
-                c = c + 0.5 * z[j, k] * products[min(j, k), max(j, k)]
-    return c - c.conj().T
+
+def _ladder_terms(gen):
+    """(weight, dst, src) for the six shifted products that apply H to a
+    (k, d^2) stack of flat kets: out[dst] += weight * ket[src].
+
+    On the flat index n0 d + n1 a raising term is a shift by 2d, d + 1 or
+    2, so each product is one contiguous slice of every ket.  A weight
+    array is indexed by the lower of the two states it links and is zero
+    where a shift would run past the end of a row.  Each raising term maps
+    the low end of the ket to the high one, and its conjugate maps it
+    back.
+    """
+    d = gen.ldim
+    size = d * d
+    terms = []
+    for weight, (s0, s1) in zip(gen, ((2, 0), (1, 1), (0, 2))):
+        shift = s0 * d + s1
+        grid = np.zeros((d, d), dtype=complex)
+        grid[: d - s0, : d - s1] = weight
+        flat = grid.reshape(-1)[: size - shift]
+        high, low = (Ellipsis, slice(shift, None)), (Ellipsis, slice(None, size - shift))
+        terms += [(flat, high, low), (flat.conj(), low, high)]
+    return terms
+
+
+# Chebyshev terms whose Bessel factor is below this are dropped; the tail
+# they leave is below 1e-16 of the ket's norm.
+CHEBYSHEV_FLOOR = 1e-17
+
+
+def _bessel_j(x):
+    """[J_0(x), J_1(x), ..., J_N(x)] for x > 0, N the last order with
+    |J_N(x)| > `CHEBYSHEV_FLOOR`, by Miller's backward recurrence.
+
+    J_{k-1} = (2k / x) J_k - J_{k+1} is run down from an order far above x,
+    where J is negligible, and normalized by J_0 + 2 sum_k J_2k = 1.  The
+    recurrence is stable downwards; values are rescaled before they could
+    overflow (orders far above x grow fastest when x is small).
+    """
+    top = 2 * math.ceil((x + 12 * x ** (1 / 3) + 40) / 2)
+    vals = [0.0] * (top + 2)
+    vals[top] = 1.0
+    for k in range(top, 0, -1):
+        vals[k - 1] = 2 * k / x * vals[k] - vals[k + 1]
+        if abs(vals[k - 1]) > 1e250:
+            vals[k - 1 :] = [v * 1e-250 for v in vals[k - 1 :]]
+    j = np.array(vals[: top + 1]) / (vals[0] + 2 * math.fsum(vals[2::2]))
+    return j[: np.flatnonzero(np.abs(j) > CHEBYSHEV_FLOOR)[-1] + 1]
+
+
+def apply_generator(gen, kets):
+    """S(z) = exp(-i H) applied to two-mode kets (a (d^2,) ket or a
+    (k, d^2) stack), for the `SqueezeGenerator` H of `squeeze_generator`.
+
+    Chebyshev expansion on [-rho, rho] (Tal-Ezer and Kosloff, J. Chem.
+    Phys. 81, 3967, 1984): exp(-i H) = J_0(rho) + 2 sum_k (-i)^k J_k(rho)
+    T_k(H / rho), with rho the largest row sum of |H|, which bounds its
+    spectrum.  The Bessel factors come from `_bessel_j`.  T_k(H / rho) psi
+    follows the three-term recurrence T_{k+1} = 2 (H / rho) T_k - T_{k-1}
+    in two buffers that take turns, and H acts by the six contiguous
+    shifted products of `_ladder_terms` through one scratch stack; the
+    views of both turns are made once, so no array is allocated per term.
+    """
+    kets = np.asarray(kets, dtype=complex)
+    size = gen.ldim**2
+    terms = _ladder_terms(gen)
+    row_sums = np.zeros(size)
+    for weight, dst, _ in terms:
+        row_sums[dst] += np.abs(weight)
+    rho = float(row_sums.max())
+    if rho == 0.0:
+        return kets.copy()
+    bessel = _bessel_j(rho)
+    # The recurrence is run on s_k T_k with signs s_k = +, +, -, -, ...
+    # (period 4), so that each step only adds products and never negates:
+    # s_{k+1} T_{k+1} = s_{k-1} T_{k-1} + (s_{k+1} / s_k) 2 (H / rho) s_k T_k.
+    # The coefficient of s_k T_k is then 2 (-i)^k s_k J_k = 2 J_k, -2i J_k
+    # for even and odd k.
+    coeffs = 2 * bessel * np.array([1, -1j])[np.arange(bessel.size) % 2]
+    start = kets.reshape(-1, size)
+    out = bessel[0] * start
+    # s_1 T_1 is written into the first buffer, s_2 T_2 into the second
+    # (over T_0), and so on.
+    bufs = (np.zeros_like(start), start.copy())
+    scratch = np.empty_like(start)
+    turns = [
+        [(sign * 2 / rho * weight, bufs[j][dst], bufs[1 - j][src], scratch[dst])
+         for weight, dst, src in terms]
+        for j, sign in ((0, 1), (1, -1))
+    ]
+    for k, c in enumerate(coeffs[1:]):
+        target = bufs[k % 2]
+        for weight, dst, src, tmp in turns[k % 2]:
+            np.multiply(weight, src, out=tmp)
+            dst += tmp
+        if k == 0:
+            target *= 0.5  # T_1 = (H / rho) T_0
+        np.multiply(target, c, out=scratch)
+        out += scratch
+    return out.reshape(kets.shape)
 
 
 def _bs_angle(tau):
     if not 0 <= tau <= 1:
         raise ValueError(f"transmittance must lie in [0, 1], got {tau}")
     return math.acos(math.sqrt(tau))
-
-
-def apply_generator(gen, ket):
-    """exp(gen) @ ket without forming the dense exponential."""
-    from scipy.sparse.linalg import expm_multiply
-
-    return expm_multiply(gen, ket)
 
 
 def _expm_tridiagonal(diag, sub):

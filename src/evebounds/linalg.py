@@ -60,13 +60,15 @@ def require_symmetric(m, name="matrix", atol=ATOL_CONSTRUCT):
 def _unitary_eig(m):
     """Spectral decomposition of a (numerically) unitary matrix.
 
-    Uses the complex Schur form, which is exactly diagonal for normal
-    input; the strictly upper-triangular residue is checked rather than
-    assumed.
+    Uses a complex Schur form built from numpy alone: with m V = V L the
+    eigendecomposition and V = Q R its QR factorization,
+    Q^dag m Q = R L R^-1 is upper triangular.  For normal input it is
+    exactly diagonal; the strictly upper-triangular residue is checked
+    rather than assumed.
     """
-    from scipy.linalg import schur
-
-    t, q = schur(np.asarray(m, dtype=complex), output="complex")
+    m = np.asarray(m, dtype=complex)
+    q, _ = np.linalg.qr(np.linalg.eig(m)[1])
+    t = q.conj().T @ m @ q
     residue = max_abs(np.triu(t, k=1))
     if residue > 1e-8:
         raise ValueError(

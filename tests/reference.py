@@ -1,17 +1,24 @@
 """Reference code that only the tests use: Gaussian state builders, the
 eavesdropper's conditional mean, the Fock-basis moments and overlaps they
-are checked against, the sparse Fock generators and dense exponential
-that the structured exponentials of `evebounds.fock` are checked against,
-and the per-operation and per-amplitude forms of two `evebounds.checks`
-helpers."""
+are checked against, the sparse Fock operators, generators and
+exponentials (scipy's `expm_multiply` and a dense `eigh`) that the
+structured and Chebyshev exponentials of `evebounds.fock` are checked
+against, the scipy Schur form that `evebounds.linalg._unitary_eig` is
+checked against, and the per-operation and per-amplitude forms of two
+`evebounds.checks` helpers."""
+
+from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from evebounds.blochmessiah import bloch_messiah, factors_to_circuit
 from evebounds.checks import _switched_displacement
 from evebounds.cloner import eve_reduced_covariance
-from evebounds.fock import _bs_angle
+from evebounds.fock import _bs_angle, _ladder_terms
+from evebounds.linalg import max_abs
 from evebounds.states import GaussianState, williamson_standard_two_mode
 from evebounds.unitaries import (
     BogoliubovPair,
@@ -60,7 +67,7 @@ def fock_moments(rho, space):
     rho = np.asarray(rho, dtype=complex)
     quads = []
     for k in range(space.nmodes):
-        a = space.destroy(k).toarray()
+        a = destroy(space, k).toarray()
         quads.append(a + a.conj().T)
         quads.append(-1j * (a - a.conj().T))
     mean = np.array([np.trace(rho @ r).real for r in quads])
@@ -80,7 +87,7 @@ def displacement_generator(space, alpha):
         raise ValueError("one displacement amplitude per mode required")
     g = sp.csr_matrix((space.dim, space.dim), dtype=complex)
     for k, a_k in enumerate(alpha):
-        a = space.destroy(k)
+        a = destroy(space, k)
         g = g + a_k * a.conj().T - np.conj(a_k) * a
     return g
 
@@ -88,7 +95,7 @@ def displacement_generator(space, alpha):
 def rotation_generator(space, phi):
     """Anti-Hermitian generator of R(phi) = exp(i a^dag phi a), phi Hermitian."""
     phi = np.atleast_2d(np.asarray(phi, dtype=complex))
-    ops = [space.destroy(k) for k in range(space.nmodes)]
+    ops = [destroy(space, k) for k in range(space.nmodes)]
     g = sp.csr_matrix((space.dim, space.dim), dtype=complex)
     for j in range(space.nmodes):
         for k in range(space.nmodes):
@@ -97,12 +104,54 @@ def rotation_generator(space, phi):
     return g
 
 
+def destroy(space, mode):
+    """Sparse annihilation operator acting on `mode` (0-based) of a
+    `FockSpace`."""
+    if not 0 <= mode < space.nmodes:
+        raise ValueError(f"mode {mode} out of range for {space.nmodes} modes")
+    d = space.ldim
+    a = sp.diags(np.sqrt(np.arange(1, d)), offsets=1, format="csr")
+    ops = [sp.identity(d, format="csr")] * space.nmodes
+    ops[mode] = a
+    out = ops[0]
+    for op in ops[1:]:
+        out = sp.kron(out, op, format="csr")
+    return out
+
+
+@lru_cache(maxsize=4)
+def creation_products(space):
+    """{(j, k): a_j^dag a_k^dag for j <= k} on `space`, built once per space
+    and shared, so callers only read them."""
+    ups = [destroy(space, k).conj().T for k in range(space.nmodes)]
+    return {
+        (j, k): (ups[j] @ ups[k]).tocsr()
+        for j in range(space.nmodes)
+        for k in range(j, space.nmodes)
+    }
+
+
+def sparse_squeeze_generator(space, z):
+    """Sparse anti-Hermitian generator C - C^dag of
+    S(z) = exp((a^dag z a^dag - a z^dag a) / 2), on any number of modes,
+    with C = sum_jk z_jk a_j^dag a_k^dag / 2 weighting the cached
+    `creation_products`; (j, k) and (k, j) share one product."""
+    z = np.atleast_2d(np.asarray(z, dtype=complex))
+    products = creation_products(space)
+    c = sp.csr_matrix((space.dim, space.dim), dtype=complex)
+    for j in range(space.nmodes):
+        for k in range(space.nmodes):
+            if z[j, k] != 0:
+                c = c + 0.5 * z[j, k] * products[min(j, k), max(j, k)]
+    return c - c.conj().T
+
+
 def squeeze_generator_kron(space, z):
     """Generator of S(z) = exp((a^dag z a^dag - a z^dag a) / 2), rebuilt from
-    `FockSpace.destroy` on every call: the reference for the cached
-    `evebounds.fock.squeeze_generator`."""
+    `destroy` on every call: the reference for the cached
+    `sparse_squeeze_generator`."""
     z = np.atleast_2d(np.asarray(z, dtype=complex))
-    ops = [space.destroy(k) for k in range(space.nmodes)]
+    ops = [destroy(space, k) for k in range(space.nmodes)]
     g = sp.csr_matrix((space.dim, space.dim), dtype=complex)
     for j in range(space.nmodes):
         for k in range(space.nmodes):
@@ -112,6 +161,40 @@ def squeeze_generator_kron(space, z):
     return g
 
 
+def apply_sparse_generator(gen, kets):
+    """exp(gen) applied to a ket or to the rows of a (k, dim) stack, for a
+    sparse anti-Hermitian generator, by scipy's `expm_multiply`."""
+    kets = np.asarray(kets, dtype=complex)
+    return expm_multiply(gen, kets.T).T
+
+
+def ladder_matrix(gen):
+    """Sparse matrix of the Hermitian squeezer generator H held by an
+    `evebounds.fock.SqueezeGenerator`, laid out from its six shifted
+    terms."""
+    size = gen.ldim**2
+    index = np.arange(size)
+    rows, cols, vals = [], [], []
+    for weight, dst, src in _ladder_terms(gen):
+        rows.append(index[dst])
+        cols.append(index[src])
+        vals.append(weight)
+    entries = (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols)))
+    return sp.csr_matrix(entries, shape=(size, size))
+
+
+def unitary_eig_schur(m):
+    """(eigenvalues, eigenvectors) of a normal matrix from scipy's complex
+    Schur form: the reference for `evebounds.linalg._unitary_eig`."""
+    t, q = scipy.linalg.schur(np.asarray(m, dtype=complex), output="complex")
+    residue = max_abs(np.triu(t, k=1))
+    if residue > 1e-8:
+        raise ValueError(
+            f"matrix is not normal enough to diagonalize: Schur residue {residue:.3e}"
+        )
+    return np.diag(t), q
+
+
 def bs_generator(space, tau):
     """Generator of the beam splitter exp(theta (a^dag b - a b^dag)) on
     modes 0 and 1.
@@ -119,8 +202,8 @@ def bs_generator(space, tau):
     cos(theta) = sqrt(tau), so the outputs are t a + r b and -r a + t b
     with t = sqrt(tau), r = sqrt(1 - tau).
     """
-    a = space.destroy(0)
-    b = space.destroy(1)
+    a = destroy(space, 0)
+    b = destroy(space, 1)
     return _bs_angle(tau) * (a.conj().T @ b - a @ b.conj().T)
 
 

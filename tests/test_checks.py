@@ -6,18 +6,19 @@ from evebounds.unitaries import _squeezer_arrays, expm_i_hermitian
 
 
 def test_switching_rules_residual_and_sparse_calls(monkeypatch):
-    # Squeezers are the one generator kind left on the sparse route: one
-    # for the probe and three for the rules, per draw, over three draws.
+    # Squeezers are the one generator kind left on the generic route, the
+    # Chebyshev exponential: one for the probe and three for the rules, per
+    # draw, over three draws.
     calls = []
-    sparse = fock.apply_generator
+    chebyshev = fock.apply_generator
 
     def counted(gen, ket):
-        calls.append(gen.shape)
-        return sparse(gen, ket)
+        calls.append(type(gen))
+        return chebyshev(gen, ket)
 
     monkeypatch.setattr(fock, "apply_generator", counted)
     result = checks.check_switching_rules_fock()
-    assert len(calls) == 12
+    assert calls == [fock.SqueezeGenerator] * 12
     # The residual is truncation leakage of the squeezer rules at cutoff
     # 50, measured without the cancellation of 1 - |<lhs|rhs>|^2.
     assert abs(result.residual - 7.90029790372787e-08) < 1e-12

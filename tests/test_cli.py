@@ -68,6 +68,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config(["--config", str(conf)])
 
+    @pytest.mark.parametrize("value, expected", [
+        ("1", True), ("TRUE", True), ("yes", True), ("0", False), ("False", False), ("NO", False),
+    ])
+    def test_config_check_key(self, tmp_path, value, expected):
+        conf = tmp_path / "check.conf"
+        conf.write_text(f"check = {value}\n")
+        assert parse_config(["--config", str(conf)]).check is expected
+
+    def test_config_check_key_rejects_other_words(self, tmp_path):
+        # a value the gate cannot read must not silently turn it off
+        conf = tmp_path / "check.conf"
+        conf.write_text("check = on\n")
+        with pytest.raises(ValueError) as err:
+            parse_config(["--config", str(conf)])
+        assert str(err.value) == (
+            f"config file {conf}: check must be one of 1/true/yes/0/false/no, got 'on'"
+        )
+
     def test_gram_variant_is_no_option(self, tmp_path):
         # bm-gme has one Gram rule; neither the config key nor the flag
         # selects another

@@ -7,13 +7,16 @@ from evebounds import fock
 from evebounds.cloner import ChannelParams, Constellation, qpsk
 from evebounds.states import entropy_from_cov
 from reference import (
+    apply_sparse_generator,
     bs_generator,
     displacement_generator,
     fock_hs_product,
     fock_moments,
     fock_unitary,
+    ladder_matrix,
     make_thermal,
     rotation_generator,
+    sparse_squeeze_generator,
     squeeze_generator_kron,
 )
 
@@ -94,7 +97,7 @@ class TestOperators:
 
     def test_unitaries_are_unitary(self):
         space = fock.FockSpace(cutoff=12)
-        u = fock_unitary(fock.squeeze_generator(space, np.array([[0.3]])))
+        u = fock_unitary(sparse_squeeze_generator(space, np.array([[0.3]])))
         assert np.max(np.abs(u.conj().T @ u - np.eye(13))) < 1e-12
 
 
@@ -118,8 +121,8 @@ DISPLACEMENTS = {
 
 
 class TestStructuredExponentials:
-    """`apply_displacement` and `apply_rotation` against the sparse
-    `expm_multiply` of the full generator."""
+    """`apply_displacement` and `apply_rotation` against scipy's
+    `expm_multiply` of the full sparse generator."""
 
     @pytest.mark.parametrize("cutoff", [5, 13, 50])
     @pytest.mark.parametrize("name", sorted(DISPLACEMENTS))
@@ -128,7 +131,7 @@ class TestStructuredExponentials:
         space = fock.FockSpace(cutoff=cutoff, nmodes=2)
         gen = displacement_generator(space, alpha)
         for ket in random_kets(np.random.default_rng(cutoff), 2, cutoff):
-            reference = fock.apply_generator(gen, ket)
+            reference = apply_sparse_generator(gen, ket)
             assert np.max(np.abs(fock.apply_displacement(alpha, ket, cutoff) - reference)) < 1e-12
 
     @pytest.mark.parametrize("cutoff", [5, 13, 50])
@@ -138,7 +141,7 @@ class TestStructuredExponentials:
         space = fock.FockSpace(cutoff=cutoff, nmodes=2)
         gen = rotation_generator(space, phi)
         for ket in random_kets(np.random.default_rng(cutoff), 2, cutoff):
-            reference = fock.apply_generator(gen, ket)
+            reference = apply_sparse_generator(gen, ket)
             assert np.max(np.abs(fock.apply_rotation(phi, ket, cutoff) - reference)) < 1e-12
 
     @pytest.mark.parametrize("cutoff", [5, 13, 50])
@@ -171,26 +174,95 @@ SQUEEZERS = {
 
 
 class TestSqueezeGenerator:
-    """`squeeze_generator` weights cached products a_j^dag a_k^dag; the
-    reference rebuilds them from `FockSpace.destroy` on every call."""
+    """The sparse reference squeezer weights cached products
+    a_j^dag a_k^dag; `squeeze_generator_kron` rebuilds them from `destroy`
+    on every call.  On two modes the ladder weights of
+    `fock.squeeze_generator`, laid out as a matrix, are H = i times that
+    generator."""
 
     @pytest.mark.parametrize("cutoff, nmodes", sorted(SQUEEZERS))
     def test_matches_kron_reference_entry_for_entry(self, cutoff, nmodes):
         space = fock.FockSpace(cutoff=cutoff, nmodes=nmodes)
         z = SQUEEZERS[cutoff, nmodes]
-        gen = fock.squeeze_generator(space, z)
+        gen = sparse_squeeze_generator(space, z)
         reference = squeeze_generator_kron(space, z)
         assert gen.shape == reference.shape
         assert (gen != reference).nnz == 0
+        if nmodes == 2:
+            h = ladder_matrix(fock.squeeze_generator(space, z))
+            assert abs(h - 1j * reference).max() < 1e-14
 
     def test_mutating_a_result_leaves_the_next_call_unchanged(self):
         space = fock.FockSpace(cutoff=50, nmodes=2)
         z = SQUEEZERS[50, 2]
-        first = fock.squeeze_generator(space, z)
+        first = sparse_squeeze_generator(space, z)
         first.data[:] = 7.0
         first *= 3.0
-        second = fock.squeeze_generator(space, z)
+        second = sparse_squeeze_generator(space, z)
         assert (second != squeeze_generator_kron(space, z)).nnz == 0
+
+    def test_needs_two_modes(self):
+        with pytest.raises(ValueError, match="two modes"):
+            fock.squeeze_generator(fock.FockSpace(cutoff=30), SQUEEZERS[30, 1])
+
+
+def random_symmetric(rng, scale):
+    """Random complex symmetric 2 x 2 matrix with largest singular value
+    `scale`."""
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    z = (z + z.T) / 2
+    return z * (scale / np.linalg.svd(z, compute_uv=False)[0])
+
+
+CHEBYSHEV_CASES = {
+    "zero": np.zeros((2, 2), dtype=complex),
+    "zero-diagonal-entry": np.array([[0.0, 0.3 + 0.2j], [0.3 + 0.2j, -0.25j]]),
+    # symmetric only to rounding, as a product of rotations and squeezers
+    # leaves it
+    "near-symmetric": np.array([[0.2 - 0.1j, 0.35 + 0.1j], [0.35 + 0.1j + 3e-17, 0.1]]),
+    **{f"random-{k}": random_symmetric(np.random.default_rng(100 + k), s)
+       for k, s in enumerate((0.05, 0.3, 0.5))},
+}
+
+
+class TestChebyshevSqueezer:
+    """`apply_generator` against scipy's `expm_multiply` of the sparse
+    reference generator."""
+
+    @pytest.mark.parametrize("cutoff", [5, 20, 50])
+    @pytest.mark.parametrize("name", sorted(CHEBYSHEV_CASES))
+    def test_matches_expm_multiply(self, name, cutoff):
+        z = CHEBYSHEV_CASES[name]
+        space = fock.FockSpace(cutoff=cutoff, nmodes=2)
+        kets = random_kets(np.random.default_rng(cutoff), 2, cutoff)
+        reference = apply_sparse_generator(sparse_squeeze_generator(space, z), kets)
+        chebyshev = fock.apply_generator(fock.squeeze_generator(space, z), kets)
+        assert np.max(np.abs(chebyshev - reference)) < 1e-13
+
+    @pytest.mark.parametrize("cutoff", [5, 50])
+    def test_stack_equals_single_calls(self, cutoff):
+        kets = random_kets(np.random.default_rng(7), 3, cutoff)
+        gen = fock.squeeze_generator(fock.FockSpace(cutoff=cutoff, nmodes=2),
+                                     CHEBYSHEV_CASES["random-2"])
+        stacked = fock.apply_generator(gen, kets)
+        assert stacked.shape == kets.shape
+        singles = np.array([fock.apply_generator(gen, ket) for ket in kets])
+        assert np.max(np.abs(stacked - singles)) < 1e-14
+
+
+class TestMillerBessel:
+    # scipy's jv is itself off by 3e-15 at x = 100 and 4e-15 at x = 150
+    # (against 40-digit mpmath, where the recurrence is within 2e-16), so
+    # the comparison stops below that.
+    @pytest.mark.parametrize("x", [1e-6, 0.03, 0.5, 1.0, 3.7, 10.0, 25.0, 42.5])
+    def test_matches_scipy_jv(self, x):
+        from scipy.special import jv
+
+        j = fock._bessel_j(x)
+        assert np.max(np.abs(j - jv(np.arange(j.size), x))) < 1e-15
+        # the series stops where the terms fall below the floor
+        assert abs(j[-1]) > fock.CHEBYSHEV_FLOOR
+        assert abs(jv(j.size, x)) <= fock.CHEBYSHEV_FLOOR
 
 
 class TestScalars:

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from evebounds import blochmessiah, linalg
+from evebounds.blochmessiah import _hermitian_phase
 from evebounds.linalg import (
+    _unitary_eig,
     matched_svd,
     principal_sqrt,
     unitarity_defect,
 )
+from reference import unitary_eig_schur
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -62,6 +66,69 @@ class TestPrincipalSqrt:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError, match="NaN or Inf"):
             principal_sqrt(bad)
+
+
+def _symmetric_with_phases(phases, seed):
+    """O diag(exp(i phases)) O^T for a random real orthogonal O: a
+    symmetric unitary with the given eigenphases."""
+    n = len(phases)
+    o = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))[0]
+    return (o * np.exp(1j * np.asarray(phases))) @ o.T
+
+
+# Symmetric unitaries: inputs of both principal_sqrt and _hermitian_phase.
+SYMMETRIC_CASES = {
+    "identity": np.eye(3, dtype=complex),
+    "minus-identity": -np.eye(3, dtype=complex),
+    "repeated": _symmetric_with_phases([0.7, 0.7, -1.9], 21),
+    "repeated-4": _symmetric_with_phases([2.1, -0.4, 2.1, -0.4], 22),
+    "split-1e-9": _symmetric_with_phases([0.7, 0.7 + 1e-9, -1.9], 23),
+    "pauli-x": X,
+    "minus-one": _symmetric_with_phases([np.pi, 0.4], 24),
+    "minus-one-diagonal": np.diag([-1.0, 1.0]).astype(complex),
+    **{f"random-{n}": (lambda q: q @ q.T)(random_unitary(np.random.default_rng(30 + n), n))
+       for n in range(1, 5)},
+}
+# Unitaries that need not be symmetric: inputs of _hermitian_phase only.
+UNITARY_CASES = {
+    "rotation": np.array([[np.cos(0.8), -np.sin(0.8)], [np.sin(0.8), np.cos(0.8)]], dtype=complex),
+    **{f"general-{n}": random_unitary(np.random.default_rng(40 + n), n) for n in range(1, 5)},
+}
+
+
+def _with_scipy_schur(monkeypatch, fn, m):
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_unitary_eig", unitary_eig_schur)
+        patch.setattr(blochmessiah, "_unitary_eig", unitary_eig_schur)
+        return fn(m)
+
+
+class TestSchurForm:
+    """The numpy Schur form (eig, then QR of the eigenvectors) against
+    scipy's complex Schur form, through its two callers."""
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_CASES))
+    def test_principal_sqrt_matches_scipy_schur(self, name, monkeypatch):
+        m = SYMMETRIC_CASES[name]
+        reference = _with_scipy_schur(monkeypatch, principal_sqrt, m)
+        assert np.max(np.abs(principal_sqrt(m) - reference)) < 1e-13
+
+    @pytest.mark.parametrize("name", sorted(SYMMETRIC_CASES) + sorted(UNITARY_CASES))
+    def test_hermitian_phase_matches_scipy_schur(self, name, monkeypatch):
+        m = {**SYMMETRIC_CASES, **UNITARY_CASES}[name]
+        reference = _with_scipy_schur(monkeypatch, _hermitian_phase, m)
+        assert np.max(np.abs(_hermitian_phase(m) - reference)) < 1e-13
+
+    def test_minus_one_maps_to_plus_i(self):
+        r = principal_sqrt(SYMMETRIC_CASES["minus-one-diagonal"])
+        assert np.max(np.abs(r - np.diag([1j, 1.0]))) < 1e-15
+
+    def test_non_normal_is_rejected(self):
+        jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="not normal enough"):
+            _unitary_eig(jordan)
+        with pytest.raises(ValueError, match="not normal enough"):
+            _hermitian_phase(jordan)
 
 
 class TestTakagi:

@@ -1,6 +1,6 @@
-"""The estimators and the Fock oracle run on numpy alone: scipy is imported
-only by the decomposition machinery and the sparse Fock reference behind
-`--check`, at their point of use."""
+"""The package runs on numpy alone: the estimators, the Fock oracle and the
+`--check` suites never import scipy, which only the test references
+use."""
 
 import os
 import subprocess
@@ -25,14 +25,34 @@ assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith
 
 results = checks.run_checks()
 assert all(r.passed for r in results), checks.format_report(results)
-assert "scipy" in sys.modules
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+
+# With sys.modules["scipy"] = None every scipy import raises ImportError.
+BLOCKED = """
+import sys
+
+sys.modules["scipy"] = None
+from evebounds import cli
+
+sys.exit(cli.main(["--check", "--tau-steps", "1", "--out", "-"]))
 """
 
 
-def test_scan_does_not_import_scipy_and_checks_still_run():
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD],
+def _run(code):
+    return subprocess.run(
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, timeout=300,
     )
+
+
+def test_scan_does_not_import_scipy_and_checks_still_run():
+    proc = _run(CHILD)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_check_gate_runs_with_scipy_blocked():
+    proc = _run(BLOCKED)
+    assert proc.returncode == 0, proc.stderr
+    assert "FAIL" not in proc.stderr

@@ -20,7 +20,13 @@ from evebounds.unitaries import (
     switch_squeezer_rotation,
     to_symplectic,
 )
-from reference import displacement_generator, fock_moments, rotation_generator
+from reference import (
+    apply_sparse_generator,
+    displacement_generator,
+    fock_moments,
+    rotation_generator,
+    sparse_squeeze_generator,
+)
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -82,7 +88,7 @@ class TestSymplecticConversion:
         space = fock.FockSpace(cutoff=40)
         ket = np.zeros(space.dim, dtype=complex)
         ket[0] = 1.0
-        ket = fock.apply_generator(fock.squeeze_generator(space, np.array([[r]])), ket)
+        ket = apply_sparse_generator(sparse_squeeze_generator(space, np.array([[r]])), ket)
         _, cov = fock_moments(np.outer(ket, ket.conj()), space)
         assert cov[0, 0] == pytest.approx(math.exp(2 * r), abs=1e-8)
         assert cov[1, 1] == pytest.approx(math.exp(-2 * r), abs=1e-8)
@@ -152,10 +158,10 @@ def fock_rule_distance(space, lhs_gens, rhs_gens, ket):
     """Trace distance between two pure states built by generator chains."""
     left = ket
     for gen in lhs_gens:
-        left = fock.apply_generator(gen, left)
+        left = apply_sparse_generator(gen, left)
     right = ket
     for gen in rhs_gens:
-        right = fock.apply_generator(gen, right)
+        right = apply_sparse_generator(gen, right)
     return math.sqrt(max(0.0, 1.0 - abs(np.vdot(left, right)) ** 2))
 
 
@@ -172,7 +178,7 @@ class TestSwitchingRules:
         space = fock.FockSpace(cutoff=40)
         vac = np.zeros(space.dim, dtype=complex)
         vac[0] = 1.0
-        gen_s = fock.squeeze_generator(space, np.array([[r]]))
+        gen_s = sparse_squeeze_generator(space, np.array([[r]]))
         dist = fock_rule_distance(
             space,
             [gen_s, displacement_generator(space, [alpha])],
@@ -222,7 +228,7 @@ class TestSwitchingRules:
         space = fock.FockSpace(cutoff=50, nmodes=2)
         ket = np.zeros(space.dim, dtype=complex)
         ket[0] = 1.0
-        ket = fock.apply_generator(
+        ket = apply_sparse_generator(
             displacement_generator(space, [0.4 + 0.1j, -0.3j]), ket)
         herm = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         herm = (herm + herm.conj().T) / 2
@@ -233,8 +239,8 @@ class TestSwitchingRules:
         gen_r = rotation_generator(space, herm)
         dist = fock_rule_distance(
             space,
-            [gen_r, fock.squeeze_generator(space, sym)],
-            [fock.squeeze_generator(space, zp), gen_r],
+            [gen_r, sparse_squeeze_generator(space, sym)],
+            [sparse_squeeze_generator(space, zp), gen_r],
             ket,
         )
         assert dist < 1e-6
