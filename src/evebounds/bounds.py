@@ -25,7 +25,8 @@ is not:
   returns the K x K array, a closed-form expression over the K x M
   displacement amplitudes (K states, M modes), and `gram_entropy` checks
   it (Hermitian, unit trace, no eigenvalue below -1e-8) with the one
-  eigensolve that gives its entropy.
+  eigensolve that gives its entropy, through `states.spectrum_entropy`.
+  `eb` and `bm-get` take theirs through `states.symplectic_entropy`.
 """
 
 import math
@@ -34,12 +35,14 @@ import numpy as np
 
 from . import fock
 from .cloner import displaced_thermal_ensemble
-from .linalg import max_abs
+from .linalg import require_hermitian
 from .states import (
     StandardTwoModeCov,
+    _log,
     _two_mode_symplectic_spectrum,
+    spectrum_entropy,
     standard_symplectic_spectrum,
-    thermal_entropy,
+    symplectic_entropy,
 )
 
 __all__ = [
@@ -73,7 +76,8 @@ def gram_matrix(ensemble):
 
 
 def gram_entropy(matrix, base="bits"):
-    """Entropy -sum lambda log lambda of a Gram matrix's spectrum.
+    """Entropy -sum lambda log lambda of a Gram matrix's spectrum, taken by
+    `states.spectrum_entropy`.
 
     The one place a Gram matrix is checked: it must be Hermitian to 1e-10,
     have unit trace to 1e-9 and no eigenvalue below -1e-8.  Eigenvalues in
@@ -81,12 +85,9 @@ def gram_entropy(matrix, base="bits"):
     negative) and the spectrum renormalized.  The result is never negative,
     and 0.0 rather than -0.0 for a pure spectrum.
     """
-    if base not in ("bits", "nats"):
-        raise ValueError(f"log base must be 'bits' or 'nats', got {base!r}")
+    _log(base)
     matrix = np.asarray(matrix, dtype=complex)
-    herm = max_abs(matrix - matrix.conj().T)
-    if herm > 1e-10:
-        raise ValueError(f"Gram matrix not Hermitian: residual {herm:.3e}")
+    require_hermitian(matrix, "Gram matrix")
     trace = complex(np.trace(matrix)).real
     if abs(trace - 1.0) > 1e-9:
         raise ValueError(f"Gram matrix trace is {trace!r}, expected 1 within 1e-9")
@@ -94,10 +95,7 @@ def gram_entropy(matrix, base="bits"):
     if eigs.min() < -1e-8:
         raise ValueError(f"Gram matrix has eigenvalue {eigs.min():.3e} below -1e-8")
     eigs = np.clip(eigs, 0.0, None)
-    eigs = eigs / eigs.sum()
-    eigs = eigs[eigs > 1e-15]
-    logs = np.log2(eigs) if base == "bits" else np.log(eigs)
-    return max(0.0, float(-(eigs * logs).sum()))
+    return spectrum_entropy(eigs / eigs.sum(), base)
 
 
 def gaussian_extremality_entropy(ensemble, base="bits"):
@@ -110,18 +108,20 @@ def gaussian_extremality_entropy(ensemble, base="bits"):
     diag(nu2, nu2, nu1, nu1) >= 1 plus a positive-semidefinite spread, so
     it meets that function's positive-definite precondition.
     """
-    nus = _two_mode_symplectic_spectrum(ensemble.average_covariance())
-    return sum(thermal_entropy(max(nu - 1.0, 0.0) / 2, base) for nu in nus)
+    _log(base)
+    return symplectic_entropy(_two_mode_symplectic_spectrum(ensemble.average_covariance()), base)
 
 
 def bm_get_entropy(constellation, params, base="bits"):
     """Gaussian-extremality bound: entropy of the covariance of the
     eavesdropper's average state, through `gaussian_extremality_entropy`."""
+    _log(base)
     return gaussian_extremality_entropy(displaced_thermal_ensemble(constellation, params), base)
 
 
 def bm_gme_entropy(constellation, params, base="bits"):
     """Gram-matrix entropy of the eavesdropper's displaced-thermal ensemble."""
+    _log(base)
     return gram_entropy(gram_matrix(displaced_thermal_ensemble(constellation, params)), base=base)
 
 
@@ -150,10 +150,10 @@ def eb_qpsk_entropy(alpha, params, base="bits"):
 
     Raises ValueError outside 0 < alpha <= `EB_ALPHA_MAX`.
     """
+    _log(base)
     if not 0 < alpha <= EB_ALPHA_MAX:
         raise ValueError(f"eb is defined for 0 < alpha <= {EB_ALPHA_MAX:g}, got {alpha}")
     x = 1 + 2 * alpha * alpha
     bob = params.tau * x + (1 - params.tau) * (2 * params.nbar + 1)
     std = StandardTwoModeCov(a=x, b=bob, c=math.sqrt(params.tau) * fock.eb_z4(alpha))
-    nus = standard_symplectic_spectrum(std)
-    return sum(thermal_entropy(max(nu - 1.0, 0.0) / 2, base) for nu in nus)
+    return symplectic_entropy(standard_symplectic_spectrum(std), base)

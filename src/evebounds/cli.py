@@ -19,6 +19,7 @@ from . import checks
 from .bounds import eb_qpsk_entropy, gaussian_extremality_entropy, gram_entropy, gram_matrix
 from .cloner import ChannelParams, displaced_thermal_ensemble, qpsk
 from .fock import FockConvergenceError, eve_exact_entropy
+from .states import LOG_BASES
 
 __all__ = ["ScanConfig", "run_scan", "main"]
 
@@ -55,8 +56,8 @@ class ScanConfig:
         bad = [m for m in self.methods if m not in METHODS]
         if bad or not self.methods:
             raise ValueError(f"--methods must be a nonempty subset of {METHODS}, got {self.methods}")
-        if self.log_base not in ("bits", "nats"):
-            raise ValueError(f"--log-base must be bits or nats, got {self.log_base!r}")
+        if self.log_base not in LOG_BASES:
+            raise ValueError(f"--log-base must be {' or '.join(LOG_BASES)}, got {self.log_base!r}")
         if self.cutoff < 7:
             raise ValueError(f"--cutoff must be >= 7, got {self.cutoff}")
 
@@ -174,7 +175,7 @@ def build_parser():
                         help="channel thermal photon number; repeatable")
     parser.add_argument("--alpha", type=float)
     parser.add_argument("--methods", help="comma list from: " + ",".join(METHODS))
-    parser.add_argument("--log-base", choices=["bits", "nats"], dest="log_base")
+    parser.add_argument("--log-base", choices=LOG_BASES, dest="log_base")
     parser.add_argument("--cutoff", type=int, help="oracle Fock cutoff")
     parser.add_argument("--out", help="output CSV path, '-' for stdout")
     parser.add_argument("--check", action="store_true", default=None,

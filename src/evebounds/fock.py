@@ -58,6 +58,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .states import _log, spectrum_entropy
+
 __all__ = [
     "FockSpace",
     "FockConvergenceError",
@@ -101,16 +103,22 @@ class FockSpace:
         return self.ldim**self.nmodes
 
 
+def _normalized(c):
+    """(c / |c|, 1 - |c|^2); c unscaled, deficit 1, if its squares all
+    underflow."""
+    norm2 = float(np.vdot(c, c).real)
+    return (c / math.sqrt(norm2) if norm2 > 0 else c), 1.0 - norm2
+
+
 def coherent_ket(alpha, cutoff):
-    """(ket, deficit) for |alpha> truncated at `cutoff` photons."""
+    """(ket, deficit) for |alpha> truncated at `cutoff` photons; deficit 1
+    where the amplitudes underflow (|alpha| >~ 27 at cutoff 18)."""
     alpha = complex(alpha)
     c = np.zeros(cutoff + 1, dtype=complex)
     c[0] = math.exp(-0.5 * abs(alpha) ** 2)
     for n in range(1, cutoff + 1):
         c[n] = c[n - 1] * alpha / math.sqrt(n)
-    norm2 = float(np.vdot(c, c).real)
-    deficit = 1.0 - norm2
-    return c / math.sqrt(norm2), deficit
+    return _normalized(c)
 
 
 def tmsv_ket(nbar, cutoff):
@@ -119,7 +127,8 @@ def tmsv_ket(nbar, cutoff):
 
     The coefficients are taken with a uniform positive sign, which makes
     the q-q correlation of the two arms positive, matching the phase-space
-    convention used for the covariance matrices in this package.
+    convention used for the covariance matrices in this package.  The
+    deficit is 1 once 1 - lam^2 rounds to 0 (nbar >~ 1e17).
     """
     if nbar < 0:
         raise ValueError(f"mean photon number must be >= 0, got {nbar}")
@@ -129,10 +138,8 @@ def tmsv_ket(nbar, cutoff):
     c = math.sqrt(max(1 - lam * lam, 0.0)) * lam ** np.arange(d) if lam > 0 else np.eye(1, d, 0)[0]
     psi = np.zeros((d, d))
     psi[np.arange(d), np.arange(d)] = c
-    psi = psi.reshape(-1)
-    norm2 = float(psi @ psi)
-    deficit = 1.0 - norm2
-    return (psi / math.sqrt(norm2)).astype(complex), deficit
+    ket, deficit = _normalized(psi.reshape(-1))
+    return ket.astype(complex), deficit
 
 
 def fock_thermal(nbar, cutoff):
@@ -486,18 +493,10 @@ def fock_partial_trace(rho, dims, keep):
 
 
 def fock_entropy(rho, base="bits"):
-    """Von Neumann entropy by eigendecomposition; eigenvalues <= 1e-15 skipped.
-
-    A pure state can come out with an eigenvalue of 1 + 4e-16 and so a
-    slightly negative sum; the result is floored at 0.0 (never -0.0), and
-    any positive sum is returned unchanged.
-    """
-    if base not in ("bits", "nats"):
-        raise ValueError(f"log base must be 'bits' or 'nats', got {base!r}")
-    eigs = np.linalg.eigvalsh(rho)
-    eigs = eigs[eigs > 1e-15]
-    logs = np.log2(eigs) if base == "bits" else np.log(eigs)
-    return max(0.0, float(-(eigs * logs).sum()))
+    """Von Neumann entropy, `states.spectrum_entropy` of the `eigvalsh`
+    spectrum (eigenvalues <= 1e-15 skipped, the sum floored at 0.0)."""
+    _log(base)
+    return spectrum_entropy(np.linalg.eigvalsh(rho), base)
 
 
 @dataclass
@@ -570,15 +569,13 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
     Returns:
         OracleEntropy: entropy in `base` units plus the sweep record.
     """
+    _log(base)
     if cutoff < 7:
         raise ValueError(f"cutoff must be >= 7 to allow the convergence sweep, got {cutoff}")
     values = []
     for c in (cutoff, cutoff - 5):
         m, leak = _eve_average_state(constellation, params, c)
-        if leak > DEFICIT_LIMIT:
-            raise FockConvergenceError(
-                f"truncation leakage {leak:.3e} > {DEFICIT_LIMIT:.0e} at cutoff {c}"
-            )
+        _require_deficit(leak, f"the oracle state at cutoff {c}")
         values.append(fock_entropy(m.conj() @ m.T, base=base))
     result = OracleEntropy(
         value=values[0], value_check=values[1], cutoff=cutoff, check_cutoff=cutoff - 5

@@ -4,7 +4,8 @@ Everything here targets the small matrices (a handful of modes) that show
 up in phase-space models of optical circuits; nothing is tuned for scale.
 Construction-level checks run at 1e-10 and reconstruction-level checks at
 1e-9, one order of magnitude of slack over accumulated round-off at this
-matrix size.
+matrix size.  The `require_*` validators are the package's one copy of
+each matrix check.
 """
 
 from dataclasses import dataclass
@@ -19,11 +20,6 @@ __all__ = [
 
 ATOL_CONSTRUCT = 1e-10
 ATOL_RECONSTRUCT = 1e-9
-
-# Singular values closer than this (relative) are treated as one
-# degenerate block; true degeneracies agree to machine precision while
-# distinct values produced by generic circuits are far apart.
-DEGENERACY_RTOL = 1e-10
 
 
 def max_abs(m):
@@ -41,19 +37,36 @@ def unitarity_defect(m):
     return max_abs(m.conj().T @ m - np.eye(m.shape[0]))
 
 
-def require_unitary(m, name="matrix", atol=ATOL_CONSTRUCT):
-    defect = unitarity_defect(m)
-    if defect > atol:
+def _require_construct(defect, name, kind, residual):
+    if defect > ATOL_CONSTRUCT:
         raise ValueError(
-            f"{name} is not unitary: max |M^dag M - I| = {defect:.3e} > {atol:.0e}"
+            f"{name} is not {kind}: max |{residual}| = {defect:.3e} > {ATOL_CONSTRUCT:.0e}"
         )
 
 
-def require_symmetric(m, name="matrix", atol=ATOL_CONSTRUCT):
-    defect = max_abs(m - m.T)
-    if defect > atol:
+def require_unitary(m, name="matrix"):
+    _require_construct(unitarity_defect(m), name, "unitary", "M^dag M - I")
+
+
+def require_symmetric(m, name="matrix"):
+    _require_construct(max_abs(m - m.T), name, "symmetric", "M - M^T")
+
+
+def require_hermitian(m, name="matrix"):
+    _require_construct(max_abs(m - m.conj().T), name, "Hermitian", "M - M^dag")
+
+
+def require_bogoliubov(e, f):
+    """E F^T = F E^T and E E^dag = F F^dag + I, to `ATOL_RECONSTRUCT`."""
+    res_sym = max_abs(e @ f.T - f @ e.T)
+    if res_sym > ATOL_RECONSTRUCT:
         raise ValueError(
-            f"{name} is not symmetric: max |M - M^T| = {defect:.3e} > {atol:.0e}"
+            f"Bogoliubov constraint E F^T = F E^T violated: residual {res_sym:.3e}"
+        )
+    res_norm = max_abs(e @ e.conj().T - f @ f.conj().T - np.eye(e.shape[0]))
+    if res_norm > ATOL_RECONSTRUCT:
+        raise ValueError(
+            f"Bogoliubov constraint E E^dag = F F^dag + I violated: residual {res_norm:.3e}"
         )
 
 
@@ -137,20 +150,6 @@ class MatchedSVD:
             )
 
 
-def _check_bogoliubov_constraints(e, f, atol=ATOL_RECONSTRUCT):
-    n = e.shape[0]
-    res_sym = max_abs(e @ f.T - f @ e.T)
-    if res_sym > atol:
-        raise ValueError(
-            f"Bogoliubov constraint E F^T = F E^T violated: residual {res_sym:.3e}"
-        )
-    res_norm = max_abs(e @ e.conj().T - f @ f.conj().T - np.eye(n))
-    if res_norm > atol:
-        raise ValueError(
-            f"Bogoliubov constraint E E^dag = F F^dag + I violated: residual {res_norm:.3e}"
-        )
-
-
 def matched_svd(e, f):
     """SVD of a Bogoliubov pair (E, F) sharing the left unitary factor.
 
@@ -178,7 +177,7 @@ def matched_svd(e, f):
         raise ValueError(f"E and F must be square matrices of equal shape, got {e.shape} and {f.shape}")
     require_finite(e, "E")
     require_finite(f, "F")
-    _check_bogoliubov_constraints(e, f)
+    require_bogoliubov(e, f)
 
     evals, u = np.linalg.eigh(e @ e.conj().T)
     order = np.argsort(-evals, kind="stable")

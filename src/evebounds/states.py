@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import max_abs, require_finite
+from .linalg import max_abs, require_finite, require_symmetric
 
 __all__ = [
     "GaussianState",
@@ -27,6 +27,8 @@ __all__ = [
     "williamson_standard_two_mode",
     "entropy_from_cov",
     "thermal_entropy",
+    "symplectic_entropy",
+    "spectrum_entropy",
     "apply_symplectic",
     "partial_trace_modes",
     "average_covariance",
@@ -35,6 +37,9 @@ __all__ = [
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 PHYSICALITY_ATOL = 1e-9
+
+# Entropy units: bits (log2) or nats (natural log).
+LOG_BASES = ("bits", "nats")
 
 
 def omega(nmodes):
@@ -46,14 +51,12 @@ def omega(nmodes):
     return om
 
 
-def _check_symmetric(cov, atol_sym=1e-10):
+def _check_symmetric(cov):
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
         raise ValueError(f"covariance matrix must be square 2N x 2N, got {cov.shape}")
     require_finite(cov, "covariance matrix")
-    sym_defect = max_abs(cov - cov.T)
-    if sym_defect > atol_sym:
-        raise ValueError(f"covariance matrix not symmetric: residual {sym_defect:.3e}")
+    require_symmetric(cov, "covariance matrix")
     return cov
 
 
@@ -142,12 +145,16 @@ class StandardTwoModeCov:
             raise ValueError(f"unphysical standard form: symplectic eigenvalue {nu_min:.12g} below 1")
 
     def as_matrix(self):
-        m = np.zeros((4, 4))
-        m[:2, :2] = self.a * np.eye(2)
-        m[2:, 2:] = self.b * np.eye(2)
-        m[:2, 2:] = self.c * _Z
-        m[2:, :2] = self.c * _Z
-        return m
+        return _standard_block(self.a, self.b, self.c)
+
+
+def _standard_block(a, b, c):
+    """[[a I, c Z], [c Z, b I]]: a standard-form covariance, or with
+    (w1, w1, w2) the Williamson map."""
+    m = np.zeros((4, 4))
+    m[:2, :2], m[2:, 2:] = a * np.eye(2), b * np.eye(2)
+    m[:2, 2:] = m[2:, :2] = c * _Z
+    return m
 
 
 def make_tmsv(nbar):
@@ -248,12 +255,7 @@ def williamson_standard_two_mode(std):
         ValueError: if (a+b)^2 - 4c^2 <= 0.
     """
     w1, w2, nu1, nu2 = williamson_weights(std)
-    s = np.zeros((4, 4))
-    s[:2, :2] = w1 * np.eye(2)
-    s[2:, 2:] = w1 * np.eye(2)
-    s[:2, 2:] = w2 * _Z
-    s[2:, :2] = w2 * _Z
-    return SymplecticMap(s=s), nu1, nu2
+    return SymplecticMap(s=_standard_block(w1, w1, w2)), nu1, nu2
 
 
 def _two_mode_symplectic_spectrum(cov):
@@ -287,29 +289,45 @@ def _two_mode_symplectic_spectrum(cov):
     return math.sqrt(upper / 2), nu_minus
 
 
+def _log(base):
+    """The log of `base`; each entropy function calls this first, so a pure
+    state or an invalid input rejects a bad base too."""
+    if base not in LOG_BASES:
+        raise ValueError(f"log base must be 'bits' or 'nats', got {base!r}")
+    return np.log2 if base == "bits" else np.log
+
+
 def thermal_entropy(nbar, base="bits"):
     """g(nbar) = (nbar+1) log(nbar+1) - nbar log(nbar), the entropy of a
-    thermal state with mean photon number nbar; g(0) = 0.  `base` is
-    checked first, so a pure state rejects a bad base too."""
-    if base not in ("bits", "nats"):
-        raise ValueError(f"log base must be 'bits' or 'nats', got {base!r}")
+    thermal state with mean photon number nbar; g(0) = 0."""
+    log = _log(base)
     if nbar < 1e-12:
         return 0.0
-    log = np.log2 if base == "bits" else np.log
     return float((nbar + 1) * log(nbar + 1) - nbar * log(nbar))
 
 
-def entropy_from_cov(cov, base="bits"):
-    """Von Neumann entropy of the Gaussian state with covariance `cov`.
-
-    Sums g((nu_k - 1)/2) over the symplectic eigenvalues nu_k.
-
-    Args:
-        cov (array[float]): physical covariance matrix.
-        base (str): 'bits' (log2) or 'nats' (natural log).
-    """
-    nus = symplectic_eigenvalues(cov)
+def symplectic_entropy(nus, base="bits"):
+    """Sum of g((nu_k - 1)/2) over a symplectic spectrum, the entropy of its
+    Gaussian state; a nu_k below 1 by rounding counts as 1."""
+    _log(base)
     return sum(thermal_entropy(max(nu - 1.0, 0.0) / 2, base) for nu in nus)
+
+
+def spectrum_entropy(eigs, base="bits"):
+    """-sum lambda log lambda over a density or Gram spectrum, eigenvalues
+    <= 1e-15 skipped.  A pure state's eigenvalue can come out as 1 + 4e-16,
+    so the sum is floored at 0.0 (never -0.0); a positive sum is kept."""
+    log = _log(base)
+    eigs = eigs[eigs > 1e-15]
+    return max(0.0, float(-(eigs * log(eigs)).sum()))
+
+
+def entropy_from_cov(cov, base="bits"):
+    """Von Neumann entropy, in `base` units, of the Gaussian state with
+    physical covariance `cov`: `symplectic_entropy` of its
+    `symplectic_eigenvalues`."""
+    _log(base)
+    return symplectic_entropy(symplectic_eigenvalues(cov), base)
 
 
 def apply_symplectic(state, smap):

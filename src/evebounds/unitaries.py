@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import max_abs, require_finite
+from .linalg import require_bogoliubov, require_finite, require_hermitian, require_symmetric
 from .states import SymplecticMap
 
 __all__ = [
-    "FundamentalOp",
     "Displacement",
     "Rotation",
     "Squeezer",
@@ -32,12 +31,8 @@ __all__ = [
 ]
 
 
-class FundamentalOp:
-    """Base tag for the displacement / rotation / squeezer union."""
-
-
 @dataclass
-class Displacement(FundamentalOp):
+class Displacement:
     alpha: np.ndarray
 
     def __post_init__(self):
@@ -46,27 +41,23 @@ class Displacement(FundamentalOp):
 
 
 @dataclass
-class Rotation(FundamentalOp):
+class Rotation:
     phi: np.ndarray  # Hermitian generator, E = exp(i phi)
 
     def __post_init__(self):
         self.phi = np.atleast_2d(np.asarray(self.phi, dtype=complex))
         require_finite(self.phi, "rotation generator")
-        defect = max_abs(self.phi - self.phi.conj().T)
-        if defect > 1e-10:
-            raise ValueError(f"rotation generator not Hermitian: residual {defect:.3e}")
+        require_hermitian(self.phi, "rotation generator")
 
 
 @dataclass
-class Squeezer(FundamentalOp):
+class Squeezer:
     z: np.ndarray  # symmetric squeezing matrix, polar form z = r exp(i theta)
 
     def __post_init__(self):
         self.z = np.atleast_2d(np.asarray(self.z, dtype=complex))
         require_finite(self.z, "squeezing matrix")
-        defect = max_abs(self.z - self.z.T)
-        if defect > 1e-10:
-            raise ValueError(f"squeezing matrix not symmetric: residual {defect:.3e}")
+        require_symmetric(self.z, "squeezing matrix")
 
 
 @dataclass
@@ -89,27 +80,17 @@ class BogoliubovPair:
         n = self.e.shape[0]
         if self.e.shape != (n, n) or self.f.shape != (n, n) or self.alpha.size != n:
             raise ValueError("E, F must be N x N and alpha length N")
-        res = max_abs(self.e @ self.f.T - self.f @ self.e.T)
-        if res > 1e-9:
-            raise ValueError(f"constraint E F^T = F E^T violated: residual {res:.3e}")
-        res = max_abs(self.e @ self.e.conj().T - self.f @ self.f.conj().T - np.eye(n))
-        if res > 1e-9:
-            raise ValueError(f"constraint E E^dag = F F^dag + I violated: residual {res:.3e}")
+        require_bogoliubov(self.e, self.f)
 
     @property
     def nmodes(self):
         return self.e.shape[0]
 
 
-def _func_hermitian(h, func):
-    """func applied to a Hermitian matrix through its eigendecomposition."""
-    vals, vecs = np.linalg.eigh(h)
-    return vecs @ np.diag(func(vals)) @ vecs.conj().T
-
-
 def expm_i_hermitian(phi):
-    """exp(i phi) for Hermitian phi."""
-    return _func_hermitian(np.asarray(phi, dtype=complex), lambda v: np.exp(1j * v))
+    """exp(i phi) for Hermitian phi, through its eigendecomposition."""
+    vals, vecs = np.linalg.eigh(np.asarray(phi, dtype=complex))
+    return vecs @ np.diag(np.exp(1j * vals)) @ vecs.conj().T
 
 
 def _squeezer_arrays(z):

@@ -1,0 +1,125 @@
+"""The shared entropy kernels of `states` and the log-base rule at every
+entropy entry point."""
+
+import math
+
+import numpy as np
+import pytest
+
+from evebounds.bounds import bm_get_entropy, bm_gme_entropy, eb_qpsk_entropy, gram_entropy
+from evebounds.cloner import ChannelParams, qpsk
+from evebounds.fock import eve_exact_entropy, fock_entropy
+from evebounds.states import (
+    LOG_BASES,
+    entropy_from_cov,
+    spectrum_entropy,
+    symplectic_entropy,
+    thermal_entropy,
+)
+
+PURE = ChannelParams(tau=1.0, nbar=0.0)
+
+# name -> (call with a pure or trivial input, call with an input that the
+# function would reject or fail on after the base); each takes the base.
+ENTRY_POINTS = {
+    "thermal_entropy": (
+        lambda base: thermal_entropy(0.0, base),
+        lambda base: thermal_entropy("one", base),
+    ),
+    "symplectic_entropy": (
+        lambda base: symplectic_entropy([], base),
+        lambda base: symplectic_entropy(None, base),
+    ),
+    "spectrum_entropy": (
+        lambda base: spectrum_entropy(np.array([1.0]), base),
+        lambda base: spectrum_entropy(None, base),
+    ),
+    "entropy_from_cov": (
+        lambda base: entropy_from_cov(np.eye(2), base),
+        lambda base: entropy_from_cov(np.array([[1.0, 0.5], [0.0, 1.0]]), base),
+    ),
+    "gram_entropy": (
+        lambda base: gram_entropy(np.array([[1.0]]), base),
+        lambda base: gram_entropy(np.array([[0.5, 1.0], [0.0, 0.5]]), base),
+    ),
+    "bm_gme_entropy": (
+        lambda base: bm_gme_entropy(qpsk(1.0), PURE, base),
+        lambda base: bm_gme_entropy(None, PURE, base),
+    ),
+    "bm_get_entropy": (
+        lambda base: bm_get_entropy(qpsk(1.0), PURE, base),
+        lambda base: bm_get_entropy(None, PURE, base),
+    ),
+    "eb_qpsk_entropy": (
+        lambda base: eb_qpsk_entropy(1.0, PURE, base),
+        lambda base: eb_qpsk_entropy(-1.0, PURE, base),
+    ),
+    "fock_entropy": (
+        lambda base: fock_entropy(np.diag([1.0, 0.0]), base),
+        lambda base: fock_entropy(np.zeros((2, 3)), base),
+    ),
+    "eve_exact_entropy": (
+        lambda base: eve_exact_entropy(qpsk(1.0), PURE, base=base),
+        lambda base: eve_exact_entropy(qpsk(1.0), PURE, cutoff=3, base=base),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("base", [None, "bit", "log2", "BITS", 2])
+def test_bad_log_base_rejected_at_every_entry_point(name, base):
+    pure, _ = ENTRY_POINTS[name]
+    with pytest.raises(ValueError, match="log base must be 'bits' or 'nats'"):
+        pure(base)
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_log_base_checked_before_the_input(name):
+    _, invalid = ENTRY_POINTS[name]
+    with pytest.raises(ValueError, match="log base"):
+        invalid("foo")
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("base", LOG_BASES)
+def test_pure_inputs_accept_both_bases(name, base):
+    pure, _ = ENTRY_POINTS[name]
+    value = pure(base)
+    value = getattr(value, "value", value)  # the oracle returns a record
+    assert math.isfinite(value)
+
+
+class TestSymplecticEntropy:
+    def test_sums_thermal_entropies(self):
+        nus = [1.0, 3.0, 7.5]
+        want = sum(thermal_entropy((nu - 1) / 2) for nu in nus)
+        assert symplectic_entropy(nus) == want
+
+    def test_eigenvalues_below_one_count_as_vacuum(self):
+        assert symplectic_entropy([1 - 1e-12, 1.0]) == 0.0
+
+    def test_nats_are_bits_times_ln2(self):
+        nus = [2.0, 5.0]
+        assert symplectic_entropy(nus, "nats") == pytest.approx(
+            symplectic_entropy(nus, "bits") * math.log(2), rel=1e-14
+        )
+
+
+class TestSpectrumEntropy:
+    def test_uniform_spectrum(self):
+        assert spectrum_entropy(np.full(4, 0.25)) == pytest.approx(2.0, rel=1e-15)
+        assert spectrum_entropy(np.full(4, 0.25), "nats") == pytest.approx(math.log(4), rel=1e-15)
+
+    def test_tiny_and_negative_eigenvalues_skipped(self):
+        assert spectrum_entropy(np.array([0.5, 0.5, 1e-16, -1e-12])) == pytest.approx(1.0, rel=1e-15)
+
+    def test_pure_overshoot_floors_at_positive_zero(self):
+        value = spectrum_entropy(np.array([1.0 + 4e-16]))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_fock_and_gram_entropies_share_it(self):
+        rho = np.diag([0.7, 0.2, 0.1])
+        want = spectrum_entropy(np.linalg.eigvalsh(rho))
+        assert fock_entropy(rho) == want
+        # gram_entropy renormalizes the spectrum first.
+        assert gram_entropy(rho) == pytest.approx(want, rel=1e-14)

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from evebounds import fock
+from evebounds.cli import ScanConfig, run_scan
 from evebounds.cloner import ChannelParams, Constellation, qpsk
 from evebounds.states import entropy_from_cov
 from reference import (
@@ -513,3 +515,41 @@ class TestPurificationCrossMoment:
             fock.eb_z4(-1.0)
         with pytest.raises(ValueError):
             fock.eb_z4(0.0)
+
+
+class TestUnderflowingKets:
+    """Kets whose truncated coefficients all underflow come back finite with
+    deficit 1, so the oracle's leakage gate rejects them without a numpy
+    float warning."""
+
+    @pytest.mark.parametrize("alpha", [30.0, 38.0, 40.0, 1e3, 40j])
+    def test_coherent_ket_finite(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ket, deficit = fock.coherent_ket(alpha, 18)
+        assert np.all(np.isfinite(ket))
+        assert deficit == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("nbar", [1e17, 1e18, 1e300])
+    def test_tmsv_ket_finite(self, nbar):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ket, deficit = fock.tmsv_ket(nbar, 18)
+        assert np.all(np.isfinite(ket))
+        assert deficit == 1.0
+        with pytest.raises(fock.FockConvergenceError):
+            fock.fock_tmsv(nbar, 18)
+
+    def test_oracle_row_at_large_amplitude_warns_nothing(self):
+        cfg = ScanConfig(tau_min=0.5, tau_max=0.5, tau_steps=1, nbars=[0.01], alpha=40.0,
+                         methods=["oracle"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (row,) = run_scan(cfg)
+        assert row == "0.5,0.01,40,oracle,-,,bits,not-converged"
+
+    def test_oracle_at_huge_nbar_is_not_converged(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fock.FockConvergenceError, match="leakage"):
+                fock.eve_exact_entropy(qpsk(1.0), ChannelParams(tau=0.5, nbar=1e18))

@@ -1,11 +1,16 @@
-"""Committed golden output: the default scan must not change by a byte, and
-a small oracle scan must keep its values and statuses."""
+"""Committed golden output: the default scan must not change by a byte, a
+small oracle scan must keep its values and statuses, and the library calls
+must keep the benchmark's point-query values."""
 
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
+from evebounds.bounds import bm_get_entropy, bm_gme_entropy, eb_qpsk_entropy
 from evebounds.cli import ScanConfig, run_scan, write_csv
+from evebounds.cloner import ChannelParams, qpsk
 
 # SHA-256 of the default 300-row scan (README reference settings).
 REFERENCE_SCAN_SHA256 = "d4d84f5ee0f506c4f21ac7a7bb84dd38dae93861a50891edc64be258b74f31dc"
@@ -43,3 +48,28 @@ def test_oracle_scan_matches_golden(want):
         assert got[5] == ""
     else:
         assert float(got[5]) == pytest.approx(float(exp[5]), rel=ORACLE_RTOL, abs=0)
+
+
+POINT_GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden" / "point-queries.json"
+# The benchmark's rule for the point golden: |got - want| <= 1e-9 max(1, |want|).
+POINT_TOL = 1e-9
+
+
+def test_library_values_match_point_golden():
+    """bm-gme, bm-get and eb at the benchmark's 200 seeded points, read-only
+    from its golden file: [tau, nbar, alpha, bm-gme, bm-get, eb] each."""
+    points = json.loads(POINT_GOLDEN.read_text(encoding="utf-8"))["points"]
+    assert len(points) == 200
+    taus, nbars = {p[0] for p in points}, {p[1] for p in points}
+    assert {0.0, 1.0} <= taus and 0.0 in nbars  # the endpoints are covered
+    misses = []
+    for tau, nbar, alpha, *want in points:
+        params, constellation = ChannelParams(tau=tau, nbar=nbar), qpsk(alpha)
+        got = (
+            bm_gme_entropy(constellation, params),
+            bm_get_entropy(constellation, params),
+            eb_qpsk_entropy(alpha, params),
+        )
+        if any(abs(g - w) > POINT_TOL * max(1.0, abs(w)) for g, w in zip(got, want)):
+            misses.append((tau, nbar, alpha, got, want))
+    assert misses == []

@@ -3,12 +3,15 @@ import pytest
 
 from evebounds import blochmessiah, linalg
 from evebounds.blochmessiah import _hermitian_phase
+from evebounds.bounds import gram_entropy
 from evebounds.linalg import (
     _unitary_eig,
     matched_svd,
     principal_sqrt,
     unitarity_defect,
 )
+from evebounds.states import GaussianState
+from evebounds.unitaries import BogoliubovPair, Rotation, Squeezer
 from reference import unitary_eig_schur
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -209,3 +212,51 @@ class TestMatchedSVD:
             matched_svd(np.eye(2, dtype=complex), np.array([[0, 1], [0, 0]], dtype=complex))
         with pytest.raises(ValueError, match=r"E E\^dag = F F\^dag \+ I"):
             matched_svd(2 * np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex))
+
+
+class TestSharedValidators:
+    """The `require_*` validators are the one copy of each matrix check; the
+    constructors that need a check report through them."""
+
+    def test_hermitian(self):
+        linalg.require_hermitian(np.array([[1.0, 2j], [-2j, 3.0]]))
+        with pytest.raises(ValueError, match=r"M is not Hermitian: max \|M - M\^dag\| = 2\.000e-10"):
+            linalg.require_hermitian(np.array([[0.0, 2e-10], [0.0, 0.0]]), "M")
+        linalg.require_hermitian(np.array([[0.0, 1e-10], [0.0, 0.0]]))  # at the tolerance
+
+    def test_symmetric(self):
+        linalg.require_symmetric(np.array([[1.0, 2j], [2j, 3.0]]))
+        with pytest.raises(ValueError, match=r"M is not symmetric: max \|M - M\^T\| = 2\.000e-10"):
+            linalg.require_symmetric(np.array([[0.0, 2e-10], [0.0, 0.0]]), "M")
+
+    def test_bogoliubov_tolerance(self):
+        linalg.require_bogoliubov(np.eye(2), np.zeros((2, 2)))
+        near = np.diag([1.0 + 4e-10, 1.0])  # E E^dag - I off by 8e-10
+        linalg.require_bogoliubov(near, np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"E E\^dag = F F\^dag \+ I"):
+            linalg.require_bogoliubov(np.diag([1.0 + 6e-10, 1.0]), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "e, f",
+        [
+            (np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])),
+            (2 * np.eye(2), np.zeros((2, 2))),
+        ],
+    )
+    def test_pair_and_matched_svd_report_alike(self, e, f):
+        with pytest.raises(ValueError) as from_pair:
+            BogoliubovPair(e=e, f=f)
+        with pytest.raises(ValueError) as from_svd:
+            matched_svd(e.astype(complex), f.astype(complex))
+        assert str(from_pair.value) == str(from_svd.value)
+
+    def test_constructors_use_them(self):
+        skew = np.array([[0.0, 1e-3], [0.0, 0.0]])
+        for build, word in [
+            (lambda: Rotation(skew), "rotation generator is not Hermitian"),
+            (lambda: Squeezer(skew), "squeezing matrix is not symmetric"),
+            (lambda: gram_entropy(skew + np.diag([0.5, 0.5])), "Gram matrix is not Hermitian"),
+            (lambda: GaussianState(np.zeros(2), np.eye(2) + skew), "covariance matrix is not symmetric"),
+        ]:
+            with pytest.raises(ValueError, match=word):
+                build()
