@@ -40,6 +40,7 @@ from .cloner import (
     initial_covariance,
     bs_symplectic,
     eve_reduced_covariance,
+    eve_thermal_weights,
     displaced_thermal_ensemble,
     eve_average_covariance,
 )

@@ -59,20 +59,27 @@ def gram_matrix(ensemble):
     """Gram matrix of a displaced-thermal ensemble.
 
     Entries sqrt(p_m p_n) <psi_m|psi_n>, with the complex coherent-state
-    overlap <a|b> = exp(-(|a|^2 + |b|^2)/2 + conj(a) b) taken per mode and
+    overlap <a|b> = exp(-|b - a|^2 / 2 + i Im(conj(a) b)) taken per mode and
     multiplied over the modes.  Exact whenever the thermal photon numbers
     vanish; for mixed ensembles it deliberately drops the thermal
     covariance, keeping the overlap phases (its entropy provably stays
     below the Gaussian-extremality bound because the true average state is
     the pure surrogate convolved with thermal noise).
 
+    The modulus is taken from |b - a|^2, not |a|^2 + |b|^2 - 2 Re(conj(a) b),
+    which cancels for large amplitudes, and the phase as 0.5 (X - X^T) with
+    X = Re a Im b - Im a Re b summed over the modes, antisymmetric by
+    construction; so the matrix is Hermitian with a unit-modulus diagonal
+    at any amplitude.
+
     Returns the K x K complex array unchecked; `gram_entropy` checks it.
     """
     amps = ensemble.mode_amplitudes()
     root_p = np.sqrt(ensemble.probs)
     a, b = amps[:, None, :], amps[None, :, :]
-    overlap = np.prod(np.exp(-0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2) + np.conj(a) * b), axis=2)
-    return root_p[:, None] * root_p[None, :] * overlap
+    sq = (np.abs(b - a) ** 2).sum(axis=2)
+    x = (a.real * b.imag - a.imag * b.real).sum(axis=2)
+    return root_p[:, None] * root_p[None, :] * np.exp(-0.5 * sq + 0.5j * (x - x.T))
 
 
 def gram_entropy(matrix, base="bits"):

@@ -30,6 +30,7 @@ from .cloner import (
     displaced_thermal_ensemble,
     eve_average_covariance,
     eve_reduced_covariance,
+    eve_thermal_weights,
     initial_covariance,
     qpsk,
 )
@@ -143,12 +144,16 @@ def check_williamson_grid():
     worst = 0.0
     for tau in np.linspace(0.05, 0.95, 10):
         for nbar in (0.01, 0.02, 0.1):
-            std = eve_reduced_covariance(ChannelParams(tau=tau, nbar=nbar))
+            params = ChannelParams(tau=tau, nbar=nbar)
+            std = eve_reduced_covariance(params)
             smap, nu1, nu2 = williamson_standard_two_mode(std)
             rebuilt = smap.s @ np.diag([nu2, nu2, nu1, nu1]) @ smap.s.T
             worst = _worst(worst, max_abs(rebuilt - std.as_matrix()))
             w1, w2 = smap.s[0, 0], smap.s[0, 2]
             worst = _worst(worst, abs(w1 * w1 - w2 * w2 - 1))
+            closed_w1, closed_w2, nu1p = eve_thermal_weights(params)
+            worst = _worst(worst, abs(closed_w1 - w1), abs(closed_w2 - w2),
+                           abs(nu1p - (nu1 - 1) / 2), abs(nu2 - 1))
     return CheckResult("williamson-grid", worst, 1e-9)
 
 

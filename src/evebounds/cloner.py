@@ -20,7 +20,6 @@ from .states import (
     SymplecticMap,
     average_covariance,
     make_tmsv,
-    williamson_weights,
 )
 
 __all__ = [
@@ -31,6 +30,7 @@ __all__ = [
     "initial_covariance",
     "bs_symplectic",
     "eve_reduced_covariance",
+    "eve_thermal_weights",
     "displaced_thermal_ensemble",
     "eve_average_covariance",
 ]
@@ -88,35 +88,33 @@ def qpsk(alpha):
 class DisplacedThermalEnsemble:
     """Equal-covariance displaced two-mode thermal ensemble.
 
-    nu1p and nu2p are the thermal photon numbers (nu1 - 1)/2 and
-    (nu2 - 1)/2 of the eavesdropper covariance's symplectic eigenvalues.
-    Mode 1 (the beam-splitter output she keeps, which carries the large
-    displacement -w1 r alpha_i) is thermal with nu2p; mode 2 (the retained
-    squeezed-vacuum arm, displaced by w2 r conj(alpha_i)) is thermal with
-    nu1p.  That pairing is the one whose transformed moments match the
-    Fock-space reference.
+    nu1p is the thermal photon number (nu1 - 1)/2 of the larger symplectic
+    eigenvalue of the eavesdropper covariance.  The other eigenvalue is 1,
+    so mode 1 (the beam-splitter output she keeps, which carries the large
+    displacement -w1 r alpha_i) is pure by construction, and mode 2 (the
+    retained squeezed-vacuum arm, displaced by w2 r conj(alpha_i)) is
+    thermal with nu1p.  That pairing is the one whose transformed moments
+    match the Fock-space reference.
     """
 
     nu1p: float
-    nu2p: float
     means: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "means", np.atleast_2d(np.asarray(self.means, dtype=float)))
         object.__setattr__(self, "probs", np.atleast_1d(np.asarray(self.probs, dtype=float)))
-        if self.nu1p < -1e-12 or self.nu2p < -1e-12:
-            raise ValueError("thermal photon numbers must be >= 0")
+        if self.nu1p < -1e-12:
+            raise ValueError("thermal photon number must be >= 0")
         if not np.all(np.isfinite(self.means)):
             raise ValueError("ensemble means must be finite")
         if self.means.shape != (self.probs.size, 4):
             raise ValueError("means must be K x 4 for a two-mode ensemble")
 
     def common_covariance(self):
-        """Shared covariance diag(nu2, nu2, nu1, nu1) of the ensemble."""
+        """Shared covariance diag(1, 1, nu1, nu1) of the ensemble."""
         nu1 = 2 * max(self.nu1p, 0.0) + 1
-        nu2 = 2 * max(self.nu2p, 0.0) + 1
-        return np.diag([nu2, nu2, nu1, nu1])
+        return np.diag([1.0, 1.0, nu1, nu1])
 
     def average_covariance(self):
         """4x4 covariance of the ensemble's average state: the common
@@ -166,6 +164,25 @@ def eve_reduced_covariance(params):
     )
 
 
+def eve_thermal_weights(params):
+    """(w1, w2, nu1p) of the eavesdropper's covariance in closed form: the
+    entries of its thermal decomposition S = [[w1 I, w2 Z], [w2 Z, w1 I]]
+    and the thermal photon number of its larger symplectic eigenvalue.
+
+    The cloner's global state is pure and the receiver holds one mode, so
+    her symplectic spectrum is {1 + 2 (1 - tau) nbar, 1}.  With
+    s = 1 + (1 - tau) nbar, w1^2 = (1 + nbar) / s, w2^2 = tau nbar / s and
+    nu1p = (1 - tau) nbar.  None of these cancels, whereas the general
+    `states.williamson_weights` of `eve_reduced_covariance` takes nu2 as a
+    difference of numbers near 2 nbar: at (tau, nbar) = (0.4, 1e6) it gives
+    0.99999999977.  `checks.check_williamson_grid` compares the two.
+    """
+    s = 1 + (1 - params.tau) * params.nbar
+    w1 = math.sqrt((1 + params.nbar) / s)
+    w2 = math.sqrt(params.tau * params.nbar / s)
+    return w1, w2, (1 - params.tau) * params.nbar
+
+
 def displaced_thermal_ensemble(constellation, params):
     """Reduce the eavesdropper's conditional states to displaced thermals.
 
@@ -176,23 +193,18 @@ def displaced_thermal_ensemble(constellation, params):
     (-w1 r alpha_i, w2 r conj(alpha_i)) on a pair of thermal modes, an
     ensemble with the same entropy as her true average state.  The
     displacement is taken in that closed form from the entries w1, w2 of S
-    (`williamson_weights`), so no `SymplecticMap` is built or re-validated;
-    `checks.check_williamson_grid` verifies the map and
+    (`eve_thermal_weights`), so no `SymplecticMap` is built or
+    re-validated; `checks.check_williamson_grid` verifies the map and
     `checks.check_eca_pipeline` rebuilds the displacement through the
     circuit.
     """
-    w1, w2, nu1, nu2 = williamson_weights(eve_reduced_covariance(params))
+    w1, w2, nu1p = eve_thermal_weights(params)
     amps = constellation.amplitudes
     beta = np.stack([-w1 * params.r * amps, w2 * params.r * np.conj(amps)], axis=1)
     means = np.empty((amps.size, 4))
     means[:, 0::2] = 2 * beta.real
     means[:, 1::2] = 2 * beta.imag
-    return DisplacedThermalEnsemble(
-        nu1p=(nu1 - 1) / 2,
-        nu2p=(nu2 - 1) / 2,
-        means=means,
-        probs=constellation.probs.copy(),
-    )
+    return DisplacedThermalEnsemble(nu1p=nu1p, means=means, probs=constellation.probs.copy())
 
 
 def eve_average_covariance(constellation, params):

@@ -26,7 +26,16 @@ lies in one sector and each output amplitude is a single product, which
 `_eve_average_state` scatters for all amplitudes at once.  The
 eavesdropper's entropy is taken from pure-state amplitudes: her average
 state rho = M^T conj(M) has the same nonzero spectrum as the much smaller
-Gram matrix conj(M) M^T, so rho itself is never formed.
+Gram matrix conj(M) M^T, so rho itself is never formed.  The oracle also
+uses the constellation's rotation symmetry: when rotating every amplitude
+by 2 pi / K lands on an amplitude of the same probability (to 1e-12 of
+max(1, max |alpha|), `SYMMETRY_RTOL`), `_rotation_orbits` keeps one
+amplitude per orbit, weighted by K p.  Rotating the input rotates her
+state by W = exp(2 pi i (n_C' - n_E) / K), so the orbit average is the
+representative's state pinched onto the eigenspaces of W, and the entropy
+is the sum over the K classes (c' - e) mod K of her (c', e) index of the
+entropies of their Gram blocks.  For QPSK at cutoff 18 that is four
+19 x 19 blocks in place of one 76 x 76 Gram matrix.
 
 The `--check` switching-rule probes exponentiate two of their three
 generator kinds from exact structure on the truncated space.  The two
@@ -58,6 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .cloner import Constellation
 from .states import _log, spectrum_entropy
 
 __all__ = [
@@ -552,14 +562,80 @@ def _eve_average_state(constellation, params, cutoff):
     return out.reshape(-1, d * d), worst_leak
 
 
+# `_rotation_orbits` pairs an amplitude's rotated image with an amplitude
+# that lies within this of it, relative to max(1, max |alpha|).
+SYMMETRY_RTOL = 1e-12
+
+
+def _rotation_orbits(constellation):
+    """(K, representatives): the rotation order of a constellation and one
+    amplitude per orbit.
+
+    K is the largest divisor of the number of amplitudes such that rotating
+    every amplitude by 2 pi / K lands, within `SYMMETRY_RTOL`
+    max(1, max |alpha|), on an amplitude of exactly the same probability,
+    with every orbit of that rotation K amplitudes long (an amplitude at
+    the origin is its own image, so it leaves K = 1).  The representatives
+    are the lowest-indexed amplitude of each orbit, weighted by K p, as a
+    `Constellation`.  With K = 1 it is the constellation itself.
+    """
+    amps, probs = constellation.amplitudes, constellation.probs
+    n = amps.size
+    tol = SYMMETRY_RTOL * max(1.0, float(np.abs(amps).max()))
+    for order in range(n, 1, -1):
+        if n % order:
+            continue
+        dist = np.abs(amps[:, None] * np.exp(2j * math.pi / order) - amps)
+        image = dist.argmin(axis=1)
+        if dist[np.arange(n), image].max() > tol or not np.array_equal(probs[image], probs):
+            continue
+        # walk[j] is the index of each amplitude's j-th image.  If the K-th
+        # image is the amplitude itself, `image` is a permutation whose
+        # cycles divide K, and there are n / K of them only if each has K
+        # members; each cycle is represented by its lowest index.
+        walk = [np.arange(n)]
+        for _ in range(order):
+            walk.append(image[walk[-1]])
+        reps = np.flatnonzero(np.min(walk[:-1], axis=0) == walk[0])
+        if np.array_equal(walk[-1], walk[0]) and reps.size * order == n:
+            return order, Constellation(amplitudes=amps[reps], probs=order * probs[reps])
+    return 1, constellation
+
+
+def _eve_entropy(representatives, order, params, cutoff, base):
+    """Eavesdropper entropy at one cutoff from the orbit representatives of
+    `_rotation_orbits`: the sum, over the `order` classes
+    q = (c' - e) mod K of her (c', e) index, of `fock_entropy` of the Gram
+    block conj(M_q) M_q^T, with M_q the class-q columns of the
+    representatives' `_eve_average_state` factor."""
+    m, leak = _eve_average_state(representatives, params, cutoff)
+    _require_deficit(leak, f"the oracle state at cutoff {cutoff}")
+    d = cutoff + 1
+    classes = np.subtract.outer(np.arange(d), np.arange(d)).reshape(-1) % order
+    blocks = (m[:, classes == q] for q in range(order))
+    return sum(fock_entropy(block.conj() @ block.T, base=base) for block in blocks)
+
+
 def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
     """Exact average-state entropy of the eavesdropper in a truncated Fock
     space.
 
     The state of the eavesdropper's two modes is rho = M^T conj(M), with M
     the K*d x d^2 factor of `_eve_average_state` (K amplitudes, d = cutoff+1
-    levels).  Its entropy is taken from the K*d x K*d Gram side conj(M) M^T,
-    which has the same nonzero spectrum.
+    levels).  Its entropy is taken from the Gram side conj(M) M^T, which
+    has the same nonzero spectrum, reduced by the constellation's rotation
+    symmetry (`_rotation_orbits`, amplitudes paired within
+    `SYMMETRY_RTOL` = 1e-12 relative to max(1, max |alpha|)).  Rotating an
+    amplitude by 2 pi / K turns the eavesdropper's state into
+    W rho W^dag, W = exp(2 pi i (n_C' - n_E) / K), so averaging over an orbit
+    of K amplitudes pinches a representative's state onto the eigenspaces
+    of W: the classes q = (c' - e) mod K of her (c', e) index.  The entropy
+    of that block-diagonal state is the sum of its blocks' entropies, each
+    taken from the Gram block of the representatives alone, weighted by
+    K p.  For QPSK (K = 4) that is four d x d blocks, 19 x 19 at cutoff 18,
+    instead of one 76 x 76; with no symmetry (K = 1) it is the single
+    K*d x K*d Gram.  The leakage is taken from the representatives, which
+    is exact because a rotation keeps photon numbers.
 
     The same entropy is recomputed at cutoff-5; the run only counts as
     converged if the two values agree within 1e-4 (and truncation leakage
@@ -572,13 +648,12 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
     _log(base)
     if cutoff < 7:
         raise ValueError(f"cutoff must be >= 7 to allow the convergence sweep, got {cutoff}")
-    values = []
-    for c in (cutoff, cutoff - 5):
-        m, leak = _eve_average_state(constellation, params, c)
-        _require_deficit(leak, f"the oracle state at cutoff {c}")
-        values.append(fock_entropy(m.conj() @ m.T, base=base))
+    order, representatives = _rotation_orbits(constellation)
+    value, value_check = (
+        _eve_entropy(representatives, order, params, c, base) for c in (cutoff, cutoff - 5)
+    )
     result = OracleEntropy(
-        value=values[0], value_check=values[1], cutoff=cutoff, check_cutoff=cutoff - 5
+        value=value, value_check=value_check, cutoff=cutoff, check_cutoff=cutoff - 5
     )
     if result.drift >= 1e-4:
         raise FockConvergenceError(

@@ -224,18 +224,20 @@ def williamson_weights(std):
     """Entries (w1, w2, nu1, nu2) of the thermal decomposition of a
     standard-form two-mode covariance, without building the map.
 
-    w_{1,2} = sqrt((a+b) / (2 sqrt((a+b)^2 - 4 c^2)) +/- 1/2), so
-    w1^2 - w2^2 = 1; w2 carries the sign of c.  nu1, nu2 come from
+    w_{1,2} = sqrt((a+b) / (2 root) +/- 1/2) with root = sqrt((a+b)^2 - 4 c^2),
+    so w1^2 - w2^2 = 1; w2 carries the sign of c.  w2^2 is taken as
+    2 c^2 / (root (a + b + root)), which equals (a + b - root) / (2 root)
+    without its cancellation when c is small.  nu1, nu2 come from
     `standard_symplectic_spectrum`.
 
     Raises:
         ValueError: if (a+b)^2 - 4c^2 <= 0.
     """
     nu1, nu2 = standard_symplectic_spectrum(std)
-    ratio = (std.a + std.b) / (2 * math.sqrt((std.a + std.b) ** 2 - 4 * std.c**2))
-    w1 = math.sqrt(ratio + 0.5)
-    w2 = math.sqrt(max(ratio - 0.5, 0.0))
-    w2 = math.copysign(w2, std.c) if std.c != 0 else 0.0
+    total = std.a + std.b
+    root = math.sqrt(total**2 - 4 * std.c**2)
+    w1 = math.sqrt(total / (2 * root) + 0.5)
+    w2 = math.copysign(math.sqrt(2 * std.c**2 / (root * (total + root))), std.c)
     return w1, w2, nu1, nu2
 
 

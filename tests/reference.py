@@ -5,7 +5,8 @@ exponentials (scipy's `expm_multiply` and a dense `eigh`) that the
 structured and Chebyshev exponentials of `evebounds.fock` are checked
 against, the scipy Schur form that `evebounds.linalg._unitary_eig` is
 checked against, and the per-operation and per-amplitude forms of two
-`evebounds.checks` helpers."""
+`evebounds.checks` helpers, and the oracle's entropy from the single Gram
+matrix of all amplitudes, with no rotation-symmetry reduction."""
 
 from functools import lru_cache
 
@@ -17,7 +18,13 @@ from scipy.sparse.linalg import expm_multiply
 from evebounds.blochmessiah import bloch_messiah, factors_to_circuit
 from evebounds.checks import _switched_displacement
 from evebounds.cloner import eve_reduced_covariance
-from evebounds.fock import _bs_angle, _ladder_terms
+from evebounds.fock import (
+    _bs_angle,
+    _eve_average_state,
+    _ladder_terms,
+    _require_deficit,
+    fock_entropy,
+)
 from evebounds.linalg import max_abs
 from evebounds.states import GaussianState, williamson_standard_two_mode
 from evebounds.unitaries import (
@@ -242,3 +249,13 @@ def bloch_messiah_amplitudes_loop(constellation, params):
     circuit = factors_to_circuit(bloch_messiah(from_symplectic(smap)))
     return np.array([_switched_displacement(circuit, np.array([-params.r * amp, 0.0]))
                      for amp in constellation.amplitudes])
+
+
+def full_gram_oracle_entropy(constellation, params, cutoff, base="bits"):
+    """The oracle's entropy at one cutoff from the single K d x K d Gram
+    matrix conj(M) M^T of all K amplitudes' `_eve_average_state` factor,
+    the reference for the rotation-class blocks of
+    `evebounds.fock.eve_exact_entropy`."""
+    m, leak = _eve_average_state(constellation, params, cutoff)
+    _require_deficit(leak, f"the oracle state at cutoff {cutoff}")
+    return fock_entropy(m.conj() @ m.T, base=base)

@@ -94,6 +94,17 @@ class TestGramMatrix:
         gm = gram_matrix(ens)
         assert np.max(np.abs(gm - expected)) < 1e-14
 
+    @pytest.mark.parametrize("alpha", [5000.0, 1e4])
+    def test_hermitian_at_large_amplitude(self, alpha):
+        # the overlaps' phases are antisymmetric by construction, so the
+        # matrix stays Hermitian where exp(-(|a|^2 + |b|^2)/2 + conj(a) b)
+        # broke the 1e-10 check (2.055e-10 at alpha = 5000)
+        gm = gram_matrix(displaced_thermal_ensemble(qpsk(alpha), ChannelParams(tau=0.5, nbar=0.0)))
+        assert np.array_equal(gm, gm.conj().T)
+        assert bm_gme_entropy(qpsk(alpha), ChannelParams(tau=0.5, nbar=0.0)) == pytest.approx(
+            2.0, abs=1e-12
+        )
+
     def test_validation(self):
         with pytest.raises(ValueError, match="Hermitian"):
             gram_entropy(np.array([[0.5, 0.5], [0.0, 0.5]]))
@@ -152,6 +163,16 @@ class TestGramEntropyBound:
         for tau in np.linspace(0.05, 0.95, 10):
             params = ChannelParams(tau=tau, nbar=nbar)
             assert bm_gme_entropy(c, params) <= bm_get_entropy(c, params) + 1e-9
+
+    def test_large_nbar_finite_and_ordered(self):
+        # nbar = 1e6: the eavesdropper's second symplectic eigenvalue is 1
+        # exactly, where the cancelling Williamson form gave 0.99999999977
+        # and both estimators raised
+        params = ChannelParams(tau=0.4, nbar=1e6)
+        get = bm_get_entropy(qpsk(1.0), params)
+        gme = bm_gme_entropy(qpsk(1.0), params)
+        assert math.isfinite(get) and math.isfinite(gme)
+        assert gme <= get <= eb_qpsk_entropy(1.0, params)
 
     def test_pure_exact_below_oracle(self):
         # dropping the thermal covariance can only lower the entropy

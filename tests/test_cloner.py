@@ -12,6 +12,7 @@ from evebounds.cloner import (
     displaced_thermal_ensemble,
     eve_average_covariance,
     eve_reduced_covariance,
+    eve_thermal_weights,
     initial_covariance,
     qpsk,
 )
@@ -24,6 +25,7 @@ from evebounds.states import (
     omega,
     partial_trace_modes,
     williamson_standard_two_mode,
+    williamson_weights,
 )
 from reference import eve_conditional_mean, fock_moments
 
@@ -152,12 +154,10 @@ class TestDisplacedThermalEnsemble:
         ens = displaced_thermal_ensemble(qpsk(1.0), ChannelParams(tau=1.0, nbar=0.05))
         assert np.allclose(ens.means, 0.0, atol=1e-12)
         assert ens.nu1p == pytest.approx(0.0, abs=1e-12)
-        assert ens.nu2p == pytest.approx(0.0, abs=1e-12)
 
     def test_worked_point(self):
         ens = displaced_thermal_ensemble(qpsk(1.0), ChannelParams(tau=0.5, nbar=0.01))
         assert ens.nu1p == pytest.approx(0.005, abs=1e-12)
-        assert ens.nu2p == pytest.approx(0.0, abs=1e-12)
         amps = ens.mode_amplitudes()
         assert np.allclose(np.abs(amps[:, 0]), 0.70886, atol=1e-5)
         assert np.allclose(np.abs(amps[:, 1]), 0.04987, atol=1e-5)
@@ -189,6 +189,27 @@ class TestDisplacedThermalEnsemble:
         ens = displaced_thermal_ensemble(qpsk(1.0), p)
         for amp, mean in zip(qpsk(1.0).amplitudes, ens.means):
             assert np.allclose(smap.s @ mean, eve_conditional_mean(amp, p), atol=1e-10)
+
+
+class TestThermalWeights:
+    def test_closed_form_matches_williamson_weights(self):
+        rng = np.random.default_rng(11)
+        for tau, nbar in zip(rng.uniform(0, 1, 2000), rng.uniform(0, 5, 2000)):
+            p = ChannelParams(tau=tau, nbar=nbar)
+            w1, w2, nu1p = eve_thermal_weights(p)
+            ref_w1, ref_w2, nu1, nu2 = williamson_weights(eve_reduced_covariance(p))
+            assert abs(w1 - ref_w1) < 1e-13 and abs(w2 - ref_w2) < 1e-13
+            assert abs(nu1p - (nu1 - 1) / 2) < 1e-13 and abs(nu2 - 1) < 1e-13
+
+    @pytest.mark.parametrize("tau", [0.0, 0.4, 1.0])
+    def test_exact_at_large_nbar(self, tau):
+        # w1^2 - w2^2 = 1 and nu1p = (1 - tau) nbar hold where the
+        # standard form itself no longer passes its physicality check
+        w1, w2, nu1p = eve_thermal_weights(ChannelParams(tau=tau, nbar=1e6))
+        assert w1 * w1 - w2 * w2 == pytest.approx(1.0, abs=1e-9)
+        assert nu1p == (1 - tau) * 1e6
+        ens = displaced_thermal_ensemble(qpsk(1.0), ChannelParams(tau=tau, nbar=1e6))
+        assert ens.nu1p == nu1p
 
 
 class TestAverageCovariance:

@@ -15,6 +15,7 @@ from reference import (
     fock_hs_product,
     fock_moments,
     fock_unitary,
+    full_gram_oracle_entropy,
     ladder_matrix,
     make_thermal,
     rotation_generator,
@@ -384,6 +385,77 @@ class TestEveExact:
     def test_cutoff_floor(self):
         with pytest.raises(ValueError, match="cutoff"):
             fock.eve_exact_entropy(qpsk(1.0), ChannelParams(tau=0.5, nbar=0.01), cutoff=5)
+
+
+def _ring(radius, order, offset=0.0):
+    return radius * np.exp(1j * (2 * np.pi * np.arange(order) / order + offset))
+
+
+# (constellation, rotation order K, number of orbit representatives)
+SYMMETRY_CASES = {
+    "qpsk": (qpsk(0.9), 4, 1),
+    "bpsk": (Constellation(amplitudes=_ring(0.8, 2), probs=[0.5, 0.5]), 2, 1),
+    "8psk-offset": (Constellation(amplitudes=_ring(0.7, 8, 0.3), probs=np.full(8, 1 / 8)), 8, 1),
+    "two-ring-z4": (
+        Constellation(amplitudes=np.concatenate([_ring(0.4, 4, 0.2), _ring(1.0, 4, 0.7)]),
+                      probs=[0.15] * 4 + [0.1] * 4),
+        4,
+        2,
+    ),
+    "skewed-three": (
+        Constellation(amplitudes=[0.8, -0.3 + 0.6j, -0.5j], probs=[0.5, 0.3, 0.2]), 1, 3
+    ),
+    "qpsk-unequal": (Constellation(amplitudes=qpsk(0.9).amplitudes, probs=[0.4, 0.3, 0.2, 0.1]),
+                     1, 4),
+}
+
+
+class TestRotationSymmetry:
+    """The oracle's rotation-class blocks against the single Gram matrix of
+    all amplitudes (`reference.full_gram_oracle_entropy`)."""
+
+    @pytest.mark.parametrize("name", SYMMETRY_CASES)
+    def test_orbits(self, name):
+        constellation, order, count = SYMMETRY_CASES[name]
+        got, reps = fock._rotation_orbits(constellation)
+        assert (got, reps.amplitudes.size) == (order, count)
+        if order == 1:
+            assert reps is constellation
+        else:
+            # each representative is a member weighted by K p
+            for amp, weight in zip(reps.amplitudes, reps.probs):
+                (k,) = np.flatnonzero(constellation.amplitudes == amp)
+                assert weight == order * constellation.probs[k]
+
+    @pytest.mark.parametrize("tau,nbar", [(0.5, 0.1), (0.2, 0.01), (0.8, 0.0)])
+    @pytest.mark.parametrize("name", SYMMETRY_CASES)
+    def test_matches_full_gram(self, name, tau, nbar):
+        constellation, order, _ = SYMMETRY_CASES[name]
+        params = ChannelParams(tau=tau, nbar=nbar)
+        result = fock.eve_exact_entropy(constellation, params)
+        want = [full_gram_oracle_entropy(constellation, params, c) for c in (18, 13)]
+        got = [result.value, result.value_check]
+        if order == 1:
+            assert got == want
+        else:
+            assert np.max(np.abs(np.subtract(got, want))) < 1e-13
+
+    @pytest.mark.parametrize("amplitudes,order", [
+        ([0.0, 0.5, -0.5, 0.5j], 1),  # the origin is its own image
+        ([0.5, -0.5 + 1e-13j], 2),  # within SYMMETRY_RTOL
+        ([0.5, -0.5 + 1e-11j], 1),  # outside it
+        ([2e3, -2e3 + 1e-10j], 2),  # the tolerance scales with max |alpha|
+        # both copies of 0.5 find the same image: no permutation, K = 1
+        ([0.5, 0.5j, -0.5, -0.5j, 0.5, -0.5], 1),
+    ])
+    def test_order_tolerance_and_degenerate_points(self, amplitudes, order):
+        probs = np.full(len(amplitudes), 1 / len(amplitudes))
+        constellation = Constellation(amplitudes=amplitudes, probs=probs)
+        assert fock._rotation_orbits(constellation)[0] == order
+
+    def test_unequal_probabilities_break_the_symmetry(self):
+        bpsk = Constellation(amplitudes=[0.5, -0.5], probs=[0.5 + 1e-15, 0.5 - 1e-15])
+        assert fock._rotation_orbits(bpsk)[0] == 1
 
 
 def dense_eve_average_state(constellation, params, cutoff):

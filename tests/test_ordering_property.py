@@ -1,5 +1,5 @@
 """Randomized check of the estimator ordering bm-gme <= bm-get <= eb over
-the whole channel domain and a wide amplitude range."""
+the whole channel domain, nbar up to 1e6, and a wide amplitude range."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +14,8 @@ ORDER_TOL = 1e-9
 @settings(derandomize=True, database=None, deadline=None)
 @given(
     tau=st.floats(0.0, 1.0),
-    nbar=st.floats(0.0, 5.0),
+    # from [0, 5], and by its exponent from [1e-4, 1e6]
+    nbar=st.one_of(st.floats(0.0, 5.0), st.floats(-4.0, 6.0).map(lambda e: 10.0**e)),
     alpha=st.floats(0.05, 6.0),
 )
 def test_estimator_ordering(tau, nbar, alpha):
