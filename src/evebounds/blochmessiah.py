@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    ATOL_CONSTRUCT,
+    ATOL_RECONSTRUCT,
     matched_svd,
     max_abs,
     principal_angles,
@@ -41,10 +43,10 @@ class BMFactors:
         require_unitary(self.cal_we, "cal_we")
         require_unitary(self.cal_wf, "cal_wf")
         rot = max_abs(self.cal_wf - self.cal_we.conj())
-        if rot > 1e-9:
+        if rot > ATOL_RECONSTRUCT:
             raise ValueError(f"rotation condition W_F = conj(W_E) violated: residual {rot:.3e}")
         squeeze = max_abs(self.lambda_e**2 - self.lambda_f**2 - 1)
-        if squeeze > 1e-10:
+        if squeeze > ATOL_CONSTRUCT:
             raise ValueError(f"squeeze relation L_E^2 = 1 + L_F^2 violated: residual {squeeze:.3e}")
 
     def reconstruct(self):
@@ -68,7 +70,7 @@ def bloch_messiah(pair):
     Raises:
         ValueError: on constraint-violating input, on a non-symmetric G
             (residual reported), or if the factors fail to reconstruct the
-            input to 1e-9.
+            input to `ATOL_RECONSTRUCT`.
     """
     m = matched_svd(pair.e, pair.f)
     g = m.w_e.conj().T @ m.w_f.conj()
@@ -88,7 +90,7 @@ def bloch_messiah(pair):
     )
     e, f = factors.reconstruct()
     residual = max(max_abs(e - pair.e), max_abs(f - pair.f))
-    if residual > 1e-9:
+    if residual > ATOL_RECONSTRUCT:
         raise ValueError(f"Bloch-Messiah factors do not reconstruct the input: residual {residual:.3e}")
     return factors
 

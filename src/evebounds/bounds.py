@@ -136,10 +136,8 @@ def bm_gme_entropy(constellation, params, base="bits"):
 # and c are all near 2 alpha^2, and the spectrum depends on x - Z4, which
 # tends to 1, so the rounding of a, b and c themselves is what is lost.
 # Against 60-digit arithmetic (tau in {0.1, 0.5, 0.99, 1}, nbar in
-# {0, 0.01, 5}) it is off by at most 1e-14 bits at alpha = 4, 2.7e-9 at 1000
-# and 2.0e-7 at 1e4, and by 2.6e-5 at 1e5.  Factoring the discriminant
-# (a + b)^2 - 4 c^2 as (a + b - 2c)(a + b + 2c) does not help: 2.1e-7 at 1e4
-# and the same 2.6e-5 at 1e5.
+# {0, 0.01, 5}) it is off by at most 1e-14 bits at alpha = 4, 3.7e-10 at
+# 1000 and 2.5e-8 at 1e4.
 EB_ALPHA_MAX = 1e4
 
 

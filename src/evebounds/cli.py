@@ -49,10 +49,10 @@ class ScanConfig:
             raise ValueError(f"--tau-steps must be >= 1, got {self.tau_steps}")
         if not self.nbars:
             raise ValueError("at least one --nbar value is required")
-        if any(nb < 0 for nb in self.nbars):
-            raise ValueError(f"--nbar values must be >= 0, got {self.nbars}")
-        if self.alpha <= 0:
-            raise ValueError(f"--alpha must be positive, got {self.alpha}")
+        if not all(0 <= nb < np.inf for nb in self.nbars):
+            raise ValueError(f"--nbar values must be finite and >= 0, got {self.nbars}")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(f"--alpha must be positive and finite, got {self.alpha}")
         bad = [m for m in self.methods if m not in METHODS]
         if bad or not self.methods:
             raise ValueError(f"--methods must be a nonempty subset of {METHODS}, got {self.methods}")

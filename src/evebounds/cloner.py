@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import require_distribution, require_finite
 from .states import (
     StandardTwoModeCov,
     SymplecticMap,
@@ -38,7 +39,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Thermal-loss channel: transmittance tau in [0, 1], nbar >= 0."""
+    """Thermal-loss channel: transmittance tau in [0, 1], finite nbar >= 0."""
 
     tau: float
     nbar: float
@@ -46,8 +47,8 @@ class ChannelParams:
     def __post_init__(self):
         if not 0 <= self.tau <= 1:
             raise ValueError(f"transmittance must lie in [0, 1], got {self.tau}")
-        if self.nbar < 0:
-            raise ValueError(f"thermal photon number must be >= 0, got {self.nbar}")
+        if not 0 <= self.nbar < math.inf:
+            raise ValueError(f"thermal photon number must be finite and >= 0, got {self.nbar}")
 
     @property
     def t(self):
@@ -70,10 +71,8 @@ class Constellation:
         object.__setattr__(self, "probs", np.atleast_1d(np.asarray(self.probs, dtype=float)))
         if self.amplitudes.size != self.probs.size:
             raise ValueError("need one probability per amplitude")
-        if np.any(self.probs < 0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(self.probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {self.probs.sum()!r}, expected 1 within 1e-12")
+        require_finite(self.amplitudes, "amplitudes")
+        require_distribution(self.probs)
 
 
 def qpsk(alpha):
@@ -104,16 +103,15 @@ class DisplacedThermalEnsemble:
     def __post_init__(self):
         object.__setattr__(self, "means", np.atleast_2d(np.asarray(self.means, dtype=float)))
         object.__setattr__(self, "probs", np.atleast_1d(np.asarray(self.probs, dtype=float)))
-        if self.nu1p < -1e-12:
-            raise ValueError("thermal photon number must be >= 0")
-        if not np.all(np.isfinite(self.means)):
-            raise ValueError("ensemble means must be finite")
+        if not self.nu1p >= 0:
+            raise ValueError(f"thermal photon number must be >= 0, got {self.nu1p}")
+        require_finite(self.means, "ensemble means")
         if self.means.shape != (self.probs.size, 4):
             raise ValueError("means must be K x 4 for a two-mode ensemble")
 
     def common_covariance(self):
         """Shared covariance diag(1, 1, nu1, nu1) of the ensemble."""
-        nu1 = 2 * max(self.nu1p, 0.0) + 1
+        nu1 = 2 * self.nu1p + 1
         return np.diag([1.0, 1.0, nu1, nu1])
 
     def average_covariance(self):

@@ -19,23 +19,16 @@ splitter conserves the total photon number N of its two modes, and its
 generator is -i theta H_N in sector N with a tridiagonal H_N that does not
 depend on tau; `_bs_sectors` diagonalizes each H_N once per cutoff and
 caches the result, so a beam splitter at a new tau costs one phase per
-eigenvalue and one batched product over the sectors.  `fock_bs` scatters
-those blocks into the dense unitary.  The oracle never forms the dense
+eigenvalue and one product per sector.  The oracle never forms the dense
 unitary: the TMSV input is diagonal, |e>_C |e>_E, so each input state
 lies in one sector and each output amplitude is a single product, which
 `_eve_average_state` scatters for all amplitudes at once.  The
 eavesdropper's entropy is taken from pure-state amplitudes: her average
 state rho = M^T conj(M) has the same nonzero spectrum as the much smaller
 Gram matrix conj(M) M^T, so rho itself is never formed.  The oracle also
-uses the constellation's rotation symmetry: when rotating every amplitude
-by 2 pi / K lands on an amplitude of the same probability (to 1e-12 of
-max(1, max |alpha|), `SYMMETRY_RTOL`), `_rotation_orbits` keeps one
-amplitude per orbit, weighted by K p.  Rotating the input rotates her
-state by W = exp(2 pi i (n_C' - n_E) / K), so the orbit average is the
-representative's state pinched onto the eigenspaces of W, and the entropy
-is the sum over the K classes (c' - e) mod K of her (c', e) index of the
-entropies of their Gram blocks.  For QPSK at cutoff 18 that is four
-19 x 19 blocks in place of one 76 x 76 Gram matrix.
+reduces by the constellation's rotation symmetry (`_rotation_orbits`; the
+argument is in `eve_exact_entropy`): for QPSK at cutoff 18 it takes four
+19 x 19 Gram blocks in place of one 76 x 76 Gram matrix.
 
 The `--check` switching-rule probes exponentiate two of their three
 generator kinds from exact structure on the truncated space.  The two
@@ -43,11 +36,11 @@ single-mode displacement generators commute even when truncated, so
 `apply_displacement` is a tensor product of two (cutoff+1)-level
 exponentials.  A rotation exp(i a^dag phi a) keeps the total photon number
 fixed, so `apply_rotation` exponentiates one tridiagonal sector block at a
-time.  Each of these Hermitian tridiagonal blocks is a diagonal phase
-similarity of a real symmetric one, so `_expm_tridiagonal` takes a real
-`eigh`.  The beam splitter is the rotation at phi = theta [[0, -i], [i, 0]],
-and `_bs_sectors` builds its blocks with the same helper and keeps its
-complex eigenbasis, cached per cutoff.  Squeezers mix the sectors:
+time.  Every sector block, the beam splitter's included, is diagonalized
+by `_tridiagonal_eigh`: one real `eigh` and a diagonal phase similarity.
+The beam splitter is the rotation at phi = theta [[0, -i], [i, 0]], and the
+dense `fock_bs` is `apply_rotation` of every basis ket, an uncached route
+the tests check the oracle's blocks against.  Squeezers mix the sectors:
 `squeeze_generator` returns the ladder weights of their Hermitian
 generator, and `apply_generator` exponentiates it by a Chebyshev
 expansion, in which the generator acts as six shifted slice products on
@@ -329,19 +322,27 @@ def _bs_angle(tau):
     return math.acos(math.sqrt(tau))
 
 
-def _expm_tridiagonal(diag, sub):
-    """exp(-i h) for the Hermitian tridiagonal h with real diagonal `diag`
-    and subdiagonal `sub` (h[k+1, k] = sub[k]), from one real `eigh`.
+def _tridiagonal_eigh(diag, sub):
+    """(vals, basis): eigenvalues and eigenvector columns of the Hermitian
+    tridiagonal h with real diagonal `diag` and subdiagonal `sub`
+    (h[k+1, k] = sub[k]), from one real `eigh`.
 
     With P = diag(exp(i theta_k)), theta_k the running sum of arg(sub[:k]),
     h = P t P^dag for the real symmetric tridiagonal t with diagonal `diag`
-    and off-diagonal |sub|, so exp(-i h) = P exp(-i t) P^dag.
+    and off-diagonal |sub|, so basis = P V for the eigenvectors V of t.
     """
     off = np.abs(sub)
     t = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
     vals, vecs = np.linalg.eigh(t)
     phase = np.exp(1j * np.concatenate(([0.0], np.cumsum(np.angle(sub)))))
-    return (phase[:, None] * vecs * np.exp(-1j * vals)) @ (vecs.T * phase.conj())
+    return vals, phase[:, None] * vecs
+
+
+def _expm_tridiagonal(diag, sub):
+    """exp(-i h) = basis exp(-i vals) basis^dag for the Hermitian
+    tridiagonal h of `_tridiagonal_eigh`."""
+    vals, basis = _tridiagonal_eigh(diag, sub)
+    return (basis * np.exp(-1j * vals)) @ basis.conj().T
 
 
 def _displacement_factor(alpha, cutoff):
@@ -372,17 +373,19 @@ def apply_displacement(alpha, kets, cutoff):
 
 
 def _rotation_sector(phi, total, cutoff):
-    """(n, diag, sub): mode-0 photon numbers n of the basis |n, total - n>
-    of photon-number sector `total`, and the real diagonal and the
-    subdiagonal of the Hermitian tridiagonal block h of -a^dag phi a there,
-    so that R(phi) = exp(i a^dag phi a) is exp(-i h) on that sector.
+    """(states, diag, sub): the two-mode basis states n d + total - n
+    (d = cutoff + 1) of the kets |n, total - n> of photon-number sector
+    `total`, and the real diagonal and the subdiagonal of the Hermitian
+    tridiagonal block h of -a^dag phi a there, so that
+    R(phi) = exp(i a^dag phi a) is exp(-i h) on that sector.
 
     h has diagonal -(phi00 n + phi11 (total - n)) and
     <n+1, total-n-1| h |n, total-n> = -phi01 sqrt(n+1) sqrt(total-n).
     """
     n = np.arange(max(0, total - cutoff), min(total, cutoff) + 1)
     hop = np.sqrt(n[:-1] + 1) * np.sqrt(total - n[:-1])
-    return n, -(phi[0, 0].real * n + phi[1, 1].real * (total - n)), -phi[0, 1] * hop
+    diag = -(phi[0, 0].real * n + phi[1, 1].real * (total - n))
+    return n * (cutoff + 1) + total - n, diag, -phi[0, 1] * hop
 
 
 def apply_rotation(phi, kets, cutoff):
@@ -392,8 +395,7 @@ def apply_rotation(phi, kets, cutoff):
 
     R(phi) keeps the total photon number fixed, so it is exponentiated one
     sector at a time: each block of `_rotation_sector` is exponentiated
-    once, from the real `eigh` of `_expm_tridiagonal`, and acts on every
-    ket of the stack.
+    once, by `_expm_tridiagonal`, and acts on every ket of the stack.
     """
     phi = np.asarray(phi, dtype=complex)
     d = cutoff + 1
@@ -401,8 +403,7 @@ def apply_rotation(phi, kets, cutoff):
     flat = kets.reshape(-1, d * d)
     out = np.empty_like(flat)
     for total in range(2 * cutoff + 1):
-        n, diag, sub = _rotation_sector(phi, total, cutoff)
-        states = n * d + total - n
+        states, diag, sub = _rotation_sector(phi, total, cutoff)
         out[:, states] = flat[:, states] @ _expm_tridiagonal(diag, sub).T
     return out.reshape(kets.shape)
 
@@ -421,64 +422,48 @@ def _bs_sectors(cutoff):
     -i theta H_N with H_N the `_rotation_sector` block of `_BS_PHI`,
     Hermitian, tridiagonal and free of tau:
     <n+1, N-n-1| H_N |n, N-n> = i sqrt(n+1) sqrt(N-n).  Each H_N is
-    diagonalized once per cutoff.
+    diagonalized once per cutoff by `_tridiagonal_eigh`.
 
     Returns:
-        (vecs, vals, slots): eigenvectors (2c+1, d, d) and eigenvalues
-        (2c+1, d), zero-padded past each sector's size (c = cutoff,
-        d = c+1); slots = (flat, row, col) labels each in-sector block
-        entry by its flat index into a (2c+1, d, d) array and by the
-        two-mode basis states n d + (N - n) of its row and column.  All
-        arrays are read-only, since every caller shares them.
+        (sectors, row, col): sectors holds (vals, basis, basis^dag) for
+        N = 0 .. 2 cutoff; row and col label each block entry, block by
+        block and row-major within a block, by the two-mode basis states
+        n d + (N - n) (d = cutoff + 1) of its row and column.  All arrays
+        are read-only, since every caller shares them.
     """
-    d = cutoff + 1
-    vecs = np.zeros((2 * cutoff + 1, d, d), dtype=complex)
-    vals = np.zeros((2 * cutoff + 1, d))
-    flat, row, col = [], [], []
+    sectors, row, col = [], [], []
     for total in range(2 * cutoff + 1):
-        n, diag, sub = _rotation_sector(_BS_PHI, total, cutoff)
-        size = n.size
-        h = np.diag(sub, -1)
-        h += h.conj().T
-        h[np.diag_indices(size)] = diag
-        vals[total, :size], vecs[total, :size, :size] = np.linalg.eigh(h)
-        i, j = np.divmod(np.arange(size * size), size)
-        state = n * d + total - n
-        flat.append(total * d * d + i * d + j)
-        row.append(state[i])
-        col.append(state[j])
-    slots = tuple(np.concatenate(labels) for labels in (flat, row, col))
-    for arr in (vecs, vals, *slots):
+        states, diag, sub = _rotation_sector(_BS_PHI, total, cutoff)
+        vals, basis = _tridiagonal_eigh(diag, sub)
+        sectors.append((vals, basis, np.ascontiguousarray(basis.conj().T)))
+        row.append(np.repeat(states, states.size))
+        col.append(np.tile(states, states.size))
+    row, col = np.concatenate(row), np.concatenate(col)
+    for arr in (row, col, *(a for sector in sectors for a in sector)):
         arr.flags.writeable = False
-    return vecs, vals, slots
+    return tuple(sectors), row, col
 
 
 def _bs_slot_values(tau, cutoff):
     """(values, row, col): the in-sector entries of the beam splitter
-    exp(theta (a^dag b - a b^dag)) and their two-mode basis states, from
-    the cached `_bs_sectors` eigenbasis with one batched product over the
-    sectors."""
-    vecs, vals, (flat, row, col) = _bs_sectors(cutoff)
-    phases = np.exp(-1j * _bs_angle(tau) * vals)
-    blocks = (vecs * phases[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-    return blocks.reshape(-1)[flat], row, col
+    exp(theta (a^dag b - a b^dag)) and their two-mode basis states, each
+    sector block basis exp(-i theta vals) basis^dag from the cached
+    `_bs_sectors` eigenbasis."""
+    sectors, row, col = _bs_sectors(cutoff)
+    theta = _bs_angle(tau)
+    blocks = [((basis * np.exp(-1j * theta * vals)) @ adjoint).reshape(-1) for vals, basis, adjoint in sectors]
+    return np.concatenate(blocks), row, col
 
 
 def fock_bs(tau, cutoff):
     """Dense two-mode beam-splitter unitary exp(theta (a^dag b - a b^dag)),
-    cos(theta) = sqrt(tau), built one photon-number sector at a time.
-
-    Each sector block is exp(-i theta H_N) from the tau-free eigenbasis
-    that `_bs_sectors` caches per cutoff, so a call costs one phase per
-    eigenvalue and one batched product; the blocks are then scattered into
-    the (cutoff+1)^2 square matrix.  The oracle uses the same blocks
-    without forming this matrix.
+    cos(theta) = sqrt(tau): `apply_rotation` at phi = theta `_BS_PHI`
+    applied to every basis ket.  It takes no cached block, so the tests
+    check the oracle's `_bs_sectors` blocks against it; the oracle itself
+    never forms the dense unitary.
     """
-    values, row, col = _bs_slot_values(tau, cutoff)
     dim = (cutoff + 1) ** 2
-    u = np.zeros((dim, dim), dtype=complex)
-    u[row, col] = values
-    return u
+    return apply_rotation(_bs_angle(tau) * _BS_PHI, np.eye(dim, dtype=complex), cutoff).T
 
 
 def fock_partial_trace(rho, dims, keep):

@@ -5,9 +5,10 @@ up in phase-space models of optical circuits; nothing is tuned for scale.
 Construction-level checks run at 1e-10 and reconstruction-level checks at
 1e-9, one order of magnitude of slack over accumulated round-off at this
 matrix size.  The `require_*` validators are the package's one copy of
-each matrix check.
+each matrix check and of the probability-vector check.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ __all__ = [
 
 ATOL_CONSTRUCT = 1e-10
 ATOL_RECONSTRUCT = 1e-9
+ATOL_DISTRIBUTION = 1e-12  # a few roundings of a sum of O(1) probabilities
 
 
 def max_abs(m):
@@ -28,8 +30,20 @@ def max_abs(m):
 
 
 def require_finite(m, name="matrix"):
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
+
+
+def require_distribution(probs):
+    """Finite, nonnegative probabilities summing to 1 within `ATOL_DISTRIBUTION`."""
+    probs = np.asarray(probs, dtype=float)
+    total = float(probs.sum())
+    if not math.isfinite(total):  # so some entry is NaN or infinite; name it
+        require_finite(probs, "probabilities")
+    if abs(total - 1.0) > ATOL_DISTRIBUTION:
+        raise ValueError(f"probabilities sum to {total!r}, expected 1 within {ATOL_DISTRIBUTION:.0e}")
+    if probs.min() < 0:
+        raise ValueError("probabilities must be nonnegative")
 
 
 def unitarity_defect(m):

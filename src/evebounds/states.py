@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import max_abs, require_finite, require_symmetric
+from .linalg import ATOL_RECONSTRUCT, max_abs, require_distribution, require_finite, require_symmetric
 
 __all__ = [
     "GaussianState",
@@ -116,7 +116,7 @@ class SymplecticMap:
             raise ValueError("displacement length does not match symplectic matrix size")
         om = omega(self.s.shape[0] // 2)
         defect = max_abs(self.s @ om @ self.s.T - om)
-        if defect > 1e-9:
+        if defect > ATOL_RECONSTRUCT:
             raise ValueError(f"matrix is not symplectic: max |S Omega S^T - Omega| = {defect:.3e}")
 
     @property
@@ -301,11 +301,13 @@ def _log(base):
 
 def thermal_entropy(nbar, base="bits"):
     """g(nbar) = (nbar+1) log(nbar+1) - nbar log(nbar), the entropy of a
-    thermal state with mean photon number nbar; g(0) = 0."""
-    log = _log(base)
+    thermal state with mean photon number nbar; g(0) = 0.  It is taken as
+    log1p(nbar) + nbar log1p(1/nbar) nats, whose terms do not cancel."""
+    _log(base)
     if nbar < 1e-12:
         return 0.0
-    return float((nbar + 1) * log(nbar + 1) - nbar * log(nbar))
+    nats = math.log1p(nbar) + nbar * math.log1p(1 / nbar)
+    return float(nats / math.log(2) if base == "bits" else nats)
 
 
 def symplectic_entropy(nus, base="bits"):
@@ -364,13 +366,13 @@ def average_covariance(means, probs, common_cov):
 
     Args:
         means (array[float]): K x 2N matrix of mean vectors.
-        probs (array[float]): K probabilities summing to 1 within 1e-12.
+        probs (array[float]): K probabilities, checked by
+            `linalg.require_distribution`.
         common_cov (array[float]): shared 2N x 2N covariance.
     """
     means = np.atleast_2d(np.asarray(means, dtype=float))
     probs = np.asarray(probs, dtype=float)
-    if abs(probs.sum() - 1.0) > 1e-12:
-        raise ValueError(f"probabilities sum to {probs.sum()!r}, expected 1 within 1e-12")
+    require_distribution(probs)
     if means.shape[0] != probs.size:
         raise ValueError("number of means and probabilities differ")
     common_cov = np.asarray(common_cov, dtype=float)

@@ -216,9 +216,11 @@ class TestEntangledBasedBound:
         # are sqrt(x^2 - Z4^2) = sqrt(2x - 1); at tau = 0, c = 0 and they
         # are x and 2 nbar + 1.  With Z4 from the log-space sums alone,
         # x - Z4 was 1.0016 at alpha = 1000 and alpha = 5000 raised.
+        # g(n) = log n + (n + 1) log(1 + 1/n): two positive terms, so this
+        # reference does not cancel at n = alpha^2.
         def g(nu):
             n = (nu - 1) / 2
-            return (n + 1) * math.log2(n + 1) - (n * math.log2(n) if n > 0 else 0.0)
+            return math.log2(n) + (n + 1) * math.log1p(1 / n) / math.log(2) if n > 0 else 0.0
 
         x = 1 + 2 * alpha**2
         for nbar in (0.0, 5.0):

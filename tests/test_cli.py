@@ -228,6 +228,19 @@ class TestMain:
         assert main(["--tau-min", "1.5"]) == 2
         assert "tau" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, methods", [
+        ("--nbar", "nan", "oracle"),
+        ("--nbar", "inf", "oracle,eb"),
+        ("--alpha", "nan", "bm-gme,oracle"),
+        ("--alpha", "inf", "eb"),
+    ])
+    def test_non_finite_flag_is_a_usage_error(self, capsys, flag, value, methods):
+        code = main([flag, value, "--methods", methods, "--tau-steps", "2", "--out", "-"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert flag in captured.err and "finite" in captured.err
+        assert captured.out == ""
+
     def test_scan_error_reported_on_one_line(self, tmp_path, capsys):
         # eb rejects amplitudes past its documented domain, alpha <= 1e4
         out = tmp_path / "scan.csv"

@@ -8,6 +8,7 @@ from evebounds.checks import bloch_messiah_amplitudes
 from evebounds.cloner import (
     ChannelParams,
     Constellation,
+    DisplacedThermalEnsemble,
     bs_symplectic,
     displaced_thermal_ensemble,
     eve_average_covariance,
@@ -44,6 +45,9 @@ class TestParamsAndConstellation:
             ChannelParams(tau=1.2, nbar=0.0)
         with pytest.raises(ValueError):
             ChannelParams(tau=0.5, nbar=-0.01)
+        for nbar in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ChannelParams(tau=0.5, nbar=nbar)
 
     def test_qpsk_phases(self):
         c = qpsk(1.0)
@@ -62,6 +66,14 @@ class TestParamsAndConstellation:
             Constellation(amplitudes=[1.0, -1.0], probs=[0.5, 0.6])
         with pytest.raises(ValueError, match="nonnegative"):
             Constellation(amplitudes=[1.0, -1.0], probs=[1.5, -0.5])
+        for amplitudes, probs in (
+            ([0.5, -0.5], [math.nan, math.nan]),
+            ([0.5, -0.5], [math.inf, 0.5]),
+            ([math.nan, 0.5], [0.5, 0.5]),
+            ([0.5, complex(0.0, math.inf)], [0.5, 0.5]),
+        ):
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                Constellation(amplitudes=amplitudes, probs=probs)
 
 
 class TestCovariancePipeline:
@@ -150,6 +162,12 @@ class TestConditionalMean:
 
 
 class TestDisplacedThermalEnsemble:
+    def test_negative_thermal_number_rejected(self):
+        # (1 - tau) nbar is never negative, so the gate needs no slack
+        for nu1p in (-1e-13, math.nan):
+            with pytest.raises(ValueError, match="thermal photon number"):
+                DisplacedThermalEnsemble(nu1p=nu1p, means=np.zeros((1, 4)), probs=[1.0])
+
     def test_unit_transmittance_trivial(self):
         ens = displaced_thermal_ensemble(qpsk(1.0), ChannelParams(tau=1.0, nbar=0.05))
         assert np.allclose(ens.means, 0.0, atol=1e-12)

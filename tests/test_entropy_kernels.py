@@ -105,6 +105,32 @@ class TestSymplecticEntropy:
         )
 
 
+# g(n) = (n + 1) log2(n + 1) - n log2(n) to 22 digits, from 40-digit mpmath
+# arithmetic on the exact binary value of each n.
+THERMAL_ENTROPY_BITS = [
+    (1e-06, 2.137426433156041658807e-05),
+    (0.0001, 0.001473047955278608636635),
+    (0.01, 0.08093740780458799018876),
+    (0.3, 1.013154788479710582723),
+    (1.0, 2.0),
+    (2.5, 3.020921989983208506371),
+    (10.0, 4.83446685613664633949),
+    (1000.0, 11.40920043274247395122),
+    (100000.0, 18.0523427287769347944),
+    (966587.4595204085, 21.32523653900880478062),
+    (1000000.0, 21.37426433156041749001),
+]
+
+
+class TestThermalEntropy:
+    @pytest.mark.parametrize("nbar, bits", THERMAL_ENTROPY_BITS)
+    def test_matches_high_precision(self, nbar, bits):
+        # A few ulps; the difference form (n + 1) log(n + 1) - n log n loses
+        # about n eps and misses the 1e6 rows by ~1e-10 relative.
+        assert thermal_entropy(nbar) == pytest.approx(bits, rel=1e-15, abs=0)
+        assert thermal_entropy(nbar, "nats") == pytest.approx(bits * math.log(2), rel=1e-15, abs=0)
+
+
 class TestSpectrumEntropy:
     def test_uniform_spectrum(self):
         assert spectrum_entropy(np.full(4, 0.25)) == pytest.approx(2.0, rel=1e-15)

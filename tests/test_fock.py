@@ -356,10 +356,23 @@ class TestEveExact:
             assert np.max(np.abs(m - m_ref)) < 1e-13
             assert abs(leak - leak_ref) < 1e-15
 
+    @pytest.mark.parametrize("cutoff", [7, 13, 18])
+    @pytest.mark.parametrize("tau", [0.0, 0.2, 0.5, 1.0])
+    def test_cached_blocks_match_dense_exponential(self, tau, cutoff):
+        values, row, col = fock._bs_slot_values(tau, cutoff)
+        dim = (cutoff + 1) ** 2
+        assert values.size == row.size == col.size
+        assert np.unique(row * dim + col).size == values.size
+        u = np.zeros((dim, dim), dtype=complex)
+        u[row, col] = values
+        dense = fock_unitary(bs_generator(fock.FockSpace(cutoff=cutoff, nmodes=2), tau))
+        assert np.max(np.abs(u - dense)) < 1e-12
+
     def test_cached_eigenbasis_read_only_and_call_order_free(self):
-        vecs, vals, slots = fock._bs_sectors(13)
-        assert fock._bs_sectors(13)[0] is vecs
-        for arr in (vecs, vals, *slots):
+        sectors, row, col = fock._bs_sectors(13)
+        assert fock._bs_sectors(13)[0] is sectors
+        assert len(sectors) == 2 * 13 + 1
+        for arr in (row, col, *(a for sector in sectors for a in sector)):
             with pytest.raises(ValueError, match="read-only"):
                 arr.flat[0] = 0
         # cutoff 18 also sweeps 13, cutoff 13 also sweeps 8

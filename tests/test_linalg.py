@@ -229,6 +229,17 @@ class TestSharedValidators:
         with pytest.raises(ValueError, match=r"M is not symmetric: max \|M - M\^T\| = 2\.000e-10"):
             linalg.require_symmetric(np.array([[0.0, 2e-10], [0.0, 0.0]]), "M")
 
+    def test_distribution(self):
+        linalg.require_distribution(np.full(4, 0.25))
+        linalg.require_distribution([0.5, 0.5 + 9e-13])  # within the tolerance
+        with pytest.raises(ValueError, match=r"probabilities sum to 1\.1, expected 1 within 1e-12"):
+            linalg.require_distribution([0.5, 0.6])
+        with pytest.raises(ValueError, match="nonnegative"):
+            linalg.require_distribution([1.5, -0.5])
+        for bad in ([np.nan, 1.0], [np.inf, 0.0], [np.nan, np.nan]):
+            with pytest.raises(ValueError, match="probabilities contains NaN or Inf"):
+                linalg.require_distribution(bad)
+
     def test_bogoliubov_tolerance(self):
         linalg.require_bogoliubov(np.eye(2), np.zeros((2, 2)))
         near = np.diag([1.0 + 4e-10, 1.0])  # E E^dag - I off by 8e-10

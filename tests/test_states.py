@@ -357,6 +357,12 @@ class TestAverageCovariance:
         with pytest.raises(ValueError, match="sum"):
             average_covariance(np.zeros((2, 2)), [0.5, 0.6], np.eye(2))
 
+    def test_bad_probs_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            average_covariance(np.zeros((2, 2)), [1.5, -0.5], np.eye(2))
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            average_covariance(np.zeros((2, 2)), [np.nan, np.nan], np.eye(2))
+
     def test_weighted_asymmetric_case(self):
         rng = np.random.default_rng(9)
         means = rng.normal(size=(5, 4))
