@@ -18,17 +18,21 @@ of the photon ladder, which is what the leakage checks measure.  The beam
 splitter conserves the total photon number N of its two modes, and its
 generator is -i theta H_N in sector N with a tridiagonal H_N that does not
 depend on tau; `_bs_sectors` diagonalizes each H_N once per cutoff and
-caches the result, so a beam splitter at a new tau costs one phase per
-eigenvalue and one product per sector.  The oracle never forms the dense
-unitary: the TMSV input is diagonal, |e>_C |e>_E, so each input state
-lies in one sector and each output amplitude is a single product, which
-`_eve_average_state` scatters for all amplitudes at once.  The
-eavesdropper's entropy is taken from pure-state amplitudes: her average
-state rho = M^T conj(M) has the same nonzero spectrum as the much smaller
-Gram matrix conj(M) M^T, so rho itself is never formed.  The oracle also
-reduces by the constellation's rotation symmetry (`_rotation_orbits`; the
-argument is in `eve_exact_entropy`): for QPSK at cutoff 18 it takes four
-19 x 19 Gram blocks in place of one 76 x 76 Gram matrix.
+caches the result, the 2 cutoff + 1 sectors packed into cutoff + 1 blocks
+of cutoff + 1 states (sectors N and N + cutoff + 1 share a block), so a
+beam splitter at a new tau costs one phase per eigenvalue and one stacked
+product.  The oracle never
+forms the dense unitary: the TMSV input is diagonal, |e>_C |e>_E, so each
+input state lies in one sector and each output amplitude is a single
+product, which `_eve_average_state` scatters for all amplitudes at once.
+The eavesdropper's entropy is taken from pure-state amplitudes: her
+average state rho = M^T conj(M) has the same nonzero spectrum as the much
+smaller Gram matrix conj(M) M^T, so rho itself is never formed.  The
+oracle also reduces by the constellation's rotation symmetry
+(`_rotation_orbits`; the argument is in `eve_exact_entropy`): for QPSK at
+cutoff 18 it takes four 19 x 19 Gram blocks, formed by one stacked product
+and diagonalized by one stacked `eigvalsh`, in place of one 76 x 76 Gram
+matrix.
 
 The `--check` switching-rule probes exponentiate two of their three
 generator kinds from exact structure on the truncated space.  The two
@@ -133,8 +137,8 @@ def tmsv_ket(nbar, cutoff):
     convention used for the covariance matrices in this package.  The
     deficit is 1 once 1 - lam^2 rounds to 0 (nbar >~ 1e17).
     """
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {nbar}")
+    if not 0 <= nbar < math.inf:
+        raise ValueError(f"mean photon number must be finite and >= 0, got {nbar}")
     nu = 2 * nbar + 1
     lam = math.tanh(0.5 * math.acosh(nu))
     d = cutoff + 1
@@ -148,8 +152,8 @@ def tmsv_ket(nbar, cutoff):
 def fock_thermal(nbar, cutoff):
     """Density matrix of the thermal state with mean photon number `nbar`,
     truncated at `cutoff` photons and renormalized."""
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {nbar}")
+    if not 0 <= nbar < math.inf:
+        raise ValueError(f"mean photon number must be finite and >= 0, got {nbar}")
     n = np.arange(cutoff + 1)
     p = (1.0 / (1.0 + nbar)) * (nbar / (1.0 + nbar)) ** n if nbar > 0 else np.eye(1, cutoff + 1, 0)[0]
     _require_deficit(1.0 - float(p.sum()), f"thermal nbar={nbar}")
@@ -414,8 +418,8 @@ _BS_PHI = np.array([[0, -1j], [1j, 0]])
 
 @lru_cache(maxsize=8)
 def _bs_sectors(cutoff):
-    """Tau-free eigenbasis of the beam-splitter generator, one
-    photon-number sector at a time.
+    """Tau-free eigenbasis of the beam-splitter generator, its 2 cutoff + 1
+    photon-number sectors packed into d = cutoff + 1 blocks of d states.
 
     The generator keeps the total photon number N fixed.  In sector N the
     basis is |n, N - n> with 0 <= n, N - n <= cutoff, and the generator is
@@ -424,35 +428,49 @@ def _bs_sectors(cutoff):
     <n+1, N-n-1| H_N |n, N-n> = i sqrt(n+1) sqrt(N-n).  Each H_N is
     diagonalized once per cutoff by `_tridiagonal_eigh`.
 
+    Sector N < cutoff has N + 1 states and sector N + d has cutoff - N, so
+    the two share block N, and sector cutoff fills block cutoff alone: the
+    state |n0, n1> sits in block (n0 + n1) mod d at position n0.  Each
+    sector's eigenbasis is placed on its block's diagonal, so the entries
+    between the two sectors of a block are exact zeros, and every block
+    unitary is one product of a (d, d, d) stack.
+
     Returns:
-        (sectors, row, col): sectors holds (vals, basis, basis^dag) for
-        N = 0 .. 2 cutoff; row and col label each block entry, block by
-        block and row-major within a block, by the two-mode basis states
-        n d + (N - n) (d = cutoff + 1) of its row and column.  All arrays
-        are read-only, since every caller shares them.
+        (basis, adjoint, vals, index, row, col): the (d, d, d) stacks of
+        block eigenbases and their adjoints, the (d, d) block eigenvalues,
+        the flat indices into a (d, d, d) stack of the in-sector entries,
+        and the two-mode basis states n0 d + n1 of the row and the column
+        of each of those entries.  All arrays are read-only, since every
+        caller shares them.
     """
-    sectors, row, col = [], [], []
+    d = cutoff + 1
+    basis = np.zeros((d, d, d), dtype=complex)
+    vals = np.empty((d, d))
     for total in range(2 * cutoff + 1):
         states, diag, sub = _rotation_sector(_BS_PHI, total, cutoff)
-        vals, basis = _tridiagonal_eigh(diag, sub)
-        sectors.append((vals, basis, np.ascontiguousarray(basis.conj().T)))
-        row.append(np.repeat(states, states.size))
-        col.append(np.tile(states, states.size))
-    row, col = np.concatenate(row), np.concatenate(col)
-    for arr in (row, col, *(a for sector in sectors for a in sector)):
+        n0 = states // d
+        vals[total % d, n0], basis[total % d, n0[:, None], n0] = _tridiagonal_eigh(diag, sub)
+    adjoint = np.ascontiguousarray(basis.conj().transpose(0, 2, 1))
+    block, pos = np.ogrid[:d, :d]
+    labels = pos * d + (block - pos) % d
+    low = pos <= block  # the lower sector of each block
+    index = np.flatnonzero(low[:, :, None] == low[:, None, :])
+    row = np.broadcast_to(labels[:, :, None], basis.shape).reshape(-1)[index]
+    col = np.broadcast_to(labels[:, None, :], basis.shape).reshape(-1)[index]
+    for arr in (basis, adjoint, vals, index, row, col):
         arr.flags.writeable = False
-    return tuple(sectors), row, col
+    return basis, adjoint, vals, index, row, col
 
 
 def _bs_slot_values(tau, cutoff):
     """(values, row, col): the in-sector entries of the beam splitter
-    exp(theta (a^dag b - a b^dag)) and their two-mode basis states, each
-    sector block basis exp(-i theta vals) basis^dag from the cached
-    `_bs_sectors` eigenbasis."""
-    sectors, row, col = _bs_sectors(cutoff)
+    exp(theta (a^dag b - a b^dag)) and their two-mode basis states, from
+    one stacked product basis exp(-i theta vals) basis^dag over the cached
+    `_bs_sectors` blocks and one gather of its in-sector entries."""
+    basis, adjoint, vals, index, row, col = _bs_sectors(cutoff)
     theta = _bs_angle(tau)
-    blocks = [((basis * np.exp(-1j * theta * vals)) @ adjoint).reshape(-1) for vals, basis, adjoint in sectors]
-    return np.concatenate(blocks), row, col
+    blocks = (basis * np.exp(-1j * theta * vals)[:, None, :]) @ adjoint
+    return blocks.take(index), row, col
 
 
 def fock_bs(tau, cutoff):
@@ -587,18 +605,41 @@ def _rotation_orbits(constellation):
     return 1, constellation
 
 
+@lru_cache(maxsize=16)
+def _class_columns(order, cutoff):
+    """(order, width) indices of the columns of each rotation class
+    q = (c' - e) mod `order` of the eavesdropper's flat (c', e) index,
+    d = cutoff + 1, in increasing order and padded with d^2, the index of
+    a zero column appended to the factor; width is the largest class.
+    Read-only, since every caller shares it."""
+    d = cutoff + 1
+    classes = np.subtract.outer(np.arange(d), np.arange(d)).reshape(-1) % order
+    members = [np.flatnonzero(classes == q) for q in range(order)]
+    index = np.full((order, max(m.size for m in members)), d * d)
+    for q, m in enumerate(members):
+        index[q, : m.size] = m
+    index.flags.writeable = False
+    return index
+
+
 def _eve_entropy(representatives, order, params, cutoff, base):
     """Eavesdropper entropy at one cutoff from the orbit representatives of
     `_rotation_orbits`: the sum, over the `order` classes
-    q = (c' - e) mod K of her (c', e) index, of `fock_entropy` of the Gram
+    q = (c' - e) mod K of her (c', e) index, of the entropy of the Gram
     block conj(M_q) M_q^T, with M_q the class-q columns of the
-    representatives' `_eve_average_state` factor."""
+    representatives' `_eve_average_state` factor.
+
+    The columns are gathered by `_class_columns`, the classes padded to one
+    width with a zero column, which adds nothing to a Gram block, so all K
+    blocks come from one stacked product and one stacked `eigvalsh`; each
+    block's spectrum goes through `spectrum_entropy` on its own, which
+    keeps its floor at 0."""
     m, leak = _eve_average_state(representatives, params, cutoff)
     _require_deficit(leak, f"the oracle state at cutoff {cutoff}")
-    d = cutoff + 1
-    classes = np.subtract.outer(np.arange(d), np.arange(d)).reshape(-1) % order
-    blocks = (m[:, classes == q] for q in range(order))
-    return sum(fock_entropy(block.conj() @ block.T, base=base) for block in blocks)
+    padded = np.concatenate((m, np.zeros((m.shape[0], 1))), axis=1)
+    cols = padded[:, _class_columns(order, cutoff)].transpose(1, 0, 2)
+    spectra = np.linalg.eigvalsh(cols.conj() @ cols.transpose(0, 2, 1))
+    return sum(spectrum_entropy(spectrum, base) for spectrum in spectra)
 
 
 def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
@@ -619,8 +660,10 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
     taken from the Gram block of the representatives alone, weighted by
     K p.  For QPSK (K = 4) that is four d x d blocks, 19 x 19 at cutoff 18,
     instead of one 76 x 76; with no symmetry (K = 1) it is the single
-    K*d x K*d Gram.  The leakage is taken from the representatives, which
-    is exact because a rotation keeps photon numbers.
+    K*d x K*d Gram.  `_eve_entropy` forms the K blocks in one stacked
+    product and takes their spectra from one stacked `eigvalsh`.  The
+    leakage is taken from the representatives, which is exact because a
+    rotation keeps photon numbers.
 
     The same entropy is recomputed at cutoff-5; the run only counts as
     converged if the two values agree within 1e-4 (and truncation leakage

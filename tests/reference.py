@@ -259,3 +259,15 @@ def full_gram_oracle_entropy(constellation, params, cutoff, base="bits"):
     m, leak = _eve_average_state(constellation, params, cutoff)
     _require_deficit(leak, f"the oracle state at cutoff {cutoff}")
     return fock_entropy(m.conj() @ m.T, base=base)
+
+
+def class_gram_oracle_entropy(representatives, order, params, cutoff, base="bits"):
+    """The oracle's entropy at one cutoff with one `fock_entropy` per
+    rotation class: the unbatched reference for the stacked class Gram
+    blocks of `evebounds.fock._eve_entropy`."""
+    m, leak = _eve_average_state(representatives, params, cutoff)
+    _require_deficit(leak, f"the oracle state at cutoff {cutoff}")
+    d = cutoff + 1
+    classes = np.subtract.outer(np.arange(d), np.arange(d)).reshape(-1) % order
+    blocks = (m[:, classes == q] for q in range(order))
+    return sum(fock_entropy(block.conj() @ block.T, base=base) for block in blocks)

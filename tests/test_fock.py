@@ -11,6 +11,7 @@ from evebounds.states import entropy_from_cov
 from reference import (
     apply_sparse_generator,
     bs_generator,
+    class_gram_oracle_entropy,
     displacement_generator,
     fock_hs_product,
     fock_moments,
@@ -59,6 +60,12 @@ class TestStates:
     def test_excessive_leakage_raises(self):
         with pytest.raises(fock.FockConvergenceError, match="leakage"):
             fock.fock_thermal(2.0, cutoff=3)
+
+    @pytest.mark.parametrize("make", [fock.fock_thermal, fock.tmsv_ket, fock.fock_tmsv])
+    @pytest.mark.parametrize("nbar", [math.nan, math.inf, -math.inf, -0.1])
+    def test_non_finite_or_negative_nbar_rejected(self, make, nbar):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            make(nbar, 4)
 
 
 class TestOperators:
@@ -356,7 +363,7 @@ class TestEveExact:
             assert np.max(np.abs(m - m_ref)) < 1e-13
             assert abs(leak - leak_ref) < 1e-15
 
-    @pytest.mark.parametrize("cutoff", [7, 13, 18])
+    @pytest.mark.parametrize("cutoff", [7, 8, 13, 18])
     @pytest.mark.parametrize("tau", [0.0, 0.2, 0.5, 1.0])
     def test_cached_blocks_match_dense_exponential(self, tau, cutoff):
         values, row, col = fock._bs_slot_values(tau, cutoff)
@@ -369,10 +376,12 @@ class TestEveExact:
         assert np.max(np.abs(u - dense)) < 1e-12
 
     def test_cached_eigenbasis_read_only_and_call_order_free(self):
-        sectors, row, col = fock._bs_sectors(13)
-        assert fock._bs_sectors(13)[0] is sectors
-        assert len(sectors) == 2 * 13 + 1
-        for arr in (row, col, *(a for sector in sectors for a in sector)):
+        cache = fock._bs_sectors(13)
+        assert fock._bs_sectors(13) is cache
+        basis, adjoint, vals, index, row, col = cache
+        assert basis.shape == adjoint.shape == (14, 14, 14) and vals.shape == (14, 14)
+        assert index.shape == row.shape == col.shape
+        for arr in (*cache, fock._class_columns(4, 13)):
             with pytest.raises(ValueError, match="read-only"):
                 arr.flat[0] = 0
         # cutoff 18 also sweeps 13, cutoff 13 also sweeps 8
@@ -398,6 +407,47 @@ class TestEveExact:
     def test_cutoff_floor(self):
         with pytest.raises(ValueError, match="cutoff"):
             fock.eve_exact_entropy(qpsk(1.0), ChannelParams(tau=0.5, nbar=0.01), cutoff=5)
+
+
+@pytest.mark.parametrize("cutoff", [7, 8, 13, 18])
+class TestSectorLayout:
+    """`_bs_sectors` packs the 2c+1 photon-number sectors into d = c+1
+    blocks of width d, at either parity of the cutoff c."""
+
+    def test_each_state_in_one_block(self, cutoff):
+        d = cutoff + 1
+        _, _, _, index, row, col = fock._bs_sectors(cutoff)
+        block, i, j = np.unravel_index(index, (d, d, d))
+        diagonal = i == j
+        assert np.array_equal(row[diagonal], col[diagonal])
+        states = row[diagonal]
+        assert np.array_equal(np.sort(states), np.arange(d * d))
+        assert np.array_equal(np.bincount(block[diagonal]), np.full(d, d))
+        n0, n1 = np.divmod(states, d)
+        assert np.array_equal(block[diagonal], (n0 + n1) % d)
+        assert np.array_equal(i[diagonal], n0)
+
+    def test_labels_are_the_rotation_sectors(self, cutoff):
+        dim = (cutoff + 1) ** 2
+        _, _, _, _, row, col = fock._bs_sectors(cutoff)
+        sectors = [fock._rotation_sector(fock._BS_PHI, total, cutoff)[0]
+                   for total in range(2 * cutoff + 1)]
+        want = np.concatenate([np.add.outer(s * dim, s).reshape(-1) for s in sectors])
+        got = row * dim + col
+        assert got.size == np.unique(got).size
+        assert np.array_equal(np.sort(got), np.sort(want))
+
+    def test_off_sector_entries_exactly_zero(self, cutoff):
+        d = cutoff + 1
+        basis, adjoint, vals, index, _, _ = fock._bs_sectors(cutoff)
+        off = np.ones(d**3, dtype=bool)
+        off[index] = False
+        theta = math.acos(math.sqrt(0.3))
+        blocks = (basis * np.exp(-1j * theta * vals)[:, None, :]) @ adjoint
+        for stack in (basis, adjoint, blocks):
+            assert np.all(stack.reshape(-1)[off] == 0)
+        values, _, _ = fock._bs_slot_values(0.3, cutoff)
+        assert np.array_equal(values, blocks.reshape(-1)[index])
 
 
 def _ring(radius, order, offset=0.0):
@@ -469,6 +519,40 @@ class TestRotationSymmetry:
     def test_unequal_probabilities_break_the_symmetry(self):
         bpsk = Constellation(amplitudes=[0.5, -0.5], probs=[0.5 + 1e-15, 0.5 - 1e-15])
         assert fock._rotation_orbits(bpsk)[0] == 1
+
+
+class TestStackedClassGrams:
+    """`_eve_entropy`'s stacked rotation-class Gram blocks against one
+    `fock_entropy` per block (`reference.class_gram_oracle_entropy`)."""
+
+    @pytest.mark.parametrize("tau,nbar", [(0.5, 0.1), (0.2, 0.01), (0.8, 0.0), (1.0, 0.5)])
+    @pytest.mark.parametrize("name,order", [
+        ("skewed-three", 1), ("bpsk", 2), ("qpsk", 4), ("two-ring-z4", 4), ("8psk-offset", 8),
+    ])
+    def test_matches_per_class_eigensolves(self, name, order, tau, nbar):
+        constellation = SYMMETRY_CASES[name][0]
+        got_order, reps = fock._rotation_orbits(constellation)
+        assert got_order == order
+        params = ChannelParams(tau=tau, nbar=nbar)
+        for cutoff in (18, 13):
+            got = fock._eve_entropy(reps, order, params, cutoff, "bits")
+            want = class_gram_oracle_entropy(reps, order, params, cutoff)
+            assert abs(got - want) < 1e-13
+
+    @pytest.mark.parametrize("order,widths", [
+        (1, [361]), (2, [181, 180]), (4, [91, 90, 90, 90]), (8, [47, 46, 45, 44, 44, 44, 45, 46]),
+    ])
+    def test_class_columns_padded(self, order, widths):
+        index = fock._class_columns(order, 18)
+        assert index.shape == (order, max(widths))
+        members = index < 19 * 19
+        assert members.sum(axis=1).tolist() == widths
+        # class q lists its columns, (c' - e) mod K = q, in increasing order,
+        # then the padding
+        for q, (row, keep) in enumerate(zip(index, members)):
+            assert np.all(np.diff(row[keep]) > 0) and keep[: keep.sum()].all()
+            assert np.all(np.subtract(*np.divmod(row[keep], 19)) % order == q)
+        assert np.array_equal(np.sort(index[members]), np.arange(19 * 19))
 
 
 def dense_eve_average_state(constellation, params, cutoff):
