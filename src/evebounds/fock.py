@@ -14,25 +14,35 @@ States are plain arrays at an explicit cutoff: `coherent_ket` and
 FockConvergenceError if more than `DEFICIT_LIMIT` is lost.  Unitaries are
 exponentials of the truncated anti-Hermitian generator, so they stay
 exactly unitary; truncation error shows up as population reaching the top
-of the photon ladder, which is what the leakage checks measure.  The beam
-splitter conserves the total photon number N of its two modes, and its
-generator is -i theta H_N in sector N with a tridiagonal H_N that does not
-depend on tau; `_bs_sectors` diagonalizes each H_N once per cutoff and
-caches the result, the 2 cutoff + 1 sectors packed into cutoff + 1 blocks
-of cutoff + 1 states (sectors N and N + cutoff + 1 share a block), so a
-beam splitter at a new tau costs one phase per eigenvalue and one stacked
-product.  The oracle never
-forms the dense unitary: the TMSV input is diagonal, |e>_C |e>_E, so each
-input state lies in one sector and each output amplitude is a single
-product, which `_eve_average_state` scatters for all amplitudes at once.
-The eavesdropper's entropy is taken from pure-state amplitudes: her
-average state rho = M^T conj(M) has the same nonzero spectrum as the much
-smaller Gram matrix conj(M) M^T, so rho itself is never formed.  The
-oracle also reduces by the constellation's rotation symmetry
-(`_rotation_orbits`; the argument is in `eve_exact_entropy`): for QPSK at
-cutoff 18 it takes four 19 x 19 Gram blocks, formed by one stacked product
-and diagonalized by one stacked `eigvalsh`, in place of one 76 x 76 Gram
-matrix.
+of the photon ladder, which is what the leakage checks measure.
+
+The oracle works in real arithmetic.  The beam splitter
+exp(theta (a^dag b - a b^dag)) has a real antisymmetric generator, so its
+Fock matrix is real orthogonal.  It conserves the total photon number N of
+its two modes, and its generator is -i theta H_N in sector N with a
+tridiagonal H_N that does not depend on tau; `_bs_sectors` diagonalizes
+each H_N once per cutoff as a real symmetric block and caches the real
+eigenvectors, the 2 cutoff + 1 sectors packed into cutoff + 1 blocks of
+cutoff + 1 states (sectors N and N + cutoff + 1 share a block), so a beam
+splitter at a new tau costs one cosine and one sine per eigenvalue and one
+real stacked product.  The oracle never forms the dense unitary: the TMSV
+input is diagonal, |e>_C |e>_E, so each input state lies in one sector and
+each output amplitude is a single product, which `_eve_factor` scatters
+for all amplitudes at once through a layout cached per cutoff and
+rotation order (`_eve_layout`).  A coherent ket's phase is linear in the
+photon number, exp(i n arg alpha), so it splits into a row phase and a
+column phase of the eavesdropper's factor, and neither changes the
+spectrum of a Gram block as long as every simulated amplitude has the
+same arg alpha: the factor is built from the real ket of |alpha|, and
+only representatives of different phases take their relative column
+phases, which makes the Gram blocks complex.  The eavesdropper's entropy
+is taken from pure-state amplitudes: her average state rho = M^T conj(M)
+has the same nonzero spectrum as the much smaller Gram matrix
+conj(M) M^T, so rho itself is never formed.  The oracle also
+reduces by the constellation's rotation symmetry (`_rotation_orbits`; the
+argument is in `eve_exact_entropy`): for QPSK at cutoff 18 it takes four
+real 19 x 19 Gram blocks, formed by one stacked product and diagonalized
+by one stacked `eigvalsh`, in place of one complex 76 x 76 Gram matrix.
 
 The `--check` switching-rule probes exponentiate two of their three
 generator kinds from exact structure on the truncated space.  The two
@@ -82,6 +92,11 @@ __all__ = [
 
 # Truncation leakage above this disqualifies a value as a reference.
 DEFICIT_LIMIT = 1e-6
+# The oracle recomputes its entropy `SWEEP_STEP` levels below the cutoff
+# and counts it as converged only if the two values differ by less than
+# `DRIFT_LIMIT`.
+DRIFT_LIMIT = 1e-4
+SWEEP_STEP = 5
 
 
 class FockConvergenceError(RuntimeError):
@@ -327,25 +342,27 @@ def _bs_angle(tau):
 
 
 def _tridiagonal_eigh(diag, sub):
-    """(vals, basis): eigenvalues and eigenvector columns of the Hermitian
-    tridiagonal h with real diagonal `diag` and subdiagonal `sub`
-    (h[k+1, k] = sub[k]), from one real `eigh`.
+    """(vals, vecs, phase): the eigenvalues of the Hermitian tridiagonal h
+    with real diagonal `diag` and subdiagonal `sub` (h[k+1, k] = sub[k]),
+    the real eigenvector columns V of a real symmetric t, and the phases
+    of the diagonal P with h = P t P^dag, from one real `eigh`.
 
-    With P = diag(exp(i theta_k)), theta_k the running sum of arg(sub[:k]),
-    h = P t P^dag for the real symmetric tridiagonal t with diagonal `diag`
-    and off-diagonal |sub|, so basis = P V for the eigenvectors V of t.
+    P = diag(phase), phase_k = exp(i theta_k) with theta_k the running sum
+    of arg(sub[:k]), and t has diagonal `diag` and off-diagonal |sub|, so
+    h's eigenvector columns are P V.
     """
     off = np.abs(sub)
     t = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
     vals, vecs = np.linalg.eigh(t)
     phase = np.exp(1j * np.concatenate(([0.0], np.cumsum(np.angle(sub)))))
-    return vals, phase[:, None] * vecs
+    return vals, vecs, phase
 
 
 def _expm_tridiagonal(diag, sub):
     """exp(-i h) = basis exp(-i vals) basis^dag for the Hermitian
-    tridiagonal h of `_tridiagonal_eigh`."""
-    vals, basis = _tridiagonal_eigh(diag, sub)
+    tridiagonal h of `_tridiagonal_eigh`, basis = P V."""
+    vals, vecs, phase = _tridiagonal_eigh(diag, sub)
+    basis = phase[:, None] * vecs
     return (basis * np.exp(-1j * vals)) @ basis.conj().T
 
 
@@ -418,59 +435,71 @@ _BS_PHI = np.array([[0, -1j], [1j, 0]])
 
 @lru_cache(maxsize=8)
 def _bs_sectors(cutoff):
-    """Tau-free eigenbasis of the beam-splitter generator, its 2 cutoff + 1
+    """Tau-free real eigenbasis of the beam-splitter generator, its 2 cutoff + 1
     photon-number sectors packed into d = cutoff + 1 blocks of d states.
 
     The generator keeps the total photon number N fixed.  In sector N the
     basis is |n, N - n> with 0 <= n, N - n <= cutoff, and the generator is
     -i theta H_N with H_N the `_rotation_sector` block of `_BS_PHI`,
-    Hermitian, tridiagonal and free of tau:
-    <n+1, N-n-1| H_N |n, N-n> = i sqrt(n+1) sqrt(N-n).  Each H_N is
-    diagonalized once per cutoff by `_tridiagonal_eigh`.
+    tridiagonal and free of tau:
+    <n+1, N-n-1| H_N |n, N-n> = i sqrt(n+1) sqrt(N-n).  Every subdiagonal
+    entry has phase i, so `_tridiagonal_eigh` writes H_N = P T P^dag with
+    P = diag(i^j), j the position in the sector, and diagonalizes the real
+    symmetric T = V diag(vals) V^T once per cutoff.  The beam splitter's
+    block is then U_jk = i^(j-k) sum_m V_jm V_km exp(-i theta vals_m).  T
+    has a zero diagonal, so cos(theta T) links only states with even j - k
+    and sin(theta T) only states with odd j - k, and U is real orthogonal:
+    U_jk = sign_jk C_jk for even j - k and sign_jk S_jk for odd j - k, with
+    C = V cos(theta vals) V^T, S = V sin(theta vals) V^T and
+    sign_jk = (-1)^floor((j - k) / 2).
 
     Sector N < cutoff has N + 1 states and sector N + d has cutoff - N, so
     the two share block N, and sector cutoff fills block cutoff alone: the
     state |n0, n1> sits in block (n0 + n1) mod d at position n0.  Each
-    sector's eigenbasis is placed on its block's diagonal, so the entries
-    between the two sectors of a block are exact zeros, and every block
-    unitary is one product of a (d, d, d) stack.
+    sector's eigenvectors are placed on its block's diagonal, so the
+    entries between the two sectors of a block are exact zeros, and C and
+    S of every block come from one product of a (2, d, d, d) stack.
 
     Returns:
-        (basis, adjoint, vals, index, row, col): the (d, d, d) stacks of
-        block eigenbases and their adjoints, the (d, d) block eigenvalues,
-        the flat indices into a (d, d, d) stack of the in-sector entries,
-        and the two-mode basis states n0 d + n1 of the row and the column
-        of each of those entries.  All arrays are read-only, since every
-        caller shares them.
+        (vecs, vecs_t, vals, index, sign, row, col): the (d, d, d) stacks of
+        real block eigenvectors and their transposes, the (d, d) block
+        eigenvalues, the flat index of each in-sector entry into the
+        (2, d, d, d) stack of C and S blocks (into C for even j - k, into S
+        for odd), its sign, and the two-mode basis states n0 d + n1 of its
+        row and its column.  All arrays are read-only, since every caller
+        shares them.
     """
     d = cutoff + 1
-    basis = np.zeros((d, d, d), dtype=complex)
+    vecs = np.zeros((d, d, d))
     vals = np.empty((d, d))
     for total in range(2 * cutoff + 1):
         states, diag, sub = _rotation_sector(_BS_PHI, total, cutoff)
         n0 = states // d
-        vals[total % d, n0], basis[total % d, n0[:, None], n0] = _tridiagonal_eigh(diag, sub)
-    adjoint = np.ascontiguousarray(basis.conj().transpose(0, 2, 1))
+        vals[total % d, n0], vecs[total % d, n0[:, None], n0], _ = _tridiagonal_eigh(diag, sub)
+    vecs_t = np.ascontiguousarray(vecs.transpose(0, 2, 1))
     block, pos = np.ogrid[:d, :d]
     labels = pos * d + (block - pos) % d
     low = pos <= block  # the lower sector of each block
-    index = np.flatnonzero(low[:, :, None] == low[:, None, :])
-    row = np.broadcast_to(labels[:, :, None], basis.shape).reshape(-1)[index]
-    col = np.broadcast_to(labels[:, None, :], basis.shape).reshape(-1)[index]
-    for arr in (basis, adjoint, vals, index, row, col):
+    slot = np.flatnonzero(low[:, :, None] == low[:, None, :])
+    _, j, k = np.unravel_index(slot, vecs.shape)
+    index = slot + (j - k) % 2 * vecs.size
+    sign = (-1.0) ** ((j - k) // 2)
+    row = np.broadcast_to(labels[:, :, None], vecs.shape).reshape(-1)[slot]
+    col = np.broadcast_to(labels[:, None, :], vecs.shape).reshape(-1)[slot]
+    for arr in (vecs, vecs_t, vals, index, sign, row, col):
         arr.flags.writeable = False
-    return basis, adjoint, vals, index, row, col
+    return vecs, vecs_t, vals, index, sign, row, col
 
 
 def _bs_slot_values(tau, cutoff):
-    """(values, row, col): the in-sector entries of the beam splitter
-    exp(theta (a^dag b - a b^dag)) and their two-mode basis states, from
-    one stacked product basis exp(-i theta vals) basis^dag over the cached
-    `_bs_sectors` blocks and one gather of its in-sector entries."""
-    basis, adjoint, vals, index, row, col = _bs_sectors(cutoff)
-    theta = _bs_angle(tau)
-    blocks = (basis * np.exp(-1j * theta * vals)[:, None, :]) @ adjoint
-    return blocks.take(index), row, col
+    """The in-sector entries of the real beam splitter
+    exp(theta (a^dag b - a b^dag)), in the order of the `_bs_sectors` row
+    and column labels: one stacked product of the cached blocks scaled by
+    cos(theta vals) and sin(theta vals), one gather and the parity signs."""
+    vecs, vecs_t, vals, index, sign, _, _ = _bs_sectors(cutoff)
+    angle = _bs_angle(tau) * vals
+    trig = np.array((np.cos(angle), np.sin(angle)))[:, :, None, :]
+    return ((vecs * trig) @ vecs_t).take(index) * sign
 
 
 def fock_bs(tau, cutoff):
@@ -526,45 +555,6 @@ class OracleEntropy:
         return abs(self.value - self.value_check)
 
 
-def _eve_average_state(constellation, params, cutoff):
-    """Factor M of the average eavesdropper state on her two modes, plus
-    leakage.
-
-    For each amplitude: coherent (x) TMSV on modes (A, C, E), beam splitter
-    on (A, C), then the rows of the output tensor indexed by the first
-    output b, weighted by sqrt(p_k).  The average state is
-    rho = M^T conj(M) (d^2 x d^2); it is never formed.
-
-    The TMSV is diagonal, lam_e |e>_C |e>_E, so the input |a, e, e> lies in
-    photon-number sector a + e, and each output entry is one product with
-    no sum: out_k[a', c', e] = lam_e ket_k[a] U_{a+e}[(a', c'), (a, e)],
-    with a = a' + c' - e.  M is filled by one scatter over the in-sector
-    block entries of `_bs_slot_values`, for all amplitudes at once; the
-    dense beam-splitter unitary is never formed.
-    """
-    d = cutoff + 1
-    psi_ce, tmsv_deficit = tmsv_ket(params.nbar, cutoff)
-    lam = psi_ce[:: d + 1]  # the Schmidt coefficients, diagonal of the d x d ket
-    values, row, col = _bs_slot_values(params.tau, cutoff)
-    a, e = np.divmod(col, d)
-    kets, deficits = zip(*(coherent_ket(amp, cutoff) for amp in constellation.amplitudes))
-    # np.take and the in-place product keep the temporaries few: at cutoff
-    # 18 a broadcast product of the gathered kets took three times as long.
-    entries = np.take(np.array(kets), a, axis=1)
-    entries *= lam[e] * values
-    out = np.zeros((len(kets), d**3), dtype=complex)
-    out[:, row * d + e] = entries
-    out = out.reshape(-1, d, d, d)
-    top = (
-        (np.abs(out[:, -1, :, :]) ** 2).sum(axis=(1, 2))
-        + (np.abs(out[:, :, -1, :]) ** 2).sum(axis=(1, 2))
-        + (np.abs(out[:, :, :, -1]) ** 2).sum(axis=(1, 2))
-    )
-    worst_leak = max(tmsv_deficit, *deficits, *top.tolist())
-    out *= np.sqrt(constellation.probs)[:, None, None, None]
-    return out.reshape(-1, d * d), worst_leak
-
-
 # `_rotation_orbits` pairs an amplitude's rotated image with an amplitude
 # that lies within this of it, relative to max(1, max |alpha|).
 SYMMETRY_RTOL = 1e-12
@@ -606,39 +596,106 @@ def _rotation_orbits(constellation):
 
 
 @lru_cache(maxsize=16)
-def _class_columns(order, cutoff):
-    """(order, width) indices of the columns of each rotation class
-    q = (c' - e) mod `order` of the eavesdropper's flat (c', e) index,
-    d = cutoff + 1, in increasing order and padded with d^2, the index of
-    a zero column appended to the factor; width is the largest class.
-    Read-only, since every caller shares it."""
+def _eve_layout(order, cutoff):
+    """(dest, top, shift): where each in-sector entry of the beam splitter
+    lands in the eavesdropper's factor, split into the K = `order` rotation
+    classes of her columns.  d = cutoff + 1.
+
+    The entry of `_bs_sectors` in row (b, c') and column (a, e) carries the
+    factor's entry at row b and column (c', e), with a = b + c' - e.  Her
+    columns fall into the classes q = (c' - e) mod K, each listed in
+    increasing order of c' d + e and padded with zeros to the width of the
+    largest; `dest` is the flat index of the entry in the (K, d, width)
+    class blocks, and `shift` holds the (K, width) offsets c' - e of the
+    class columns (0 in the padding).  `top`, 0 to 3, counts how many of b,
+    c' and e sit at the top level `cutoff`, so sum top |entry|^2 is the
+    population on the three top faces of the output, the leakage.
+    Read-only, since every caller shares it.
+    """
     d = cutoff + 1
-    classes = np.subtract.outer(np.arange(d), np.arange(d)).reshape(-1) % order
-    members = [np.flatnonzero(classes == q) for q in range(order)]
-    index = np.full((order, max(m.size for m in members)), d * d)
-    for q, m in enumerate(members):
-        index[q, : m.size] = m
-    index.flags.writeable = False
-    return index
+    *_, row, col = _bs_sectors(cutoff)
+    b, c = np.divmod(row, d)
+    e = col % d
+    offsets = np.subtract.outer(np.arange(d), np.arange(d)).reshape(-1)
+    classes = offsets % order
+    sizes = np.bincount(classes, minlength=order)
+    rank = np.empty(d * d, dtype=int)  # each column's place in its class
+    shift = np.zeros((order, sizes.max()), dtype=int)
+    for q in range(order):
+        members = np.flatnonzero(classes == q)
+        rank[members] = np.arange(members.size)
+        shift[q, : members.size] = offsets[members]
+    column = c * d + e
+    dest = (classes[column] * d + b) * shift.shape[1] + rank[column]
+    top = np.add.reduce([b == cutoff, c == cutoff, e == cutoff], dtype=float)
+    for arr in (dest, top, shift):
+        arr.flags.writeable = False
+    return dest, top, shift
+
+
+def _eve_factor(representatives, order, params, cutoff):
+    """(blocks, leak): the real factor of the eavesdropper's state for the
+    R orbit representatives of `_rotation_orbits`, as an (R, K, d, width)
+    stack of her K = `order` rotation-class blocks (`_eve_layout`), and
+    the worst truncation leakage.
+
+    For each amplitude alpha: coherent (x) TMSV on modes (A, C, E), beam
+    splitter on (A, C), and the output tensor's rows indexed by the first
+    output b, weighted by sqrt(p).  The TMSV is diagonal,
+    lam_e |e>_C |e>_E, so the input |a, e, e> lies in photon-number sector
+    a + e, and each output entry is one product with no sum:
+    out[b, c', e] = ket[a] lam_e U[(b, c'), (a, e)], with a = b + c' - e,
+    and the input weight ket[a] lam_e is read at the column label a d + e
+    of the beam splitter's entry.  The coherent ket is the real ket of
+    |alpha| times exp(i a arg alpha), and
+    exp(i a arg alpha) = exp(i b arg alpha) exp(i (c' - e) arg alpha): a row
+    phase and a column phase, which `_eve_entropy` restores only where
+    they change a spectrum.  So the blocks here are built from the real
+    kets and the real `_bs_slot_values`, and the leakage, which the phases
+    do not change, is taken from them.
+    """
+    d = cutoff + 1
+    dest, top, shift = _eve_layout(order, cutoff)
+    col = _bs_sectors(cutoff)[-1]
+    psi_ce, tmsv_deficit = tmsv_ket(params.nbar, cutoff)
+    lam = psi_ce[:: d + 1].real  # the Schmidt coefficients, diagonal of the d x d ket
+    kets, deficits = zip(*(coherent_ket(abs(amp), cutoff) for amp in representatives.amplitudes))
+    weights = np.multiply.outer(np.array(kets).real, lam).reshape(len(kets), d * d)
+    entries = weights.take(col, axis=1)
+    entries *= _bs_slot_values(params.tau, cutoff)
+    leaks = (entries * entries) @ top
+    entries *= np.sqrt(representatives.probs)[:, None]
+    blocks = np.zeros((len(kets), order * d * shift.shape[1]))
+    blocks[:, dest] = entries
+    worst_leak = max(tmsv_deficit, *deficits, *leaks.tolist())
+    return blocks.reshape(len(kets), order, d, -1), worst_leak
 
 
 def _eve_entropy(representatives, order, params, cutoff, base):
     """Eavesdropper entropy at one cutoff from the orbit representatives of
-    `_rotation_orbits`: the sum, over the `order` classes
-    q = (c' - e) mod K of her (c', e) index, of the entropy of the Gram
-    block conj(M_q) M_q^T, with M_q the class-q columns of the
-    representatives' `_eve_average_state` factor.
+    `_rotation_orbits`: the sum, over the K = `order` rotation classes, of
+    the entropy of the Gram block conj(M_q) M_q^T of the class-q columns
+    M_q of the representatives' factor (`_eve_factor`).
 
-    The columns are gathered by `_class_columns`, the classes padded to one
-    width with a zero column, which adds nothing to a Gram block, so all K
-    blocks come from one stacked product and one stacked `eigvalsh`; each
-    block's spectrum goes through `spectrum_entropy` on its own, which
-    keeps its floor at 0."""
-    m, leak = _eve_average_state(representatives, params, cutoff)
+    The row phases exp(i b arg alpha_k) of the factor are a diagonal
+    unitary similarity of each Gram block, and its column phases
+    exp(i (c' - e) arg alpha_k) cancel in the block when every
+    representative has the same arg alpha: then the real blocks have the
+    spectra of the complex ones.  Only where the representatives' phases
+    differ are the relative column phases
+    exp(i (c' - e) (arg alpha_k - arg alpha_0)) applied and the blocks
+    formed complex.  All K Gram blocks come from one stacked product and
+    one stacked `eigvalsh`; each block's spectrum goes through
+    `spectrum_entropy` on its own, which keeps its floor at 0."""
+    blocks, leak = _eve_factor(representatives, order, params, cutoff)
     _require_deficit(leak, f"the oracle state at cutoff {cutoff}")
-    padded = np.concatenate((m, np.zeros((m.shape[0], 1))), axis=1)
-    cols = padded[:, _class_columns(order, cutoff)].transpose(1, 0, 2)
-    spectra = np.linalg.eigvalsh(cols.conj() @ cols.transpose(0, 2, 1))
+    phase = np.angle(representatives.amplitudes)
+    if np.any(phase != phase[0]):
+        shift = _eve_layout(order, cutoff)[-1]
+        blocks = blocks * np.exp(1j * np.multiply.outer(phase - phase[0], shift))[:, :, None, :]
+    count, _, d, width = blocks.shape
+    blocks = blocks.transpose(1, 0, 2, 3).reshape(order, count * d, width)
+    spectra = np.linalg.eigvalsh(blocks.conj() @ blocks.transpose(0, 2, 1))
     return sum(spectrum_entropy(spectrum, base) for spectrum in spectra)
 
 
@@ -647,12 +704,12 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
     space.
 
     The state of the eavesdropper's two modes is rho = M^T conj(M), with M
-    the K*d x d^2 factor of `_eve_average_state` (K amplitudes, d = cutoff+1
-    levels).  Its entropy is taken from the Gram side conj(M) M^T, which
-    has the same nonzero spectrum, reduced by the constellation's rotation
-    symmetry (`_rotation_orbits`, amplitudes paired within
-    `SYMMETRY_RTOL` = 1e-12 relative to max(1, max |alpha|)).  Rotating an
-    amplitude by 2 pi / K turns the eavesdropper's state into
+    the K*d x d^2 factor of the K amplitudes (d = cutoff+1 levels) that
+    `_eve_factor` builds.  Its entropy is taken from the Gram side
+    conj(M) M^T, which has the same nonzero spectrum, reduced by the
+    constellation's rotation symmetry (`_rotation_orbits`, amplitudes
+    paired within `SYMMETRY_RTOL` = 1e-12 relative to max(1, max |alpha|)).
+    Rotating an amplitude by 2 pi / K turns the eavesdropper's state into
     W rho W^dag, W = exp(2 pi i (n_C' - n_E) / K), so averaging over an orbit
     of K amplitudes pinches a representative's state onto the eigenspaces
     of W: the classes q = (c' - e) mod K of her (c', e) index.  The entropy
@@ -660,15 +717,23 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
     taken from the Gram block of the representatives alone, weighted by
     K p.  For QPSK (K = 4) that is four d x d blocks, 19 x 19 at cutoff 18,
     instead of one 76 x 76; with no symmetry (K = 1) it is the single
-    K*d x K*d Gram.  `_eve_entropy` forms the K blocks in one stacked
-    product and takes their spectra from one stacked `eigvalsh`.  The
-    leakage is taken from the representatives, which is exact because a
-    rotation keeps photon numbers.
+    K*d x K*d Gram.  The leakage is taken from the representatives, which
+    is exact because a rotation keeps photon numbers.
 
-    The same entropy is recomputed at cutoff-5; the run only counts as
-    converged if the two values agree within 1e-4 (and truncation leakage
-    stays below 1e-6), otherwise FockConvergenceError is raised and no
-    value is returned.
+    The work is real.  The beam splitter's generator a^dag b - a b^dag is
+    real and antisymmetric in the Fock basis, so its unitary is real
+    orthogonal (`_bs_sectors`), and a coherent ket's phase is linear in
+    the photon number, exp(i n arg alpha), so it splits into a row phase
+    and a column phase of M that leave the Gram blocks' spectra unchanged
+    when every representative has the same arg alpha (`_eve_entropy`).
+    The K blocks are formed by one stacked product and diagonalized by one
+    stacked `eigvalsh`.
+
+    The same entropy is recomputed at cutoff - `SWEEP_STEP` (5 levels
+    lower); the run only counts as converged if the two values agree
+    within `DRIFT_LIMIT` = 1e-4 and the truncation leakage stays below
+    `DEFICIT_LIMIT` = 1e-6, otherwise FockConvergenceError is raised and
+    no value is returned.
 
     Returns:
         OracleEntropy: entropy in `base` units plus the sweep record.
@@ -677,15 +742,17 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
     if cutoff < 7:
         raise ValueError(f"cutoff must be >= 7 to allow the convergence sweep, got {cutoff}")
     order, representatives = _rotation_orbits(constellation)
+    check_cutoff = cutoff - SWEEP_STEP
     value, value_check = (
-        _eve_entropy(representatives, order, params, c, base) for c in (cutoff, cutoff - 5)
+        _eve_entropy(representatives, order, params, c, base) for c in (cutoff, check_cutoff)
     )
     result = OracleEntropy(
-        value=value, value_check=value_check, cutoff=cutoff, check_cutoff=cutoff - 5
+        value=value, value_check=value_check, cutoff=cutoff, check_cutoff=check_cutoff
     )
-    if result.drift >= 1e-4:
+    if result.drift >= DRIFT_LIMIT:
         raise FockConvergenceError(
-            f"entropy drift {result.drift:.3e} >= 1e-4 between cutoffs {cutoff} and {cutoff - 5}"
+            f"entropy drift {result.drift:.3e} >= {DRIFT_LIMIT:.0e} between cutoffs "
+            f"{cutoff} and {check_cutoff}"
         )
     return result
 

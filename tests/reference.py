@@ -5,9 +5,11 @@ exponentials (scipy's `expm_multiply` and a dense `eigh`) that the
 structured and Chebyshev exponentials of `evebounds.fock` are checked
 against, the scipy Schur form that `evebounds.linalg._unitary_eig` is
 checked against, and the per-operation and per-amplitude forms of two
-`evebounds.checks` helpers, and the oracle's entropy from the single Gram
-matrix of all amplitudes, with no rotation-symmetry reduction."""
+`evebounds.checks` helpers, and the oracle's complex factor through the
+dense beam-splitter unitary, with the entropy from its single Gram matrix
+of all amplitudes or from one eigensolve per rotation class."""
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -20,10 +22,12 @@ from evebounds.checks import _switched_displacement
 from evebounds.cloner import eve_reduced_covariance
 from evebounds.fock import (
     _bs_angle,
-    _eve_average_state,
     _ladder_terms,
     _require_deficit,
+    coherent_ket,
+    fock_bs,
     fock_entropy,
+    tmsv_ket,
 )
 from evebounds.linalg import max_abs
 from evebounds.states import GaussianState, williamson_standard_two_mode
@@ -251,21 +255,42 @@ def bloch_messiah_amplitudes_loop(constellation, params):
                      for amp in constellation.amplitudes])
 
 
+def dense_eve_average_state(constellation, params, cutoff):
+    """(M, leak): the complex factor of the oracle's eavesdropper state,
+    rho = M^T conj(M), through the dense beam-splitter unitary:
+    fock_bs @ (ket_k (x) psi_CE) for each amplitude, its rows indexed by the
+    first output and weighted by sqrt(p_k), and the leakage taken from the
+    top level of each output mode."""
+    d = cutoff + 1
+    psi_ce, tmsv_deficit = tmsv_ket(params.nbar, cutoff)
+    bs = fock_bs(params.tau, cutoff)
+    rows = []
+    leak = tmsv_deficit
+    for amp, prob in zip(constellation.amplitudes, constellation.probs):
+        ket, deficit = coherent_ket(amp, cutoff)
+        out = (bs @ np.kron(ket, psi_ce).reshape(d * d, d)).reshape(d, d, d)
+        top = sum((np.abs(face) ** 2).sum() for face in (out[-1], out[:, -1], out[:, :, -1]))
+        leak = max(leak, deficit, float(top))
+        rows.append(math.sqrt(prob) * out.reshape(d, d * d))
+    return np.concatenate(rows), leak
+
+
 def full_gram_oracle_entropy(constellation, params, cutoff, base="bits"):
     """The oracle's entropy at one cutoff from the single K d x K d Gram
-    matrix conj(M) M^T of all K amplitudes' `_eve_average_state` factor,
-    the reference for the rotation-class blocks of
+    matrix conj(M) M^T of all K amplitudes' `dense_eve_average_state`
+    factor, the reference for the real rotation-class blocks of
     `evebounds.fock.eve_exact_entropy`."""
-    m, leak = _eve_average_state(constellation, params, cutoff)
+    m, leak = dense_eve_average_state(constellation, params, cutoff)
     _require_deficit(leak, f"the oracle state at cutoff {cutoff}")
     return fock_entropy(m.conj() @ m.T, base=base)
 
 
 def class_gram_oracle_entropy(representatives, order, params, cutoff, base="bits"):
     """The oracle's entropy at one cutoff with one `fock_entropy` per
-    rotation class: the unbatched reference for the stacked class Gram
-    blocks of `evebounds.fock._eve_entropy`."""
-    m, leak = _eve_average_state(representatives, params, cutoff)
+    rotation class of the `dense_eve_average_state` factor: the unbatched
+    reference for the stacked class Gram blocks of
+    `evebounds.fock._eve_entropy`."""
+    m, leak = dense_eve_average_state(representatives, params, cutoff)
     _require_deficit(leak, f"the oracle state at cutoff {cutoff}")
     d = cutoff + 1
     classes = np.subtract.outer(np.arange(d), np.arange(d)).reshape(-1) % order

@@ -12,6 +12,7 @@ from reference import (
     apply_sparse_generator,
     bs_generator,
     class_gram_oracle_entropy,
+    dense_eve_average_state,
     displacement_generator,
     fock_hs_product,
     fock_moments,
@@ -342,7 +343,7 @@ class TestEveExact:
 
     @pytest.mark.parametrize("tau,nbar,alpha", [(0.5, 0.1, 1.0), (0.2, 0.5, 0.5)])
     def test_gram_side_spectrum_matches_density_matrix(self, tau, nbar, alpha):
-        m, _ = fock._eve_average_state(qpsk(alpha), ChannelParams(tau=tau, nbar=nbar), 13)
+        m, _ = dense_eve_average_state(qpsk(alpha), ChannelParams(tau=tau, nbar=nbar), 13)
         gram = np.sort(np.linalg.eigvalsh(m.conj() @ m.T))[::-1]
         rho = np.sort(np.linalg.eigvalsh(m.T @ m.conj()))[::-1]
         assert gram.size == 4 * 14 and rho.size == 14 * 14
@@ -350,27 +351,39 @@ class TestEveExact:
         assert np.max(np.abs(rho[gram.size :])) < 1e-12
         assert gram.sum() == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("cutoff", [7, 13, 18])
+    @pytest.mark.parametrize("cutoff", [7, 8, 13, 18])
     @pytest.mark.parametrize("tau", [0.0, 0.2, 0.5, 1.0])
     def test_sector_sparse_state_matches_dense_unitary(self, tau, cutoff):
-        three = Constellation(amplitudes=[0.8, -0.3 + 0.6j, -0.5j], probs=[0.5, 0.3, 0.2])
+        # the real factor, with the row phase exp(i b phi) and the column
+        # phase exp(i (c' - e) phi) of each amplitude restored, is the
+        # complex factor of the dense beam splitter
+        d = cutoff + 1
+        b = np.arange(d)[:, None]
+        c, e = np.divmod(np.arange(d * d), d)
         cases = [(qpsk(alpha), nbar) for alpha in (0.5, 2.0) for nbar in (0.0, 0.01, 2.0)]
-        for constellation, nbar in cases + [(three, 0.01)]:
+        cases += [(SYMMETRY_CASES[name][0], 0.01)
+                  for name in ("two-ring-z4", "skewed-three", "with-origin")]
+        for constellation, nbar in cases:
             params = ChannelParams(tau=tau, nbar=nbar)
-            m, leak = fock._eve_average_state(constellation, params, cutoff)
+            blocks, leak = fock._eve_factor(constellation, 1, params, cutoff)
+            assert blocks.dtype == np.float64
+            phi = np.angle(constellation.amplitudes)[:, None, None]
+            m = blocks[:, 0] * np.exp(1j * phi * (b + c - e))
             m_ref, leak_ref = dense_eve_average_state(constellation, params, cutoff)
-            assert m.shape == m_ref.shape
-            assert np.max(np.abs(m - m_ref)) < 1e-13
+            assert m.shape == (constellation.amplitudes.size, d, d * d)
+            assert np.max(np.abs(m.reshape(m_ref.shape) - m_ref)) < 1e-13
             assert abs(leak - leak_ref) < 1e-15
 
     @pytest.mark.parametrize("cutoff", [7, 8, 13, 18])
     @pytest.mark.parametrize("tau", [0.0, 0.2, 0.5, 1.0])
     def test_cached_blocks_match_dense_exponential(self, tau, cutoff):
-        values, row, col = fock._bs_slot_values(tau, cutoff)
+        values = fock._bs_slot_values(tau, cutoff)
+        *_, row, col = fock._bs_sectors(cutoff)
         dim = (cutoff + 1) ** 2
+        assert values.dtype == np.float64
         assert values.size == row.size == col.size
         assert np.unique(row * dim + col).size == values.size
-        u = np.zeros((dim, dim), dtype=complex)
+        u = np.zeros((dim, dim))
         u[row, col] = values
         dense = fock_unitary(bs_generator(fock.FockSpace(cutoff=cutoff, nmodes=2), tau))
         assert np.max(np.abs(u - dense)) < 1e-12
@@ -378,24 +391,32 @@ class TestEveExact:
     def test_cached_eigenbasis_read_only_and_call_order_free(self):
         cache = fock._bs_sectors(13)
         assert fock._bs_sectors(13) is cache
-        basis, adjoint, vals, index, row, col = cache
-        assert basis.shape == adjoint.shape == (14, 14, 14) and vals.shape == (14, 14)
-        assert index.shape == row.shape == col.shape
-        for arr in (*cache, fock._class_columns(4, 13)):
+        vecs, vecs_t, vals, index, sign, row, col = cache
+        assert vecs.shape == vecs_t.shape == (14, 14, 14) and vals.shape == (14, 14)
+        assert vecs.dtype == vecs_t.dtype == np.float64
+        assert index.shape == sign.shape == row.shape == col.shape
+        layout = fock._eve_layout(4, 13)
+        assert fock._eve_layout(4, 13) is layout
+        for arr in (*cache, *layout):
             with pytest.raises(ValueError, match="read-only"):
                 arr.flat[0] = 0
-        # cutoff 18 also sweeps 13, cutoff 13 also sweeps 8
-        calls = [(18, 0.5), (13, 0.2), (18, 0.9), (13, 0.5), (18, 0.2)]
+        # cutoff 18 also sweeps 13, cutoff 13 also sweeps 8; QPSK takes the
+        # order-4 layout, the skewed constellation the order-1 one
+        three = SYMMETRY_CASES["skewed-three"][0]
+        calls = [(18, 0.5, qpsk(0.5)), (13, 0.2, three), (18, 0.9, qpsk(0.5)),
+                 (13, 0.5, qpsk(0.5)), (18, 0.2, three)]
 
-        def run(cutoff, tau):
+        def run(cutoff, tau, constellation):
             params = ChannelParams(tau=tau, nbar=0.01)
-            m, leak = fock._eve_average_state(qpsk(0.5), params, cutoff)
-            oracle = fock.eve_exact_entropy(qpsk(0.5), params, cutoff=cutoff)
-            return m, leak, oracle.value, oracle.value_check
+            order, reps = fock._rotation_orbits(constellation)
+            blocks, leak = fock._eve_factor(reps, order, params, cutoff)
+            oracle = fock.eve_exact_entropy(constellation, params, cutoff=cutoff)
+            return blocks, leak, oracle.value, oracle.value_check
 
         interleaved = [run(*call) for call in calls]
         for call, first in zip(calls, interleaved):
             fock._bs_sectors.cache_clear()
+            fock._eve_layout.cache_clear()
             fresh = run(*call)
             assert np.array_equal(first[0], fresh[0])
             assert first[1:] == fresh[1:]
@@ -416,8 +437,10 @@ class TestSectorLayout:
 
     def test_each_state_in_one_block(self, cutoff):
         d = cutoff + 1
-        _, _, _, index, row, col = fock._bs_sectors(cutoff)
-        block, i, j = np.unravel_index(index, (d, d, d))
+        *_, index, _, row, col = fock._bs_sectors(cutoff)
+        kind, block, i, j = np.unravel_index(index, (2, d, d, d))
+        # the even entries are read from the cos-product, the odd from the sin-product
+        assert np.array_equal(kind, (i - j) % 2)
         diagonal = i == j
         assert np.array_equal(row[diagonal], col[diagonal])
         states = row[diagonal]
@@ -429,7 +452,7 @@ class TestSectorLayout:
 
     def test_labels_are_the_rotation_sectors(self, cutoff):
         dim = (cutoff + 1) ** 2
-        _, _, _, _, row, col = fock._bs_sectors(cutoff)
+        *_, row, col = fock._bs_sectors(cutoff)
         sectors = [fock._rotation_sector(fock._BS_PHI, total, cutoff)[0]
                    for total in range(2 * cutoff + 1)]
         want = np.concatenate([np.add.outer(s * dim, s).reshape(-1) for s in sectors])
@@ -439,15 +462,19 @@ class TestSectorLayout:
 
     def test_off_sector_entries_exactly_zero(self, cutoff):
         d = cutoff + 1
-        basis, adjoint, vals, index, _, _ = fock._bs_sectors(cutoff)
+        vecs, vecs_t, vals, index, sign, _, _ = fock._bs_sectors(cutoff)
+        angle = math.acos(math.sqrt(0.3)) * vals
+        stack = np.stack([vecs * f(angle)[:, None, :] for f in (np.cos, np.sin)]) @ vecs_t
         off = np.ones(d**3, dtype=bool)
-        off[index] = False
-        theta = math.acos(math.sqrt(0.3))
-        blocks = (basis * np.exp(-1j * theta * vals)[:, None, :]) @ adjoint
-        for stack in (basis, adjoint, blocks):
-            assert np.all(stack.reshape(-1)[off] == 0)
-        values, _, _ = fock._bs_slot_values(0.3, cutoff)
-        assert np.array_equal(values, blocks.reshape(-1)[index])
+        off[index % d**3] = False
+        for arr in (vecs, vecs_t, *stack):
+            assert np.all(arr.reshape(-1)[off] == 0)
+        # the in-sector entries of the other parity, the imaginary part of
+        # the complex block, vanish to rounding
+        assert np.max(np.abs(stack.take((index + d**3) % (2 * d**3)))) < 1e-13
+        _, _, i, j = np.unravel_index(index, stack.shape)
+        assert np.array_equal(sign, (-1.0) ** ((i - j) // 2))
+        assert np.array_equal(fock._bs_slot_values(0.3, cutoff), stack.take(index) * sign)
 
 
 def _ring(radius, order, offset=0.0):
@@ -470,6 +497,9 @@ SYMMETRY_CASES = {
     ),
     "qpsk-unequal": (Constellation(amplitudes=qpsk(0.9).amplitudes, probs=[0.4, 0.3, 0.2, 0.1]),
                      1, 4),
+    # an amplitude at the origin, where arg alpha is 0, is its own image
+    "with-origin": (Constellation(amplitudes=[0.0, 0.5, -0.5, 0.5j], probs=np.full(4, 0.25)),
+                    1, 4),
 }
 
 
@@ -493,15 +523,12 @@ class TestRotationSymmetry:
     @pytest.mark.parametrize("tau,nbar", [(0.5, 0.1), (0.2, 0.01), (0.8, 0.0)])
     @pytest.mark.parametrize("name", SYMMETRY_CASES)
     def test_matches_full_gram(self, name, tau, nbar):
-        constellation, order, _ = SYMMETRY_CASES[name]
+        constellation = SYMMETRY_CASES[name][0]
         params = ChannelParams(tau=tau, nbar=nbar)
         result = fock.eve_exact_entropy(constellation, params)
         want = [full_gram_oracle_entropy(constellation, params, c) for c in (18, 13)]
         got = [result.value, result.value_check]
-        if order == 1:
-            assert got == want
-        else:
-            assert np.max(np.abs(np.subtract(got, want))) < 1e-13
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-13
 
     @pytest.mark.parametrize("amplitudes,order", [
         ([0.0, 0.5, -0.5, 0.5j], 1),  # the origin is its own image
@@ -543,34 +570,33 @@ class TestStackedClassGrams:
         (1, [361]), (2, [181, 180]), (4, [91, 90, 90, 90]), (8, [47, 46, 45, 44, 44, 44, 45, 46]),
     ])
     def test_class_columns_padded(self, order, widths):
-        index = fock._class_columns(order, 18)
-        assert index.shape == (order, max(widths))
-        members = index < 19 * 19
-        assert members.sum(axis=1).tolist() == widths
-        # class q lists its columns, (c' - e) mod K = q, in increasing order,
-        # then the padding
-        for q, (row, keep) in enumerate(zip(index, members)):
-            assert np.all(np.diff(row[keep]) > 0) and keep[: keep.sum()].all()
-            assert np.all(np.subtract(*np.divmod(row[keep], 19)) % order == q)
-        assert np.array_equal(np.sort(index[members]), np.arange(19 * 19))
-
-
-def dense_eve_average_state(constellation, params, cutoff):
-    """`fock._eve_average_state` through the dense beam-splitter unitary:
-    fock_bs @ (ket_k (x) psi_CE) for each amplitude, with the leakage taken
-    from the top level of each output mode."""
-    d = cutoff + 1
-    psi_ce, tmsv_deficit = fock.tmsv_ket(params.nbar, cutoff)
-    bs = fock.fock_bs(params.tau, cutoff)
-    rows = []
-    leak = tmsv_deficit
-    for amp, prob in zip(constellation.amplitudes, constellation.probs):
-        ket, deficit = fock.coherent_ket(amp, cutoff)
-        out = (bs @ np.kron(ket, psi_ce).reshape(d * d, d)).reshape(d, d, d)
-        top = sum((np.abs(face) ** 2).sum() for face in (out[-1], out[:, -1], out[:, :, -1]))
-        leak = max(leak, deficit, float(top))
-        rows.append(math.sqrt(prob) * out.reshape(d, d * d))
-    return np.concatenate(rows), leak
+        d, width = 19, max(widths)
+        dest, top, shift = fock._eve_layout(order, 18)
+        assert shift.shape == (order, width)
+        *_, row, col = fock._bs_sectors(18)
+        b, c = np.divmod(row, d)
+        e = col % d
+        q, b_dest, place = np.unravel_index(dest, (order, d, width))
+        assert np.array_equal(b_dest, b) and np.unique(dest).size == dest.size
+        assert np.all((c - e) % order == q)
+        # each column (c', e) has exactly one place in its class, the class
+        # lists its columns in increasing order from place 0, and the rest
+        # of the class block is padding
+        column, slot = np.unique(c * d + e, return_index=True)
+        assert np.array_equal(column, np.arange(d * d))
+        places = q[slot] * width + place[slot]
+        assert np.unique(places).size == d * d
+        assert np.bincount(q[slot], minlength=order).tolist() == widths
+        for k in range(order):
+            assert np.array_equal(np.sort(place[slot][q[slot] == k]), np.arange(widths[k]))
+            assert np.all(np.diff(column[q[slot] == k]) > 0)
+            assert np.all(np.diff(place[slot][q[slot] == k]) > 0)
+        # shift holds c' - e of each class column, 0 in the padding
+        assert np.array_equal(shift.reshape(-1)[places], (c - e)[slot])
+        padding = np.ones(order * width, dtype=bool)
+        padding[places] = False
+        assert np.all(shift.reshape(-1)[padding] == 0)
+        assert np.array_equal(top, (b == 18) * 1.0 + (c == 18) + (e == 18))
 
 
 def qpsk_purification_moments(alpha, cutoff=40):
