@@ -35,14 +35,20 @@ column phase of the eavesdropper's factor, and neither changes the
 spectrum of a Gram block as long as every simulated amplitude has the
 same arg alpha: the factor is built from the real ket of |alpha|, and
 only representatives of different phases take their relative column
-phases, which makes the Gram blocks complex.  The eavesdropper's entropy
-is taken from pure-state amplitudes: her average state rho = M^T conj(M)
-has the same nonzero spectrum as the much smaller Gram matrix
-conj(M) M^T, so rho itself is never formed.  The oracle also
-reduces by the constellation's rotation symmetry (`_rotation_orbits`; the
-argument is in `eve_exact_entropy`): for QPSK at cutoff 18 it takes four
-real 19 x 19 Gram blocks, formed by one stacked product and diagonalized
-by one stacked `eigvalsh`, in place of one complex 76 x 76 Gram matrix.
+phases, which makes the Gram blocks complex.  Its real inputs come from
+their closed forms, with no complex ket built: the d Schmidt coefficients
+of the TMSV (`_tmsv_schmidt`) and the real ket of |alpha|, by
+`coherent_ket`'s own float recurrence (`_modulus_ket`).  The public
+builders stay as they are for `checks` and the tests.  The eavesdropper's
+entropy is taken from pure-state amplitudes: her average state
+rho = M^T conj(M) has the same nonzero spectrum as the much smaller Gram
+matrix conj(M) M^T, so rho itself is never formed.  The oracle also
+reduces by the constellation's rotation symmetry (`_rotation_orbits`,
+cached by the constellation's values; the argument is in
+`eve_exact_entropy`): for QPSK at cutoff 18 it takes four real 19 x 19
+Gram blocks, formed by one stacked product, diagonalized by one stacked
+`eigvalsh` and summed by one `states.stacked_spectrum_entropy` pass, in
+place of one complex 76 x 76 Gram matrix.
 
 The `--check` switching-rule probes exponentiate two of their three
 generator kinds from exact structure on the truncated space.  The two
@@ -75,7 +81,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cloner import Constellation
-from .states import _log, spectrum_entropy
+from .states import _log, spectrum_entropy, stacked_spectrum_entropy
 
 __all__ = [
     "FockSpace",
@@ -188,6 +194,34 @@ def _require_deficit(deficit, what):
         raise FockConvergenceError(
             f"truncation leakage {deficit:.3e} > {DEFICIT_LIMIT:.0e} for {what}; raise the cutoff"
         )
+
+
+def _tmsv_schmidt(nbar, cutoff):
+    """(coefficients, deficit): the normalized Schmidt coefficients of
+    `tmsv_ket`, the diagonal of its d x d ket (d = cutoff + 1), and the
+    trace they lose, with no d x d ket formed.  nbar is taken as valid.
+    The norm is summed over d entries rather than d^2, so the coefficients
+    can differ from `tmsv_ket`'s in the last bit."""
+    lam = math.tanh(0.5 * math.acosh(2 * nbar + 1))
+    d = cutoff + 1
+    c = math.sqrt(max(1 - lam * lam, 0.0)) * lam ** np.arange(d) if lam > 0 else np.eye(1, d, 0)[0]
+    return _normalized(c)
+
+
+def _modulus_ket(modulus, cutoff):
+    """(ket, deficit): `coherent_ket` of the real amplitude `modulus`, as
+    a real ket equal to its real part bit for bit.
+
+    The recurrence runs on floats: numpy divides a complex number by the
+    real sqrt(n) as a product with 1 / sqrt(n), and the imaginary parts are
+    exact zeros, so c_n = c_(n-1) modulus (1 / sqrt(n)) is `coherent_ket`'s
+    recurrence.  The norm is summed over a complex copy, so it takes the
+    same BLAS sum as `coherent_ket`'s."""
+    c = [math.exp(-0.5 * modulus**2)]
+    for n in range(1, cutoff + 1):
+        c.append(c[-1] * modulus * (1.0 / math.sqrt(n)))
+    ket, deficit = _normalized(np.array(c, dtype=complex))
+    return ket.real, deficit
 
 
 class SqueezeGenerator(NamedTuple):
@@ -570,9 +604,25 @@ def _rotation_orbits(constellation):
     with every orbit of that rotation K amplitudes long (an amplitude at
     the origin is its own image, so it leaves K = 1).  The representatives
     are the lowest-indexed amplitude of each orbit, weighted by K p, as a
-    `Constellation`.  With K = 1 it is the constellation itself.
+    `Constellation` with read-only arrays.  With K = 1 it is the
+    constellation itself.
+
+    The result depends only on the amplitudes and probabilities, so it is
+    cached by their bytes (`_orbits_by_value`), not by the object: a scan
+    builds an equal constellation for every cell, and a constellation
+    changed in place gets the orbits of its new values.
     """
-    amps, probs = constellation.amplitudes, constellation.probs
+    order, representatives = _orbits_by_value(
+        constellation.amplitudes.tobytes(), constellation.probs.tobytes()
+    )
+    return order, (representatives if order > 1 else constellation)
+
+
+@lru_cache(maxsize=32)
+def _orbits_by_value(amplitudes, probs):
+    """`_rotation_orbits` of the amplitudes and probabilities given as the
+    bytes of their complex and float arrays; (1, None) with no symmetry."""
+    amps, probs = np.frombuffer(amplitudes, dtype=complex), np.frombuffer(probs)
     n = amps.size
     tol = SYMMETRY_RTOL * max(1.0, float(np.abs(amps).max()))
     for order in range(n, 1, -1):
@@ -591,8 +641,11 @@ def _rotation_orbits(constellation):
             walk.append(image[walk[-1]])
         reps = np.flatnonzero(np.min(walk[:-1], axis=0) == walk[0])
         if np.array_equal(walk[-1], walk[0]) and reps.size * order == n:
-            return order, Constellation(amplitudes=amps[reps], probs=order * probs[reps])
-    return 1, constellation
+            representatives = Constellation(amplitudes=amps[reps], probs=order * probs[reps])
+            for arr in (representatives.amplitudes, representatives.probs):
+                arr.flags.writeable = False
+            return order, representatives
+    return 1, None
 
 
 @lru_cache(maxsize=16)
@@ -650,17 +703,19 @@ def _eve_factor(representatives, order, params, cutoff):
     |alpha| times exp(i a arg alpha), and
     exp(i a arg alpha) = exp(i b arg alpha) exp(i (c' - e) arg alpha): a row
     phase and a column phase, which `_eve_entropy` restores only where
-    they change a spectrum.  So the blocks here are built from the real
-    kets and the real `_bs_slot_values`, and the leakage, which the phases
-    do not change, is taken from them.
+    they change a spectrum.  So the blocks here are built from real inputs
+    and the real `_bs_slot_values`, and the leakage, which the phases do
+    not change, is taken from them.  The inputs come straight from their
+    closed forms: the d Schmidt coefficients lam_e (`_tmsv_schmidt`) and
+    the real ket of each |alpha| (`_modulus_ket`).
     """
     d = cutoff + 1
     dest, top, shift = _eve_layout(order, cutoff)
     col = _bs_sectors(cutoff)[-1]
-    psi_ce, tmsv_deficit = tmsv_ket(params.nbar, cutoff)
-    lam = psi_ce[:: d + 1].real  # the Schmidt coefficients, diagonal of the d x d ket
-    kets, deficits = zip(*(coherent_ket(abs(amp), cutoff) for amp in representatives.amplitudes))
-    weights = np.multiply.outer(np.array(kets).real, lam).reshape(len(kets), d * d)
+    lam, tmsv_deficit = _tmsv_schmidt(params.nbar, cutoff)
+    moduli = np.abs(representatives.amplitudes).tolist()
+    kets, deficits = zip(*(_modulus_ket(m, cutoff) for m in moduli))
+    weights = np.multiply.outer(np.array(kets), lam).reshape(len(kets), d * d)
     entries = weights.take(col, axis=1)
     entries *= _bs_slot_values(params.tau, cutoff)
     leaks = (entries * entries) @ top
@@ -685,8 +740,9 @@ def _eve_entropy(representatives, order, params, cutoff, base):
     differ are the relative column phases
     exp(i (c' - e) (arg alpha_k - arg alpha_0)) applied and the blocks
     formed complex.  All K Gram blocks come from one stacked product and
-    one stacked `eigvalsh`; each block's spectrum goes through
-    `spectrum_entropy` on its own, which keeps its floor at 0."""
+    one stacked `eigvalsh`, and their K spectra go through one
+    `states.stacked_spectrum_entropy` pass, which floors each block's
+    entropy at 0 on its own."""
     blocks, leak = _eve_factor(representatives, order, params, cutoff)
     _require_deficit(leak, f"the oracle state at cutoff {cutoff}")
     phase = np.angle(representatives.amplitudes)
@@ -696,7 +752,7 @@ def _eve_entropy(representatives, order, params, cutoff, base):
     count, _, d, width = blocks.shape
     blocks = blocks.transpose(1, 0, 2, 3).reshape(order, count * d, width)
     spectra = np.linalg.eigvalsh(blocks.conj() @ blocks.transpose(0, 2, 1))
-    return sum(spectrum_entropy(spectrum, base) for spectrum in spectra)
+    return stacked_spectrum_entropy(spectra, base)
 
 
 def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
@@ -726,19 +782,22 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
     the photon number, exp(i n arg alpha), so it splits into a row phase
     and a column phase of M that leave the Gram blocks' spectra unchanged
     when every representative has the same arg alpha (`_eve_entropy`).
-    The K blocks are formed by one stacked product and diagonalized by one
-    stacked `eigvalsh`.
+    The K blocks are formed by one stacked product, diagonalized by one
+    stacked `eigvalsh` and their entropies summed in one pass.
 
     The same entropy is recomputed at cutoff - `SWEEP_STEP` (5 levels
     lower); the run only counts as converged if the two values agree
     within `DRIFT_LIMIT` = 1e-4 and the truncation leakage stays below
     `DEFICIT_LIMIT` = 1e-6, otherwise FockConvergenceError is raised and
-    no value is returned.
+    no value is returned.  `cutoff` must be an integer, not a bool, and at
+    least 7, or ValueError is raised.
 
     Returns:
         OracleEntropy: entropy in `base` units plus the sweep record.
     """
     _log(base)
+    if isinstance(cutoff, bool) or not isinstance(cutoff, (int, np.integer)):
+        raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
     if cutoff < 7:
         raise ValueError(f"cutoff must be >= 7 to allow the convergence sweep, got {cutoff}")
     order, representatives = _rotation_orbits(constellation)

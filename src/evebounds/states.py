@@ -29,6 +29,7 @@ __all__ = [
     "thermal_entropy",
     "symplectic_entropy",
     "spectrum_entropy",
+    "stacked_spectrum_entropy",
     "apply_symplectic",
     "partial_trace_modes",
     "average_covariance",
@@ -40,6 +41,10 @@ PHYSICALITY_ATOL = 1e-9
 
 # Entropy units: bits (log2) or nats (natural log).
 LOG_BASES = ("bits", "nats")
+
+# The spectrum entropies skip eigenvalues at or below this: a zero
+# eigenvalue comes out of `eigvalsh` as rounding noise of either sign.
+EIGENVALUE_SKIP = 1e-15
 
 
 def omega(nmodes):
@@ -319,11 +324,24 @@ def symplectic_entropy(nus, base="bits"):
 
 def spectrum_entropy(eigs, base="bits"):
     """-sum lambda log lambda over a density or Gram spectrum, eigenvalues
-    <= 1e-15 skipped.  A pure state's eigenvalue can come out as 1 + 4e-16,
-    so the sum is floored at 0.0 (never -0.0); a positive sum is kept."""
+    <= `EIGENVALUE_SKIP` skipped.  A pure state's eigenvalue can come out
+    as 1 + 4e-16, so the sum is floored at 0.0 (never -0.0); a positive
+    sum is kept."""
     log = _log(base)
-    eigs = eigs[eigs > 1e-15]
+    eigs = eigs[eigs > EIGENVALUE_SKIP]
     return max(0.0, float(-(eigs * log(eigs)).sum()))
+
+
+def stacked_spectrum_entropy(spectra, base="bits"):
+    """The sum of `spectrum_entropy` over the rows of an (m, n) stack of
+    spectra, in one pass: eigenvalues <= `EIGENVALUE_SKIP` count as 1,
+    whose term is 0, and each row's sum is floored at 0.0 on its own, so a
+    pure block's overshoot is never netted against a mixed one.  Equal to
+    the loop up to the order of summation."""
+    log = _log(base)
+    kept = np.where(spectra > EIGENVALUE_SKIP, spectra, 1.0)
+    rows = -(kept * log(kept)).sum(axis=-1)
+    return float(np.maximum(0.0, rows).sum())
 
 
 def entropy_from_cov(cov, base="bits"):

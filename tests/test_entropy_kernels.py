@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import reference
+from evebounds import fock, states
 from evebounds.bounds import bm_get_entropy, bm_gme_entropy, eb_qpsk_entropy, gram_entropy
 from evebounds.cloner import ChannelParams, qpsk
 from evebounds.fock import eve_exact_entropy, fock_entropy
@@ -13,6 +15,7 @@ from evebounds.states import (
     LOG_BASES,
     entropy_from_cov,
     spectrum_entropy,
+    stacked_spectrum_entropy,
     symplectic_entropy,
     thermal_entropy,
 )
@@ -53,6 +56,10 @@ ENTRY_POINTS = {
     "eb_qpsk_entropy": (
         lambda base: eb_qpsk_entropy(1.0, PURE, base),
         lambda base: eb_qpsk_entropy(-1.0, PURE, base),
+    ),
+    "stacked_spectrum_entropy": (
+        lambda base: stacked_spectrum_entropy(np.array([[1.0], [1.0]]), base),
+        lambda base: stacked_spectrum_entropy(None, base),
     ),
     "fock_entropy": (
         lambda base: fock_entropy(np.diag([1.0, 0.0]), base),
@@ -149,3 +156,75 @@ class TestSpectrumEntropy:
         assert fock_entropy(rho) == want
         # gram_entropy renormalizes the spectrum first.
         assert gram_entropy(rho) == pytest.approx(want, rel=1e-14)
+
+
+def oracle_class_spectra(tau, nbar, alpha, cutoff):
+    """The stacked spectra of the oracle's rotation-class Gram blocks."""
+    order, reps = fock._rotation_orbits(qpsk(alpha))
+    blocks, _ = fock._eve_factor(reps, order, ChannelParams(tau=tau, nbar=nbar), cutoff)
+    count, _, d, width = blocks.shape
+    blocks = blocks.transpose(1, 0, 2, 3).reshape(order, count * d, width)
+    return np.linalg.eigvalsh(blocks @ blocks.transpose(0, 2, 1))
+
+
+class TestStackedSpectrumEntropy:
+    """One pass over a stack of spectra against a `spectrum_entropy` call per
+    row; only the order of summation differs."""
+
+    @pytest.mark.parametrize("base", LOG_BASES)
+    @pytest.mark.parametrize("tau,nbar,alpha", [(0.2, 0.01, 0.5), (0.5, 0.1, 1.0), (0.8, 0.0, 0.3),
+                                                (1.0, 0.5, 0.5)])
+    def test_oracle_spectra_match_the_per_block_loop(self, tau, nbar, alpha, base):
+        for cutoff in (18, 13, 7):
+            spectra = oracle_class_spectra(tau, nbar, alpha, cutoff)
+            want = sum(spectrum_entropy(row, base) for row in spectra)
+            assert abs(stacked_spectrum_entropy(spectra, base) - want) <= 1e-15
+
+    @pytest.mark.parametrize("base", LOG_BASES)
+    def test_random_stacks_match_the_per_block_loop(self, base):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            rows, width = rng.integers(1, 9), rng.integers(1, 60)
+            spectra = rng.dirichlet(np.full(width, rng.uniform(0.05, 3)), size=rows)
+            # zeros as eigvalsh returns them, on both sides of the skip
+            spectra[rng.random(spectra.shape) < 0.2] = rng.choice([0.0, 1e-16, -1e-14, 1e-15, 2e-15])
+            want = sum(spectrum_entropy(row, base) for row in spectra)
+            assert abs(stacked_spectrum_entropy(spectra, base) - want) <= 1e-15 * max(1.0, want)
+
+    def test_pure_block_floors_on_its_own(self):
+        pure, mixed = [1.0 + 4e-16, 0.0], [0.5, 0.5]
+        assert spectrum_entropy(np.array(pure)) == 0.0
+        # the pure block's -5.8e-16 is floored, not subtracted from the 1 bit
+        got = stacked_spectrum_entropy(np.array([pure, mixed]))
+        assert got == 1.0 == spectrum_entropy(np.array(mixed))
+        zero = stacked_spectrum_entropy(np.array([pure, pure]))
+        assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+
+    def test_skip_is_one_constant_shared_by_both_kernels(self, monkeypatch):
+        assert states.EIGENVALUE_SKIP == 1e-15
+        at, above = np.array([1e-15, 0.5]), np.array([1.1e-15, 0.5])
+        assert spectrum_entropy(at) == stacked_spectrum_entropy(at[None]) == 0.5
+        assert spectrum_entropy(above) == pytest.approx(stacked_spectrum_entropy(above[None]))
+        assert spectrum_entropy(above) > 0.5
+        monkeypatch.setattr(states, "EIGENVALUE_SKIP", 0.3)
+        eigs = np.array([0.8, 0.2])
+        want = -0.8 * math.log2(0.8)
+        assert spectrum_entropy(eigs) == pytest.approx(want, rel=1e-15)
+        assert stacked_spectrum_entropy(eigs[None]) == pytest.approx(want, rel=1e-15)
+
+
+def test_class_gram_reference_keeps_its_per_class_loop(monkeypatch):
+    """The unbatched reference takes one `fock_entropy` per rotation class,
+    so it shares no entropy pass with the stacked oracle it checks."""
+    shapes = []
+
+    def counting(rho, base="bits"):
+        shapes.append(rho.shape)
+        return fock_entropy(rho, base)
+
+    monkeypatch.setattr(reference, "fock_entropy", counting)
+    order, reps = fock._rotation_orbits(qpsk(0.5))
+    params = ChannelParams(tau=0.5, nbar=0.01)
+    got = reference.class_gram_oracle_entropy(reps, order, params, 7)
+    assert shapes == [(8, 8)] * 4
+    assert got == pytest.approx(fock._eve_entropy(reps, order, params, 7, "bits"), abs=1e-13)

@@ -429,6 +429,18 @@ class TestEveExact:
         with pytest.raises(ValueError, match="cutoff"):
             fock.eve_exact_entropy(qpsk(1.0), ChannelParams(tau=0.5, nbar=0.01), cutoff=5)
 
+    # 18.0 used to fail deep in the sector cache with a TypeError, True as
+    # the cutoff 1 it compares equal to
+    @pytest.mark.parametrize("cutoff", [18.0, True, False, np.float64(13), "18"])
+    def test_cutoff_must_be_an_integer(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be an integer"):
+            fock.eve_exact_entropy(qpsk(0.5), ChannelParams(tau=0.5, nbar=0.01), cutoff=cutoff)
+
+    def test_numpy_integer_cutoff_accepted(self):
+        params = ChannelParams(tau=0.5, nbar=0.01)
+        got = fock.eve_exact_entropy(qpsk(0.5), params, cutoff=np.int64(13))
+        assert got == fock.eve_exact_entropy(qpsk(0.5), params, cutoff=13)
+
 
 @pytest.mark.parametrize("cutoff", [7, 8, 13, 18])
 class TestSectorLayout:
@@ -546,6 +558,110 @@ class TestRotationSymmetry:
     def test_unequal_probabilities_break_the_symmetry(self):
         bpsk = Constellation(amplitudes=[0.5, -0.5], probs=[0.5 + 1e-15, 0.5 - 1e-15])
         assert fock._rotation_orbits(bpsk)[0] == 1
+
+
+class TestOrbitCache:
+    """`_rotation_orbits` is cached by the constellation's values, not by
+    the object: a scan builds an equal constellation for every cell."""
+
+    def test_equal_constellations_share_one_result(self):
+        fock._orbits_by_value.cache_clear()
+        first, second = qpsk(0.7), qpsk(0.7)
+        assert first is not second
+        order, reps = fock._rotation_orbits(first)
+        assert fock._rotation_orbits(second) == (order, reps)
+        assert fock._rotation_orbits(second)[1] is reps
+        assert fock._orbits_by_value.cache_info().misses == 1
+
+    def test_changed_probability_misses(self):
+        base = qpsk(0.7)
+        assert fock._rotation_orbits(base)[0] == 4
+        skewed = Constellation(amplitudes=base.amplitudes, probs=[0.4, 0.1, 0.4, 0.1])
+        order, reps = fock._rotation_orbits(skewed)
+        assert order == 2 and np.array_equal(reps.probs, [0.8, 0.2])
+
+    def test_changed_amplitude_misses(self):
+        base = qpsk(0.7)
+        fock._rotation_orbits(base)
+        amps = base.amplitudes.copy()
+        amps[0] *= 1 + 1e-14  # still a 4-fold symmetry, within SYMMETRY_RTOL
+        order, reps = fock._rotation_orbits(Constellation(amplitudes=amps, probs=base.probs))
+        assert order == 4 and reps.amplitudes[0] == amps[0] != base.amplitudes[0]
+
+    def test_constellation_changed_in_place_gets_its_own_orbits(self):
+        params = ChannelParams(tau=0.5, nbar=0.01)
+        constellation = qpsk(0.7)
+        assert fock._rotation_orbits(constellation)[0] == 4
+        constellation.probs[:] = [0.4, 0.1, 0.4, 0.1]
+        assert fock._rotation_orbits(constellation)[0] == 2
+        constellation.amplitudes[1] = 0.3
+        order, reps = fock._rotation_orbits(constellation)
+        assert order == 1 and reps is constellation
+        fresh = Constellation(amplitudes=constellation.amplitudes.copy(),
+                              probs=constellation.probs.copy())
+        got = fock.eve_exact_entropy(constellation, params, cutoff=13)
+        assert got == fock.eve_exact_entropy(fresh, params, cutoff=13)
+
+    def test_representatives_read_only(self):
+        for name in ("qpsk", "two-ring-z4", "8psk-offset"):
+            _, reps = fock._rotation_orbits(SYMMETRY_CASES[name][0])
+            for arr in (reps.amplitudes, reps.probs):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0
+
+    def test_call_order_free(self):
+        # K = 4, 2 and 1 constellations, each built afresh for every call
+        names = ["qpsk", "bpsk", "skewed-three", "two-ring-z4", "qpsk", "skewed-three", "bpsk"]
+        params = ChannelParams(tau=0.5, nbar=0.01)
+
+        def run(name):
+            constellation = SYMMETRY_CASES[name][0]
+            constellation = Constellation(amplitudes=constellation.amplitudes.copy(),
+                                          probs=constellation.probs.copy())
+            order, reps = fock._rotation_orbits(constellation)
+            oracle = fock.eve_exact_entropy(constellation, params)
+            return order, reps.amplitudes.tolist(), reps.probs.tolist(), oracle
+
+        interleaved = [run(name) for name in names]
+        for name, first in zip(names, interleaved):
+            fock._orbits_by_value.cache_clear()
+            assert run(name) == first
+            assert first[0] == SYMMETRY_CASES[name][1]
+
+
+class TestOracleInputs:
+    """The oracle's real input builders against the public complex ones."""
+
+    MODULI = [0.0, 0.02, 0.5, 0.9, 2.2, 6.0, 27.0, 40.0,
+              *np.random.default_rng(5).uniform(0, 6, 40).tolist()]
+
+    @pytest.mark.parametrize("cutoff", [2, 7, 13, 18])
+    def test_modulus_ket_is_the_coherent_real_part(self, cutoff):
+        for modulus in self.MODULI + [abs(amp) for amp in qpsk(0.9).amplitudes]:
+            ket, deficit = fock._modulus_ket(modulus, cutoff)
+            want, want_deficit = fock.coherent_ket(modulus, cutoff)
+            assert ket.dtype == np.float64 and ket.shape == (cutoff + 1,)
+            assert np.array_equal(ket, want.real) and deficit == want_deficit
+
+    def test_modulus_ket_underflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ket, deficit = fock._modulus_ket(40.0, 18)
+        assert not ket.any() and deficit == 1.0
+
+    @pytest.mark.parametrize("cutoff", [2, 7, 13, 18])
+    @pytest.mark.parametrize("nbar", [0.0, 0.01, 2.0, 1e17, *np.logspace(-6, 6, 13).tolist()])
+    def test_schmidt_coefficients_are_the_tmsv_diagonal(self, cutoff, nbar):
+        coeffs, deficit = fock._tmsv_schmidt(nbar, cutoff)
+        ket, want_deficit = fock.tmsv_ket(nbar, cutoff)
+        diagonal = ket.reshape(cutoff + 1, cutoff + 1).diagonal()
+        assert coeffs.dtype == np.float64 and coeffs.shape == (cutoff + 1,)
+        # the norm is summed over d entries, not d^2, so the two agree to
+        # rounding: within half an ulp of 1, the deficit within 2 ulps of 1
+        assert np.max(np.abs(coeffs - diagonal.real)) <= 2**-53
+        assert abs(deficit - want_deficit) <= 2**-51
+        if nbar in (0.0, 1e17):  # a pure vacuum, and all of the trace lost
+            assert deficit == want_deficit == 1.0 - (nbar == 0)
 
 
 class TestStackedClassGrams:

@@ -35,7 +35,8 @@ import sys
 sys.modules["scipy"] = None
 from evebounds import cli
 
-sys.exit(cli.main(["--check", "--tau-steps", "1", "--out", "-"]))
+sys.exit(cli.main(["--check", "--tau-steps", "1", "--methods", "eb,bm-get,bm-gme,oracle",
+                   "--out", "-"]))
 """
 
 
@@ -56,3 +57,6 @@ def test_check_gate_runs_with_scipy_blocked():
     proc = _run(BLOCKED)
     assert proc.returncode == 0, proc.stderr
     assert "FAIL" not in proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    assert {row.split(",")[3] for row in rows} == {"eb", "bm-get", "bm-gme", "oracle"}
+    assert all(row.endswith(",ok") for row in rows), rows
