@@ -25,8 +25,17 @@ is not:
   returns the K x K array, a closed-form expression over the K x M
   displacement amplitudes (K states, M modes), and `gram_entropy` checks
   it (Hermitian, unit trace, no eigenvalue below -1e-8) with the one
-  eigensolve that gives its entropy, through `states.spectrum_entropy`.
-  `eb` and `bm-get` take theirs through `states.symplectic_entropy`.
+  eigensolve that gives its entropy, the `states.spectrum_entropy` of its
+  spectrum.  `eb` and `bm-get` take theirs through
+  `states.symplectic_entropy`.
+
+The ensemble, `gram_matrix` and `gram_entropy` also take a leading axis of
+grid cells (see `cloner.DisplacedThermalEnsemble`): a scan builds its
+cells' Gram matrices as one (cells, K, K) stack, checks them together and
+diagonalizes them with one stacked `eigvalsh`, and
+`gaussian_extremality_entropy` forms the cells' average covariances
+together.  The library calls run the same code on one cell, so a scan's
+value for a cell is the one the library returns for it.
 """
 
 import math
@@ -39,8 +48,8 @@ from .linalg import require_hermitian
 from .states import (
     StandardTwoModeCov,
     _log,
+    _spectrum_entropy_rows,
     _two_mode_symplectic_spectrum,
-    spectrum_entropy,
     standard_symplectic_spectrum,
     symplectic_entropy,
 )
@@ -72,37 +81,46 @@ def gram_matrix(ensemble):
     construction; so the matrix is Hermitian with a unit-modulus diagonal
     at any amplitude.
 
-    Returns the K x K complex array unchecked; `gram_entropy` checks it.
+    Returns the K x K complex array unchecked, or a (cells, K, K) stack for
+    an ensemble with a leading cell axis; `gram_entropy` checks it.
     """
     amps = ensemble.mode_amplitudes()
     root_p = np.sqrt(ensemble.probs)
-    a, b = amps[:, None, :], amps[None, :, :]
-    sq = (np.abs(b - a) ** 2).sum(axis=2)
-    x = (a.real * b.imag - a.imag * b.real).sum(axis=2)
-    return root_p[:, None] * root_p[None, :] * np.exp(-0.5 * sq + 0.5j * (x - x.T))
+    a, b = amps[..., :, None, :], amps[..., None, :, :]
+    sq = (np.abs(b - a) ** 2).sum(axis=-1)
+    x = (a.real * b.imag - a.imag * b.real).sum(axis=-1)
+    phase = x - x.swapaxes(-1, -2)
+    return root_p[:, None] * root_p[None, :] * np.exp(-0.5 * sq + 0.5j * phase)
 
 
 def gram_entropy(matrix, base="bits"):
-    """Entropy -sum lambda log lambda of a Gram matrix's spectrum, taken by
-    `states.spectrum_entropy`.
+    """Entropy -sum lambda log lambda of a Gram matrix's spectrum.
 
     The one place a Gram matrix is checked: it must be Hermitian to 1e-10,
     have unit trace to 1e-9 and no eigenvalue below -1e-8.  Eigenvalues in
     [-1e-8, 0) are clipped to zero (Hermitian eigensolves dip slightly
-    negative) and the spectrum renormalized.  The result is never negative,
-    and 0.0 rather than -0.0 for a pure spectrum.
+    negative) and the spectrum renormalized.  The entropy is that of
+    `states.spectrum_entropy`: never negative, and 0.0 rather than -0.0
+    for a pure spectrum.
+
+    A (..., K, K) stack is checked and diagonalized at once, by one
+    `eigvalsh`, and gives an array of entropies of shape (...); one K x K
+    matrix gives a float.
     """
     _log(base)
     matrix = np.asarray(matrix, dtype=complex)
     require_hermitian(matrix, "Gram matrix")
-    trace = complex(np.trace(matrix)).real
-    if abs(trace - 1.0) > 1e-9:
+    traces = matrix.trace(0, -2, -1).real
+    misses = abs(traces - 1.0)
+    if misses.max() > 1e-9:
+        trace = float(np.ravel(traces)[misses.argmax()])
         raise ValueError(f"Gram matrix trace is {trace!r}, expected 1 within 1e-9")
     eigs = np.linalg.eigvalsh(matrix)
     if eigs.min() < -1e-8:
         raise ValueError(f"Gram matrix has eigenvalue {eigs.min():.3e} below -1e-8")
-    eigs = np.clip(eigs, 0.0, None)
-    return spectrum_entropy(eigs / eigs.sum(), base)
+    eigs = eigs.clip(0.0)
+    entropies = _spectrum_entropy_rows(eigs / eigs.sum(axis=-1, keepdims=True), base)
+    return float(entropies) if entropies.ndim == 0 else entropies
 
 
 def gaussian_extremality_entropy(ensemble, base="bits"):
@@ -114,9 +132,21 @@ def gaussian_extremality_entropy(ensemble, base="bits"):
     (`states._two_mode_symplectic_spectrum`); the average covariance is
     diag(nu2, nu2, nu1, nu1) >= 1 plus a positive-semidefinite spread, so
     it meets that function's positive-definite precondition.
+
+    A float for one ensemble; for an ensemble with a leading cell axis,
+    the average covariances are formed at once and the closed-form tail
+    runs per cell, giving a list of floats.
     """
     _log(base)
-    return symplectic_entropy(_two_mode_symplectic_spectrum(ensemble.average_covariance()), base)
+    covs = ensemble.average_covariance()
+    if covs.ndim == 2:
+        return _gaussian_entropy(covs, base)
+    return [_gaussian_entropy(cov, base) for cov in covs]
+
+
+def _gaussian_entropy(cov, base):
+    """Entropy of the Gaussian state of one two-mode covariance."""
+    return symplectic_entropy(_two_mode_symplectic_spectrum(cov), base)
 
 
 def bm_get_entropy(constellation, params, base="bits"):

@@ -8,6 +8,11 @@ squeezed-vacuum arm.  Conditioned on the sender's coherent amplitude her
 two-mode state is Gaussian with an amplitude-independent covariance, so it
 reduces to a fixed Gaussian unitary acting on a displaced pair of thermal
 modes; only the displacement carries the signal.
+
+`displaced_thermal_ensemble` takes one `ChannelParams` or a sequence of
+them.  A sequence gives one ensemble for all the cells at once: its
+thermal photon numbers have shape (cells,) and its means (cells, K, 4),
+and the ensemble's methods carry that leading cell axis through.
 """
 
 import math
@@ -94,6 +99,11 @@ class DisplacedThermalEnsemble:
     retained squeezed-vacuum arm, displaced by w2 r conj(alpha_i)) is
     thermal with nu1p.  That pairing is the one whose transformed moments
     match the Fock-space reference.
+
+    One ensemble has a float nu1p and K x 4 means.  A stack of ensembles
+    over grid cells that share the probabilities has nu1p of shape (cells,)
+    and means of shape (cells, K, 4); every method then returns its result
+    with that leading axis.
     """
 
     nu1p: float
@@ -103,25 +113,29 @@ class DisplacedThermalEnsemble:
     def __post_init__(self):
         object.__setattr__(self, "means", np.atleast_2d(np.asarray(self.means, dtype=float)))
         object.__setattr__(self, "probs", np.atleast_1d(np.asarray(self.probs, dtype=float)))
-        if not self.nu1p >= 0:
+        nu1p = np.asarray(self.nu1p, dtype=float)
+        if not all(n >= 0 for n in nu1p.flat):
             raise ValueError(f"thermal photon number must be >= 0, got {self.nu1p}")
         require_finite(self.means, "ensemble means")
-        if self.means.shape != (self.probs.size, 4):
-            raise ValueError("means must be K x 4 for a two-mode ensemble")
+        if self.means.shape != nu1p.shape + (self.probs.size, 4):
+            raise ValueError("means must be K x 4 per cell for a two-mode ensemble")
 
     def common_covariance(self):
-        """Shared covariance diag(1, 1, nu1, nu1) of the ensemble."""
+        """Shared covariance diag(1, 1, nu1, nu1) of the ensemble, per cell."""
         nu1 = 2 * self.nu1p + 1
-        return np.diag([1.0, 1.0, nu1, nu1])
+        cov = np.zeros(self.means.shape[:-2] + (4, 4))
+        cov[..., 0, 0] = cov[..., 1, 1] = 1.0
+        cov[..., 2, 2] = cov[..., 3, 3] = nu1
+        return cov
 
     def average_covariance(self):
-        """4x4 covariance of the ensemble's average state: the common
-        covariance plus the spread of the means."""
+        """4x4 covariance of the ensemble's average state, per cell: the
+        common covariance plus the spread of the means."""
         return average_covariance(self.means, self.probs, self.common_covariance())
 
     def mode_amplitudes(self):
-        """K x 2 complex displacement amplitudes, one column per mode."""
-        return (self.means[:, 0::2] + 1j * self.means[:, 1::2]) / 2
+        """K x 2 complex displacement amplitudes per cell, one column per mode."""
+        return (self.means[..., 0::2] + 1j * self.means[..., 1::2]) / 2
 
 
 def initial_covariance(params):
@@ -195,13 +209,21 @@ def displaced_thermal_ensemble(constellation, params):
     re-validated; `checks.check_williamson_grid` verifies the map and
     `checks.check_eca_pipeline` rebuilds the displacement through the
     circuit.
+
+    `params` is one `ChannelParams`, or a sequence of them for a stack of
+    ensembles with a leading cell axis (`DisplacedThermalEnsemble`).
     """
-    w1, w2, nu1p = eve_thermal_weights(params)
+    if isinstance(params, ChannelParams):
+        w1, w2, nu1p = eve_thermal_weights(params)
+        r = params.r
+    else:
+        w1, w2, nu1p, r = np.array([eve_thermal_weights(p) + (p.r,) for p in params]).T
+        w1, w2, r = w1[:, None], w2[:, None], r[:, None]
     amps = constellation.amplitudes
-    beta = np.stack([-w1 * params.r * amps, w2 * params.r * np.conj(amps)], axis=1)
-    means = np.empty((amps.size, 4))
-    means[:, 0::2] = 2 * beta.real
-    means[:, 1::2] = 2 * beta.imag
+    beta = np.stack([-w1 * r * amps, w2 * r * np.conj(amps)], axis=-1)
+    means = np.empty(beta.shape[:-1] + (4,))
+    means[..., 0::2] = 2 * beta.real
+    means[..., 1::2] = 2 * beta.imag
     return DisplacedThermalEnsemble(nu1p=nu1p, means=means, probs=constellation.probs.copy())
 
 

@@ -8,13 +8,13 @@ ensemble; it is computed in closed form from the mod-4 photon-number
 classes, and the tests check it against the purification built in a
 truncated Fock space.
 
-States are plain arrays at an explicit cutoff: `coherent_ket` and
-`tmsv_ket` return a ket with the trace lost to truncation, and
-`fock_thermal` and `fock_tmsv` return a density matrix, or raise
-FockConvergenceError if more than `DEFICIT_LIMIT` is lost.  Unitaries are
-exponentials of the truncated anti-Hermitian generator, so they stay
-exactly unitary; truncation error shows up as population reaching the top
-of the photon ladder, which is what the leakage checks measure.
+States are plain arrays at an explicit cutoff: `tmsv_ket` returns a ket
+with the trace lost to truncation, and `fock_thermal` and `fock_tmsv`
+return a density matrix, or raise FockConvergenceError if more than
+`DEFICIT_LIMIT` is lost.  Unitaries are exponentials of the truncated
+anti-Hermitian generator, so they stay exactly unitary; truncation error
+shows up as population reaching the top of the photon ladder, which is
+what the leakage checks measure.
 
 The oracle works in real arithmetic.  The beam splitter
 exp(theta (a^dag b - a b^dag)) has a real antisymmetric generator, so its
@@ -37,9 +37,10 @@ same arg alpha: the factor is built from the real ket of |alpha|, and
 only representatives of different phases take their relative column
 phases, which makes the Gram blocks complex.  Its real inputs come from
 their closed forms, with no complex ket built: the d Schmidt coefficients
-of the TMSV (`_tmsv_schmidt`) and the real ket of |alpha|, by
-`coherent_ket`'s own float recurrence (`_modulus_ket`).  The public
-builders stay as they are for `checks` and the tests.  The eavesdropper's
+of the TMSV (`_tmsv_schmidt`) and the real ket of |alpha|, by a float
+recurrence (`_modulus_ket`) that the tests compare bit for bit with the
+complex `coherent_ket` of `tests/reference.py`.  The public `tmsv_ket`
+stays as it is for `checks` and the tests.  The eavesdropper's
 entropy is taken from pure-state amplitudes: her average state
 rho = M^T conj(M) has the same nonzero spectrum as the much smaller Gram
 matrix conj(M) M^T, so rho itself is never formed.  The oracle also
@@ -138,17 +139,6 @@ def _normalized(c):
     return (c / math.sqrt(norm2) if norm2 > 0 else c), 1.0 - norm2
 
 
-def coherent_ket(alpha, cutoff):
-    """(ket, deficit) for |alpha> truncated at `cutoff` photons; deficit 1
-    where the amplitudes underflow (|alpha| >~ 27 at cutoff 18)."""
-    alpha = complex(alpha)
-    c = np.zeros(cutoff + 1, dtype=complex)
-    c[0] = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(1, cutoff + 1):
-        c[n] = c[n - 1] * alpha / math.sqrt(n)
-    return _normalized(c)
-
-
 def tmsv_ket(nbar, cutoff):
     """(ket, deficit) for a two-mode squeezed vacuum, Schmidt coefficients
     sqrt(1 - lam^2) lam^n with lam = tanh(arccosh(2 nbar + 1) / 2).
@@ -209,14 +199,17 @@ def _tmsv_schmidt(nbar, cutoff):
 
 
 def _modulus_ket(modulus, cutoff):
-    """(ket, deficit): `coherent_ket` of the real amplitude `modulus`, as
-    a real ket equal to its real part bit for bit.
+    """(ket, deficit) for the coherent state |modulus> of a real amplitude,
+    truncated at `cutoff` photons; deficit 1 where the amplitudes
+    underflow.  It equals the real part of the complex recurrence
+    c_n = c_(n-1) alpha / sqrt(n) (`coherent_ket` in `tests/reference.py`)
+    bit for bit.
 
     The recurrence runs on floats: numpy divides a complex number by the
     real sqrt(n) as a product with 1 / sqrt(n), and the imaginary parts are
-    exact zeros, so c_n = c_(n-1) modulus (1 / sqrt(n)) is `coherent_ket`'s
+    exact zeros, so c_n = c_(n-1) modulus (1 / sqrt(n)) is the complex
     recurrence.  The norm is summed over a complex copy, so it takes the
-    same BLAS sum as `coherent_ket`'s."""
+    same BLAS sum as the complex ket's."""
     c = [math.exp(-0.5 * modulus**2)]
     for n in range(1, cutoff + 1):
         c.append(c[-1] * modulus * (1.0 / math.sqrt(n)))

@@ -67,7 +67,8 @@ def require_symmetric(m, name="matrix"):
 
 
 def require_hermitian(m, name="matrix"):
-    _require_construct(max_abs(m - m.conj().T), name, "Hermitian", "M - M^dag")
+    """M = M^dag to `ATOL_CONSTRUCT`, for one matrix or a stack of them."""
+    _require_construct(max_abs(m - m.swapaxes(-1, -2).conj()), name, "Hermitian", "M - M^dag")
 
 
 def require_bogoliubov(e, f):

@@ -334,14 +334,22 @@ def spectrum_entropy(eigs, base="bits"):
 
 def stacked_spectrum_entropy(spectra, base="bits"):
     """The sum of `spectrum_entropy` over the rows of an (m, n) stack of
-    spectra, in one pass: eigenvalues <= `EIGENVALUE_SKIP` count as 1,
-    whose term is 0, and each row's sum is floored at 0.0 on its own, so a
-    pure block's overshoot is never netted against a mixed one.  Equal to
-    the loop up to the order of summation."""
+    spectra, in one pass of `_spectrum_entropy_rows`.  Equal to the loop
+    up to the order of summation."""
+    return float(_spectrum_entropy_rows(spectra, base).sum())
+
+
+def _spectrum_entropy_rows(spectra, base):
+    """`spectrum_entropy` of each row of a (..., n) stack of spectra, as an
+    array of shape (...,).  Eigenvalues <= `EIGENVALUE_SKIP` count as 1,
+    whose term is 0, and each row's sum is floored at 0.0 on its own (never
+    -0.0), so a pure row's overshoot is never netted against a mixed one.
+    numpy adds fewer than 8 terms in order, so for n < 8 each row equals
+    `spectrum_entropy` of the row bit for bit (a skipped term adds an exact
+    0); longer rows agree up to the order of summation."""
     log = _log(base)
     kept = np.where(spectra > EIGENVALUE_SKIP, spectra, 1.0)
-    rows = -(kept * log(kept)).sum(axis=-1)
-    return float(np.maximum(0.0, rows).sum())
+    return np.maximum(-(kept * log(kept)).sum(axis=-1), 0.0) + 0.0
 
 
 def entropy_from_cov(cov, base="bits"):
@@ -380,23 +388,27 @@ def average_covariance(means, probs, common_cov):
 
     The mixture covariance is the shared covariance plus the second central
     moment of the displacement vectors:
-    common_cov + sum_k p_k (m_k - mbar)(m_k - mbar)^T.
+    common_cov + sum_k p_k (m_k - mbar)(m_k - mbar)^T.  Leading axes of
+    `means` and `common_cov` are cells, each its own mixture over the same
+    probabilities.
 
     Args:
-        means (array[float]): K x 2N matrix of mean vectors.
+        means (array[float]): K x 2N matrix of mean vectors, or a
+            (..., K, 2N) stack of them.
         probs (array[float]): K probabilities, checked by
             `linalg.require_distribution`.
-        common_cov (array[float]): shared 2N x 2N covariance.
+        common_cov (array[float]): shared 2N x 2N covariance, or a
+            (..., 2N, 2N) stack matching the means.
     """
     means = np.atleast_2d(np.asarray(means, dtype=float))
     probs = np.asarray(probs, dtype=float)
     require_distribution(probs)
-    if means.shape[0] != probs.size:
+    if means.shape[-2] != probs.size:
         raise ValueError("number of means and probabilities differ")
     common_cov = np.asarray(common_cov, dtype=float)
-    if means.shape[1] != common_cov.shape[0]:
+    if means.shape[-1] != common_cov.shape[-1]:
         raise ValueError("mean dimension does not match covariance size")
     mbar = probs @ means
-    centered = means - mbar
-    spread = (centered * probs[:, np.newaxis]).T @ centered
+    centered = means - mbar[..., None, :]
+    spread = (centered * probs[:, np.newaxis]).swapaxes(-1, -2) @ centered
     return common_cov + spread

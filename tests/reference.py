@@ -1,13 +1,14 @@
 """Reference code that only the tests use: Gaussian state builders, the
-eavesdropper's conditional mean, the Fock-basis moments and overlaps they
-are checked against, the sparse Fock operators, generators and
-exponentials (scipy's `expm_multiply` and a dense `eigh`) that the
-structured and Chebyshev exponentials of `evebounds.fock` are checked
-against, the scipy Schur form that `evebounds.linalg._unitary_eig` is
-checked against, and the per-operation and per-amplitude forms of two
-`evebounds.checks` helpers, and the oracle's complex factor through the
-dense beam-splitter unitary, with the entropy from its single Gram matrix
-of all amplitudes or from one eigensolve per rotation class."""
+truncated coherent ket, the eavesdropper's conditional mean, the
+Fock-basis moments and overlaps they are checked against, the sparse Fock
+operators, generators and exponentials (scipy's `expm_multiply` and a
+dense `eigh`) that the structured and Chebyshev exponentials of
+`evebounds.fock` are checked against, the scipy Schur form that
+`evebounds.linalg._unitary_eig` is checked against, and the per-operation
+and per-amplitude forms of two `evebounds.checks` helpers, and the
+oracle's complex factor through the dense beam-splitter unitary, with the
+entropy from its single Gram matrix of all amplitudes or from one
+eigensolve per rotation class."""
 
 import math
 from functools import lru_cache
@@ -23,8 +24,8 @@ from evebounds.cloner import eve_reduced_covariance
 from evebounds.fock import (
     _bs_angle,
     _ladder_terms,
+    _normalized,
     _require_deficit,
-    coherent_ket,
     fock_bs,
     fock_entropy,
     tmsv_ket,
@@ -46,6 +47,19 @@ def make_thermal(nbar):
     if nbar < 0:
         raise ValueError(f"mean photon number must be >= 0, got {nbar}")
     return GaussianState(mean=np.zeros(2), cov=(2 * nbar + 1) * np.eye(2))
+
+
+def coherent_ket(alpha, cutoff):
+    """(ket, deficit) for |alpha> truncated at `cutoff` photons; deficit 1
+    where the amplitudes underflow (|alpha| >~ 27 at cutoff 18).  The
+    oracle's real `evebounds.fock._modulus_ket` must equal its real part
+    bit for bit."""
+    alpha = complex(alpha)
+    c = np.zeros(cutoff + 1, dtype=complex)
+    c[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    for n in range(1, cutoff + 1):
+        c[n] = c[n - 1] * alpha / math.sqrt(n)
+    return _normalized(c)
 
 
 def make_coherent(alpha):

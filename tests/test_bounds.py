@@ -20,6 +20,7 @@ from evebounds.cloner import (
     qpsk,
 )
 from evebounds.states import entropy_from_cov
+from reference import coherent_ket
 
 # 1.42e-11 leaves the thermal decomposition a squeezing so small that the
 # matched SVD of the Bloch-Messiah route raised at most taus of the grid.
@@ -74,7 +75,7 @@ class TestGramMatrix:
 
     def test_qpsk_entropy_vs_fock_oracle(self):
         gm = gram_matrix(pure_ensemble(qpsk(1.0)))
-        kets = [fock.coherent_ket(amp, 30)[0] for amp in qpsk(1.0).amplitudes]
+        kets = [coherent_ket(amp, 30)[0] for amp in qpsk(1.0).amplitudes]
         rho = sum(0.25 * np.outer(ket, ket.conj()) for ket in kets)
         assert gram_entropy(gm) == pytest.approx(fock.fock_entropy(rho), abs=1e-3)
 

@@ -197,7 +197,7 @@ class TestScan:
         assert nats_row[6] == "nats"
         assert float(nats_row[5]) == pytest.approx(bits * math.log(2), rel=1e-10)
 
-    def test_one_ensemble_per_cell(self, monkeypatch):
+    def test_one_stacked_ensemble_per_scan(self, monkeypatch):
         from evebounds import bounds, cli, cloner
 
         builds = []
@@ -210,7 +210,11 @@ class TestScan:
         for module in (cli, bounds, cloner):
             monkeypatch.setattr(module, "displaced_thermal_ensemble", counting, raising=False)
         run_scan(ScanConfig())
-        assert len(builds) == 100  # 2 nbars x 50 taus, shared by bm-get and bm-gme
+        # one build stacked over 2 nbars x 50 taus, shared by bm-get and bm-gme
+        assert [len(cells) for cells in builds] == [100]
+        builds.clear()
+        run_scan(ScanConfig(methods=["bm-gme"]))
+        assert [len(cells) for cells in builds] == [100]
         builds.clear()
         run_scan(ScanConfig(methods=["eb"]))
         assert builds == []

@@ -28,7 +28,7 @@ from evebounds.states import (
     williamson_standard_two_mode,
     williamson_weights,
 )
-from reference import eve_conditional_mean, fock_moments
+from reference import coherent_ket, eve_conditional_mean, fock_moments
 
 GRID = [(tau, nbar) for tau in np.linspace(0.05, 0.95, 10) for nbar in (0.01, 0.02, 0.1)]
 
@@ -150,7 +150,7 @@ class TestConditionalMean:
         cutoff = 16
         d = cutoff + 1
         for alpha_i in (1.0, np.exp(1j * np.pi / 4)):
-            ket_a, _ = fock.coherent_ket(alpha_i, cutoff)
+            ket_a, _ = coherent_ket(alpha_i, cutoff)
             psi_ce, _ = fock.tmsv_ket(p.nbar, cutoff)
             psi = np.einsum("a,ce->ace", ket_a, psi_ce.reshape(d, d))
             bs2 = fock.fock_bs(p.tau, cutoff).reshape(d, d, d, d)

@@ -12,6 +12,7 @@ from reference import (
     apply_sparse_generator,
     bs_generator,
     class_gram_oracle_entropy,
+    coherent_ket,
     dense_eve_average_state,
     displacement_generator,
     fock_hs_product,
@@ -28,13 +29,13 @@ from reference import (
 
 class TestStates:
     def test_coherent_vacuum(self):
-        ket, deficit = fock.coherent_ket(0.0, 10)
+        ket, deficit = coherent_ket(0.0, 10)
         assert np.allclose(ket, np.eye(1, 11, 0)[0])
         assert deficit == pytest.approx(0.0, abs=1e-15)
 
     def test_coherent_poisson_populations(self):
         alpha = 0.8
-        ket, _ = fock.coherent_ket(alpha, 30)
+        ket, _ = coherent_ket(alpha, 30)
         n = np.arange(5)
         expected = np.exp(-alpha**2) * alpha ** (2 * n) / np.array([math.factorial(k) for k in n])
         assert np.allclose(np.abs(ket[:5]) ** 2, expected, atol=1e-12)
@@ -82,7 +83,7 @@ class TestOperators:
         alpha = 0.6 - 0.3j
         u = fock_unitary(displacement_generator(space, alpha))
         moved = u[:, 0]
-        ket, _ = fock.coherent_ket(alpha, space.cutoff)
+        ket, _ = coherent_ket(alpha, space.cutoff)
         assert abs(abs(np.vdot(moved, ket)) - 1) < 1e-10
 
     def test_bs_action_on_coherent_vacuum(self):
@@ -90,8 +91,8 @@ class TestOperators:
         tau = 0.5
         space = fock.FockSpace(cutoff=20, nmodes=2)
         alpha = 0.7
-        ket_a, _ = fock.coherent_ket(alpha, space.cutoff)
-        ket_b, _ = fock.coherent_ket(0.0, space.cutoff)
+        ket_a, _ = coherent_ket(alpha, space.cutoff)
+        ket_b, _ = coherent_ket(0.0, space.cutoff)
         psi = np.kron(ket_a, ket_b)
         out = fock.fock_bs(tau, space.cutoff) @ psi
         mean, cov = fock_moments(np.outer(out, out.conj()), space)
@@ -278,7 +279,7 @@ class TestMillerBessel:
 
 class TestScalars:
     def test_pure_state_entropy_zero(self):
-        ket, _ = fock.coherent_ket(0.5, 20)
+        ket, _ = coherent_ket(0.5, 20)
         assert fock.fock_entropy(np.outer(ket, ket.conj())) == pytest.approx(0.0, abs=1e-12)
 
     def test_thermal_entropy_matches_gaussian(self):
@@ -288,8 +289,8 @@ class TestScalars:
 
     def test_hs_product_coherent_vacuum(self):
         alpha = 0.9
-        ket, _ = fock.coherent_ket(alpha, 40)
-        vac, _ = fock.coherent_ket(0.0, 40)
+        ket, _ = coherent_ket(alpha, 40)
+        vac, _ = coherent_ket(0.0, 40)
         val = fock_hs_product(np.outer(ket, ket.conj()), np.outer(vac, vac.conj()))
         assert val == pytest.approx(math.exp(-alpha**2), rel=1e-8)
 
@@ -630,7 +631,7 @@ class TestOrbitCache:
 
 
 class TestOracleInputs:
-    """The oracle's real input builders against the public complex ones."""
+    """The oracle's real input builders against the complex ones."""
 
     MODULI = [0.0, 0.02, 0.5, 0.9, 2.2, 6.0, 27.0, 40.0,
               *np.random.default_rng(5).uniform(0, 6, 40).tolist()]
@@ -639,7 +640,7 @@ class TestOracleInputs:
     def test_modulus_ket_is_the_coherent_real_part(self, cutoff):
         for modulus in self.MODULI + [abs(amp) for amp in qpsk(0.9).amplitudes]:
             ket, deficit = fock._modulus_ket(modulus, cutoff)
-            want, want_deficit = fock.coherent_ket(modulus, cutoff)
+            want, want_deficit = coherent_ket(modulus, cutoff)
             assert ket.dtype == np.float64 and ket.shape == (cutoff + 1,)
             assert np.array_equal(ket, want.real) and deficit == want_deficit
 
@@ -727,7 +728,7 @@ def qpsk_purification_moments(alpha, cutoff=40):
     d = cutoff + 1
     rho = np.zeros((d, d), dtype=complex)
     for amp in qpsk(alpha).amplitudes:
-        ket, deficit = fock.coherent_ket(amp, cutoff)
+        ket, deficit = coherent_ket(amp, cutoff)
         assert deficit < fock.DEFICIT_LIMIT
         rho += 0.25 * np.outer(ket, ket.conj())
     lam, vecs = np.linalg.eigh(rho)
@@ -837,7 +838,7 @@ class TestUnderflowingKets:
     def test_coherent_ket_finite(self, alpha):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ket, deficit = fock.coherent_ket(alpha, 18)
+            ket, deficit = coherent_ket(alpha, 18)
         assert np.all(np.isfinite(ket))
         assert deficit == pytest.approx(1.0, abs=1e-12)
 

@@ -1,0 +1,129 @@
+"""The scan's stacked kernels against the per-cell library calls: the rows
+`run_scan` prints from one ensemble, one Gram stack and one eigensolve per
+scan equal, string for string, the values the library returns cell by
+cell, and each stacked kernel equals its per-cell result bit for bit."""
+
+import numpy as np
+import pytest
+
+from evebounds.bounds import (
+    bm_get_entropy,
+    bm_gme_entropy,
+    eb_qpsk_entropy,
+    gaussian_extremality_entropy,
+    gram_entropy,
+    gram_matrix,
+)
+from evebounds.cli import ScanConfig, _fmt, run_scan
+from evebounds.cloner import ChannelParams, Constellation, displaced_thermal_ensemble, qpsk
+from evebounds.states import average_covariance
+
+TAUS = [0.0, 0.37, 1.0]
+NBARS = [0.0, 1e-12, 5.0, 1e6]
+
+
+class GridConfig(ScanConfig):
+    """A scan over exactly `TAUS`, which no evenly spaced grid holds."""
+
+    def tau_grid(self):
+        return np.array(TAUS)
+
+
+def library_rows(alpha, methods, base):
+    """The rows `run_scan` prints, each value from its library call on
+    its cell alone."""
+    calls = {
+        "bm-get": ("-", lambda p: bm_get_entropy(qpsk(alpha), p, base)),
+        "bm-gme": ("pure-exact", lambda p: bm_gme_entropy(qpsk(alpha), p, base)),
+        "eb": ("-", lambda p: eb_qpsk_entropy(alpha, p, base)),
+    }
+    rows = []
+    for nbar in NBARS:
+        for tau in TAUS:
+            for method in sorted(methods):
+                variant, call = calls[method]
+                value = call(ChannelParams(tau=tau, nbar=nbar))
+                rows.append(f"{_fmt(tau)},{_fmt(nbar)},{_fmt(alpha)},{method},"
+                            f"{variant},{_fmt(value)},{base},ok")
+    return rows
+
+
+@pytest.mark.parametrize("base", ["bits", "nats"])
+@pytest.mark.parametrize("alpha, methods", [
+    (0.05, ["eb", "bm-get", "bm-gme"]),
+    (1.0, ["eb", "bm-get", "bm-gme"]),
+    (40.0, ["eb", "bm-get", "bm-gme"]),
+    (1e4, ["eb"]),
+])
+def test_scan_rows_equal_library_calls(alpha, methods, base):
+    cfg = GridConfig(nbars=NBARS, alpha=alpha, methods=methods, log_base=base)
+    rows = run_scan(cfg)
+    assert rows == library_rows(alpha, methods, base)
+    # a stacked floor must not leave -0.0, which prints as -0
+    assert not any(row.split(",")[5].startswith("-") for row in rows)
+
+
+# A three-state constellation with no rotation symmetry and unequal weights.
+THREE_STATES = Constellation(amplitudes=[0.3 - 0.1j, -0.8 + 0.6j, 1.7j], probs=[0.5, 0.3, 0.2])
+CELLS = [ChannelParams(tau=tau, nbar=nbar) for nbar in NBARS for tau in TAUS + [0.81]]
+
+
+def bits(array):
+    return np.asarray(array).tobytes()
+
+
+class TestStackedKernels:
+    def test_ensemble(self):
+        stacked = displaced_thermal_ensemble(THREE_STATES, CELLS)
+        assert stacked.nu1p.shape == (len(CELLS),)
+        assert stacked.means.shape == (len(CELLS), 3, 4)
+        for i, params in enumerate(CELLS):
+            cell = displaced_thermal_ensemble(THREE_STATES, params)
+            assert isinstance(cell.nu1p, float) and cell.means.shape == (3, 4)
+            assert stacked.nu1p[i] == cell.nu1p
+            assert bits(stacked.means[i]) == bits(cell.means)
+
+    def test_average_covariance(self):
+        stacked = displaced_thermal_ensemble(THREE_STATES, CELLS)
+        covs = stacked.average_covariance()
+        direct = average_covariance(stacked.means, stacked.probs, stacked.common_covariance())
+        assert covs.shape == (len(CELLS), 4, 4) and bits(covs) == bits(direct)
+        for i, params in enumerate(CELLS):
+            cell = displaced_thermal_ensemble(THREE_STATES, params)
+            assert bits(covs[i]) == bits(cell.average_covariance())
+        values = gaussian_extremality_entropy(stacked)
+        assert values == [bm_get_entropy(THREE_STATES, p) for p in CELLS]
+
+    @pytest.mark.parametrize("base", ["bits", "nats"])
+    def test_gram_matrix_and_entropy(self, base):
+        stacked = displaced_thermal_ensemble(THREE_STATES, CELLS)
+        grams = gram_matrix(stacked)
+        entropies = gram_entropy(grams, base)
+        assert grams.shape == (len(CELLS), 3, 3) and entropies.shape == (len(CELLS),)
+        for i, params in enumerate(CELLS):
+            cell = gram_matrix(displaced_thermal_ensemble(THREE_STATES, params))
+            assert bits(grams[i]) == bits(cell)
+            value = gram_entropy(cell, base)
+            assert isinstance(value, float)
+            assert bits(entropies[i]) == bits(value)
+            assert value == bm_gme_entropy(THREE_STATES, params, base)
+
+    def test_stack_checked_as_a_whole(self):
+        grams = gram_matrix(displaced_thermal_ensemble(THREE_STATES, CELLS))
+        bad = grams.copy()
+        bad[5] *= 1.1
+        with pytest.raises(ValueError, match="trace is 1.1"):
+            gram_entropy(bad)
+        bad = grams.copy()
+        bad[7, 0, 1] += 1e-9
+        with pytest.raises(ValueError, match="not Hermitian"):
+            gram_entropy(bad)
+
+    def test_ensemble_rejects_bad_cells(self):
+        stacked = displaced_thermal_ensemble(THREE_STATES, CELLS)
+        nu1p = stacked.nu1p.copy()
+        nu1p[3] = np.nan
+        with pytest.raises(ValueError, match="thermal photon number"):
+            type(stacked)(nu1p=nu1p, means=stacked.means, probs=stacked.probs)
+        with pytest.raises(ValueError, match="K x 4 per cell"):
+            type(stacked)(nu1p=stacked.nu1p[:-1], means=stacked.means, probs=stacked.probs)

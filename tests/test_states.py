@@ -24,7 +24,7 @@ from evebounds.states import (
     williamson_standard_two_mode,
 )
 from evebounds.unitaries import to_symplectic
-from reference import fock_moments, make_coherent, make_thermal
+from reference import coherent_ket, fock_moments, make_coherent, make_thermal
 
 Z = np.diag([1.0, -1.0])
 
@@ -60,7 +60,7 @@ class TestConstructors:
     def test_coherent_mean_matches_fock_oracle(self):
         space = fock.FockSpace(cutoff=30)
         for alpha in (1.0, (1 + 1j) / math.sqrt(2)):
-            ket, _ = fock.coherent_ket(alpha, space.cutoff)
+            ket, _ = coherent_ket(alpha, space.cutoff)
             mean, cov = fock_moments(np.outer(ket, ket.conj()), space)
             assert np.allclose(make_coherent(alpha).mean, mean, atol=1e-8)
             assert np.allclose(cov, np.eye(2), atol=1e-8)
