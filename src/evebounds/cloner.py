@@ -80,12 +80,16 @@ class Constellation:
         require_distribution(self.probs)
 
 
+# The unit phases exp(i (2k - 1) pi / 4), k = 1..4, of `qpsk`; read-only.
+QPSK_PHASES = np.exp(1j * (2 * np.arange(1, 5) - 1) * np.pi / 4)
+QPSK_PHASES.flags.writeable = False
+
+
 def qpsk(alpha):
     """Four equiprobable coherent states alpha * exp(i (2k - 1) pi / 4)."""
     if alpha <= 0:
         raise ValueError(f"amplitude must be positive, got {alpha}")
-    phases = np.exp(1j * (2 * np.arange(1, 5) - 1) * np.pi / 4)
-    return Constellation(amplitudes=alpha * phases, probs=np.full(4, 0.25))
+    return Constellation(amplitudes=alpha * QPSK_PHASES, probs=np.full(4, 0.25))
 
 
 @dataclass(frozen=True)

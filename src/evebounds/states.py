@@ -280,12 +280,25 @@ def _two_mode_symplectic_spectrum(cov):
     and it is physical exactly when nu- >= 1.
 
     Raises:
-        ValueError: ("unphysical ...") if the discriminant is below
-            -PHYSICALITY_ATOL Delta^2 or nu- < 1 - PHYSICALITY_ATOL.
+        ValueError: ("... beyond double precision ...") if Delta^2
+            overflows or det V comes out non-finite or non-positive, as
+            bm-get's average covariance does at alpha = 1e150 and at
+            (alpha, nbar, tau) = (3.23e8, 5, 0.25); ("unphysical ...") if
+            the discriminant is below -PHYSICALITY_ATOL Delta^2 or
+            nu- < 1 - PHYSICALITY_ATOL.
     """
     (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = cov.tolist()
     delta = a00 * a11 - a01 * a10 + b00 * b11 - b01 * b10 + 2 * (c00 * c11 - c01 * c10)
+    # For a positive-definite cov, 4 det V <= Delta^2, so det V overflows
+    # only where Delta^2 has; testing Delta^2 first keeps numpy from
+    # forming (and warning on) an overflowing determinant.
+    if not delta * delta < math.inf:
+        raise ValueError(f"two-mode covariance beyond double precision: Delta^2 = {delta * delta} is not finite")
     det_v = float(np.linalg.det(cov))
+    if not 0 < det_v < math.inf:
+        raise ValueError(
+            f"two-mode covariance beyond double precision: det V = {det_v:.3e} is not finite and positive"
+        )
     disc = delta * delta - 4 * det_v
     if disc < -PHYSICALITY_ATOL * delta * delta:
         raise ValueError(f"unphysical covariance matrix: Delta^2 - 4 det V = {disc:.3e} is negative")

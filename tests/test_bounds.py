@@ -19,7 +19,7 @@ from evebounds.cloner import (
     eve_average_covariance,
     qpsk,
 )
-from evebounds.states import entropy_from_cov
+from evebounds.states import entropy_from_cov, thermal_entropy
 from reference import coherent_ket
 
 # 1.42e-11 leaves the thermal decomposition a squeezing so small that the
@@ -140,6 +140,17 @@ class TestGaussianExtremalityBound:
         with pytest.raises(ValueError, match="log base"):
             bm_get_entropy(qpsk(1.0), params, base="foo")
 
+    @pytest.mark.parametrize("alpha, params", [
+        (1e150, ChannelParams(tau=0.5, nbar=0.01)),
+        (3.23e8, ChannelParams(tau=0.25, nbar=5.0)),
+    ])
+    def test_covariance_beyond_double_precision_raises(self, alpha, params):
+        # the average covariance's invariants overflow at alpha = 1e150 and
+        # its determinant cancels to a negative value at 3.23e8; both must
+        # raise a named error, not give nan or a bare "math domain error"
+        with pytest.raises(ValueError, match="beyond double precision"):
+            bm_get_entropy(qpsk(alpha), params)
+
     def test_nats(self):
         params = ChannelParams(tau=0.5, nbar=0.01)
         bits = bm_get_entropy(qpsk(1.0), params, base="bits")
@@ -236,6 +247,17 @@ class TestEntangledBasedBound:
     def test_rejects_amplitude_past_domain(self, alpha):
         with pytest.raises(ValueError, match=r"0 < alpha <= 10000"):
             eb_qpsk_entropy(alpha, ChannelParams(tau=0.5, nbar=0.01))
+
+    def test_smallest_amplitudes(self):
+        # alpha^2 underflows to 0 below about 1.5e-162 and Z4 ~ 2 alpha, so
+        # the purification is the vacuum: eb is 0 at nbar = 0, and at
+        # nbar = 5 the entropy of the channel output, thermal with
+        # variance 0.5 + 0.5 * 11 = 6, that is nbar 2.5
+        for alpha in (1e-200, 5e-324):
+            assert eb_qpsk_entropy(alpha, ChannelParams(tau=0.5, nbar=0.0)) == 0.0
+            assert eb_qpsk_entropy(alpha, ChannelParams(tau=0.5, nbar=5.0)) == pytest.approx(
+                thermal_entropy(2.5), rel=1e-15
+            )
 
     def test_bad_base_rejected_at_pure_point(self):
         # at alpha = 1e-7 every symplectic eigenvalue is within 2e-14 of 1,

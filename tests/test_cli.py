@@ -256,6 +256,27 @@ class TestMain:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    def test_eb_at_smallest_amplitude(self, capsys):
+        # alpha^2 underflows to 0 at 1e-200: eb is 0 on a noiseless channel
+        assert main(["--methods", "eb", "--alpha", "1e-200", "--nbar", "0", "--out", "-"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 50
+        assert {(row[5], row[7]) for row in rows} == {("0", "ok")}
+
+    @pytest.mark.parametrize("args", [
+        ["--alpha", "1e150", "--tau-steps", "2"],
+        ["--alpha", "3.23e8", "--nbar", "5", "--tau-min", "0", "--tau-max", "1", "--tau-steps", "5"],
+    ])
+    def test_bm_get_beyond_double_precision_is_an_error(self, tmp_path, capsys, args):
+        # without a range check the first scan printed nan with status ok
+        # and the second stopped on a bare "math domain error"
+        out = tmp_path / "scan.csv"
+        assert main(["--methods", "bm-get", *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evebounds: ") and "beyond double precision" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_stdout_default(self, capsys):
         assert main(["--tau-min", "1", "--tau-max", "1", "--tau-steps", "1",
                      "--nbar", "0.01", "--methods", "bm-get"]) == 0

@@ -774,6 +774,32 @@ class TestPurificationCrossMoment:
         # 2 a^2 lam_0^1.5 / lam_1^0.5 with lam_0 -> 1 and lam_1 -> a^2
         assert fock.eb_z4(1e-3) == pytest.approx(2e-3, rel=1e-3)
         assert fock.eb_z4(0.05) == pytest.approx(0.1, rel=1e-2)
+        # also where alpha^2 underflows to 0 (below about 1.5e-162), down
+        # to the smallest subnormal
+        assert fock.eb_z4(1e-200) == pytest.approx(2e-200, rel=1e-12, abs=0)
+        assert fock.eb_z4(5e-324) == 1e-323
+
+    # Z4 from the mod-4 Poisson sums in 60-digit mpmath arithmetic, rounded
+    # to 20 digits; from alpha = 1e-3 up, the four-point Fourier form at 200
+    # digits agrees to 1e-40.  The series route is within 4e-16 of these.
+    HIGH_PRECISION_Z4 = [
+        (1e-300, 2.0000000000000000501e-300),
+        (1e-200, 1.9999999999999999642e-200),
+        (1e-160, 1.9999999999999999773e-160),
+        (1e-08, 2.0000000000000001247e-8),
+        (0.001, 0.0020000008284270284109),
+        (0.05, 0.100103522765427848),
+        (0.3, 0.62200238119420798767),
+        (1.0, 2.5197050973150722863),
+        (1.7, 5.8068734871782987665),
+        (2.5, 12.500069874911109916),
+        (3.2, 20.480000039180524663),
+        (3.9999999999999996, 32.000000000000600775),
+    ]
+
+    @pytest.mark.parametrize("alpha, expected", HIGH_PRECISION_Z4)
+    def test_matches_high_precision_table(self, alpha, expected):
+        assert fock.eb_z4(alpha) == pytest.approx(expected, rel=4e-15, abs=0)
 
     def test_reference_value_from_closed_form(self):
         # independent route: mod-4 Poisson sums give the average-state
@@ -823,10 +849,9 @@ class TestPurificationCrossMoment:
             assert x * x - z4 * z4 >= 1
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            fock.eb_z4(-1.0)
-        with pytest.raises(ValueError):
-            fock.eb_z4(0.0)
+        for alpha in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                fock.eb_z4(alpha)
 
 
 class TestUnderflowingKets:
