@@ -1,6 +1,7 @@
 """Committed golden output: the default scan must not change by a byte, a
-small oracle scan must keep its values and statuses, and the library calls
-must keep the benchmark's point-query values."""
+small oracle scan must keep its values and statuses, the library calls
+must keep the benchmark's point-query values, and every `--check` suite
+must keep its residual."""
 
 import hashlib
 import json
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from evebounds.bounds import bm_get_entropy, bm_gme_entropy, eb_qpsk_entropy
+from evebounds.checks import run_checks
 from evebounds.cli import ScanConfig, run_scan, write_csv
 from evebounds.cloner import ChannelParams, qpsk
 
@@ -72,4 +74,31 @@ def test_library_values_match_point_golden():
         )
         if any(abs(g - w) > POINT_TOL * max(1.0, abs(w)) for g, w in zip(got, want)):
             misses.append((tau, nbar, alpha, got, want))
+    assert misses == []
+
+
+# The worst residual of each `--check` suite, in suite order, as `repr`
+# prints it.  Every suite is seeded, so a refactor that leaves the
+# arithmetic alone leaves these bit for bit; the tolerance is that of the
+# switching-rules pin in `test_checks.py`, which another BLAS stays within.
+CHECK_RESIDUALS = {
+    "bogoliubov-roundtrip": 8.881784197001252e-16,
+    "bloch-messiah-reconstruction": 2.4706690763030545e-13,
+    "takagi-reconstruction": 1.6690311775283584e-15,
+    "williamson-grid": 4.440892098500626e-16,
+    "eca-pipeline": 7.021666937153402e-16,
+    "entropy-unitary-invariance": 3.552713678800501e-15,
+    "estimator-ordering": 0.0,
+    "gram-validity": 0.0,
+    "switching-rules-fock": 7.900297903577633e-08,
+    "oracle-entropy-agreement": 1.5107307849149265e-08,
+}
+CHECK_ATOL = 1e-12
+
+
+def test_check_residuals_match_golden():
+    results = run_checks()
+    assert [r.name for r in results] == list(CHECK_RESIDUALS)
+    misses = [(r.name, r.residual) for r in results
+              if not abs(r.residual - CHECK_RESIDUALS[r.name]) <= CHECK_ATOL]
     assert misses == []
