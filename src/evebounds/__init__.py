@@ -53,7 +53,6 @@ from .bounds import (
     eb_qpsk_entropy,
 )
 from .fock import (
-    FockSpace,
     FockConvergenceError,
     fock_thermal,
     fock_tmsv,

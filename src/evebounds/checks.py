@@ -257,23 +257,22 @@ def check_switching_rules_fock():
     # rule, exact under truncation, stays near 2e-15.
     rng = np.random.default_rng(53)
     worst = 0.0
-    space = fock.FockSpace(cutoff=50, nmodes=2)
     for _ in range(3):
         alpha, herm, sym = random_rule_params(rng)
-        worst = _worst(worst, _switch_rule_distances(space, alpha, herm, sym, rng))
+        worst = _worst(worst, _switch_rule_distances(50, alpha, herm, sym, rng))
     return CheckResult("switching-rules-fock", worst, 1e-6)
 
 
-def _random_gaussian_ket(space, rng):
-    ket = np.zeros(space.dim, dtype=complex)
+def _random_gaussian_ket(cutoff, rng):
+    ket = np.zeros((cutoff + 1) ** 2, dtype=complex)
     ket[0] = 1.0
     sym = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     sym = (sym + sym.T) / 2
     sym *= min(1.0, 0.2 / np.linalg.svd(sym, compute_uv=False)[0])
     alpha = rng.normal(size=2) + 1j * rng.normal(size=2)
     alpha *= min(1.0, 0.3 / max(abs(alpha)))
-    ket = fock.apply_generator(fock.squeeze_generator(space, sym), ket)
-    ket = fock.apply_displacement(alpha, ket, space.cutoff)
+    ket = fock.apply_generator(fock.squeeze_generator(cutoff, sym), ket)
+    ket = fock.apply_displacement(alpha, ket, cutoff)
     return ket / np.linalg.norm(ket)
 
 
@@ -291,7 +290,7 @@ def _pure_trace_distance(k1, k2):
     return d0 * math.sqrt(1.0 - d0 * d0 / 4)  # d0 <= sqrt(2) after the phase
 
 
-def _switch_rule_distances(space, alpha, herm, sym, rng):
+def _switch_rule_distances(cutoff, alpha, herm, sym, rng):
     """Worst trace distance between the two sides of the three reordering
     rules on a random Gaussian probe psi.
 
@@ -305,9 +304,8 @@ def _switch_rule_distances(space, alpha, herm, sym, rng):
     probe; displacements and rotations through their exact tensor-product
     and photon-number-sector forms.
     """
-    cutoff = space.cutoff
-    ket = _random_gaussian_ket(space, rng)
-    gen_s = fock.squeeze_generator(space, sym)
+    ket = _random_gaussian_ket(cutoff, rng)
+    gen_s = fock.squeeze_generator(cutoff, sym)
     squeezed = fock.apply_generator(gen_s, ket)
     lhs_1, displaced = fock.apply_displacement(alpha, np.stack([squeezed, ket]), cutoff)
     lhs_2, unrotated, lhs_3 = fock.apply_rotation(
@@ -318,7 +316,7 @@ def _switch_rule_distances(space, alpha, herm, sym, rng):
     rhs_1 = fock.apply_generator(gen_s, fock.apply_displacement(beta, ket, cutoff))
     # S(z) R(phi) = R(phi) S(z')
     zp = switch_squeezer_rotation(herm, sym)
-    rhs_2 = fock.apply_generator(fock.squeeze_generator(space, zp), unrotated)
+    rhs_2 = fock.apply_generator(fock.squeeze_generator(cutoff, zp), unrotated)
     # D(alpha) R(phi) = R(phi) D(gamma)
     gamma = switch_disp_rotation(herm, alpha)
     rhs_3 = fock.apply_displacement(gamma, unrotated, cutoff)

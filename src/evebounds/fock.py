@@ -85,7 +85,6 @@ from .cloner import Constellation
 from .states import _log, spectrum_entropy, stacked_spectrum_entropy
 
 __all__ = [
-    "FockSpace",
     "FockConvergenceError",
     "OracleEntropy",
     "fock_thermal",
@@ -108,28 +107,6 @@ SWEEP_STEP = 5
 
 class FockConvergenceError(RuntimeError):
     """Raised when a truncated computation fails its convergence check."""
-
-
-@dataclass(frozen=True)
-class FockSpace:
-    """Truncated tensor-product Fock space: `cutoff`+1 levels per mode."""
-
-    cutoff: int
-    nmodes: int = 1
-
-    def __post_init__(self):
-        if self.cutoff < 1:
-            raise ValueError(f"cutoff must be >= 1, got {self.cutoff}")
-        if self.nmodes < 1:
-            raise ValueError(f"nmodes must be >= 1, got {self.nmodes}")
-
-    @property
-    def ldim(self):
-        return self.cutoff + 1
-
-    @property
-    def dim(self):
-        return self.ldim**self.nmodes
 
 
 def _normalized(c):
@@ -238,21 +215,19 @@ class SqueezeGenerator(NamedTuple):
         return self.cross.shape[0] + 1
 
 
-def squeeze_generator(space, z):
-    """Generator of S(z) = exp((a^dag z a^dag - a z^dag a) / 2) on a two-mode
-    space, as the weights of H = i (C - C^dag) with
+def squeeze_generator(cutoff, z):
+    """Generator of S(z) = exp((a^dag z a^dag - a z^dag a) / 2) on two modes
+    truncated at `cutoff` photons each, as the weights of H = i (C - C^dag) with
     C = sum_jk z_jk a_j^dag a_k^dag / 2.
 
     a_j^dag a_k^dag = a_k^dag a_j^dag, so the cross term weighs
     (z_01 + z_10) / 2 and a z that is symmetric only to rounding still
     gives a Hermitian H.
     """
-    if space.nmodes != 2:
-        raise ValueError(f"squeeze_generator needs two modes, got {space.nmodes}")
     z = np.asarray(z, dtype=complex)
     if z.shape != (2, 2):
         raise ValueError(f"squeezing matrix must be 2 x 2, got shape {z.shape}")
-    root = np.sqrt(np.arange(1, space.ldim))  # sqrt(n + 1), n = 0 .. d-2
+    root = np.sqrt(np.arange(1, cutoff + 1))  # sqrt(n + 1), n = 0 .. d-2
     pair = root[:-1] * root[1:]  # sqrt((n + 1)(n + 2)), n = 0 .. d-3
     return SqueezeGenerator(
         mode0=0.5j * z[0, 0] * pair[:, None],

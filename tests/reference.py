@@ -83,16 +83,17 @@ def fock_hs_product(rho1, rho2):
     return float(val.real)
 
 
-def fock_moments(rho, space):
-    """Quadrature mean vector and covariance matrix of a Fock-basis state.
+def fock_moments(rho, cutoff, nmodes):
+    """Quadrature mean vector and covariance matrix of a Fock-basis state of
+    `nmodes` modes truncated at `cutoff` photons each.
 
     Uses q = a + a^dag, p = -i(a - a^dag) and the symmetrized second
     moments, matching the phase-space convention of `evebounds.states`.
     """
     rho = np.asarray(rho, dtype=complex)
     quads = []
-    for k in range(space.nmodes):
-        a = destroy(space, k).toarray()
+    for k in range(nmodes):
+        a = destroy(cutoff, nmodes, k).toarray()
         quads.append(a + a.conj().T)
         quads.append(-1j * (a - a.conj().T))
     mean = np.array([np.trace(rho @ r).real for r in quads])
@@ -105,38 +106,40 @@ def fock_moments(rho, space):
     return mean, cov
 
 
-def displacement_generator(space, alpha):
+def displacement_generator(cutoff, nmodes, alpha):
     """Anti-Hermitian generator of D(alpha) = exp(sum alpha_k a_k^dag - h.c.)."""
     alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
-    if alpha.size != space.nmodes:
+    if alpha.size != nmodes:
         raise ValueError("one displacement amplitude per mode required")
-    g = sp.csr_matrix((space.dim, space.dim), dtype=complex)
+    dim = (cutoff + 1) ** nmodes
+    g = sp.csr_matrix((dim, dim), dtype=complex)
     for k, a_k in enumerate(alpha):
-        a = destroy(space, k)
+        a = destroy(cutoff, nmodes, k)
         g = g + a_k * a.conj().T - np.conj(a_k) * a
     return g
 
 
-def rotation_generator(space, phi):
+def rotation_generator(cutoff, nmodes, phi):
     """Anti-Hermitian generator of R(phi) = exp(i a^dag phi a), phi Hermitian."""
     phi = np.atleast_2d(np.asarray(phi, dtype=complex))
-    ops = [destroy(space, k) for k in range(space.nmodes)]
-    g = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    for j in range(space.nmodes):
-        for k in range(space.nmodes):
+    ops = [destroy(cutoff, nmodes, k) for k in range(nmodes)]
+    dim = (cutoff + 1) ** nmodes
+    g = sp.csr_matrix((dim, dim), dtype=complex)
+    for j in range(nmodes):
+        for k in range(nmodes):
             if phi[j, k] != 0:
                 g = g + 1j * phi[j, k] * (ops[j].conj().T @ ops[k])
     return g
 
 
-def destroy(space, mode):
-    """Sparse annihilation operator acting on `mode` (0-based) of a
-    `FockSpace`."""
-    if not 0 <= mode < space.nmodes:
-        raise ValueError(f"mode {mode} out of range for {space.nmodes} modes")
-    d = space.ldim
+def destroy(cutoff, nmodes, mode):
+    """Sparse annihilation operator acting on `mode` (0-based) of `nmodes`
+    modes truncated at `cutoff` photons each."""
+    if not 0 <= mode < nmodes:
+        raise ValueError(f"mode {mode} out of range for {nmodes} modes")
+    d = cutoff + 1
     a = sp.diags(np.sqrt(np.arange(1, d)), offsets=1, format="csr")
-    ops = [sp.identity(d, format="csr")] * space.nmodes
+    ops = [sp.identity(d, format="csr")] * nmodes
     ops[mode] = a
     out = ops[0]
     for op in ops[1:]:
@@ -145,41 +148,44 @@ def destroy(space, mode):
 
 
 @lru_cache(maxsize=4)
-def creation_products(space):
-    """{(j, k): a_j^dag a_k^dag for j <= k} on `space`, built once per space
-    and shared, so callers only read them."""
-    ups = [destroy(space, k).conj().T for k in range(space.nmodes)]
+def creation_products(cutoff, nmodes):
+    """{(j, k): a_j^dag a_k^dag for j <= k} on `nmodes` modes truncated at
+    `cutoff`, built once per (cutoff, nmodes) and shared, so callers only
+    read them."""
+    ups = [destroy(cutoff, nmodes, k).conj().T for k in range(nmodes)]
     return {
         (j, k): (ups[j] @ ups[k]).tocsr()
-        for j in range(space.nmodes)
-        for k in range(j, space.nmodes)
+        for j in range(nmodes)
+        for k in range(j, nmodes)
     }
 
 
-def sparse_squeeze_generator(space, z):
+def sparse_squeeze_generator(cutoff, nmodes, z):
     """Sparse anti-Hermitian generator C - C^dag of
     S(z) = exp((a^dag z a^dag - a z^dag a) / 2), on any number of modes,
     with C = sum_jk z_jk a_j^dag a_k^dag / 2 weighting the cached
     `creation_products`; (j, k) and (k, j) share one product."""
     z = np.atleast_2d(np.asarray(z, dtype=complex))
-    products = creation_products(space)
-    c = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    for j in range(space.nmodes):
-        for k in range(space.nmodes):
+    products = creation_products(cutoff, nmodes)
+    dim = (cutoff + 1) ** nmodes
+    c = sp.csr_matrix((dim, dim), dtype=complex)
+    for j in range(nmodes):
+        for k in range(nmodes):
             if z[j, k] != 0:
                 c = c + 0.5 * z[j, k] * products[min(j, k), max(j, k)]
     return c - c.conj().T
 
 
-def squeeze_generator_kron(space, z):
+def squeeze_generator_kron(cutoff, nmodes, z):
     """Generator of S(z) = exp((a^dag z a^dag - a z^dag a) / 2), rebuilt from
     `destroy` on every call: the reference for the cached
     `sparse_squeeze_generator`."""
     z = np.atleast_2d(np.asarray(z, dtype=complex))
-    ops = [destroy(space, k) for k in range(space.nmodes)]
-    g = sp.csr_matrix((space.dim, space.dim), dtype=complex)
-    for j in range(space.nmodes):
-        for k in range(space.nmodes):
+    ops = [destroy(cutoff, nmodes, k) for k in range(nmodes)]
+    dim = (cutoff + 1) ** nmodes
+    g = sp.csr_matrix((dim, dim), dtype=complex)
+    for j in range(nmodes):
+        for k in range(nmodes):
             if z[j, k] != 0:
                 g = g + 0.5 * z[j, k] * (ops[j].conj().T @ ops[k].conj().T)
                 g = g - 0.5 * np.conj(z[j, k]) * (ops[j] @ ops[k])
@@ -220,15 +226,15 @@ def unitary_eig_schur(m):
     return np.diag(t), q
 
 
-def bs_generator(space, tau):
-    """Generator of the beam splitter exp(theta (a^dag b - a b^dag)) on
-    modes 0 and 1.
+def bs_generator(cutoff, tau):
+    """Generator of the beam splitter exp(theta (a^dag b - a b^dag)) on two
+    modes truncated at `cutoff` photons each.
 
     cos(theta) = sqrt(tau), so the outputs are t a + r b and -r a + t b
     with t = sqrt(tau), r = sqrt(1 - tau).
     """
-    a = destroy(space, 0)
-    b = destroy(space, 1)
+    a = destroy(cutoff, 2, 0)
+    b = destroy(cutoff, 2, 1)
     return _bs_angle(tau) * (a.conj().T @ b - a @ b.conj().T)
 
 

@@ -187,7 +187,6 @@ def test_criterion_6_switching_rules():
     simulator: trace distance < 1e-6, 5 draws each, |alpha| <= 1 and
     squeeze strengths <= 0.5 (cutoff 50 keeps truncation below tolerance)."""
     rng = np.random.default_rng(77)
-    space = fock.FockSpace(cutoff=50, nmodes=2)
     worst = {"disp-squeezer": 0.0, "squeezer-rotation": 0.0, "disp-rotation": 0.0}
 
     def distance(lhs, rhs, ket):
@@ -201,32 +200,32 @@ def test_criterion_6_switching_rules():
 
     for _ in range(5):
         alpha, herm, sym = random_rule_params(rng)
-        ket = np.zeros(space.dim, dtype=complex)
+        ket = np.zeros(51**2, dtype=complex)
         ket[0] = 1.0
         probe = rng.normal(size=2) + 1j * rng.normal(size=2)
         probe *= min(1.0, 0.3 / max(abs(probe)))
-        ket = apply_sparse_generator(displacement_generator(space, probe), ket)
+        ket = apply_sparse_generator(displacement_generator(50, 2, probe), ket)
         ket /= np.linalg.norm(ket)
 
-        gen_d = displacement_generator(space, alpha)
-        gen_s = sparse_squeeze_generator(space, sym)
-        gen_r = rotation_generator(space, herm)
+        gen_d = displacement_generator(50, 2, alpha)
+        gen_s = sparse_squeeze_generator(50, 2, sym)
+        gen_r = rotation_generator(50, 2, herm)
         beta = switch_disp_squeezer(sym, alpha)
         worst["disp-squeezer"] = max(
             worst["disp-squeezer"],
             distance([gen_s, gen_d],
-                     [displacement_generator(space, beta), gen_s], ket),
+                     [displacement_generator(50, 2, beta), gen_s], ket),
         )
         zp = switch_squeezer_rotation(herm, sym)
         worst["squeezer-rotation"] = max(
             worst["squeezer-rotation"],
-            distance([gen_r, gen_s], [sparse_squeeze_generator(space, zp), gen_r], ket),
+            distance([gen_r, gen_s], [sparse_squeeze_generator(50, 2, zp), gen_r], ket),
         )
         gamma = switch_disp_rotation(herm, alpha)
         worst["disp-rotation"] = max(
             worst["disp-rotation"],
             distance([gen_r, gen_d],
-                     [displacement_generator(space, gamma), gen_r], ket),
+                     [displacement_generator(50, 2, gamma), gen_r], ket),
         )
     ok = all(v < 1e-6 for v in worst.values())
     detail = ", ".join(f"{k} {v:.3e}" for k, v in worst.items())

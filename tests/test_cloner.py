@@ -156,7 +156,7 @@ class TestConditionalMean:
             bs2 = fock.fock_bs(p.tau, cutoff).reshape(d, d, d, d)
             out = np.einsum("bdac,ace->bde", bs2, psi)
             rho = np.einsum("bde,bfg->defg", out, out.conj()).reshape(d * d, d * d)
-            mean, cov = fock_moments(rho, fock.FockSpace(cutoff=cutoff, nmodes=2))
+            mean, cov = fock_moments(rho, cutoff, 2)
             assert np.allclose(mean, eve_conditional_mean(alpha_i, p), atol=1e-6)
             assert np.allclose(cov, eve_reduced_covariance(p).as_matrix(), atol=1e-5)
 

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from evebounds import fock
 from evebounds.checks import random_pair
 from evebounds.cloner import ChannelParams, eve_reduced_covariance
 from evebounds.states import williamson_standard_two_mode
@@ -85,11 +84,10 @@ class TestSymplecticConversion:
         smap = to_symplectic(bogoliubov_of(Squeezer(np.array([[r]]))))
         assert np.allclose(smap.s, np.diag([math.exp(r), math.exp(-r)]), atol=1e-12)
         # squeezed vacuum variance from the Fock simulator
-        space = fock.FockSpace(cutoff=40)
-        ket = np.zeros(space.dim, dtype=complex)
+        ket = np.zeros(41, dtype=complex)
         ket[0] = 1.0
-        ket = apply_sparse_generator(sparse_squeeze_generator(space, np.array([[r]])), ket)
-        _, cov = fock_moments(np.outer(ket, ket.conj()), space)
+        ket = apply_sparse_generator(sparse_squeeze_generator(40, 1, np.array([[r]])), ket)
+        _, cov = fock_moments(np.outer(ket, ket.conj()), 40, 1)
         assert cov[0, 0] == pytest.approx(math.exp(2 * r), abs=1e-8)
         assert cov[1, 1] == pytest.approx(math.exp(-2 * r), abs=1e-8)
 
@@ -154,7 +152,7 @@ class TestCompose:
                     bogoliubov_of(Rotation(np.zeros((2, 2)))))
 
 
-def fock_rule_distance(space, lhs_gens, rhs_gens, ket):
+def fock_rule_distance(lhs_gens, rhs_gens, ket):
     """Trace distance between two pure states built by generator chains."""
     left = ket
     for gen in lhs_gens:
@@ -175,14 +173,12 @@ class TestSwitchingRules:
         beta = switch_disp_squeezer(np.array([[r]]), np.array([alpha]))
         assert beta[0] == pytest.approx(math.exp(-r) * alpha, abs=1e-12)
         # operator-order check in the Fock simulator
-        space = fock.FockSpace(cutoff=40)
-        vac = np.zeros(space.dim, dtype=complex)
+        vac = np.zeros(41, dtype=complex)
         vac[0] = 1.0
-        gen_s = sparse_squeeze_generator(space, np.array([[r]]))
+        gen_s = sparse_squeeze_generator(40, 1, np.array([[r]]))
         dist = fock_rule_distance(
-            space,
-            [gen_s, displacement_generator(space, [alpha])],
-            [displacement_generator(space, beta), gen_s],
+            [gen_s, displacement_generator(40, 1, [alpha])],
+            [displacement_generator(40, 1, beta), gen_s],
             vac,
         )
         assert 1 - dist * dist > 1 - 1e-8  # state fidelity
@@ -210,14 +206,12 @@ class TestSwitchingRules:
         alpha = np.array([0.5 + 0.2j])
         gamma = switch_disp_rotation(np.array([[phi]]), alpha)
         assert gamma[0] == pytest.approx(np.exp(-1j * phi) * alpha[0], abs=1e-12)
-        space = fock.FockSpace(cutoff=30)
-        vac = np.zeros(space.dim, dtype=complex)
+        vac = np.zeros(31, dtype=complex)
         vac[0] = 1.0
-        gen_r = rotation_generator(space, np.array([[phi]]))
+        gen_r = rotation_generator(30, 1, np.array([[phi]]))
         dist = fock_rule_distance(
-            space,
-            [gen_r, displacement_generator(space, alpha)],
-            [displacement_generator(space, gamma), gen_r],
+            [gen_r, displacement_generator(30, 1, alpha)],
+            [displacement_generator(30, 1, gamma), gen_r],
             vac,
         )
         assert dist < 1e-6
@@ -225,22 +219,20 @@ class TestSwitchingRules:
     def test_two_mode_squeezer_rotation_in_fock(self):
         # cutoff 50 keeps the truncation floor well under the tolerance
         rng = np.random.default_rng(31)
-        space = fock.FockSpace(cutoff=50, nmodes=2)
-        ket = np.zeros(space.dim, dtype=complex)
+        ket = np.zeros(51**2, dtype=complex)
         ket[0] = 1.0
         ket = apply_sparse_generator(
-            displacement_generator(space, [0.4 + 0.1j, -0.3j]), ket)
+            displacement_generator(50, 2, [0.4 + 0.1j, -0.3j]), ket)
         herm = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         herm = (herm + herm.conj().T) / 2
         sym = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         sym = (sym + sym.T) / 2
         sym *= 0.5 / np.linalg.svd(sym, compute_uv=False)[0]
         zp = switch_squeezer_rotation(herm, sym)
-        gen_r = rotation_generator(space, herm)
+        gen_r = rotation_generator(50, 2, herm)
         dist = fock_rule_distance(
-            space,
-            [gen_r, sparse_squeeze_generator(space, sym)],
-            [sparse_squeeze_generator(space, zp), gen_r],
+            [gen_r, sparse_squeeze_generator(50, 2, sym)],
+            [sparse_squeeze_generator(50, 2, zp), gen_r],
             ket,
         )
         assert dist < 1e-6
