@@ -13,10 +13,15 @@ modes; only the displacement carries the signal.
 them.  A sequence gives one ensemble for all the cells at once: its
 thermal photon numbers have shape (cells,) and its means (cells, K, 4),
 and the ensemble's methods carry that leading cell axis through.
+
+`_rotation_orbits` finds a constellation's rotation symmetry and one
+amplitude per orbit; the Fock oracle (`fock.eve_exact_entropy`) takes its
+entropy from those representatives alone.
 """
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,6 +95,65 @@ def qpsk(alpha):
     if alpha <= 0:
         raise ValueError(f"amplitude must be positive, got {alpha}")
     return Constellation(amplitudes=alpha * QPSK_PHASES, probs=np.full(4, 0.25))
+
+
+# `_rotation_orbits` pairs an amplitude's rotated image with an amplitude
+# that lies within this of it, relative to max(1, max |alpha|).
+SYMMETRY_RTOL = 1e-12
+
+
+def _rotation_orbits(constellation):
+    """(K, representatives): the rotation order of a constellation and one
+    amplitude per orbit.
+
+    K is the largest divisor of the number of amplitudes such that rotating
+    every amplitude by 2 pi / K lands, within `SYMMETRY_RTOL`
+    max(1, max |alpha|), on an amplitude of exactly the same probability,
+    with every orbit of that rotation K amplitudes long (an amplitude at
+    the origin is its own image, so it leaves K = 1).  The representatives
+    are the lowest-indexed amplitude of each orbit, weighted by K p, as a
+    `Constellation` with read-only arrays.  With K = 1 it is the
+    constellation itself.
+
+    The result depends only on the amplitudes and probabilities, so it is
+    cached by their bytes (`_orbits_by_value`), not by the object: a scan
+    builds an equal constellation for every cell, and a constellation
+    changed in place gets the orbits of its new values.
+    """
+    order, representatives = _orbits_by_value(
+        constellation.amplitudes.tobytes(), constellation.probs.tobytes()
+    )
+    return order, (representatives if order > 1 else constellation)
+
+
+@lru_cache(maxsize=32)
+def _orbits_by_value(amplitudes, probs):
+    """`_rotation_orbits` of the amplitudes and probabilities given as the
+    bytes of their complex and float arrays; (1, None) with no symmetry."""
+    amps, probs = np.frombuffer(amplitudes, dtype=complex), np.frombuffer(probs)
+    n = amps.size
+    tol = SYMMETRY_RTOL * max(1.0, float(np.abs(amps).max()))
+    for order in range(n, 1, -1):
+        if n % order:
+            continue
+        dist = np.abs(amps[:, None] * np.exp(2j * math.pi / order) - amps)
+        image = dist.argmin(axis=1)
+        if dist[np.arange(n), image].max() > tol or not np.array_equal(probs[image], probs):
+            continue
+        # walk[j] is the index of each amplitude's j-th image.  If the K-th
+        # image is the amplitude itself, `image` is a permutation whose
+        # cycles divide K, and there are n / K of them only if each has K
+        # members; each cycle is represented by its lowest index.
+        walk = [np.arange(n)]
+        for _ in range(order):
+            walk.append(image[walk[-1]])
+        reps = np.flatnonzero(np.min(walk[:-1], axis=0) == walk[0])
+        if np.array_equal(walk[-1], walk[0]) and reps.size * order == n:
+            representatives = Constellation(amplitudes=amps[reps], probs=order * probs[reps])
+            for arr in (representatives.amplitudes, representatives.probs):
+                arr.flags.writeable = False
+            return order, representatives
+    return 1, None
 
 
 @dataclass(frozen=True)

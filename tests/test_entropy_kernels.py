@@ -9,7 +9,7 @@ import pytest
 import reference
 from evebounds import fock, states
 from evebounds.bounds import bm_get_entropy, bm_gme_entropy, eb_qpsk_entropy, gram_entropy
-from evebounds.cloner import ChannelParams, qpsk
+from evebounds.cloner import ChannelParams, _rotation_orbits, qpsk
 from evebounds.fock import eve_exact_entropy, fock_entropy
 from evebounds.states import (
     LOG_BASES,
@@ -160,7 +160,7 @@ class TestSpectrumEntropy:
 
 def oracle_class_spectra(tau, nbar, alpha, cutoff):
     """The stacked spectra of the oracle's rotation-class Gram blocks."""
-    order, reps = fock._rotation_orbits(qpsk(alpha))
+    order, reps = _rotation_orbits(qpsk(alpha))
     blocks, _ = fock._eve_factor(reps, order, ChannelParams(tau=tau, nbar=nbar), cutoff)
     count, _, d, width = blocks.shape
     blocks = blocks.transpose(1, 0, 2, 3).reshape(order, count * d, width)
@@ -223,7 +223,7 @@ def test_class_gram_reference_keeps_its_per_class_loop(monkeypatch):
         return fock_entropy(rho, base)
 
     monkeypatch.setattr(reference, "fock_entropy", counting)
-    order, reps = fock._rotation_orbits(qpsk(0.5))
+    order, reps = _rotation_orbits(qpsk(0.5))
     params = ChannelParams(tau=0.5, nbar=0.01)
     got = reference.class_gram_oracle_entropy(reps, order, params, 7)
     assert shapes == [(8, 8)] * 4

@@ -6,7 +6,7 @@ import pytest
 
 from evebounds import fock
 from evebounds.cli import ScanConfig, run_scan
-from evebounds.cloner import ChannelParams, Constellation, qpsk
+from evebounds.cloner import ChannelParams, Constellation, _orbits_by_value, _rotation_orbits, qpsk
 from evebounds.states import entropy_from_cov
 from reference import (
     apply_sparse_generator,
@@ -394,7 +394,7 @@ class TestEveExact:
 
         def run(cutoff, tau, constellation):
             params = ChannelParams(tau=tau, nbar=0.01)
-            order, reps = fock._rotation_orbits(constellation)
+            order, reps = _rotation_orbits(constellation)
             blocks, leak = fock._eve_factor(reps, order, params, cutoff)
             oracle = fock.eve_exact_entropy(constellation, params, cutoff=cutoff)
             return blocks, leak, oracle.value, oracle.value_check
@@ -508,7 +508,7 @@ class TestRotationSymmetry:
     @pytest.mark.parametrize("name", SYMMETRY_CASES)
     def test_orbits(self, name):
         constellation, order, count = SYMMETRY_CASES[name]
-        got, reps = fock._rotation_orbits(constellation)
+        got, reps = _rotation_orbits(constellation)
         assert (got, reps.amplitudes.size) == (order, count)
         if order == 1:
             assert reps is constellation
@@ -539,11 +539,11 @@ class TestRotationSymmetry:
     def test_order_tolerance_and_degenerate_points(self, amplitudes, order):
         probs = np.full(len(amplitudes), 1 / len(amplitudes))
         constellation = Constellation(amplitudes=amplitudes, probs=probs)
-        assert fock._rotation_orbits(constellation)[0] == order
+        assert _rotation_orbits(constellation)[0] == order
 
     def test_unequal_probabilities_break_the_symmetry(self):
         bpsk = Constellation(amplitudes=[0.5, -0.5], probs=[0.5 + 1e-15, 0.5 - 1e-15])
-        assert fock._rotation_orbits(bpsk)[0] == 1
+        assert _rotation_orbits(bpsk)[0] == 1
 
 
 class TestOrbitCache:
@@ -551,37 +551,37 @@ class TestOrbitCache:
     the object: a scan builds an equal constellation for every cell."""
 
     def test_equal_constellations_share_one_result(self):
-        fock._orbits_by_value.cache_clear()
+        _orbits_by_value.cache_clear()
         first, second = qpsk(0.7), qpsk(0.7)
         assert first is not second
-        order, reps = fock._rotation_orbits(first)
-        assert fock._rotation_orbits(second) == (order, reps)
-        assert fock._rotation_orbits(second)[1] is reps
-        assert fock._orbits_by_value.cache_info().misses == 1
+        order, reps = _rotation_orbits(first)
+        assert _rotation_orbits(second) == (order, reps)
+        assert _rotation_orbits(second)[1] is reps
+        assert _orbits_by_value.cache_info().misses == 1
 
     def test_changed_probability_misses(self):
         base = qpsk(0.7)
-        assert fock._rotation_orbits(base)[0] == 4
+        assert _rotation_orbits(base)[0] == 4
         skewed = Constellation(amplitudes=base.amplitudes, probs=[0.4, 0.1, 0.4, 0.1])
-        order, reps = fock._rotation_orbits(skewed)
+        order, reps = _rotation_orbits(skewed)
         assert order == 2 and np.array_equal(reps.probs, [0.8, 0.2])
 
     def test_changed_amplitude_misses(self):
         base = qpsk(0.7)
-        fock._rotation_orbits(base)
+        _rotation_orbits(base)
         amps = base.amplitudes.copy()
         amps[0] *= 1 + 1e-14  # still a 4-fold symmetry, within SYMMETRY_RTOL
-        order, reps = fock._rotation_orbits(Constellation(amplitudes=amps, probs=base.probs))
+        order, reps = _rotation_orbits(Constellation(amplitudes=amps, probs=base.probs))
         assert order == 4 and reps.amplitudes[0] == amps[0] != base.amplitudes[0]
 
     def test_constellation_changed_in_place_gets_its_own_orbits(self):
         params = ChannelParams(tau=0.5, nbar=0.01)
         constellation = qpsk(0.7)
-        assert fock._rotation_orbits(constellation)[0] == 4
+        assert _rotation_orbits(constellation)[0] == 4
         constellation.probs[:] = [0.4, 0.1, 0.4, 0.1]
-        assert fock._rotation_orbits(constellation)[0] == 2
+        assert _rotation_orbits(constellation)[0] == 2
         constellation.amplitudes[1] = 0.3
-        order, reps = fock._rotation_orbits(constellation)
+        order, reps = _rotation_orbits(constellation)
         assert order == 1 and reps is constellation
         fresh = Constellation(amplitudes=constellation.amplitudes.copy(),
                               probs=constellation.probs.copy())
@@ -590,7 +590,7 @@ class TestOrbitCache:
 
     def test_representatives_read_only(self):
         for name in ("qpsk", "two-ring-z4", "8psk-offset"):
-            _, reps = fock._rotation_orbits(SYMMETRY_CASES[name][0])
+            _, reps = _rotation_orbits(SYMMETRY_CASES[name][0])
             for arr in (reps.amplitudes, reps.probs):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0
@@ -604,13 +604,13 @@ class TestOrbitCache:
             constellation = SYMMETRY_CASES[name][0]
             constellation = Constellation(amplitudes=constellation.amplitudes.copy(),
                                           probs=constellation.probs.copy())
-            order, reps = fock._rotation_orbits(constellation)
+            order, reps = _rotation_orbits(constellation)
             oracle = fock.eve_exact_entropy(constellation, params)
             return order, reps.amplitudes.tolist(), reps.probs.tolist(), oracle
 
         interleaved = [run(name) for name in names]
         for name, first in zip(names, interleaved):
-            fock._orbits_by_value.cache_clear()
+            _orbits_by_value.cache_clear()
             assert run(name) == first
             assert first[0] == SYMMETRY_CASES[name][1]
 
@@ -660,7 +660,7 @@ class TestStackedClassGrams:
     ])
     def test_matches_per_class_eigensolves(self, name, order, tau, nbar):
         constellation = SYMMETRY_CASES[name][0]
-        got_order, reps = fock._rotation_orbits(constellation)
+        got_order, reps = _rotation_orbits(constellation)
         assert got_order == order
         params = ChannelParams(tau=tau, nbar=nbar)
         for cutoff in (18, 13):
