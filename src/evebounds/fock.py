@@ -1,77 +1,23 @@
-"""Brute-force reference calculations in a truncated Fock space.
+"""Brute-force reference calculations in a truncated Fock space, and `eb_z4`.
 
-Dense simulation at desk scale, used to validate the phase-space
-pipeline: moment extraction, operator-reordering identities and exact
-ensemble entropies of the eavesdropper state.  The module also holds
-`eb_z4`, the cross moment of the purification of a four-state coherent
-ensemble; it is computed in closed form from the mod-4 photon-number
-classes, and the tests check it against the purification built in a
-truncated Fock space.
-
-States are plain arrays at an explicit cutoff: `tmsv_ket` returns a ket
-with the trace lost to truncation, and `fock_thermal` and `fock_tmsv`
-return a density matrix, or raise FockConvergenceError if more than
-`DEFICIT_LIMIT` is lost.  Unitaries are exponentials of the truncated
-anti-Hermitian generator, so they stay exactly unitary; truncation error
-shows up as population reaching the top of the photon ladder, which is
-what the leakage checks measure.
-
-The oracle works in real arithmetic.  The beam splitter
-exp(theta (a^dag b - a b^dag)) has a real antisymmetric generator, so its
-Fock matrix is real orthogonal.  It conserves the total photon number N of
-its two modes, and its generator is -i theta H_N in sector N with a
-tridiagonal H_N that does not depend on tau; `_bs_sectors` diagonalizes
-each H_N once per cutoff as a real symmetric block and caches the real
-eigenvectors, the 2 cutoff + 1 sectors packed into cutoff + 1 blocks of
-cutoff + 1 states (sectors N and N + cutoff + 1 share a block), so a beam
-splitter at a new tau costs one cosine and one sine per eigenvalue and one
-real stacked product.  The oracle never forms the dense unitary: the TMSV
-input is diagonal, |e>_C |e>_E, so each input state lies in one sector and
-each output amplitude is a single product, which `_eve_factor` scatters
-for all amplitudes at once through a layout cached per cutoff and
-rotation order (`_eve_layout`).  A coherent ket's phase is linear in the
-photon number, exp(i n arg alpha), so it splits into a row phase and a
-column phase of the eavesdropper's factor, and neither changes the
-spectrum of a Gram block as long as every simulated amplitude has the
-same arg alpha: the factor is built from the real ket of |alpha|, and
-only representatives of different phases take their relative column
-phases, which makes the Gram blocks complex.  Its real inputs come from
-their closed forms, with no complex ket built: the d Schmidt coefficients
-of the TMSV (`_tmsv_schmidt`) and the real ket of |alpha|, by a float
-recurrence (`_modulus_ket`) that the tests compare bit for bit with the
-complex `coherent_ket` of `tests/reference.py`.  The public `tmsv_ket`
-stays as it is for `checks` and the tests.  The eavesdropper's
-entropy is taken from pure-state amplitudes: her average state
-rho = M^T conj(M) has the same nonzero spectrum as the much smaller Gram
-matrix conj(M) M^T, so rho itself is never formed.  The oracle also
-reduces by the constellation's rotation symmetry (`_rotation_orbits`,
-cached by the constellation's values; the argument is in
-`eve_exact_entropy`): for QPSK at cutoff 18 it takes four real 19 x 19
-Gram blocks, formed by one stacked product, diagonalized by one stacked
-`eigvalsh` and summed by one `states.stacked_spectrum_entropy` pass, in
-place of one complex 76 x 76 Gram matrix.
-
-The `--check` switching-rule probes exponentiate two of their three
-generator kinds from exact structure on the truncated space.  The two
-single-mode displacement generators commute even when truncated, so
-`apply_displacement` is a tensor product of two (cutoff+1)-level
-exponentials.  A rotation exp(i a^dag phi a) keeps the total photon number
-fixed, so `apply_rotation` exponentiates one tridiagonal sector block at a
-time.  Every sector block, the beam splitter's included, is diagonalized
-by `_tridiagonal_eigh`: one real `eigh` and a diagonal phase similarity.
-The beam splitter is the rotation at phi = theta [[0, -i], [i, 0]], and the
-dense `fock_bs` is `apply_rotation` of every basis ket, an uncached route
-the tests check the oracle's blocks against.  Squeezers mix the sectors:
-`squeeze_generator` returns the ladder weights of their Hermitian
-generator, and `apply_generator` exponentiates it by a Chebyshev
-expansion, in which the generator acts as six shifted slice products on
-flat kets and no sparse matrix is formed.
-
-The module keeps only what the oracle and `--check` call, and it runs on
-numpy alone.  The sparse operators and generators, scipy's
-`expm_multiply` and the dense exponential that the structured and
-Chebyshev exponentials are checked against live with the tests
-(`tests/reference.py`).
+A map of the module; each argument is made once, in the docstring named.
+- States (`tmsv_ket`, `fock_thermal`, `fock_tmsv`) are plain arrays at an
+  explicit cutoff; losing more than `DEFICIT_LIMIT` raises
+  FockConvergenceError.
+- The `--check` exponentials act on two-mode kets: `apply_displacement` as
+  a tensor product, `apply_rotation` one photon-number sector at a time
+  (`_tridiagonal_eigh`), `apply_generator` as a Chebyshev expansion of the
+  `squeeze_generator` weights.
+- The beam splitter's real eigenbasis is cached per cutoff (`_bs_sectors`);
+  the dense `fock_bs` is the uncached route the tests check it against.
+- The oracle, `eve_exact_entropy`, takes the eavesdropper's entropy from
+  the Gram side of her real factor (`_eve_factor` argues the real
+  arithmetic), reduced to one amplitude per rotation orbit
+  (`cloner._rotation_orbits`; `eve_exact_entropy` argues the reduction).
+- `fock_entropy` and `fock_partial_trace` serve the `--check` suites.
+- `eb_z4` is the cross moment of the QPSK purification, in closed form.
+The module runs on numpy alone; the sparse and scipy references it is
+checked against live in `tests/reference.py`.
 """
 
 import math
@@ -597,7 +543,7 @@ def _eve_layout(order, cutoff):
 
 def _eve_factor(representatives, order, params, cutoff):
     """(blocks, leak): the real factor of the eavesdropper's state for the
-    R orbit representatives of `_rotation_orbits`, as an (R, K, d, width)
+    R orbit representatives of `cloner._rotation_orbits`, as an (R, K, d, width)
     stack of her K = `order` rotation-class blocks (`_eve_layout`), and
     the worst truncation leakage.
 
@@ -608,15 +554,23 @@ def _eve_factor(representatives, order, params, cutoff):
     a + e, and each output entry is one product with no sum:
     out[b, c', e] = ket[a] lam_e U[(b, c'), (a, e)], with a = b + c' - e,
     and the input weight ket[a] lam_e is read at the column label a d + e
-    of the beam splitter's entry.  The coherent ket is the real ket of
+    of the beam splitter's entry.
+
+    The oracle's arithmetic is real.  The beam splitter's generator
+    a^dag b - a b^dag is real and antisymmetric in the Fock basis, so U is
+    real orthogonal (`_bs_sectors`).  The coherent ket is the real ket of
     |alpha| times exp(i a arg alpha), and
     exp(i a arg alpha) = exp(i b arg alpha) exp(i (c' - e) arg alpha): a row
-    phase and a column phase, which `_eve_entropy` restores only where
-    they change a spectrum.  So the blocks here are built from real inputs
-    and the real `_bs_slot_values`, and the leakage, which the phases do
-    not change, is taken from them.  The inputs come straight from their
-    closed forms: the d Schmidt coefficients lam_e (`_tmsv_schmidt`) and
-    the real ket of each |alpha| (`_modulus_ket`).
+    phase and a column phase of the factor.  The row phases are a diagonal
+    unitary similarity of each Gram block conj(M_q) M_q^T, and the column
+    phases cancel in it when every representative has the same arg alpha,
+    so the real blocks have the spectra of the complex ones.  Only where
+    the representatives' phases differ does `_eve_entropy` apply the
+    relative column phases exp(i (c' - e) (arg alpha_k - arg alpha_0)) and
+    form complex blocks.  The leakage, which no phase changes, is taken
+    from the real blocks.  The real inputs come from their closed forms:
+    the d Schmidt coefficients lam_e (`_tmsv_schmidt`) and the real ket of
+    each |alpha| (`_modulus_ket`).
     """
     d = cutoff + 1
     dest, top, shift = _eve_layout(order, cutoff)
@@ -637,19 +591,12 @@ def _eve_factor(representatives, order, params, cutoff):
 
 def _eve_entropy(representatives, order, params, cutoff, base):
     """Eavesdropper entropy at one cutoff from the orbit representatives of
-    `_rotation_orbits`: the sum, over the K = `order` rotation classes, of
-    the entropy of the Gram block conj(M_q) M_q^T of the class-q columns
-    M_q of the representatives' factor (`_eve_factor`).
-
-    The row phases exp(i b arg alpha_k) of the factor are a diagonal
-    unitary similarity of each Gram block, and its column phases
-    exp(i (c' - e) arg alpha_k) cancel in the block when every
-    representative has the same arg alpha: then the real blocks have the
-    spectra of the complex ones.  Only where the representatives' phases
-    differ are the relative column phases
-    exp(i (c' - e) (arg alpha_k - arg alpha_0)) applied and the blocks
-    formed complex.  All K Gram blocks come from one stacked product and
-    one stacked `eigvalsh`, and their K spectra go through one
+    `cloner._rotation_orbits`: the sum, over the K = `order` rotation
+    classes, of the entropy of the Gram block conj(M_q) M_q^T of the
+    class-q columns M_q of the representatives' factor (`_eve_factor`,
+    which argues when the relative column phases applied here are needed).
+    All K Gram blocks come from one stacked product and one stacked
+    `eigvalsh`, and their K spectra go through one
     `states.stacked_spectrum_entropy` pass, which floors each block's
     entropy at 0 on its own."""
     blocks, leak = _eve_factor(representatives, order, params, cutoff)
@@ -672,8 +619,9 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
     the K*d x d^2 factor of the K amplitudes (d = cutoff+1 levels) that
     `_eve_factor` builds.  Its entropy is taken from the Gram side
     conj(M) M^T, which has the same nonzero spectrum, reduced by the
-    constellation's rotation symmetry (`_rotation_orbits`, amplitudes
-    paired within `SYMMETRY_RTOL` = 1e-12 relative to max(1, max |alpha|)).
+    constellation's rotation symmetry (`cloner._rotation_orbits`,
+    amplitudes paired within `cloner.SYMMETRY_RTOL` = 1e-12 relative to
+    max(1, max |alpha|)).
     Rotating an amplitude by 2 pi / K turns the eavesdropper's state into
     W rho W^dag, W = exp(2 pi i (n_C' - n_E) / K), so averaging over an orbit
     of K amplitudes pinches a representative's state onto the eigenspaces
@@ -683,16 +631,9 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
     K p.  For QPSK (K = 4) that is four d x d blocks, 19 x 19 at cutoff 18,
     instead of one 76 x 76; with no symmetry (K = 1) it is the single
     K*d x K*d Gram.  The leakage is taken from the representatives, which
-    is exact because a rotation keeps photon numbers.
-
-    The work is real.  The beam splitter's generator a^dag b - a b^dag is
-    real and antisymmetric in the Fock basis, so its unitary is real
-    orthogonal (`_bs_sectors`), and a coherent ket's phase is linear in
-    the photon number, exp(i n arg alpha), so it splits into a row phase
-    and a column phase of M that leave the Gram blocks' spectra unchanged
-    when every representative has the same arg alpha (`_eve_entropy`).
-    The K blocks are formed by one stacked product, diagonalized by one
-    stacked `eigvalsh` and their entropies summed in one pass.
+    is exact because a rotation keeps photon numbers.  M is real
+    (`_eve_factor` argues why), and the K blocks are formed, diagonalized
+    and summed together (`_eve_entropy`).
 
     The same entropy is recomputed at cutoff - `SWEEP_STEP` (5 levels
     lower); the run only counts as converged if the two values agree
