@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import require_distribution, require_finite
+from .linalg import max_abs, require_distribution, require_finite
 from .states import (
     StandardTwoModeCov,
     SymplecticMap,
@@ -156,6 +156,13 @@ def _orbits_by_value(amplitudes, probs):
     return 1, None
 
 
+# An ensemble's means must stay below this in magnitude.  `bounds.gram_matrix`
+# sums |b - a|^2 over both modes and `average_covariance` the spread of the
+# means; each is at most 4 max |mean|^2, which this keeps below 4e306, under
+# the largest double (1.8e308), so neither overflows before a range check.
+MEAN_LIMIT = 1e153
+
+
 @dataclass(frozen=True)
 class DisplacedThermalEnsemble:
     """Equal-covariance displaced two-mode thermal ensemble.
@@ -184,7 +191,13 @@ class DisplacedThermalEnsemble:
         nu1p = np.asarray(self.nu1p, dtype=float)
         if not all(n >= 0 for n in nu1p.flat):
             raise ValueError(f"thermal photon number must be >= 0, got {self.nu1p}")
-        require_finite(self.means, "ensemble means")
+        largest = max_abs(self.means)
+        if not largest < MEAN_LIMIT:  # so NaN is caught too
+            require_finite(self.means, "ensemble means")
+            raise ValueError(
+                f"ensemble means beyond double precision: max |mean| = {largest:.3e}, "
+                f"the limit is {MEAN_LIMIT:.0e}"
+            )
         if self.means.shape != nu1p.shape + (self.probs.size, 4):
             raise ValueError("means must be K x 4 per cell for a two-mode ensemble")
 

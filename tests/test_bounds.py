@@ -95,7 +95,9 @@ class TestGramMatrix:
         gm = gram_matrix(ens)
         assert np.max(np.abs(gm - expected)) < 1e-14
 
-    @pytest.mark.parametrize("alpha", [5000.0, 1e4])
+    # 1e150 is near the ensemble's MEAN_LIMIT, far past where bm-get leaves
+    # double precision
+    @pytest.mark.parametrize("alpha", [5000.0, 1e4, 1e150])
     def test_hermitian_at_large_amplitude(self, alpha):
         # the overlaps' phases are antisymmetric by construction, so the
         # matrix stays Hermitian where exp(-(|a|^2 + |b|^2)/2 + conj(a) b)
@@ -140,16 +142,20 @@ class TestGaussianExtremalityBound:
         with pytest.raises(ValueError, match="log base"):
             bm_get_entropy(qpsk(1.0), params, base="foo")
 
-    @pytest.mark.parametrize("alpha, params", [
-        (1e150, ChannelParams(tau=0.5, nbar=0.01)),
-        (3.23e8, ChannelParams(tau=0.25, nbar=5.0)),
-    ])
-    def test_covariance_beyond_double_precision_raises(self, alpha, params):
+    @pytest.mark.parametrize("alpha, params, entropy", [
+        (1e150, ChannelParams(tau=0.5, nbar=0.01), bm_get_entropy),
+        (3.23e8, ChannelParams(tau=0.25, nbar=5.0), bm_get_entropy),
+        (1e200, ChannelParams(tau=0.5, nbar=0.01), bm_get_entropy),
+        (1e200, ChannelParams(tau=0.5, nbar=0.01), bm_gme_entropy),
+    ], ids=["1e+150-params0", "323000000.0-params1", "1e+200-bm-get", "1e+200-bm-gme"])
+    def test_covariance_beyond_double_precision_raises(self, alpha, params, entropy):
         # the average covariance's invariants overflow at alpha = 1e150 and
         # its determinant cancels to a negative value at 3.23e8; both must
-        # raise a named error, not give nan or a bare "math domain error"
+        # raise a named error, not give nan or a bare "math domain error".
+        # At 1e200 the ensemble's means pass its MEAN_LIMIT, where the Gram
+        # matrix and the average covariance would overflow in numpy.
         with pytest.raises(ValueError, match="beyond double precision"):
-            bm_get_entropy(qpsk(alpha), params)
+            entropy(qpsk(alpha), params)
 
     def test_nats(self):
         params = ChannelParams(tau=0.5, nbar=0.01)

@@ -264,14 +264,19 @@ class TestMain:
         assert {(row[5], row[7]) for row in rows} == {("0", "ok")}
 
     @pytest.mark.parametrize("args", [
-        ["--alpha", "1e150", "--tau-steps", "2"],
-        ["--alpha", "3.23e8", "--nbar", "5", "--tau-min", "0", "--tau-max", "1", "--tau-steps", "5"],
+        ["--methods", "bm-get", "--alpha", "1e150", "--tau-steps", "2"],
+        ["--methods", "bm-get", "--alpha", "3.23e8", "--nbar", "5", "--tau-min", "0", "--tau-max",
+         "1", "--tau-steps", "5"],
+        ["--methods", "bm-get", "--alpha", "1e200", "--tau-steps", "2"],
+        ["--methods", "bm-gme", "--alpha", "1e200", "--tau-steps", "2"],
     ])
     def test_bm_get_beyond_double_precision_is_an_error(self, tmp_path, capsys, args):
         # without a range check the first scan printed nan with status ok
-        # and the second stopped on a bare "math domain error"
+        # and the second stopped on a bare "math domain error"; at 1e200
+        # bm-get stopped on a numpy overflow and bm-gme on "Eigenvalues did
+        # not converge"
         out = tmp_path / "scan.csv"
-        assert main(["--methods", "bm-get", *args, "--out", str(out)]) == 1
+        assert main([*args, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("evebounds: ") and "beyond double precision" in err
         assert len(err.splitlines()) == 1
