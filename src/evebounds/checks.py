@@ -1,18 +1,16 @@
-"""Self-check suites: each suite exercises one invariant family and
-reports its worst residual against a fixed tolerance.
+"""Self-check suites behind `--check`: each exercises one invariant family
+and reports its worst residual against a fixed tolerance.
 
-Used by the command line (`--check`) to gate scans on a healthy build;
-`run_checks` times each suite, and `format_report` prints that wall time.
-Random inputs are validated once: `random_pair` composes its fundamental
-operations as plain (E, F) arrays and validates only the final pair, the
-Bloch-Messiah check composes its circuits the same way, and the
-Bloch-Messiah reference moves all amplitudes through the circuit as the
-columns of one matrix.  The Fock-space reordering check takes rules 2 and
-3 in their R(phi)^dag form, so that one displacement and one rotation of
-its probes serve all three rules, with 12 Chebyshev exponentials of
-squeezers per pass.  The suites run on numpy alone.
-Every suite folds its residuals with `_worst`, which keeps a NaN, so a
-suite whose computation turns NaN fails.
+- `run_checks` runs and times every suite of `SUITES`; `format_report`
+  prints one line per suite.
+- Random Gaussian unitaries are validated once, as the final pair
+  (`random_pair`), and the Bloch-Messiah reference moves all amplitudes at
+  once (`bloch_messiah_amplitudes`).
+- The Fock-space reordering check shares one displacement and one rotation
+  of its probes between the three rules (`_switch_rule_distances`).
+- Every suite folds its residuals with `_worst`, which keeps a NaN, so a
+  suite whose computation turns NaN fails.
+The suites run on numpy alone.
 """
 
 import math
