@@ -159,7 +159,7 @@ def _orbits_by_value(amplitudes, probs):
 # An ensemble's means must stay below this in magnitude.  `bounds.gram_matrix`
 # sums |b - a|^2 over both modes and `average_covariance` the spread of the
 # means; each is at most 4 max |mean|^2, which this keeps below 4e306, under
-# the largest double (1.8e308), so neither overflows before a range check.
+# the largest double (1.8e308), so neither overflows in numpy.
 MEAN_LIMIT = 1e153
 
 
