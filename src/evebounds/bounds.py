@@ -29,13 +29,16 @@ is not:
   spectrum.  `eb` and `bm-get` take theirs through
   `states.symplectic_entropy`.
 
-The ensemble, `gram_matrix` and `gram_entropy` also take a leading axis of
-grid cells (see `cloner.DisplacedThermalEnsemble`): a scan builds its
-cells' Gram matrices as one (cells, K, K) stack, checks them together and
-diagonalizes them with one stacked `eigvalsh`, and
+The ensemble, `gram_matrix`, `gram_entropy` and
+`gaussian_extremality_entropy` also take a leading axis of grid cells (see
+`cloner.DisplacedThermalEnsemble`), and `eb_qpsk_entropy` a sequence of
+cells: a scan builds its cells' Gram matrices as one (cells, K, K) stack,
+checks them together and diagonalizes them with one stacked `eigvalsh`;
 `gaussian_extremality_entropy` forms the cells' average covariances
-together.  The library calls run the same code on one cell, so a scan's
-value for a cell is the one the library returns for it.
+together and takes their determinants with one stacked `det`; and
+`eb_qpsk_entropy` takes X and Z4 once.  The closed-form tails of the last
+two run on floats per cell.  The library calls run the same code on one
+cell, so a scan's value for a cell is the one the library returns for it.
 """
 
 import math
@@ -43,14 +46,13 @@ import math
 import numpy as np
 
 from . import fock
-from .cloner import displaced_thermal_ensemble
+from .cloner import ChannelParams, displaced_thermal_ensemble
 from .linalg import require_hermitian
 from .states import (
-    StandardTwoModeCov,
     _log,
+    _physical_standard_spectrum,
     _spectrum_entropy_rows,
     _two_mode_symplectic_spectrum,
-    standard_symplectic_spectrum,
     symplectic_entropy,
 )
 
@@ -134,19 +136,14 @@ def gaussian_extremality_entropy(ensemble, base="bits"):
     it meets that function's positive-definite precondition.
 
     A float for one ensemble; for an ensemble with a leading cell axis,
-    the average covariances are formed at once and the closed-form tail
-    runs per cell, giving a list of floats.
+    the average covariances are formed at once and their determinants
+    taken by one stacked `np.linalg.det`, giving a list of floats.
     """
     _log(base)
     covs = ensemble.average_covariance()
     if covs.ndim == 2:
-        return _gaussian_entropy(covs, base)
-    return [_gaussian_entropy(cov, base) for cov in covs]
-
-
-def _gaussian_entropy(cov, base):
-    """Entropy of the Gaussian state of one two-mode covariance."""
-    return symplectic_entropy(_two_mode_symplectic_spectrum(cov), base)
+        return symplectic_entropy(_two_mode_symplectic_spectrum(covs), base)
+    return [symplectic_entropy(nus, base) for nus in _two_mode_symplectic_spectrum(covs)]
 
 
 def bm_get_entropy(constellation, params, base="bits"):
@@ -181,7 +178,11 @@ def eb_qpsk_entropy(alpha, params, base="bits"):
     correlation sqrt(tau) Z4) and returns the Gaussian entropy of the
     result, which bounds the eavesdropper entropy by global purity.  The
     result is already in standard form, so its symplectic spectrum is
-    taken in closed form.
+    taken in closed form, once, with the physicality checks of
+    `states.StandardTwoModeCov`.
+
+    `params` is one `ChannelParams`, giving a float, or a sequence of them,
+    giving a list of floats; X and Z4 are taken once for all of them.
 
     Raises ValueError outside 0 < alpha <= `EB_ALPHA_MAX`.
     """
@@ -189,6 +190,11 @@ def eb_qpsk_entropy(alpha, params, base="bits"):
     if not 0 < alpha <= EB_ALPHA_MAX:
         raise ValueError(f"eb is defined for 0 < alpha <= {EB_ALPHA_MAX:g}, got {alpha}")
     x = 1 + 2 * alpha * alpha
-    bob = params.tau * x + (1 - params.tau) * (2 * params.nbar + 1)
-    std = StandardTwoModeCov(a=x, b=bob, c=math.sqrt(params.tau) * fock.eb_z4(alpha))
-    return symplectic_entropy(standard_symplectic_spectrum(std), base)
+    z4 = fock.eb_z4(alpha)
+    single = isinstance(params, ChannelParams)
+    values = []
+    for p in [params] if single else params:
+        bob = p.tau * x + (1 - p.tau) * (2 * p.nbar + 1)
+        nus = _physical_standard_spectrum(x, bob, math.sqrt(p.tau) * z4)
+        values.append(symplectic_entropy(nus, base))
+    return values[0] if single else values

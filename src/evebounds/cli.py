@@ -8,13 +8,14 @@ and is ``-`` for the other methods.  Rows are sorted by (nbar, tau, method)
 and floats printed with 12 significant digits, so a given configuration
 always produces byte-identical output.
 
-Each method runs over all grid cells at once.  `bm-get` and `bm-gme`
-share one displaced-thermal ensemble stacked over the cells: `bm-get`
-forms the cells' average covariances together and takes each closed-form
-symplectic spectrum per cell, and `bm-gme` checks the cells' Gram matrices
-as one stack and diagonalizes them with one `eigvalsh`.  `eb` and the
-oracle run per cell.  Every value is the one the library call returns for
-that cell alone.
+Each method runs over all grid cells at once.  `eb` takes X and Z4 once
+per scan.  `bm-get` and `bm-gme` share one displaced-thermal ensemble
+stacked over the cells: `bm-get` forms the cells' average covariances
+together and takes their determinants with one stacked `det`, and `bm-gme`
+checks the cells' Gram matrices as one stack and diagonalizes them with one
+`eigvalsh`.  The closed-form tails of `eb` and `bm-get` then run on floats
+per cell, and the oracle runs per cell.  Every value is the one the
+library call returns for that cell alone.
 """
 
 import argparse
@@ -82,14 +83,14 @@ def _column(method, cfg, constellation, cells, ensemble):
     `cells`.  `ensemble` is the cells' one stacked displaced-thermal
     ensemble, shared by bm-get and bm-gme."""
     if method == "eb":
-        return [("-", _fmt(eb_qpsk_entropy(cfg.alpha, params, base=cfg.log_base)), "ok")
-                for params in cells]
+        return [("-", _fmt(value), "ok")
+                for value in eb_qpsk_entropy(cfg.alpha, cells, base=cfg.log_base)]
     if method == "bm-get":
         return [("-", _fmt(value), "ok")
                 for value in gaussian_extremality_entropy(ensemble, base=cfg.log_base)]
     if method == "bm-gme":
         return [("pure-exact", _fmt(value), "ok")
-                for value in gram_entropy(gram_matrix(ensemble), base=cfg.log_base)]
+                for value in gram_entropy(gram_matrix(ensemble), base=cfg.log_base).tolist()]
     if method == "oracle":
         return [_oracle_cell(cfg, constellation, params) for params in cells]
     raise ValueError(f"unknown method {method!r}")
@@ -112,10 +113,11 @@ def run_scan(cfg):
     needs_ensemble = not {"bm-get", "bm-gme"}.isdisjoint(methods)
     ensemble = displaced_thermal_ensemble(constellation, cells) if needs_ensemble else None
     columns = [_column(method, cfg, constellation, cells, ensemble) for method in methods]
+    alpha = _fmt(cfg.alpha)
+    prefixes = [f"{_fmt(params.tau)},{_fmt(params.nbar)},{alpha}," for params in cells]
     return [
-        f"{_fmt(params.tau)},{_fmt(params.nbar)},{_fmt(cfg.alpha)},{method},"
-        f"{variant},{entropy},{cfg.log_base},{status}"
-        for params, results in zip(cells, zip(*columns))
+        f"{prefix}{method},{variant},{entropy},{cfg.log_base},{status}"
+        for prefix, results in zip(prefixes, zip(*columns))
         for method, (variant, entropy, status) in zip(methods, results)
     ]
 

@@ -138,16 +138,7 @@ class StandardTwoModeCov:
     c: float
 
     def __post_init__(self):
-        for name in ("a", "b", "c"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"standard-form entry {name} is not finite")
-        if self.a < 1 - PHYSICALITY_ATOL or self.b < 1 - PHYSICALITY_ATOL:
-            raise ValueError(f"standard form needs a, b >= 1, got a={self.a}, b={self.b}")
-        # With a, b >= 1, cov + i Omega >= 0 exactly when both symplectic
-        # eigenvalues are >= 1, so the closed-form spectrum decides it.
-        nu_min = min(standard_symplectic_spectrum(self))
-        if nu_min < 1 - PHYSICALITY_ATOL:
-            raise ValueError(f"unphysical standard form: symplectic eigenvalue {nu_min:.12g} below 1")
+        _physical_standard_spectrum(self.a, self.b, self.c)
 
     def as_matrix(self):
         return _standard_block(self.a, self.b, self.c)
@@ -216,13 +207,34 @@ def standard_symplectic_spectrum(std):
     nu_{1,2} = [sqrt((a+b)^2 - 4c^2) +/- (b - a)] / 2, so nu1 is the larger
     eigenvalue whenever b >= a.
     """
-    disc = (std.a + std.b) ** 2 - 4 * std.c**2
+    return _standard_spectrum(std.a, std.b, std.c)
+
+
+def _standard_spectrum(a, b, c):
+    disc = (a + b) ** 2 - 4 * c**2
     if disc <= 0:
         raise ValueError(
             f"unphysical standard form: (a+b)^2 - 4c^2 = {disc:.3e} must be positive"
         )
     root = math.sqrt(disc)
-    return (root + (std.b - std.a)) / 2, (root - (std.b - std.a)) / 2
+    return (root + (b - a)) / 2, (root - (b - a)) / 2
+
+
+def _physical_standard_spectrum(a, b, c):
+    """`standard_symplectic_spectrum` of [[a I, c Z], [c Z, b I]] after the
+    checks of `StandardTwoModeCov`: finite entries, a, b >= 1 and both
+    symplectic eigenvalues >= 1, each to `PHYSICALITY_ATOL`."""
+    for name, value in (("a", a), ("b", b), ("c", c)):
+        if not math.isfinite(value):
+            raise ValueError(f"standard-form entry {name} is not finite")
+    if a < 1 - PHYSICALITY_ATOL or b < 1 - PHYSICALITY_ATOL:
+        raise ValueError(f"standard form needs a, b >= 1, got a={a}, b={b}")
+    # With a, b >= 1, cov + i Omega >= 0 exactly when both symplectic
+    # eigenvalues are >= 1, so the closed-form spectrum decides it.
+    nus = _standard_spectrum(a, b, c)
+    if min(nus) < 1 - PHYSICALITY_ATOL:
+        raise ValueError(f"unphysical standard form: symplectic eigenvalue {min(nus):.12g} below 1")
+    return nus
 
 
 def williamson_weights(std):
@@ -265,7 +277,7 @@ def williamson_standard_two_mode(std):
     return SymplecticMap(s=_standard_block(w1, w1, w2)), nu1, nu2
 
 
-def _two_mode_symplectic_spectrum(cov):
+def _two_mode_symplectic_spectrum(covs):
     """Symplectic eigenvalues (nu+, nu-) of a two-mode covariance from its
     invariants, without an eigensolve.
 
@@ -275,9 +287,15 @@ def _two_mode_symplectic_spectrum(cov):
     2 det V / (Delta + sqrt(Delta^2 - 4 det V)), which keeps its relative
     precision when nu+ >> nu-, where the difference form cancels.
 
-    Precondition, not checked: cov is a symmetric positive-definite 4 x 4
-    matrix.  For such a matrix the discriminant is (nu+^2 - nu-^2)^2 >= 0,
-    and it is physical exactly when nu- >= 1.
+    One 4 x 4 covariance gives one (nu+, nu-); a (cells, 4, 4) stack gives
+    a list of them.  A stack's det V comes from one stacked `np.linalg.det`,
+    which equals the per-matrix det bit for bit; the rest runs on floats
+    per cell.  The cells are checked in order, so the error raised is the
+    first cell's, as a loop over the cells would raise it.
+
+    Precondition, not checked: each covariance is a symmetric
+    positive-definite 4 x 4 matrix.  For such a matrix the discriminant is
+    (nu+^2 - nu-^2)^2 >= 0, and it is physical exactly when nu- >= 1.
 
     Raises:
         ValueError: ("... beyond double precision ...") if Delta^2
@@ -287,26 +305,34 @@ def _two_mode_symplectic_spectrum(cov):
             the discriminant is below -PHYSICALITY_ATOL Delta^2 or
             nu- < 1 - PHYSICALITY_ATOL.
     """
-    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = cov.tolist()
-    delta = a00 * a11 - a01 * a10 + b00 * b11 - b01 * b10 + 2 * (c00 * c11 - c01 * c10)
+    if covs.ndim == 2:
+        return _two_mode_symplectic_spectrum(covs[None])[0]
+    deltas = [a00 * a11 - a01 * a10 + b00 * b11 - b01 * b10 + 2 * (c00 * c11 - c01 * c10)
+              for (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11)
+              in covs.tolist()]
     # For a positive-definite cov, 4 det V <= Delta^2, so det V overflows
-    # only where Delta^2 has; testing Delta^2 first keeps numpy from
-    # forming (and warning on) an overflowing determinant.
-    if not delta * delta < math.inf:
+    # only where Delta^2 has; taking det V only over the cells before the
+    # first non-finite Delta^2 keeps numpy from forming (and warning on) an
+    # overflowing determinant.
+    finite = next((i for i, delta in enumerate(deltas) if not delta * delta < math.inf), len(deltas))
+    spectra = []
+    for delta, det_v in zip(deltas, np.linalg.det(covs[:finite]).tolist()):
+        if not 0 < det_v < math.inf:
+            raise ValueError(
+                f"two-mode covariance beyond double precision: det V = {det_v:.3e} is not finite and positive"
+            )
+        disc = delta * delta - 4 * det_v
+        if disc < -PHYSICALITY_ATOL * delta * delta:
+            raise ValueError(f"unphysical covariance matrix: Delta^2 - 4 det V = {disc:.3e} is negative")
+        upper = delta + math.sqrt(max(disc, 0.0))
+        nu_minus = math.sqrt(2 * det_v / upper)
+        if nu_minus < 1 - PHYSICALITY_ATOL:
+            raise ValueError(f"unphysical covariance matrix: symplectic eigenvalue {nu_minus:.12g} below 1")
+        spectra.append((math.sqrt(upper / 2), nu_minus))
+    if finite < len(deltas):
+        delta = deltas[finite]
         raise ValueError(f"two-mode covariance beyond double precision: Delta^2 = {delta * delta} is not finite")
-    det_v = float(np.linalg.det(cov))
-    if not 0 < det_v < math.inf:
-        raise ValueError(
-            f"two-mode covariance beyond double precision: det V = {det_v:.3e} is not finite and positive"
-        )
-    disc = delta * delta - 4 * det_v
-    if disc < -PHYSICALITY_ATOL * delta * delta:
-        raise ValueError(f"unphysical covariance matrix: Delta^2 - 4 det V = {disc:.3e} is negative")
-    upper = delta + math.sqrt(max(disc, 0.0))
-    nu_minus = math.sqrt(2 * det_v / upper)
-    if nu_minus < 1 - PHYSICALITY_ATOL:
-        raise ValueError(f"unphysical covariance matrix: symplectic eigenvalue {nu_minus:.12g} below 1")
-    return math.sqrt(upper / 2), nu_minus
+    return spectra
 
 
 def _log(base):
@@ -322,17 +348,26 @@ def thermal_entropy(nbar, base="bits"):
     thermal state with mean photon number nbar; g(0) = 0.  It is taken as
     log1p(nbar) + nbar log1p(1/nbar) nats, whose terms do not cancel."""
     _log(base)
+    return float(_thermal_entropy(nbar, math.log(2) if base == "bits" else 1.0))
+
+
+def _thermal_entropy(nbar, unit):
+    """`thermal_entropy` in nats / `unit`, with no check of the base."""
     if nbar < 1e-12:
         return 0.0
-    nats = math.log1p(nbar) + nbar * math.log1p(1 / nbar)
-    return float(nats / math.log(2) if base == "bits" else nats)
+    return (math.log1p(nbar) + nbar * math.log1p(1 / nbar)) / unit
 
 
 def symplectic_entropy(nus, base="bits"):
     """Sum of g((nu_k - 1)/2) over a symplectic spectrum, the entropy of its
-    Gaussian state; a nu_k below 1 by rounding counts as 1."""
+    Gaussian state; a nu_k below 1 by rounding counts as 1 (its thermal
+    photon number is below 0, which `thermal_entropy` takes as 0)."""
     _log(base)
-    return sum(thermal_entropy(max(nu - 1.0, 0.0) / 2, base) for nu in nus)
+    unit = math.log(2) if base == "bits" else 1.0
+    total = 0.0
+    for nu in nus:
+        total += _thermal_entropy((nu - 1.0) / 2, unit)
+    return float(total)
 
 
 def spectrum_entropy(eigs, base="bits"):

@@ -119,6 +119,32 @@ class TestStackedKernels:
         with pytest.raises(ValueError, match="not Hermitian"):
             gram_entropy(bad)
 
+    @pytest.mark.parametrize("base", ["bits", "nats"])
+    @pytest.mark.parametrize("alpha", [1e-200, 0.05, 1.0, 40.0, 1e4])
+    def test_eb(self, alpha, base):
+        values = eb_qpsk_entropy(alpha, CELLS, base)
+        assert isinstance(values, list) and len(values) == len(CELLS)
+        for value, params in zip(values, CELLS):
+            cell = eb_qpsk_entropy(alpha, params, base)
+            assert isinstance(cell, float) and bits(value) == bits(cell)
+
+    # det V cancels to a value <= 0 at the first point and Delta^2
+    # overflows at the second (test_bounds.py raises each alone).
+    FAILING = [(3.23e8, ChannelParams(tau=0.25, nbar=5.0)), (1e150, ChannelParams(tau=0.5, nbar=0.01))]
+
+    @pytest.mark.parametrize("order", [[0, 1], [1, 0]])
+    def test_first_failing_cell_raises(self, order):
+        cells = [displaced_thermal_ensemble(qpsk(alpha), params)
+                 for alpha, params in (self.FAILING[i] for i in order)]
+        stacked = type(cells[0])(nu1p=np.array([c.nu1p for c in cells]),
+                                 means=np.array([c.means for c in cells]), probs=cells[0].probs)
+        with pytest.raises(ValueError) as first:
+            gaussian_extremality_entropy(cells[0])
+        with pytest.raises(ValueError) as raised:
+            gaussian_extremality_entropy(stacked)
+        assert str(raised.value) == str(first.value)
+        assert ("det V" if order[0] == 0 else "Delta^2") in str(raised.value)
+
     def test_ensemble_rejects_bad_cells(self):
         stacked = displaced_thermal_ensemble(THREE_STATES, CELLS)
         nu1p = stacked.nu1p.copy()
