@@ -132,13 +132,15 @@ def _orbits_by_value(amplitudes, probs):
     bytes of their complex and float arrays; (1, None) with no symmetry."""
     amps, probs = np.frombuffer(amplitudes, dtype=complex), np.frombuffer(probs)
     n = amps.size
-    tol = SYMMETRY_RTOL * max(1.0, float(np.abs(amps).max()))
+    # Distances are taken between amplitudes scaled to at most 1, so that
+    # amplitudes near the largest double do not overflow a difference.
+    unit = amps / max(1.0, float(np.abs(amps).max()))
     for order in range(n, 1, -1):
         if n % order:
             continue
-        dist = np.abs(amps[:, None] * np.exp(2j * math.pi / order) - amps)
+        dist = np.abs(unit[:, None] * np.exp(2j * math.pi / order) - unit)
         image = dist.argmin(axis=1)
-        if dist[np.arange(n), image].max() > tol or not np.array_equal(probs[image], probs):
+        if dist[np.arange(n), image].max() > SYMMETRY_RTOL or not np.array_equal(probs[image], probs):
             continue
         # walk[j] is the index of each amplitude's j-th image.  If the K-th
         # image is the amplitude itself, `image` is a permutation whose
@@ -161,6 +163,19 @@ def _orbits_by_value(amplitudes, probs):
 # means; each is at most 4 max |mean|^2, which this keeps below 4e306, under
 # the largest double (1.8e308), so neither overflows in numpy.
 MEAN_LIMIT = 1e153
+
+
+def _require_mean_limit(values, scale):
+    """Raise the ensemble's precision error unless the means `scale` *
+    `values` all lie below `MEAN_LIMIT` in magnitude; the test is made on
+    `values`, so it never forms an overflowing product."""
+    largest = max_abs(values)
+    if not largest < MEAN_LIMIT / scale:  # so NaN is caught too
+        require_finite(values, "ensemble means")
+        raise ValueError(
+            f"ensemble means beyond double precision: max |mean| = {scale * largest:.3e}, "
+            f"the limit is {MEAN_LIMIT:.0e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -189,15 +204,9 @@ class DisplacedThermalEnsemble:
         object.__setattr__(self, "means", np.atleast_2d(np.asarray(self.means, dtype=float)))
         object.__setattr__(self, "probs", np.atleast_1d(np.asarray(self.probs, dtype=float)))
         nu1p = np.asarray(self.nu1p, dtype=float)
-        if not all(n >= 0 for n in nu1p.flat):
+        if not (nu1p >= 0).all():
             raise ValueError(f"thermal photon number must be >= 0, got {self.nu1p}")
-        largest = max_abs(self.means)
-        if not largest < MEAN_LIMIT:  # so NaN is caught too
-            require_finite(self.means, "ensemble means")
-            raise ValueError(
-                f"ensemble means beyond double precision: max |mean| = {largest:.3e}, "
-                f"the limit is {MEAN_LIMIT:.0e}"
-            )
+        _require_mean_limit(self.means, 1)
         if self.means.shape != nu1p.shape + (self.probs.size, 4):
             raise ValueError("means must be K x 4 per cell for a two-mode ensemble")
 
@@ -270,10 +279,15 @@ def eve_thermal_weights(params):
     difference of numbers near 2 nbar: at (tau, nbar) = (0.4, 1e6) it gives
     0.99999999977.  `checks.check_williamson_grid` compares the two.
     """
-    s = 1 + (1 - params.tau) * params.nbar
-    w1 = math.sqrt((1 + params.nbar) / s)
-    w2 = math.sqrt(params.tau * params.nbar / s)
-    return w1, w2, (1 - params.tau) * params.nbar
+    return _thermal_weights(params.tau, params.nbar, math.sqrt)
+
+
+def _thermal_weights(tau, nbar, sqrt):
+    """`eve_thermal_weights` of floats, or of arrays with `sqrt = np.sqrt`:
+    + - * / and sqrt are correctly rounded in both, so an array's entries
+    equal the floats' bit for bit."""
+    s = 1 + (1 - tau) * nbar
+    return sqrt((1 + nbar) / s), sqrt(tau * nbar / s), (1 - tau) * nbar
 
 
 def displaced_thermal_ensemble(constellation, params):
@@ -293,19 +307,25 @@ def displaced_thermal_ensemble(constellation, params):
 
     `params` is one `ChannelParams`, or a sequence of them for a stack of
     ensembles with a leading cell axis (`DisplacedThermalEnsemble`).
+
+    The means are twice the real and imaginary parts of the displacements,
+    which are checked against `MEAN_LIMIT / 2` first, so a displacement
+    too large to double raises the ensemble's precision error, not a numpy
+    overflow.
     """
     if isinstance(params, ChannelParams):
         w1, w2, nu1p = eve_thermal_weights(params)
         r = params.r
     else:
-        w1, w2, nu1p, r = np.array([eve_thermal_weights(p) + (p.r,) for p in params]).T
-        w1, w2, r = w1[:, None], w2[:, None], r[:, None]
+        tau, nbar = np.array([(p.tau, p.nbar) for p in params]).T
+        w1, w2, nu1p = _thermal_weights(tau, nbar, np.sqrt)
+        w1, w2, r = w1[:, None], w2[:, None], np.sqrt(1 - tau)[:, None]
     amps = constellation.amplitudes
-    beta = np.stack([-w1 * r * amps, w2 * r * np.conj(amps)], axis=-1)
-    means = np.empty(beta.shape[:-1] + (4,))
-    means[..., 0::2] = 2 * beta.real
-    means[..., 1::2] = 2 * beta.imag
-    return DisplacedThermalEnsemble(nu1p=nu1p, means=means, probs=constellation.probs.copy())
+    # (..., K, 2) complex, viewed as (..., K, 4) floats in the means' order
+    # (Re, Im of mode 1, then of mode 2).
+    halves = np.stack([-w1 * r * amps, w2 * r * np.conj(amps)], axis=-1).view(float)
+    _require_mean_limit(halves, 2)
+    return DisplacedThermalEnsemble(nu1p=nu1p, means=2 * halves, probs=constellation.probs.copy())
 
 
 def eve_average_covariance(constellation, params):

@@ -282,6 +282,27 @@ class TestMain:
         assert len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["bm-get", "bm-gme"])
+    def test_means_too_large_to_double_are_an_error(self, tmp_path, capsys, method):
+        # at 1.7e308 the doubled displacements overflowed in numpy and the
+        # scan stopped on "ensemble means contains NaN or Inf entries"
+        out = tmp_path / "scan.csv"
+        assert main(["--methods", method, "--alpha", "1.7e308", "--tau-steps", "2",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evebounds: ensemble means beyond double precision")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["1e200", "1.7e308"])
+    def test_oracle_past_square_overflow_is_not_converged(self, capsys, alpha):
+        # at 1e200 the oracle stopped on an OverflowError from modulus**2
+        assert main(["--methods", "oracle", "--alpha", alpha, "--tau-steps", "2",
+                     "--out", "-"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 4
+        assert {(row[5], row[7]) for row in rows} == {("", "not-converged")}
+
     def test_stdout_default(self, capsys):
         assert main(["--tau-min", "1", "--tau-max", "1", "--tau-steps", "1",
                      "--nbar", "0.01", "--methods", "bm-get"]) == 0

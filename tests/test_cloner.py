@@ -5,9 +5,11 @@ import pytest
 
 from evebounds import fock
 from evebounds.checks import bloch_messiah_amplitudes
+from evebounds.linalg import max_abs
 from evebounds.cloner import (
     ChannelParams,
     Constellation,
+    MEAN_LIMIT,
     DisplacedThermalEnsemble,
     bs_symplectic,
     displaced_thermal_ensemble,
@@ -207,6 +209,27 @@ class TestDisplacedThermalEnsemble:
         ens = displaced_thermal_ensemble(qpsk(1.0), p)
         for amp, mean in zip(qpsk(1.0).amplitudes, ens.means):
             assert np.allclose(smap.s @ mean, eve_conditional_mean(amp, p), atol=1e-10)
+
+
+    @pytest.mark.parametrize("alpha", [1.7e308, 1e200])
+    def test_means_past_the_limit_raise_before_doubling(self, alpha):
+        # at 1.7e308 the displacements are finite but twice them is not:
+        # the bound is tested on the displacements, so no numpy overflow
+        # is formed (a RuntimeWarning fails the suite)
+        cells = [ChannelParams(tau=0.02, nbar=0.01), ChannelParams(tau=0.98, nbar=0.02)]
+        for params in (cells[0], cells):
+            with pytest.raises(ValueError, match="ensemble means beyond double precision"):
+                displaced_thermal_ensemble(qpsk(alpha), params)
+
+    def test_means_just_below_the_limit_pass(self):
+        # at tau = 0, nbar = 0 (w1 r = 1) the largest mean is sqrt(2) alpha:
+        # the bound on the displacements is the ensemble's bound on the means
+        params = ChannelParams(tau=0.0, nbar=0.0)
+        alpha = 0.99 * MEAN_LIMIT / 2 * math.sqrt(2)
+        ens = displaced_thermal_ensemble(qpsk(alpha), params)
+        assert max_abs(ens.means) < MEAN_LIMIT
+        with pytest.raises(ValueError, match="beyond double precision"):
+            displaced_thermal_ensemble(qpsk(alpha / 0.98), params)
 
 
 class TestThermalWeights:

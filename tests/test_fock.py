@@ -870,6 +870,22 @@ class TestUnderflowingKets:
             (row,) = run_scan(cfg)
         assert row == "0.5,0.01,40,oracle,-,,bits,not-converged"
 
+    @pytest.mark.parametrize("modulus", [1.35e154, 1e200, 1.7e308])
+    def test_modulus_ket_past_square_overflow(self, modulus):
+        # modulus**2 raised OverflowError past 1.34e154; the product
+        # squares to inf and the ket to zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ket, deficit = fock._modulus_ket(modulus, 18)
+        assert not ket.any() and deficit == 1.0
+
+    @pytest.mark.parametrize("alpha", [1.3e154, 1e200, 1.7e308])
+    def test_oracle_at_huge_amplitude_is_not_converged(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fock.FockConvergenceError, match="leakage"):
+                fock.eve_exact_entropy(qpsk(alpha), ChannelParams(tau=0.5, nbar=0.01))
+
     def test_oracle_at_huge_nbar_is_not_converged(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
