@@ -204,7 +204,7 @@ class DisplacedThermalEnsemble:
         object.__setattr__(self, "means", np.atleast_2d(np.asarray(self.means, dtype=float)))
         object.__setattr__(self, "probs", np.atleast_1d(np.asarray(self.probs, dtype=float)))
         nu1p = np.asarray(self.nu1p, dtype=float)
-        if not (nu1p >= 0).all():
+        if not nu1p.min() >= 0:  # so NaN is caught too
             raise ValueError(f"thermal photon number must be >= 0, got {self.nu1p}")
         _require_mean_limit(self.means, 1)
         if self.means.shape != nu1p.shape + (self.probs.size, 4):
