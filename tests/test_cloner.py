@@ -5,11 +5,10 @@ import pytest
 
 from evebounds import fock
 from evebounds.checks import bloch_messiah_amplitudes
-from evebounds.linalg import max_abs
 from evebounds.cloner import (
+    MEAN_LIMIT,
     ChannelParams,
     Constellation,
-    MEAN_LIMIT,
     DisplacedThermalEnsemble,
     bs_symplectic,
     displaced_thermal_ensemble,
@@ -19,6 +18,7 @@ from evebounds.cloner import (
     initial_covariance,
     qpsk,
 )
+from evebounds.linalg import max_abs
 from evebounds.states import (
     GaussianState,
     apply_symplectic,
@@ -209,7 +209,6 @@ class TestDisplacedThermalEnsemble:
         ens = displaced_thermal_ensemble(qpsk(1.0), p)
         for amp, mean in zip(qpsk(1.0).amplitudes, ens.means):
             assert np.allclose(smap.s @ mean, eve_conditional_mean(amp, p), atol=1e-10)
-
 
     @pytest.mark.parametrize("alpha", [1.7e308, 1e200])
     def test_means_past_the_limit_raise_before_doubling(self, alpha):
