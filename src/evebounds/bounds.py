@@ -26,8 +26,8 @@ is not:
   displacement amplitudes (K states, M modes), and `gram_entropy` checks
   it (Hermitian, unit trace, no eigenvalue below -1e-8) with the one
   eigensolve that gives its entropy, the `states.spectrum_entropy` of its
-  spectrum.  `eb` and `bm-get` take theirs through
-  `states.symplectic_entropy`.
+  spectrum (one row per cell of a stack).  `eb` and `bm-get` take theirs
+  through `states.symplectic_entropy`.
 
 The ensemble, `gram_matrix`, `gram_entropy` and
 `gaussian_extremality_entropy` also take a leading axis of grid cells (see
@@ -51,8 +51,8 @@ from .linalg import require_hermitian
 from .states import (
     _log,
     _physical_standard_spectrum,
-    _spectrum_entropy_rows,
     _two_mode_symplectic_spectrum,
+    spectrum_entropy,
     symplectic_entropy,
 )
 
@@ -121,8 +121,7 @@ def gram_entropy(matrix, base="bits"):
     if eigs.min() < -1e-8:
         raise ValueError(f"Gram matrix has eigenvalue {eigs.min():.3e} below -1e-8")
     eigs = eigs.clip(0.0)
-    entropies = _spectrum_entropy_rows(eigs / eigs.sum(axis=-1, keepdims=True), base)
-    return float(entropies) if entropies.ndim == 0 else entropies
+    return spectrum_entropy(eigs / eigs.sum(axis=-1, keepdims=True), base)
 
 
 def gaussian_extremality_entropy(ensemble, base="bits"):

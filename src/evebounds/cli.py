@@ -56,15 +56,22 @@ class ScanConfig:
             raise ValueError("--tau-max must be >= --tau-min")
         if self.tau_steps < 1:
             raise ValueError(f"--tau-steps must be >= 1, got {self.tau_steps}")
+        # A repeated cell would print its rows again.
+        if self.tau_min == self.tau_max and self.tau_steps > 1:
+            raise ValueError(f"--tau-steps must be 1 when --tau-min equals --tau-max, got {self.tau_steps}")
         if not self.nbars:
             raise ValueError("at least one --nbar value is required")
         if not all(0 <= nb < np.inf for nb in self.nbars):
             raise ValueError(f"--nbar values must be finite and >= 0, got {self.nbars}")
+        if len(set(self.nbars)) < len(self.nbars):
+            raise ValueError(f"--nbar values must be distinct, got {self.nbars}")
         if not 0 < self.alpha < np.inf:
             raise ValueError(f"--alpha must be positive and finite, got {self.alpha}")
         bad = [m for m in self.methods if m not in METHODS]
         if bad or not self.methods:
             raise ValueError(f"--methods must be a nonempty subset of {METHODS}, got {self.methods}")
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError(f"--methods must not repeat a method, got {self.methods}")
         if self.log_base not in LOG_BASES:
             raise ValueError(f"--log-base must be {' or '.join(LOG_BASES)}, got {self.log_base!r}")
         if self.cutoff < 7:
@@ -133,16 +140,22 @@ def write_csv(rows, out):
 
 def _parse_config_file(path):
     """Flat key=value file, '#' comments; keys use flag names."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except OSError as exc:
+        raise ValueError(f"config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"config file {path}: {exc}") from exc
     values = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = value
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        values[key.replace("-", "_")] = value
     return values
 
 
@@ -232,7 +245,11 @@ def main(argv=None):
     except ValueError as exc:
         print(f"evebounds: {exc}", file=sys.stderr)
         return 1
-    write_csv(rows, cfg.out)
+    try:
+        write_csv(rows, cfg.out)
+    except OSError as exc:
+        print(f"evebounds: cannot write {cfg.out}: {exc.strerror}", file=sys.stderr)
+        return 1
     return 0
 
 

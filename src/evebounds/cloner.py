@@ -279,15 +279,15 @@ def eve_thermal_weights(params):
     difference of numbers near 2 nbar: at (tau, nbar) = (0.4, 1e6) it gives
     0.99999999977.  `checks.check_williamson_grid` compares the two.
     """
-    return _thermal_weights(params.tau, params.nbar, math.sqrt)
+    return _thermal_weights(params.tau, params.nbar)
 
 
-def _thermal_weights(tau, nbar, sqrt):
-    """`eve_thermal_weights` of floats, or of arrays with `sqrt = np.sqrt`:
-    + - * / and sqrt are correctly rounded in both, so an array's entries
-    equal the floats' bit for bit."""
+def _thermal_weights(tau, nbar):
+    """`eve_thermal_weights` of floats, or of arrays for a stack: + - * /
+    and `np.sqrt` are correctly rounded, so an array's entries equal the
+    floats' bit for bit."""
     s = 1 + (1 - tau) * nbar
-    return sqrt((1 + nbar) / s), sqrt(tau * nbar / s), (1 - tau) * nbar
+    return np.sqrt((1 + nbar) / s), np.sqrt(tau * nbar / s), (1 - tau) * nbar
 
 
 def displaced_thermal_ensemble(constellation, params):
@@ -314,16 +314,15 @@ def displaced_thermal_ensemble(constellation, params):
     overflow.
     """
     if isinstance(params, ChannelParams):
-        w1, w2, nu1p = eve_thermal_weights(params)
-        r = params.r
+        tau, nbar = params.tau, params.nbar
     else:
         tau, nbar = np.array([(p.tau, p.nbar) for p in params]).T
-        w1, w2, nu1p = _thermal_weights(tau, nbar, np.sqrt)
-        w1, w2, r = w1[:, None], w2[:, None], np.sqrt(1 - tau)[:, None]
+    w1, w2, nu1p = _thermal_weights(tau, nbar)
+    r = np.sqrt(1 - tau)
     amps = constellation.amplitudes
     # (..., K, 2) complex, viewed as (..., K, 4) floats in the means' order
     # (Re, Im of mode 1, then of mode 2).
-    halves = np.stack([-w1 * r * amps, w2 * r * np.conj(amps)], axis=-1).view(float)
+    halves = np.stack([(-w1 * r)[..., None] * amps, (w2 * r)[..., None] * np.conj(amps)], axis=-1).view(float)
     _require_mean_limit(halves, 2)
     return DisplacedThermalEnsemble(nu1p=nu1p, means=2 * halves, probs=constellation.probs.copy())
 

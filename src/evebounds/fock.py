@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cloner import _rotation_orbits
-from .states import _log, spectrum_entropy, stacked_spectrum_entropy
+from .states import _log, spectrum_entropy
 
 __all__ = [
     "FockConvergenceError",
@@ -126,12 +126,11 @@ def _modulus_ket(modulus, cutoff):
     truncated at `cutoff` photons; deficit 1 where the amplitudes
     underflow.  It equals the real part of the complex recurrence
     c_n = c_(n-1) alpha / sqrt(n) (`coherent_ket` in `tests/reference.py`)
-    bit for bit wherever modulus * modulus and the reference's modulus**2
-    round alike: libm's pow is not always correctly rounded (glibc 2.36's
-    differs from the product in about 1 of 1200 random moduli), but they
-    agree on every modulus the tests use.  The square is a product, so a
-    modulus past 1.34e154 squares to inf and gives a zero ket with deficit
-    1, where modulus**2 raises OverflowError.
+    bit for bit.  Both square the modulus as a product: libm's pow is not
+    always correctly rounded (glibc 2.36's differs from the product in
+    about 1 of 1200 random moduli), and a modulus past 1.34e154 squares to
+    inf and gives a zero ket with deficit 1, where modulus**2 raises
+    OverflowError.
 
     The recurrence runs on floats: numpy divides a complex number by the
     real sqrt(n) as a product with 1 / sqrt(n), and the imaginary parts are
@@ -489,7 +488,7 @@ def fock_partial_trace(rho, dims, keep):
 
 def fock_entropy(rho, base="bits"):
     """Von Neumann entropy, `states.spectrum_entropy` of the `eigvalsh`
-    spectrum (eigenvalues <= 1e-15 skipped, the sum floored at 0.0)."""
+    spectrum (eigenvalues <= 1e-15 add 0, the sum floored at 0.0)."""
     _log(base)
     return spectrum_entropy(np.linalg.eigvalsh(rho), base)
 
@@ -601,9 +600,8 @@ def _eve_entropy(representatives, order, params, cutoff, base):
     class-q columns M_q of the representatives' factor (`_eve_factor`,
     which argues when the relative column phases applied here are needed).
     All K Gram blocks come from one stacked product and one stacked
-    `eigvalsh`, and their K spectra go through one
-    `states.stacked_spectrum_entropy` pass, which floors each block's
-    entropy at 0 on its own."""
+    `eigvalsh`, and their K spectra go through one `states.spectrum_entropy`
+    pass, which floors each block's entropy at 0 on its own."""
     blocks, leak = _eve_factor(representatives, order, params, cutoff)
     _require_deficit(leak, f"the oracle state at cutoff {cutoff}")
     phase = np.angle(representatives.amplitudes)
@@ -613,7 +611,7 @@ def _eve_entropy(representatives, order, params, cutoff, base):
     count, _, d, width = blocks.shape
     blocks = blocks.transpose(1, 0, 2, 3).reshape(order, count * d, width)
     spectra = np.linalg.eigvalsh(blocks.conj() @ blocks.transpose(0, 2, 1))
-    return stacked_spectrum_entropy(spectra, base)
+    return float(spectrum_entropy(spectra, base).sum())
 
 
 def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):

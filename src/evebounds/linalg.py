@@ -26,7 +26,7 @@ ATOL_DISTRIBUTION = 1e-12  # a few roundings of a sum of O(1) probabilities
 
 def max_abs(m):
     """Largest entry magnitude, as a plain float."""
-    return float(np.max(np.abs(m))) if np.size(m) else 0.0
+    return float(np.abs(m).max(initial=0.0))
 
 
 def require_finite(m, name="matrix"):

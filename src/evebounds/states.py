@@ -29,7 +29,6 @@ __all__ = [
     "thermal_entropy",
     "symplectic_entropy",
     "spectrum_entropy",
-    "stacked_spectrum_entropy",
     "apply_symplectic",
     "partial_trace_modes",
     "average_covariance",
@@ -207,17 +206,7 @@ def standard_symplectic_spectrum(std):
     nu_{1,2} = [sqrt((a+b)^2 - 4c^2) +/- (b - a)] / 2, so nu1 is the larger
     eigenvalue whenever b >= a.
     """
-    return _standard_spectrum(std.a, std.b, std.c)
-
-
-def _standard_spectrum(a, b, c):
-    disc = (a + b) ** 2 - 4 * c**2
-    if disc <= 0:
-        raise ValueError(
-            f"unphysical standard form: (a+b)^2 - 4c^2 = {disc:.3e} must be positive"
-        )
-    root = math.sqrt(disc)
-    return (root + (b - a)) / 2, (root - (b - a)) / 2
+    return _physical_standard_spectrum(std.a, std.b, std.c)
 
 
 def _physical_standard_spectrum(a, b, c):
@@ -229,9 +218,15 @@ def _physical_standard_spectrum(a, b, c):
             raise ValueError(f"standard-form entry {name} is not finite")
     if a < 1 - PHYSICALITY_ATOL or b < 1 - PHYSICALITY_ATOL:
         raise ValueError(f"standard form needs a, b >= 1, got a={a}, b={b}")
+    disc = (a + b) ** 2 - 4 * c**2
+    if disc <= 0:
+        raise ValueError(
+            f"unphysical standard form: (a+b)^2 - 4c^2 = {disc:.3e} must be positive"
+        )
     # With a, b >= 1, cov + i Omega >= 0 exactly when both symplectic
     # eigenvalues are >= 1, so the closed-form spectrum decides it.
-    nus = _standard_spectrum(a, b, c)
+    root = math.sqrt(disc)
+    nus = (root + (b - a)) / 2, (root - (b - a)) / 2
     if min(nus) < 1 - PHYSICALITY_ATOL:
         raise ValueError(f"unphysical standard form: symplectic eigenvalue {min(nus):.12g} below 1")
     return nus
@@ -370,34 +365,19 @@ def symplectic_entropy(nus, base="bits"):
     return float(total)
 
 
-def spectrum_entropy(eigs, base="bits"):
-    """-sum lambda log lambda over a density or Gram spectrum, eigenvalues
-    <= `EIGENVALUE_SKIP` skipped.  A pure state's eigenvalue can come out
-    as 1 + 4e-16, so the sum is floored at 0.0 (never -0.0); a positive
-    sum is kept."""
-    log = _log(base)
-    eigs = eigs[eigs > EIGENVALUE_SKIP]
-    return max(0.0, float(-(eigs * log(eigs)).sum()))
-
-
-def stacked_spectrum_entropy(spectra, base="bits"):
-    """The sum of `spectrum_entropy` over the rows of an (m, n) stack of
-    spectra, in one pass of `_spectrum_entropy_rows`.  Equal to the loop
-    up to the order of summation."""
-    return float(_spectrum_entropy_rows(spectra, base).sum())
-
-
-def _spectrum_entropy_rows(spectra, base):
-    """`spectrum_entropy` of each row of a (..., n) stack of spectra, as an
-    array of shape (...,).  Eigenvalues <= `EIGENVALUE_SKIP` count as 1,
-    whose term is 0, and each row's sum is floored at 0.0 on its own (never
-    -0.0), so a pure row's overshoot is never netted against a mixed one.
-    numpy adds fewer than 8 terms in order, so for n < 8 each row equals
-    `spectrum_entropy` of the row bit for bit (a skipped term adds an exact
-    0); longer rows agree up to the order of summation."""
+def spectrum_entropy(spectra, base="bits"):
+    """-sum lambda log lambda over the last axis of a density or Gram
+    spectrum: a float for one spectrum, an array of shape (...,) for a
+    (..., n) stack.  Eigenvalues <= `EIGENVALUE_SKIP` count as 1, whose
+    term is 0.  A pure state's eigenvalue can come out as 1 + 4e-16, so
+    each row's sum is floored at 0.0 on its own (never -0.0), and a pure
+    row's overshoot is never netted against a mixed one.  numpy adds fewer
+    than 8 terms in order, so for n < 8 a skipped term adds an exact 0;
+    longer rows are summed pairwise."""
     log = _log(base)
     kept = np.where(spectra > EIGENVALUE_SKIP, spectra, 1.0)
-    return np.maximum(-(kept * log(kept)).sum(axis=-1), 0.0) + 0.0
+    rows = np.maximum(-(kept * log(kept)).sum(axis=-1), 0.0) + 0.0
+    return float(rows) if rows.ndim == 0 else rows
 
 
 def entropy_from_cov(cov, base="bits"):

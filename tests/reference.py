@@ -53,10 +53,12 @@ def coherent_ket(alpha, cutoff):
     """(ket, deficit) for |alpha> truncated at `cutoff` photons; deficit 1
     where the amplitudes underflow (|alpha| >~ 27 at cutoff 18).  The
     oracle's real `evebounds.fock._modulus_ket` must equal its real part
-    bit for bit."""
+    bit for bit.  |alpha|^2 is a product, as there: libm's pow is not
+    always correctly rounded, and a product overflows to inf, not to an
+    OverflowError."""
     alpha = complex(alpha)
     c = np.zeros(cutoff + 1, dtype=complex)
-    c[0] = math.exp(-0.5 * abs(alpha) ** 2)
+    c[0] = math.exp(-0.5 * (abs(alpha) * abs(alpha)))
     for n in range(1, cutoff + 1):
         c[n] = c[n - 1] * alpha / math.sqrt(n)
     return _normalized(c)

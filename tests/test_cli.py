@@ -28,6 +28,21 @@ class TestConfig:
         with pytest.raises(ValueError, match="nbar"):
             ScanConfig(nbars=[-0.1])
 
+    @pytest.mark.parametrize("kwargs, flag", [
+        (dict(nbars=[0.01, 0.02, 0.01]), "--nbar values must be distinct"),
+        (dict(nbars=[0.0, -0.0]), "--nbar values must be distinct"),
+        (dict(methods=["eb", "eb"]), "--methods must not repeat"),
+        (dict(tau_min=0.5, tau_max=0.5), "--tau-steps must be 1 when --tau-min equals --tau-max, got 50"),
+        (dict(tau_min=1.0, tau_max=1.0, tau_steps=2), "--tau-steps must be 1 .* got 2"),
+    ])
+    def test_repeated_cells_rejected(self, kwargs, flag):
+        # each would print some rows twice
+        with pytest.raises(ValueError, match=flag):
+            ScanConfig(**kwargs)
+
+    def test_single_tau_accepted(self):
+        assert ScanConfig(tau_min=0.5, tau_max=0.5, tau_steps=1).tau_grid().tolist() == [0.5]
+
     def test_flag_parsing(self):
         cfg = parse_config(
             [
@@ -67,6 +82,19 @@ class TestConfig:
         conf.write_text("zau-min = 0.2\n")
         with pytest.raises(ValueError, match="unknown key"):
             parse_config(["--config", str(conf)])
+
+    def test_missing_config_file_is_one_line(self, tmp_path):
+        missing = tmp_path / "missing.conf"
+        with pytest.raises(ValueError) as err:
+            parse_config(["--config", str(missing)])
+        assert str(err.value) == f"config file {missing}: No such file or directory"
+
+    def test_config_file_not_utf8(self, tmp_path):
+        conf = tmp_path / "latin.conf"
+        conf.write_bytes(b"alpha = 0.5 # \xe9\n")
+        with pytest.raises(ValueError) as err:
+            parse_config(["--config", str(conf)])
+        assert str(err.value).startswith(f"config file {conf}: 'utf-8' codec can't decode")
 
     @pytest.mark.parametrize("value, expected", [
         ("1", True), ("TRUE", True), ("yes", True), ("0", False), ("False", False), ("NO", False),
@@ -255,6 +283,33 @@ class TestMain:
         assert err.startswith("evebounds: ") and "0 < alpha <= 10000" in err
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--config", "{tmp}/missing.conf"], "config file {tmp}/missing.conf: No such file"),
+        (["--config", "{tmp}"], "config file {tmp}: Is a directory"),
+        (["--nbar", "0.01", "--nbar", "0.01"], "--nbar values must be distinct"),
+        (["--methods", "eb,eb"], "--methods must not repeat"),
+        (["--tau-min", "0.5", "--tau-max", "0.5"], "--tau-steps must be 1"),
+    ])
+    def test_usage_errors_on_one_line(self, tmp_path, capsys, args, message):
+        out = tmp_path / "scan.csv"
+        args = [arg.format(tmp=tmp_path) for arg in args]
+        assert main([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("evebounds: " + message.format(tmp=tmp_path))
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target, reason", [
+        ("", "Is a directory"),
+        ("no-such-dir/scan.csv", "No such file or directory"),
+    ])
+    def test_unwritable_out_is_one_line(self, tmp_path, capsys, target, reason):
+        out = tmp_path / target
+        assert main(["--tau-steps", "1", "--methods", "eb", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"evebounds: cannot write {out}: {reason}\n"
+        assert captured.out == ""
 
     def test_eb_at_smallest_amplitude(self, capsys):
         # alpha^2 underflows to 0 at 1e-200: eb is 0 on a noiseless channel

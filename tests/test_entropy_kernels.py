@@ -15,7 +15,6 @@ from evebounds.states import (
     LOG_BASES,
     entropy_from_cov,
     spectrum_entropy,
-    stacked_spectrum_entropy,
     symplectic_entropy,
     thermal_entropy,
 )
@@ -57,9 +56,10 @@ ENTRY_POINTS = {
         lambda base: eb_qpsk_entropy(1.0, PURE, base),
         lambda base: eb_qpsk_entropy(-1.0, PURE, base),
     ),
+    # `spectrum_entropy` on an (m, n) stack, which gives m entropies
     "stacked_spectrum_entropy": (
-        lambda base: stacked_spectrum_entropy(np.array([[1.0], [1.0]]), base),
-        lambda base: stacked_spectrum_entropy(None, base),
+        lambda base: spectrum_entropy(np.array([[1.0], [1.0]]), base).sum(),
+        lambda base: spectrum_entropy([[1.0], [1.0]], base),  # a list, not an array
     ),
     "fock_entropy": (
         lambda base: fock_entropy(np.diag([1.0, 0.0]), base),
@@ -167,9 +167,33 @@ def oracle_class_spectra(tau, nbar, alpha, cutoff):
     return np.linalg.eigvalsh(blocks @ blocks.transpose(0, 2, 1))
 
 
+def masked_entropy(row, base):
+    """-sum lambda log lambda over the entries of one spectrum above the
+    skip, filtered out by a boolean mask and floored at 0.0."""
+    log = np.log2 if base == "bits" else np.log
+    kept = row[row > states.EIGENVALUE_SKIP]
+    return max(0.0, float(-(kept * log(kept)).sum()))
+
+
+def assert_rows_match_the_loop(spectra, base):
+    """Each row of the stacked pass against `spectrum_entropy` of the row
+    alone, bit for bit, and against the masked per-row sum: bit for bit
+    for n < 8, where numpy adds in order and a skipped term adds an exact
+    0, and to 1e-15 relative for longer rows, summed pairwise."""
+    rows = spectrum_entropy(spectra, base)
+    assert rows.shape == spectra.shape[:-1]
+    for got, row in zip(rows.tolist(), spectra):
+        assert got == spectrum_entropy(row, base)
+        want = masked_entropy(row, base)
+        if row.size < 8:
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-15 * want
+
+
 class TestStackedSpectrumEntropy:
     """One pass over a stack of spectra against a `spectrum_entropy` call per
-    row; only the order of summation differs."""
+    row; only the order of summation differs from the masked sum."""
 
     @pytest.mark.parametrize("base", LOG_BASES)
     @pytest.mark.parametrize("tau,nbar,alpha", [(0.2, 0.01, 0.5), (0.5, 0.1, 1.0), (0.8, 0.0, 0.3),
@@ -177,8 +201,7 @@ class TestStackedSpectrumEntropy:
     def test_oracle_spectra_match_the_per_block_loop(self, tau, nbar, alpha, base):
         for cutoff in (18, 13, 7):
             spectra = oracle_class_spectra(tau, nbar, alpha, cutoff)
-            want = sum(spectrum_entropy(row, base) for row in spectra)
-            assert abs(stacked_spectrum_entropy(spectra, base) - want) <= 1e-15
+            assert_rows_match_the_loop(spectra, base)
 
     @pytest.mark.parametrize("base", LOG_BASES)
     def test_random_stacks_match_the_per_block_loop(self, base):
@@ -188,29 +211,34 @@ class TestStackedSpectrumEntropy:
             spectra = rng.dirichlet(np.full(width, rng.uniform(0.05, 3)), size=rows)
             # zeros as eigvalsh returns them, on both sides of the skip
             spectra[rng.random(spectra.shape) < 0.2] = rng.choice([0.0, 1e-16, -1e-14, 1e-15, 2e-15])
-            want = sum(spectrum_entropy(row, base) for row in spectra)
-            assert abs(stacked_spectrum_entropy(spectra, base) - want) <= 1e-15 * max(1.0, want)
+            assert_rows_match_the_loop(spectra, base)
+
+    def test_one_spectrum_is_a_float(self):
+        value = spectrum_entropy(np.array([0.5, 0.5]))
+        assert type(value) is float and value == 1.0
+        assert spectrum_entropy(np.zeros((3, 0))).tolist() == [0.0, 0.0, 0.0]
 
     def test_pure_block_floors_on_its_own(self):
         pure, mixed = [1.0 + 4e-16, 0.0], [0.5, 0.5]
         assert spectrum_entropy(np.array(pure)) == 0.0
         # the pure block's -5.8e-16 is floored, not subtracted from the 1 bit
-        got = stacked_spectrum_entropy(np.array([pure, mixed]))
-        assert got == 1.0 == spectrum_entropy(np.array(mixed))
-        zero = stacked_spectrum_entropy(np.array([pure, pure]))
+        rows = spectrum_entropy(np.array([pure, mixed]))
+        assert rows.tolist() == [0.0, 1.0] and rows.sum() == 1.0 == spectrum_entropy(np.array(mixed))
+        zero = spectrum_entropy(np.array([pure, pure])).sum()
         assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+        assert all(math.copysign(1.0, v) == 1.0 for v in spectrum_entropy(np.array([pure, pure])))
 
     def test_skip_is_one_constant_shared_by_both_kernels(self, monkeypatch):
         assert states.EIGENVALUE_SKIP == 1e-15
         at, above = np.array([1e-15, 0.5]), np.array([1.1e-15, 0.5])
-        assert spectrum_entropy(at) == stacked_spectrum_entropy(at[None]) == 0.5
-        assert spectrum_entropy(above) == pytest.approx(stacked_spectrum_entropy(above[None]))
+        assert spectrum_entropy(at) == spectrum_entropy(at[None])[0] == 0.5
+        assert spectrum_entropy(above) == spectrum_entropy(above[None])[0]
         assert spectrum_entropy(above) > 0.5
         monkeypatch.setattr(states, "EIGENVALUE_SKIP", 0.3)
         eigs = np.array([0.8, 0.2])
         want = -0.8 * math.log2(0.8)
         assert spectrum_entropy(eigs) == pytest.approx(want, rel=1e-15)
-        assert stacked_spectrum_entropy(eigs[None]) == pytest.approx(want, rel=1e-15)
+        assert spectrum_entropy(eigs[None])[0] == pytest.approx(want, rel=1e-15)
 
 
 def test_class_gram_reference_keeps_its_per_class_loop(monkeypatch):

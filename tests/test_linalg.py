@@ -30,6 +30,20 @@ def random_unitary(rng, n):
     return np.linalg.qr(m)[0]
 
 
+class TestMaxAbs:
+    def test_largest_magnitude_as_a_float(self):
+        value = linalg.max_abs(np.array([[1.0, -3.0], [2.0, 0.5]]))
+        assert value == 3.0 and type(value) is float
+        assert linalg.max_abs(np.array([3.0 - 4.0j])) == 5.0
+
+    def test_empty_is_zero(self):
+        assert linalg.max_abs(np.zeros((0, 4))) == 0.0
+
+    @pytest.mark.parametrize("values", [[np.nan], [1.0, np.nan, -2.0], [np.inf, np.nan]])
+    def test_nan_propagates(self, values):
+        assert np.isnan(linalg.max_abs(np.array(values)))
+
+
 class TestPrincipalSqrt:
     def test_identity(self):
         assert np.allclose(principal_sqrt(np.eye(3)), np.eye(3), atol=1e-12)
