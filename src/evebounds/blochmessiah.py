@@ -20,6 +20,7 @@ from .linalg import (
     max_abs,
     principal_angles,
     principal_sqrt,
+    require_at_most,
     require_unitary,
     _unitary_eig,
 )
@@ -42,12 +43,10 @@ class BMFactors:
         require_unitary(self.cal_u, "cal_u")
         require_unitary(self.cal_we, "cal_we")
         require_unitary(self.cal_wf, "cal_wf")
-        rot = max_abs(self.cal_wf - self.cal_we.conj())
-        if rot > ATOL_RECONSTRUCT:
-            raise ValueError(f"rotation condition W_F = conj(W_E) violated: residual {rot:.3e}")
-        squeeze = max_abs(self.lambda_e**2 - self.lambda_f**2 - 1)
-        if squeeze > ATOL_CONSTRUCT:
-            raise ValueError(f"squeeze relation L_E^2 = 1 + L_F^2 violated: residual {squeeze:.3e}")
+        require_at_most(max_abs(self.cal_wf - self.cal_we.conj()), ATOL_RECONSTRUCT,
+                        "rotation condition W_F = conj(W_E) violated: residual {:.3e}")
+        require_at_most(max_abs(self.lambda_e**2 - self.lambda_f**2 - 1), ATOL_CONSTRUCT,
+                        "squeeze relation L_E^2 = 1 + L_F^2 violated: residual {:.3e}")
 
     def reconstruct(self):
         """(E, F) rebuilt from the factors."""
@@ -74,11 +73,8 @@ def bloch_messiah(pair):
     """
     m = matched_svd(pair.e, pair.f)
     g = m.w_e.conj().T @ m.w_f.conj()
-    sym_residual = max_abs(g - g.T)
-    if sym_residual > 1e-8:
-        raise ValueError(
-            f"balancing input G = W_E^dag conj(W_F) not symmetric: residual {sym_residual:.3e}"
-        )
+    require_at_most(max_abs(g - g.T), 1e-8,
+                    "balancing input G = W_E^dag conj(W_F) not symmetric: residual {:.3e}")
     d = principal_sqrt((g + g.T) / 2)  # Takagi factor: d @ d.T = g
 
     factors = BMFactors(
@@ -89,9 +85,8 @@ def bloch_messiah(pair):
         cal_wf=m.w_f @ d,
     )
     e, f = factors.reconstruct()
-    residual = max(max_abs(e - pair.e), max_abs(f - pair.f))
-    if residual > ATOL_RECONSTRUCT:
-        raise ValueError(f"Bloch-Messiah factors do not reconstruct the input: residual {residual:.3e}")
+    require_at_most(max_abs([e - pair.e, f - pair.f]), ATOL_RECONSTRUCT,
+                    "Bloch-Messiah factors do not reconstruct the input: residual {:.3e}")
     return factors
 
 

@@ -7,9 +7,13 @@ is not:
   purified, the purification's covariance is pushed through the channel,
   and the Gaussian entropy of the result is taken (Gaussian extremality
   plus global purity make it an upper bound).  Its one non-Gaussian input,
-  the purification cross moment Z4, has a closed form.  The bound is valid
-  but loose near tau = 1: at alpha = 1 it gives 2.0853 bits there for any
-  nbar, where the true entropy is 0.
+  the purification cross moment Z4, has a closed form.  Its domain is
+  0 < alpha <= `EB_ALPHA_MAX` and every nbar whose (X + b)^2 is a double
+  (X and b the two modes' variances), about nbar < 6.7e153 / (1 - tau);
+  from nbar = 1e6 to 1e150 it is within 7.6e-14 bits of 400-digit
+  arithmetic (tau in {0.02, 0.5, 0.98}, alpha in {0.05, 1, 100}).  The
+  bound is valid but loose near tau = 1: at alpha = 1 it gives 2.0853 bits
+  there for any nbar, where the true entropy is 0.
 * `bm_get_entropy`: Gaussian extremality applied directly to the
   covariance of the displaced-thermal ensemble that carries the
   eavesdropper's average state; an upper bound.  Its two-mode symplectic
@@ -47,7 +51,7 @@ import numpy as np
 
 from . import fock
 from .cloner import ChannelParams, displaced_thermal_ensemble
-from .linalg import require_hermitian
+from .linalg import require_at_least, require_at_most, require_hermitian
 from .states import (
     _log,
     _physical_standard_spectrum,
@@ -113,13 +117,10 @@ def gram_entropy(matrix, base="bits"):
     matrix = np.asarray(matrix, dtype=complex)
     require_hermitian(matrix, "Gram matrix")
     traces = matrix.trace(0, -2, -1).real
-    misses = abs(traces - 1.0)
-    if misses.max() > 1e-9:
-        trace = float(np.ravel(traces)[misses.argmax()])
-        raise ValueError(f"Gram matrix trace is {trace!r}, expected 1 within 1e-9")
+    worst = float(traces.flat[abs(traces - 1.0).argmax()])
+    require_at_most(abs(worst - 1.0), 1e-9, "Gram matrix trace is {1!r}, expected 1 within 1e-9", worst)
     eigs = np.linalg.eigvalsh(matrix)
-    if eigs.min() < -1e-8:
-        raise ValueError(f"Gram matrix has eigenvalue {eigs.min():.3e} below -1e-8")
+    require_at_least(eigs.min(), -1e-8, "Gram matrix has eigenvalue {:.3e} below -1e-8")
     eigs = eigs.clip(0.0)
     return spectrum_entropy(eigs / eigs.sum(axis=-1, keepdims=True), base)
 
@@ -183,7 +184,9 @@ def eb_qpsk_entropy(alpha, params, base="bits"):
     `params` is one `ChannelParams`, giving a float, or a sequence of them,
     giving a list of floats; X and Z4 are taken once for all of them.
 
-    Raises ValueError outside 0 < alpha <= `EB_ALPHA_MAX`.
+    Raises ValueError outside 0 < alpha <= `EB_ALPHA_MAX`, and ("standard
+    form beyond double precision") once (X + b)^2 overflows, with b the
+    second mode's variance: about nbar > 6.7e153 / (1 - tau).
     """
     _log(base)
     if not 0 < alpha <= EB_ALPHA_MAX:

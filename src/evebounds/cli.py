@@ -76,6 +76,14 @@ class ScanConfig:
             raise ValueError(f"--log-base must be {' or '.join(LOG_BASES)}, got {self.log_base!r}")
         if self.cutoff < 7:
             raise ValueError(f"--cutoff must be >= 7, got {self.cutoff}")
+        # Taus or nbars a few ulps apart pass the checks above, but their
+        # cells print alike and would repeat rows.
+        for what, values in (("taus of --tau-min, --tau-max and --tau-steps", self.tau_grid().tolist()),
+                             ("--nbar values", self.nbars)):
+            printed = [_fmt(value) for value in values]
+            if len(set(printed)) < len(printed):
+                repeated = next(text for text in printed if printed.count(text) > 1)
+                raise ValueError(f"{what} print alike at 12 digits: {repeated} repeats")
 
     def tau_grid(self):
         return np.linspace(self.tau_min, self.tau_max, self.tau_steps)

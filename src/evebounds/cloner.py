@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import max_abs, require_distribution, require_finite
+from .linalg import max_abs, require_at_least, require_distribution, require_finite
 from .states import (
     StandardTwoModeCov,
     SymplecticMap,
@@ -204,8 +204,7 @@ class DisplacedThermalEnsemble:
         object.__setattr__(self, "means", np.atleast_2d(np.asarray(self.means, dtype=float)))
         object.__setattr__(self, "probs", np.atleast_1d(np.asarray(self.probs, dtype=float)))
         nu1p = np.asarray(self.nu1p, dtype=float)
-        if not nu1p.min() >= 0:  # so NaN is caught too
-            raise ValueError(f"thermal photon number must be >= 0, got {self.nu1p}")
+        require_at_least(nu1p.min(), 0, "thermal photon number must be >= 0, got {1}", self.nu1p)
         _require_mean_limit(self.means, 1)
         if self.means.shape != nu1p.shape + (self.probs.size, 4):
             raise ValueError("means must be K x 4 per cell for a two-mode ensemble")
@@ -262,7 +261,7 @@ def eve_reduced_covariance(params):
     return StandardTwoModeCov(
         a=2 * params.tau * params.nbar + 1,
         b=2 * params.nbar + 1,
-        c=2 * params.t * math.sqrt(params.nbar**2 + params.nbar),
+        c=2 * params.t * math.sqrt(params.nbar * params.nbar + params.nbar),
     )
 
 

@@ -103,7 +103,7 @@ def fock_tmsv(nbar, cutoff):
 
 
 def _require_deficit(deficit, what):
-    if deficit > DEFICIT_LIMIT:
+    if not deficit <= DEFICIT_LIMIT:
         raise FockConvergenceError(
             f"truncation leakage {deficit:.3e} > {DEFICIT_LIMIT:.0e} for {what}; raise the cutoff"
         )
@@ -661,7 +661,7 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
     result = OracleEntropy(
         value=value, value_check=value_check, cutoff=cutoff, check_cutoff=check_cutoff
     )
-    if result.drift >= DRIFT_LIMIT:
+    if not result.drift < DRIFT_LIMIT:
         raise FockConvergenceError(
             f"entropy drift {result.drift:.3e} >= {DRIFT_LIMIT:.0e} between cutoffs "
             f"{cutoff} and {check_cutoff}"

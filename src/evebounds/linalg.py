@@ -5,7 +5,9 @@ up in phase-space models of optical circuits; nothing is tuned for scale.
 Construction-level checks run at 1e-10 and reconstruction-level checks at
 1e-9, one order of magnitude of slack over accumulated round-off at this
 matrix size.  The `require_*` validators are the package's one copy of
-each matrix check and of the probability-vector check.
+each matrix check and of the probability-vector check, and
+`require_at_most` / `require_at_least` the one copy of the comparison
+every residual gate makes: a NaN fails both.
 """
 
 import math
@@ -34,16 +36,27 @@ def require_finite(m, name="matrix"):
         raise ValueError(f"{name} contains NaN or Inf entries")
 
 
+def require_at_most(value, limit, message, *args):
+    """Raise ValueError(message.format(value, *args)) unless value <= limit; NaN fails."""
+    if not value <= limit:
+        raise ValueError(message.format(value, *args))
+
+
+def require_at_least(value, floor, message, *args):
+    """`require_at_most` for a lower bound: raise unless value >= floor."""
+    if not value >= floor:
+        raise ValueError(message.format(value, *args))
+
+
 def require_distribution(probs):
     """Finite, nonnegative probabilities summing to 1 within `ATOL_DISTRIBUTION`."""
     probs = np.asarray(probs, dtype=float)
     total = float(probs.sum())
     if not math.isfinite(total):  # so some entry is NaN or infinite; name it
         require_finite(probs, "probabilities")
-    if abs(total - 1.0) > ATOL_DISTRIBUTION:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1 within {ATOL_DISTRIBUTION:.0e}")
-    if probs.min() < 0:
-        raise ValueError("probabilities must be nonnegative")
+    require_at_most(abs(total - 1.0), ATOL_DISTRIBUTION,
+                    "probabilities sum to {1!r}, expected 1 within {2:.0e}", total, ATOL_DISTRIBUTION)
+    require_at_least(probs.min(), 0, "probabilities must be nonnegative")
 
 
 def unitarity_defect(m):
@@ -51,38 +64,30 @@ def unitarity_defect(m):
     return max_abs(m.conj().T @ m - np.eye(m.shape[0]))
 
 
-def _require_construct(defect, name, kind, residual):
-    if defect > ATOL_CONSTRUCT:
-        raise ValueError(
-            f"{name} is not {kind}: max |{residual}| = {defect:.3e} > {ATOL_CONSTRUCT:.0e}"
-        )
+# The message of the construction-level checks: name, kind and residual.
+_NOT_CONSTRUCT = "{1} is not {2}: max |{3}| = {0:.3e} > " + f"{ATOL_CONSTRUCT:.0e}"
 
 
 def require_unitary(m, name="matrix"):
-    _require_construct(unitarity_defect(m), name, "unitary", "M^dag M - I")
+    require_at_most(unitarity_defect(m), ATOL_CONSTRUCT, _NOT_CONSTRUCT, name, "unitary", "M^dag M - I")
 
 
 def require_symmetric(m, name="matrix"):
-    _require_construct(max_abs(m - m.T), name, "symmetric", "M - M^T")
+    require_at_most(max_abs(m - m.T), ATOL_CONSTRUCT, _NOT_CONSTRUCT, name, "symmetric", "M - M^T")
 
 
 def require_hermitian(m, name="matrix"):
     """M = M^dag to `ATOL_CONSTRUCT`, for one matrix or a stack of them."""
-    _require_construct(max_abs(m - m.swapaxes(-1, -2).conj()), name, "Hermitian", "M - M^dag")
+    require_at_most(max_abs(m - m.swapaxes(-1, -2).conj()), ATOL_CONSTRUCT, _NOT_CONSTRUCT,
+                    name, "Hermitian", "M - M^dag")
 
 
 def require_bogoliubov(e, f):
     """E F^T = F E^T and E E^dag = F F^dag + I, to `ATOL_RECONSTRUCT`."""
-    res_sym = max_abs(e @ f.T - f @ e.T)
-    if res_sym > ATOL_RECONSTRUCT:
-        raise ValueError(
-            f"Bogoliubov constraint E F^T = F E^T violated: residual {res_sym:.3e}"
-        )
-    res_norm = max_abs(e @ e.conj().T - f @ f.conj().T - np.eye(e.shape[0]))
-    if res_norm > ATOL_RECONSTRUCT:
-        raise ValueError(
-            f"Bogoliubov constraint E E^dag = F F^dag + I violated: residual {res_norm:.3e}"
-        )
+    require_at_most(max_abs(e @ f.T - f @ e.T), ATOL_RECONSTRUCT,
+                    "Bogoliubov constraint E F^T = F E^T violated: residual {:.3e}")
+    require_at_most(max_abs(e @ e.conj().T - f @ f.conj().T - np.eye(e.shape[0])), ATOL_RECONSTRUCT,
+                    "Bogoliubov constraint E E^dag = F F^dag + I violated: residual {:.3e}")
 
 
 def _unitary_eig(m):
@@ -97,11 +102,8 @@ def _unitary_eig(m):
     m = np.asarray(m, dtype=complex)
     q, _ = np.linalg.qr(np.linalg.eig(m)[1])
     t = q.conj().T @ m @ q
-    residue = max_abs(np.triu(t, k=1))
-    if residue > 1e-8:
-        raise ValueError(
-            f"matrix is not normal enough to diagonalize: Schur residue {residue:.3e}"
-        )
+    require_at_most(max_abs(np.triu(t, k=1)), 1e-8,
+                    "matrix is not normal enough to diagonalize: Schur residue {:.3e}")
     return np.diag(t), q
 
 
@@ -156,13 +158,10 @@ class MatchedSVD:
         require_unitary(self.u, "matched SVD factor u")
         require_unitary(self.w_e, "matched SVD factor w_e")
         require_unitary(self.w_f, "matched SVD factor w_f")
-        if np.any(self.lambda_e < 1 - 1e-12):
-            raise ValueError("matched SVD lambda_e has entries below 1")
-        squeeze_defect = max_abs(self.lambda_e**2 - self.lambda_f**2 - 1)
-        if squeeze_defect > ATOL_CONSTRUCT:
-            raise ValueError(
-                f"matched SVD violates lambda_e^2 = 1 + lambda_f^2: {squeeze_defect:.3e}"
-            )
+        require_at_least(self.lambda_e.min(initial=math.inf), 1 - 1e-12,
+                         "matched SVD lambda_e has entries below 1")
+        require_at_most(max_abs(self.lambda_e**2 - self.lambda_f**2 - 1), ATOL_CONSTRUCT,
+                        "matched SVD violates lambda_e^2 = 1 + lambda_f^2: {:.3e}")
 
 
 def matched_svd(e, f):

@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ATOL_RECONSTRUCT, max_abs, require_distribution, require_finite, require_symmetric
+from .linalg import (
+    ATOL_RECONSTRUCT,
+    max_abs,
+    require_at_least,
+    require_at_most,
+    require_distribution,
+    require_finite,
+    require_symmetric,
+)
 
 __all__ = [
     "GaussianState",
@@ -67,11 +75,8 @@ def _check_symmetric(cov):
 def _check_cov(cov):
     cov = _check_symmetric(cov)
     n = cov.shape[0] // 2
-    min_eig = float(np.linalg.eigvalsh(cov + 1j * omega(n)).min())
-    if min_eig < -PHYSICALITY_ATOL:
-        raise ValueError(
-            f"unphysical covariance matrix: min eig of cov + i Omega is {min_eig:.3e}"
-        )
+    require_at_least(float(np.linalg.eigvalsh(cov + 1j * omega(n)).min()), -PHYSICALITY_ATOL,
+                     "unphysical covariance matrix: min eig of cov + i Omega is {:.3e}")
     return cov
 
 
@@ -119,9 +124,8 @@ class SymplecticMap:
         if self.d.size != self.s.shape[0]:
             raise ValueError("displacement length does not match symplectic matrix size")
         om = omega(self.s.shape[0] // 2)
-        defect = max_abs(self.s @ om @ self.s.T - om)
-        if defect > ATOL_RECONSTRUCT:
-            raise ValueError(f"matrix is not symplectic: max |S Omega S^T - Omega| = {defect:.3e}")
+        require_at_most(max_abs(self.s @ om @ self.s.T - om), ATOL_RECONSTRUCT,
+                        "matrix is not symplectic: max |S Omega S^T - Omega| = {:.3e}")
 
     @property
     def nmodes(self):
@@ -190,13 +194,10 @@ def symplectic_eigenvalues(cov):
     n = cov.shape[0] // 2
     mags = np.sort(np.abs(np.linalg.eigvals(1j * omega(n) @ cov)))[::-1]
     pair_gap = np.abs(mags[0::2] - mags[1::2]) / np.maximum(mags[0::2], 1.0)
-    if np.any(pair_gap > 1e-8):
-        raise ValueError(
-            f"symplectic eigenvalues did not pair up: relative gap {pair_gap.max():.3e}"
-        )
+    require_at_most(pair_gap.max(), 1e-8, "symplectic eigenvalues did not pair up: relative gap {:.3e}")
     nus = mags[0::2]
-    if nus[-1] < 1 - PHYSICALITY_ATOL:
-        raise ValueError(f"unphysical covariance matrix: symplectic eigenvalue {nus[-1]:.12g} below 1")
+    require_at_least(nus[-1], 1 - PHYSICALITY_ATOL,
+                     "unphysical covariance matrix: symplectic eigenvalue {:.12g} below 1")
     return nus
 
 
@@ -212,24 +213,31 @@ def standard_symplectic_spectrum(std):
 def _physical_standard_spectrum(a, b, c):
     """`standard_symplectic_spectrum` of [[a I, c Z], [c Z, b I]] after the
     checks of `StandardTwoModeCov`: finite entries, a, b >= 1 and both
-    symplectic eigenvalues >= 1, each to `PHYSICALITY_ATOL`."""
+    symplectic eigenvalues >= 1, each to `PHYSICALITY_ATOL`.
+
+    The larger eigenvalue is taken as (root + |b - a|) / 2 and the smaller
+    as (ab - c^2) / larger, since their product is ab - c^2: the difference
+    (root - |b - a|) / 2 cancels when |b - a| >> 1, as Bob's variance makes
+    it in `bounds.eb_qpsk_entropy` at large nbar.  Squares are taken
+    as products, so an (a + b)^2 past the largest double raises the named
+    "beyond double precision" error, not OverflowError."""
     for name, value in (("a", a), ("b", b), ("c", c)):
         if not math.isfinite(value):
             raise ValueError(f"standard-form entry {name} is not finite")
-    if a < 1 - PHYSICALITY_ATOL or b < 1 - PHYSICALITY_ATOL:
-        raise ValueError(f"standard form needs a, b >= 1, got a={a}, b={b}")
-    disc = (a + b) ** 2 - 4 * c**2
-    if disc <= 0:
-        raise ValueError(
-            f"unphysical standard form: (a+b)^2 - 4c^2 = {disc:.3e} must be positive"
-        )
+    require_at_least(min(a, b), 1 - PHYSICALITY_ATOL, "standard form needs a, b >= 1, got a={1}, b={2}", a, b)
+    total = (a + b) * (a + b)
+    if total == math.inf:
+        raise ValueError(f"standard form beyond double precision: (a+b)^2 is not finite, a={a}, b={b}")
+    disc = total - 4 * (c * c)
+    if not disc > 0:
+        raise ValueError(f"unphysical standard form: (a+b)^2 - 4c^2 = {disc:.3e} must be positive")
     # With a, b >= 1, cov + i Omega >= 0 exactly when both symplectic
     # eigenvalues are >= 1, so the closed-form spectrum decides it.
-    root = math.sqrt(disc)
-    nus = (root + (b - a)) / 2, (root - (b - a)) / 2
-    if min(nus) < 1 - PHYSICALITY_ATOL:
-        raise ValueError(f"unphysical standard form: symplectic eigenvalue {min(nus):.12g} below 1")
-    return nus
+    larger = (math.sqrt(disc) + abs(b - a)) / 2
+    smaller = (a * b - c * c) / larger
+    require_at_least(smaller, 1 - PHYSICALITY_ATOL,
+                     "unphysical standard form: symplectic eigenvalue {:.12g} below 1")
+    return (larger, smaller) if b >= a else (smaller, larger)
 
 
 def williamson_weights(std):
@@ -317,12 +325,12 @@ def _two_mode_symplectic_spectrum(covs):
                 f"two-mode covariance beyond double precision: det V = {det_v:.3e} is not finite and positive"
             )
         disc = delta * delta - 4 * det_v
-        if disc < -PHYSICALITY_ATOL * delta * delta:
-            raise ValueError(f"unphysical covariance matrix: Delta^2 - 4 det V = {disc:.3e} is negative")
+        require_at_least(disc, -PHYSICALITY_ATOL * delta * delta,
+                         "unphysical covariance matrix: Delta^2 - 4 det V = {:.3e} is negative")
         upper = delta + math.sqrt(max(disc, 0.0))
         nu_minus = math.sqrt(2 * det_v / upper)
-        if nu_minus < 1 - PHYSICALITY_ATOL:
-            raise ValueError(f"unphysical covariance matrix: symplectic eigenvalue {nu_minus:.12g} below 1")
+        require_at_least(nu_minus, 1 - PHYSICALITY_ATOL,
+                         "unphysical covariance matrix: symplectic eigenvalue {:.12g} below 1")
         spectra.append((math.sqrt(upper / 2), nu_minus))
     if finite < len(deltas):
         delta = deltas[finite]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from evebounds.blochmessiah import bloch_messiah, factors_to_circuit
+from evebounds.blochmessiah import BMFactors, bloch_messiah, factors_to_circuit
 from evebounds.checks import random_pair
 from evebounds.cloner import ChannelParams, eve_reduced_covariance
 from evebounds.linalg import max_abs
@@ -67,6 +67,15 @@ class TestBlochMessiah:
             assert max_abs(f - pair.f) < 1e-9
             assert max_abs(factors.cal_wf - factors.cal_we.conj()) < 1e-9
             assert np.max(np.abs(factors.lambda_e**2 - factors.lambda_f**2 - 1)) < 1e-10
+
+    @pytest.mark.parametrize("lambda_e, cal_wf, message", [
+        (np.nan, np.eye(1), r"L_E\^2 = 1 \+ L_F\^2 violated: residual nan"),
+        (1.0, np.full((1, 1), np.nan), "cal_wf is not unitary"),
+    ])
+    def test_nan_factors_rejected(self, lambda_e, cal_wf, message):
+        with pytest.raises(ValueError, match=message):
+            BMFactors(cal_u=np.eye(1), lambda_e=np.array([lambda_e]), lambda_f=np.zeros(1),
+                      cal_we=np.eye(1), cal_wf=cal_wf)
 
     def test_constraint_violations_cannot_reach_decomposition(self):
         # invalid pairs are rejected at construction, before decomposition

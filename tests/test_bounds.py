@@ -115,6 +115,10 @@ class TestGramMatrix:
             gram_entropy(np.eye(2))
         with pytest.raises(ValueError, match="eigenvalue"):
             gram_entropy(np.diag([1.1, -0.1]))
+        # a NaN Gram matrix used to give entropy 0.0
+        for nan_gram in (np.array([[np.nan]]), np.array([[0.5, np.nan], [np.nan, 0.5]])):
+            with pytest.raises(ValueError, match=r"Hermitian: .* = nan"):
+                gram_entropy(nan_gram)
 
 
 class TestGaussianExtremalityBound:
@@ -248,6 +252,43 @@ class TestEntangledBasedBound:
             assert at_zero == pytest.approx(g(x) + g(2 * nbar + 1), abs=1e-9)
             for tau in (0.1, 0.5, 0.99):
                 assert math.isfinite(eb_qpsk_entropy(alpha, ChannelParams(tau=tau, nbar=nbar)))
+
+    # eb at alpha = 1, generated offline with 400-digit mpmath: X = 3, Z4
+    # from the exact mod-4 Fourier weights, and both symplectic eigenvalues
+    # in the difference form [sqrt((X + b)^2 - 4c^2) +/- (b - X)] / 2, whose
+    # cancellation 400 digits resolve.
+    LARGE_NBAR_EB = [
+        (0.02, 1e8, 29.988973461659538055),
+        (0.02, 1e16, 56.564398213427244565),
+        (0.02, 1e100, 335.60635818396568174),
+        (0.5, 1e8, 29.018119812969478497),
+        (0.5, 1e16, 55.593544559086761103),
+        (0.5, 1e100, 334.63550452962519822),
+        (0.98, 1e8, 24.374263900065500908),
+        (0.98, 1e16, 50.949688369312040457),
+        (0.98, 1e100, 329.9916483398504748),
+    ]
+
+    @pytest.mark.parametrize("tau, nbar, expected", LARGE_NBAR_EB)
+    def test_large_nbar_against_high_precision(self, tau, nbar, expected):
+        # The difference form in doubles cancels once Bob's variance b >> X:
+        # at tau = 0.5 it was off by 9.7e-10 bits at nbar = 1e8 and 0.62 at
+        # 1e16, and at 1e100 it raised a false "unphysical" error.
+        value = eb_qpsk_entropy(1.0, ChannelParams(tau=tau, nbar=nbar))
+        assert value == pytest.approx(expected, rel=0, abs=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.05, 1.0, 100.0])
+    @pytest.mark.parametrize("tau", [0.02, 0.5, 0.98])
+    def test_defined_out_to_large_nbar(self, tau, alpha):
+        # from nbar ~ 9e15 to 7e21 the smaller eigenvalue cancelled to 0
+        values = [eb_qpsk_entropy(alpha, ChannelParams(tau=tau, nbar=nbar))
+                  for nbar in (1e8, 9e15, 1e18, 7e21, 1e150)]
+        assert all(map(math.isfinite, values)) and values == sorted(values)
+
+    def test_nbar_past_double_precision_raises(self):
+        # (a + b)^2 overflows: this stopped on an OverflowError
+        with pytest.raises(ValueError, match=r"standard form beyond double precision: \(a\+b\)\^2"):
+            eb_qpsk_entropy(1.0, ChannelParams(tau=0.5, nbar=1e200))
 
     @pytest.mark.parametrize("alpha", [np.nextafter(EB_ALPHA_MAX, np.inf), 2e4, 1e8])
     def test_rejects_amplitude_past_domain(self, alpha):

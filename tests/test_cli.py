@@ -34,6 +34,9 @@ class TestConfig:
         (dict(methods=["eb", "eb"]), "--methods must not repeat"),
         (dict(tau_min=0.5, tau_max=0.5), "--tau-steps must be 1 when --tau-min equals --tau-max, got 50"),
         (dict(tau_min=1.0, tau_max=1.0, tau_steps=2), "--tau-steps must be 1 .* got 2"),
+        (dict(tau_min=0.5, tau_max=0.5000000000000001, tau_steps=3),
+         "taus of --tau-min, --tau-max and --tau-steps print alike at 12 digits: 0.5 repeats"),
+        (dict(nbars=[0.01, 0.010000000000000002]), "--nbar values print alike at 12 digits: 0.01 repeats"),
     ])
     def test_repeated_cells_rejected(self, kwargs, flag):
         # each would print some rows twice
@@ -290,6 +293,8 @@ class TestMain:
         (["--nbar", "0.01", "--nbar", "0.01"], "--nbar values must be distinct"),
         (["--methods", "eb,eb"], "--methods must not repeat"),
         (["--tau-min", "0.5", "--tau-max", "0.5"], "--tau-steps must be 1"),
+        (["--tau-min", "0.5", "--tau-max", "0.5000000000000001", "--tau-steps", "3"], "taus of --tau-min"),
+        (["--nbar", "0.01", "--nbar", "0.010000000000000002"], "--nbar values print alike"),
     ])
     def test_usage_errors_on_one_line(self, tmp_path, capsys, args, message):
         out = tmp_path / "scan.csv"
@@ -324,12 +329,13 @@ class TestMain:
          "1", "--tau-steps", "5"],
         ["--methods", "bm-get", "--alpha", "1e200", "--tau-steps", "2"],
         ["--methods", "bm-gme", "--alpha", "1e200", "--tau-steps", "2"],
+        ["--methods", "eb", "--nbar", "1e200", "--tau-steps", "2"],
     ])
     def test_bm_get_beyond_double_precision_is_an_error(self, tmp_path, capsys, args):
         # without a range check the first scan printed nan with status ok
         # and the second stopped on a bare "math domain error"; at 1e200
         # bm-get stopped on a numpy overflow and bm-gme on "Eigenvalues did
-        # not converge"
+        # not converge"; eb at nbar = 1e200 stopped on an OverflowError
         out = tmp_path / "scan.csv"
         assert main([*args, "--out", str(out)]) == 1
         err = capsys.readouterr().err

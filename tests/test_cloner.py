@@ -110,6 +110,15 @@ class TestCovariancePipeline:
         cut = eve_reduced_covariance(ChannelParams(tau=0.0, nbar=0.25))
         assert (cut.a, cut.b, cut.c) == (1.0, 1.5, 0.0)
 
+    @pytest.mark.parametrize("nbar, message", [
+        (1e154, "standard form beyond double precision"),
+        (1e200, "standard-form entry c is not finite"),
+    ])
+    def test_eve_reduced_past_double_precision(self, nbar, message):
+        # nbar**2 stopped both on an OverflowError
+        with pytest.raises(ValueError, match=message):
+            eve_reduced_covariance(ChannelParams(tau=0.5, nbar=nbar))
+
     def test_eve_reduced_worked_point(self):
         std = eve_reduced_covariance(ChannelParams(tau=0.5, nbar=0.01))
         assert (std.a, std.b) == (1.01, 1.02)

@@ -61,6 +61,8 @@ class TestStates:
     def test_excessive_leakage_raises(self):
         with pytest.raises(fock.FockConvergenceError, match="leakage"):
             fock.fock_thermal(2.0, cutoff=3)
+        with pytest.raises(fock.FockConvergenceError, match="leakage nan"):
+            fock._require_deficit(math.nan, "a NaN deficit")
 
     @pytest.mark.parametrize("make", [fock.fock_thermal, fock.tmsv_ket, fock.fock_tmsv])
     @pytest.mark.parametrize("nbar", [math.nan, math.inf, -math.inf, -0.1])
@@ -410,6 +412,13 @@ class TestEveExact:
     def test_nonconvergence_raises(self):
         with pytest.raises(fock.FockConvergenceError):
             fock.eve_exact_entropy(qpsk(2.2), ChannelParams(tau=0.5, nbar=0.01), cutoff=7)
+
+    def test_nan_drift_raises(self, monkeypatch):
+        # a NaN entropy at either cutoff is no convergence
+        values = iter([1.0, math.nan])
+        monkeypatch.setattr(fock, "_eve_entropy", lambda *args: next(values))
+        with pytest.raises(fock.FockConvergenceError, match="entropy drift nan"):
+            fock.eve_exact_entropy(qpsk(1.0), ChannelParams(tau=0.5, nbar=0.01), cutoff=13)
 
     def test_cutoff_floor(self):
         with pytest.raises(ValueError, match="cutoff"):

@@ -5,6 +5,7 @@ from evebounds import blochmessiah, linalg
 from evebounds.blochmessiah import _hermitian_phase
 from evebounds.bounds import gram_entropy
 from evebounds.linalg import (
+    MatchedSVD,
     _unitary_eig,
     matched_svd,
     principal_sqrt,
@@ -221,6 +222,15 @@ class TestMatchedSVD:
             assert np.max(np.abs(f_rec - pair.f)) < 1e-9
             assert np.all(m.lambda_e >= 1 - 1e-12)
 
+    @pytest.mark.parametrize("lambda_e, lambda_f, message", [
+        ([np.nan], [0.0], "lambda_e has entries below 1"),
+        ([1.0], [np.nan], r"lambda_e\^2 = 1 \+ lambda_f\^2: nan"),
+    ])
+    def test_nan_singular_values_rejected(self, lambda_e, lambda_f, message):
+        with pytest.raises(ValueError, match=message):
+            MatchedSVD(u=np.eye(1), lambda_e=np.array(lambda_e), lambda_f=np.array(lambda_f),
+                       w_e=np.eye(1), w_f=np.eye(1))
+
     def test_constraint_violation_named(self):
         with pytest.raises(ValueError, match=r"E F\^T = F E\^T"):
             matched_svd(np.eye(2, dtype=complex), np.array([[0, 1], [0, 0]], dtype=complex))
@@ -237,6 +247,16 @@ class TestSharedValidators:
         with pytest.raises(ValueError, match=r"M is not Hermitian: max \|M - M\^dag\| = 2\.000e-10"):
             linalg.require_hermitian(np.array([[0.0, 2e-10], [0.0, 0.0]]), "M")
         linalg.require_hermitian(np.array([[0.0, 1e-10], [0.0, 0.0]]))  # at the tolerance
+
+    @pytest.mark.parametrize("check, kind", [
+        (linalg.require_symmetric, "symmetric"),
+        (linalg.require_hermitian, "Hermitian"),
+        (linalg.require_unitary, "unitary"),
+    ])
+    def test_nan_fails(self, check, kind):
+        # a residual of NaN is not within any tolerance
+        with pytest.raises(ValueError, match=rf"M is not {kind}: .* = nan > 1e-10"):
+            check(np.array([[np.nan]]), "M")
 
     def test_symmetric(self):
         linalg.require_symmetric(np.array([[1.0, 2j], [2j, 3.0]]))
@@ -260,6 +280,8 @@ class TestSharedValidators:
         linalg.require_bogoliubov(near, np.zeros((2, 2)))
         with pytest.raises(ValueError, match=r"E E\^dag = F F\^dag \+ I"):
             linalg.require_bogoliubov(np.diag([1.0 + 6e-10, 1.0]), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="residual nan"):
+            linalg.require_bogoliubov(np.diag([np.nan, 1.0]), np.zeros((2, 2)))
 
     @pytest.mark.parametrize(
         "e, f",
