@@ -299,8 +299,8 @@ def _switch_rule_distances(cutoff, alpha, herm, sym, rng):
     psi] serve all three rules, and rule 2 reuses rule 1's S(z) psi.
     Squeezers go through the Chebyshev exponential of
     `fock.apply_generator`, three here after the one that builds the
-    probe; displacements and rotations through their exact tensor-product
-    and photon-number-sector forms.
+    probe; displacements and rotations through a cached and a stacked
+    tridiagonal eigenbasis, exact under truncation.
     """
     ket = _random_gaussian_ket(cutoff, rng)
     gen_s = fock.squeeze_generator(cutoff, sym)

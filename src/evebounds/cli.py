@@ -77,10 +77,12 @@ class ScanConfig:
         if self.cutoff < 7:
             raise ValueError(f"--cutoff must be >= 7, got {self.cutoff}")
         # Taus or nbars a few ulps apart pass the checks above, but their
-        # cells print alike and would repeat rows.
-        for what, values in (("taus of --tau-min, --tau-max and --tau-steps", self.tau_grid().tolist()),
-                             ("--nbar values", self.nbars)):
-            printed = [_fmt(value) for value in values]
+        # cells print alike and would repeat rows.  `run_scan` prints these
+        # texts, made once here: a field set later is not printed anew.
+        self.tau_texts = [_fmt(tau) for tau in self.tau_grid().tolist()]
+        self.nbar_texts = [_fmt(float(nbar)) for nbar in sorted(self.nbars)]
+        for what, printed in (("taus of --tau-min, --tau-max and --tau-steps", self.tau_texts),
+                              ("--nbar values", self.nbar_texts)):
             if len(set(printed)) < len(printed):
                 repeated = next(text for text in printed if printed.count(text) > 1)
                 raise ValueError(f"{what} print alike at 12 digits: {repeated} repeats")
@@ -129,7 +131,7 @@ def run_scan(cfg):
     ensemble = displaced_thermal_ensemble(constellation, cells) if needs_ensemble else None
     columns = [_column(method, cfg, constellation, cells, ensemble) for method in methods]
     alpha = _fmt(cfg.alpha)
-    prefixes = [f"{_fmt(params.tau)},{_fmt(params.nbar)},{alpha}," for params in cells]
+    prefixes = [f"{tau},{nbar},{alpha}," for nbar in cfg.nbar_texts for tau in cfg.tau_texts]
     return [
         f"{prefix}{method},{variant},{entropy},{cfg.log_base},{status}"
         for prefix, results in zip(prefixes, zip(*columns))

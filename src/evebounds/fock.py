@@ -4,10 +4,9 @@ A map of the module; each argument is made once, in the docstring named.
 - States (`tmsv_ket`, `fock_thermal`, `fock_tmsv`) are plain arrays at an
   explicit cutoff; losing more than `DEFICIT_LIMIT` raises
   FockConvergenceError.
-- The `--check` exponentials act on two-mode kets: `apply_displacement` as
-  a tensor product, `apply_rotation` one photon-number sector at a time
-  (`_tridiagonal_eigh`), `apply_generator` as a Chebyshev expansion of the
-  `squeeze_generator` weights.
+- The `--check` exponentials act on two-mode kets: `apply_displacement` and
+  `apply_rotation` through a cached and a stacked tridiagonal eigenbasis,
+  `apply_generator` as a Chebyshev expansion of `squeeze_generator` weights.
 - The beam splitter's real eigenbasis is cached per cutoff (`_bs_sectors`);
   the dense `fock_bs` is the uncached route the tests check it against.
 - The oracle, `eve_exact_entropy`, takes the eavesdropper's entropy from
@@ -310,20 +309,24 @@ def _tridiagonal_eigh(diag, sub):
     return vals, vecs, phase
 
 
-def _expm_tridiagonal(diag, sub):
-    """exp(-i h) = basis exp(-i vals) basis^dag for the Hermitian
-    tridiagonal h of `_tridiagonal_eigh`, basis = P V."""
-    vals, vecs, phase = _tridiagonal_eigh(diag, sub)
-    basis = phase[:, None] * vecs
-    return (basis * np.exp(-1j * vals)) @ basis.conj().T
+@lru_cache(maxsize=8)
+def _quadrature_basis(cutoff):
+    """(mu, V): the eigenvalues and real eigenvector columns of the truncated
+    a + a^dag on one mode, read-only, since every caller shares them."""
+    basis = _tridiagonal_eigh(np.zeros(cutoff + 1), np.sqrt(np.arange(1, cutoff + 1)))[:2]
+    for arr in basis:
+        arr.flags.writeable = False
+    return basis
 
 
 def _displacement_factor(alpha, cutoff):
     """exp(alpha a^dag - conj(alpha) a) on one mode truncated at `cutoff`:
-    exp(-i h) for the Hermitian tridiagonal generator h = i (alpha a^dag -
-    conj(alpha) a)."""
-    hop = np.sqrt(np.arange(1, cutoff + 1))
-    return _expm_tridiagonal(np.zeros(cutoff + 1), 1j * alpha * hop)
+    P V exp(-i |alpha| mu) V^T P^dag, P = diag(exp(i arg(i alpha) n)), from
+    the alpha-free basis (mu, V) of a + a^dag (`_quadrature_basis`), with no
+    eigensolve.  At alpha = 0 it is V V^T, the identity to about 1e-15."""
+    vals, vecs = _quadrature_basis(cutoff)
+    basis = np.exp(1j * np.angle(1j * alpha) * np.arange(cutoff + 1))[:, None] * vecs
+    return (basis * np.exp(-1j * abs(alpha) * vals)) @ basis.conj().T
 
 
 def apply_displacement(alpha, kets, cutoff):
@@ -366,18 +369,30 @@ def apply_rotation(phi, kets, cutoff):
     or a (k, d^2) stack, d = cutoff + 1), equal to the exponential of the
     sparse generator i a^dag phi a for a Hermitian 2 x 2 phi.
 
-    R(phi) keeps the total photon number fixed, so it is exponentiated one
-    sector at a time: each block of `_rotation_sector` is exponentiated
-    once, by `_expm_tridiagonal`, and acts on every ket of the stack.
+    R(phi) keeps each photon-number sector, where its generator is the
+    tridiagonal h of `_rotation_sector`.  Packed as in `_bs_sectors`, two
+    sectors to a block split by the exact zero hop at n1 = 0,
+    h = P T P^dag with P = diag(exp(i arg(-phi01) n0)) and T real: one
+    stacked `eigh` gives every block's T = V diag(vals) V^T, and
+    P V exp(-i vals) V^T P^dag acts as two real products on (re, im) pairs.
+    LAPACK splits T at the zero, so a ket in one sector stays in it exactly.
     """
     phi = np.asarray(phi, dtype=complex)
     d = cutoff + 1
     kets = np.asarray(kets, dtype=complex)
     flat = kets.reshape(-1, d * d)
+    block, n0 = np.ogrid[:d, :d]
+    n1 = (block - n0) % d  # |n0, n1> sits in block (n0 + n1) mod d
+    t = np.zeros((d, d * d))
+    t[:, :: d + 1] = -(phi[0, 0].real * n0 + phi[1, 1].real * n1)
+    t[:, 1 :: d + 1] = t[:, d :: d + 1] = abs(phi[0, 1]) * np.sqrt(n0[:, 1:] * n1[:, :-1])
+    vals, vecs = np.linalg.eigh(t.reshape(d, d, d))
+    phase = np.exp(1j * np.angle(-phi[0, 1]) * np.arange(d))[:, None]
+    labels = n0 * d + n1
+    spun = vecs.transpose(0, 2, 1) @ (flat.T[labels] * phase.conj()).view(float)
+    spun = spun.view(complex) * np.exp(-1j * vals)[:, :, None]
     out = np.empty_like(flat)
-    for total in range(2 * cutoff + 1):
-        states, diag, sub = _rotation_sector(phi, total, cutoff)
-        out[:, states] = flat[:, states] @ _expm_tridiagonal(diag, sub).T
+    out.T[labels] = (vecs @ spun.view(float)).view(complex) * phase
     return out.reshape(kets.shape)
 
 

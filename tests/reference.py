@@ -1,14 +1,14 @@
 """Reference code that only the tests use: Gaussian state builders, the
 truncated coherent ket, the eavesdropper's conditional mean, the
 Fock-basis moments and overlaps they are checked against, the sparse Fock
-operators, generators and exponentials (scipy's `expm_multiply` and a
-dense `eigh`) that the structured and Chebyshev exponentials of
-`evebounds.fock` are checked against, the scipy Schur form that
-`evebounds.linalg._unitary_eig` is checked against, and the per-operation
-and per-amplitude forms of two `evebounds.checks` helpers, and the
-oracle's complex factor through the dense beam-splitter unitary, with the
-entropy from its single Gram matrix of all amplitudes or from one
-eigensolve per rotation class."""
+operators, generators and exponentials (scipy's `expm_multiply`, a dense
+`eigh` and a per-call tridiagonal one) that the structured and Chebyshev
+exponentials of `evebounds.fock` are checked against, the scipy Schur
+form that `evebounds.linalg._unitary_eig` is checked against, and the
+per-operation and per-amplitude forms of two `evebounds.checks` helpers,
+and the oracle's complex factor through the dense beam-splitter unitary,
+with the entropy from its single Gram matrix of all amplitudes or from
+one eigensolve per rotation class."""
 
 import math
 from functools import lru_cache
@@ -26,6 +26,7 @@ from evebounds.fock import (
     _ladder_terms,
     _normalized,
     _require_deficit,
+    _tridiagonal_eigh,
     fock_bs,
     fock_entropy,
     tmsv_ket,
@@ -249,6 +250,16 @@ def fock_unitary(gen):
     h = 1j * gen.toarray()
     vals, vecs = np.linalg.eigh(h)
     return vecs @ np.diag(np.exp(-1j * vals)) @ vecs.conj().T
+
+
+def expm_tridiagonal(diag, sub):
+    """exp(-i h) = basis exp(-i vals) basis^dag for the Hermitian
+    tridiagonal h of `evebounds.fock._tridiagonal_eigh`, basis = P V, with
+    one eigensolve per call: the route the cached basis of
+    `evebounds.fock._displacement_factor` is checked against."""
+    vals, vecs, phase = _tridiagonal_eigh(diag, sub)
+    basis = phase[:, None] * vecs
+    return (basis * np.exp(-1j * vals)) @ basis.conj().T
 
 
 def random_pair_composed(rng, nmodes, with_displacement=False):

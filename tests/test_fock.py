@@ -15,6 +15,7 @@ from reference import (
     coherent_ket,
     dense_eve_average_state,
     displacement_generator,
+    expm_tridiagonal,
     fock_hs_product,
     fock_moments,
     fock_unitary,
@@ -172,6 +173,38 @@ class TestStructuredExponentials:
     def test_displacement_needs_two_amplitudes(self):
         with pytest.raises(ValueError, match="per mode"):
             fock.apply_displacement([0.1], np.zeros(36), 5)
+
+
+@pytest.mark.parametrize("cutoff", [5, 6, 50])
+@pytest.mark.parametrize("name", sorted(ROTATIONS) + ["beam-splitter"])
+def test_packed_rotation_keeps_sectors_apart(name, cutoff):
+    # Sectors N and N + d share a packed block, linked by an exact zero hop.
+    # The beam splitter's two sectors per block share eigenvalues, so an
+    # eigenvector mixing them would still be one, but LAPACK splits each
+    # block at the zero and every entry outside the ket's sector stays 0.
+    phi = ROTATIONS.get(name, math.acos(math.sqrt(0.3)) * fock._BS_PHI)
+    d = cutoff + 1
+    sectors = np.arange(2 * cutoff + 1)[:, None]
+    inside = np.add.reduce(np.divmod(np.arange(d * d), d)) == sectors
+    kets = random_kets(np.random.default_rng(cutoff), sectors.size, cutoff) * inside
+    out = fock.apply_rotation(phi, kets, cutoff)
+    assert np.all(out[~inside] == 0.0)
+    assert np.allclose(np.linalg.norm(out, axis=1), np.linalg.norm(kets, axis=1), atol=1e-14)
+
+
+@pytest.mark.parametrize("cutoff", [5, 18, 50])
+def test_displacement_basis_matches_per_call_eigensolve(cutoff):
+    hop = np.sqrt(np.arange(1, cutoff + 1))
+    for alpha in (0, 1e-300, 1e-8, 0.3 + 0.4j, -1j, 5 - 3j, 10j):
+        factor = fock._displacement_factor(alpha, cutoff)
+        reference = expm_tridiagonal(np.zeros(cutoff + 1), 1j * alpha * hop)
+        assert np.max(np.abs(factor - reference)) < 1e-13
+        assert np.max(np.abs(factor.conj().T @ factor - np.eye(cutoff + 1))) < 1e-14
+
+
+def test_displacement_basis_is_cached_and_read_only():
+    first, second = fock._quadrature_basis(18), fock._quadrature_basis(18)
+    assert all(a is b and not a.flags.writeable for a, b in zip(first, second))
 
 
 SQUEEZERS = {
