@@ -4,11 +4,13 @@ A map of the module; each argument is made once, in the docstring named.
 - States (`tmsv_ket`, `fock_thermal`, `fock_tmsv`) are plain arrays at an
   explicit cutoff; losing more than `DEFICIT_LIMIT` raises
   FockConvergenceError.
-- The `--check` exponentials act on two-mode kets: `apply_displacement` and
-  `apply_rotation` through a cached and a stacked tridiagonal eigenbasis,
-  `apply_generator` as a Chebyshev expansion of `squeeze_generator` weights.
-- The beam splitter's real eigenbasis is cached per cutoff (`_bs_sectors`);
-  the dense `fock_bs` is the uncached route the tests check it against.
+- The `--check` exponentials act on two-mode kets: `apply_displacement`
+  through a cached tridiagonal eigenbasis, `apply_rotation` through the
+  packed photon-number sectors of `_packed_sectors`, and `apply_generator`
+  as a Chebyshev expansion of `squeeze_generator` weights.
+- The beam splitter's real eigenbasis, the `_packed_sectors` blocks of
+  `_BS_PHI`, is cached per cutoff (`_bs_sectors`); the dense `fock_bs` goes
+  through `apply_rotation`.
 - The oracle, `eve_exact_entropy`, takes the eavesdropper's entropy from
   the Gram side of her real factor (`_eve_factor` argues the real
   arithmetic), reduced to one amplitude per rotation orbit
@@ -62,24 +64,13 @@ def _normalized(c):
 
 
 def tmsv_ket(nbar, cutoff):
-    """(ket, deficit) for a two-mode squeezed vacuum, Schmidt coefficients
-    sqrt(1 - lam^2) lam^n with lam = tanh(arccosh(2 nbar + 1) / 2).
-
-    The coefficients are taken with a uniform positive sign, which makes
-    the q-q correlation of the two arms positive, matching the phase-space
-    convention used for the covariance matrices in this package.  The
-    deficit is 1 once 1 - lam^2 rounds to 0 (nbar >~ 1e17).
-    """
+    """(ket, deficit) for a two-mode squeezed vacuum: the flat d x d ket
+    (d = cutoff + 1) with the Schmidt coefficients of `_tmsv_schmidt` on
+    its diagonal."""
     if not 0 <= nbar < math.inf:
         raise ValueError(f"mean photon number must be finite and >= 0, got {nbar}")
-    nu = 2 * nbar + 1
-    lam = math.tanh(0.5 * math.acosh(nu))
-    d = cutoff + 1
-    c = math.sqrt(max(1 - lam * lam, 0.0)) * lam ** np.arange(d) if lam > 0 else np.eye(1, d, 0)[0]
-    psi = np.zeros((d, d))
-    psi[np.arange(d), np.arange(d)] = c
-    ket, deficit = _normalized(psi.reshape(-1))
-    return ket.astype(complex), deficit
+    c, deficit = _tmsv_schmidt(nbar, cutoff)
+    return np.diag(c).reshape(-1).astype(complex), deficit
 
 
 def fock_thermal(nbar, cutoff):
@@ -109,11 +100,15 @@ def _require_deficit(deficit, what):
 
 
 def _tmsv_schmidt(nbar, cutoff):
-    """(coefficients, deficit): the normalized Schmidt coefficients of
-    `tmsv_ket`, the diagonal of its d x d ket (d = cutoff + 1), and the
-    trace they lose, with no d x d ket formed.  nbar is taken as valid.
-    The norm is summed over d entries rather than d^2, so the coefficients
-    can differ from `tmsv_ket`'s in the last bit."""
+    """(coefficients, deficit): the d = cutoff + 1 normalized Schmidt
+    coefficients sqrt(1 - lam^2) lam^n of a two-mode squeezed vacuum, with
+    lam = tanh(arccosh(2 nbar + 1) / 2), and the trace they lose.  nbar is
+    taken as valid.
+
+    The coefficients are taken with a uniform positive sign, which makes
+    the q-q correlation of the two arms positive, matching the phase-space
+    convention used for the covariance matrices in this package.  The
+    deficit is 1 once 1 - lam^2 rounds to 0 (nbar >~ 1e17)."""
     lam = math.tanh(0.5 * math.acosh(2 * nbar + 1))
     d = cutoff + 1
     c = math.sqrt(max(1 - lam * lam, 0.0)) * lam ** np.arange(d) if lam > 0 else np.eye(1, d, 0)[0]
@@ -292,28 +287,12 @@ def _bs_angle(tau):
     return math.acos(math.sqrt(tau))
 
 
-def _tridiagonal_eigh(diag, sub):
-    """(vals, vecs, phase): the eigenvalues of the Hermitian tridiagonal h
-    with real diagonal `diag` and subdiagonal `sub` (h[k+1, k] = sub[k]),
-    the real eigenvector columns V of a real symmetric t, and the phases
-    of the diagonal P with h = P t P^dag, from one real `eigh`.
-
-    P = diag(phase), phase_k = exp(i theta_k) with theta_k the running sum
-    of arg(sub[:k]), and t has diagonal `diag` and off-diagonal |sub|, so
-    h's eigenvector columns are P V.
-    """
-    off = np.abs(sub)
-    t = np.diag(diag) + np.diag(off, -1) + np.diag(off, 1)
-    vals, vecs = np.linalg.eigh(t)
-    phase = np.exp(1j * np.concatenate(([0.0], np.cumsum(np.angle(sub)))))
-    return vals, vecs, phase
-
-
 @lru_cache(maxsize=8)
 def _quadrature_basis(cutoff):
     """(mu, V): the eigenvalues and real eigenvector columns of the truncated
     a + a^dag on one mode, read-only, since every caller shares them."""
-    basis = _tridiagonal_eigh(np.zeros(cutoff + 1), np.sqrt(np.arange(1, cutoff + 1)))[:2]
+    hop = np.sqrt(np.arange(1, cutoff + 1))
+    basis = np.linalg.eigh(np.diag(hop, -1) + np.diag(hop, 1))
     for arr in basis:
         arr.flags.writeable = False
     return basis
@@ -348,20 +327,40 @@ def apply_displacement(alpha, kets, cutoff):
     return out.reshape(kets.shape)
 
 
-def _rotation_sector(phi, total, cutoff):
-    """(states, diag, sub): the two-mode basis states n d + total - n
-    (d = cutoff + 1) of the kets |n, total - n> of photon-number sector
-    `total`, and the real diagonal and the subdiagonal of the Hermitian
-    tridiagonal block h of -a^dag phi a there, so that
-    R(phi) = exp(i a^dag phi a) is exp(-i h) on that sector.
+def _packed_sectors(phi, cutoff):
+    """(vals, vecs, phase, labels): the generator h = -a^dag phi a of
+    R(phi) = exp(i a^dag phi a) = exp(-i h) on two modes truncated at
+    `cutoff`, for a complex 2 x 2 phi, as one eigensolve of d = cutoff + 1
+    real blocks of d states.
 
-    h has diagonal -(phi00 n + phi11 (total - n)) and
-    <n+1, total-n-1| h |n, total-n> = -phi01 sqrt(n+1) sqrt(total-n).
+    R(phi) keeps the total photon number N.  In sector N, on the kets
+    |n0, N - n0>, h is tridiagonal with diagonal -(phi00 n0 + phi11 n1) and
+    <n0+1, n1-1| h |n0, n1> = -phi01 sqrt(n0+1) sqrt(n1).  Sector N < cutoff
+    has N + 1 states and sector N + d has cutoff - N, so the two share
+    block N, and sector cutoff fills block cutoff alone: |n0, n1> sits in
+    block (n0 + n1) mod d at position n0, and the hop between the two
+    sectors of a block, at n1 = 0, is an exact zero.  Every hop has phase
+    arg(-phi01), so h = P T P^dag with P = diag(exp(i arg(-phi01) n0)) and
+    T real symmetric.  One stacked `eigh` gives every block's
+    T = V diag(vals) V^T.  LAPACK splits T at the zero, so each eigenvector
+    column is nonzero in one sector only, and any V f(vals) V^T links no
+    two sectors: its entries between them are exact zeros.
+
+    Returns:
+        (vals, vecs, phase, labels): the (d, d) block eigenvalues, the
+        (d, d, d) stack of real eigenvector columns V, the (d, 1) phases of
+        P by position, and the (d, d) two-mode basis states n0 d + n1 of
+        each block position.
     """
-    n = np.arange(max(0, total - cutoff), min(total, cutoff) + 1)
-    hop = np.sqrt(n[:-1] + 1) * np.sqrt(total - n[:-1])
-    diag = -(phi[0, 0].real * n + phi[1, 1].real * (total - n))
-    return n * (cutoff + 1) + total - n, diag, -phi[0, 1] * hop
+    d = cutoff + 1
+    block, n0 = np.ogrid[:d, :d]
+    n1 = (block - n0) % d
+    t = np.zeros((d, d * d))
+    t[:, :: d + 1] = -(phi[0, 0].real * n0 + phi[1, 1].real * n1)
+    t[:, 1 :: d + 1] = t[:, d :: d + 1] = abs(phi[0, 1]) * np.sqrt(n0[:, 1:] * n1[:, :-1])
+    vals, vecs = np.linalg.eigh(t.reshape(d, d, d))
+    phase = np.exp(1j * np.angle(-phi[0, 1]) * np.arange(d))[:, None]
+    return vals, vecs, phase, n0 * d + n1
 
 
 def apply_rotation(phi, kets, cutoff):
@@ -369,26 +368,15 @@ def apply_rotation(phi, kets, cutoff):
     or a (k, d^2) stack, d = cutoff + 1), equal to the exponential of the
     sparse generator i a^dag phi a for a Hermitian 2 x 2 phi.
 
-    R(phi) keeps each photon-number sector, where its generator is the
-    tridiagonal h of `_rotation_sector`.  Packed as in `_bs_sectors`, two
-    sectors to a block split by the exact zero hop at n1 = 0,
-    h = P T P^dag with P = diag(exp(i arg(-phi01) n0)) and T real: one
-    stacked `eigh` gives every block's T = V diag(vals) V^T, and
-    P V exp(-i vals) V^T P^dag acts as two real products on (re, im) pairs.
-    LAPACK splits T at the zero, so a ket in one sector stays in it exactly.
+    On every block of `_packed_sectors`, P V exp(-i vals) V^T P^dag acts as
+    two real products on (re, im) pairs, so a ket in one sector stays in it
+    exactly.
     """
     phi = np.asarray(phi, dtype=complex)
     d = cutoff + 1
     kets = np.asarray(kets, dtype=complex)
     flat = kets.reshape(-1, d * d)
-    block, n0 = np.ogrid[:d, :d]
-    n1 = (block - n0) % d  # |n0, n1> sits in block (n0 + n1) mod d
-    t = np.zeros((d, d * d))
-    t[:, :: d + 1] = -(phi[0, 0].real * n0 + phi[1, 1].real * n1)
-    t[:, 1 :: d + 1] = t[:, d :: d + 1] = abs(phi[0, 1]) * np.sqrt(n0[:, 1:] * n1[:, :-1])
-    vals, vecs = np.linalg.eigh(t.reshape(d, d, d))
-    phase = np.exp(1j * np.angle(-phi[0, 1]) * np.arange(d))[:, None]
-    labels = n0 * d + n1
+    vals, vecs, phase, labels = _packed_sectors(phi, cutoff)
     spun = vecs.transpose(0, 2, 1) @ (flat.T[labels] * phase.conj()).view(float)
     spun = spun.view(complex) * np.exp(-1j * vals)[:, :, None]
     out = np.empty_like(flat)
@@ -402,30 +390,19 @@ _BS_PHI = np.array([[0, -1j], [1j, 0]])
 
 @lru_cache(maxsize=8)
 def _bs_sectors(cutoff):
-    """Tau-free real eigenbasis of the beam-splitter generator, its 2 cutoff + 1
-    photon-number sectors packed into d = cutoff + 1 blocks of d states.
+    """Tau-free real eigenbasis of the beam-splitter generator: the
+    `_packed_sectors` blocks of `_BS_PHI`, d = cutoff + 1 blocks of d states.
 
-    The generator keeps the total photon number N fixed.  In sector N the
-    basis is |n, N - n> with 0 <= n, N - n <= cutoff, and the generator is
-    -i theta H_N with H_N the `_rotation_sector` block of `_BS_PHI`,
-    tridiagonal and free of tau:
-    <n+1, N-n-1| H_N |n, N-n> = i sqrt(n+1) sqrt(N-n).  Every subdiagonal
-    entry has phase i, so `_tridiagonal_eigh` writes H_N = P T P^dag with
-    P = diag(i^j), j the position in the sector, and diagonalizes the real
-    symmetric T = V diag(vals) V^T once per cutoff.  The beam splitter's
-    block is then U_jk = i^(j-k) sum_m V_jm V_km exp(-i theta vals_m).  T
-    has a zero diagonal, so cos(theta T) links only states with even j - k
-    and sin(theta T) only states with odd j - k, and U is real orthogonal:
-    U_jk = sign_jk C_jk for even j - k and sign_jk S_jk for odd j - k, with
-    C = V cos(theta vals) V^T, S = V sin(theta vals) V^T and
-    sign_jk = (-1)^floor((j - k) / 2).
-
-    Sector N < cutoff has N + 1 states and sector N + d has cutoff - N, so
-    the two share block N, and sector cutoff fills block cutoff alone: the
-    state |n0, n1> sits in block (n0 + n1) mod d at position n0.  Each
-    sector's eigenvectors are placed on its block's diagonal, so the
-    entries between the two sectors of a block are exact zeros, and C and
-    S of every block come from one product of a (2, d, d, d) stack.
+    There P = diag(i^j), j = n0 the position in the block, so the beam
+    splitter's block is U_jk = i^(j-k) sum_m V_jm V_km exp(-i theta vals_m).
+    T, with hops sqrt(n0+1) sqrt(n1), is free of tau and has a zero
+    diagonal, so cos(theta T) links only states with even j - k and
+    sin(theta T) only states with odd j - k, and U is real
+    orthogonal: U_jk = sign_jk C_jk for even j - k and sign_jk S_jk for odd
+    j - k, with C = V cos(theta vals) V^T, S = V sin(theta vals) V^T and
+    sign_jk = (-1)^floor((j - k) / 2).  C and S of every block come from one
+    product of a (2, d, d, d) stack, exactly zero between the two sectors
+    of a block.
 
     Returns:
         (vecs, vecs_t, vals, index, sign, row, col): the (d, d, d) stacks of
@@ -436,17 +413,9 @@ def _bs_sectors(cutoff):
         row and its column.  All arrays are read-only, since every caller
         shares them.
     """
-    d = cutoff + 1
-    vecs = np.zeros((d, d, d))
-    vals = np.empty((d, d))
-    for total in range(2 * cutoff + 1):
-        states, diag, sub = _rotation_sector(_BS_PHI, total, cutoff)
-        n0 = states // d
-        vals[total % d, n0], vecs[total % d, n0[:, None], n0], _ = _tridiagonal_eigh(diag, sub)
+    vals, vecs, _, labels = _packed_sectors(_BS_PHI, cutoff)
     vecs_t = np.ascontiguousarray(vecs.transpose(0, 2, 1))
-    block, pos = np.ogrid[:d, :d]
-    labels = pos * d + (block - pos) % d
-    low = pos <= block  # the lower sector of each block
+    low = np.tri(cutoff + 1, dtype=bool)  # position <= block: the lower sector
     slot = np.flatnonzero(low[:, :, None] == low[:, None, :])
     _, j, k = np.unravel_index(slot, vecs.shape)
     index = slot + (j - k) % 2 * vecs.size
@@ -472,9 +441,10 @@ def _bs_slot_values(tau, cutoff):
 def fock_bs(tau, cutoff):
     """Dense two-mode beam-splitter unitary exp(theta (a^dag b - a b^dag)),
     cos(theta) = sqrt(tau): `apply_rotation` at phi = theta `_BS_PHI`
-    applied to every basis ket.  It takes no cached block, so the tests
-    check the oracle's `_bs_sectors` blocks against it; the oracle itself
-    never forms the dense unitary.
+    applied to every basis ket.  It shares `_packed_sectors` with the
+    oracle's `_bs_sectors`, so the tests check both against the dense
+    exponential of `tests/reference.py`; the oracle itself never forms the
+    dense unitary.
     """
     dim = (cutoff + 1) ** 2
     return apply_rotation(_bs_angle(tau) * _BS_PHI, np.eye(dim, dtype=complex), cutoff).T

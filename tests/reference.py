@@ -26,7 +26,6 @@ from evebounds.fock import (
     _ladder_terms,
     _normalized,
     _require_deficit,
-    _tridiagonal_eigh,
     fock_bs,
     fock_entropy,
     tmsv_ket,
@@ -254,10 +253,15 @@ def fock_unitary(gen):
 
 def expm_tridiagonal(diag, sub):
     """exp(-i h) = basis exp(-i vals) basis^dag for the Hermitian
-    tridiagonal h of `evebounds.fock._tridiagonal_eigh`, basis = P V, with
-    one eigensolve per call: the route the cached basis of
-    `evebounds.fock._displacement_factor` is checked against."""
-    vals, vecs, phase = _tridiagonal_eigh(diag, sub)
+    tridiagonal h with real diagonal `diag` and subdiagonal `sub`
+    (h[k+1, k] = sub[k]), with one eigensolve per call: the route the
+    cached basis of `evebounds.fock._displacement_factor` is checked
+    against.  h = P t P^dag with t real symmetric, diagonal `diag` and
+    off-diagonal |sub|, and P = diag(exp(i theta_k)), theta_k the running
+    sum of arg(sub[:k]), so basis = P V for t's eigenvector columns V."""
+    off = np.abs(sub)
+    vals, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, -1) + np.diag(off, 1))
+    phase = np.exp(1j * np.concatenate(([0.0], np.cumsum(np.angle(sub)))))
     basis = phase[:, None] * vecs
     return (basis * np.exp(-1j * vals)) @ basis.conj().T
 

@@ -26,6 +26,7 @@ from reference import (
     sparse_squeeze_generator,
     squeeze_generator_kron,
 )
+from test_golden import ORACLE_RTOL
 
 
 class TestStates:
@@ -442,6 +443,17 @@ class TestEveExact:
             assert np.array_equal(first[0], fresh[0])
             assert first[1:] == fresh[1:]
 
+    # the alpha = 2 cells of the oracle grid that cutoff 18 leaves
+    # not-converged
+    @pytest.mark.parametrize("tau,want", [(0.2, 2.06497438532), (0.5, 2.01928312723),
+                                          (0.8, 1.66300419824)])
+    def test_converges_at_cutoff_30(self, tau, want):
+        params = ChannelParams(tau=tau, nbar=0.01)
+        with pytest.raises(fock.FockConvergenceError):
+            fock.eve_exact_entropy(qpsk(2.0), params)
+        got = fock.eve_exact_entropy(qpsk(2.0), params, cutoff=30)
+        assert got.value == pytest.approx(want, rel=ORACLE_RTOL, abs=0)
+
     def test_nonconvergence_raises(self):
         with pytest.raises(fock.FockConvergenceError):
             fock.eve_exact_entropy(qpsk(2.2), ChannelParams(tau=0.5, nbar=0.01), cutoff=7)
@@ -470,6 +482,27 @@ class TestEveExact:
         assert got == fock.eve_exact_entropy(qpsk(0.5), params, cutoff=13)
 
 
+def assert_columns_in_one_sector(vecs):
+    """Every column of a (d, d, d) stack of `_packed_sectors` eigenvectors
+    is nonzero in one photon-number sector of its block only: the lower
+    sector holds the positions up to the block's index."""
+    d = vecs.shape[0]
+    low = np.tri(d, dtype=bool)[:, :, None]
+    nonzero = vecs != 0
+    assert not np.any((nonzero & low).any(axis=1) & (nonzero & ~low).any(axis=1))
+    assert np.all(nonzero.any(axis=1))
+
+
+@pytest.mark.parametrize("cutoff", [7, 50])
+@pytest.mark.parametrize("phi", [*ROTATIONS.values(), fock._BS_PHI], ids=[*ROTATIONS, "bs"])
+def test_packed_eigenvectors_stay_in_one_sector(phi, cutoff):
+    vals, vecs, phase, labels = fock._packed_sectors(phi, cutoff)
+    d = cutoff + 1
+    assert vals.shape == (d, d) and vecs.shape == (d, d, d) and phase.shape == (d, 1)
+    assert np.array_equal(np.sort(labels.reshape(-1)), np.arange(d * d))
+    assert_columns_in_one_sector(vecs)
+
+
 @pytest.mark.parametrize("cutoff", [7, 8, 13, 18])
 class TestSectorLayout:
     """`_bs_sectors` packs the 2c+1 photon-number sectors into d = c+1
@@ -491,10 +524,13 @@ class TestSectorLayout:
         assert np.array_equal(i[diagonal], n0)
 
     def test_labels_are_the_rotation_sectors(self, cutoff):
-        dim = (cutoff + 1) ** 2
+        d = cutoff + 1
+        dim = d * d
         *_, row, col = fock._bs_sectors(cutoff)
-        sectors = [fock._rotation_sector(fock._BS_PHI, total, cutoff)[0]
-                   for total in range(2 * cutoff + 1)]
+        sectors = []
+        for total in range(2 * cutoff + 1):
+            n = np.arange(max(0, total - cutoff), min(total, cutoff) + 1)
+            sectors.append(n * d + total - n)  # the states |n, total - n>
         want = np.concatenate([np.add.outer(s * dim, s).reshape(-1) for s in sectors])
         got = row * dim + col
         assert got.size == np.unique(got).size
@@ -507,8 +543,10 @@ class TestSectorLayout:
         stack = np.stack([vecs * f(angle)[:, None, :] for f in (np.cos, np.sin)]) @ vecs_t
         off = np.ones(d**3, dtype=bool)
         off[index % d**3] = False
-        for arr in (vecs, vecs_t, *stack):
+        for arr in stack:
             assert np.all(arr.reshape(-1)[off] == 0)
+        assert np.array_equal(vecs_t, vecs.transpose(0, 2, 1))
+        assert_columns_in_one_sector(vecs)
         # the in-sector entries of the other parity, the imaginary part of
         # the complex block, vanish to rounding
         assert np.max(np.abs(stack.take((index + d**3) % (2 * d**3)))) < 1e-13
@@ -684,12 +722,9 @@ class TestOracleInputs:
     def test_schmidt_coefficients_are_the_tmsv_diagonal(self, cutoff, nbar):
         coeffs, deficit = fock._tmsv_schmidt(nbar, cutoff)
         ket, want_deficit = fock.tmsv_ket(nbar, cutoff)
-        diagonal = ket.reshape(cutoff + 1, cutoff + 1).diagonal()
         assert coeffs.dtype == np.float64 and coeffs.shape == (cutoff + 1,)
-        # the norm is summed over d entries, not d^2, so the two agree to
-        # rounding: within half an ulp of 1, the deficit within 2 ulps of 1
-        assert np.max(np.abs(coeffs - diagonal.real)) <= 2**-53
-        assert abs(deficit - want_deficit) <= 2**-51
+        assert np.array_equal(ket.reshape(cutoff + 1, cutoff + 1), np.diag(coeffs))
+        assert deficit == want_deficit
         if nbar in (0.0, 1e17):  # a pure vacuum, and all of the trace lost
             assert deficit == want_deficit == 1.0 - (nbar == 0)
 
