@@ -1,4 +1,5 @@
-"""Brute-force reference calculations in a truncated Fock space, and `eb_z4`.
+"""Brute-force reference calculations in a truncated Fock space: the oracle
+that checks the estimators of `bounds`, which import nothing from it.
 
 A map of the module; each argument is made once, in the docstring named.
 - States (`tmsv_ket`, `fock_thermal`, `fock_tmsv`) are plain arrays at an
@@ -16,7 +17,6 @@ A map of the module; each argument is made once, in the docstring named.
   arithmetic), reduced to one amplitude per rotation orbit
   (`cloner._rotation_orbits`; `eve_exact_entropy` argues the reduction).
 - `fock_entropy` and `fock_partial_trace` serve the `--check` suites.
-- `eb_z4` is the cross moment of the QPSK purification, in closed form.
 The module runs on numpy alone; the sparse and scipy references it is
 checked against live in `tests/reference.py`.
 """
@@ -28,6 +28,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+# Kept only for the benchmark: bench/tracer.py wraps the `fock.eb_z4` span
+# and bench/run.py reads `evebounds.fock.eb_z4.cache_info()`.
+from .bounds import eb_z4
 from .cloner import _rotation_orbits
 from .states import _log, spectrum_entropy
 
@@ -40,7 +43,6 @@ __all__ = [
     "fock_partial_trace",
     "fock_entropy",
     "eve_exact_entropy",
-    "eb_z4",
 ]
 
 # Truncation leakage above this disqualifies a value as a reference.
@@ -75,13 +77,13 @@ def tmsv_ket(nbar, cutoff):
 
 def fock_thermal(nbar, cutoff):
     """Density matrix of the thermal state with mean photon number `nbar`,
-    truncated at `cutoff` photons and renormalized."""
+    truncated at `cutoff` photons and renormalized: the squared Schmidt
+    coefficients of `_tmsv_schmidt`, the reduced state of its purification."""
     if not 0 <= nbar < math.inf:
         raise ValueError(f"mean photon number must be finite and >= 0, got {nbar}")
-    n = np.arange(cutoff + 1)
-    p = (1.0 / (1.0 + nbar)) * (nbar / (1.0 + nbar)) ** n if nbar > 0 else np.eye(1, cutoff + 1, 0)[0]
-    _require_deficit(1.0 - float(p.sum()), f"thermal nbar={nbar}")
-    return np.diag(p / p.sum())
+    c, deficit = _tmsv_schmidt(nbar, cutoff)
+    _require_deficit(deficit, f"thermal nbar={nbar}")
+    return np.diag(c * c)
 
 
 def fock_tmsv(nbar, cutoff):
@@ -652,76 +654,3 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
             f"{cutoff} and {check_cutoff}"
         )
     return result
-
-
-# At and above this amplitude `eb_z4` takes the mod-4 class weights from
-# their discrete Fourier form, which has no cancellation there: the smallest
-# weight is within 2 exp(-16) of the largest.  Below it the four class
-# power series, whose terms are all positive, keep the small weights
-# accurate (lambda_3 ~ alpha^6 / 6) down to the smallest float amplitude.
-Z4_FOURIER_ALPHA = 4.0
-
-
-@lru_cache(maxsize=128)
-def eb_z4(alpha):
-    """q-q cross moment of the Schmidt purification of the four-state
-    coherent average state, with partner vectors conjugated in the Fock
-    basis (which makes the moment nonnegative).
-
-    The average state is diagonal in the mod-4 photon-number classes, with
-    eigenvalues lambda_k = exp(-alpha^2) sum_{n = k mod 4} alpha^(2n) / n!,
-    and the moment is Z4 = 2 alpha^2 sum_k lambda_k^(3/2) lambda_{k+1}^(-1/2)
-    (Leverrier and Grangier, PRL 102, 180504, 2009).
-
-    Below `Z4_FOURIER_ALPHA` each weight is written
-    lambda_k = exp(-alpha^2) alpha^(2k) / k! S_k with the power series
-    S_k = sum_m alpha^(8m) k! / (4m + k)! >= 1 (`_class_sums`), so
-    Z4 = 2 exp(-alpha^2) sum_k alpha^(e_k) mu_k^(3/2) mu_{k+1}^(-1/2) with
-    mu_k = S_k / k! and e_k = 1, 3, 5, 11.  Nothing cancels and nothing
-    underflows before 2 alpha does: only the powers alpha^3, alpha^5 and
-    alpha^11 reach 0, where they are negligible beside alpha, so Z4 = 2 alpha
-    to rounding for alpha far below 1.  Against 50-digit arithmetic it is
-    off by at most 5e-16 relative from the smallest float up to just below 4.
-    At and above the crossover the weights come from the four-point Fourier
-    sum lambda_k = [1 + (-1)^k e^(-2 alpha^2) + 2 Re(i^(-k) e^(alpha^2 (i - 1)))] / 4,
-    whose terms past the first are below 2 exp(-16).  With x = 1 + 2 alpha^2,
-    x - Z4 tends to 1; the Poisson sums lose accuracy as alpha^2 eps there
-    (log-space sums gave 1.0016 at alpha = 1000 and a negative value at
-    5000), while this form keeps it at 1 to rounding.  Cached by value.
-    """
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"amplitude must be positive and finite, got {alpha}")
-    alpha = float(alpha)
-    a2 = alpha**2
-    if alpha >= Z4_FOURIER_ALPHA:
-        c, s = math.cos(a2), math.sin(a2)
-        wave = 2 * math.exp(-a2) * np.array([c, s, -c, -s])
-        lam = 0.25 * (1 + np.array([1, -1, 1, -1]) * math.exp(-2 * a2) + wave)
-        return 2 * a2 * float((lam**1.5 / np.sqrt(np.roll(lam, -1))).sum())
-    mu0, mu1, s2, s3 = _class_sums(a2 * a2 * a2 * a2)
-    mu2, mu3 = s2 / 2, s3 / 6
-    a5 = alpha * a2 * a2
-    moment = (alpha * mu0 * math.sqrt(mu0 / mu1) + alpha * a2 * mu1 * math.sqrt(mu1 / mu2)
-              + a5 * mu2 * math.sqrt(mu2 / mu3) + a5 * a2 * a2 * a2 * mu3 * math.sqrt(mu3 / mu0))
-    return 2 * math.exp(-a2) * moment
-
-
-def _class_sums(a8):
-    """(S_0, S_1, S_2, S_3) with S_k = sum_m a8^m k! / (4m + k)!, in floats.
-
-    Term m + 1 of class k is term m times a8 / ((n+1)(n+2)(n+3)(n+4)) with
-    n = 4m + k.  The four series are summed in step, each until its last
-    term is below 1e-17 of its sum; every term is positive, so nothing
-    cancels.
-    """
-    t0 = t1 = t2 = t3 = s0 = s1 = s2 = s3 = 1.0
-    n = 0.0
-    while t0 >= 1e-17 * s0 or t1 >= 1e-17 * s1 or t2 >= 1e-17 * s2 or t3 >= 1e-17 * s3:
-        p, q = (n + 2) * (n + 3) * (n + 4), (n + 4) * (n + 5) * (n + 6)
-        t0 *= a8 / ((n + 1) * p)
-        t1 *= a8 / (p * (n + 5))
-        t2 *= a8 / ((n + 3) * q)
-        t3 *= a8 / (q * (n + 7))
-        s0, s1, s2, s3 = s0 + t0, s1 + t1, s2 + t2, s3 + t3
-        n += 4
-    return s0, s1, s2, s3

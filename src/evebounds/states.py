@@ -162,8 +162,8 @@ def make_tmsv(nbar):
     The covariance matrix is [[nu I, s Z], [s Z, nu I]] with nu = 2 nbar + 1
     and s = 2 sqrt(nbar^2 + nbar) = sqrt(nu^2 - 1).
     """
-    if nbar < 0:
-        raise ValueError(f"mean photon number must be >= 0, got {nbar}")
+    if not 0 <= nbar < math.inf:
+        raise ValueError(f"mean photon number must be finite and >= 0, got {nbar}")
     nu = 2 * nbar + 1
     return GaussianState(
         mean=np.zeros(4),
@@ -377,13 +377,14 @@ def spectrum_entropy(spectra, base="bits"):
     """-sum lambda log lambda over the last axis of a density or Gram
     spectrum: a float for one spectrum, an array of shape (...,) for a
     (..., n) stack.  Eigenvalues <= `EIGENVALUE_SKIP` count as 1, whose
-    term is 0.  A pure state's eigenvalue can come out as 1 + 4e-16, so
-    each row's sum is floored at 0.0 on its own (never -0.0), and a pure
-    row's overshoot is never netted against a mixed one.  numpy adds fewer
-    than 8 terms in order, so for n < 8 a skipped term adds an exact 0;
-    longer rows are summed pairwise."""
+    term is 0; a NaN is not skipped, so its row's entropy is NaN.  A pure
+    state's eigenvalue can come out as 1 + 4e-16, so each row's sum is
+    floored at 0.0 on its own (never -0.0), and a pure row's overshoot is
+    never netted against a mixed one.  numpy adds fewer than 8 terms in
+    order, so for n < 8 a skipped term adds an exact 0; longer rows are
+    summed pairwise."""
     log = _log(base)
-    kept = np.where(spectra > EIGENVALUE_SKIP, spectra, 1.0)
+    kept = np.where(spectra <= EIGENVALUE_SKIP, 1.0, spectra)
     rows = np.maximum(-(kept * log(kept)).sum(axis=-1), 0.0) + 0.0
     return float(rows) if rows.ndim == 0 else rows
 

@@ -9,6 +9,7 @@ from evebounds.bounds import (
     bm_get_entropy,
     bm_gme_entropy,
     eb_qpsk_entropy,
+    eb_z4,
     gram_entropy,
     gram_matrix,
 )
@@ -209,7 +210,7 @@ class TestEntangledBasedBound:
         params = ChannelParams(tau=1.0, nbar=0.0)
         value = eb_qpsk_entropy(1.0, params)
         x = 3.0
-        z4 = fock.eb_z4(1.0)
+        z4 = eb_z4(1.0)
         nu = math.sqrt(x * x - z4 * z4)
         expected = 2 * (
             (nu + 1) / 2 * math.log2((nu + 1) / 2) - (nu - 1) / 2 * math.log2((nu - 1) / 2)
@@ -325,7 +326,7 @@ class TestEntangledBasedBound:
         for tau, nbar, alpha in points:
             x = 1 + 2 * alpha * alpha
             bob = tau * x + (1 - tau) * (2 * nbar + 1)
-            corr = math.sqrt(tau) * fock.eb_z4(alpha)
+            corr = math.sqrt(tau) * eb_z4(alpha)
             cov = np.block([[x * np.eye(2), corr * z], [corr * z, bob * np.eye(2)]])
             value = eb_qpsk_entropy(alpha, ChannelParams(tau=tau, nbar=nbar))
             assert value == pytest.approx(entropy_from_cov(cov), abs=1e-12)

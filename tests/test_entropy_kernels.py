@@ -146,6 +146,14 @@ class TestSpectrumEntropy:
     def test_tiny_and_negative_eigenvalues_skipped(self):
         assert spectrum_entropy(np.array([0.5, 0.5, 1e-16, -1e-12])) == pytest.approx(1.0, rel=1e-15)
 
+    def test_nan_eigenvalue_is_not_skipped(self):
+        # a NaN is not an eigenvalue at or below the skip: its row is NaN,
+        # and the other rows of a stack keep their values
+        assert math.isnan(fock_entropy(np.array([[np.nan]])))
+        assert math.isnan(spectrum_entropy(np.array([np.nan, 0.5])))
+        rows = spectrum_entropy(np.array([[0.5, 0.5], [np.nan, 1.0]]))
+        assert rows[0] == 1.0 and math.isnan(rows[1])
+
     def test_pure_overshoot_floors_at_positive_zero(self):
         value = spectrum_entropy(np.array([1.0 + 4e-16]))
         assert value == 0.0 and math.copysign(1.0, value) == 1.0

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from evebounds import fock
+from evebounds import bounds, fock
 from evebounds.cli import ScanConfig, run_scan
 from evebounds.cloner import ChannelParams, Constellation, _orbits_by_value, _rotation_orbits, qpsk
 from evebounds.states import entropy_from_cov
@@ -783,7 +783,7 @@ class TestStackedClassGrams:
 def qpsk_purification_moments(alpha, cutoff=40):
     """Moments of the Schmidt purification of the four-state coherent
     average state, built in a truncated Fock space; the reference for the
-    closed-form `fock.eb_z4`.
+    closed-form `bounds.eb_z4`.
 
     Returns the cross moments {"qq", "qp", "pq", "pp"} between a mode and
     its purifying partner (partner vectors conjugated in the Fock basis),
@@ -831,17 +831,17 @@ class TestPurificationCrossMoment:
     @pytest.mark.parametrize("alpha", REFERENCE_ALPHAS)
     def test_matches_fock_reference(self, alpha):
         cross, _, _ = qpsk_purification_moments(alpha)
-        assert fock.eb_z4(alpha) == pytest.approx(cross["qq"].real, rel=1e-12, abs=0)
+        assert bounds.eb_z4(alpha) == pytest.approx(cross["qq"].real, rel=1e-12, abs=0)
 
     def test_small_amplitude_limit(self):
         # Z4 -> 2 alpha as alpha -> 0: the dominant Gram term is
         # 2 a^2 lam_0^1.5 / lam_1^0.5 with lam_0 -> 1 and lam_1 -> a^2
-        assert fock.eb_z4(1e-3) == pytest.approx(2e-3, rel=1e-3)
-        assert fock.eb_z4(0.05) == pytest.approx(0.1, rel=1e-2)
+        assert bounds.eb_z4(1e-3) == pytest.approx(2e-3, rel=1e-3)
+        assert bounds.eb_z4(0.05) == pytest.approx(0.1, rel=1e-2)
         # also where alpha^2 underflows to 0 (below about 1.5e-162), down
         # to the smallest subnormal
-        assert fock.eb_z4(1e-200) == pytest.approx(2e-200, rel=1e-12, abs=0)
-        assert fock.eb_z4(5e-324) == 1e-323
+        assert bounds.eb_z4(1e-200) == pytest.approx(2e-200, rel=1e-12, abs=0)
+        assert bounds.eb_z4(5e-324) == 1e-323
 
     # Z4 from the mod-4 Poisson sums in 60-digit mpmath arithmetic, rounded
     # to 20 digits; from alpha = 1e-3 up, the four-point Fourier form at 200
@@ -863,7 +863,7 @@ class TestPurificationCrossMoment:
 
     @pytest.mark.parametrize("alpha, expected", HIGH_PRECISION_Z4)
     def test_matches_high_precision_table(self, alpha, expected):
-        assert fock.eb_z4(alpha) == pytest.approx(expected, rel=4e-15, abs=0)
+        assert bounds.eb_z4(alpha) == pytest.approx(expected, rel=4e-15, abs=0)
 
     def test_reference_value_from_closed_form(self):
         # independent route: mod-4 Poisson sums give the average-state
@@ -879,14 +879,14 @@ class TestPurificationCrossMoment:
         )
         lam = math.exp(-a2) * f
         expected = 2 * a2 * sum(lam[j] ** 1.5 * lam[(j + 1) % 4] ** -0.5 for j in range(4))
-        assert fock.eb_z4(1.0) == pytest.approx(expected, abs=1e-9)
-        assert fock.eb_z4(1.0) == pytest.approx(2.5197051, abs=1e-6)
+        assert bounds.eb_z4(1.0) == pytest.approx(expected, abs=1e-9)
+        assert bounds.eb_z4(1.0) == pytest.approx(2.5197051, abs=1e-6)
 
     def test_physicality_bound(self):
         # from where cos/sin differences cancel to where cosh overflows
         for alpha in np.geomspace(1e-3, 30, 200):
             x = 1 + 2 * alpha**2
-            z4 = fock.eb_z4(alpha)
+            z4 = bounds.eb_z4(alpha)
             assert math.isfinite(z4)
             assert x * x - z4 * z4 >= 1
 
@@ -898,8 +898,8 @@ class TestPurificationCrossMoment:
         lam = [0.25 * (1 + (-1) ** k * math.exp(-2 * a2)
                        + 2 * (1j ** -k * np.exp(a2 * (1j - 1))).real) for k in range(4)]
         expected = 2 * a2 * sum(lam[k] ** 1.5 * lam[(k + 1) % 4] ** -0.5 for k in range(4))
-        assert fock.eb_z4(alpha) == pytest.approx(expected, rel=1e-14, abs=0)
-        below, above = fock.eb_z4(np.nextafter(4.0, 0.0)), fock.eb_z4(4.0)
+        assert bounds.eb_z4(alpha) == pytest.approx(expected, rel=1e-14, abs=0)
+        below, above = bounds.eb_z4(np.nextafter(4.0, 0.0)), bounds.eb_z4(4.0)
         assert above == pytest.approx(below, rel=1e-14, abs=0)
 
     def test_large_amplitude_stays_physical(self):
@@ -908,14 +908,22 @@ class TestPurificationCrossMoment:
         # alpha = 5 on, its exact deviation from 1 is below 1e-20)
         for alpha in np.geomspace(5.0, 1e6, 60):
             x = 1 + 2 * alpha**2
-            z4 = fock.eb_z4(alpha)
+            z4 = bounds.eb_z4(alpha)
             assert abs(x - z4 - 1) <= 8 * np.finfo(float).eps * x
             assert x * x - z4 * z4 >= 1
 
     def test_rejects_bad_inputs(self):
         for alpha in (-1.0, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="positive and finite"):
-                fock.eb_z4(alpha)
+                bounds.eb_z4(alpha)
+
+    def test_named_error_beyond_double_precision(self):
+        # Z4 ~ 2 alpha^2: finite while 2 alpha^2 is, a named error from
+        # there on, not inf or an OverflowError
+        assert math.isfinite(bounds.eb_z4(9.4807e153))
+        for alpha in (9.4808e153, 1.3e154, 1.4e154, 1e200):
+            with pytest.raises(ValueError, match="beyond double precision"):
+                bounds.eb_z4(alpha)
 
 
 class TestUnderflowingKets:

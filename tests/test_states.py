@@ -40,6 +40,11 @@ class TestConstructors:
         with pytest.raises(ValueError):
             make_thermal(-0.1)
 
+    @pytest.mark.parametrize("nbar", [-0.1, math.nan, math.inf])
+    def test_tmsv_rejects_bad_nbar(self, nbar):
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            make_tmsv(nbar)
+
     def test_tmsv_vacuum(self):
         assert np.allclose(make_tmsv(0).cov, np.eye(4))
 
