@@ -24,7 +24,7 @@ from .linalg import (
     require_unitary,
     _unitary_eig,
 )
-from .unitaries import Displacement, Rotation, Squeezer
+from .unitaries import Rotation, Squeezer
 
 __all__ = ["BMFactors", "bloch_messiah", "factors_to_circuit"]
 
@@ -97,21 +97,17 @@ def _hermitian_phase(v):
     return (h + h.conj().T) / 2
 
 
-def factors_to_circuit(factors, alpha=None):
+def factors_to_circuit(factors):
     """Fundamental-operation circuit realizing balanced factors.
 
     Returns [Rotation(phi1), Squeezer(diag(r)), Rotation(phi2)] in
     application order (index 0 acts first), with exp(i phi1) = cal_we^dag,
     sinh(r_k) = lambda_f[k], so cosh(r_k) = lambda_e[k] (r_k >= 0, phases
-    live in the rotations), and exp(i phi2) = cal_u.  If `alpha` is given a
-    final Displacement(alpha) is appended, acting last.
+    live in the rotations), and exp(i phi2) = cal_u.
     """
     phi1 = _hermitian_phase(factors.cal_we.conj().T)
     phi2 = _hermitian_phase(factors.cal_u)
     # arcsinh keeps full precision for tiny squeezing, where arccosh of a
     # lambda_e rounded to 1 would lose it.
     r = np.arcsinh(factors.lambda_f)
-    ops = [Rotation(phi1), Squeezer(np.diag(r).astype(complex)), Rotation(phi2)]
-    if alpha is not None:
-        ops.append(Displacement(alpha))
-    return ops
+    return [Rotation(phi1), Squeezer(np.diag(r).astype(complex)), Rotation(phi2)]

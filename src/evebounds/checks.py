@@ -26,7 +26,6 @@ from .cloner import (
     ChannelParams,
     bs_symplectic,
     displaced_thermal_ensemble,
-    eve_average_covariance,
     eve_reduced_covariance,
     eve_thermal_weights,
     initial_covariance,
@@ -37,6 +36,7 @@ from .states import (
     GaussianState,
     apply_symplectic,
     entropy_from_cov,
+    make_tmsv,
     partial_trace_modes,
     standard_symplectic_spectrum,
     williamson_standard_two_mode,
@@ -157,7 +157,7 @@ def check_williamson_grid():
 
 def _switched_displacement(circuit, beta):
     """Displacement beta' with D(beta) R2 S R1 = R2 S R1 D(beta')."""
-    rot1, squeezer, rot2 = circuit[:3]
+    rot1, squeezer, rot2 = circuit
     g = switch_disp_rotation(rot2.phi, beta)
     g = switch_disp_squeezer(squeezer.z, g)
     return switch_disp_rotation(rot1.phi, g)
@@ -197,7 +197,7 @@ def check_entropy_unitary_invariance():
     constellation = qpsk(1.0)
     for tau, nbar in ((0.3, 0.01), (0.5, 0.02), (0.8, 0.1)):
         params = ChannelParams(tau=tau, nbar=nbar)
-        avg = eve_average_covariance(constellation, params)
+        avg = displaced_thermal_ensemble(constellation, params).average_covariance()
         smap, _, _ = williamson_standard_two_mode(eve_reduced_covariance(params))
         conjugated = smap.s @ avg @ smap.s.T
         reference = entropy_from_cov(avg)
@@ -328,8 +328,10 @@ def check_oracle_entropy_agreement():
         exact = fock.fock_entropy(fock.fock_thermal(nbar, 30))
         gauss = entropy_from_cov((2 * nbar + 1) * np.eye(2))
         worst = _worst(worst, abs(exact - gauss))
-    marginal = fock.fock_partial_trace(fock.fock_tmsv(0.3, 20), (21, 21), keep=(0,))
-    worst = _worst(worst, abs(fock.fock_entropy(marginal) - entropy_from_cov(1.6 * np.eye(2))))
+    # the TMSV marginal, traced in phase space, is the thermal state
+    marginal = partial_trace_modes(make_tmsv(0.3), keep=(0,)).cov
+    exact = fock.fock_entropy(fock.fock_thermal(0.3, 20))
+    worst = _worst(worst, abs(exact - entropy_from_cov(marginal)))
     return CheckResult("oracle-entropy-agreement", worst, 1e-5)
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "eve_reduced_covariance",
     "eve_thermal_weights",
     "displaced_thermal_ensemble",
-    "eve_average_covariance",
 ]
 
 
@@ -274,9 +273,10 @@ def eve_thermal_weights(params):
     her symplectic spectrum is {1 + 2 (1 - tau) nbar, 1}.  With
     s = 1 + (1 - tau) nbar, w1^2 = (1 + nbar) / s, w2^2 = tau nbar / s and
     nu1p = (1 - tau) nbar.  None of these cancels, whereas the general
-    `states.williamson_weights` of `eve_reduced_covariance` takes nu2 as a
-    difference of numbers near 2 nbar: at (tau, nbar) = (0.4, 1e6) it gives
-    0.99999999977.  `checks.check_williamson_grid` compares the two.
+    `states.williamson_standard_two_mode` of `eve_reduced_covariance` takes
+    nu2 as a difference of numbers near 2 nbar: at (tau, nbar) = (0.4, 1e6)
+    it gives 0.99999999980.  `checks.check_williamson_grid` compares the
+    two.
     """
     return _thermal_weights(params.tau, params.nbar)
 
@@ -324,9 +324,3 @@ def displaced_thermal_ensemble(constellation, params):
     halves = np.stack([(-w1 * r)[..., None] * amps, (w2 * r)[..., None] * np.conj(amps)], axis=-1).view(float)
     _require_mean_limit(halves, 2)
     return DisplacedThermalEnsemble(nu1p=nu1p, means=2 * halves, probs=constellation.probs.copy())
-
-
-def eve_average_covariance(constellation, params):
-    """4x4 covariance of the displaced-thermal average state (the fixed
-    unitary stripped off, which leaves the entropy unchanged)."""
-    return displaced_thermal_ensemble(constellation, params).average_covariance()

@@ -2,9 +2,8 @@
 that checks the estimators of `bounds`, which import nothing from it.
 
 A map of the module; each argument is made once, in the docstring named.
-- States (`tmsv_ket`, `fock_thermal`, `fock_tmsv`) are plain arrays at an
-  explicit cutoff; losing more than `DEFICIT_LIMIT` raises
-  FockConvergenceError.
+- States (`tmsv_ket`, `fock_thermal`) are plain arrays at an explicit
+  cutoff; losing more than `DEFICIT_LIMIT` raises FockConvergenceError.
 - The `--check` exponentials act on two-mode kets: `apply_displacement`
   through a cached tridiagonal eigenbasis, `apply_rotation` through the
   packed photon-number sectors of `_packed_sectors`, and `apply_generator`
@@ -16,7 +15,7 @@ A map of the module; each argument is made once, in the docstring named.
   the Gram side of her real factor (`_eve_factor` argues the real
   arithmetic), reduced to one amplitude per rotation orbit
   (`cloner._rotation_orbits`; `eve_exact_entropy` argues the reduction).
-- `fock_entropy` and `fock_partial_trace` serve the `--check` suites.
+- `fock_entropy` serves the `--check` suites.
 The module runs on numpy alone; the sparse and scipy references it is
 checked against live in `tests/reference.py`.
 """
@@ -38,9 +37,7 @@ __all__ = [
     "FockConvergenceError",
     "OracleEntropy",
     "fock_thermal",
-    "fock_tmsv",
     "fock_bs",
-    "fock_partial_trace",
     "fock_entropy",
     "eve_exact_entropy",
 ]
@@ -84,14 +81,6 @@ def fock_thermal(nbar, cutoff):
     c, deficit = _tmsv_schmidt(nbar, cutoff)
     _require_deficit(deficit, f"thermal nbar={nbar}")
     return np.diag(c * c)
-
-
-def fock_tmsv(nbar, cutoff):
-    """Density matrix of the two-mode squeezed vacuum, truncated at `cutoff`
-    photons per mode."""
-    ket, deficit = tmsv_ket(nbar, cutoff)
-    _require_deficit(deficit, f"tmsv nbar={nbar}")
-    return np.outer(ket, ket.conj())
 
 
 def _require_deficit(deficit, what):
@@ -450,27 +439,6 @@ def fock_bs(tau, cutoff):
     """
     dim = (cutoff + 1) ** 2
     return apply_rotation(_bs_angle(tau) * _BS_PHI, np.eye(dim, dtype=complex), cutoff).T
-
-
-def fock_partial_trace(rho, dims, keep):
-    """Partial trace of a dense multimode density matrix.
-
-    Args:
-        rho: density matrix over a tensor product of spaces of sizes `dims`.
-        dims: per-mode dimensions.
-        keep: mode indices (0-based) to keep, in increasing order.
-    """
-    dims = tuple(int(d) for d in dims)
-    keep = sorted(set(int(k) for k in keep))
-    n = len(dims)
-    if not keep or keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"invalid mode selection {keep} for {n} modes")
-    t = np.asarray(rho).reshape(dims + dims)
-    for mode in reversed([m for m in range(n) if m not in keep]):
-        nleft = t.ndim // 2
-        t = np.trace(t, axis1=mode, axis2=mode + nleft)
-    dkeep = int(np.prod([dims[m] for m in keep]))
-    return t.reshape(dkeep, dkeep)
 
 
 def fock_entropy(rho, base="bits"):

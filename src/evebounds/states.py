@@ -31,7 +31,6 @@ __all__ = [
     "make_tmsv",
     "symplectic_eigenvalues",
     "standard_symplectic_spectrum",
-    "williamson_weights",
     "williamson_standard_two_mode",
     "entropy_from_cov",
     "thermal_entropy",
@@ -240,32 +239,15 @@ def _physical_standard_spectrum(a, b, c):
     return (larger, smaller) if b >= a else (smaller, larger)
 
 
-def williamson_weights(std):
-    """Entries (w1, w2, nu1, nu2) of the thermal decomposition of a
-    standard-form two-mode covariance, without building the map.
-
-    w_{1,2} = sqrt((a+b) / (2 root) +/- 1/2) with root = sqrt((a+b)^2 - 4 c^2),
-    so w1^2 - w2^2 = 1; w2 carries the sign of c.  w2^2 is taken as
-    2 c^2 / (root (a + b + root)), which equals (a + b - root) / (2 root)
-    without its cancellation when c is small.  nu1, nu2 come from
-    `standard_symplectic_spectrum`.
-
-    Raises:
-        ValueError: if (a+b)^2 - 4c^2 <= 0.
-    """
-    nu1, nu2 = standard_symplectic_spectrum(std)
-    total = std.a + std.b
-    root = math.sqrt(total**2 - 4 * std.c**2)
-    w1 = math.sqrt(total / (2 * root) + 0.5)
-    w2 = math.copysign(math.sqrt(2 * std.c**2 / (root * (total + root))), std.c)
-    return w1, w2, nu1, nu2
-
-
 def williamson_standard_two_mode(std):
     """Thermal decomposition of a standard-form two-mode covariance.
 
     Returns (map, nu1, nu2) where map.s = [[w1 I, w2 Z], [w2 Z, w1 I]] with
-    w1, w2, nu1 and nu2 from `williamson_weights`.
+    w_{1,2} = sqrt((a+b) / (2 root) +/- 1/2), root = sqrt((a+b)^2 - 4 c^2),
+    so w1^2 - w2^2 = 1; w2 carries the sign of c.  w2^2 is taken as
+    2 c^2 / (root (a + b + root)), which equals (a + b - root) / (2 root)
+    without its cancellation when c is small.  nu1, nu2 come from
+    `standard_symplectic_spectrum`.
 
     The diagonal form pairs nu2 with the first mode:
     S diag(nu2, nu2, nu1, nu1) S^T reconstructs the input.  (Pairing nu1
@@ -276,7 +258,11 @@ def williamson_standard_two_mode(std):
     Raises:
         ValueError: if (a+b)^2 - 4c^2 <= 0.
     """
-    w1, w2, nu1, nu2 = williamson_weights(std)
+    nu1, nu2 = standard_symplectic_spectrum(std)
+    total = std.a + std.b
+    root = math.sqrt(total**2 - 4 * std.c**2)
+    w1 = math.sqrt(total / (2 * root) + 0.5)
+    w2 = math.copysign(math.sqrt(2 * std.c**2 / (root * (total + root))), std.c)
     return SymplecticMap(s=_standard_block(w1, w1, w2)), nu1, nu2
 
 
@@ -349,8 +335,11 @@ def _log(base):
 def thermal_entropy(nbar, base="bits"):
     """g(nbar) = (nbar+1) log(nbar+1) - nbar log(nbar), the entropy of a
     thermal state with mean photon number nbar; g(0) = 0.  It is taken as
-    log1p(nbar) + nbar log1p(1/nbar) nats, whose terms do not cancel."""
+    log1p(nbar) + nbar log1p(1/nbar) nats, whose terms do not cancel.
+    Raises ValueError for an nbar that is negative or not finite."""
     _log(base)
+    if not 0 <= nbar < math.inf:
+        raise ValueError(f"mean photon number must be finite and >= 0, got {nbar}")
     return float(_thermal_entropy(nbar, math.log(2) if base == "bits" else 1.0))
 
 
@@ -364,7 +353,7 @@ def _thermal_entropy(nbar, unit):
 def symplectic_entropy(nus, base="bits"):
     """Sum of g((nu_k - 1)/2) over a symplectic spectrum, the entropy of its
     Gaussian state; a nu_k below 1 by rounding counts as 1 (its thermal
-    photon number is below 0, which `thermal_entropy` takes as 0)."""
+    photon number is below 0, which `_thermal_entropy` takes as 0)."""
     _log(base)
     unit = math.log(2) if base == "bits" else 1.0
     total = 0.0

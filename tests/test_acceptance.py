@@ -16,6 +16,7 @@ from evebounds.cli import ScanConfig, run_scan
 from evebounds.cloner import (
     ChannelParams,
     bs_symplectic,
+    displaced_thermal_ensemble,
     eve_reduced_covariance,
     initial_covariance,
     qpsk,
@@ -240,9 +241,7 @@ def test_criterion_7_entropy_invariance():
     for tau in np.linspace(0.05, 0.95, 10):
         for nbar in (0.01, 0.02):
             params = ChannelParams(tau=float(tau), nbar=nbar)
-            from evebounds.cloner import eve_average_covariance
-
-            cov = eve_average_covariance(constellation, params)
+            cov = displaced_thermal_ensemble(constellation, params).average_covariance()
             smap, _, _ = williamson_standard_two_mode(eve_reduced_covariance(params))
             conjugated = smap.s @ cov @ smap.s.T
             worst = max(worst, abs(entropy_from_cov(cov) - entropy_from_cov(conjugated)))

@@ -10,7 +10,6 @@ from evebounds.linalg import max_abs
 from evebounds.states import williamson_standard_two_mode
 from evebounds.unitaries import (
     BogoliubovPair,
-    Displacement,
     bogoliubov_of,
     compose,
     from_symplectic,
@@ -110,15 +109,3 @@ class TestFactorsToCircuit:
             assert max_abs(total.e - pair.e) < 1e-9
             assert max_abs(total.f - pair.f) < 1e-9
             assert max_abs(to_symplectic(total).s - to_symplectic(pair).s) < 1e-9
-
-    def test_displacement_appended_last(self):
-        pair, _ = worked_pair()
-        alpha = np.array([0.2 - 0.3j, 0.1j])
-        circuit = factors_to_circuit(bloch_messiah(pair), alpha=alpha)
-        assert isinstance(circuit[-1], Displacement)
-        total = bogoliubov_of(circuit[0])
-        for op in circuit[1:]:
-            total = compose(total, bogoliubov_of(op))
-        # displacement acts last, so alpha passes through unchanged
-        assert np.allclose(total.alpha, alpha, atol=1e-12)
-        assert max_abs(total.e - pair.e) < 1e-9

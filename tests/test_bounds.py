@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from evebounds.cloner import (
     ChannelParams,
     Constellation,
     displaced_thermal_ensemble,
-    eve_average_covariance,
     qpsk,
 )
 from evebounds.states import entropy_from_cov, thermal_entropy
@@ -120,6 +120,10 @@ class TestGramMatrix:
         for nan_gram in (np.array([[np.nan]]), np.array([[0.5, np.nan], [np.nan, 0.5]])):
             with pytest.raises(ValueError, match=r"Hermitian: .* = nan"):
                 gram_entropy(nan_gram)
+        # a 1-D input raised numpy's AxisError, a (2, 3) one a broadcast error
+        for shape in ((), (4,), (2, 3), (5, 2, 3)):
+            with pytest.raises(ValueError, match="Gram matrix must be square"):
+                gram_entropy(np.full(shape, 0.25))
 
 
 class TestGaussianExtremalityBound:
@@ -278,6 +282,43 @@ class TestEntangledBasedBound:
         value = eb_qpsk_entropy(1.0, ChannelParams(tau=tau, nbar=nbar))
         assert value == pytest.approx(expected, rel=0, abs=1e-13)
 
+    # The error bounds of the `EB_ALPHA_MAX` comment and the README, the
+    # largest over 101 taus x nbar in {0, 0.01, 0.1, 1, 5} rounded up.
+    LARGE_ALPHA_EB_ERROR = {4.0: 1.2e-14, 1000.0: 4.5e-10, 1e4: 4.3e-8}
+    # eb generated offline with 60-digit mpmath, as LARGE_NBAR_EB; the cell
+    # with the largest error of the grid is (0.76, 0.1) at alpha = 4,
+    # (0.6, 0) at 1000 and (0.87, 0.01) at 1e4.
+    LARGE_ALPHA_EB = [
+        (4.0, 0.3, 0.01, "6.229104556475506193059"),
+        (4.0, 0.5, 0.1, "6.561454130352131396035"),
+        (4.0, 0.6, 0.0, "6.567020709793910959662"),
+        (4.0, 0.76, 0.1, "6.753335927164393594578"),
+        (4.0, 0.87, 0.01, "6.805295419012276905012"),
+        (4.0, 0.99, 5.0, "6.96532042085158542656"),
+        (4.0, 1.0, 1.0, "6.900325059643888588147"),
+        (1000.0, 0.3, 0.01, "22.13593084876575017936"),
+        (1000.0, 0.5, 0.1, "22.47082768098832337554"),
+        (1000.0, 0.6, 0.0, "22.47971230588516724574"),
+        (1000.0, 0.76, 0.1, "22.66709412182374908581"),
+        (1000.0, 0.87, 0.01, "22.72084116234334650653"),
+        (1000.0, 0.99, 5.0, "22.88045635337317952952"),
+        (1000.0, 1.0, 1.0, "22.81695889155125033852"),
+        (1e4, 0.3, 0.01, "28.77978664254598739341"),
+        (1e4, 0.5, 0.1, "29.11468351601815177222"),
+        (1e4, 0.6, 0.0, "29.12356819428139900526"),
+        (1e4, 0.76, 0.1, "29.31095002741991910687"),
+        (1e4, 0.87, 0.01, "29.36469709661663459836"),
+        (1e4, 0.99, 5.0, "29.52431228112908475194"),
+        (1e4, 1.0, 1.0, "29.46081484328131733009"),
+    ]
+
+    @pytest.mark.parametrize("alpha, tau, nbar, expected", LARGE_ALPHA_EB)
+    def test_large_alpha_against_high_precision(self, alpha, tau, nbar, expected):
+        # compared in Decimal, so rounding the reference to a double does
+        # not eat into the bound
+        value = eb_qpsk_entropy(alpha, ChannelParams(tau=tau, nbar=nbar))
+        assert abs(Decimal(value) - Decimal(expected)) <= Decimal(self.LARGE_ALPHA_EB_ERROR[alpha])
+
     @pytest.mark.parametrize("alpha", [0.05, 1.0, 100.0])
     @pytest.mark.parametrize("tau", [0.02, 0.5, 0.98])
     def test_defined_out_to_large_nbar(self, tau, alpha):
@@ -345,18 +386,19 @@ class TestEntangledBasedBound:
         cases += [(skewed, ChannelParams(tau=tau, nbar=0.3)) for tau in (0.0, 0.35, 0.8, 1.0)]
         for constellation, params in cases:
             value = bm_get_entropy(constellation, params)
-            reference = entropy_from_cov(eve_average_covariance(constellation, params))
+            average = displaced_thermal_ensemble(constellation, params).average_covariance()
+            reference = entropy_from_cov(average)
             assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
 
 
 class TestEntropyInvarianceUnderCircuit:
     @pytest.mark.parametrize("tau,nbar", [(0.3, 0.01), (0.5, 0.02), (0.9, 0.1)])
     def test_conjugation_leaves_bound_unchanged(self, tau, nbar):
-        from evebounds.cloner import eve_average_covariance, eve_reduced_covariance
+        from evebounds.cloner import eve_reduced_covariance
         from evebounds.states import entropy_from_cov, williamson_standard_two_mode
 
         params = ChannelParams(tau=tau, nbar=nbar)
-        cov = eve_average_covariance(qpsk(1.0), params)
+        cov = displaced_thermal_ensemble(qpsk(1.0), params).average_covariance()
         smap, _, _ = williamson_standard_two_mode(eve_reduced_covariance(params))
         conjugated = smap.s @ cov @ smap.s.T
         assert abs(entropy_from_cov(cov) - entropy_from_cov(conjugated)) < 1e-9

@@ -12,7 +12,6 @@ from evebounds.cloner import (
     DisplacedThermalEnsemble,
     bs_symplectic,
     displaced_thermal_ensemble,
-    eve_average_covariance,
     eve_reduced_covariance,
     eve_thermal_weights,
     initial_covariance,
@@ -28,7 +27,6 @@ from evebounds.states import (
     omega,
     partial_trace_modes,
     williamson_standard_two_mode,
-    williamson_weights,
 )
 from reference import coherent_ket, eve_conditional_mean, fock_moments
 
@@ -246,7 +244,8 @@ class TestThermalWeights:
         for tau, nbar in zip(rng.uniform(0, 1, 2000), rng.uniform(0, 5, 2000)):
             p = ChannelParams(tau=tau, nbar=nbar)
             w1, w2, nu1p = eve_thermal_weights(p)
-            ref_w1, ref_w2, nu1, nu2 = williamson_weights(eve_reduced_covariance(p))
+            smap, nu1, nu2 = williamson_standard_two_mode(eve_reduced_covariance(p))
+            ref_w1, ref_w2 = smap.s[0, 0], smap.s[0, 2]
             assert abs(w1 - ref_w1) < 1e-13 and abs(w2 - ref_w2) < 1e-13
             assert abs(nu1p - (nu1 - 1) / 2) < 1e-13 and abs(nu2 - 1) < 1e-13
 
@@ -264,12 +263,12 @@ class TestThermalWeights:
 class TestAverageCovariance:
     def test_zero_amplitude_limit(self):
         p = ChannelParams(tau=0.5, nbar=0.01)
-        cov = eve_average_covariance(qpsk(1e-9), p)
+        cov = displaced_thermal_ensemble(qpsk(1e-9), p).average_covariance()
         ens = displaced_thermal_ensemble(qpsk(1e-9), p)
         assert np.allclose(cov, ens.common_covariance(), atol=1e-8)
 
     def test_pure_loss_qpsk(self):
-        cov = eve_average_covariance(qpsk(1.0), ChannelParams(tau=0.0, nbar=0.0))
+        cov = displaced_thermal_ensemble(qpsk(1.0), ChannelParams(tau=0.0, nbar=0.0)).average_covariance()
         assert np.allclose(cov, np.diag([3.0, 3.0, 1.0, 1.0]), atol=1e-12)
 
     @pytest.mark.parametrize("tau,nbar", GRID)
@@ -284,7 +283,7 @@ class TestAverageCovariance:
         n1, n2 = (nu2 - 1) / 2, (nu1 - 1) / 2
         closed = np.diag([2 * (n1 + x * x) + 1] * 2 + [2 * (n2 + y * y) + 1] * 2)
         closed[:2, 2:] = closed[2:, :2] = -2 * x * y * np.diag([1.0, -1.0])
-        numeric = eve_average_covariance(qpsk(1.0), p)
+        numeric = displaced_thermal_ensemble(qpsk(1.0), p).average_covariance()
         assert np.max(np.abs(numeric - closed)) < 1e-10
 
     def test_transformed_average_matches_direct(self):
@@ -292,7 +291,7 @@ class TestAverageCovariance:
         p = ChannelParams(tau=0.4, nbar=0.02)
         c = qpsk(1.0)
         smap, _, _ = williamson_standard_two_mode(eve_reduced_covariance(p))
-        ens_cov = eve_average_covariance(c, p)
+        ens_cov = displaced_thermal_ensemble(c, p).average_covariance()
         direct = average_covariance(
             [eve_conditional_mean(a, p) for a in c.amplitudes],
             c.probs,

@@ -137,6 +137,12 @@ class TestThermalEntropy:
         assert thermal_entropy(nbar) == pytest.approx(bits, rel=1e-15, abs=0)
         assert thermal_entropy(nbar, "nats") == pytest.approx(bits * math.log(2), rel=1e-15, abs=0)
 
+    @pytest.mark.parametrize("nbar", [-1.0, -1e-3, math.nan, math.inf])
+    def test_negative_or_non_finite_rejected(self, nbar):
+        # these returned 0.0 (negative) or nan (non-finite)
+        with pytest.raises(ValueError, match="mean photon number must be finite and >= 0"):
+            thermal_entropy(nbar)
+
 
 class TestSpectrumEntropy:
     def test_uniform_spectrum(self):

@@ -50,7 +50,8 @@ class TestStates:
     def test_tmsv_schmidt_populations(self):
         nbar = 0.01
         lam = math.tanh(0.5 * math.acosh(1.02))
-        rho = fock.fock_tmsv(nbar, 12)
+        ket, _ = fock.tmsv_ket(nbar, 12)
+        rho = np.outer(ket, ket.conj())
         d = 13
         diag = np.diag(rho).real.reshape(d, d)
         n = np.arange(4)
@@ -66,7 +67,7 @@ class TestStates:
         with pytest.raises(fock.FockConvergenceError, match="leakage nan"):
             fock._require_deficit(math.nan, "a NaN deficit")
 
-    @pytest.mark.parametrize("make", [fock.fock_thermal, fock.tmsv_ket, fock.fock_tmsv])
+    @pytest.mark.parametrize("make", [fock.fock_thermal, fock.tmsv_ket])
     @pytest.mark.parametrize("nbar", [math.nan, math.inf, -math.inf, -0.1])
     def test_non_finite_or_negative_nbar_rejected(self, make, nbar):
         with pytest.raises(ValueError, match="finite and >= 0"):
@@ -324,16 +325,6 @@ class TestScalars:
             entropy_from_cov(make_thermal(0.3).cov), abs=1e-5
         )
 
-    def test_partial_trace_of_tmsv(self):
-        nbar = 0.05
-        rho = fock.fock_tmsv(nbar, 15)
-        marg = fock.fock_partial_trace(rho, (16, 16), keep=(0,))
-        thermal = fock.fock_thermal(nbar, 15)
-        assert np.max(np.abs(marg - thermal)) < 1e-10
-
-    def test_partial_trace_bad_modes(self):
-        with pytest.raises(ValueError):
-            fock.fock_partial_trace(np.eye(4) / 4, (2, 2), keep=(3,))
 
 
 class TestEveExact:
@@ -947,7 +938,7 @@ class TestUnderflowingKets:
         assert np.all(np.isfinite(ket))
         assert deficit == 1.0
         with pytest.raises(fock.FockConvergenceError):
-            fock.fock_tmsv(nbar, 18)
+            fock.fock_thermal(nbar, 18)
 
     def test_oracle_row_at_large_amplitude_warns_nothing(self):
         cfg = ScanConfig(tau_min=0.5, tau_max=0.5, tau_steps=1, nbars=[0.01], alpha=40.0,

@@ -1,9 +1,13 @@
-"""The README against the code it documents: the command-line flags and the
-values printed in the library sketch."""
+"""The README against the code it documents: the command-line flags, the
+values printed in the library sketch and the names it quotes."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
+import evebounds
+import reference
 from evebounds.cli import build_parser
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -44,3 +48,30 @@ def test_library_sketch_values():
         assert f"{value:.4f}" == printed.group(1), line
         checked += 1
     assert checked == 4
+
+
+MODULES = {info.name: importlib.import_module(f"evebounds.{info.name}")
+           for info in pkgutil.iter_modules(evebounds.__path__)}
+
+
+def resolves(name):
+    """A dotted name whose first part is a module of the package resolves
+    in that module; any other name in a package module or in
+    `tests/reference.py`."""
+    head, *attrs = name.split(".")
+    if head in MODULES:
+        roots = [MODULES[head]]
+    else:
+        roots = [getattr(m, head) for m in (*MODULES.values(), reference) if hasattr(m, head)]
+    for obj in roots:
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is not None:
+            return True
+    return False
+
+
+def test_quoted_names_exist():
+    quoted = set(re.findall(r"`([A-Za-z_]\w*(?:\.\w+)*)`", README))
+    names = {name for name in quoted if "_" in name or "." in name}
+    assert {name for name in names if not resolves(name)} == set()
