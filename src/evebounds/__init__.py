@@ -1,5 +1,5 @@
-"""Upper bounds and a Gram-matrix estimate of an eavesdropper's von Neumann
-entropy for discretely modulated continuous-variable QKD under the
+"""Upper bounds and a Gram-matrix lower bound of an eavesdropper's von
+Neumann entropy for discretely modulated continuous-variable QKD under the
 entangling-cloner attack, with a truncated Fock-space oracle for
 validation.  Each module's `__all__` is the one list of its public names,
 and the top level re-exports them."""

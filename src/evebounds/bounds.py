@@ -1,7 +1,7 @@
 """Eavesdropper-entropy estimators for a discretely modulated protocol.
 
-Three estimators are compared; the first two are upper bounds, the third
-is not:
+Three estimators are compared; the first two are upper bounds, and so
+security bounds, the third a lower bound:
 
 * `eb_qpsk_entropy`: the entangled-based bound.  The four-state average is
   purified, the purification's covariance is pushed through the channel,
@@ -24,15 +24,28 @@ is not:
   with the complex coherent-state overlaps of the displacement amplitudes
   as entries.  For a pure ensemble the Gram spectrum equals the
   average-state spectrum, so it is exact at nbar = 0.  For nbar > 0 it
-  drops the thermal noise and is a lower estimate, not a security bound:
-  at (tau, nbar, alpha) = (0.5, 0.01, 0.05) it gives 0.01404 bits against
-  0.05942 for the true entropy and for `bm_get_entropy`.  `gram_matrix`
-  returns the K x K array, a closed-form expression over the K x M
-  displacement amplitudes (K states, M modes), and `gram_entropy` checks
-  it (Hermitian, unit trace, no eigenvalue below -1e-8) with the one
-  eigensolve that gives its entropy, the `states.spectrum_entropy` of its
-  spectrum (one row per cell of a stack).  `eb` and `bm-get` take theirs
-  through `states.symplectic_entropy`.
+  drops the thermal noise and is a lower bound on the true entropy, so
+  not a security bound: at (tau, nbar, alpha) = (0.5, 0.01, 0.05) it
+  gives 0.01404 bits against 0.05942 for the true entropy and for
+  `bm_get_entropy`.  Why it cannot exceed the true entropy:
+  - the ensemble's average state has the true entropy
+    (`cloner.displaced_thermal_ensemble`), and each member is a coherent
+    state on mode 1 times a displaced thermal state D(b) t D(b)^dag on
+    mode 2, all with the one thermal state t;
+  - t is a Gaussian mixture of coherent states (its P function is a
+    positive Gaussian), so D(b) t D(b)^dag mixes the states
+    D(beta) |b><b| D(beta)^dag with the same weights for every member;
+  - so the average state is a random-displacement channel on mode 2
+    applied to the pure surrogate sum_k p_k |b_k1, b_k2><b_k1, b_k2|,
+    whose nonzero spectrum is that of the Gram matrix;
+  - that channel is a mixture of unitaries, and by the concavity of the
+    entropy a mixture of unitaries cannot lower it.
+  `gram_matrix` returns the K x K array, a closed-form expression over the
+  K x M displacement amplitudes (K states, M modes), and `gram_entropy`
+  checks it (Hermitian, unit trace, no eigenvalue below -1e-8) with the
+  one eigensolve that gives its entropy, the `states.spectrum_entropy` of
+  its spectrum (one row per cell of a stack).  `eb` and `bm-get` take
+  theirs through `states.symplectic_entropy`.
 
 The ensemble, `gram_matrix`, `gram_entropy` and
 `gaussian_extremality_entropy` also take a leading axis of grid cells (see
@@ -82,9 +95,8 @@ def gram_matrix(ensemble):
     overlap <a|b> = exp(-|b - a|^2 / 2 + i Im(conj(a) b)) taken per mode and
     multiplied over the modes.  Exact whenever the thermal photon numbers
     vanish; for mixed ensembles it deliberately drops the thermal
-    covariance, keeping the overlap phases (its entropy provably stays
-    below the Gaussian-extremality bound because the true average state is
-    the pure surrogate convolved with thermal noise).
+    covariance, keeping the overlap phases, and its entropy is then a lower
+    bound on the true entropy (the module docstring gives the argument).
 
     The modulus is taken from |b - a|^2, not |a|^2 + |b|^2 - 2 Re(conj(a) b),
     which cancels for large amplitudes, and the phase as 0.5 (X - X^T) with

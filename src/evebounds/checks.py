@@ -299,8 +299,10 @@ def _switch_rule_distances(cutoff, alpha, herm, sym, rng):
     psi] serve all three rules, and rule 2 reuses rule 1's S(z) psi.
     Squeezers go through the Chebyshev exponential of
     `fock.apply_generator`, three here after the one that builds the
-    probe; displacements and rotations through a cached and a stacked
-    tridiagonal eigenbasis, exact under truncation.
+    probe; displacements through a cached tridiagonal eigenbasis, and
+    rotations as phase, cached beam splitter, phase on the complete
+    photon-number sectors with an eigensolve only on the truncated ones;
+    both are exact under truncation.
     """
     ket = _random_gaussian_ket(cutoff, rng)
     gen_s = fock.squeeze_generator(cutoff, sym)

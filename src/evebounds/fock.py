@@ -5,12 +5,19 @@ A map of the module; each argument is made once, in the docstring named.
 - States (`tmsv_ket`, `fock_thermal`) are plain arrays at an explicit
   cutoff; losing more than `DEFICIT_LIMIT` raises FockConvergenceError.
 - The `--check` exponentials act on two-mode kets: `apply_displacement`
-  through a cached tridiagonal eigenbasis, `apply_rotation` through the
-  packed photon-number sectors of `_packed_sectors`, and `apply_generator`
-  as a Chebyshev expansion of `squeeze_generator` weights.
+  through a cached tridiagonal eigenbasis, `apply_rotation` as
+  phase, cached beam splitter, phase on the complete photon-number
+  sectors with an eigensolve only on the truncated ones, and
+  `apply_generator` as a Chebyshev expansion of `squeeze_generator`
+  weights.
+- The photon-number sectors a rotation keeps are laid out in blocks
+  (`_packed_sectors` for all of them, `_truncated_sectors` for the ones
+  truncation cuts short) and diagonalized by one stacked eigensolve
+  (`_sector_blocks`).
 - The beam splitter's real eigenbasis, the `_packed_sectors` blocks of
-  `_BS_PHI`, is cached per cutoff (`_bs_sectors`); the dense `fock_bs` goes
-  through `apply_rotation`.
+  `_BS_PHI`, is cached per cutoff (`_bs_basis`) and shared by
+  `apply_rotation` and the oracle's gather arrays (`_bs_sectors`); the
+  dense `fock_bs` goes through `apply_rotation`.
 - The oracle, `eve_exact_entropy`, takes the eavesdropper's entropy from
   the Gram side of her real factor (`_eve_factor` argues the real
   arithmetic), reduced to one amplitude per rotation orbit
@@ -31,7 +38,9 @@ import numpy as np
 # and bench/run.py reads `evebounds.fock.eb_z4.cache_info()`.
 from .bounds import eb_z4
 from .cloner import _rotation_orbits
+from .linalg import require_finite, require_hermitian
 from .states import _log, spectrum_entropy
+from .unitaries import expm_i_hermitian
 
 __all__ = [
     "FockConvergenceError",
@@ -318,24 +327,50 @@ def apply_displacement(alpha, kets, cutoff):
     return out.reshape(kets.shape)
 
 
-def _packed_sectors(phi, cutoff):
-    """(vals, vecs, phase, labels): the generator h = -a^dag phi a of
-    R(phi) = exp(i a^dag phi a) = exp(-i h) on two modes truncated at
-    `cutoff`, for a complex 2 x 2 phi, as one eigensolve of d = cutoff + 1
-    real blocks of d states.
+def _sector_blocks(phi, n0, n1):
+    """(vals, vecs, phase): the generator h = -a^dag phi a of
+    R(phi) = exp(i a^dag phi a), for a complex 2 x 2 phi, on blocks of
+    photon-number-sector states, as one stacked eigensolve of real blocks.
 
-    R(phi) keeps the total photon number N.  In sector N, on the kets
-    |n0, N - n0>, h is tridiagonal with diagonal -(phi00 n0 + phi11 n1) and
-    <n0+1, n1-1| h |n0, n1> = -phi01 sqrt(n0+1) sqrt(n1).  Sector N < cutoff
-    has N + 1 states and sector N + d has cutoff - N, so the two share
-    block N, and sector cutoff fills block cutoff alone: |n0, n1> sits in
-    block (n0 + n1) mod d at position n0, and the hop between the two
-    sectors of a block, at n1 = 0, is an exact zero.  Every hop has phase
-    arg(-phi01), so h = P T P^dag with P = diag(exp(i arg(-phi01) n0)) and
-    T real symmetric.  One stacked `eigh` gives every block's
-    T = V diag(vals) V^T.  LAPACK splits T at the zero, so each eigenvector
-    column is nonzero in one sector only, and any V f(vals) V^T links no
-    two sectors: its entries between them are exact zeros.
+    Position p of block k holds the two-mode state |n0[k, p], n1[k, p]>,
+    and n0 steps up by one along each sector in a block.  R(phi) keeps the
+    total photon number N.  In sector N, on the kets |n0, N - n0>, h is
+    tridiagonal with diagonal -(phi00 n0 + phi11 n1) and
+    <n0+1, n1-1| h |n0, n1> = -phi01 sqrt(n0+1) sqrt(n1); the hop between
+    two neighbours of different sectors is an exact zero.  Every hop has
+    phase arg(-phi01), so h = P T P^dag with T real symmetric and
+    P = diag(exp(i arg(-phi01) p)) by position, which is
+    exp(i arg(-phi01) n0) up to one constant phase per sector.  One
+    stacked `eigh` gives every block's T = V diag(vals) V^T.  LAPACK splits
+    T at the zeros, so each eigenvector column is nonzero in one sector
+    only, and any V f(vals) V^T links no two sectors: its entries between
+    them are exact zeros.
+
+    Returns:
+        (vals, vecs, phase): the (blocks, w) eigenvalues, the
+        (blocks, w, w) stack of real eigenvector columns V and the (w, 1)
+        phases of P by position.
+    """
+    blocks, width = np.broadcast_shapes(n0.shape, n1.shape)
+    t = np.zeros((blocks, width * width))
+    t[:, :: width + 1] = -(phi[0, 0].real * n0 + phi[1, 1].real * n1)
+    hop = abs(phi[0, 1]) * np.sqrt(n0[:, 1:] * n1[:, :-1])
+    t[:, 1 :: width + 1] = t[:, width :: width + 1] = np.where(np.diff(n0 + n1) == 0, hop, 0.0)
+    vals, vecs = np.linalg.eigh(t.reshape(blocks, width, width))
+    phase = np.exp(1j * np.angle(-phi[0, 1]) * np.arange(width))[:, None]
+    return vals, vecs, phase
+
+
+def _packed_sectors(phi, cutoff):
+    """(vals, vecs, phase, labels): `_sector_blocks` of all 2 cutoff + 1
+    photon-number sectors of two modes truncated at `cutoff`, packed into
+    d = cutoff + 1 blocks of d states.
+
+    Sector N < cutoff has N + 1 states and sector N + d has cutoff - N, so
+    the two share block N, and sector cutoff fills block cutoff alone:
+    |n0, n1> sits in block (n0 + n1) mod d at position n0, so P is
+    diag(exp(i arg(-phi01) n0)), and the hop between the two sectors of a
+    block is the one at n1 = 0.
 
     Returns:
         (vals, vecs, phase, labels): the (d, d) block eigenvalues, the
@@ -346,12 +381,57 @@ def _packed_sectors(phi, cutoff):
     d = cutoff + 1
     block, n0 = np.ogrid[:d, :d]
     n1 = (block - n0) % d
-    t = np.zeros((d, d * d))
-    t[:, :: d + 1] = -(phi[0, 0].real * n0 + phi[1, 1].real * n1)
-    t[:, 1 :: d + 1] = t[:, d :: d + 1] = abs(phi[0, 1]) * np.sqrt(n0[:, 1:] * n1[:, :-1])
-    vals, vecs = np.linalg.eigh(t.reshape(d, d, d))
-    phase = np.exp(1j * np.angle(-phi[0, 1]) * np.arange(d))[:, None]
-    return vals, vecs, phase, n0 * d + n1
+    return (*_sector_blocks(phi, n0, n1), n0 * d + n1)
+
+
+def _truncated_sectors(cutoff):
+    """(n0, n1): the `_sector_blocks` layout of the cutoff sectors
+    N > cutoff, the ones truncation cuts short, packed two to a block of
+    w = cutoff | 1 states (the odd one of cutoff and cutoff + 1).
+
+    Sector 2 cutoff + 1 - s holds the s states n0 = cutoff + 1 - s .. cutoff,
+    s = 1 .. cutoff.  Block k holds the sector of size s = k + w - cutoff at
+    its first s positions and the sector of size w - s after them, so the
+    sizes pair up as (1, cutoff), (2, cutoff - 1), ... for an even cutoff
+    and as (0, cutoff), (1, cutoff - 1), ... for an odd one: ceil(cutoff / 2)
+    blocks hold every state once, with no padding.
+    """
+    width = cutoff | 1
+    small = np.arange((cutoff + 1) // 2)[:, None] + width - cutoff
+    p = np.arange(width)
+    first = p < small
+    n0 = p + cutoff + 1 - np.where(first, small, width)
+    n1 = cutoff - p + np.where(first, 0, small)
+    return n0, n1
+
+
+def _euler_angles(v):
+    """(theta, left, right) with v = D1 B(theta) D2 for a 2 x 2 unitary v:
+    B(theta) = exp(i theta `_BS_PHI`) = [[cos, sin], [-sin, cos]] with
+    theta in [0, pi / 2], D1 = diag(exp(i left)) and D2 = diag(exp(i right)).
+
+    With D1's first phase 0, v00 = exp(i right0) cos theta,
+    v01 = exp(i right1) sin theta and det v = exp(i (left1 + right0 + right1)).
+    D1's second phase is taken from det v, not from
+    -v10 = exp(i (left1 + right0)) sin theta, whose phase is lost at
+    theta = 0.  Where cos theta or sin theta is 0, the phase read from the
+    vanishing entry is arbitrary and the product still equals v.
+    """
+    theta = math.atan2(abs(v[0, 1]), abs(v[0, 0]))
+    right = np.angle(v[0])
+    det = v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]
+    return theta, np.array([0.0, np.angle(det) - right.sum()]), right
+
+
+def _rotate_blocks(out, flat, labels, vecs, spin, left, right):
+    """out[:, labels] = left V (spin V^T (right flat[:, labels])) on every
+    block of the (k, d^2) stack `flat`, with the (blocks, w) `labels` of a
+    sector layout, its real (blocks, w, w) eigenvectors V, and the factors
+    spin (by eigenvalue) and left and right (by position) broadcast over
+    the blocks.  V acts by two real products on (re, im) pairs."""
+    spun = vecs.transpose(0, 2, 1) @ (flat.T[labels] * right[..., None]).view(float)
+    spun = spun.view(complex) * spin[..., None]
+    out.T[labels] = (vecs @ spun.view(float)).view(complex) * left[..., None]
 
 
 def apply_rotation(phi, kets, cutoff):
@@ -359,19 +439,42 @@ def apply_rotation(phi, kets, cutoff):
     or a (k, d^2) stack, d = cutoff + 1), equal to the exponential of the
     sparse generator i a^dag phi a for a Hermitian 2 x 2 phi.
 
-    On every block of `_packed_sectors`, P V exp(-i vals) V^T P^dag acts as
-    two real products on (re, im) pairs, so a ket in one sector stays in it
-    exactly.
+    The paper's split of a passive two-mode unitary: V = exp(i phi) is
+    D1 B(theta) D2, two diagonal phases around a beam splitter
+    (`_euler_angles`).  On the cutoff + 1 complete sectors N <= cutoff,
+    which truncation leaves whole, V -> R(V) is a group representation, so
+    R = R(D1) R(B) R(D2): the phases act as exp(i (c0 n0 + c1 n1)) on the
+    Fock basis and the beam splitter as exp(-i theta vals) in its cached,
+    phi-free eigenbasis (`_bs_basis`), with no eigensolve.  Only the
+    truncated sectors N > cutoff, where truncation breaks the group law,
+    take an eigensolve of their own generator: ceil(cutoff / 2) blocks of
+    at most d states (`_truncated_sectors`).  Both routes run
+    `_rotate_blocks` on sector layouts; the beam splitter's blocks also
+    hold the truncated sectors, whose output the second route overwrites.
+    A ket in one sector stays in it exactly.
     """
     phi = np.asarray(phi, dtype=complex)
+    if phi.shape != (2, 2):
+        raise ValueError(f"rotation generator must be 2 x 2, got shape {phi.shape}")
+    require_finite(phi, "rotation generator")
+    require_hermitian(phi, "rotation generator")
     d = cutoff + 1
     kets = np.asarray(kets, dtype=complex)
     flat = kets.reshape(-1, d * d)
-    vals, vecs, phase, labels = _packed_sectors(phi, cutoff)
-    spun = vecs.transpose(0, 2, 1) @ (flat.T[labels] * phase.conj()).view(float)
-    spun = spun.view(complex) * np.exp(-1j * vals)[:, :, None]
     out = np.empty_like(flat)
-    out.T[labels] = (vecs @ spun.view(float)).view(complex) * phase
+    # every sector as R(D1) R(B(theta)) R(D2), right for N <= cutoff only
+    theta, left, right = _euler_angles(expm_i_hermitian(phi))
+    vals, vecs, phase, labels = _bs_basis(cutoff)
+    n0, n1 = np.divmod(labels, d)
+    left, right = (np.exp(1j * (c[0] * n0 + c[1] * n1)) for c in (left, right))
+    phase = phase[:, 0]
+    _rotate_blocks(out, flat, labels, vecs, np.exp(-1j * theta * vals),
+                   phase * left, phase.conj() * right)
+    # the sectors N > cutoff again, from their own truncated generator
+    n0, n1 = _truncated_sectors(cutoff)
+    vals, vecs, phase = _sector_blocks(phi, n0, n1)
+    phase = phase[:, 0]
+    _rotate_blocks(out, flat, n0 * d + n1, vecs, np.exp(-1j * vals), phase, phase.conj())
     return out.reshape(kets.shape)
 
 
@@ -380,9 +483,23 @@ _BS_PHI = np.array([[0, -1j], [1j, 0]])
 
 
 @lru_cache(maxsize=8)
+def _bs_basis(cutoff):
+    """The `_packed_sectors` of `_BS_PHI`, (vals, vecs, phase, labels)
+    with P = diag(i^n0): the real eigenbasis of the beam splitter's
+    tau-free generator.  `apply_rotation` and the oracle's `_bs_sectors`
+    share it, so a cutoff costs one eigensolve.  Read-only, since every
+    caller shares it."""
+    basis = _packed_sectors(_BS_PHI, cutoff)
+    for arr in basis:
+        arr.flags.writeable = False
+    return basis
+
+
+@lru_cache(maxsize=8)
 def _bs_sectors(cutoff):
     """Tau-free real eigenbasis of the beam-splitter generator: the
-    `_packed_sectors` blocks of `_BS_PHI`, d = cutoff + 1 blocks of d states.
+    `_packed_sectors` blocks of `_BS_PHI` (`_bs_basis`), d = cutoff + 1
+    blocks of d states, with the oracle's gather arrays.
 
     There P = diag(i^j), j = n0 the position in the block, so the beam
     splitter's block is U_jk = i^(j-k) sum_m V_jm V_km exp(-i theta vals_m).
@@ -404,7 +521,7 @@ def _bs_sectors(cutoff):
         row and its column.  All arrays are read-only, since every caller
         shares them.
     """
-    vals, vecs, _, labels = _packed_sectors(_BS_PHI, cutoff)
+    vals, vecs, _, labels = _bs_basis(cutoff)
     vecs_t = np.ascontiguousarray(vecs.transpose(0, 2, 1))
     low = np.tri(cutoff + 1, dtype=bool)  # position <= block: the lower sector
     slot = np.flatnonzero(low[:, :, None] == low[:, None, :])
@@ -413,7 +530,7 @@ def _bs_sectors(cutoff):
     sign = (-1.0) ** ((j - k) // 2)
     row = np.broadcast_to(labels[:, :, None], vecs.shape).reshape(-1)[slot]
     col = np.broadcast_to(labels[:, None, :], vecs.shape).reshape(-1)[slot]
-    for arr in (vecs, vecs_t, vals, index, sign, row, col):
+    for arr in (vecs_t, index, sign, row, col):
         arr.flags.writeable = False
     return vecs, vecs_t, vals, index, sign, row, col
 
@@ -432,10 +549,10 @@ def _bs_slot_values(tau, cutoff):
 def fock_bs(tau, cutoff):
     """Dense two-mode beam-splitter unitary exp(theta (a^dag b - a b^dag)),
     cos(theta) = sqrt(tau): `apply_rotation` at phi = theta `_BS_PHI`
-    applied to every basis ket.  It shares `_packed_sectors` with the
-    oracle's `_bs_sectors`, so the tests check both against the dense
-    exponential of `tests/reference.py`; the oracle itself never forms the
-    dense unitary.
+    applied to every basis ket.  On the complete sectors it runs on the
+    cached `_bs_basis` that the oracle's `_bs_sectors` reads, so the tests
+    check both against the dense exponential of `tests/reference.py`; the
+    oracle itself never forms the dense unitary.
     """
     dim = (cutoff + 1) ** 2
     return apply_rotation(_bs_angle(tau) * _BS_PHI, np.eye(dim, dtype=complex), cutoff).T

@@ -3,11 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evebounds import bounds, fock
+from evebounds.blochmessiah import _hermitian_phase
 from evebounds.cli import ScanConfig, run_scan
 from evebounds.cloner import ChannelParams, Constellation, _orbits_by_value, _rotation_orbits, qpsk
 from evebounds.states import entropy_from_cov
+from evebounds.unitaries import expm_i_hermitian
 from reference import (
     apply_sparse_generator,
     bs_generator,
@@ -192,6 +196,100 @@ def test_packed_rotation_keeps_sectors_apart(name, cutoff):
     out = fock.apply_rotation(phi, kets, cutoff)
     assert np.all(out[~inside] == 0.0)
     assert np.allclose(np.linalg.norm(out, axis=1), np.linalg.norm(kets, axis=1), atol=1e-14)
+
+
+def one_sector_kets(cutoff, rng):
+    """(kets, inside): a random ket in each photon-number sector
+    N = 0 .. 2 cutoff, zero outside it, and the masks of those sectors."""
+    d = cutoff + 1
+    sectors = np.arange(2 * cutoff + 1)[:, None]
+    inside = np.add.reduce(np.divmod(np.arange(d * d), d)) == sectors
+    return random_kets(rng, sectors.size, cutoff) * inside, inside
+
+
+# The corners of the split exp(i phi) = D1 B(theta) D2 of `fock._euler_angles`.
+EULER_CORNERS = {
+    # theta = pi / 2, V00 = 0
+    "swap": math.pi / 2 * fock._BS_PHI,
+    # theta = 0, V01 = V10 = 0, with wrapped phases
+    "diagonal-x37": 37 * ROTATIONS["diagonal"],
+    # eigenphases pi and 0.4 in a basis that mixes the modes
+    "eigenphase-pi": (lambda q: q @ np.diag([math.pi, 0.4]) @ q.conj().T)(
+        np.array([[1, 1j], [1j, 1]]) / math.sqrt(2)),
+    # the eigenphases of 37 phi wrap several times around the circle
+    "random-x37": 37 * ROTATIONS["random"],
+}
+
+
+@pytest.mark.parametrize("cutoff", [5, 6, 7, 13])
+@pytest.mark.parametrize("name", sorted(EULER_CORNERS))
+def test_rotation_euler_corners(name, cutoff):
+    phi = EULER_CORNERS[name]
+    kets, inside = one_sector_kets(cutoff, np.random.default_rng(cutoff))
+    out = fock.apply_rotation(phi, kets, cutoff)
+    assert np.all(out[~inside] == 0.0)
+    reference = apply_sparse_generator(rotation_generator(cutoff, 2, phi), kets)
+    assert np.max(np.abs(out - reference)) < 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [5, 6, 13])
+@pytest.mark.parametrize("first, second", [("random", "eigenphase-pi"), ("random-x37", "swap"),
+                                           ("swap", "swap"), ("diagonal", "random-x37")])
+def test_rotation_group_law_on_complete_sectors(first, second, cutoff):
+    # On the sectors N <= cutoff, which truncation leaves whole,
+    # R(phi1) R(phi2) = R(phi12) with exp(i phi12) = exp(i phi1) exp(i phi2).
+    phi1, phi2 = ({**ROTATIONS, **EULER_CORNERS}[name] for name in (first, second))
+    phi12 = _hermitian_phase(expm_i_hermitian(phi1) @ expm_i_hermitian(phi2))
+    d = cutoff + 1
+    complete = np.add.reduce(np.divmod(np.arange(d * d), d)) <= cutoff
+    kets = random_kets(np.random.default_rng(cutoff), 3, cutoff) * complete
+    twice = fock.apply_rotation(phi1, fock.apply_rotation(phi2, kets, cutoff), cutoff)
+    assert np.max(np.abs(twice - fock.apply_rotation(phi12, kets, cutoff))) < 1e-12
+
+
+# Entries on a 1e-6 grid: scipy's norm estimate inside the reference's
+# expm_multiply overflows on tiny nonzero entries such as 1e-45.
+@settings(derandomize=True, database=None, deadline=None)
+@given(entries=st.lists(st.floats(-5.0, 5.0).map(lambda x: round(x, 6)), min_size=4, max_size=4),
+       cutoff=st.integers(5, 9), seed=st.integers(0, 2**32 - 1))
+def test_rotation_matches_generator_property(entries, cutoff, seed):
+    a, b, re, im = entries
+    phi = np.array([[a, re - 1j * im], [re + 1j * im, b]])
+    phi *= 5.0 / max(5.0, np.linalg.norm(phi, 2))
+    kets = random_kets(np.random.default_rng(seed), 2, cutoff)
+    out = fock.apply_rotation(phi, kets, cutoff)
+    reference = apply_sparse_generator(rotation_generator(cutoff, 2, phi), kets)
+    assert np.max(np.abs(out - reference)) < 1e-12
+    assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("phi, match", [
+    (np.eye(3), r"must be 2 x 2, got shape \(3, 3\)"),
+    ([[math.nan, 0], [0, 0]], "NaN or Inf"),
+    ([[0, 1], [0, 0]], "not Hermitian"),
+    ([[1j, 0], [0, 0]], "not Hermitian"),
+], ids=["shape", "not-finite", "upper-triangle", "imaginary-diagonal"])
+def test_rotation_rejects_bad_generator(phi, match):
+    with pytest.raises(ValueError, match=match):
+        fock.apply_rotation(phi, np.zeros(36), 5)
+
+
+def test_beam_splitter_basis_is_shared_and_read_only(monkeypatch):
+    first, second = fock._bs_basis(18), fock._bs_basis(18)
+    assert all(a is b and not a.flags.writeable for a, b in zip(first, second))
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or eigh(m))
+    fock._bs_basis.cache_clear()
+    fock._bs_sectors.cache_clear()
+    vecs, _, vals, *_ = fock._bs_sectors(11)
+    fock.apply_rotation(ROTATIONS["random"], random_kets(np.random.default_rng(1), 2, 11), 11)
+    # one eigensolve of the 12 packed blocks serves the oracle and the
+    # rotation, which adds the 2 x 2 exp(i phi) and the ceil(11 / 2)
+    # truncated-sector blocks of 11 states
+    assert shapes == [(12, 12, 12), (2, 2), (6, 11, 11)]
+    basis_vals, basis_vecs, *_ = fock._bs_basis(11)
+    assert vecs is basis_vecs and vals is basis_vals
 
 
 @pytest.mark.parametrize("cutoff", [5, 18, 50])
@@ -492,6 +590,20 @@ def test_packed_eigenvectors_stay_in_one_sector(phi, cutoff):
     assert vals.shape == (d, d) and vecs.shape == (d, d, d) and phase.shape == (d, 1)
     assert np.array_equal(np.sort(labels.reshape(-1)), np.arange(d * d))
     assert_columns_in_one_sector(vecs)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 5, 6, 50])
+def test_truncated_sectors_hold_each_state_once(cutoff):
+    d = cutoff + 1
+    n0, n1 = fock._truncated_sectors(cutoff)
+    assert n0.shape == n1.shape == ((cutoff + 1) // 2, cutoff | 1)
+    truncated = np.add.reduce(np.divmod(np.arange(d * d), d)) > cutoff
+    assert np.array_equal(np.sort((n0 * d + n1).reshape(-1)), np.flatnonzero(truncated))
+    _, vecs, _ = fock._sector_blocks(ROTATIONS["random"], n0, n1)
+    # each eigenvector column lies in the block's first sector or its second
+    first = (n0 + n1 == (n0 + n1)[:, :1])[:, :, None]
+    nonzero = vecs != 0
+    assert not np.any((nonzero & first).any(axis=1) & (nonzero & ~first).any(axis=1))
 
 
 @pytest.mark.parametrize("cutoff", [7, 8, 13, 18])
