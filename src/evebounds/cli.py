@@ -14,8 +14,9 @@ stacked over the cells: `bm-get` forms the cells' average covariances
 together and takes their determinants with one stacked `det`, and `bm-gme`
 checks the cells' Gram matrices as one stack and diagonalizes them with one
 `eigvalsh`.  The closed-form tails of `eb` and `bm-get` then run on floats
-per cell, and the oracle runs per cell.  Every value is the one the
-library call returns for that cell alone.
+per cell.  The oracle runs per cell, tau-major, so the cells that share a
+transmittance reuse its cached beam splitter (`fock._bs_slot_values`).
+Every value is the one the library call returns for that cell alone.
 """
 
 import argparse
@@ -54,6 +55,9 @@ class ScanConfig:
             raise ValueError(f"--tau-min/--tau-max must lie in [0, 1], got {self.tau_min}, {self.tau_max}")
         if self.tau_max < self.tau_min:
             raise ValueError("--tau-max must be >= --tau-min")
+        for flag, value in (("--tau-steps", self.tau_steps), ("--cutoff", self.cutoff)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{flag} must be an integer, got {value!r}")
         if self.tau_steps < 1:
             raise ValueError(f"--tau-steps must be >= 1, got {self.tau_steps}")
         # A repeated cell would print its rows again.
@@ -109,7 +113,11 @@ def _column(method, cfg, constellation, cells, ensemble):
         return [("pure-exact", _fmt(value), "ok")
                 for value in gram_entropy(gram_matrix(ensemble), base=cfg.log_base).tolist()]
     if method == "oracle":
-        return [_oracle_cell(cfg, constellation, params) for params in cells]
+        # tau-major, so each tau's beam splitter is built once for all nbars:
+        # this relies on `fock._bs_slot_values` holding one tau's two cutoffs
+        results = {i: _oracle_cell(cfg, constellation, cells[i])
+                   for i in sorted(range(len(cells)), key=lambda i: cells[i].tau)}
+        return [results[i] for i in range(len(cells))]
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -43,6 +43,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=flag):
             ScanConfig(**kwargs)
 
+    # 18.5 used to fail only inside run_scan, 2.5 with numpy's TypeError,
+    # and True ran a 1-step scan
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(cutoff=18.5, methods=["oracle"]), "--cutoff must be an integer, got 18.5"),
+        (dict(cutoff=True, methods=["oracle"]), "--cutoff must be an integer, got True"),
+        (dict(tau_steps=2.5), "--tau-steps must be an integer, got 2.5"),
+        (dict(tau_steps=True), "--tau-steps must be an integer, got True"),
+    ], ids=["float-cutoff", "bool-cutoff", "float-tau-steps", "bool-tau-steps"])
+    def test_integer_fields_rejected_when_built(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ScanConfig(**kwargs)
+
+    def test_numpy_integer_fields_accepted(self):
+        cfg = ScanConfig(tau_steps=np.int64(3), cutoff=np.int64(13), nbars=[0.01], methods=["oracle"])
+        assert run_scan(cfg) == run_scan(ScanConfig(tau_steps=3, cutoff=13, nbars=[0.01], methods=["oracle"]))
+
     def test_single_tau_accepted(self):
         assert ScanConfig(tau_min=0.5, tau_max=0.5, tau_steps=1).tau_grid().tolist() == [0.5]
 

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evebounds import bounds, fock
@@ -247,18 +247,20 @@ def test_rotation_group_law_on_complete_sectors(first, second, cutoff):
     assert np.max(np.abs(twice - fock.apply_rotation(phi12, kets, cutoff))) < 1e-12
 
 
-# Entries on a 1e-6 grid: scipy's norm estimate inside the reference's
-# expm_multiply overflows on tiny nonzero entries such as 1e-45.
+# The reference is the dense exponential, at most 100 x 100 here: scipy's
+# norm estimate inside `apply_sparse_generator` overflows on tiny nonzero
+# entries such as the 1.4e-45 of the example.
 @settings(derandomize=True, database=None, deadline=None)
-@given(entries=st.lists(st.floats(-5.0, 5.0).map(lambda x: round(x, 6)), min_size=4, max_size=4),
+@given(entries=st.lists(st.floats(-5.0, 5.0), min_size=4, max_size=4),
        cutoff=st.integers(5, 9), seed=st.integers(0, 2**32 - 1))
+@example(entries=[0.0, 1.4e-45, 0.0, 3.0], cutoff=6, seed=0)
 def test_rotation_matches_generator_property(entries, cutoff, seed):
     a, b, re, im = entries
     phi = np.array([[a, re - 1j * im], [re + 1j * im, b]])
     phi *= 5.0 / max(5.0, np.linalg.norm(phi, 2))
     kets = random_kets(np.random.default_rng(seed), 2, cutoff)
     out = fock.apply_rotation(phi, kets, cutoff)
-    reference = apply_sparse_generator(rotation_generator(cutoff, 2, phi), kets)
+    reference = kets @ fock_unitary(rotation_generator(cutoff, 2, phi)).T
     assert np.max(np.abs(out - reference)) < 1e-12
     assert np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)) < 1e-13
 
@@ -527,10 +529,48 @@ class TestEveExact:
         interleaved = [run(*call) for call in calls]
         for call, first in zip(calls, interleaved):
             fock._bs_sectors.cache_clear()
+            fock._bs_slot_values.cache_clear()
             fock._eve_layout.cache_clear()
             fresh = run(*call)
             assert np.array_equal(first[0], fresh[0])
             assert first[1:] == fresh[1:]
+
+    def test_slot_values_cached_and_read_only(self):
+        first = fock._bs_slot_values(0.3, 13)
+        assert fock._bs_slot_values(0.3, 13) is first
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 0
+
+    def test_invalid_tau_raises_on_every_call(self):
+        # exceptions are not cached
+        for _ in range(2):
+            with pytest.raises(ValueError, match="transmittance must lie in"):
+                fock._bs_slot_values(1.5, 7)
+
+    def test_scan_reuses_each_tau_and_matches_single_cells(self):
+        # each of the 5 taus misses at cutoffs 18 and 13 for the first nbar
+        # and hits for the second; every row is bit for bit the one of its
+        # cell run alone, with the cache warm and cold
+        cfg = ScanConfig(nbars=[0.01, 0.1], tau_steps=5, methods=["oracle"])
+        fock._bs_slot_values.cache_clear()
+        rows = run_scan(cfg)
+        info = fock._bs_slot_values.cache_info()
+        assert (info.misses, info.hits) == (10, 10)
+        assert run_scan(cfg) == rows
+        cells = [(tau, nbar) for nbar in cfg.nbars for tau in cfg.tau_grid().tolist()]
+        for (tau, nbar), row in zip(cells, rows, strict=True):
+            alone = ScanConfig(tau_min=tau, tau_max=tau, tau_steps=1, nbars=[nbar], methods=["oracle"])
+            warm = run_scan(alone)
+            fock._bs_slot_values.cache_clear()
+            assert warm == run_scan(alone) == [row]
+
+    def test_default_oracle_scan_hits_once_per_tau_and_cutoff(self):
+        # visited nbar-major, the default grid's 100 keys would outnumber the
+        # cache's 8 and no call would hit; tau-major, the second nbar hits
+        fock._bs_slot_values.cache_clear()
+        run_scan(ScanConfig(methods=["oracle"]))
+        info = fock._bs_slot_values.cache_info()
+        assert (info.misses, info.hits) == (100, 100)
 
     # the alpha = 2 cells of the oracle grid that cutoff 18 leaves
     # not-converged
@@ -585,8 +625,10 @@ def assert_columns_in_one_sector(vecs):
 @pytest.mark.parametrize("cutoff", [7, 50])
 @pytest.mark.parametrize("phi", [*ROTATIONS.values(), fock._BS_PHI], ids=[*ROTATIONS, "bs"])
 def test_packed_eigenvectors_stay_in_one_sector(phi, cutoff):
-    vals, vecs, phase, labels = fock._packed_sectors(phi, cutoff)
     d = cutoff + 1
+    n0, n1 = fock._packed_sectors(cutoff)
+    vals, vecs, phase = fock._sector_blocks(phi, n0, n1)
+    labels = n0 * d + n1
     assert vals.shape == (d, d) and vecs.shape == (d, d, d) and phase.shape == (d, 1)
     assert np.array_equal(np.sort(labels.reshape(-1)), np.arange(d * d))
     assert_columns_in_one_sector(vecs)
