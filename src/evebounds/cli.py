@@ -6,7 +6,9 @@ channel noise values and writes CSV with the fixed header
 ``variant`` column names the Gram rule of ``bm-gme`` rows, ``pure-exact``,
 and is ``-`` for the other methods.  Rows are sorted by (nbar, tau, method)
 and floats printed with 12 significant digits, so a given configuration
-always produces byte-identical output.
+always produces byte-identical output.  Each method gives one number per
+cell, None where the oracle does not converge, and `run_scan` alone turns
+them into rows, labelled from the taus and nbars the cells are built from.
 
 Each method runs over all grid cells at once.  `eb` takes X and Z4 once
 per scan.  `bm-get` and `bm-gme` share one displaced-thermal ensemble
@@ -21,7 +23,9 @@ Every value is the one the library call returns for that cell alone.
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass, field, fields
+from itertools import product
 
 import numpy as np
 
@@ -35,10 +39,15 @@ __all__ = ["ScanConfig", "run_scan", "main"]
 
 CSV_HEADER = "tau,nbar,alpha,method,variant,entropy,log_base,status"
 METHODS = ("eb", "bm-get", "bm-gme", "oracle")
+_VARIANTS = {"bm-gme": "pure-exact"}  # "-" for every other method
 
 
 @dataclass
 class ScanConfig:
+    """The grid, methods and output of one scan.  Fields are validated when
+    the config is built; a field changed later is scanned and labelled as
+    changed but is not validated again."""
+
     tau_min: float = 0.02
     tau_max: float = 0.98
     tau_steps: int = 50
@@ -81,12 +90,9 @@ class ScanConfig:
         if self.cutoff < 7:
             raise ValueError(f"--cutoff must be >= 7, got {self.cutoff}")
         # Taus or nbars a few ulps apart pass the checks above, but their
-        # cells print alike and would repeat rows.  `run_scan` prints these
-        # texts, made once here: a field set later is not printed anew.
-        self.tau_texts = [_fmt(tau) for tau in self.tau_grid().tolist()]
-        self.nbar_texts = [_fmt(float(nbar)) for nbar in sorted(self.nbars)]
-        for what, printed in (("taus of --tau-min, --tau-max and --tau-steps", self.tau_texts),
-                              ("--nbar values", self.nbar_texts)):
+        # cells print alike and would repeat rows.
+        for what, printed in (("taus of --tau-min, --tau-max and --tau-steps", _labels(self.tau_grid())),
+                              ("--nbar values", _labels(sorted(self.nbars)))):
             if len(set(printed)) < len(printed):
                 repeated = next(text for text in printed if printed.count(text) > 1)
                 raise ValueError(f"{what} print alike at 12 digits: {repeated} repeats")
@@ -99,52 +105,48 @@ def _fmt(value):
     return f"{value:.12g}"
 
 
+def _labels(values):
+    return [_fmt(float(value)) for value in values]
+
+
 def _column(method, cfg, constellation, cells, ensemble):
-    """(variant, entropy string, status) of `method` for each cell in
-    `cells`.  `ensemble` is the cells' one stacked displaced-thermal
-    ensemble, shared by bm-get and bm-gme."""
+    """The entropy of `method` at each cell in `cells`, or None where the
+    oracle does not converge.  `ensemble` is the cells' one stacked
+    displaced-thermal ensemble, shared by bm-get and bm-gme."""
     if method == "eb":
-        return [("-", _fmt(value), "ok")
-                for value in eb_qpsk_entropy(cfg.alpha, cells, base=cfg.log_base)]
+        return eb_qpsk_entropy(cfg.alpha, cells, base=cfg.log_base)
     if method == "bm-get":
-        return [("-", _fmt(value), "ok")
-                for value in gaussian_extremality_entropy(ensemble, base=cfg.log_base)]
+        return gaussian_extremality_entropy(ensemble, base=cfg.log_base)
     if method == "bm-gme":
-        return [("pure-exact", _fmt(value), "ok")
-                for value in gram_entropy(gram_matrix(ensemble), base=cfg.log_base).tolist()]
+        return gram_entropy(gram_matrix(ensemble), base=cfg.log_base).tolist()
     if method == "oracle":
         # tau-major, so each tau's beam splitter is built once for all nbars:
         # this relies on `fock._bs_slot_values` holding one tau's two cutoffs
-        results = {i: _oracle_cell(cfg, constellation, cells[i])
-                   for i in sorted(range(len(cells)), key=lambda i: cells[i].tau)}
-        return [results[i] for i in range(len(cells))]
+        values = [None] * len(cells)
+        for i in sorted(range(len(cells)), key=lambda i: cells[i].tau):
+            with suppress(FockConvergenceError):
+                values[i] = eve_exact_entropy(constellation, cells[i], cutoff=cfg.cutoff,
+                                              base=cfg.log_base).value
+        return values
     raise ValueError(f"unknown method {method!r}")
-
-
-def _oracle_cell(cfg, constellation, params):
-    try:
-        result = eve_exact_entropy(constellation, params, cutoff=cfg.cutoff, base=cfg.log_base)
-    except FockConvergenceError:
-        return "-", "", "not-converged"
-    return "-", _fmt(result.value), "ok"
 
 
 def run_scan(cfg):
     """All CSV rows (header excluded) for a configuration, sorted."""
     constellation = qpsk(cfg.alpha)
-    cells = [ChannelParams(tau=float(tau), nbar=float(nbar))
-             for nbar in sorted(cfg.nbars) for tau in cfg.tau_grid()]
+    taus, nbars = cfg.tau_grid().tolist(), sorted(cfg.nbars)
+    cells = [ChannelParams(tau=tau, nbar=float(nbar)) for nbar, tau in product(nbars, taus)]
     methods = sorted(cfg.methods)
     needs_ensemble = not {"bm-get", "bm-gme"}.isdisjoint(methods)
     ensemble = displaced_thermal_ensemble(constellation, cells) if needs_ensemble else None
     columns = [_column(method, cfg, constellation, cells, ensemble) for method in methods]
     alpha = _fmt(cfg.alpha)
-    prefixes = [f"{tau},{nbar},{alpha}," for nbar in cfg.nbar_texts for tau in cfg.tau_texts]
-    return [
-        f"{prefix}{method},{variant},{entropy},{cfg.log_base},{status}"
-        for prefix, results in zip(prefixes, zip(*columns))
-        for method, (variant, entropy, status) in zip(methods, results)
-    ]
+    labels = [f"{tau},{nbar},{alpha}," for nbar, tau in product(_labels(nbars), _labels(taus))]
+    heads = [f"{method},{_VARIANTS.get(method, '-')}," for method in methods]
+    ok, failed = f",{cfg.log_base},ok", f",{cfg.log_base},not-converged"
+    return [f"{label}{head}{failed}" if value is None else f"{label}{head}{_fmt(value)}{ok}"
+            for label, values in zip(labels, zip(*columns, strict=True), strict=True)
+            for head, value in zip(heads, values)]
 
 
 def write_csv(rows, out):
@@ -177,6 +179,10 @@ def _parse_config_file(path):
     return values
 
 
+def _names(text):
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
 _TRUE, _FALSE = ("1", "true", "yes"), ("0", "false", "no")
 
 
@@ -198,7 +204,7 @@ def _config_from_file(values, path):
             elif key == "nbar":
                 kwargs["nbars"] = [float(v) for v in value.split(",") if v.strip()]
             elif key == "methods":
-                kwargs["methods"] = [m.strip() for m in value.split(",") if m.strip()]
+                kwargs["methods"] = _names(value)
             elif key in ("log_base", "out"):
                 kwargs[key] = value
             elif key == "check":
@@ -222,7 +228,7 @@ def build_parser():
     parser.add_argument("--nbar", type=float, action="append", dest="nbars",
                         help="channel thermal photon number; repeatable")
     parser.add_argument("--alpha", type=float)
-    parser.add_argument("--methods", help="comma list from: " + ",".join(METHODS))
+    parser.add_argument("--methods", type=_names, help="comma list from: " + ",".join(METHODS))
     parser.add_argument("--log-base", choices=LOG_BASES, dest="log_base")
     parser.add_argument("--cutoff", type=int, help="oracle Fock cutoff")
     parser.add_argument("--out", help="output CSV path, '-' for stdout")
@@ -233,16 +239,10 @@ def build_parser():
 
 def parse_config(argv):
     args = build_parser().parse_args(argv)
-    kwargs = {}
-    if args.config:
-        kwargs.update(_config_from_file(_parse_config_file(args.config), args.config))
-    for key in ("tau_min", "tau_max", "tau_steps", "nbars", "alpha", "log_base", "cutoff",
-                "out", "check"):
-        value = getattr(args, key)
-        if value is not None:
-            kwargs[key] = value
-    if args.methods is not None:
-        kwargs["methods"] = [m.strip() for m in args.methods.split(",") if m.strip()]
+    kwargs = _config_from_file(_parse_config_file(args.config), args.config) if args.config else {}
+    for key in (f.name for f in fields(ScanConfig)):
+        if getattr(args, key) is not None:
+            kwargs[key] = getattr(args, key)
     return ScanConfig(**kwargs)
 
 

@@ -350,7 +350,7 @@ def _sector_blocks(phi, n0, n1):
 
     Returns:
         (vals, vecs, phase): the (blocks, w) eigenvalues, the
-        (blocks, w, w) stack of real eigenvector columns V and the (w, 1)
+        (blocks, w, w) stack of real eigenvector columns V and the (w,)
         phases of P by position.
     """
     blocks, width = np.broadcast_shapes(n0.shape, n1.shape)
@@ -359,7 +359,7 @@ def _sector_blocks(phi, n0, n1):
     hop = abs(phi[0, 1]) * np.sqrt(n0[:, 1:] * n1[:, :-1])
     t[:, 1 :: width + 1] = t[:, width :: width + 1] = np.where(np.diff(n0 + n1) == 0, hop, 0.0)
     vals, vecs = np.linalg.eigh(t.reshape(blocks, width, width))
-    phase = np.exp(1j * np.angle(-phi[0, 1]) * np.arange(width))[:, None]
+    phase = np.exp(1j * np.angle(-phi[0, 1]) * np.arange(width))
     return vals, vecs, phase
 
 
@@ -464,13 +464,11 @@ def apply_rotation(phi, kets, cutoff):
     vals, vecs, phase, labels = _bs_basis(cutoff)
     n0, n1 = np.divmod(labels, d)
     left, right = (np.exp(1j * (c[0] * n0 + c[1] * n1)) for c in (left, right))
-    phase = phase[:, 0]
     _rotate_blocks(out, flat, labels, vecs, np.exp(-1j * theta * vals),
                    phase * left, phase.conj() * right)
     # the sectors N > cutoff again, from their own truncated generator
     n0, n1 = _truncated_sectors(cutoff)
     vals, vecs, phase = _sector_blocks(phi, n0, n1)
-    phase = phase[:, 0]
     _rotate_blocks(out, flat, n0 * d + n1, vecs, np.exp(-1j * vals), phase, phase.conj())
     return out.reshape(kets.shape)
 

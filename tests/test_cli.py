@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,21 @@ class TestScan:
         row = run_scan(bad)[0].split(",")
         assert row[5] == ""
         assert row[7] == "not-converged"
+
+    # A field changed after the config is built is scanned and labelled as
+    # changed: the labels once came from texts made at construction, so
+    # tau_min = 0.5 printed the tau = 0.5 values under 0.02, and an nbar
+    # appended in place was scanned but its rows dropped.
+    @pytest.mark.parametrize("change, fresh", [
+        (lambda cfg: setattr(cfg, "tau_min", 0.5), dict(tau_min=0.5)),
+        (lambda cfg: setattr(cfg, "nbars", [0.5]), dict(nbars=[0.5])),
+        (lambda cfg: cfg.nbars.append(0.5), dict(nbars=[0.01, 0.5])),
+    ], ids=["tau-min-set", "nbars-set", "nbar-appended"])
+    def test_field_changed_after_build_is_labelled_anew(self, change, fresh):
+        cfg = ScanConfig(tau_steps=2, nbars=[0.01])
+        assert vars(cfg).keys() == {f.name for f in dataclasses.fields(ScanConfig)}  # no derived state
+        change(cfg)
+        assert run_scan(cfg) == run_scan(ScanConfig(**{"tau_steps": 2, "nbars": [0.01], **fresh}))
 
     def test_nats_rows_scale_by_ln2(self):
         import math

@@ -629,7 +629,7 @@ def test_packed_eigenvectors_stay_in_one_sector(phi, cutoff):
     n0, n1 = fock._packed_sectors(cutoff)
     vals, vecs, phase = fock._sector_blocks(phi, n0, n1)
     labels = n0 * d + n1
-    assert vals.shape == (d, d) and vecs.shape == (d, d, d) and phase.shape == (d, 1)
+    assert vals.shape == (d, d) and vecs.shape == (d, d, d) and phase.shape == (d,)
     assert np.array_equal(np.sort(labels.reshape(-1)), np.arange(d * d))
     assert_columns_in_one_sector(vecs)
 
