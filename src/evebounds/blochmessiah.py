@@ -7,6 +7,11 @@ W_F = conj(W_E).  A matched SVD alone does not deliver the rotation
 condition; it is repaired by a balancing matrix D obtained from the Takagi
 factorization of G = W_E^dag conj(W_F).  The balanced factors realize the
 unitary as rotation -> parallel single-mode squeezers -> rotation.
+
+`bloch_messiah`, `BMFactors` and `factors_to_circuit` also take a stack of
+pairs (a `BogoliubovPair` with a leading axis) and decompose it in one pass
+of stacked eigensolves and products; one pair runs the same code as a
+stack of one.
 """
 
 from dataclasses import dataclass
@@ -22,6 +27,7 @@ from .linalg import (
     principal_sqrt,
     require_at_most,
     require_unitary,
+    _dagger,
     _unitary_eig,
 )
 from .unitaries import Rotation, Squeezer
@@ -31,7 +37,8 @@ __all__ = ["BMFactors", "bloch_messiah", "factors_to_circuit"]
 
 @dataclass
 class BMFactors:
-    """Balanced factors (cal_u, lambda_e, lambda_f, cal_we, cal_wf)."""
+    """Balanced factors (cal_u, lambda_e, lambda_f, cal_we, cal_wf), each
+    with the leading axes of the decomposed stack."""
 
     cal_u: np.ndarray
     lambda_e: np.ndarray
@@ -50,8 +57,8 @@ class BMFactors:
 
     def reconstruct(self):
         """(E, F) rebuilt from the factors."""
-        e = self.cal_u @ np.diag(self.lambda_e) @ self.cal_we.conj().T
-        f = self.cal_u @ np.diag(self.lambda_f) @ self.cal_wf.conj().T
+        e = (self.cal_u * self.lambda_e[..., None, :]) @ _dagger(self.cal_we)
+        f = (self.cal_u * self.lambda_f[..., None, :]) @ _dagger(self.cal_wf)
         return e, f
 
 
@@ -72,10 +79,11 @@ def bloch_messiah(pair):
             input to `ATOL_RECONSTRUCT`.
     """
     m = matched_svd(pair.e, pair.f)
-    g = m.w_e.conj().T @ m.w_f.conj()
-    require_at_most(max_abs(g - g.T), 1e-8,
+    g = _dagger(m.w_e) @ m.w_f.conj()
+    g_t = g.swapaxes(-1, -2)
+    require_at_most(max_abs(g - g_t), 1e-8,
                     "balancing input G = W_E^dag conj(W_F) not symmetric: residual {:.3e}")
-    d = principal_sqrt((g + g.T) / 2)  # Takagi factor: d @ d.T = g
+    d = principal_sqrt((g + g_t) / 2)  # Takagi factor: d @ d.T = g
 
     factors = BMFactors(
         cal_u=m.u @ d,
@@ -93,8 +101,8 @@ def bloch_messiah(pair):
 def _hermitian_phase(v):
     """Hermitian phi with exp(i phi) = v, eigenphases on (-pi, pi]."""
     eigvals, q = _unitary_eig(v)
-    h = q @ np.diag(principal_angles(eigvals)) @ q.conj().T
-    return (h + h.conj().T) / 2
+    h = (q * principal_angles(eigvals)[..., None, :]) @ _dagger(q)
+    return (h + _dagger(h)) / 2
 
 
 def factors_to_circuit(factors):
@@ -105,9 +113,9 @@ def factors_to_circuit(factors):
     sinh(r_k) = lambda_f[k], so cosh(r_k) = lambda_e[k] (r_k >= 0, phases
     live in the rotations), and exp(i phi2) = cal_u.
     """
-    phi1 = _hermitian_phase(factors.cal_we.conj().T)
+    phi1 = _hermitian_phase(_dagger(factors.cal_we))
     phi2 = _hermitian_phase(factors.cal_u)
     # arcsinh keeps full precision for tiny squeezing, where arccosh of a
     # lambda_e rounded to 1 would lose it.
     r = np.arcsinh(factors.lambda_f)
-    return [Rotation(phi1), Squeezer(np.diag(r).astype(complex)), Rotation(phi2)]
+    return [Rotation(phi1), Squeezer(r[..., None] * np.eye(r.shape[-1])), Rotation(phi2)]

@@ -132,9 +132,7 @@ def gram_entropy(matrix, base="bits"):
     """
     _log(base)
     matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
-        raise ValueError(f"Gram matrix must be square, got shape {matrix.shape}")
-    require_hermitian(matrix, "Gram matrix")
+    require_hermitian(matrix, "Gram matrix")  # and square
     traces = matrix.trace(0, -2, -1).real
     worst = float(traces.flat[abs(traces - 1.0).argmax()])
     require_at_most(abs(worst - 1.0), 1e-9, "Gram matrix trace is {1!r}, expected 1 within 1e-9", worst)

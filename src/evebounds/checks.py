@@ -4,8 +4,13 @@ and reports its worst residual against a fixed tolerance.
 - `run_checks` runs and times every suite of `SUITES`; `format_report`
   prints one line per suite.
 - Random Gaussian unitaries are validated once, as the final pair
-  (`random_pair`), and the Bloch-Messiah reference moves all amplitudes at
-  once (`bloch_messiah_amplitudes`).
+  (`random_pair`).  The Bloch-Messiah and round-trip suites draw every
+  trial's inputs in rng order, then compose, decompose and rebuild the
+  trials of each mode count (1, 2, 3) as one stack
+  (`_random_pair_stacks`).
+- The Bloch-Messiah reference for the eavesdropper's ensemble moves all
+  amplitudes of all cells at once, through one stacked decomposition of
+  the cells' Williamson maps (`bloch_messiah_amplitudes`).
 - The Fock-space reordering check shares one displacement and one rotation
   of its probes between the three rules (`_switch_rule_distances`).
 - Every suite folds its residuals with `_worst`, which keeps a NaN, so a
@@ -31,9 +36,10 @@ from .cloner import (
     initial_covariance,
     qpsk,
 )
-from .linalg import max_abs, principal_sqrt, unitarity_defect
+from .linalg import _dagger, max_abs, principal_sqrt, unitarity_defect
 from .states import (
     GaussianState,
+    SymplecticMap,
     apply_symplectic,
     entropy_from_cov,
     make_tmsv,
@@ -45,6 +51,8 @@ from .unitaries import (
     BogoliubovPair,
     _compose_arrays,
     _squeezer_arrays,
+    _switch_disp_rotation,
+    _switch_disp_squeezer,
     expm_i_hermitian,
     from_symplectic,
     switch_disp_rotation,
@@ -85,24 +93,49 @@ def random_pair(rng, nmodes, with_displacement=False):
     only the final pair is validated, by the `BogoliubovPair` returned; the
     draws and the arithmetic are those of composing `bogoliubov_of` pairs.
     """
-    zeros = np.zeros((nmodes, nmodes), dtype=complex)
-    pair = (expm_i_hermitian(zeros), zeros)
-    for _ in range(3):
-        herm = rng.normal(size=(nmodes, nmodes)) + 1j * rng.normal(size=(nmodes, nmodes))
-        herm = (herm + herm.conj().T) / 2
-        sym = rng.normal(size=(nmodes, nmodes)) + 1j * rng.normal(size=(nmodes, nmodes))
-        sym = 0.25 * (sym + sym.T)
-        pair = _compose_arrays(pair, (expm_i_hermitian(herm), zeros))
-        pair = _compose_arrays(pair, _squeezer_arrays(sym))
+    return _composed_pairs(*_draw_pair(rng, nmodes, with_displacement))
+
+
+def _draw_pair(rng, nmodes, with_displacement):
+    """`random_pair`'s draws, in its order: six complex Gaussian N x N
+    matrices (generator, squeezing matrix, generator, ...), then alpha or
+    None."""
+    rounds = np.array([rng.normal(size=(nmodes, nmodes)) + 1j * rng.normal(size=(nmodes, nmodes))
+                       for _ in range(6)])
     alpha = rng.normal(size=nmodes) + 1j * rng.normal(size=nmodes) if with_displacement else None
+    return rounds, alpha
+
+
+def _composed_pairs(rounds, alpha):
+    """The `BogoliubovPair` that `random_pair` builds from its draws, for one
+    unitary or, with (..., 6, N, N) rounds, a stack of them."""
+    herm = rounds[..., 0::2, :, :]
+    sym = rounds[..., 1::2, :, :]
+    rotations = expm_i_hermitian((herm + _dagger(herm)) / 2)
+    squeeze_e, squeeze_f = _squeezer_arrays(0.25 * (sym + sym.swapaxes(-1, -2)))
+    zeros = np.zeros_like(rounds[..., 0, :, :])
+    pair = (expm_i_hermitian(zeros), zeros)
+    for k in range(3):
+        pair = _compose_arrays(pair, (rotations[..., k, :, :], zeros))
+        pair = _compose_arrays(pair, (squeeze_e[..., k, :, :], squeeze_f[..., k, :, :]))
     return BogoliubovPair(e=pair[0], f=pair[1], alpha=alpha)
 
 
+def _random_pair_stacks(rng, trials, with_displacement=False):
+    """`random_pair(rng, 1 + trial % 3, with_displacement)` for each trial,
+    drawn in trial order and composed as one stacked pair per mode count:
+    [the 1-mode trials, the 2-mode trials, the 3-mode trials]."""
+    draws = [_draw_pair(rng, 1 + trial % 3, with_displacement) for trial in range(trials)]
+    stacks = []
+    for group in (draws[0::3], draws[1::3], draws[2::3]):
+        rounds, alphas = zip(*group)
+        stacks.append(_composed_pairs(np.stack(rounds), np.stack(alphas) if with_displacement else None))
+    return stacks
+
+
 def check_bogoliubov_roundtrip():
-    rng = np.random.default_rng(11)
     worst = 0.0
-    for trial in range(20):
-        pair = random_pair(rng, 1 + trial % 3, with_displacement=True)
+    for pair in _random_pair_stacks(np.random.default_rng(11), 20, with_displacement=True):
         back = from_symplectic(to_symplectic(pair))
         worst = _worst(worst, max_abs(back.e - pair.e), max_abs(back.f - pair.f),
                        max_abs(back.alpha - pair.alpha))
@@ -110,10 +143,8 @@ def check_bogoliubov_roundtrip():
 
 
 def check_bloch_messiah():
-    rng = np.random.default_rng(23)
     worst = 0.0
-    for trial in range(50):
-        pair = random_pair(rng, 1 + trial % 3)
+    for pair in _random_pair_stacks(np.random.default_rng(23), 50):
         factors = bloch_messiah(pair)
         e, f = factors.reconstruct()
         worst = _worst(worst, max_abs(e - pair.e), max_abs(f - pair.f))
@@ -156,11 +187,12 @@ def check_williamson_grid():
 
 
 def _switched_displacement(circuit, beta):
-    """Displacement beta' with D(beta) R2 S R1 = R2 S R1 D(beta')."""
+    """Displacement beta' with D(beta) R2 S R1 = R2 S R1 D(beta'), for one
+    circuit or a stack of them; the circuit's operations are validated."""
     rot1, squeezer, rot2 = circuit
-    g = switch_disp_rotation(rot2.phi, beta)
-    g = switch_disp_squeezer(squeezer.z, g)
-    return switch_disp_rotation(rot1.phi, g)
+    g = _switch_disp_rotation(rot2, beta)
+    g = _switch_disp_squeezer(squeezer, g)
+    return _switch_disp_rotation(rot1, g)
 
 
 def bloch_messiah_amplitudes(constellation, params):
@@ -168,27 +200,39 @@ def bloch_messiah_amplitudes(constellation, params):
     the conditional displacements (-r alpha_i, 0) through the Bloch-Messiah
     circuit of her thermal decomposition, all K at once as the columns of a
     2 x K matrix; the reference for the closed form in
-    `displaced_thermal_ensemble`."""
-    smap, _, _ = williamson_standard_two_mode(eve_reduced_covariance(params))
+    `displaced_thermal_ensemble`.
+
+    `params` is one `ChannelParams`, or a sequence of them for a
+    (cells, K, 2) stack: the cells' Williamson maps are then decomposed as
+    one stack, and their displacements moved through one stacked circuit.
+    """
+    if isinstance(params, ChannelParams):
+        smap = williamson_standard_two_mode(eve_reduced_covariance(params))[0]
+        r = params.r
+    else:
+        smap = SymplecticMap(s=np.stack([williamson_standard_two_mode(eve_reduced_covariance(p))[0].s
+                                         for p in params]))
+        r = np.array([p.r for p in params])
     circuit = factors_to_circuit(bloch_messiah(from_symplectic(smap)))
-    amps = constellation.amplitudes
-    betas = np.stack([-params.r * amps, np.zeros_like(amps)])
-    return _switched_displacement(circuit, betas).T
+    amps = -np.multiply.outer(r, constellation.amplitudes)
+    betas = np.stack([amps, np.zeros_like(amps)], axis=-2)
+    return _switched_displacement(circuit, betas).swapaxes(-1, -2)
 
 
 def check_eca_pipeline():
     worst = 0.0
+    cells = [ChannelParams(tau=tau, nbar=nbar)
+             for tau in np.linspace(0.05, 0.95, 10) for nbar in (0.01, 0.02, 0.1)]
+    for params in cells:
+        tau, nbar = params.tau, params.nbar
+        state = GaussianState(mean=np.zeros(6), cov=initial_covariance(params))
+        reduced = partial_trace_modes(apply_symplectic(state, bs_symplectic(params)), keep=(1, 2))
+        worst = _worst(worst, max_abs(reduced.cov - eve_reduced_covariance(params).as_matrix()))
+        nu1, nu2 = standard_symplectic_spectrum(eve_reduced_covariance(params))
+        worst = _worst(worst, abs(nu1 - (2 * (1 - tau) * nbar + 1)), abs(nu2 - 1))
     constellation = qpsk(1.0)
-    for tau in np.linspace(0.05, 0.95, 10):
-        for nbar in (0.01, 0.02, 0.1):
-            params = ChannelParams(tau=tau, nbar=nbar)
-            state = GaussianState(mean=np.zeros(6), cov=initial_covariance(params))
-            reduced = partial_trace_modes(apply_symplectic(state, bs_symplectic(params)), keep=(1, 2))
-            worst = _worst(worst, max_abs(reduced.cov - eve_reduced_covariance(params).as_matrix()))
-            nu1, nu2 = standard_symplectic_spectrum(eve_reduced_covariance(params))
-            worst = _worst(worst, abs(nu1 - (2 * (1 - tau) * nbar + 1)), abs(nu2 - 1))
-            closed = displaced_thermal_ensemble(constellation, params).mode_amplitudes()
-            worst = _worst(worst, max_abs(closed - bloch_messiah_amplitudes(constellation, params)))
+    closed = displaced_thermal_ensemble(constellation, cells).mode_amplitudes()
+    worst = _worst(worst, max_abs(closed - bloch_messiah_amplitudes(constellation, cells)))
     return CheckResult("eca-pipeline", worst, 1e-9)
 
 

@@ -8,6 +8,11 @@ matrix size.  The `require_*` validators are the package's one copy of
 each matrix check and of the probability-vector check, and
 `require_at_most` / `require_at_least` the one copy of the comparison
 every residual gate makes: a NaN fails both.
+
+The matrix functions take one N x N matrix or a (..., N, N) stack of them,
+and a single matrix runs the same code as a stack of one.  A gate on a
+stack fails if any member fails and reports the worst member's residual
+(`max_abs` over the whole stack, so a NaN member reports NaN).
 """
 
 import math
@@ -59,9 +64,20 @@ def require_distribution(probs):
     require_at_least(probs.min(), 0, "probabilities must be nonnegative")
 
 
+def _dagger(m):
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def require_square(m, name="matrix"):
+    """Raise a named error unless the last two axes of m are equal."""
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
+
+
 def unitarity_defect(m):
-    """max |M^dag M - I|."""
-    return max_abs(m.conj().T @ m - np.eye(m.shape[0]))
+    """max |M^dag M - I|, over every matrix of a stack."""
+    return max_abs(_dagger(m) @ m - np.eye(m.shape[-1]))
 
 
 # The message of the construction-level checks: name, kind and residual.
@@ -73,20 +89,23 @@ def require_unitary(m, name="matrix"):
 
 
 def require_symmetric(m, name="matrix"):
-    require_at_most(max_abs(m - m.T), ATOL_CONSTRUCT, _NOT_CONSTRUCT, name, "symmetric", "M - M^T")
+    require_square(m, name)
+    require_at_most(max_abs(m - m.swapaxes(-1, -2)), ATOL_CONSTRUCT, _NOT_CONSTRUCT,
+                    name, "symmetric", "M - M^T")
 
 
 def require_hermitian(m, name="matrix"):
     """M = M^dag to `ATOL_CONSTRUCT`, for one matrix or a stack of them."""
-    require_at_most(max_abs(m - m.swapaxes(-1, -2).conj()), ATOL_CONSTRUCT, _NOT_CONSTRUCT,
+    require_square(m, name)
+    require_at_most(max_abs(m - _dagger(m)), ATOL_CONSTRUCT, _NOT_CONSTRUCT,
                     name, "Hermitian", "M - M^dag")
 
 
 def require_bogoliubov(e, f):
     """E F^T = F E^T and E E^dag = F F^dag + I, to `ATOL_RECONSTRUCT`."""
-    require_at_most(max_abs(e @ f.T - f @ e.T), ATOL_RECONSTRUCT,
+    require_at_most(max_abs(e @ f.swapaxes(-1, -2) - f @ e.swapaxes(-1, -2)), ATOL_RECONSTRUCT,
                     "Bogoliubov constraint E F^T = F E^T violated: residual {:.3e}")
-    require_at_most(max_abs(e @ e.conj().T - f @ f.conj().T - np.eye(e.shape[0])), ATOL_RECONSTRUCT,
+    require_at_most(max_abs(e @ _dagger(e) - f @ _dagger(f) - np.eye(e.shape[-1])), ATOL_RECONSTRUCT,
                     "Bogoliubov constraint E E^dag = F F^dag + I violated: residual {:.3e}")
 
 
@@ -101,10 +120,10 @@ def _unitary_eig(m):
     """
     m = np.asarray(m, dtype=complex)
     q, _ = np.linalg.qr(np.linalg.eig(m)[1])
-    t = q.conj().T @ m @ q
+    t = _dagger(q) @ m @ q
     require_at_most(max_abs(np.triu(t, k=1)), 1e-8,
                     "matrix is not normal enough to diagonalize: Schur residue {:.3e}")
-    return np.diag(t), q
+    return np.diagonal(t, axis1=-2, axis2=-1), q
 
 
 def principal_angles(eigvals):
@@ -121,14 +140,15 @@ def principal_sqrt(m):
     D of the input: D @ D.T = m.
 
     Args:
-        m (array[complex]): symmetric unitary matrix.
+        m (array[complex]): symmetric unitary matrix, or a stack of them.
 
     Returns:
         array[complex]: R with R @ R = m, eigenvalue arguments taken on the
         principal branch (-pi, pi], so an eigenvalue -1 maps to +1j.
 
     Raises:
-        ValueError: if the input is not symmetric and unitary to 1e-10.
+        ValueError: if the input is not square, or not symmetric and
+            unitary to 1e-10.
     """
     m = np.asarray(m, dtype=complex)
     require_finite(m, "principal_sqrt input")
@@ -136,7 +156,7 @@ def principal_sqrt(m):
     require_unitary(m, "principal_sqrt input")
     eigvals, q = _unitary_eig(m)
     roots = np.sqrt(np.abs(eigvals)) * np.exp(0.5j * principal_angles(eigvals))
-    return q @ np.diag(roots) @ q.conj().T
+    return (q * roots[..., None, :]) @ _dagger(q)
 
 
 @dataclass
@@ -145,7 +165,8 @@ class MatchedSVD:
 
     E = u diag(lambda_e) w_e^dag and F = u diag(lambda_f) w_f^dag, with
     lambda_e[k]^2 = 1 + lambda_f[k]^2.  The right factors are not yet
-    balanced: w_f == conj(w_e) is *not* guaranteed at this stage.
+    balanced: w_f == conj(w_e) is *not* guaranteed at this stage.  For a
+    stack of pairs every field has the stack's leading axes.
     """
 
     u: np.ndarray
@@ -175,11 +196,12 @@ def matched_svd(e, f):
     of the w_e column, so the later balancing step is well posed there.
 
     Args:
-        e (array[complex]): square matrix E.
+        e (array[complex]): square matrix E, or a (..., N, N) stack.
         f (array[complex]): square matrix F, same shape as E.
 
     Returns:
-        MatchedSVD: factors with singular values sorted in decreasing order.
+        MatchedSVD: factors with each member's singular values sorted in
+        decreasing order.
 
     Raises:
         ValueError: if (E, F) violate the Bogoliubov constraints to 1e-9,
@@ -187,27 +209,27 @@ def matched_svd(e, f):
     """
     e = np.asarray(e, dtype=complex)
     f = np.asarray(f, dtype=complex)
-    if e.shape != f.shape or e.ndim != 2 or e.shape[0] != e.shape[1]:
+    if e.shape != f.shape or e.ndim < 2 or e.shape[-1] != e.shape[-2]:
         raise ValueError(f"E and F must be square matrices of equal shape, got {e.shape} and {f.shape}")
     require_finite(e, "E")
     require_finite(f, "F")
     require_bogoliubov(e, f)
 
-    evals, u = np.linalg.eigh(e @ e.conj().T)
-    order = np.argsort(-evals, kind="stable")
-    evals = evals[order]
-    u = u[:, order]
+    evals, u = np.linalg.eigh(e @ _dagger(e))
+    order = np.argsort(-evals, axis=-1, kind="stable")
+    evals = np.take_along_axis(evals, order, axis=-1)
+    u = np.take_along_axis(u, order[..., None, :], axis=-1)
 
     lambda_e = np.sqrt(np.maximum(evals, 0.0))
     # Columns of F^dag u have norms lambda_f to full relative precision;
     # sqrt(evals - 1) keeps only a few digits when the squeezing is tiny.
-    g = f.conj().T @ u
-    lambda_f = np.linalg.norm(g, axis=0)
+    g = _dagger(f) @ u
+    lambda_f = np.linalg.norm(g, axis=-2)
 
-    w_e = e.conj().T @ u / lambda_e[np.newaxis, :]
-    w_f = np.empty_like(w_e)
-    support = lambda_f > 1e-12
-    w_f[:, support] = g[:, support] / lambda_f[np.newaxis, support]
-    w_f[:, ~support] = w_e[:, ~support].conj()
+    w_e = _dagger(e) @ u / lambda_e[..., None, :]
+    # Off the support the divisor is 1, not lambda_f, so no masked-out
+    # column divides 0 by 0.
+    support = (lambda_f > 1e-12)[..., None, :]
+    w_f = np.where(support, g / np.where(support, lambda_f[..., None, :], 1.0), w_e.conj())
 
     return MatchedSVD(u=u, lambda_e=lambda_e, lambda_f=lambda_f, w_e=w_e, w_f=w_f)

@@ -107,28 +107,30 @@ class GaussianState:
 
 @dataclass
 class SymplecticMap:
-    """Affine phase-space map r -> S r + d with S symplectic."""
+    """Affine phase-space map r -> S r + d with S symplectic, or a stack of
+    them: S of shape (..., 2N, 2N) and d of shape (..., 2N)."""
 
     s: np.ndarray
     d: np.ndarray = None
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
-        if self.s.ndim != 2 or self.s.shape[0] != self.s.shape[1] or self.s.shape[0] % 2:
+        if self.s.ndim < 2 or self.s.shape[-1] != self.s.shape[-2] or self.s.shape[-1] % 2:
             raise ValueError(f"symplectic matrix must be square 2N x 2N, got {self.s.shape}")
         require_finite(self.s, "symplectic matrix")
         if self.d is None:
-            self.d = np.zeros(self.s.shape[0])
-        self.d = np.asarray(self.d, dtype=float).reshape(-1)
-        if self.d.size != self.s.shape[0]:
+            self.d = np.zeros(self.s.shape[:-1])
+        self.d = np.asarray(self.d, dtype=float)
+        if self.d.size != math.prod(self.s.shape[:-1]):
             raise ValueError("displacement length does not match symplectic matrix size")
-        om = omega(self.s.shape[0] // 2)
-        require_at_most(max_abs(self.s @ om @ self.s.T - om), ATOL_RECONSTRUCT,
+        self.d = self.d.reshape(self.s.shape[:-1])
+        om = omega(self.s.shape[-1] // 2)
+        require_at_most(max_abs(self.s @ om @ self.s.swapaxes(-1, -2) - om), ATOL_RECONSTRUCT,
                         "matrix is not symplectic: max |S Omega S^T - Omega| = {:.3e}")
 
     @property
     def nmodes(self):
-        return self.s.shape[0] // 2
+        return self.s.shape[-1] // 2
 
 
 @dataclass

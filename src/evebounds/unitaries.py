@@ -7,13 +7,21 @@ This module builds the pairs for displacements, rotations and squeezers
 the quadrature (symplectic) picture, composes them, and implements the
 operator-reordering rules that move a displacement or squeezer through
 the other fundamental operations.  It uses numpy alone.
+
+`Rotation`, `Squeezer`, `BogoliubovPair`, `expm_i_hermitian`,
+`to_symplectic` and `from_symplectic` also take a leading axis of
+operations, (..., N, N) matrices with (..., N) displacements, and run the
+same code on one operation as on a stack of one.  The reordering rules
+validate their parameters as `Rotation` and `Squeezer` do; a circuit of
+validated operations moves a displacement through them with
+`_switch_disp_rotation` and `_switch_disp_squeezer`, which skip that check.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import require_bogoliubov, require_finite, require_hermitian, require_symmetric
+from .linalg import _dagger, require_bogoliubov, require_finite, require_hermitian, require_symmetric
 from .states import SymplecticMap
 
 __all__ = [
@@ -62,7 +70,8 @@ class Squeezer:
 
 @dataclass
 class BogoliubovPair:
-    """Heisenberg-picture data (E, F, alpha) of a Gaussian unitary."""
+    """Heisenberg-picture data (E, F, alpha) of a Gaussian unitary, or of a
+    stack of them: E and F of shape (..., N, N), alpha of shape (..., N)."""
 
     e: np.ndarray
     f: np.ndarray
@@ -72,36 +81,39 @@ class BogoliubovPair:
         self.e = np.atleast_2d(np.asarray(self.e, dtype=complex))
         self.f = np.atleast_2d(np.asarray(self.f, dtype=complex))
         if self.alpha is None:
-            self.alpha = np.zeros(self.e.shape[0], dtype=complex)
+            self.alpha = np.zeros(self.e.shape[:-1], dtype=complex)
         self.alpha = np.atleast_1d(np.asarray(self.alpha, dtype=complex))
         require_finite(self.e, "E")
         require_finite(self.f, "F")
         require_finite(self.alpha, "alpha")
-        n = self.e.shape[0]
-        if self.e.shape != (n, n) or self.f.shape != (n, n) or self.alpha.size != n:
-            raise ValueError("E, F must be N x N and alpha length N")
+        shape = self.e.shape
+        if shape[-2] != shape[-1] or self.f.shape != shape or self.alpha.shape != shape[:-1]:
+            raise ValueError(f"E, F must be (..., N, N) and alpha (..., N), got shapes "
+                             f"{shape}, {self.f.shape} and {self.alpha.shape}")
         require_bogoliubov(self.e, self.f)
 
     @property
     def nmodes(self):
-        return self.e.shape[0]
+        return self.e.shape[-1]
 
 
 def expm_i_hermitian(phi):
-    """exp(i phi) for Hermitian phi, through its eigendecomposition."""
+    """exp(i phi) for Hermitian phi, or each matrix of a stack, through its
+    eigendecomposition."""
     vals, vecs = np.linalg.eigh(np.asarray(phi, dtype=complex))
-    return vecs @ np.diag(np.exp(1j * vals)) @ vecs.conj().T
+    return (vecs * np.exp(1j * vals)[..., None, :]) @ _dagger(vecs)
 
 
 def _squeezer_arrays(z):
-    """(E, F) = (cosh(r), sinh(r) w) of a squeezing matrix z = r w, as
-    plain arrays with no validation.
+    """(E, F) = (cosh(r), sinh(r) w) of a squeezing matrix z = r w, or of
+    each matrix of a stack, as plain arrays with no validation.
 
     One SVD z = U Sigma V^dag gives both polar factors, r = U Sigma U^dag
     and w = U V^dag, so E = U cosh(Sigma) U^dag and F = U sinh(Sigma) V^dag.
     """
     u, sigma, vh = np.linalg.svd(np.atleast_2d(np.asarray(z, dtype=complex)))
-    return (u * np.cosh(sigma)) @ u.conj().T, (u * np.sinh(sigma)) @ vh
+    sigma = sigma[..., None, :]
+    return (u * np.cosh(sigma)) @ _dagger(u), (u * np.sinh(sigma)) @ vh
 
 
 def bogoliubov_of(op):
@@ -116,8 +128,8 @@ def bogoliubov_of(op):
         n = op.alpha.size
         return BogoliubovPair(e=np.eye(n, dtype=complex), f=np.zeros((n, n), dtype=complex), alpha=op.alpha)
     if isinstance(op, Rotation):
-        n = op.phi.shape[0]
-        return BogoliubovPair(e=expm_i_hermitian(op.phi), f=np.zeros((n, n), dtype=complex))
+        e = expm_i_hermitian(op.phi)
+        return BogoliubovPair(e=e, f=np.zeros_like(e))
     if isinstance(op, Squeezer):
         e, f = _squeezer_arrays(op.z)
         return BogoliubovPair(e=e, f=f)
@@ -131,15 +143,15 @@ def to_symplectic(pair):
     mode j to mode k is [[Re(E+F), Im(F-E)], [Im(E+F), Re(E-F)]]_{jk} and
     d = (2 Re alpha_1, 2 Im alpha_1, ...).
     """
-    n = pair.nmodes
-    s = np.zeros((2 * n, 2 * n))
-    s[0::2, 0::2] = (pair.e + pair.f).real
-    s[0::2, 1::2] = (pair.f - pair.e).imag
-    s[1::2, 0::2] = (pair.e + pair.f).imag
-    s[1::2, 1::2] = (pair.e - pair.f).real
-    d = np.zeros(2 * n)
-    d[0::2] = 2 * pair.alpha.real
-    d[1::2] = 2 * pair.alpha.imag
+    e, f, alpha = pair.e, pair.f, pair.alpha
+    s = np.zeros(e.shape[:-2] + (2 * pair.nmodes,) * 2)
+    s[..., 0::2, 0::2] = (e + f).real
+    s[..., 0::2, 1::2] = (f - e).imag
+    s[..., 1::2, 0::2] = (e + f).imag
+    s[..., 1::2, 1::2] = (e - f).real
+    d = np.zeros(s.shape[:-1])
+    d[..., 0::2] = 2 * alpha.real
+    d[..., 1::2] = 2 * alpha.imag
     return SymplecticMap(s=s, d=d)
 
 
@@ -147,13 +159,13 @@ def from_symplectic(smap):
     """Inverse of `to_symplectic`; input symplectic to 1e-9 (validated by
     SymplecticMap)."""
     s = smap.s
-    a = s[0::2, 0::2]
-    b = s[0::2, 1::2]
-    c = s[1::2, 0::2]
-    dd = s[1::2, 1::2]
+    a = s[..., 0::2, 0::2]
+    b = s[..., 0::2, 1::2]
+    c = s[..., 1::2, 0::2]
+    dd = s[..., 1::2, 1::2]
     e = (a + dd) / 2 + 1j * (c - b) / 2
     f = (a - dd) / 2 + 1j * (c + b) / 2
-    alpha = (smap.d[0::2] + 1j * smap.d[1::2]) / 2
+    alpha = (smap.d[..., 0::2] + 1j * smap.d[..., 1::2]) / 2
     return BogoliubovPair(e=e, f=f, alpha=alpha)
 
 
@@ -184,24 +196,38 @@ def switch_disp_squeezer(z, alpha):
     beta = E alpha - F alpha*, with (E, F) = (cosh(r), sinh(r) exp(i theta))
     the squeezer's pair for z = r exp(i theta).  `alpha` may also be an
     (N, K) matrix whose columns are K displacements; the rule then maps
-    each column.
+    each column.  z is checked as `Squeezer` checks it.
     """
+    return _switch_disp_squeezer(Squeezer(z), alpha)
+
+
+def _switch_disp_squeezer(squeezer, alpha):
+    """`switch_disp_squeezer` for a validated `Squeezer`, or a stack of
+    them with (..., N, K) displacements."""
     alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
-    e, f = _squeezer_arrays(z)
+    e, f = _squeezer_arrays(squeezer.z)
     return e @ alpha - f @ alpha.conj()
 
 
 def switch_squeezer_rotation(phi, z):
-    """z' such that S(z) R(phi) = R(phi) S(z'): z' = e^{-i phi} z e^{-i phi^T}."""
-    u = expm_i_hermitian(-np.atleast_2d(np.asarray(phi, dtype=complex)))
-    z = np.atleast_2d(np.asarray(z, dtype=complex))
-    return u @ z @ u.T
+    """z' such that S(z) R(phi) = R(phi) S(z'): z' = e^{-i phi} z e^{-i phi^T}.
+
+    phi and z are checked as `Rotation` and `Squeezer` check them.
+    """
+    u = expm_i_hermitian(-Rotation(phi).phi)
+    return u @ Squeezer(z).z @ u.swapaxes(-1, -2)
 
 
 def switch_disp_rotation(phi, alpha):
     """gamma such that D(alpha) R(phi) = R(phi) D(gamma): gamma = e^{-i phi} alpha.
 
     As in `switch_disp_squeezer`, an (N, K) `alpha` maps column by column.
+    phi is checked as `Rotation` checks it.
     """
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=complex))
-    return expm_i_hermitian(-np.atleast_2d(np.asarray(phi, dtype=complex))) @ alpha
+    return _switch_disp_rotation(Rotation(phi), alpha)
+
+
+def _switch_disp_rotation(rotation, alpha):
+    """`switch_disp_rotation` for a validated `Rotation`, or a stack of
+    them with (..., N, K) displacements."""
+    return expm_i_hermitian(-rotation.phi) @ np.atleast_1d(np.asarray(alpha, dtype=complex))

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from evebounds import checks
 from evebounds.blochmessiah import BMFactors, bloch_messiah, factors_to_circuit
-from evebounds.checks import random_pair
+from evebounds.checks import _random_pair_stacks, random_pair
 from evebounds.cloner import ChannelParams, eve_reduced_covariance
 from evebounds.linalg import max_abs
 from evebounds.states import williamson_standard_two_mode
@@ -15,6 +16,7 @@ from evebounds.unitaries import (
     from_symplectic,
     to_symplectic,
 )
+from test_linalg import stacked_pairs
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SQRT_X = (1 / np.sqrt(2)) * np.array(
@@ -109,3 +111,48 @@ class TestFactorsToCircuit:
             assert max_abs(total.e - pair.e) < 1e-9
             assert max_abs(total.f - pair.f) < 1e-9
             assert max_abs(to_symplectic(total).s - to_symplectic(pair).s) < 1e-9
+
+
+class TestStacks:
+    @pytest.mark.parametrize("nmodes", [1, 2, 3])
+    def test_members_equal_single_calls(self, nmodes):
+        # bit for bit, the identity pair (last) included
+        pairs, stack = stacked_pairs(nmodes, 50 + nmodes)
+        factors = bloch_messiah(stack)
+        circuit = factors_to_circuit(factors)
+        assert not factors.lambda_f[-1].any()
+        for i, pair in enumerate(pairs):
+            single = bloch_messiah(pair)
+            for field in ("cal_u", "lambda_e", "lambda_f", "cal_we", "cal_wf"):
+                np.testing.assert_array_equal(getattr(factors, field)[i], getattr(single, field))
+            rot1, squeezer, rot2 = factors_to_circuit(single)
+            np.testing.assert_array_equal(circuit[0].phi[i], rot1.phi)
+            np.testing.assert_array_equal(circuit[1].z[i], squeezer.z)
+            np.testing.assert_array_equal(circuit[2].phi[i], rot2.phi)
+
+    @pytest.mark.parametrize("with_displacement", [False, True])
+    def test_random_pair_stacks_are_random_pairs(self, with_displacement):
+        # same draws, same order, same builder: the suites' stacks hold the
+        # pairs that random_pair gives trial by trial
+        rng, reference_rng = np.random.default_rng(7), np.random.default_rng(7)
+        stacks = _random_pair_stacks(rng, 11, with_displacement)
+        assert [s.e.shape for s in stacks] == [(4, 1, 1), (4, 2, 2), (3, 3, 3)]
+        for trial in range(11):
+            pair = random_pair(reference_rng, 1 + trial % 3, with_displacement)
+            stack, member = stacks[trial % 3], trial // 3
+            np.testing.assert_array_equal(stack.e[member], pair.e)
+            np.testing.assert_array_equal(stack.f[member], pair.f)
+            np.testing.assert_array_equal(stack.alpha[member], pair.alpha)
+        assert rng.normal() == reference_rng.normal()
+
+    def test_nan_member_makes_the_suite_residual_nan(self, monkeypatch):
+        def one_nan_member(pair):
+            factors = bloch_messiah(pair)
+            factors.lambda_e = factors.lambda_e.copy()
+            factors.lambda_e[1] = np.nan
+            return factors
+
+        monkeypatch.setattr(checks, "bloch_messiah", one_nan_member)
+        result = checks.check_bloch_messiah()
+        assert math.isnan(result.residual)
+        assert not result.passed

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from evebounds import checks, fock
+from evebounds.cloner import ChannelParams, qpsk
 from evebounds.unitaries import _squeezer_arrays, expm_i_hermitian
 
 
@@ -84,3 +85,11 @@ def test_nan_residual_fails_the_suite(monkeypatch):
 @pytest.mark.parametrize("residuals", [(np.nan, 0.0, 1.0), (0.0, np.nan), (2.0, 1.0, np.nan)])
 def test_worst_keeps_nan_anywhere(residuals):
     assert np.isnan(checks._worst(*residuals))
+
+
+def test_bloch_messiah_amplitudes_of_a_sequence_stack_the_cells():
+    cells = [ChannelParams(tau=tau, nbar=nbar) for tau, nbar in ((0.05, 0.01), (0.5, 0.02), (0.95, 0.1))]
+    stacked = checks.bloch_messiah_amplitudes(qpsk(1.0), cells)
+    assert stacked.shape == (3, 4, 2)
+    for amplitudes, params in zip(stacked, cells):
+        np.testing.assert_array_equal(amplitudes, checks.bloch_messiah_amplitudes(qpsk(1.0), params))

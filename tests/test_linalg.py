@@ -11,8 +11,9 @@ from evebounds.linalg import (
     principal_sqrt,
     unitarity_defect,
 )
+from evebounds.checks import random_pair
 from evebounds.states import GaussianState
-from evebounds.unitaries import BogoliubovPair, Rotation, Squeezer
+from evebounds.unitaries import BogoliubovPair, Rotation, Squeezer, _squeezer_arrays, expm_i_hermitian
 from reference import unitary_eig_schur
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -307,3 +308,89 @@ class TestSharedValidators:
         ]:
             with pytest.raises(ValueError, match=word):
                 build()
+
+    @pytest.mark.parametrize("build, name", [
+        (Rotation, "rotation generator"),
+        (Squeezer, "squeezing matrix"),
+        (principal_sqrt, "principal_sqrt input"),
+    ])
+    def test_non_square_is_named(self, build, name):
+        # numpy's "operands could not be broadcast together" before
+        with pytest.raises(ValueError, match=rf"{name} must be square, got shape \(2, 3\)"):
+            build(np.zeros((2, 3)))
+
+
+def stacked_pairs(nmodes, seed):
+    """Four random pairs and the identity pair, last, of `nmodes` modes, as
+    a list and as one stacked `BogoliubovPair`.  The identity pair has no
+    squeezing, so `matched_svd` fills its w_f off the support."""
+    rng = np.random.default_rng(seed)
+    pairs = [random_pair(rng, nmodes) for _ in range(4)]
+    pairs.append(BogoliubovPair(e=np.eye(nmodes), f=np.zeros((nmodes, nmodes))))
+    return pairs, BogoliubovPair(e=np.stack([p.e for p in pairs]), f=np.stack([p.f for p in pairs]))
+
+
+class TestStacks:
+    """A (k, N, N) stack runs the code of one matrix on each member, so
+    every member of a stacked result equals the single call bit for bit."""
+
+    @pytest.mark.parametrize("nmodes", [1, 2, 3])
+    def test_matched_svd(self, nmodes):
+        pairs, stack = stacked_pairs(nmodes, 60 + nmodes)
+        stacked = matched_svd(stack.e, stack.f)
+        assert not stacked.lambda_f[-1].any()
+        for i, pair in enumerate(pairs):
+            single = matched_svd(pair.e, pair.f)
+            for field in ("u", "lambda_e", "lambda_f", "w_e", "w_f"):
+                np.testing.assert_array_equal(getattr(stacked, field)[i], getattr(single, field))
+
+    @pytest.mark.parametrize("nmodes", [1, 2, 3])
+    def test_principal_sqrt(self, nmodes):
+        rng = np.random.default_rng(70 + nmodes)
+        qs = [random_unitary(rng, nmodes) for _ in range(4)] + [np.eye(nmodes)]
+        stack = np.stack([q @ q.T for q in qs])
+        stacked = principal_sqrt(stack)
+        for member, root in zip(stack, stacked):
+            np.testing.assert_array_equal(root, principal_sqrt(member))
+
+    @pytest.mark.parametrize("nmodes", [1, 2, 3])
+    def test_exponentials(self, nmodes):
+        rng = np.random.default_rng(80 + nmodes)
+        m = rng.normal(size=(5, nmodes, nmodes)) + 1j * rng.normal(size=(5, nmodes, nmodes))
+        m[-1] = 0
+        herm, sym = m + m.conj().swapaxes(-1, -2), m + m.swapaxes(-1, -2)
+        rotations = expm_i_hermitian(herm)
+        squeeze_e, squeeze_f = _squeezer_arrays(sym)
+        for i in range(5):
+            np.testing.assert_array_equal(rotations[i], expm_i_hermitian(herm[i]))
+            e, f = _squeezer_arrays(sym[i])
+            np.testing.assert_array_equal(squeeze_e[i], e)
+            np.testing.assert_array_equal(squeeze_f[i], f)
+
+    @pytest.mark.parametrize("f_bad", [0.5 * np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    def test_bad_member_raises_its_message(self, f_bad):
+        pairs, stack = stacked_pairs(2, 90)
+        f = stack.f.copy()
+        f[2] = f_bad
+        with pytest.raises(ValueError) as member:
+            BogoliubovPair(e=stack.e[2], f=f_bad)
+        with pytest.raises(ValueError) as from_pair:
+            BogoliubovPair(e=stack.e, f=f)
+        with pytest.raises(ValueError) as from_svd:
+            matched_svd(stack.e, f)
+        assert str(from_pair.value) == str(from_svd.value) == str(member.value)
+
+    def test_validators_read_the_last_two_axes(self):
+        # m.T reversed every axis of a stack, so distinct symmetric
+        # members failed and a wrong member's residual was misreported
+        rng = np.random.default_rng(3)
+        m = rng.normal(size=(3, 2, 2))
+        sym = m + m.swapaxes(-1, -2)
+        linalg.require_symmetric(sym)
+        sym[1, 0, 1] += 2e-10
+        with pytest.raises(ValueError, match=r"max \|M - M\^T\| = 2\.000e-10"):
+            linalg.require_symmetric(sym, "M")
+        unitaries = np.stack([random_unitary(rng, 3) for _ in range(3)])
+        assert unitarity_defect(unitaries) < 1e-14
+        unitaries[2] *= 1.5
+        assert unitarity_defect(unitaries) == unitarity_defect(unitaries[2])

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import evebounds
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "evebounds"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "evebounds"
 MODULES = ["states", "linalg", "unitaries", "blochmessiah", "cloner", "bounds", "fock"]
 
 
@@ -34,3 +35,25 @@ def test_every_public_name_is_at_the_top_level_once():
 
 def test_eb_z4_is_one_object():
     assert evebounds.eb_z4 is evebounds.bounds.eb_z4 is evebounds.fock.eb_z4
+
+
+def _tracer_lists():
+    """FUNCTIONS and VALIDATED of bench/tracer.py, read without importing it."""
+    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    return {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in ("FUNCTIONS", "VALIDATED")}
+
+
+def test_traced_names_resolve():
+    # The benchmark's tracer patches these by name; a rename would
+    # otherwise fail only the traced benchmark runs.
+    lists = _tracer_lists()
+    assert lists["FUNCTIONS"] and lists["VALIDATED"]
+    for _, module, name in lists["FUNCTIONS"]:
+        found = getattr(importlib.import_module(f"evebounds.{module}"), name, None)
+        assert callable(found), (module, name)
+    states = importlib.import_module("evebounds.states")
+    for name in lists["VALIDATED"]:
+        assert "__post_init__" in vars(getattr(states, name)), name
+    assert importlib.import_module("evebounds.checks").SUITES

@@ -163,7 +163,26 @@ def fock_rule_distance(lhs_gens, rhs_gens, ket):
     return math.sqrt(max(0.0, 1.0 - abs(np.vdot(left, right)) ** 2))
 
 
+SKEW = [[0, 1], [0, 0]]
+
+
 class TestSwitchingRules:
+    @pytest.mark.parametrize("rule, args, message", [
+        # eigh read one triangle: this gave [1, 0]
+        (switch_disp_rotation, (SKEW, [1, 0]),
+         r"rotation generator is not Hermitian: max \|M - M\^dag\| = 1\.000e\+00 > 1e-10"),
+        # the SVD took any z: this gave [1.543, 0]
+        (switch_disp_squeezer, (SKEW, [1, 0]),
+         r"squeezing matrix is not symmetric: max \|M - M\^T\| = 1\.000e\+00 > 1e-10"),
+        (switch_squeezer_rotation, (SKEW, np.eye(2)), "rotation generator is not Hermitian"),
+        (switch_squeezer_rotation, (np.zeros((2, 2)), SKEW), "squeezing matrix is not symmetric"),
+        (switch_disp_rotation, ([[np.nan]], [1.0]), "rotation generator contains NaN"),
+        (switch_disp_squeezer, (np.zeros((2, 3)), [1, 0]), r"must be square, got shape \(2, 3\)"),
+    ])
+    def test_rules_check_their_parameters(self, rule, args, message):
+        with pytest.raises(ValueError, match=message):
+            rule(*args)
+
     def test_zero_displacement(self):
         beta = switch_disp_squeezer(0.3 * np.eye(2), np.zeros(2))
         assert np.allclose(beta, 0)
