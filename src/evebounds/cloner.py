@@ -9,10 +9,12 @@ two-mode state is Gaussian with an amplitude-independent covariance, so it
 reduces to a fixed Gaussian unitary acting on a displaced pair of thermal
 modes; only the displacement carries the signal.
 
-`displaced_thermal_ensemble` takes one `ChannelParams` or a sequence of
-them.  A sequence gives one ensemble for all the cells at once: its
-thermal photon numbers have shape (cells,) and its means (cells, K, 4),
-and the ensemble's methods carry that leading cell axis through.
+`displaced_thermal_ensemble`, `initial_covariance` and `bs_symplectic`
+take one `ChannelParams` or a sequence of them.  A sequence gives one
+ensemble for all the cells at once: its thermal photon numbers have shape
+(cells,) and its means (cells, K, 4), and the ensemble's methods carry
+that leading cell axis through.  The initial covariances and beam
+splitters of a sequence are (cells, 6, 6) stacks.
 
 `_rotation_orbits` finds a constellation's rotation symmetry and one
 amplitude per orbit; the Fock oracle (`fock.eve_exact_entropy`) takes its
@@ -29,8 +31,8 @@ from .linalg import max_abs, require_at_least, require_distribution, require_fin
 from .states import (
     StandardTwoModeCov,
     SymplecticMap,
+    _standard_block,
     average_covariance,
-    make_tmsv,
 )
 
 __all__ = [
@@ -226,12 +228,25 @@ class DisplacedThermalEnsemble:
         return (self.means[..., 0::2] + 1j * self.means[..., 1::2]) / 2
 
 
+def _tau_nbar(params):
+    """(tau, nbar) of one `ChannelParams` as floats, or of a sequence of
+    them as arrays of shape (cells,)."""
+    if isinstance(params, ChannelParams):
+        return params.tau, params.nbar
+    return np.array([(p.tau, p.nbar) for p in params]).T
+
+
 def initial_covariance(params):
     """6x6 covariance of sender mode (x) two-mode squeezed vacuum, in mode
-    order (A, C, E): identity block for the coherent signal, TMSV block for
-    the eavesdropper ancilla."""
-    cov = np.eye(6)
-    cov[2:, 2:] = make_tmsv(params.nbar).cov
+    order (A, C, E): identity block for the coherent signal, TMSV block
+    [[nu I, s Z], [s Z, nu I]] for the eavesdropper ancilla, with
+    nu = 2 nbar + 1 and s = sqrt(nu^2 - 1) as in `states.make_tmsv`.  A
+    sequence of cells gives a (cells, 6, 6) stack.  The matrix is not
+    validated here; a `GaussianState` built from it is."""
+    nu = 2 * np.asarray(_tau_nbar(params)[1]) + 1
+    cov = np.zeros(nu.shape + (6, 6))
+    cov[..., :2, :2] = np.eye(2)
+    cov[..., 2:, 2:] = _standard_block(nu, nu, np.sqrt(nu * nu - 1))
     return cov
 
 
@@ -239,14 +254,16 @@ def bs_symplectic(params):
     """Beam splitter on modes (A, C), identity on E.
 
     First output t A + r C, second output -r A + t C, with t = sqrt(tau)
-    and r = sqrt(1 - tau).
+    and r = sqrt(1 - tau).  A sequence of cells gives one `SymplecticMap`
+    of a (cells, 6, 6) stack.
     """
-    s = np.eye(6)
-    t, r = params.t, params.r
-    s[0:2, 0:2] = t * np.eye(2)
-    s[0:2, 2:4] = r * np.eye(2)
-    s[2:4, 0:2] = -r * np.eye(2)
-    s[2:4, 2:4] = t * np.eye(2)
+    tau = np.asarray(_tau_nbar(params)[0])
+    t, r = (np.sqrt(v)[..., None, None] * np.eye(2) for v in (tau, 1 - tau))
+    s = np.zeros(tau.shape + (6, 6))
+    s[..., 0:2, 0:2] = s[..., 2:4, 2:4] = t
+    s[..., 0:2, 2:4] = r
+    s[..., 2:4, 0:2] = -r
+    s[..., 4:, 4:] = np.eye(2)
     return SymplecticMap(s=s)
 
 
@@ -312,10 +329,7 @@ def displaced_thermal_ensemble(constellation, params):
     too large to double raises the ensemble's precision error, not a numpy
     overflow.
     """
-    if isinstance(params, ChannelParams):
-        tau, nbar = params.tau, params.nbar
-    else:
-        tau, nbar = np.array([(p.tau, p.nbar) for p in params]).T
+    tau, nbar = _tau_nbar(params)
     w1, w2, nu1p = _thermal_weights(tau, nbar)
     r = np.sqrt(1 - tau)
     amps = constellation.amplitudes

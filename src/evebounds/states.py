@@ -41,8 +41,6 @@ __all__ = [
     "average_covariance",
 ]
 
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
-
 PHYSICALITY_ATOL = 1e-9
 
 # Entropy units: bits (log2) or nats (natural log).
@@ -63,8 +61,9 @@ def omega(nmodes):
 
 
 def _check_symmetric(cov):
+    """A finite symmetric 2N x 2N covariance, or a (..., 2N, 2N) stack."""
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] % 2:
+    if cov.ndim < 2 or cov.shape[-1] != cov.shape[-2] or cov.shape[-1] % 2:
         raise ValueError(f"covariance matrix must be square 2N x 2N, got {cov.shape}")
     require_finite(cov, "covariance matrix")
     require_symmetric(cov, "covariance matrix")
@@ -72,8 +71,10 @@ def _check_symmetric(cov):
 
 
 def _check_cov(cov):
+    """`_check_symmetric` and cov + i Omega >= 0, for one covariance or
+    every member of a stack, by one stacked `eigvalsh`."""
     cov = _check_symmetric(cov)
-    n = cov.shape[0] // 2
+    n = cov.shape[-1] // 2
     require_at_least(float(np.linalg.eigvalsh(cov + 1j * omega(n)).min()), -PHYSICALITY_ATOL,
                      "unphysical covariance matrix: min eig of cov + i Omega is {:.3e}")
     return cov
@@ -81,7 +82,10 @@ def _check_cov(cov):
 
 @dataclass
 class GaussianState:
-    """First and second moments of an N-mode bosonic Gaussian state.
+    """First and second moments of an N-mode bosonic Gaussian state, or of
+    a stack of them: mean of shape (..., 2N) and cov of shape
+    (..., 2N, 2N).  A stack is checked at once and fails if any member
+    fails, with that check's message.
 
     Args:
         mean (array[float]): length-2N vector of quadrature means.
@@ -93,16 +97,16 @@ class GaussianState:
 
     def __post_init__(self):
         self.cov = _check_cov(self.cov)
-        self.mean = np.asarray(self.mean, dtype=float).reshape(-1)
+        self.mean = np.asarray(self.mean, dtype=float)
         require_finite(self.mean, "mean vector")
-        if self.mean.size != self.cov.shape[0]:
-            raise ValueError(
-                f"mean length {self.mean.size} does not match covariance size {self.cov.shape[0]}"
-            )
+        size = math.prod(self.cov.shape[:-1])  # 2N, times the stack's length
+        if self.mean.size != size:
+            raise ValueError(f"mean length {self.mean.size} does not match covariance size {size}")
+        self.mean = self.mean.reshape(self.cov.shape[:-1])
 
     @property
     def nmodes(self):
-        return self.mean.size // 2
+        return self.cov.shape[-1] // 2
 
 
 @dataclass
@@ -150,10 +154,13 @@ class StandardTwoModeCov:
 
 def _standard_block(a, b, c):
     """[[a I, c Z], [c Z, b I]]: a standard-form covariance, or with
-    (w1, w1, w2) the Williamson map."""
-    m = np.zeros((4, 4))
-    m[:2, :2], m[2:, 2:] = a * np.eye(2), b * np.eye(2)
-    m[:2, 2:] = m[2:, :2] = c * _Z
+    (w1, w1, w2) the Williamson map; arrays a, b, c of shape (...) give a
+    (..., 4, 4) stack."""
+    m = np.zeros(np.shape(a) + (4, 4))
+    m[..., 0, 0] = m[..., 1, 1] = a
+    m[..., 2, 2] = m[..., 3, 3] = b
+    m[..., 0, 2] = m[..., 2, 0] = c
+    m[..., 1, 3] = m[..., 3, 1] = -c
     return m
 
 
@@ -188,6 +195,8 @@ def symplectic_eigenvalues(cov):
         array[float]: N symplectic eigenvalues, decreasing, each >= 1 - 1e-9.
     """
     cov = _check_symmetric(cov)
+    if cov.ndim != 2:
+        raise ValueError(f"covariance matrix must be square 2N x 2N, got {cov.shape}")
     try:
         np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -389,26 +398,28 @@ def entropy_from_cov(cov, base="bits"):
 
 
 def apply_symplectic(state, smap):
-    """Transform a Gaussian state by an affine symplectic map."""
+    """Transform a Gaussian state by an affine symplectic map; stacks of
+    states and of maps broadcast against each other."""
     if smap.nmodes != state.nmodes:
         raise ValueError(
             f"mode mismatch: map acts on {smap.nmodes} modes, state has {state.nmodes}"
         )
     return GaussianState(
-        mean=smap.s @ state.mean + smap.d,
-        cov=smap.s @ state.cov @ smap.s.T,
+        mean=(smap.s @ state.mean[..., None])[..., 0] + smap.d,
+        cov=smap.s @ state.cov @ smap.s.swapaxes(-1, -2),
     )
 
 
 def partial_trace_modes(state, keep):
-    """Restrict a Gaussian state to the modes listed in `keep` (0-based)."""
+    """Restrict a Gaussian state, or each state of a stack, to the modes
+    listed in `keep` (0-based)."""
     keep = sorted(set(int(k) for k in keep))
     if not keep:
         raise ValueError("must keep at least one mode")
     if keep[0] < 0 or keep[-1] >= state.nmodes:
         raise ValueError(f"mode indices {keep} out of range for {state.nmodes}-mode state")
     idx = np.array([2 * k + o for k in keep for o in (0, 1)])
-    return GaussianState(mean=state.mean[idx], cov=state.cov[np.ix_(idx, idx)])
+    return GaussianState(mean=state.mean[..., idx], cov=state.cov[..., idx[:, None], idx])
 
 
 def average_covariance(means, probs, common_cov):

@@ -8,10 +8,11 @@ the quadrature (symplectic) picture, composes them, and implements the
 operator-reordering rules that move a displacement or squeezer through
 the other fundamental operations.  It uses numpy alone.
 
-`Rotation`, `Squeezer`, `BogoliubovPair`, `expm_i_hermitian`,
-`to_symplectic` and `from_symplectic` also take a leading axis of
-operations, (..., N, N) matrices with (..., N) displacements, and run the
-same code on one operation as on a stack of one.  The reordering rules
+`Displacement`, `Rotation`, `Squeezer`, `BogoliubovPair`,
+`bogoliubov_of`, `compose`, `expm_i_hermitian`, `to_symplectic` and
+`from_symplectic` also take a leading axis of operations, (..., N, N)
+matrices with (..., N) displacements, and run the same code on one
+operation as on a stack of one.  The reordering rules
 validate their parameters as `Rotation` and `Squeezer` do; a circuit of
 validated operations moves a displacement through them with
 `_switch_disp_rotation` and `_switch_disp_squeezer`, which skip that check.
@@ -125,8 +126,9 @@ def bogoliubov_of(op):
     (`_squeezer_arrays`).
     """
     if isinstance(op, Displacement):
-        n = op.alpha.size
-        return BogoliubovPair(e=np.eye(n, dtype=complex), f=np.zeros((n, n), dtype=complex), alpha=op.alpha)
+        n = op.alpha.shape[-1]
+        e = np.broadcast_to(np.eye(n, dtype=complex), op.alpha.shape + (n,))
+        return BogoliubovPair(e=e.copy(), f=np.zeros_like(e), alpha=op.alpha)
     if isinstance(op, Rotation):
         e = expm_i_hermitian(op.phi)
         return BogoliubovPair(e=e, f=np.zeros_like(e))
@@ -170,7 +172,8 @@ def from_symplectic(smap):
 
 
 def compose(first, then):
-    """Bogoliubov pair of `then` applied after `first`.
+    """Bogoliubov pair of `then` applied after `first`, or of each pair of
+    two stacks, which broadcast against each other.
 
     Matches the symplectic composition (S2 S1, S2 d1 + d2).
     """
@@ -179,7 +182,8 @@ def compose(first, then):
             f"mode mismatch: composing {first.nmodes}-mode with {then.nmodes}-mode operation"
         )
     e, f = _compose_arrays((first.e, first.f), (then.e, then.f))
-    alpha = then.e @ first.alpha + then.f @ first.alpha.conj() + then.alpha
+    alpha = first.alpha[..., None]
+    alpha = (then.e @ alpha + then.f @ alpha.conj())[..., 0] + then.alpha
     return BogoliubovPair(e=e, f=f, alpha=alpha)
 
 

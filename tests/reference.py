@@ -5,7 +5,8 @@ operators, generators and exponentials (scipy's `expm_multiply`, a dense
 `eigh` and a per-call tridiagonal one) that the structured and Chebyshev
 exponentials of `evebounds.fock` are checked against, the scipy Schur
 form that `evebounds.linalg._unitary_eig` is checked against, and the
-per-operation and per-amplitude forms of two `evebounds.checks` helpers,
+per-operation and per-amplitude forms of two `evebounds.checks` helpers
+and the per-part draws of a third,
 and the oracle's complex factor through the dense beam-splitter unitary,
 with the entropy from its single Gram matrix of all amplitudes or from
 one eigensolve per rotation class."""
@@ -281,6 +282,15 @@ def random_pair_composed(rng, nmodes, with_displacement=False):
         alpha = rng.normal(size=nmodes) + 1j * rng.normal(size=nmodes)
         pair = BogoliubovPair(e=pair.e, f=pair.f, alpha=alpha)
     return pair
+
+
+def draw_pair_sequential(rng, nmodes, with_displacement):
+    """`evebounds.checks._draw_pair` with one `rng.normal` call per real or
+    imaginary part, in its order."""
+    rounds = np.array([rng.normal(size=(nmodes, nmodes)) + 1j * rng.normal(size=(nmodes, nmodes))
+                       for _ in range(6)])
+    alpha = rng.normal(size=nmodes) + 1j * rng.normal(size=nmodes) if with_displacement else None
+    return rounds, alpha
 
 
 def bloch_messiah_amplitudes_loop(constellation, params):

@@ -97,6 +97,17 @@ class TestCovariancePipeline:
         assert np.allclose(s[0:2, 2:4], inv_sqrt2 * np.eye(2))
         assert np.allclose(s[2:4, 0:2], -inv_sqrt2 * np.eye(2))
 
+    def test_sequences_of_cells_stack_the_single_calls(self):
+        cells = [ChannelParams(tau=tau, nbar=nbar) for tau, nbar in GRID[:7]] + [
+            ChannelParams(tau=0.0, nbar=0.0), ChannelParams(tau=1.0, nbar=3.0)]
+        covs, maps = initial_covariance(cells), bs_symplectic(cells)
+        assert covs.shape == maps.s.shape == (9, 6, 6)
+        for i, p in enumerate(cells):
+            np.testing.assert_array_equal(covs[i], initial_covariance(p))
+            np.testing.assert_array_equal(maps.s[i], bs_symplectic(p).s)
+        # the ancilla block is the TMSV's, bit for bit
+        np.testing.assert_array_equal(initial_covariance(cells[2])[2:, 2:], make_tmsv(cells[2].nbar).cov)
+
     def test_bs_symplectic_form(self):
         s = bs_symplectic(ChannelParams(tau=0.3, nbar=0.0)).s
         assert np.max(np.abs(s @ omega(3) @ s.T - omega(3))) < 1e-12

@@ -343,6 +343,64 @@ class TestMapsAndTrace:
             partial_trace_modes(make_tmsv(0.1), keep=())
 
 
+class TestStacks:
+    """A stack of states runs the code of one state: each member equals
+    the single call bit for bit, and a stack fails if any member fails."""
+
+    @staticmethod
+    def random_states(rng, nmodes, count):
+        covs, means = [], []
+        for _ in range(count):
+            s = to_symplectic(random_pair(rng, nmodes)).s
+            covs.append(s @ np.diag(np.repeat(rng.uniform(1.0, 3.0, size=nmodes), 2)) @ s.T)
+            means.append(rng.normal(size=2 * nmodes))
+        covs = np.array(covs)
+        return np.array(means), (covs + covs.swapaxes(-1, -2)) / 2
+
+    @pytest.mark.parametrize("nmodes", [1, 2, 3])
+    def test_members_equal_single_states(self, nmodes):
+        rng = np.random.default_rng(40 + nmodes)
+        means, covs = self.random_states(rng, nmodes, 4)
+        maps = [to_symplectic(random_pair(rng, nmodes, with_displacement=True)) for _ in range(4)]
+        stack = GaussianState(mean=means, cov=covs)
+        assert stack.nmodes == nmodes and stack.mean.shape == (4, 2 * nmodes)
+        moved = apply_symplectic(stack, SymplecticMap(s=np.stack([m.s for m in maps]),
+                                                      d=np.stack([m.d for m in maps])))
+        shared = apply_symplectic(stack, maps[0])
+        keep = (nmodes - 1,) if nmodes < 3 else (0, 2)
+        traced = partial_trace_modes(moved, keep=keep)
+        for i in range(4):
+            single = GaussianState(mean=means[i], cov=covs[i])
+            np.testing.assert_array_equal(stack.mean[i], single.mean)
+            np.testing.assert_array_equal(stack.cov[i], single.cov)
+            for got, smap in ((moved, maps[i]), (shared, maps[0])):
+                want = apply_symplectic(single, smap)
+                np.testing.assert_array_equal(got.mean[i], want.mean)
+                np.testing.assert_array_equal(got.cov[i], want.cov)
+            want = partial_trace_modes(apply_symplectic(single, maps[i]), keep=keep)
+            np.testing.assert_array_equal(traced.mean[i], want.mean)
+            np.testing.assert_array_equal(traced.cov[i], want.cov)
+
+    def test_one_unphysical_member_fails_the_stack(self):
+        covs = np.stack([make_tmsv(0.1).cov, make_tmsv(0.2).cov, 0.5 * np.eye(4)])
+        with pytest.raises(ValueError, match="unphysical covariance matrix: min eig of cov"):
+            GaussianState(mean=np.zeros((3, 4)), cov=covs)
+
+    def test_one_asymmetric_member_fails_the_stack(self):
+        covs = np.stack([np.eye(2), np.eye(2)])
+        covs[1, 0, 1] = 1e-3
+        with pytest.raises(ValueError, match="covariance matrix is not symmetric"):
+            GaussianState(mean=np.zeros((2, 2)), cov=covs)
+
+    def test_mean_size_must_match_the_stack(self):
+        with pytest.raises(ValueError, match="mean length 4 does not match covariance size 6"):
+            GaussianState(mean=np.zeros(4), cov=np.stack([np.eye(2)] * 3))
+
+    def test_spectrum_takes_one_matrix(self):
+        with pytest.raises(ValueError, match="must be square 2N x 2N"):
+            symplectic_eigenvalues(np.stack([np.eye(2)] * 2))
+
+
 class TestAverageCovariance:
     def test_zero_means(self):
         cov = make_thermal(0.2).cov

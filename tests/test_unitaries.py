@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from evebounds.checks import random_pair
+from evebounds.checks import _random_pair_stacks, random_pair
 from evebounds.cloner import ChannelParams, eve_reduced_covariance
 from evebounds.states import williamson_standard_two_mode
 from evebounds.unitaries import (
@@ -145,6 +145,23 @@ class TestCompose:
             total = compose(total, bogoliubov_of(op))
         assert np.max(np.abs(total.e - pair.e)) < 1e-12
         assert np.max(np.abs(total.f - pair.f)) < 1e-12
+
+    @pytest.mark.parametrize("nmodes", [1, 2, 3])
+    def test_stacks_compose_member_by_member(self, nmodes):
+        stack = _random_pair_stacks(np.random.default_rng(1), 9, True)[nmodes - 1]
+        shift = bogoliubov_of(Displacement(np.arange(3 * nmodes).reshape(3, nmodes) * (0.5 - 0.25j)))
+        assert shift.e.shape == (3, nmodes, nmodes)
+        for first, then in ((stack, stack), (stack, shift), (shift, stack)):
+            combined = compose(first, then)
+            for i in range(3):
+                want = compose(*(BogoliubovPair(e=p.e[i], f=p.f[i], alpha=p.alpha[i]) for p in (first, then)))
+                np.testing.assert_array_equal(combined.e[i], want.e)
+                np.testing.assert_array_equal(combined.f[i], want.f)
+                np.testing.assert_array_equal(combined.alpha[i], want.alpha)
+        for i in range(3):
+            single = bogoliubov_of(Displacement(shift.alpha[i]))
+            np.testing.assert_array_equal(shift.e[i], single.e)
+            np.testing.assert_array_equal(shift.f[i], single.f)
 
     def test_mode_mismatch(self):
         with pytest.raises(ValueError, match="mode mismatch"):
