@@ -1,25 +1,28 @@
 """Eavesdropper-entropy estimators for a discretely modulated protocol.
 
-Three estimators are compared; the first two are upper bounds, and so
-security bounds, the third a lower bound:
+What each estimator assumes, and so what it is:
 
 * `eb_qpsk_entropy`: the entangled-based bound.  The four-state average is
   purified, the purification's covariance is pushed through the channel,
-  and the Gaussian entropy of the result is taken (Gaussian extremality
-  plus global purity make it an upper bound).  Its one non-Gaussian input,
-  the purification cross moment Z4, has a closed form, `eb_z4`.  Its
-  domain is 0 < alpha <= `EB_ALPHA_MAX` and every nbar whose (X + b)^2 is
-  a double (X and b the two modes' variances), about
+  and the Gaussian entropy of the result is taken.  It assumes Gaussian
+  extremality on that covariance and the purity of the global state
+  (Leverrier and Grangier, PRL 102, 180504, 2009), and uses nothing of the
+  attack but the channel's covariance; an upper bound.  Its one
+  non-Gaussian input, the purification cross moment Z4, has a closed
+  form, `eb_z4`.  Its domain is 0 < alpha <= `EB_ALPHA_MAX` and every nbar
+  whose (X + b)^2 is a double (X and b the two modes' variances), about
   nbar < 6.7e153 / (1 - tau); from nbar = 1e6 to 1e150 it is within
   7.6e-14 bits of 400-digit arithmetic (tau in {0.02, 0.5, 0.98}, alpha
   in {0.05, 1, 100}).  The bound is valid but loose near tau = 1: at
   alpha = 1 it gives 2.0853 bits there for any nbar, where the true
   entropy is 0.
-* `bm_get_entropy`: Gaussian extremality applied directly to the
-  covariance of the displaced-thermal ensemble that carries the
-  eavesdropper's average state; an upper bound.  Its two-mode symplectic
-  spectrum is taken from the covariance's invariants (det A + det B +
-  2 det C and det V), with no eigensolve.
+* `bm_get_entropy`: Gaussian extremality applied to the covariance of the
+  displaced-thermal ensemble that carries the eavesdropper's average
+  state under the entangling-cloner attack (`cloner`).  It bounds her
+  entropy from above under that attack, the paper's setting, and claims
+  nothing beyond it.  Its two-mode symplectic spectrum has a closed form
+  for circular ensembles, QPSK among them, and comes from the average
+  covariance's invariants otherwise (`gaussian_extremality_entropy`).
 * `bm_gme_entropy`: the entropy of the ensemble's normalized Gram matrix,
   with the complex coherent-state overlaps of the displacement amplitudes
   as entries.  For a pure ensemble the Gram spectrum equals the
@@ -46,17 +49,26 @@ security bounds, the third a lower bound:
   one eigensolve that gives its entropy, the `states.spectrum_entropy` of
   its spectrum (one row per cell of a stack).  `eb` and `bm-get` take
   theirs through `states.symplectic_entropy`.
+* The Fock oracle, `fock.eve_exact_entropy`, is no bound: it is the
+  brute-force check of the others where it converges.
+
+The chain bm-gme <= bm-get <= eb is measured, not assumed: by
+`checks.check_estimator_ordering` on 20 cells of the reference grid, to
+1e-9 bits, and by tests/test_ordering_property.py over tau in [0, 1],
+nbar up to 1e6 and alpha from 1e-6 to 6, to 1e-10 bits.  Where the tests
+compare the oracle at converged cells, it lies between bm-gme and bm-get
+to within 1e-6 bits.
 
 The ensemble, `gram_matrix`, `gram_entropy` and
 `gaussian_extremality_entropy` also take a leading axis of grid cells (see
 `cloner.DisplacedThermalEnsemble`), and `eb_qpsk_entropy` a sequence of
 cells: a scan builds its cells' Gram matrices as one (cells, K, K) stack,
 checks them together and diagonalizes them with one stacked `eigvalsh`;
-`gaussian_extremality_entropy` forms the cells' average covariances
-together and takes their determinants with one stacked `det`; and
-`eb_qpsk_entropy` takes X and Z4 once.  The closed-form tails of the last
-two run on floats per cell.  The library calls run the same code on one
-cell, so a scan's value for a cell is the one the library returns for it.
+`gaussian_extremality_entropy` takes the cells' displacement moments
+together; and `eb_qpsk_entropy` takes X and Z4 once.  The closed-form
+tails of the last two run on floats per cell.  The library calls run the
+same code on one cell, so a scan's value for a cell is the one the
+library returns for it.
 
 The estimators import nothing from `fock`, the brute-force oracle that
 checks them.
@@ -142,25 +154,90 @@ def gram_entropy(matrix, base="bits"):
     return spectrum_entropy(eigs / eigs.sum(axis=-1, keepdims=True), base)
 
 
+# `gaussian_extremality_entropy` takes an ensemble cell as circular when
+# the first two moments of its mode-1 displacements b1, |sum p b1|^2 and
+# |sum p b1^2|, are at most this times sum p |b1|^2.  A constellation that
+# a rotation by 2 pi / K (K >= 3) maps onto itself has both moments 0, so
+# rounding leaves them near 1e-16 of sum p |b1|^2.
+CIRCULAR_RTOL = 1e-12
+
+
 def gaussian_extremality_entropy(ensemble, base="bits"):
     """Entropy of the Gaussian state with the average covariance of a
     displaced-thermal ensemble, an upper bound on its average state's
     entropy.
 
-    The symplectic spectrum comes from the two-mode invariants
-    (`states._two_mode_symplectic_spectrum`); the average covariance is
-    diag(nu2, nu2, nu1, nu1) >= 1 plus a positive-semidefinite spread, so
-    it meets that function's positive-definite precondition.
+    The ensemble's mode-2 displacement b2 is a fixed real multiple of the
+    conjugate of its mode-1 displacement b1
+    (`cloner.DisplacedThermalEnsemble`).  So when b1 is circular to second
+    order (`CIRCULAR_RTOL`), as for QPSK and every constellation of
+    rotation order K >= 3, the average covariance is in standard form
+    [[a I, c Z], [c Z, b I]], and with E1 = sum p |b1|^2,
+    E2 = sum p |b2|^2 and nu1 = 2 nu1p + 1 its invariants have closed
+    forms in which nothing cancels: a - b = 2 (E1 - E2 - nu1p) and
+    ab - c^2 = nu1 + 2 (E2 + E1 nu1), the alpha^4 terms of ab and c^2
+    cancelling in the algebra, never in floats.  The symplectic
+    eigenvalues are then
+    nu+ = (sqrt((a - b)^2 + 4 (ab - c^2)) + |a - b|) / 2 and
+    nu- = (ab - c^2) / nu+.  For QPSK against 60- and 200-digit
+    arithmetic (alpha from 1e-6 to 1e4, nbar from 0 to 1e6, tau from 0 to
+    1) that is within 2.6e-15 of the value, relative to max(1, value),
+    except that `states._thermal_entropy`'s skip of thermal photon
+    numbers below 1e-12 costs up to 4.1e-11 bits at small alpha.  Once
+    (a - b)^2 + 4 (ab - c^2) is not a double (for QPSK from alpha of
+    about 1e77) it raises ("beyond double precision").
 
-    A float for one ensemble; for an ensemble with a leading cell axis,
-    the average covariances are formed at once and their determinants
-    taken by one stacked `np.linalg.det`, giving a list of floats.
+    Any other cell takes its spectrum from the two-mode invariants of its
+    average covariance (`states._two_mode_symplectic_spectrum`), which
+    loses up to about 1e-8 in nu- where both eigenvalues are near 1, as
+    at small alpha and small nbar (QPSK by that route was off by up to
+    1.3e-8 bits on the small-alpha table of tests/test_bounds.py, and
+    raised at two of its cells); the average covariance is
+    diag(1, 1, nu1, nu1) plus a positive-semidefinite spread, so it meets
+    that function's positive-definite precondition.
+
+    A float for one ensemble; for an ensemble with a leading cell axis, a
+    list of floats, each the one its cell gives alone.  The moments are
+    taken for all cells at once and the closed forms run on floats per
+    cell, in order, so a stack raises its first failing cell's error.
     """
     _log(base)
-    covs = ensemble.average_covariance()
-    if covs.ndim == 2:
-        return symplectic_entropy(_two_mode_symplectic_spectrum(covs), base)
-    return [symplectic_entropy(nus, base) for nus in _two_mode_symplectic_spectrum(covs)]
+    # Per cell, over the means m = (q1, p1, q2, p2) = 2 (Re b1, Im b1,
+    # Re b2, Im b2): sum p m, sum p m^2 and sum p q1 p1.
+    means = ensemble.means.reshape(-1, ensemble.probs.size, 4)
+    weighted = means * ensemble.probs[:, None]
+    cells = zip(weighted.sum(axis=-2).tolist(), (weighted * means).sum(axis=-2).tolist(),
+                (weighted[..., 0] * means[..., 1]).sum(axis=-1).tolist(),
+                np.reshape(ensemble.nu1p, -1).tolist())
+    covs = None
+    values = []
+    for i, ((q1, p1, _, _), (qq1, pp1, qq2, pp2), qp1, nu1p) in enumerate(cells):
+        e1, e2 = (qq1 + pp1) / 4, (qq2 + pp2) / 4
+        # 4 |sum p b1|^2 and 4 |sum p b1^2|, each against 4 CIRCULAR_RTOL E1
+        limit = 4 * CIRCULAR_RTOL * e1
+        if q1 * q1 + p1 * p1 <= limit and math.hypot(qq1 - pp1, 2 * qp1) <= limit:
+            nus = _circular_spectrum(e1, e2, nu1p)
+        else:
+            if covs is None:
+                covs = ensemble.average_covariance().reshape(-1, 4, 4)
+            nus = _two_mode_symplectic_spectrum(covs[i])
+        values.append(symplectic_entropy(nus, base))
+    return values if np.ndim(ensemble.nu1p) else values[0]
+
+
+def _circular_spectrum(e1, e2, nu1p):
+    """(nu+, nu-) of a circular ensemble cell's average covariance from
+    E1, E2 and nu1p, as `gaussian_extremality_entropy` sets out."""
+    nu1 = 2 * nu1p + 1
+    diff = 2 * (e1 - e2 - nu1p)
+    det = nu1 + 2 * (e2 + e1 * nu1)
+    total = diff * diff + 4 * det
+    if not total < math.inf:
+        raise ValueError(
+            f"two-mode covariance beyond double precision: (a-b)^2 + 4(ab-c^2) is not finite, a-b = {diff:.3e}"
+        )
+    larger = (math.sqrt(total) + abs(diff)) / 2
+    return larger, det / larger
 
 
 def bm_get_entropy(constellation, params, base="bits"):

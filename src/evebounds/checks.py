@@ -7,13 +7,13 @@ and reports its worst residual against a fixed tolerance.
   below; one item is a stack of one, with no second code path.  The
   Williamson grid and the three-cell invariance and Gram suites run cell
   by cell.
-- Random Gaussian unitaries are validated once, as the final pair
-  (`random_pair`), and each draws its inputs with one `rng.normal` call
-  (`_draw_pair`).  The Bloch-Messiah and round-trip suites draw every
-  trial's inputs in rng order, then compose, decompose and rebuild the
-  trials of each mode count (1, 2, 3) as one stack
-  (`_random_pair_stacks`).  The Takagi suite draws its trials first and
-  runs one QR and one `principal_sqrt` per matrix size.
+- Random Gaussian unitaries are composed as plain arrays and validated
+  once, as the final pair (`_composed_pairs`), and each draws its inputs
+  with one `rng.normal` call (`_draw_pair`).  The Bloch-Messiah and
+  round-trip suites draw every trial's inputs in rng order, then compose,
+  decompose and rebuild the trials of each mode count (1, 2, 3) as one
+  stack (`_random_pair_stacks`).  The Takagi suite draws its trials first
+  and runs one QR and one `principal_sqrt` per matrix size.
 - The cloner pipeline suite runs its 30 cells as one stacked
   `GaussianState` through the beam splitter and the partial trace, and
   builds each cell's reduced covariance once; the Bloch-Messiah
@@ -25,12 +25,9 @@ and reports its worst residual against a fixed tolerance.
 - The Fock-space reordering check shares one displacement and one rotation
   of its probes between the three rules, and squeezes psi and D(beta) psi
   in one call (`_switch_rule_distances`).  Squeezers with different
-  generators stay separate calls: one stack would run the Chebyshev
-  series to its largest generator's order for every ket, with a weight
-  array per ket, and 9 kets with their own generators took 57 ms as one
-  stack against 25 ms as 9 single calls (94 against 40 ms re-measured
-  on a 2-CPU Xeon KVM guest, one BLAS thread).  Fock rotations are
-  mostly their truncated-sector `eigh` and are not stacked either.
+  generators stay separate calls, since one stack would run the Chebyshev
+  series to its largest generator's order for every ket; Fock rotations
+  are mostly their truncated-sector `eigh` and are not stacked either.
 - Every suite folds its residuals with `_worst`, which keeps a NaN, so a
   suite whose computation turns NaN fails.
 The suites run on numpy alone.
@@ -110,22 +107,12 @@ def _worst(*residuals):
     return math.nan if any(math.isnan(r) for r in residuals) else max(residuals)
 
 
-def random_pair(rng, nmodes, with_displacement=False):
-    """Random Gaussian unitary built by composing fundamental operations.
-
-    Three rotation-squeezer rounds are composed as plain (E, F) arrays, and
-    only the final pair is validated, by the `BogoliubovPair` returned; the
-    draws and the arithmetic are those of composing `bogoliubov_of` pairs.
-    """
-    return _composed_pairs(*_draw_pair(rng, nmodes, with_displacement))
-
-
 def _draw_pair(rng, nmodes, with_displacement):
-    """`random_pair`'s draws, in its order: six complex Gaussian N x N
-    matrices (generator, squeezing matrix, generator, ...), each its real
-    part then its imaginary part, then alpha's or None.  They are taken by
-    one `rng.normal` call, which reads the stream as the call per part
-    did."""
+    """The draws of one random N-mode Gaussian unitary: six complex
+    Gaussian N x N matrices (generator, squeezing matrix, generator, ...),
+    each its real part then its imaginary part, then alpha's or None.
+    They are taken by one `rng.normal` call, which reads the stream as a
+    call per part would."""
     square = 12 * nmodes * nmodes
     draws = rng.normal(size=square + (2 * nmodes if with_displacement else 0))
     re, im = draws[:square].reshape(6, 2, nmodes, nmodes).swapaxes(0, 1)
@@ -137,8 +124,11 @@ def _draw_pair(rng, nmodes, with_displacement):
 
 
 def _composed_pairs(rounds, alpha):
-    """The `BogoliubovPair` that `random_pair` builds from its draws, for one
-    unitary or, with (..., 6, N, N) rounds, a stack of them."""
+    """The `BogoliubovPair` of `_draw_pair`'s draws, for one unitary or,
+    with (..., 6, N, N) rounds, a stack of them: three rotation-squeezer
+    rounds composed as plain (E, F) arrays, with only the final pair
+    validated; the arithmetic is that of composing validated pairs one
+    operation at a time."""
     herm = rounds[..., 0::2, :, :]
     sym = rounds[..., 1::2, :, :]
     rotations = expm_i_hermitian((herm + _dagger(herm)) / 2)
@@ -152,9 +142,9 @@ def _composed_pairs(rounds, alpha):
 
 
 def _random_pair_stacks(rng, trials, with_displacement=False):
-    """`random_pair(rng, 1 + trial % 3, with_displacement)` for each trial,
-    drawn in trial order and composed as one stacked pair per mode count:
-    [the 1-mode trials, the 2-mode trials, the 3-mode trials]."""
+    """A random (1 + trial % 3)-mode unitary for each trial, drawn in trial
+    order and composed as one stacked pair per mode count: [the 1-mode
+    trials, the 2-mode trials, the 3-mode trials]."""
     draws = [_draw_pair(rng, 1 + trial % 3, with_displacement) for trial in range(trials)]
     stacks = []
     for group in (draws[0::3], draws[1::3], draws[2::3]):
@@ -231,26 +221,14 @@ def _switched_displacement(circuit, beta):
     return _switch_disp_rotation(rot1, g)
 
 
-def bloch_messiah_amplitudes(constellation, params):
-    """K x 2 displacements of the eavesdropper's ensemble, obtained by pushing
-    the conditional displacements (-r alpha_i, 0) through the Bloch-Messiah
-    circuit of her thermal decomposition, all K at once as the columns of a
-    2 x K matrix; the reference for the closed form in
-    `displaced_thermal_ensemble`.
-
-    `params` is one `ChannelParams`, or a sequence of them for a
-    (cells, K, 2) stack.  One cell runs as a stack of one
-    (`_circuit_amplitudes`).
-    """
-    cells = [params] if isinstance(params, ChannelParams) else params
-    amps = _circuit_amplitudes(constellation, cells, [eve_reduced_covariance(p) for p in cells])
-    return amps[0] if isinstance(params, ChannelParams) else amps
-
-
 def _circuit_amplitudes(constellation, cells, covs):
-    """`bloch_messiah_amplitudes` of a sequence of cells, given their
-    `eve_reduced_covariance`s: the cells' Williamson maps are decomposed as
-    one stack, and their displacements moved through one stacked circuit."""
+    """(cells, K, 2) displacements of the eavesdropper's ensemble at a
+    sequence of cells, given their `eve_reduced_covariance`s: the
+    conditional displacements (-r alpha_i, 0) pushed through the
+    Bloch-Messiah circuit of each cell's thermal decomposition, the
+    reference for the closed form of `displaced_thermal_ensemble`.  The
+    cells' Williamson maps are decomposed as one stack, and their
+    displacements moved through one stacked circuit."""
     smap = SymplecticMap(s=np.stack([williamson_standard_two_mode(std)[0].s for std in covs]))
     circuit = factors_to_circuit(bloch_messiah(from_symplectic(smap)))
     amps = -np.multiply.outer([p.r for p in cells], constellation.amplitudes)
@@ -414,6 +392,12 @@ def _switch_rule_distances(cutoff, alpha, herm, sym, rng):
 
 
 def check_oracle_entropy_agreement():
+    """The Fock entropy kernel against the Gaussian one on thermal states:
+    `fock.fock_entropy` of truncated thermal states (nbar 0.02, 0.5 and 1
+    at cutoff 30), and of nbar 0.3 at cutoff 20 against the phase-space
+    TMSV marginal, each compared with `states.entropy_from_cov`.  It
+    checks the entropy the oracle sums, not the oracle: it never calls
+    `fock.eve_exact_entropy`."""
     worst = 0.0
     for nbar in (0.02, 0.5, 1.0):
         exact = fock.fock_entropy(fock.fock_thermal(nbar, 30))

@@ -12,13 +12,13 @@ them into rows, labelled from the taus and nbars the cells are built from.
 
 Each method runs over all grid cells at once.  `eb` takes X and Z4 once
 per scan.  `bm-get` and `bm-gme` share one displaced-thermal ensemble
-stacked over the cells: `bm-get` forms the cells' average covariances
-together and takes their determinants with one stacked `det`, and `bm-gme`
-checks the cells' Gram matrices as one stack and diagonalizes them with one
-`eigvalsh`.  The closed-form tails of `eb` and `bm-get` then run on floats
-per cell.  The oracle runs per cell, tau-major, so the cells that share a
-transmittance reuse its cached beam splitter (`fock._bs_slot_values`).
-Every value is the one the library call returns for that cell alone.
+stacked over the cells: `bm-get` takes the cells' displacement moments
+together, and `bm-gme` checks the cells' Gram matrices as one stack and
+diagonalizes them with one `eigvalsh`.  The closed-form tails of `eb` and
+`bm-get` then run on floats per cell.  The oracle runs per cell,
+tau-major, so the cells that share a transmittance reuse its cached beam
+splitter (`fock._bs_slot_values`).  Every value is the one the library
+call returns for that cell alone.
 """
 
 import argparse

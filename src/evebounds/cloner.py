@@ -189,7 +189,9 @@ class DisplacedThermalEnsemble:
     displacement -w1 r alpha_i) is pure by construction, and mode 2 (the
     retained squeezed-vacuum arm, displaced by w2 r conj(alpha_i)) is
     thermal with nu1p.  That pairing is the one whose transformed moments
-    match the Fock-space reference.
+    match the Fock-space reference.  Every member's mode-2 displacement is
+    thus the same real multiple, -w2 / w1, of the conjugate of its mode-1
+    displacement, which `bounds.gaussian_extremality_entropy` relies on.
 
     One ensemble has a float nu1p and K x 4 means.  A stack of ensembles
     over grid cells that share the probabilities has nu1p of shape (cells,)

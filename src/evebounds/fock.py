@@ -2,8 +2,9 @@
 that checks the estimators of `bounds`, which import nothing from it.
 
 A map of the module; each argument is made once, in the docstring named.
-- States (`tmsv_ket`, `fock_thermal`) are plain arrays at an explicit
-  cutoff; losing more than `DEFICIT_LIMIT` raises FockConvergenceError.
+- States (`fock_thermal`, the oracle's kets) are plain arrays at an
+  explicit cutoff; losing more than `DEFICIT_LIMIT` raises
+  FockConvergenceError.
 - The `--check` exponentials act on two-mode kets: `apply_displacement`
   through a cached tridiagonal eigenbasis, `apply_rotation` as
   phase, cached beam splitter, phase on the complete photon-number
@@ -71,16 +72,6 @@ def _normalized(c):
     underflow."""
     norm2 = float(np.vdot(c, c).real)
     return (c / math.sqrt(norm2) if norm2 > 0 else c), 1.0 - norm2
-
-
-def tmsv_ket(nbar, cutoff):
-    """(ket, deficit) for a two-mode squeezed vacuum: the flat d x d ket
-    (d = cutoff + 1) with the Schmidt coefficients of `_tmsv_schmidt` on
-    its diagonal."""
-    if not 0 <= nbar < math.inf:
-        raise ValueError(f"mean photon number must be finite and >= 0, got {nbar}")
-    c, deficit = _tmsv_schmidt(nbar, cutoff)
-    return np.diag(c).reshape(-1).astype(complex), deficit
 
 
 def fock_thermal(nbar, cutoff):

@@ -2,17 +2,17 @@
 
 A Gaussian unitary acts on the annihilation operators as
 a -> E a + F a^dag + alpha, with E F^T = F E^T and E E^dag = F F^dag + I.
-This module builds the pairs for displacements, rotations and squeezers
-(a squeezer's from one SVD of its squeezing matrix), converts to and from
-the quadrature (symplectic) picture, composes them, and implements the
+This module holds the validated rotations and squeezers, their pairs as
+plain arrays (`expm_i_hermitian`, and `_squeezer_arrays` from one SVD of
+the squeezing matrix) and their composition (`_compose_arrays`), converts
+pairs to and from the quadrature (symplectic) picture, and implements the
 operator-reordering rules that move a displacement or squeezer through
 the other fundamental operations.  It uses numpy alone.
 
-`Displacement`, `Rotation`, `Squeezer`, `BogoliubovPair`,
-`bogoliubov_of`, `compose`, `expm_i_hermitian`, `to_symplectic` and
-`from_symplectic` also take a leading axis of operations, (..., N, N)
-matrices with (..., N) displacements, and run the same code on one
-operation as on a stack of one.  The reordering rules
+`Rotation`, `Squeezer`, `BogoliubovPair`, `expm_i_hermitian`,
+`to_symplectic` and `from_symplectic` also take a leading axis of
+operations, (..., N, N) matrices with (..., N) displacements, and run the
+same code on one operation as on a stack of one.  The reordering rules
 validate their parameters as `Rotation` and `Squeezer` do; a circuit of
 validated operations moves a displacement through them with
 `_switch_disp_rotation` and `_switch_disp_squeezer`, which skip that check.
@@ -26,27 +26,15 @@ from .linalg import _dagger, require_bogoliubov, require_finite, require_hermiti
 from .states import SymplecticMap
 
 __all__ = [
-    "Displacement",
     "Rotation",
     "Squeezer",
     "BogoliubovPair",
-    "bogoliubov_of",
     "to_symplectic",
     "from_symplectic",
-    "compose",
     "switch_disp_squeezer",
     "switch_squeezer_rotation",
     "switch_disp_rotation",
 ]
-
-
-@dataclass
-class Displacement:
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        self.alpha = np.atleast_1d(np.asarray(self.alpha, dtype=complex))
-        require_finite(self.alpha, "displacement amplitude")
 
 
 @dataclass
@@ -117,27 +105,6 @@ def _squeezer_arrays(z):
     return (u * np.cosh(sigma)) @ _dagger(u), (u * np.sinh(sigma)) @ vh
 
 
-def bogoliubov_of(op):
-    """Bogoliubov pair of a fundamental Gaussian operation.
-
-    Displacement(alpha): E = I, F = 0.  Rotation(phi): E = exp(i phi),
-    F = 0.  Squeezer(z = r exp(i theta)): E = cosh(r),
-    F = sinh(r) exp(i theta), with both taken from one SVD of z
-    (`_squeezer_arrays`).
-    """
-    if isinstance(op, Displacement):
-        n = op.alpha.shape[-1]
-        e = np.broadcast_to(np.eye(n, dtype=complex), op.alpha.shape + (n,))
-        return BogoliubovPair(e=e.copy(), f=np.zeros_like(e), alpha=op.alpha)
-    if isinstance(op, Rotation):
-        e = expm_i_hermitian(op.phi)
-        return BogoliubovPair(e=e, f=np.zeros_like(e))
-    if isinstance(op, Squeezer):
-        e, f = _squeezer_arrays(op.z)
-        return BogoliubovPair(e=e, f=f)
-    raise TypeError(f"not a fundamental Gaussian operation: {op!r}")
-
-
 def to_symplectic(pair):
     """Quadrature-picture map of a Bogoliubov pair.
 
@@ -171,25 +138,10 @@ def from_symplectic(smap):
     return BogoliubovPair(e=e, f=f, alpha=alpha)
 
 
-def compose(first, then):
-    """Bogoliubov pair of `then` applied after `first`, or of each pair of
-    two stacks, which broadcast against each other.
-
-    Matches the symplectic composition (S2 S1, S2 d1 + d2).
-    """
-    if first.nmodes != then.nmodes:
-        raise ValueError(
-            f"mode mismatch: composing {first.nmodes}-mode with {then.nmodes}-mode operation"
-        )
-    e, f = _compose_arrays((first.e, first.f), (then.e, then.f))
-    alpha = first.alpha[..., None]
-    alpha = (then.e @ alpha + then.f @ alpha.conj())[..., 0] + then.alpha
-    return BogoliubovPair(e=e, f=f, alpha=alpha)
-
-
 def _compose_arrays(first, then):
     """(E, F) of `then` applied after `first`, each given as a plain (E, F)
-    array pair; `compose` without the displacement and the validation."""
+    array pair, or of each pair of two stacks, which broadcast against
+    each other; unvalidated."""
     (e1, f1), (e2, f2) = first, then
     return e2 @ e1 + f2 @ f1.conj(), e2 @ f1 + f2 @ e1.conj()
 

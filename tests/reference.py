@@ -1,17 +1,22 @@
 """Reference code that only the tests use: Gaussian state builders, the
-truncated coherent ket, the eavesdropper's conditional mean, the
-Fock-basis moments and overlaps they are checked against, the sparse Fock
-operators, generators and exponentials (scipy's `expm_multiply`, a dense
-`eigh` and a per-call tridiagonal one) that the structured and Chebyshev
-exponentials of `evebounds.fock` are checked against, the scipy Schur
-form that `evebounds.linalg._unitary_eig` is checked against, and the
-per-operation and per-amplitude forms of two `evebounds.checks` helpers
-and the per-part draws of a third,
-and the oracle's complex factor through the dense beam-splitter unitary,
-with the entropy from its single Gram matrix of all amplitudes or from
-one eigensolve per rotation class."""
+truncated coherent and two-mode squeezed vacuum kets, the eavesdropper's
+conditional mean, the Fock-basis moments and overlaps they are checked
+against, the sparse Fock operators, generators and exponentials (scipy's
+`expm_multiply`, a dense `eigh` and a per-call tridiagonal one) that the
+structured and Chebyshev exponentials of `evebounds.fock` are checked
+against, the scipy Schur form that `evebounds.linalg._unitary_eig` is
+checked against, the validated Bogoliubov pairs of the fundamental
+operations and their composition (`Displacement`, `bogoliubov_of`,
+`compose`), whose arithmetic the plain-array composition of
+`evebounds.checks` reproduces, one-call forms of that module's random
+unitary and Bloch-Messiah displacements with their per-operation,
+per-part and per-amplitude references, and the oracle's complex factor
+through the dense beam-splitter unitary, with the entropy from its
+single Gram matrix of all amplitudes or from one eigensolve per rotation
+class."""
 
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,25 +25,26 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from evebounds.blochmessiah import bloch_messiah, factors_to_circuit
-from evebounds.checks import _switched_displacement
-from evebounds.cloner import eve_reduced_covariance
+from evebounds.checks import _circuit_amplitudes, _composed_pairs, _draw_pair, _switched_displacement
+from evebounds.cloner import ChannelParams, eve_reduced_covariance
 from evebounds.fock import (
     _bs_angle,
     _ladder_terms,
     _normalized,
     _require_deficit,
+    _tmsv_schmidt,
     fock_bs,
     fock_entropy,
-    tmsv_ket,
 )
-from evebounds.linalg import max_abs
+from evebounds.linalg import max_abs, require_finite
 from evebounds.states import GaussianState, williamson_standard_two_mode
 from evebounds.unitaries import (
     BogoliubovPair,
     Rotation,
     Squeezer,
-    bogoliubov_of,
-    compose,
+    _compose_arrays,
+    _squeezer_arrays,
+    expm_i_hermitian,
     from_symplectic,
 )
 
@@ -63,6 +69,16 @@ def coherent_ket(alpha, cutoff):
     for n in range(1, cutoff + 1):
         c[n] = c[n - 1] * alpha / math.sqrt(n)
     return _normalized(c)
+
+
+def tmsv_ket(nbar, cutoff):
+    """(ket, deficit) for a two-mode squeezed vacuum: the flat d x d ket
+    (d = cutoff + 1) with the Schmidt coefficients of
+    `evebounds.fock._tmsv_schmidt` on its diagonal."""
+    if not 0 <= nbar < math.inf:
+        raise ValueError(f"mean photon number must be finite and >= 0, got {nbar}")
+    c, deficit = _tmsv_schmidt(nbar, cutoff)
+    return np.diag(c).reshape(-1).astype(complex), deficit
 
 
 def make_coherent(alpha):
@@ -267,6 +283,59 @@ def expm_tridiagonal(diag, sub):
     return (basis * np.exp(-1j * vals)) @ basis.conj().T
 
 
+@dataclass
+class Displacement:
+    alpha: np.ndarray
+
+    def __post_init__(self):
+        self.alpha = np.atleast_1d(np.asarray(self.alpha, dtype=complex))
+        require_finite(self.alpha, "displacement amplitude")
+
+
+def bogoliubov_of(op):
+    """Validated Bogoliubov pair of a fundamental Gaussian operation, or of
+    a stack of them.
+
+    Displacement(alpha): E = I, F = 0.  Rotation(phi): E = exp(i phi),
+    F = 0.  Squeezer(z = r exp(i theta)): E = cosh(r),
+    F = sinh(r) exp(i theta), with both taken from one SVD of z
+    (`evebounds.unitaries._squeezer_arrays`).
+    """
+    if isinstance(op, Displacement):
+        n = op.alpha.shape[-1]
+        e = np.broadcast_to(np.eye(n, dtype=complex), op.alpha.shape + (n,))
+        return BogoliubovPair(e=e.copy(), f=np.zeros_like(e), alpha=op.alpha)
+    if isinstance(op, Rotation):
+        e = expm_i_hermitian(op.phi)
+        return BogoliubovPair(e=e, f=np.zeros_like(e))
+    if isinstance(op, Squeezer):
+        e, f = _squeezer_arrays(op.z)
+        return BogoliubovPair(e=e, f=f)
+    raise TypeError(f"not a fundamental Gaussian operation: {op!r}")
+
+
+def compose(first, then):
+    """Validated Bogoliubov pair of `then` applied after `first`, or of each
+    pair of two stacks, which broadcast against each other.
+
+    Matches the symplectic composition (S2 S1, S2 d1 + d2).
+    """
+    if first.nmodes != then.nmodes:
+        raise ValueError(
+            f"mode mismatch: composing {first.nmodes}-mode with {then.nmodes}-mode operation"
+        )
+    e, f = _compose_arrays((first.e, first.f), (then.e, then.f))
+    alpha = first.alpha[..., None]
+    alpha = (then.e @ alpha + then.f @ alpha.conj())[..., 0] + then.alpha
+    return BogoliubovPair(e=e, f=f, alpha=alpha)
+
+
+def random_pair(rng, nmodes, with_displacement=False):
+    """One random Gaussian unitary as `evebounds.checks` draws and composes
+    it (`_draw_pair`, `_composed_pairs`)."""
+    return _composed_pairs(*_draw_pair(rng, nmodes, with_displacement))
+
+
 def random_pair_composed(rng, nmodes, with_displacement=False):
     """Random Gaussian unitary composed from validated `bogoliubov_of`
     pairs, one `compose` at a time."""
@@ -293,9 +362,18 @@ def draw_pair_sequential(rng, nmodes, with_displacement):
     return rounds, alpha
 
 
+def bloch_messiah_amplitudes(constellation, params):
+    """K x 2 displacements of the eavesdropper's ensemble through the
+    Bloch-Messiah circuit of her thermal decomposition, as
+    `evebounds.checks._circuit_amplitudes` moves them; a sequence of
+    cells gives a (cells, K, 2) stack."""
+    cells = [params] if isinstance(params, ChannelParams) else params
+    amps = _circuit_amplitudes(constellation, cells, [eve_reduced_covariance(p) for p in cells])
+    return amps[0] if isinstance(params, ChannelParams) else amps
+
+
 def bloch_messiah_amplitudes_loop(constellation, params):
-    """`evebounds.checks.bloch_messiah_amplitudes` with one circuit pass per
-    amplitude."""
+    """`bloch_messiah_amplitudes` with one circuit pass per amplitude."""
     smap, _, _ = williamson_standard_two_mode(eve_reduced_covariance(params))
     circuit = factors_to_circuit(bloch_messiah(from_symplectic(smap)))
     return np.array([_switched_displacement(circuit, np.array([-params.r * amp, 0.0]))

@@ -11,7 +11,7 @@ import pytest
 from evebounds import fock
 from evebounds.blochmessiah import bloch_messiah
 from evebounds.bounds import bm_get_entropy, bm_gme_entropy, eb_qpsk_entropy
-from evebounds.checks import random_pair, random_rule_params
+from evebounds.checks import random_rule_params
 from evebounds.cli import ScanConfig, run_scan
 from evebounds.cloner import (
     ChannelParams,
@@ -39,6 +39,7 @@ from evebounds.unitaries import (
 from reference import (
     apply_sparse_generator,
     displacement_generator,
+    random_pair,
     rotation_generator,
     sparse_squeeze_generator,
 )

@@ -5,17 +5,12 @@ import pytest
 
 from evebounds import checks
 from evebounds.blochmessiah import BMFactors, bloch_messiah, factors_to_circuit
-from evebounds.checks import _random_pair_stacks, random_pair
+from evebounds.checks import _random_pair_stacks
 from evebounds.cloner import ChannelParams, eve_reduced_covariance
 from evebounds.linalg import max_abs
 from evebounds.states import williamson_standard_two_mode
-from evebounds.unitaries import (
-    BogoliubovPair,
-    bogoliubov_of,
-    compose,
-    from_symplectic,
-    to_symplectic,
-)
+from evebounds.unitaries import BogoliubovPair, from_symplectic, to_symplectic
+from reference import bogoliubov_of, compose, random_pair
 from test_linalg import stacked_pairs
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

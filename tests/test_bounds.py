@@ -153,18 +153,109 @@ class TestGaussianExtremalityBound:
 
     @pytest.mark.parametrize("alpha, params, entropy", [
         (1e150, ChannelParams(tau=0.5, nbar=0.01), bm_get_entropy),
-        (3.23e8, ChannelParams(tau=0.25, nbar=5.0), bm_get_entropy),
+        (1e77, ChannelParams(tau=0.25, nbar=5.0), bm_get_entropy),
         (1e200, ChannelParams(tau=0.5, nbar=0.01), bm_get_entropy),
         (1e200, ChannelParams(tau=0.5, nbar=0.01), bm_gme_entropy),
-    ], ids=["1e+150-params0", "323000000.0-params1", "1e+200-bm-get", "1e+200-bm-gme"])
+    ], ids=["1e+150-params0", "1e+77-params1", "1e+200-bm-get", "1e+200-bm-gme"])
     def test_covariance_beyond_double_precision_raises(self, alpha, params, entropy):
-        # the average covariance's invariants overflow at alpha = 1e150 and
-        # its determinant cancels to a negative value at 3.23e8; both must
-        # raise a named error, not give nan or a bare "math domain error".
-        # At 1e200 the ensemble's means pass its MEAN_LIMIT, where the Gram
-        # matrix and the average covariance would overflow in numpy.
+        # (a - b)^2 of the average covariance overflows from alpha of about
+        # 9.4e76 at (tau, nbar) = (0.25, 5); it must raise a named error,
+        # not give nan or a bare "math domain error".  At 1e200 the
+        # ensemble's means pass its MEAN_LIMIT, where the Gram matrix and
+        # the average covariance would overflow in numpy.
         with pytest.raises(ValueError, match="beyond double precision"):
             entropy(qpsk(alpha), params)
+
+    def test_large_amplitude_value(self):
+        # The determinant of the average covariance cancelled to a negative
+        # value here and bm-get raised; the closed-form invariants keep it.
+        # 120-digit arithmetic gives 61.4617099195364.  Just below the
+        # overflow of (a - b)^2 the value is still finite.
+        params = ChannelParams(tau=0.25, nbar=5.0)
+        assert bm_get_entropy(qpsk(3.23e8), params) == pytest.approx(61.4617099195364, rel=1e-14, abs=0)
+        assert math.isfinite(bm_get_entropy(qpsk(8e76), params))
+
+    # (tau, nbar, alpha, bm-get in bits): the four-state ensemble's average
+    # covariance rebuilt from the closed-form displacements in 60-digit
+    # mpmath, its symplectic eigenvalues from Delta and det V there, and
+    # the thermal entropies summed without skipping any; printed to 20
+    # digits.  The last three rows: a cell where the invariants route
+    # raised, one where it landed 1.3e-8 bits above eb, and one where the
+    # skip puts bm-get 4.1e-11 bits below bm-gme.
+    SMALL_ALPHA = [
+        (0.1, 0.0, 1e-06, '3.731205174568470622e-11'),
+        (0.5, 0.0, 1e-06, '2.1152916089768834279e-11'),
+        (0.9, 0.0, 1e-06, '4.4627760274424732567e-12'),
+        (0.1, 1e-06, 1e-06, '0.000019373677929640838639'),
+        (0.5, 1e-06, 1e-06, '0.000011187153138374956766'),
+        (0.9, 1e-06, 1e-06, '2.4696236405055312391e-6'),
+        (0.1, 0.01, 1e-06, '0.074205243600600417799'),
+        (0.5, 0.01, 1e-06, '0.04545075988137215175'),
+        (0.9, 0.01, 1e-06, '0.011409200437253031432'),
+        (0.1, 1.0, 1e-06, '1.8962016793966257591'),
+        (0.5, 1.0, 1e-06, '1.3774437511099256291'),
+        (0.9, 1.0, 1e-06, '0.48344668562190492223'),
+        (0.1, 0.0, 1e-05, '3.1332581174945307062e-9'),
+        (0.5, 0.0, 1e-05, '1.783098799489932993e-9'),
+        (0.9, 0.0, 1e-05, '3.7983904084657160574e-10'),
+        (0.1, 1e-06, 1e-05, '0.000019376773876182271885'),
+        (0.5, 1e-06, 1e-05, '0.000011188915085621678819'),
+        (0.9, 1e-06, 1e-05, '2.4699990173025231913e-6'),
+        (0.1, 0.01, 1e-05, '0.074205246700088605494'),
+        (0.5, 0.01, 1e-05, '0.045450761653611976374'),
+        (0.9, 0.01, 1e-05, '0.011409200816762509007'),
+        (0.1, 1.0, 1e-05, '1.8962016826536311435'),
+        (0.5, 1.0, 1e-05, '1.3774437534579462132'),
+        (0.9, 1.0, 1e-05, '0.48344668631690368143'),
+        (0.1, 0.0, 0.0001, '2.5353110609932538013e-7'),
+        (0.5, 0.0, 0.0001, '1.4509059901797301215e-7'),
+        (0.9, 0.0, 0.0001, '3.1340047895596568285e-8'),
+        (0.1, 1e-06, 0.0001, '0.000019627171765812871837'),
+        (0.5, 1e-06, 0.0001, '0.000011332222705728814333'),
+        (0.9, 1e-06, 0.0001, '2.5009592734548801709e-6'),
+        (0.1, 0.01, 0.0001, '0.074205497393480039435'),
+        (0.5, 0.01, 0.0001, '0.045450905826888959116'),
+        (0.9, 0.01, 0.0001, '0.011409232131155017877'),
+        (0.1, 1.0, 0.0001, '1.8962019460417920498'),
+        (0.5, 1.0, 0.0001, '1.3774439444105535946'),
+        (0.9, 1.0, 0.0001, '0.48344674385783841484'),
+        (0.1, 0.0, 0.001, '0.000019373640617583685645'),
+        (0.5, 0.0, 0.001, '0.000011187131985443419238'),
+        (0.9, 0.0, 0.001, '2.4696191777235245287e-6'),
+        (0.1, 1e-06, 0.001, '0.000038747284850203982685'),
+        (0.5, 1e-06, 0.001, '0.000022374274436660836789'),
+        (0.9, 1e-06, 0.001, '4.9392425410755203977e-6'),
+        (0.1, 0.01, 0.001, '0.074224641190442673858'),
+        (0.5, 0.01, 0.001, '0.045462018084182220735'),
+        (0.9, 0.01, 0.001, '0.011411699914884734095'),
+        (0.1, 1.0, 0.001, '1.896222053620278454'),
+        (0.5, 1.0, 0.001, '1.3774586547248817507'),
+        (0.9, 1.0, 0.001, '0.48345130205683259163'),
+        (0.1, 0.0, 0.01, '0.0013394227889891477338'),
+        (0.5, 0.0, 0.01, '0.00078652217436066638558'),
+        (0.9, 0.0, 0.01, '0.00018052342728776931798'),
+        (0.1, 1e-06, 0.01, '0.0013587967312900072793'),
+        (0.5, 1e-06, 0.01, '0.00079771018678458207897'),
+        (0.9, 1e-06, 0.01, '0.00018299340522964459851'),
+        (0.1, 0.01, 0.01, '0.07554647224830146319'),
+        (0.5, 0.01, 0.01, '0.046242738283543667746'),
+        (0.9, 0.01, 0.01, '0.01159211277852662851'),
+        (0.1, 1.0, 0.01, '1.8976096907318738692'),
+        (0.5, 1.0, 0.01, '1.3784911832740604276'),
+        (0.9, 1.0, 0.01, '0.48378752978428990712'),
+        (0.3, 0.0, 0.0001778279410038923, '5.9483107684913361049e-7'),
+        (0.5124, 8.7e-11, 0.0001396, '2.6846270021146058966e-7'),
+        (0.225, 0.0, 1.13e-06, '4.089107756490645911e-11'),
+    ]
+
+    def test_small_amplitude_table(self):
+        # Within 1e-10 bits: the error left is the skip of thermal photon
+        # numbers below 1e-12 (4.1e-11 bits here).  The invariants route
+        # was off by up to 1.3e-8 bits on these cells and raised at three.
+        misses = [(tau, nbar, alpha, want)
+                  for tau, nbar, alpha, want in self.SMALL_ALPHA
+                  if not abs(bm_get_entropy(qpsk(alpha), ChannelParams(tau=tau, nbar=nbar)) - float(want)) <= 1e-10]
+        assert misses == []
 
     def test_nats(self):
         params = ChannelParams(tau=0.5, nbar=0.01)
@@ -373,10 +464,11 @@ class TestEntangledBasedBound:
             assert value == pytest.approx(entropy_from_cov(cov), abs=1e-12)
 
     def test_bm_get_matches_general_eigensolve(self):
-        # bm-get's spectrum from the two-mode invariants against the general
-        # eigensolve of the same average covariance, over the domain of
-        # test_ordering_property.py, its edges, alpha = 30, and a
-        # constellation whose average covariance is not in standard form.
+        # bm-get's closed-form spectrum against the general eigensolve of
+        # the same average covariance, over the domain of
+        # test_ordering_property.py, its edges and alpha = 30, and the
+        # two-mode invariants route for a constellation whose average
+        # covariance is not in standard form.
         rng = np.random.default_rng(2025)
         points = [(0.0, 1.3, 0.7), (1.0, 1.3, 0.7), (0.4, 0.0, 0.7), (0.0, 0.0, 2.0),
                   (1.0, 0.0, 2.0), (0.4, 1.3, 30.0), (0.9, 0.02, 30.0)]

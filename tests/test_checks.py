@@ -4,7 +4,7 @@ import pytest
 from evebounds import checks, fock
 from evebounds.cloner import ChannelParams, qpsk
 from evebounds.unitaries import _squeezer_arrays, expm_i_hermitian
-from reference import draw_pair_sequential
+from reference import bloch_messiah_amplitudes, draw_pair_sequential
 
 
 def test_switching_rules_residual_and_sparse_calls(monkeypatch):
@@ -90,10 +90,10 @@ def test_worst_keeps_nan_anywhere(residuals):
 
 def test_bloch_messiah_amplitudes_of_a_sequence_stack_the_cells():
     cells = [ChannelParams(tau=tau, nbar=nbar) for tau, nbar in ((0.05, 0.01), (0.5, 0.02), (0.95, 0.1))]
-    stacked = checks.bloch_messiah_amplitudes(qpsk(1.0), cells)
+    stacked = bloch_messiah_amplitudes(qpsk(1.0), cells)
     assert stacked.shape == (3, 4, 2)
     for amplitudes, params in zip(stacked, cells):
-        np.testing.assert_array_equal(amplitudes, checks.bloch_messiah_amplitudes(qpsk(1.0), params))
+        np.testing.assert_array_equal(amplitudes, bloch_messiah_amplitudes(qpsk(1.0), params))
 
 
 @pytest.mark.parametrize("nmodes", [1, 2, 3])

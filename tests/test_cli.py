@@ -358,15 +358,15 @@ class TestMain:
 
     @pytest.mark.parametrize("args", [
         ["--methods", "bm-get", "--alpha", "1e150", "--tau-steps", "2"],
-        ["--methods", "bm-get", "--alpha", "3.23e8", "--nbar", "5", "--tau-min", "0", "--tau-max",
+        ["--methods", "bm-get", "--alpha", "1e77", "--nbar", "5", "--tau-min", "0", "--tau-max",
          "1", "--tau-steps", "5"],
         ["--methods", "bm-get", "--alpha", "1e200", "--tau-steps", "2"],
         ["--methods", "bm-gme", "--alpha", "1e200", "--tau-steps", "2"],
         ["--methods", "eb", "--nbar", "1e200", "--tau-steps", "2"],
     ])
     def test_bm_get_beyond_double_precision_is_an_error(self, tmp_path, capsys, args):
-        # without a range check the first scan printed nan with status ok
-        # and the second stopped on a bare "math domain error"; at 1e200
+        # without a range check the first scan printed nan with status ok;
+        # the second is past the overflow of bm-get's (a - b)^2; at 1e200
         # bm-get stopped on a numpy overflow and bm-gme on "Eigenvalues did
         # not converge"; eb at nbar = 1e200 stopped on an OverflowError
         out = tmp_path / "scan.csv"
@@ -375,6 +375,17 @@ class TestMain:
         assert err.startswith("evebounds: ") and "beyond double precision" in err
         assert len(err.splitlines()) == 1
         assert not out.exists()
+
+    def test_bm_get_at_large_amplitude(self, capsys):
+        # This scan stopped on "beyond double precision" when bm-get's
+        # determinant cancelled at tau = 0.25; 120 digits give
+        # 61.4617099195364 there.
+        args = ["--methods", "bm-get", "--alpha", "3.23e8", "--nbar", "5", "--tau-min", "0",
+                "--tau-max", "1", "--tau-steps", "5", "--out", "-"]
+        assert main(args) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 5 and all(row.endswith(",bits,ok") for row in rows)
+        assert "0.25,5,323000000,bm-get,-,61.4617099195,bits,ok" in rows
 
     @pytest.mark.parametrize("method", ["bm-get", "bm-gme"])
     def test_means_too_large_to_double_are_an_error(self, tmp_path, capsys, method):

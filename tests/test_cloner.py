@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from evebounds import fock
-from evebounds.checks import bloch_messiah_amplitudes
 from evebounds.cloner import (
     MEAN_LIMIT,
     ChannelParams,
@@ -28,7 +27,7 @@ from evebounds.states import (
     partial_trace_modes,
     williamson_standard_two_mode,
 )
-from reference import coherent_ket, eve_conditional_mean, fock_moments
+from reference import bloch_messiah_amplitudes, coherent_ket, eve_conditional_mean, fock_moments, tmsv_ket
 
 GRID = [(tau, nbar) for tau in np.linspace(0.05, 0.95, 10) for nbar in (0.01, 0.02, 0.1)]
 
@@ -171,7 +170,7 @@ class TestConditionalMean:
         d = cutoff + 1
         for alpha_i in (1.0, np.exp(1j * np.pi / 4)):
             ket_a, _ = coherent_ket(alpha_i, cutoff)
-            psi_ce, _ = fock.tmsv_ket(p.nbar, cutoff)
+            psi_ce, _ = tmsv_ket(p.nbar, cutoff)
             psi = np.einsum("a,ce->ace", ket_a, psi_ce.reshape(d, d))
             bs2 = fock.fock_bs(p.tau, cutoff).reshape(d, d, d, d)
             out = np.einsum("bdac,ace->bde", bs2, psi)

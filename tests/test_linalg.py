@@ -11,10 +11,9 @@ from evebounds.linalg import (
     principal_sqrt,
     unitarity_defect,
 )
-from evebounds.checks import random_pair
 from evebounds.states import GaussianState
 from evebounds.unitaries import BogoliubovPair, Rotation, Squeezer, _squeezer_arrays, expm_i_hermitian
-from reference import unitary_eig_schur
+from reference import bogoliubov_of, compose, random_pair, unitary_eig_schur
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -201,8 +200,6 @@ class TestMatchedSVD:
 
     def test_reconstruction_random(self):
         # random squeezer composed with random rotations
-        from evebounds.unitaries import Rotation, Squeezer, bogoliubov_of, compose
-
         rng = np.random.default_rng(5)
         for _ in range(10):
             n = int(rng.integers(1, 4))

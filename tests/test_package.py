@@ -33,6 +33,25 @@ def test_every_public_name_is_at_the_top_level_once():
         assert getattr(evebounds, name) is getattr(importlib.import_module(f"evebounds.{module}"), name)
 
 
+# Public names that nothing in the package calls: documented library
+# calls, and `fock_bs`, which the benchmark's tracer wraps.
+LIBRARY_ONLY = {"bm_gme_entropy", "thermal_entropy", "fock_bs"}
+
+
+def test_every_public_name_has_a_package_caller():
+    # A name counts as called when a top-level definition other than its
+    # own refers to it; docstrings and `__all__` strings do not count.
+    referenced = set()
+    for path in SRC.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name and name != getattr(top, "name", None):
+                    referenced.add(name)
+    public = {name for m in MODULES for name in importlib.import_module(f"evebounds.{m}").__all__}
+    assert public - referenced == LIBRARY_ONLY
+
+
 def test_eb_z4_is_one_object():
     assert evebounds.eb_z4 is evebounds.bounds.eb_z4 is evebounds.fock.eb_z4
 

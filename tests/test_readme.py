@@ -1,5 +1,6 @@
 """The README against the code it documents: the command-line flags, the
-values printed in the library sketch and the names it quotes."""
+values printed in the library sketch, the names it quotes and the values
+in its Tolerances table."""
 
 import importlib
 import pkgutil
@@ -75,3 +76,29 @@ def test_quoted_names_exist():
     quoted = set(re.findall(r"`([A-Za-z_]\w*(?:\.\w+)*)`", README))
     names = {name for name in quoted if "_" in name or "." in name}
     assert {name for name in names if not resolves(name)} == set()
+
+
+def tolerance_rows():
+    """(value, name, where) of each row of the Tolerances table."""
+    rows = []
+    for line in section("Tolerances").splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("|") and len(cells) == 4 and cells[0] not in ("Value", "---"):
+            rows.append(tuple(cells[:3]))
+    return rows
+
+
+def test_tolerance_rows_carry_the_code_values(check_results):
+    results, _ = check_results
+    suites = {}
+    constants = 0
+    for value, name, where in tolerance_rows():
+        constant = re.fullmatch(r"`(\w+)\.([A-Z][A-Z_]*)`", name)
+        if constant:
+            module, attr = constant.groups()
+            assert float(value.split()[0]) == getattr(MODULES[module], attr), (value, name)
+            constants += 1
+        elif name == "`--check`":
+            suites.update(dict.fromkeys((suite.strip() for suite in where.split(",")), float(value)))
+    assert constants >= 10
+    assert suites == {r.name: r.tolerance for r in results}

@@ -94,6 +94,14 @@ class TestStackedKernels:
         values = gaussian_extremality_entropy(stacked)
         assert values == [bm_get_entropy(THREE_STATES, p) for p in CELLS]
 
+    def test_circular_stack_equals_cells(self):
+        # Twelve states: more than numpy sums in plain order, so the moments
+        # of a stack's cells must still come out as each cell's alone.
+        twelve = Constellation(amplitudes=0.7 * np.exp(2j * np.pi * np.arange(12) / 12),
+                               probs=np.full(12, 1 / 12))
+        values = gaussian_extremality_entropy(displaced_thermal_ensemble(twelve, CELLS))
+        assert values == [bm_get_entropy(twelve, p) for p in CELLS]
+
     @pytest.mark.parametrize("base", ["bits", "nats"])
     def test_gram_matrix_and_entropy(self, base):
         stacked = displaced_thermal_ensemble(THREE_STATES, CELLS)
@@ -128,22 +136,34 @@ class TestStackedKernels:
             cell = eb_qpsk_entropy(alpha, params, base)
             assert isinstance(cell, float) and bits(value) == bits(cell)
 
-    # det V cancels to a value <= 0 at the first point and Delta^2
-    # overflows at the second (test_bounds.py raises each alone).
-    FAILING = [(3.23e8, ChannelParams(tau=0.25, nbar=5.0)), (1e150, ChannelParams(tau=0.5, nbar=0.01))]
+    # (a - b)^2 overflows at both cells, with a different a - b in each
+    # message (test_bounds.py raises each alone).
+    FAILING = [(1e77, ChannelParams(tau=0.25, nbar=5.0)), (1e150, ChannelParams(tau=0.5, nbar=0.01))]
+
+    @staticmethod
+    def _stack(cells):
+        return type(cells[0])(nu1p=np.array([c.nu1p for c in cells]),
+                              means=np.array([c.means for c in cells]), probs=cells[0].probs)
 
     @pytest.mark.parametrize("order", [[0, 1], [1, 0]])
     def test_first_failing_cell_raises(self, order):
         cells = [displaced_thermal_ensemble(qpsk(alpha), params)
                  for alpha, params in (self.FAILING[i] for i in order)]
-        stacked = type(cells[0])(nu1p=np.array([c.nu1p for c in cells]),
-                                 means=np.array([c.means for c in cells]), probs=cells[0].probs)
-        with pytest.raises(ValueError) as first:
-            gaussian_extremality_entropy(cells[0])
-        with pytest.raises(ValueError) as raised:
-            gaussian_extremality_entropy(stacked)
-        assert str(raised.value) == str(first.value)
-        assert ("det V" if order[0] == 0 else "Delta^2") in str(raised.value)
+        errors = []
+        for ensemble in (*cells, self._stack(cells)):
+            with pytest.raises(ValueError, match="beyond double precision") as raised:
+                gaussian_extremality_entropy(ensemble)
+            errors.append(str(raised.value))
+        assert errors[2] == errors[0] != errors[1]
+
+    def test_large_amplitude_cell_in_a_stack(self):
+        # bm-get raised at (alpha, nbar, tau) = (3.23e8, 5, 0.25) when its
+        # determinant cancelled; 120 digits give 61.4617099195364.
+        cells = [displaced_thermal_ensemble(qpsk(alpha), ChannelParams(tau=0.25, nbar=5.0))
+                 for alpha in (3.23e8, 1.0)]
+        values = gaussian_extremality_entropy(self._stack(cells))
+        assert values == [gaussian_extremality_entropy(cell) for cell in cells]
+        assert values[0] == pytest.approx(61.4617099195364, rel=1e-14, abs=0)
 
     def test_ensemble_rejects_bad_cells(self):
         stacked = displaced_thermal_ensemble(THREE_STATES, CELLS)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from evebounds import fock
-from evebounds.checks import random_pair
 from evebounds.cloner import ChannelParams, eve_reduced_covariance
 from evebounds.states import (
     GaussianState,
@@ -24,7 +23,7 @@ from evebounds.states import (
     williamson_standard_two_mode,
 )
 from evebounds.unitaries import to_symplectic
-from reference import coherent_ket, fock_moments, make_coherent, make_thermal
+from reference import coherent_ket, fock_moments, make_coherent, make_thermal, random_pair
 
 Z = np.diag([1.0, -1.0])
 

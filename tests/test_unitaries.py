@@ -3,16 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from evebounds.checks import _random_pair_stacks, random_pair
+from evebounds.checks import _random_pair_stacks
 from evebounds.cloner import ChannelParams, eve_reduced_covariance
 from evebounds.states import williamson_standard_two_mode
 from evebounds.unitaries import (
     BogoliubovPair,
-    Displacement,
     Rotation,
     Squeezer,
-    bogoliubov_of,
-    compose,
     from_symplectic,
     switch_disp_rotation,
     switch_disp_squeezer,
@@ -20,9 +17,14 @@ from evebounds.unitaries import (
     to_symplectic,
 )
 from reference import (
+    Displacement,
     apply_sparse_generator,
+    bloch_messiah_amplitudes,
+    bogoliubov_of,
+    compose,
     displacement_generator,
     fock_moments,
+    random_pair,
     rotation_generator,
     sparse_squeeze_generator,
 )
@@ -222,7 +224,6 @@ class TestSwitchingRules:
     def test_eca_closed_form(self):
         # the full chain through the rotation-squeezer-rotation circuit
         # reproduces the closed-form ensemble, amplitude by amplitude
-        from evebounds.checks import bloch_messiah_amplitudes
         from evebounds.cloner import Constellation, displaced_thermal_ensemble
 
         params = ChannelParams(tau=0.5, nbar=0.01)
