@@ -47,8 +47,12 @@ What each estimator assumes, and so what it is:
   K x M displacement amplitudes (K states, M modes), and `gram_entropy`
   checks it (Hermitian, unit trace, no eigenvalue below -1e-8) with the
   one eigensolve that gives its entropy, the `states.spectrum_entropy` of
-  its spectrum (one row per cell of a stack).  `eb` and `bm-get` take
-  theirs through `states.symplectic_entropy`.
+  its spectrum (one row per cell of a stack).  `bm_gme_entropy` goes
+  through `gram_ensemble_entropy`, which takes them for every cell but
+  the cyclic ones, QPSK's among them: their Gram matrix is circulant, so
+  its spectrum is the discrete Fourier transform of its first row, with
+  the same gates and no eigensolve.  `eb` and `bm-get` take theirs
+  through `states.symplectic_entropy`.
 * The Fock oracle, `fock.eve_exact_entropy`, is no bound: it is the
   brute-force check of the others where it converges.
 
@@ -59,13 +63,14 @@ nbar up to 1e6 and alpha from 1e-6 to 6, to 1e-10 bits.  Where the tests
 compare the oracle at converged cells, it lies between bm-gme and bm-get
 to within 1e-6 bits.
 
-The ensemble, `gram_matrix`, `gram_entropy` and
+The ensemble, `gram_matrix`, `gram_entropy`, `gram_ensemble_entropy` and
 `gaussian_extremality_entropy` also take a leading axis of grid cells (see
 `cloner.DisplacedThermalEnsemble`), and `eb_qpsk_entropy` a sequence of
-cells: a scan builds its cells' Gram matrices as one (cells, K, K) stack,
-checks them together and diagonalizes them with one stacked `eigvalsh`;
-`gaussian_extremality_entropy` takes the cells' displacement moments
-together; and `eb_qpsk_entropy` takes X and Z4 once.  The closed-form
+cells: a scan of QPSK builds its cells' Gram first rows as one (cells, K)
+stack, transforms and checks them together, and would take any
+non-cyclic cells' Gram matrices as one (cells, K, K) stack through one
+stacked `eigvalsh`; `gaussian_extremality_entropy` takes the cells'
+displacement moments together; and `eb_qpsk_entropy` takes X and Z4 once.  The closed-form
 tails of the last two run on floats per cell.  The library calls run the
 same code on one cell, so a scan's value for a cell is the one the
 library returns for it.
@@ -80,7 +85,14 @@ from functools import lru_cache
 import numpy as np
 
 from .cloner import ChannelParams, displaced_thermal_ensemble
-from .linalg import require_at_least, require_at_most, require_hermitian
+from .linalg import (
+    _NOT_CONSTRUCT,
+    ATOL_CONSTRUCT,
+    max_abs,
+    require_at_least,
+    require_at_most,
+    require_hermitian,
+)
 from .states import (
     _log,
     _physical_standard_spectrum,
@@ -92,6 +104,7 @@ from .states import (
 __all__ = [
     "gram_matrix",
     "gram_entropy",
+    "gram_ensemble_entropy",
     "gaussian_extremality_entropy",
     "bm_get_entropy",
     "bm_gme_entropy",
@@ -146,20 +159,113 @@ def gram_entropy(matrix, base="bits"):
     matrix = np.asarray(matrix, dtype=complex)
     require_hermitian(matrix, "Gram matrix")  # and square
     traces = matrix.trace(0, -2, -1).real
+    return _spectrum_entropy_checked(traces, np.linalg.eigvalsh(matrix), base)
+
+
+def _spectrum_entropy_checked(traces, eigs, base):
+    """`gram_entropy`'s trace and eigenvalue gates on a stack of Gram
+    traces and spectra, then the entropy of each clipped, renormalized
+    spectrum."""
     worst = float(traces.flat[abs(traces - 1.0).argmax()])
     require_at_most(abs(worst - 1.0), 1e-9, "Gram matrix trace is {1!r}, expected 1 within 1e-9", worst)
-    eigs = np.linalg.eigvalsh(matrix)
     require_at_least(eigs.min(), -1e-8, "Gram matrix has eigenvalue {:.3e} below -1e-8")
     eigs = eigs.clip(0.0)
     return spectrum_entropy(eigs / eigs.sum(axis=-1, keepdims=True), base)
 
 
-# `gaussian_extremality_entropy` takes an ensemble cell as circular when
-# the first two moments of its mode-1 displacements b1, |sum p b1|^2 and
+# The relative tolerance of both symmetry tests on an ensemble cell.
+# `gaussian_extremality_entropy` takes a cell as circular when the first
+# two moments of its mode-1 displacements b1, |sum p b1|^2 and
 # |sum p b1^2|, are at most this times sum p |b1|^2.  A constellation that
 # a rotation by 2 pi / K (K >= 3) maps onto itself has both moments 0, so
-# rounding leaves them near 1e-16 of sum p |b1|^2.
+# rounding leaves them near 1e-16 of sum p |b1|^2.  `gram_ensemble_entropy`
+# takes a cell as cyclic when each displacement is its list predecessor's
+# turned by one step, b_k1 = w^k b_01 and b_k2 = w^-k b_02 (w = e^(2 pi i / K)),
+# to within this times max(|b_01|, |b_02|); rounding leaves QPSK's near 1e-16.
 CIRCULAR_RTOL = 1e-12
+
+
+def gram_ensemble_entropy(ensemble, base="bits"):
+    """`gram_entropy(gram_matrix(ensemble))`, with the Gram matrix of a
+    cyclic cell diagonalized in closed form.
+
+    A cell is cyclic when its probabilities are all exactly equal and its
+    displacements go round one rotation in list order (`CIRCULAR_RTOL`),
+    as QPSK's do; zero displacements (tau = 1) count as cyclic.  Its Gram
+    matrix is then circulant, G_jl = g_(l-j mod K), so its spectrum is the
+    discrete Fourier transform of its first row,
+    lambda_q = sum_l G_0l w^(ql) with w = e^(2 pi i / K), and no K x K
+    matrix is built or diagonalized.  The row is `gram_matrix`'s formula,
+    G_0l = p exp(-|b_l - b_0|^2 / 2 + i sum_modes Im(conj(b_0) b_l)), and
+    the transform is a product with a root table cached per K
+    (`_dft_table`).  `gram_entropy`'s gates apply with their messages,
+    except that |Im lambda| <= `linalg.ATOL_CONSTRUCT` stands in for the
+    Hermitian check: the trace to 1e-9, the eigenvalue floor -1e-8, then
+    the clipped, renormalized spectrum's `states.spectrum_entropy`.  The
+    closed form and `eigvalsh` of the full matrix agree to 2.2e-16 on
+    `checks.check_gram_validity`'s cells.
+
+    Accuracy at nbar = 0, where the spectrum is the mod-4 class weights of
+    x = (1 - tau) alpha^2 for QPSK: against 50-digit arithmetic (alpha from
+    1e-6 to 3) both routes are within 1e-13 bits absolute, but neither
+    keeps relative accuracy below alpha of about 1e-3, where the small
+    eigenvalues are differences of numbers near 1/4 (2.3e-3 relative at
+    alpha = 1e-6).
+
+    Every other cell takes `gram_entropy(gram_matrix(...))`.  Cells are
+    routed one by one, and each cyclic cell's row is transformed by its
+    own vector-matrix product, so a stack's value for a cell is bit for bit
+    the one that cell gives alone.  A float for one ensemble; for an
+    ensemble with a leading cell axis, an array of shape (cells,).
+    """
+    _log(base)
+    amps = ensemble.mode_amplitudes()
+    cyclic = _cyclic_cells(amps, ensemble.probs)
+    values = np.empty(cyclic.shape)
+    if cyclic.any():
+        rows, spectra = _cyclic_spectra(amps[cyclic], ensemble.probs[0])
+        require_at_most(max_abs(spectra.imag), ATOL_CONSTRUCT, _NOT_CONSTRUCT,
+                        "Gram matrix", "Hermitian", "Im lambda")
+        values[cyclic] = _spectrum_entropy_checked(rows.shape[-1] * rows[:, 0].real, spectra.real, base)
+    if not cyclic.all():
+        values[~cyclic] = gram_entropy(gram_matrix(ensemble)[~cyclic], base)
+    return float(values) if values.ndim == 0 else values
+
+
+@lru_cache(maxsize=16)
+def _dft_table(k):
+    """(turns, table) for K states, read-only: turns[j] = (w^j, w^-j) and
+    table[l, q] = w^(ql), with w = e^(2 pi i / K)."""
+    steps = np.arange(k)
+    table = np.exp(2j * np.pi * (np.outer(steps, steps) % k) / k)
+    turns = np.stack([table[1 % k], table[1 % k].conj()], axis=-1)
+    for arr in (turns, table):
+        arr.flags.writeable = False
+    return turns, table
+
+
+def _cyclic_cells(amps, probs):
+    """Which cells of a (..., K, 2) stack of displacement amplitudes are
+    cyclic (`gram_ensemble_entropy`), as a bool array of shape (...)."""
+    if not (probs == probs[0]).all():
+        return np.zeros(amps.shape[:-2], dtype=bool)
+    turns, _ = _dft_table(probs.size)
+    first = amps[..., :1, :]
+    defect = np.abs(amps - turns * first).max(axis=(-2, -1))
+    return defect <= CIRCULAR_RTOL * np.abs(first).max(axis=(-2, -1))
+
+
+def _cyclic_spectra(amps, p):
+    """(rows, spectra) of the Gram matrices of a (cells, K, 2) stack of
+    cyclic cells of probability `p` each: their first rows, by
+    `gram_matrix`'s formula, and the rows' transforms, both complex."""
+    first = amps[:, :1, :]
+    sq = (np.abs(amps - first) ** 2).sum(axis=-1)
+    x = (first.real * amps.imag - first.imag * amps.real).sum(axis=-1)
+    rows = p * np.exp(-0.5 * sq + 1j * x)
+    # (cells, 1, K) @ (K, K): one vector-matrix product per cell, as a
+    # cell alone takes; a (cells, K) matrix product rounds rows differently
+    return rows, (rows[:, None, :] @ _dft_table(amps.shape[-2])[1])[:, 0, :]
 
 
 def gaussian_extremality_entropy(ensemble, base="bits"):
@@ -248,9 +354,10 @@ def bm_get_entropy(constellation, params, base="bits"):
 
 
 def bm_gme_entropy(constellation, params, base="bits"):
-    """Gram-matrix entropy of the eavesdropper's displaced-thermal ensemble."""
+    """Gram-matrix entropy of the eavesdropper's displaced-thermal ensemble,
+    through `gram_ensemble_entropy`."""
     _log(base)
-    return gram_entropy(gram_matrix(displaced_thermal_ensemble(constellation, params)), base=base)
+    return gram_ensemble_entropy(displaced_thermal_ensemble(constellation, params), base)
 
 
 # The domain of `eb_qpsk_entropy`.  The value loses about alpha^2 eps: a, b

@@ -42,10 +42,12 @@ import numpy as np
 from . import fock
 from .blochmessiah import bloch_messiah, factors_to_circuit
 from .bounds import (
+    _cyclic_cells,
+    _cyclic_spectra,
     bm_get_entropy,
     eb_qpsk_entropy,
     gaussian_extremality_entropy,
-    gram_entropy,
+    gram_ensemble_entropy,
     gram_matrix,
 )
 from .cloner import (
@@ -278,7 +280,7 @@ def check_estimator_ordering():
     cells = [ChannelParams(tau=tau, nbar=nbar)
              for nbar in (0.01, 0.02) for tau in np.linspace(0.05, 0.95, 10)]
     ensemble = displaced_thermal_ensemble(qpsk(1.0), cells)
-    gme = gram_entropy(gram_matrix(ensemble))
+    gme = gram_ensemble_entropy(ensemble)
     get = np.array(gaussian_extremality_entropy(ensemble))
     eb = np.array(eb_qpsk_entropy(1.0, cells))
     worst = _worst(worst, *(gme - get).tolist(), *(get - eb).tolist())
@@ -286,16 +288,23 @@ def check_estimator_ordering():
 
 
 def check_gram_validity():
+    # QPSK's Gram matrix is circulant, so `bm_gme_entropy` takes its
+    # spectrum from the transform of its first row; each cell's must be
+    # cyclic and match the eigensolve of the full matrix.
     worst = 0.0
     constellation = qpsk(1.0)
     for tau in (0.2, 0.6, 0.9):
         ens = displaced_thermal_ensemble(constellation, ChannelParams(tau=tau, nbar=0.02))
         gram = gram_matrix(ens)
+        eigs = np.linalg.eigvalsh(gram)
+        amps = ens.mode_amplitudes()
+        _, spectrum = _cyclic_spectra(amps[None], ens.probs[0])
         worst = _worst(
             worst,
             max_abs(gram - gram.conj().T),
             abs(float(np.trace(gram).real) - 1.0),
-            -float(np.linalg.eigvalsh(gram).min()),
+            -float(eigs.min()),
+            max_abs(np.sort_complex(spectrum[0]) - eigs) if _cyclic_cells(amps, ens.probs) else math.inf,
         )
     return CheckResult("gram-validity", worst, 1e-8)
 

@@ -13,9 +13,10 @@ them into rows, labelled from the taus and nbars the cells are built from.
 Each method runs over all grid cells at once.  `eb` takes X and Z4 once
 per scan.  `bm-get` and `bm-gme` share one displaced-thermal ensemble
 stacked over the cells: `bm-get` takes the cells' displacement moments
-together, and `bm-gme` checks the cells' Gram matrices as one stack and
-diagonalizes them with one `eigvalsh`.  The closed-form tails of `eb` and
-`bm-get` then run on floats per cell.  The oracle runs per cell,
+together, and `bm-gme` takes the spectra of QPSK's circulant Gram matrices
+as the discrete Fourier transforms of their first rows, for all cells at
+once and with no eigensolve (`bounds.gram_ensemble_entropy`).  The
+closed-form tails of `eb` and `bm-get` then run on floats per cell.  The oracle runs per cell,
 tau-major, so the cells that share a transmittance reuse its cached beam
 splitter (`fock._bs_slot_values`).  Every value is the one the library
 call returns for that cell alone.
@@ -30,7 +31,7 @@ from itertools import product
 import numpy as np
 
 from . import checks
-from .bounds import eb_qpsk_entropy, gaussian_extremality_entropy, gram_entropy, gram_matrix
+from .bounds import eb_qpsk_entropy, gaussian_extremality_entropy, gram_ensemble_entropy
 from .cloner import ChannelParams, displaced_thermal_ensemble, qpsk
 from .fock import FockConvergenceError, eve_exact_entropy
 from .states import LOG_BASES
@@ -118,7 +119,7 @@ def _column(method, cfg, constellation, cells, ensemble):
     if method == "bm-get":
         return gaussian_extremality_entropy(ensemble, base=cfg.log_base)
     if method == "bm-gme":
-        return gram_entropy(gram_matrix(ensemble), base=cfg.log_base).tolist()
+        return gram_ensemble_entropy(ensemble, base=cfg.log_base).tolist()
     if method == "oracle":
         # tau-major, so each tau's beam splitter is built once for all nbars:
         # this relies on `fock._bs_slot_values` holding one tau's two cutoffs

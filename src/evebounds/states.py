@@ -47,7 +47,9 @@ PHYSICALITY_ATOL = 1e-9
 LOG_BASES = ("bits", "nats")
 
 # The spectrum entropies skip eigenvalues at or below this: a zero
-# eigenvalue comes out of `eigvalsh` as rounding noise of either sign.
+# eigenvalue comes out of `eigvalsh`, or of the transform of a cyclic Gram
+# matrix's first row (`bounds.gram_ensemble_entropy`), as rounding noise of
+# either sign.
 EIGENVALUE_SKIP = 1e-15
 
 

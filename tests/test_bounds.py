@@ -4,13 +4,14 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-from evebounds import fock
+from evebounds import bounds, fock
 from evebounds.bounds import (
     EB_ALPHA_MAX,
     bm_get_entropy,
     bm_gme_entropy,
     eb_qpsk_entropy,
     eb_z4,
+    gram_ensemble_entropy,
     gram_entropy,
     gram_matrix,
 )
@@ -297,6 +298,126 @@ class TestGramEntropyBound:
         params = ChannelParams(tau=0.5, nbar=0.01)
         oracle = fock.eve_exact_entropy(qpsk(1.0), params, cutoff=15)
         assert bm_gme_entropy(qpsk(1.0), params) <= oracle.value + 1e-6
+
+def ring(k, alpha):
+    """K equiprobable states alpha exp(2 pi i (j + 0.3) / K), j = 0..K-1:
+    each a turn of 2 pi / K from the one before it, counterclockwise."""
+    return Constellation(amplitudes=alpha * np.exp(2j * np.pi * (np.arange(k) + 0.3) / k),
+                         probs=np.full(k, 1 / k))
+
+
+def forbid(monkeypatch, name):
+    """Make `bounds.<name>` raise, so a call that still returns did not
+    take the route through it."""
+    def fail(*args):
+        raise AssertionError(f"bounds.{name} was called")
+    monkeypatch.setattr(bounds, name, fail)
+
+
+class TestCyclicGram:
+    """`gram_ensemble_entropy`'s transform for cyclic cells against the
+    eigensolve of the full Gram matrix.  Alpha <= 1 keeps the overlaps of
+    neighbouring states large: at alpha = 6 every phase choice agrees, so a
+    comparison there proves nothing."""
+
+    @pytest.mark.parametrize("alpha", [0.2, 1.0])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 12])
+    def test_matches_full_gram(self, k, alpha, monkeypatch):
+        cells = [ChannelParams(tau=tau, nbar=nbar) for tau in (0.0, 0.37, 1.0) for nbar in (0.0, 0.01, 5.0)]
+        ensembles = [displaced_thermal_ensemble(ring(k, alpha), params) for params in cells]
+        want = [gram_entropy(gram_matrix(ens)) for ens in ensembles]
+        forbid(monkeypatch, "gram_matrix")
+        for ens, value in zip(ensembles, want):
+            got = gram_ensemble_entropy(ens)
+            assert isinstance(got, float)
+            assert abs(got - value) <= 1e-13 * max(1.0, value)
+
+    @pytest.mark.parametrize("constellation", [
+        # QPSK listed clockwise: each state is the one before it turned by -pi/2
+        Constellation(amplitudes=np.conj(qpsk(0.8).amplitudes), probs=np.full(4, 0.25)),
+        Constellation(amplitudes=qpsk(0.8).amplitudes, probs=[0.3, 0.2, 0.25, 0.25]),
+        Constellation(amplitudes=[*qpsk(0.8).amplitudes, 0.0], probs=np.full(5, 0.2)),
+        Constellation(amplitudes=[0.0, *qpsk(0.8).amplitudes], probs=np.full(5, 0.2)),
+    ], ids=["clockwise", "unequal-probabilities", "origin-last", "origin-first"])
+    def test_other_cells_take_full_gram(self, constellation, monkeypatch):
+        params = ChannelParams(tau=0.37, nbar=0.01)
+        want = gram_entropy(gram_matrix(displaced_thermal_ensemble(constellation, params)))
+        forbid(monkeypatch, "_cyclic_spectra")
+        assert bm_gme_entropy(constellation, params) == want
+
+    @pytest.mark.parametrize("shift, message", [
+        (1e-9j, r"Gram matrix is not Hermitian: max \|Im lambda\| = 1\.000e-09 > 1e-10"),
+        (-0.5, "Gram matrix has eigenvalue -[0-9.e-]+ below -1e-8"),
+    ])
+    def test_gates_keep_their_messages(self, shift, message, monkeypatch):
+        spectra = bounds._cyclic_spectra
+
+        def shifted(amps, p):
+            rows, lam = spectra(amps, p)
+            return rows, lam + shift
+        monkeypatch.setattr(bounds, "_cyclic_spectra", shifted)
+        with pytest.raises(ValueError, match=message):
+            bm_gme_entropy(qpsk(1.0), ChannelParams(tau=0.5, nbar=0.01))
+
+    # (tau, alpha, bm-gme in bits) at nbar = 0, where the QPSK Gram spectrum
+    # is the mod-4 class weights e^-x sum_{n = k mod 4} x^n / n! of
+    # x = (1 - tau) alpha^2: 50-digit mpmath, with tau and alpha the doubles
+    # below, printed to 20 digits.
+    SMALL_ALPHA = [
+        (0.02, 1e-06, '4.0508278954693368147e-11'),
+        (0.3, 1e-06, '2.9274283746657191766e-11'),
+        (0.5, 1e-06, '2.1152916089768778942e-11'),
+        (0.98, 1e-06, '9.3899376738624165155e-13'),
+        (0.02, 1e-05, '3.3997299888761686617e-9'),
+        (0.3, 1e-05, '2.4623584413839145826e-9'),
+        (0.5, 1e-05, '1.7830987994893796242e-9'),
+        (0.98, 1e-05, '8.0611664359076704915e-11'),
+        (0.02, 0.0001, '2.7486320827536433579e-7'),
+        (0.3, 0.0001, '1.9972885083422336417e-7'),
+        (0.5, 0.0001, '1.4509059901243932416e-7'),
+        (0.98, 0.0001, '6.7323951979725237181e-9'),
+        (0.02, 0.001, '0.000020975342236955136594'),
+        (0.3, 0.001, '0.00001532218599313000411'),
+        (0.5, 0.001, '0.000011187131930106560536'),
+        (0.98, 0.001, '5.4036239619975771886e-7'),
+        (0.02, 0.01, '0.0014464410710122652043'),
+        (0.3, 0.01, '0.0010671510915049847042'),
+        (0.5, 0.01, '0.00078652162101325766686'),
+        (0.98, 0.01, '0.000040748529220425756757'),
+        (0.02, 0.1, '0.079581778758670355039'),
+        (0.3, 0.1, '0.06023234367409830602'),
+        (0.5, 0.1, '0.045445246563622005455'),
+        (0.98, 0.1, '0.0027461014835306400386'),
+        (0.02, 0.3, '0.44001271970649252354'),
+        (0.3, 0.3, '0.3441191872447068994'),
+        (0.5, 0.3, '0.26725047199161268144'),
+        (0.98, 0.3, '0.019010487932321135273'),
+        (0.02, 1.0, '1.7472964506379646564'),
+        (0.3, 1.0, '1.5450543597094045052'),
+        (0.5, 1.0, '1.3203063533900071774'),
+        (0.98, 1.0, '0.1419302851370140838'),
+        (0.02, 2.0, '1.9994318723111174593'),
+        (0.3, 2.0, '1.9946600009087795466'),
+        (0.5, 2.0, '1.9727603761628228131'),
+        (0.98, 2.0, '0.41005605031347193317'),
+        (0.02, 3.0, '1.9999999685065757865'),
+        (0.3, 3.0, '1.9999951352076067841'),
+        (0.5, 3.0, '1.9998219128675956014'),
+        (0.98, 3.0, '0.72019320757600648407'),
+    ]
+
+    def test_small_amplitude_table(self):
+        # Both routes are within 1e-13 bits absolute (1.1e-14 measured).
+        # Neither keeps relative accuracy below alpha of about 1e-3.
+        misses = []
+        for tau, alpha, want in self.SMALL_ALPHA:
+            params = ChannelParams(tau=tau, nbar=0.0)
+            full = gram_entropy(gram_matrix(displaced_thermal_ensemble(qpsk(alpha), params)))
+            for route, value in (("transform", bm_gme_entropy(qpsk(alpha), params)), ("eigvalsh", full)):
+                if not abs(value - float(want)) <= 1e-13:
+                    misses.append((route, tau, alpha, value, want))
+        assert misses == []
+
 
 class TestEntangledBasedBound:
     def test_modulation_variance(self):

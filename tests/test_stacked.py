@@ -1,16 +1,20 @@
 """The scan's stacked kernels against the per-cell library calls: the rows
-`run_scan` prints from one ensemble, one Gram stack and one eigensolve per
-scan equal, string for string, the values the library returns cell by
-cell, and each stacked kernel equals its per-cell result bit for bit."""
+`run_scan` prints from one ensemble per scan equal, string for string, the
+values the library returns cell by cell, and each stacked kernel equals
+its per-cell result bit for bit, on both routes of the Gram entropy: the
+transform of a cyclic cell's first row and the eigensolve of any other
+cell's full matrix."""
 
 import numpy as np
 import pytest
 
 from evebounds.bounds import (
+    _cyclic_cells,
     bm_get_entropy,
     bm_gme_entropy,
     eb_qpsk_entropy,
     gaussian_extremality_entropy,
+    gram_ensemble_entropy,
     gram_entropy,
     gram_matrix,
 )
@@ -66,6 +70,9 @@ def test_scan_rows_equal_library_calls(alpha, methods, base):
 # A three-state constellation with no rotation symmetry and unequal weights.
 THREE_STATES = Constellation(amplitudes=[0.3 - 0.1j, -0.8 + 0.6j, 1.7j], probs=[0.5, 0.3, 0.2])
 CELLS = [ChannelParams(tau=tau, nbar=nbar) for nbar in NBARS for tau in TAUS + [0.81]]
+# Twelve equiprobable states, each a turn of pi / 6 from the one before it.
+TWELVE_STATES = Constellation(amplitudes=0.7 * np.exp(2j * np.pi * np.arange(12) / 12),
+                              probs=np.full(12, 1 / 12))
 
 
 def bits(array):
@@ -97,10 +104,34 @@ class TestStackedKernels:
     def test_circular_stack_equals_cells(self):
         # Twelve states: more than numpy sums in plain order, so the moments
         # of a stack's cells must still come out as each cell's alone.
-        twelve = Constellation(amplitudes=0.7 * np.exp(2j * np.pi * np.arange(12) / 12),
-                               probs=np.full(12, 1 / 12))
-        values = gaussian_extremality_entropy(displaced_thermal_ensemble(twelve, CELLS))
-        assert values == [bm_get_entropy(twelve, p) for p in CELLS]
+        values = gaussian_extremality_entropy(displaced_thermal_ensemble(TWELVE_STATES, CELLS))
+        assert values == [bm_get_entropy(TWELVE_STATES, p) for p in CELLS]
+
+    @pytest.mark.parametrize("base", ["bits", "nats"])
+    def test_cyclic_gram_stack_equals_cells(self, base):
+        # The twelve states are cyclic, so every cell takes the transform of
+        # its Gram matrix's first row; a stack must give each cell's value
+        # alone, where the spectrum sums twelve terms pairwise.
+        entropies = gram_ensemble_entropy(displaced_thermal_ensemble(TWELVE_STATES, CELLS), base)
+        assert entropies.shape == (len(CELLS),)
+        for i, params in enumerate(CELLS):
+            assert bits(entropies[i]) == bits(bm_gme_entropy(TWELVE_STATES, params, base))
+
+    @pytest.mark.parametrize("base", ["bits", "nats"])
+    @pytest.mark.parametrize("constellation, cyclic", [
+        # unequal weights: no cell is cyclic, not even at tau = 1
+        (THREE_STATES, [False] * len(CELLS)),
+        # QPSK listed clockwise: only the tau = 1 cells, whose displacements
+        # are all 0, are cyclic, so one stack takes both routes
+        (Constellation(amplitudes=np.conj(qpsk(0.6).amplitudes), probs=np.full(4, 0.25)),
+         [p.tau == 1.0 for p in CELLS]),
+    ], ids=["three-states", "clockwise-qpsk"])
+    def test_full_gram_stack_equals_cells(self, constellation, cyclic, base):
+        stacked = displaced_thermal_ensemble(constellation, CELLS)
+        assert _cyclic_cells(stacked.mode_amplitudes(), stacked.probs).tolist() == cyclic
+        entropies = gram_ensemble_entropy(stacked, base)
+        for i, params in enumerate(CELLS):
+            assert bits(entropies[i]) == bits(bm_gme_entropy(constellation, params, base))
 
     @pytest.mark.parametrize("base", ["bits", "nats"])
     def test_gram_matrix_and_entropy(self, base):
