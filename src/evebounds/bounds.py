@@ -20,9 +20,10 @@ What each estimator assumes, and so what it is:
   displaced-thermal ensemble that carries the eavesdropper's average
   state under the entangling-cloner attack (`cloner`).  It bounds her
   entropy from above under that attack, the paper's setting, and claims
-  nothing beyond it.  Its two-mode symplectic spectrum has a closed form
-  for circular ensembles, QPSK among them, and comes from the average
-  covariance's invariants otherwise (`gaussian_extremality_entropy`).
+  nothing beyond it.  Its two-mode symplectic spectrum has one closed
+  form for every constellation, from the ensemble's moments, in which
+  nothing cancels where both eigenvalues are near 1
+  (`gaussian_extremality_entropy`).
 * `bm_gme_entropy`: the entropy of the ensemble's normalized Gram matrix,
   with the complex coherent-state overlaps of the displacement amplitudes
   as entries.  For a pure ensemble the Gram spectrum equals the
@@ -51,15 +52,16 @@ What each estimator assumes, and so what it is:
   through `gram_ensemble_entropy`, which takes them for every cell but
   the cyclic ones, QPSK's among them: their Gram matrix is circulant, so
   its spectrum is the discrete Fourier transform of its first row, with
-  the same gates and no eigensolve.  `eb` and `bm-get` take theirs
-  through `states.symplectic_entropy`.
+  the same gates and no eigensolve.  `eb` takes its entropy through
+  `states.symplectic_entropy`, and `bm-get` the same sum inline.
 * The Fock oracle, `fock.eve_exact_entropy`, is no bound: it is the
   brute-force check of the others where it converges.
 
 The chain bm-gme <= bm-get <= eb is measured, not assumed: by
 `checks.check_estimator_ordering` on 20 cells of the reference grid, to
 1e-9 bits, and by tests/test_ordering_property.py over tau in [0, 1],
-nbar up to 1e6 and alpha from 1e-6 to 6, to 1e-10 bits.  Where the tests
+nbar up to 1e6 and alpha from 1e-6 to 6, to 1e-10 bits (bm-gme <= bm-get
+also for BPSK, turned BPSK and a skewed 3-state set).  Where the tests
 compare the oracle at converged cells, it lies between bm-gme and bm-get
 to within 1e-6 bits.
 
@@ -70,8 +72,9 @@ cells: a scan of QPSK builds its cells' Gram first rows as one (cells, K)
 stack, transforms and checks them together, and would take any
 non-cyclic cells' Gram matrices as one (cells, K, K) stack through one
 stacked `eigvalsh`; `gaussian_extremality_entropy` takes the cells'
-displacement moments together; and `eb_qpsk_entropy` takes X and Z4 once.  The closed-form
-tails of the last two run on floats per cell.  The library calls run the
+displacement moments and Cauchy-Binet determinants together; and
+`eb_qpsk_entropy` takes X and Z4 once.  The closed-form tails of the last
+two run on floats per cell.  The library calls run the
 same code on one cell, so a scan's value for a cell is the one the
 library returns for it.
 
@@ -80,6 +83,7 @@ checks them.
 """
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -95,8 +99,8 @@ from .linalg import (
 )
 from .states import (
     _log,
+    _thermal_entropy,
     _physical_standard_spectrum,
-    _two_mode_symplectic_spectrum,
     spectrum_entropy,
     symplectic_entropy,
 )
@@ -173,15 +177,11 @@ def _spectrum_entropy_checked(traces, eigs, base):
     return spectrum_entropy(eigs / eigs.sum(axis=-1, keepdims=True), base)
 
 
-# The relative tolerance of both symmetry tests on an ensemble cell.
-# `gaussian_extremality_entropy` takes a cell as circular when the first
-# two moments of its mode-1 displacements b1, |sum p b1|^2 and
-# |sum p b1^2|, are at most this times sum p |b1|^2.  A constellation that
-# a rotation by 2 pi / K (K >= 3) maps onto itself has both moments 0, so
-# rounding leaves them near 1e-16 of sum p |b1|^2.  `gram_ensemble_entropy`
-# takes a cell as cyclic when each displacement is its list predecessor's
-# turned by one step, b_k1 = w^k b_01 and b_k2 = w^-k b_02 (w = e^(2 pi i / K)),
-# to within this times max(|b_01|, |b_02|); rounding leaves QPSK's near 1e-16.
+# The relative tolerance of the cyclic test on an ensemble cell:
+# `gram_ensemble_entropy` takes a cell as cyclic when each displacement is
+# its list predecessor's turned by one step, b_k1 = w^k b_01 and
+# b_k2 = w^-k b_02 (w = e^(2 pi i / K)), to within this times
+# max(|b_01|, |b_02|); rounding leaves QPSK's near 1e-16.
 CIRCULAR_RTOL = 1e-12
 
 
@@ -275,75 +275,90 @@ def gaussian_extremality_entropy(ensemble, base="bits"):
 
     The ensemble's mode-2 displacement b2 is a fixed real multiple of the
     conjugate of its mode-1 displacement b1
-    (`cloner.DisplacedThermalEnsemble`).  So when b1 is circular to second
-    order (`CIRCULAR_RTOL`), as for QPSK and every constellation of
-    rotation order K >= 3, the average covariance is in standard form
-    [[a I, c Z], [c Z, b I]], and with E1 = sum p |b1|^2,
-    E2 = sum p |b2|^2 and nu1 = 2 nu1p + 1 its invariants have closed
-    forms in which nothing cancels: a - b = 2 (E1 - E2 - nu1p) and
-    ab - c^2 = nu1 + 2 (E2 + E1 nu1), the alpha^4 terms of ab and c^2
-    cancelling in the algebra, never in floats.  The symplectic
-    eigenvalues are then
-    nu+ = (sqrt((a - b)^2 + 4 (ab - c^2)) + |a - b|) / 2 and
-    nu- = (ab - c^2) / nu+.  For QPSK against 60- and 200-digit
-    arithmetic (alpha from 1e-6 to 1e4, nbar from 0 to 1e6, tau from 0 to
-    1) that is within 2.6e-15 of the value, relative to max(1, value),
-    except that `states._thermal_entropy`'s skip of thermal photon
-    numbers below 1e-12 costs up to 4.1e-11 bits at small alpha.  Once
-    (a - b)^2 + 4 (ab - c^2) is not a double (for QPSK from alpha of
-    about 1e77) it raises ("beyond double precision").
+    (`cloner.DisplacedThermalEnsemble`).  So in the frame where the
+    receiver is traced out, the average covariance is
+    [[a I + M, c Z], [c Z, b I]] with ab - c^2 = nu = 2 nu1p + 1 and M the
+    spread of the displacements; once mode 1 is turned to the principal
+    axes of M (and mode 2 the other way), the q and p quadratures
+    decouple, and nu+^2 and nu-^2 are the eigenvalues of Vq Vp.  In the
+    ensemble's own moments, with [[A, C], [C, B]] the spread of the mode-1
+    means about their average, T1 = A + B and T2 the mode-2 spread's trace:
+      - n1, n2 = (T1 +- hypot(A - B, 2C)) / 2, the mode-1 spread's
+        eigenvalues, taken as T1 f1 and T1 f2 with f1 = (1 + split) / 2,
+        f2 = det / f1, det = (AB - C^2) / T1^2 and split = sqrt(1 - 4 det);
+      - k = (T1 - T2) / T1, r = nu + T2 / T1 and e_i = k n_i - 2 nu1p;
+      - nu+ nu- = sqrt(nu + r n1) sqrt(nu + r n2);
+      - (nu+^2 - nu-^2)^2 = r^2 (n1 - n2)^2 + e1 e2 (e1 e2 + 2 r T1 + 4 nu);
+      - nu+^2 + nu-^2 = 1 + nu^2 + T1 + nu T2 + k^2 n1 n2;
+    so nu+ = sqrt((nu+^2 + nu-^2 + (nu+^2 - nu-^2)) / 2) and
+    nu- = nu+ nu- / nu+.  Nothing there cancels where both are near 1, as
+    at small alpha and small nbar.  split loses precision near a circular
+    spread, but the spectrum depends on it only through n1 + n2, n1 n2
+    and (n1 - n2)^2, which its error moves at second order.  AB - C^2 is
+    taken by Cauchy-Binet, as
+    sum_(j<k) p_j p_k (q_j p_k - q_k p_j)^2 over the centred mode-1 means,
+    which keeps n2 of a spread of rank 1 (BPSK, turned off the axes or
+    not) to rounding of n2, not of n1.  For a circular constellation
+    (QPSK, or any of rotation order K >= 3) n1 = n2, and this is the
+    closed form of its standard-form covariance.
 
-    Any other cell takes its spectrum from the two-mode invariants of its
-    average covariance (`states._two_mode_symplectic_spectrum`), which
-    loses up to about 1e-8 in nu- where both eigenvalues are near 1, as
-    at small alpha and small nbar (QPSK by that route was off by up to
-    1.3e-8 bits on the small-alpha table of tests/test_bounds.py, and
-    raised at two of its cells); the average covariance is
-    diag(1, 1, nu1, nu1) plus a positive-semidefinite spread, so it meets
-    that function's positive-definite precondition.
+    Against 60-digit arithmetic (QPSK, BPSK turned and not, an off-centre
+    3-ASK and a skewed 3-state set, alpha from 1e-6 to 1e4, nbar from 0 to
+    1e6; tests/test_bounds.py) it is within 2e-10 of the value, relative
+    to max(1, value); the error left is `states._thermal_entropy`'s skip
+    of thermal photon numbers below 1e-12, up to 4.1e-11 bits at small
+    alpha.  (nu+^2 - nu-^2)^2 is taken at the scale of its two terms, so
+    the domain ends only where nu+^2 + nu-^2 is not a double (for QPSK at
+    (tau, nbar) = (0.25, 5) from alpha of about 9.4e76); there, or at any
+    other non-finite eigenvalue, it raises ("beyond double precision").
 
     A float for one ensemble; for an ensemble with a leading cell axis, a
     list of floats, each the one its cell gives alone.  The moments are
-    taken for all cells at once and the closed forms run on floats per
+    taken for all cells at once and the closed form runs on floats per
     cell, in order, so a stack raises its first failing cell's error.
     """
     _log(base)
-    # Per cell, over the means m = (q1, p1, q2, p2) = 2 (Re b1, Im b1,
-    # Re b2, Im b2): sum p m, sum p m^2 and sum p q1 p1.
-    means = ensemble.means.reshape(-1, ensemble.probs.size, 4)
-    weighted = means * ensemble.probs[:, None]
-    cells = zip(weighted.sum(axis=-2).tolist(), (weighted * means).sum(axis=-2).tolist(),
-                (weighted[..., 0] * means[..., 1]).sum(axis=-1).tolist(),
-                np.reshape(ensemble.nu1p, -1).tolist())
-    covs = None
+    probs = ensemble.probs
+    means = ensemble.means.reshape(-1, probs.size, 4)
+    centred = means - (probs @ means)[:, None, :]
+    # (T1, T2) per cell
+    traces = (probs @ (centred * centred)).reshape(-1, 2, 2).sum(axis=-1)
+    # det per cell: each p_j p_k (cross_jk / T1)^2 is at most 1/4, so no
+    # square overflows, and a T1 of 0 leaves every cross 0
+    cross = centred[:, :, None, 0] * centred[:, None, :, 1]
+    cross = (cross - cross.swapaxes(-1, -2)) / np.maximum(traces[:, :1, None], sys.float_info.min)
+    # p^T (cross o cross) p / 2 as one product per cell, as a cell alone
+    # takes it; a (cells, K) matrix product rounds cells differently
+    dets = (probs @ ((cross * cross) @ probs)[..., None])[:, 0] / 2
+    stacked = ensemble.means.ndim > 2
+    cells = zip(traces.tolist(), dets.tolist(), ensemble.nu1p.tolist() if stacked else [float(ensemble.nu1p)])
+    unit = math.log(2) if base == "bits" else 1.0
     values = []
-    for i, ((q1, p1, _, _), (qq1, pp1, qq2, pp2), qp1, nu1p) in enumerate(cells):
-        e1, e2 = (qq1 + pp1) / 4, (qq2 + pp2) / 4
-        # 4 |sum p b1|^2 and 4 |sum p b1^2|, each against 4 CIRCULAR_RTOL E1
-        limit = 4 * CIRCULAR_RTOL * e1
-        if q1 * q1 + p1 * p1 <= limit and math.hypot(qq1 - pp1, 2 * qp1) <= limit:
-            nus = _circular_spectrum(e1, e2, nu1p)
-        else:
-            if covs is None:
-                covs = ensemble.average_covariance().reshape(-1, 4, 4)
-            nus = _two_mode_symplectic_spectrum(covs[i])
-        values.append(symplectic_entropy(nus, base))
-    return values if np.ndim(ensemble.nu1p) else values[0]
-
-
-def _circular_spectrum(e1, e2, nu1p):
-    """(nu+, nu-) of a circular ensemble cell's average covariance from
-    E1, E2 and nu1p, as `gaussian_extremality_entropy` sets out."""
-    nu1 = 2 * nu1p + 1
-    diff = 2 * (e1 - e2 - nu1p)
-    det = nu1 + 2 * (e2 + e1 * nu1)
-    total = diff * diff + 4 * det
-    if not total < math.inf:
-        raise ValueError(
-            f"two-mode covariance beyond double precision: (a-b)^2 + 4(ab-c^2) is not finite, a-b = {diff:.3e}"
-        )
-    larger = (math.sqrt(total) + abs(diff)) / 2
-    return larger, det / larger
+    for (t1, t2), det, nu1p in cells:
+        nu = 2 * nu1p + 1
+        larger, smaller = nu, 1.0
+        if t1 > 0:
+            split = math.sqrt(1 - 4 * det) if det < 0.25 else 0.0
+            f1 = (1 + split) / 2
+            f2 = det / f1
+            # r T1 and k T1
+            rt, kt = nu * t1 + t2, t1 - t2
+            # nu+^2 - nu-^2 = sqrt(gap^2 + ee (ee + 2 r T1 + 4 nu)), taken at
+            # the scale of hypot(gap, ee) so that no square overflows
+            gap, ee = rt * split, (kt * f1 - 2 * nu1p) * (kt * f2 - 2 * nu1p)
+            scale = math.hypot(gap, ee)
+            inner = 1 + ee / scale * ((2 * rt + 4 * nu) / scale) if scale else 0.0
+            root = scale * math.sqrt(inner) if inner > 0 else 0.0
+            larger = math.sqrt((1 + nu * nu + t1 + nu * t2 + kt * (kt * det)) / 2 + root / 2)
+            smaller = math.sqrt(nu + rt * f1) * math.sqrt(nu + rt * f2) / larger
+        if not larger + smaller < math.inf:
+            raise ValueError(
+                f"two-mode covariance beyond double precision: its symplectic spectrum is not finite, T1 = {t1:.3e}"
+            )
+        # `symplectic_entropy((larger, smaller), base)`, bit for bit, without
+        # its call and check of the base in every cell of a scan
+        values.append(_thermal_entropy((larger - 1) / 2, unit) + _thermal_entropy((smaller - 1) / 2, unit))
+    return values if stacked else values[0]
 
 
 def bm_get_entropy(constellation, params, base="bits"):

@@ -279,51 +279,6 @@ def williamson_standard_two_mode(std):
     return SymplecticMap(s=_standard_block(w1, w1, w2)), nu1, nu2
 
 
-def _two_mode_symplectic_spectrum(cov):
-    """Symplectic eigenvalues (nu+, nu-) of a two-mode covariance from its
-    invariants, without an eigensolve.
-
-    With blocks V = [[A, C], [C^T, B]], Delta = det A + det B + 2 det C and
-    det V give nu+^2 = (Delta + sqrt(Delta^2 - 4 det V)) / 2 (Serafini,
-    Illuminati and De Siena, J. Phys. B 37, L21, 2004).  nu-^2 is taken as
-    2 det V / (Delta + sqrt(Delta^2 - 4 det V)), which keeps its relative
-    precision when nu+ >> nu-, where the difference form cancels.  The
-    discriminant itself cancels when nu+ and nu- are both near 1: Delta is
-    then about 2 and 4 det V about 4, each with about 1e-16 of rounding,
-    so its square root, and with it nu-, carries about 1e-8.
-
-    Precondition, not checked: cov is a symmetric positive-definite 4 x 4
-    matrix.  For such a matrix the discriminant is (nu+^2 - nu-^2)^2 >= 0,
-    and it is physical exactly when nu- >= 1.
-
-    Raises:
-        ValueError: ("... beyond double precision ...") if Delta^2
-            overflows or det V comes out non-finite or non-positive;
-            ("unphysical ...") if the discriminant is below
-            -PHYSICALITY_ATOL Delta^2 or nu- < 1 - PHYSICALITY_ATOL.
-    """
-    (a00, a01, c00, c01), (a10, a11, c10, c11), (_, _, b00, b01), (_, _, b10, b11) = cov.tolist()
-    delta = a00 * a11 - a01 * a10 + b00 * b11 - b01 * b10 + 2 * (c00 * c11 - c01 * c10)
-    # For a positive-definite cov, 4 det V <= Delta^2, so det V overflows
-    # only where Delta^2 has; testing Delta^2 first keeps numpy from
-    # forming (and warning on) an overflowing determinant.
-    if not delta * delta < math.inf:
-        raise ValueError(f"two-mode covariance beyond double precision: Delta^2 = {delta * delta} is not finite")
-    det_v = float(np.linalg.det(cov))
-    if not 0 < det_v < math.inf:
-        raise ValueError(
-            f"two-mode covariance beyond double precision: det V = {det_v:.3e} is not finite and positive"
-        )
-    disc = delta * delta - 4 * det_v
-    require_at_least(disc, -PHYSICALITY_ATOL * delta * delta,
-                     "unphysical covariance matrix: Delta^2 - 4 det V = {:.3e} is negative")
-    upper = delta + math.sqrt(max(disc, 0.0))
-    nu_minus = math.sqrt(2 * det_v / upper)
-    require_at_least(nu_minus, 1 - PHYSICALITY_ATOL,
-                     "unphysical covariance matrix: symplectic eigenvalue {:.12g} below 1")
-    return math.sqrt(upper / 2), nu_minus
-
-
 def _log(base):
     """The log of `base`; each entropy function calls this first, so a pure
     state or an invalid input rejects a bad base too."""

@@ -13,7 +13,8 @@ unitary and Bloch-Messiah displacements with their per-operation,
 per-part and per-amplitude references, and the oracle's complex factor
 through the dense beam-splitter unitary, with the entropy from its
 single Gram matrix of all amplitudes or from one eigensolve per rotation
-class."""
+class, and the constellations without rotation symmetry that the bm-get
+tests draw."""
 
 import math
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from evebounds.blochmessiah import bloch_messiah, factors_to_circuit
 from evebounds.checks import _circuit_amplitudes, _composed_pairs, _draw_pair, _switched_displacement
-from evebounds.cloner import ChannelParams, eve_reduced_covariance
+from evebounds.cloner import ChannelParams, Constellation, eve_reduced_covariance
 from evebounds.fock import (
     _bs_angle,
     _ladder_terms,
@@ -85,6 +86,22 @@ def make_coherent(alpha):
     """Single-mode coherent state of complex amplitude `alpha`."""
     alpha = complex(alpha)
     return GaussianState(mean=np.array([2 * alpha.real, 2 * alpha.imag]), cov=np.eye(2))
+
+
+def named_constellation(name, alpha):
+    """A constellation that is not circular, at amplitude alpha: "bpsk",
+    "turned-bpsk" (BPSK turned by the unit phase 0.6 + 0.8i), "skewed"
+    (three states of unequal weight) or "3-ask" (the off-centre
+    {0, alpha, 2 alpha})."""
+    if name == "bpsk":
+        return Constellation(amplitudes=[alpha, -alpha], probs=[0.5, 0.5])
+    if name == "turned-bpsk":
+        return Constellation(amplitudes=[alpha * (0.6 + 0.8j), -alpha * (0.6 + 0.8j)], probs=[0.5, 0.5])
+    if name == "skewed":
+        return Constellation(amplitudes=alpha * np.array([0.8, -0.3 + 0.9j, -0.5 - 0.6j]), probs=[0.5, 0.3, 0.2])
+    if name == "3-ask":
+        return Constellation(amplitudes=[0.0, alpha, 2 * alpha], probs=[1 / 3, 1 / 3, 1 / 3])
+    raise ValueError(f"unknown constellation {name!r}")
 
 
 def eve_conditional_mean(alpha_i, params):

@@ -22,7 +22,7 @@ from evebounds.cloner import (
     qpsk,
 )
 from evebounds.states import entropy_from_cov, thermal_entropy
-from reference import coherent_ket
+from reference import coherent_ket, named_constellation
 
 # 1.42e-11 leaves the thermal decomposition a squeezing so small that the
 # matched SVD of the Bloch-Messiah route raised at most taus of the grid.
@@ -256,6 +256,237 @@ class TestGaussianExtremalityBound:
         misses = [(tau, nbar, alpha, want)
                   for tau, nbar, alpha, want in self.SMALL_ALPHA
                   if not abs(bm_get_entropy(qpsk(alpha), ChannelParams(tau=tau, nbar=nbar)) - float(want)) <= 1e-10]
+        assert misses == []
+
+    # (constellation, tau, nbar, alpha, bm-get in bits) for four
+    # constellations that are not circular (`named_constellation`), by
+    # the reference of SMALL_ALPHA in 60-digit mpmath from the same float
+    # amplitudes.  BPSK's rows are the grid on which the two-mode
+    # invariants route raised (at (tau, nbar, alpha) = (0.1, 0, 1e-4), for
+    # one) or was off by up to 6.1e-9 bits (at (0.3, 0, 1e-4)); on the
+    # whole table that route raised at 5 cells and missed 2e-10 at 27.
+    NON_CIRCULAR = [
+        ('bpsk', 0.1, 0.0, 1e-05, '3.1332581172242233055e-9'),
+        ('bpsk', 0.1, 1e-06, 1e-05, '0.000019376773876181989617'),
+        ('bpsk', 0.1, 0.01, 1e-05, '0.0742052467000886052'),
+        ('bpsk', 0.3, 0.0, 1e-05, '2.4623584412197033003e-9'),
+        ('bpsk', 0.3, 1e-06, 1e-05, '0.000015324648461169200067'),
+        ('bpsk', 0.3, 0.01, 1e-05, '0.060243137137229673132'),
+        ('bpsk', 0.6, 0.0, 1e-05, '1.4393561633318864937e-9'),
+        ('bpsk', 0.6, 1e-06, 1e-05, '9.0799161549581603041e-6'),
+        ('bpsk', 0.6, 0.01, 1e-05, '0.037645444954005583577'),
+        ('bpsk', 0.9, 0.0, 1e-05, '3.7983904084291748483e-10'),
+        ('bpsk', 0.9, 1e-06, 1e-05, '2.469999017302507577e-6'),
+        ('bpsk', 0.9, 0.01, 1e-05, '0.011409200816762508979'),
+        ('bpsk', 0.1, 0.0, 0.0001, '2.5353110393440376146e-7'),
+        ('bpsk', 0.1, 1e-06, 0.0001, '0.000019627171763587551167'),
+        ('bpsk', 0.1, 0.01, 0.0001, '0.074205497393477692503'),
+        ('bpsk', 0.3, 0.0, 0.0001, '1.9972884951765951179e-7'),
+        ('bpsk', 0.3, 1e-06, 0.0001, '0.000015521915050792782101'),
+        ('bpsk', 0.3, 0.01, 0.0001, '0.060243335109573532259'),
+        ('bpsk', 0.6, 0.0, 0.0001, '1.1736019114468483312e-7'),
+        ('bpsk', 0.6, 1e-06, 0.0001, '9.1958371064014005778e-6'),
+        ('bpsk', 0.6, 0.01, 0.0001, '0.037645561721999670048'),
+        ('bpsk', 0.9, 0.0, 0.0001, '3.1340047865699215489e-8'),
+        ('bpsk', 0.9, 1e-06, 0.0001, '2.5009592733645840377e-6'),
+        ('bpsk', 0.9, 0.01, 0.0001, '0.011409232131154806766'),
+        ('bpsk', 0.1, 0.0, 0.0003, '2.0250158794232468753e-6'),
+        ('bpsk', 0.1, 1e-06, 0.0003, '0.000021398656847716309794'),
+        ('bpsk', 0.1, 0.01, 0.0003, '0.074207271016785840594'),
+        ('bpsk', 0.3, 0.0, 0.0003, '1.5978542901209143767e-6'),
+        ('bpsk', 0.3, 1e-06, 0.0003, '0.000016920041223738348785'),
+        ('bpsk', 0.3, 0.01, 0.0003, '0.060244738355094509288'),
+        ('bpsk', 0.6, 0.0, 0.0003, '9.4212439305170681654e-7'),
+        ('bpsk', 0.6, 1e-06, 0.0003, '0.000010020602176273765812'),
+        ('bpsk', 0.6, 0.01, 0.0003, '0.03764639266276072412'),
+        ('bpsk', 0.9, 0.0, 0.0003, '2.5353110393440364434e-7'),
+        ('bpsk', 0.9, 1e-06, 0.0003, '2.7231506837204005572e-6'),
+        ('bpsk', 0.9, 0.01, 0.0003, '0.011409456932608470281'),
+        ('bpsk', 0.1, 0.0, 0.001, '0.000019373624349918343001'),
+        ('bpsk', 0.1, 1e-06, 0.001, '0.000038747268452693356536'),
+        ('bpsk', 0.1, 0.01, 0.001, '0.074224641172958665394'),
+        ('bpsk', 0.3, 0.0, 0.001, '0.000015322176082994060489'),
+        ('bpsk', 0.3, 1e-06, 0.001, '0.000030644370468981101741'),
+        ('bpsk', 0.3, 0.01, 0.001, '0.060258514422694794397'),
+        ('bpsk', 0.6, 0.0, 0.001, '9.0784733968989043177e-6'),
+        ('bpsk', 0.6, 1e-06, 0.001, '0.000018156960049774697098'),
+        ('bpsk', 0.6, 0.01, 0.001, '0.03765459182499526443'),
+        ('bpsk', 0.9, 0.0, 0.001, '2.4696189451886022295e-6'),
+        ('bpsk', 0.9, 1e-06, 0.001, '4.9392421786976648083e-6'),
+        ('bpsk', 0.9, 0.01, 0.001, '0.011411699913443863292'),
+        ('turned-bpsk', 0.1, 0.0, 1e-06, '3.7312051745652293956e-11'),
+        ('turned-bpsk', 0.5, 0.0, 1e-06, '2.1152916089758618494e-11'),
+        ('turned-bpsk', 0.9, 0.0, 1e-06, '4.462776027442041406e-12'),
+        ('turned-bpsk', 0.1, 0.01, 1e-06, '0.074205243600600417799'),
+        ('turned-bpsk', 0.5, 0.01, 1e-06, '0.04545075988137215175'),
+        ('turned-bpsk', 0.9, 0.01, 1e-06, '0.011409200437253031432'),
+        ('turned-bpsk', 0.1, 1000000.0, 1e-06, '21.222261318306341416'),
+        ('turned-bpsk', 0.5, 1000000.0, 1e-06, '20.374265052948522382'),
+        ('turned-bpsk', 0.9, 1000000.0, 1e-06, '18.05234272881823996'),
+        ('turned-bpsk', 0.1, 0.0, 0.001, '0.000019373624349918342217'),
+        ('turned-bpsk', 0.5, 0.0, 0.001, '0.000011187126752556238834'),
+        ('turned-bpsk', 0.9, 0.0, 0.001, '2.4696189451886021287e-6'),
+        ('turned-bpsk', 0.1, 0.01, 0.001, '0.074224641172958665393'),
+        ('turned-bpsk', 0.5, 0.01, 0.001, '0.045462018075580310211'),
+        ('turned-bpsk', 0.9, 0.01, 0.001, '0.011411699913443863292'),
+        ('turned-bpsk', 0.1, 1000000.0, 0.001, '21.2222826925073813'),
+        ('turned-bpsk', 0.5, 1000000.0, 0.001, '20.374286427133127776'),
+        ('turned-bpsk', 0.9, 1000000.0, 0.001, '18.052364102854936157'),
+        ('turned-bpsk', 0.1, 0.0, 1.0, '1.4874262117537056021'),
+        ('turned-bpsk', 0.5, 0.0, 1.0, '1.1454210973347301402'),
+        ('turned-bpsk', 0.9, 0.0, 1.0, '0.45393850617959493654'),
+        ('turned-bpsk', 0.1, 0.01, 1.0, '1.5627984479331328999'),
+        ('turned-bpsk', 0.5, 0.01, 1.0, '1.1961716549422327326'),
+        ('turned-bpsk', 0.9, 0.01, 1.0, '0.4707002504664085197'),
+        ('turned-bpsk', 0.1, 1000000.0, 1.0, '22.774633383289172318'),
+        ('turned-bpsk', 0.5, 1000000.0, 1.0, '21.926636744463827935'),
+        ('turned-bpsk', 0.9, 1000000.0, 1.0, '19.604711059139087851'),
+        ('turned-bpsk', 0.1, 0.0, 100.0, '8.0105630420801556849'),
+        ('turned-bpsk', 0.5, 0.0, 100.0, '7.586575275100151645'),
+        ('turned-bpsk', 0.9, 0.0, 100.0, '6.4257073957860060498'),
+        ('turned-bpsk', 0.1, 0.01, 100.0, '8.0861483502111192982'),
+        ('turned-bpsk', 0.5, 0.01, 100.0, '7.6390139715613433652'),
+        ('turned-bpsk', 0.9, 0.01, 100.0, '6.4498950815919729778'),
+        ('turned-bpsk', 0.1, 1000000.0, 100.0, '29.308824517834869165'),
+        ('turned-bpsk', 0.5, 1000000.0, 100.0, '28.460827825018775298'),
+        ('turned-bpsk', 0.9, 1000000.0, 100.0, '26.13890165377769815'),
+        ('turned-bpsk', 0.1, 0.0, 5800.0, '13.868530683039688667'),
+        ('turned-bpsk', 0.5, 0.0, 5800.0, '13.444532232938976397'),
+        ('turned-bpsk', 0.9, 0.0, 5800.0, '12.283568214086158904'),
+        ('turned-bpsk', 0.1, 0.01, 5800.0, '13.944116017155727358'),
+        ('turned-bpsk', 0.5, 0.01, 5800.0, '13.496971164006196176'),
+        ('turned-bpsk', 0.9, 0.01, 5800.0, '12.307758018429197729'),
+        ('turned-bpsk', 0.1, 1000000.0, 5800.0, '35.166793494197046935'),
+        ('turned-bpsk', 0.5, 1000000.0, 5800.0, '34.318796801374543122'),
+        ('turned-bpsk', 0.9, 1000000.0, 5800.0, '31.996870630075776492'),
+        ('turned-bpsk', 0.1, 0.0, 10000.0, '14.654405875051716542'),
+        ('turned-bpsk', 0.5, 0.0, 10000.0, '14.230407422842904529'),
+        ('turned-bpsk', 0.9, 0.0, 10000.0, '13.069443385017190019'),
+        ('turned-bpsk', 0.1, 0.01, 10000.0, '14.729991209172882822'),
+        ('turned-bpsk', 0.5, 0.01, 10000.0, '14.282846353956419512'),
+        ('turned-bpsk', 0.9, 0.01, 10000.0, '13.093633189778349567'),
+        ('turned-bpsk', 0.1, 1000000.0, 10000.0, '35.952668686472587121'),
+        ('turned-bpsk', 0.5, 1000000.0, 10000.0, '35.104671993650082044'),
+        ('turned-bpsk', 0.9, 1000000.0, 10000.0, '32.782745822351304029'),
+        ('skewed', 0.1, 0.0, 1e-06, '2.4448147508245220633e-11'),
+        ('skewed', 0.5, 0.0, 1e-06, '1.3855952772992683302e-11'),
+        ('skewed', 0.9, 0.0, 1e-06, '2.9210477938425783804e-12'),
+        ('skewed', 0.1, 0.01, 1e-06, '0.074205243587722067367'),
+        ('skewed', 0.5, 0.01, 1e-06, '0.045450759874033411967'),
+        ('skewed', 0.9, 0.01, 1e-06, '0.011409200435694725767'),
+        ('skewed', 0.1, 1000000.0, 1e-06, '21.222261318292102091'),
+        ('skewed', 0.5, 1000000.0, 1e-06, '20.374265052934283068'),
+        ('skewed', 0.9, 1000000.0, 1e-06, '18.052342728804000753'),
+        ('skewed', 0.1, 0.0, 0.001, '0.000012870696586242716282'),
+        ('skewed', 0.5, 0.0, 0.001, '7.4240355916891764191e-6'),
+        ('skewed', 0.9, 0.0, 0.001, '1.6346643578783917554e-6'),
+        ('skewed', 0.1, 0.01, 0.001, '0.074218130104432577575'),
+        ('skewed', 0.5, 0.01, 0.001, '0.045458230792718745432'),
+        ('skewed', 0.9, 0.01, 0.001, '0.011410854737222588707'),
+        ('skewed', 0.1, 1000000.0, 0.001, '21.222275520934854515'),
+        ('skewed', 0.5, 1000000.0, 0.001, '20.374279255566066248'),
+        ('skewed', 0.9, 1000000.0, 0.001, '18.052356931337061548'),
+        ('skewed', 0.1, 0.0, 1.0, '1.4917452944027120692'),
+        ('skewed', 0.5, 0.0, 1.0, '1.0556995304078521423'),
+        ('skewed', 0.9, 0.0, 1.0, '0.35069723018451239137'),
+        ('skewed', 0.1, 0.01, 1.0, '1.568909531081633318'),
+        ('skewed', 0.5, 0.01, 1.0, '1.112525512758727264'),
+        ('skewed', 0.9, 0.01, 1.0, '0.36944957425562189889'),
+        ('skewed', 0.1, 1000000.0, 1.0, '22.803400503188473116'),
+        ('skewed', 0.5, 1000000.0, 1.0, '21.955403793292406645'),
+        ('skewed', 0.9, 1000000.0, 1.0, '19.633477468333523946'),
+        ('skewed', 0.1, 0.0, 100.0, '13.920929843641207281'),
+        ('skewed', 0.5, 0.0, 100.0, '13.073035896001830477'),
+        ('skewed', 0.9, 0.0, 100.0, '10.752033983053744621'),
+        ('skewed', 0.1, 0.01, 100.0, '14.001866309030168958'),
+        ('skewed', 0.5, 0.01, 100.0, '13.153964822975199269'),
+        ('skewed', 0.9, 0.01, 100.0, '10.832895136956944131'),
+        ('skewed', 0.1, 1000000.0, 100.0, '35.295181304640483481'),
+        ('skewed', 0.5, 1000000.0, 100.0, '34.44718439811985606'),
+        ('skewed', 0.9, 1000000.0, 100.0, '32.125256303541396653'),
+        ('skewed', 0.1, 0.0, 5800.0, '25.636763159495146874'),
+        ('skewed', 0.5, 0.0, 5800.0, '24.788766283551480924'),
+        ('skewed', 0.9, 0.0, 5800.0, '22.466838464165635105'),
+        ('skewed', 0.1, 0.01, 5800.0, '25.717700567019544292'),
+        ('skewed', 0.5, 0.01, 5800.0, '24.869703688834353838'),
+        ('skewed', 0.9, 0.01, 5800.0, '22.54777584927479392'),
+        ('skewed', 0.1, 1000000.0, 5800.0, '47.011027487229155071'),
+        ('skewed', 0.5, 1000000.0, 5800.0, '46.163030580674215269'),
+        ('skewed', 0.9, 1000000.0, 5800.0, '43.841102485786944434'),
+        ('skewed', 0.1, 0.0, 10000.0, '27.208513523397391231'),
+        ('skewed', 0.5, 0.0, 10000.0, '26.360516627140077526'),
+        ('skewed', 0.9, 0.0, 10000.0, '24.038588624931437077'),
+        ('skewed', 0.1, 0.01, 10000.0, '27.28945093110772311'),
+        ('skewed', 0.5, 0.01, 10000.0, '26.44145403409636052'),
+        ('skewed', 0.9, 0.01, 10000.0, '24.119526025101280845'),
+        ('skewed', 0.1, 1000000.0, 10000.0, '48.582777853670604606'),
+        ('skewed', 0.5, 1000000.0, 10000.0, '47.734780947115658032'),
+        ('skewed', 0.9, 1000000.0, 10000.0, '45.412852852228326257'),
+        ('3-ask', 0.1, 0.0, 1e-06, '2.522567866420775059e-11'),
+        ('3-ask', 0.5, 0.0, 1e-06, '1.4296931560081628709e-11'),
+        ('3-ask', 0.9, 0.0, 1e-06, '3.0141815183428629393e-12'),
+        ('3-ask', 0.1, 0.01, 1e-06, '0.074205243588500470896'),
+        ('3-ask', 0.5, 0.01, 1e-06, '0.045450759874476912924'),
+        ('3-ask', 0.9, 0.01, 1e-06, '0.01140920043578885973'),
+        ('3-ask', 0.1, 1000000.0, 1e-06, '21.222261318292962782'),
+        ('3-ask', 0.5, 1000000.0, 1e-06, '20.374265052935143758'),
+        ('3-ask', 0.9, 1000000.0, 1e-06, '18.052342728804861436'),
+        ('3-ask', 0.1, 0.0, 0.001, '0.000013266730341648823876'),
+        ('3-ask', 0.5, 0.0, 0.001, '7.6530730597369859308e-6'),
+        ('3-ask', 0.9, 0.0, 0.001, '1.6854101776454050208e-6'),
+        ('3-ask', 0.1, 0.01, 0.001, '0.074218526631927551489'),
+        ('3-ask', 0.5, 0.01, 0.001, '0.045458461296421938999'),
+        ('3-ask', 0.9, 0.01, 0.001, '0.011410906101630108232'),
+        ('3-ask', 0.1, 1000000.0, 0.001, '21.222275957738898821'),
+        ('3-ask', 0.5, 1000000.0, 0.001, '20.374279692369776828'),
+        ('3-ask', 0.9, 1000000.0, 0.001, '18.052357368137768617'),
+        ('3-ask', 0.1, 0.0, 1.0, '1.2474415924539055207'),
+        ('3-ask', 0.5, 0.0, 1.0, '0.93393806903633172499'),
+        ('3-ask', 0.9, 0.0, 1.0, '0.34387466511490649161'),
+        ('3-ask', 0.1, 0.01, 1.0, '1.3227332873830770776'),
+        ('3-ask', 0.5, 0.01, 1.0, '0.98414914366202936895'),
+        ('3-ask', 0.9, 0.01, 1.0, '0.3595632417356887188'),
+        ('3-ask', 0.1, 1000000.0, 1.0, '22.530416198899389071'),
+        ('3-ask', 0.5, 1000000.0, 1.0, '21.682419581258599484'),
+        ('3-ask', 0.9, 1000000.0, 1.0, '19.360494086594584307'),
+        ('3-ask', 0.1, 0.0, 100.0, '7.718088470677759199'),
+        ('3-ask', 0.5, 0.0, 100.0, '7.2941060465971572858'),
+        ('3-ask', 0.9, 0.0, 100.0, '6.1332862426948028359'),
+        ('3-ask', 0.1, 0.01, 100.0, '7.7936737658127560949'),
+        ('3-ask', 0.5, 0.01, 100.0, '7.3465446257274731807'),
+        ('3-ask', 0.9, 0.01, 100.0, '6.1574728692323081772'),
+        ('3-ask', 0.1, 1000000.0, 100.0, '29.016349278553752147'),
+        ('3-ask', 0.5, 1000000.0, 100.0, '28.168352585740864114'),
+        ('3-ask', 0.9, 1000000.0, 100.0, '25.846426414528639459'),
+        ('3-ask', 0.1, 0.0, 5800.0, '13.576049434664587246'),
+        ('3-ask', 0.5, 0.0, 5800.0, '13.15205098615225632'),
+        ('3-ask', 0.9, 0.0, 5800.0, '11.991086981594869983'),
+        ('3-ask', 0.1, 0.01, 5800.0, '13.651634768776762475'),
+        ('3-ask', 0.5, 0.01, 5800.0, '13.204489917184594241'),
+        ('3-ask', 0.9, 0.01, 5800.0, '12.015276785622869105'),
+        ('3-ask', 0.1, 1000000.0, 5800.0, '34.874312245623397963'),
+        ('3-ask', 0.5, 1000000.0, 5800.0, '34.026315552800895104'),
+        ('3-ask', 0.9, 1000000.0, 5800.0, '31.704389381502137051'),
+        ('3-ask', 0.1, 0.0, 10000.0, '14.36192462535905278'),
+        ('3-ask', 0.5, 0.0, 10000.0, '13.937926173684572259'),
+        ('3-ask', 0.9, 0.0, 10000.0, '12.776962140667841075'),
+        ('3-ask', 0.1, 0.01, 10000.0, '14.437509959478919391'),
+        ('3-ask', 0.5, 0.01, 10000.0, '13.990365104786352985'),
+        ('3-ask', 0.9, 0.01, 10000.0, '12.801151945323021256'),
+        ('3-ask', 0.1, 1000000.0, 10000.0, '35.660187436713131962'),
+        ('3-ask', 0.5, 1000000.0, 10000.0, '34.812190743890627206'),
+        ('3-ask', 0.9, 1000000.0, 10000.0, '32.490264572591852077'),
+    ]
+
+    def test_non_circular_table(self):
+        # Within 2e-10 of the value, relative to max(1, value); the error
+        # left is the skip of thermal photon numbers below 1e-12 (3.7e-11
+        # here), and BPSK's rows are within 5e-15.
+        misses = []
+        for name, tau, nbar, alpha, want in self.NON_CIRCULAR:
+            got = bm_get_entropy(named_constellation(name, alpha), ChannelParams(tau=tau, nbar=nbar))
+            if not abs(got - float(want)) <= 2e-10 * max(1.0, float(want)):
+                misses.append((name, tau, nbar, alpha, got, want))
         assert misses == []
 
     def test_nats(self):
@@ -587,9 +818,10 @@ class TestEntangledBasedBound:
     def test_bm_get_matches_general_eigensolve(self):
         # bm-get's closed-form spectrum against the general eigensolve of
         # the same average covariance, over the domain of
-        # test_ordering_property.py, its edges and alpha = 30, and the
-        # two-mode invariants route for a constellation whose average
-        # covariance is not in standard form.
+        # test_ordering_property.py, its edges and alpha = 30, for QPSK and
+        # for constellations whose average covariance is not in standard
+        # form: a skewed 3-state set, BPSK, turned BPSK and an off-centre
+        # 3-ASK.
         rng = np.random.default_rng(2025)
         points = [(0.0, 1.3, 0.7), (1.0, 1.3, 0.7), (0.4, 0.0, 0.7), (0.0, 0.0, 2.0),
                   (1.0, 0.0, 2.0), (0.4, 1.3, 30.0), (0.9, 0.02, 30.0)]
@@ -597,6 +829,8 @@ class TestEntangledBasedBound:
         skewed = Constellation(amplitudes=[0.8, -0.3 + 0.9j, -0.5 - 0.6j], probs=[0.5, 0.3, 0.2])
         cases = [(qpsk(alpha), ChannelParams(tau=tau, nbar=nbar)) for tau, nbar, alpha in points]
         cases += [(skewed, ChannelParams(tau=tau, nbar=0.3)) for tau in (0.0, 0.35, 0.8, 1.0)]
+        cases += [(named_constellation(name, alpha), ChannelParams(tau=tau, nbar=nbar))
+                  for name in ("bpsk", "turned-bpsk", "3-ask") for tau, nbar, alpha in points[:100]]
         for constellation, params in cases:
             value = bm_get_entropy(constellation, params)
             average = displaced_thermal_ensemble(constellation, params).average_covariance()

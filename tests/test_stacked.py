@@ -107,6 +107,16 @@ class TestStackedKernels:
         values = gaussian_extremality_entropy(displaced_thermal_ensemble(TWELVE_STATES, CELLS))
         assert values == [bm_get_entropy(TWELVE_STATES, p) for p in CELLS]
 
+    @pytest.mark.parametrize("alpha", [1e-4, 0.7, 40.0])
+    def test_bpsk_stack_equals_cells(self, alpha):
+        # BPSK's spread has rank 1, so its smaller eigenvalue comes from the
+        # Cauchy-Binet sum alone; (tau, nbar) = (0.1, 0) at alpha = 1e-4 is
+        # where the two-mode invariants once raised.
+        bpsk = Constellation(amplitudes=[alpha, -alpha], probs=[0.5, 0.5])
+        cells = CELLS + [ChannelParams(tau=0.1, nbar=0.0)]
+        values = gaussian_extremality_entropy(displaced_thermal_ensemble(bpsk, cells))
+        assert values == [bm_get_entropy(bpsk, p) for p in cells]
+
     @pytest.mark.parametrize("base", ["bits", "nats"])
     def test_cyclic_gram_stack_equals_cells(self, base):
         # The twelve states are cyclic, so every cell takes the transform of
@@ -167,8 +177,9 @@ class TestStackedKernels:
             cell = eb_qpsk_entropy(alpha, params, base)
             assert isinstance(cell, float) and bits(value) == bits(cell)
 
-    # (a - b)^2 overflows at both cells, with a different a - b in each
-    # message (test_bounds.py raises each alone).
+    # The sum of the squared symplectic eigenvalues overflows at both cells,
+    # with a different mode-1 spread T1 in each message (test_bounds.py
+    # raises each alone).
     FAILING = [(1e77, ChannelParams(tau=0.25, nbar=5.0)), (1e150, ChannelParams(tau=0.5, nbar=0.01))]
 
     @staticmethod
