@@ -49,9 +49,9 @@ What each estimator assumes, and so what it is:
   checks it (Hermitian, unit trace, no eigenvalue below -1e-8) with the
   one eigensolve that gives its entropy, the `states.spectrum_entropy` of
   its spectrum (one row per cell of a stack).  `bm_gme_entropy` goes
-  through `gram_ensemble_entropy`, which takes them for every cell but
-  the cyclic ones, QPSK's among them: their Gram matrix is circulant, so
-  its spectrum is the discrete Fourier transform of its first row, with
+  through `gram_ensemble_entropy`, which takes them for every
+  constellation but the cyclic ones, QPSK's among them: their Gram matrix
+  is circulant, so its spectrum is the transform of its first row, with
   the same gates and no eigensolve.  `eb` takes its entropy through
   `states.symplectic_entropy`, and `bm-get` the same sum inline.
 * The Fock oracle, `fock.eve_exact_entropy`, is no bound: it is the
@@ -68,15 +68,14 @@ to within 1e-6 bits.
 The ensemble, `gram_matrix`, `gram_entropy`, `gram_ensemble_entropy` and
 `gaussian_extremality_entropy` also take a leading axis of grid cells (see
 `cloner.DisplacedThermalEnsemble`), and `eb_qpsk_entropy` a sequence of
-cells: a scan of QPSK builds its cells' Gram first rows as one (cells, K)
-stack, transforms and checks them together, and would take any
-non-cyclic cells' Gram matrices as one (cells, K, K) stack through one
-stacked `eigvalsh`; `gaussian_extremality_entropy` takes the cells'
-displacement moments and Cauchy-Binet determinants together; and
-`eb_qpsk_entropy` takes X and Z4 once.  The closed-form tails of the last
-two run on floats per cell.  The library calls run the
-same code on one cell, so a scan's value for a cell is the one the
-library returns for it.
+cells.  What belongs to the constellation is taken once: a scan of QPSK
+builds its cells' Gram first rows as one (cells, K) stack and transforms
+and checks them together, another constellation's Gram matrices go as
+one (cells, K, K) stack through one `eigvalsh`, `bm-get` takes the
+spread and determinant once, and `eb_qpsk_entropy` X and Z4.  The
+closed-form tails of the last two run on floats per cell.  The library
+calls run the same code on one cell, so a scan's value for a cell is
+the one the library returns for it.
 
 The estimators import nothing from `fock`, the brute-force oracle that
 checks them.
@@ -177,25 +176,23 @@ def _spectrum_entropy_checked(traces, eigs, base):
     return spectrum_entropy(eigs / eigs.sum(axis=-1, keepdims=True), base)
 
 
-# The relative tolerance of the cyclic test on an ensemble cell:
-# `gram_ensemble_entropy` takes a cell as cyclic when each displacement is
-# its list predecessor's turned by one step, b_k1 = w^k b_01 and
-# b_k2 = w^-k b_02 (w = e^(2 pi i / K)), to within this times
-# max(|b_01|, |b_02|); rounding leaves QPSK's near 1e-16.
+# The relative tolerance of `gram_ensemble_entropy`'s cyclic test: a
+# constellation is cyclic when alpha_k = w^k alpha_0 (w = e^(2 pi i / K))
+# to within this times |alpha_0|; rounding leaves QPSK's near 1e-16.
 CIRCULAR_RTOL = 1e-12
 
 
 def gram_ensemble_entropy(ensemble, base="bits"):
     """`gram_entropy(gram_matrix(ensemble))`, with the Gram matrix of a
-    cyclic cell diagonalized in closed form.
+    cyclic constellation diagonalized in closed form.
 
-    A cell is cyclic when its probabilities are all exactly equal and its
-    displacements go round one rotation in list order (`CIRCULAR_RTOL`),
-    as QPSK's do; zero displacements (tau = 1) count as cyclic.  Its Gram
-    matrix is then circulant, G_jl = g_(l-j mod K), so its spectrum is the
-    discrete Fourier transform of its first row,
-    lambda_q = sum_l G_0l w^(ql) with w = e^(2 pi i / K), and no K x K
-    matrix is built or diagonalized.  The row is `gram_matrix`'s formula,
+    A constellation is cyclic when its probabilities are all exactly equal
+    and its amplitudes go round one rotation in list order
+    (`CIRCULAR_RTOL`), as QPSK's do.  Then each cell's Gram matrix is
+    circulant, G_jl = g_(l-j mod K), so its spectrum is the discrete
+    Fourier transform of its first row, lambda_q = sum_l G_0l w^(ql) with
+    w = e^(2 pi i / K), and no K x K matrix is built or diagonalized.  The
+    row is `gram_matrix`'s formula,
     G_0l = p exp(-|b_l - b_0|^2 / 2 + i sum_modes Im(conj(b_0) b_l)), and
     the transform is a product with a root table cached per K
     (`_dft_table`).  `gram_entropy`'s gates apply with their messages,
@@ -212,47 +209,48 @@ def gram_ensemble_entropy(ensemble, base="bits"):
     eigenvalues are differences of numbers near 1/4 (2.3e-3 relative at
     alpha = 1e-6).
 
-    Every other cell takes `gram_entropy(gram_matrix(...))`.  Cells are
-    routed one by one, and each cyclic cell's row is transformed by its
-    own vector-matrix product, so a stack's value for a cell is bit for bit
-    the one that cell gives alone.  A float for one ensemble; for an
-    ensemble with a leading cell axis, an array of shape (cells,).
+    Any other constellation takes `gram_entropy(gram_matrix(...))`.  The
+    route is decided once per constellation, and each cell's row is
+    transformed by its own vector-matrix product, so a stack's value for a
+    cell is bit for bit the one that cell gives alone.  A float for one
+    ensemble; for an ensemble with a leading cell axis, an array of shape
+    (cells,).
     """
     _log(base)
+    if not _is_cyclic(ensemble.constellation):
+        return gram_entropy(gram_matrix(ensemble), base)
     amps = ensemble.mode_amplitudes()
-    cyclic = _cyclic_cells(amps, ensemble.probs)
-    values = np.empty(cyclic.shape)
-    if cyclic.any():
-        rows, spectra = _cyclic_spectra(amps[cyclic], ensemble.probs[0])
-        require_at_most(max_abs(spectra.imag), ATOL_CONSTRUCT, _NOT_CONSTRUCT,
-                        "Gram matrix", "Hermitian", "Im lambda")
-        values[cyclic] = _spectrum_entropy_checked(rows.shape[-1] * rows[:, 0].real, spectra.real, base)
-    if not cyclic.all():
-        values[~cyclic] = gram_entropy(gram_matrix(ensemble)[~cyclic], base)
-    return float(values) if values.ndim == 0 else values
+    rows, spectra = _cyclic_spectra(amps.reshape(-1, *amps.shape[-2:]), ensemble.probs[0])
+    require_at_most(max_abs(spectra.imag), ATOL_CONSTRUCT, _NOT_CONSTRUCT,
+                    "Gram matrix", "Hermitian", "Im lambda")
+    values = _spectrum_entropy_checked(rows.shape[-1] * rows[:, 0].real, spectra.real, base)
+    return values if amps.ndim > 2 else float(values[0])
 
 
 @lru_cache(maxsize=16)
 def _dft_table(k):
-    """(turns, table) for K states, read-only: turns[j] = (w^j, w^-j) and
-    table[l, q] = w^(ql), with w = e^(2 pi i / K)."""
+    """table[l, q] = w^(ql) for K states, with w = e^(2 pi i / K); read-only."""
     steps = np.arange(k)
     table = np.exp(2j * np.pi * (np.outer(steps, steps) % k) / k)
-    turns = np.stack([table[1 % k], table[1 % k].conj()], axis=-1)
-    for arr in (turns, table):
-        arr.flags.writeable = False
-    return turns, table
+    table.flags.writeable = False
+    return table
 
 
-def _cyclic_cells(amps, probs):
-    """Which cells of a (..., K, 2) stack of displacement amplitudes are
-    cyclic (`gram_ensemble_entropy`), as a bool array of shape (...)."""
+def _unit_parts(constellation):
+    """(parts, e): a constellation's amplitudes as K x 2 real parts over
+    2^e, e the `math.frexp` exponent of the largest; exact, all below 1."""
+    parts = np.ascontiguousarray(constellation.amplitudes).view(float).reshape(-1, 2)
+    exponent = math.frexp(max_abs(parts))[1]
+    return np.ldexp(parts, -exponent), exponent
+
+
+def _is_cyclic(constellation):
+    """Whether a constellation is cyclic (`gram_ensemble_entropy`)."""
+    probs = constellation.probs
     if not (probs == probs[0]).all():
-        return np.zeros(amps.shape[:-2], dtype=bool)
-    turns, _ = _dft_table(probs.size)
-    first = amps[..., :1, :]
-    defect = np.abs(amps - turns * first).max(axis=(-2, -1))
-    return defect <= CIRCULAR_RTOL * np.abs(first).max(axis=(-2, -1))
+        return False
+    amps = _unit_parts(constellation)[0].view(complex)[:, 0]
+    return max_abs(amps - _dft_table(probs.size)[1 % probs.size] * amps[0]) <= CIRCULAR_RTOL * abs(amps[0])
 
 
 def _cyclic_spectra(amps, p):
@@ -265,7 +263,7 @@ def _cyclic_spectra(amps, p):
     rows = p * np.exp(-0.5 * sq + 1j * x)
     # (cells, 1, K) @ (K, K): one vector-matrix product per cell, as a
     # cell alone takes; a (cells, K) matrix product rounds rows differently
-    return rows, (rows[:, None, :] @ _dft_table(amps.shape[-2])[1])[:, 0, :]
+    return rows, (rows[:, None, :] @ _dft_table(amps.shape[-2]))[:, 0, :]
 
 
 def gaussian_extremality_entropy(ensemble, base="bits"):
@@ -296,7 +294,7 @@ def gaussian_extremality_entropy(ensemble, base="bits"):
     spread, but the spectrum depends on it only through n1 + n2, n1 n2
     and (n1 - n2)^2, which its error moves at second order.  AB - C^2 is
     taken by Cauchy-Binet, as
-    sum_(j<k) p_j p_k (q_j p_k - q_k p_j)^2 over the centred mode-1 means,
+    sum_(j<k) p_j p_k (q_j p_k - q_k p_j)^2 over the centred amplitudes,
     which keeps n2 of a spread of rank 1 (BPSK, turned off the axes or
     not) to rounding of n2, not of n1.  For a circular constellation
     (QPSK, or any of rotation order K >= 3) n1 = n2, and this is the
@@ -312,35 +310,32 @@ def gaussian_extremality_entropy(ensemble, base="bits"):
     (tau, nbar) = (0.25, 5) from alpha of about 9.4e76); there, or at any
     other non-finite eigenvalue, it raises ("beyond double precision").
 
-    A float for one ensemble; for an ensemble with a leading cell axis, a
-    list of floats, each the one its cell gives alone.  The moments are
-    taken for all cells at once and the closed form runs on floats per
-    cell, in order, so a stack raises its first failing cell's error.
+    The spread and det are the constellation's, taken once on its
+    amplitudes over 2^e (`_unit_parts`), and T1, T2 = 4 (s 2^e)^2 spread
+    with s a cell's two scales.  The closed form runs on floats per cell,
+    in order, so a stack raises its first failing cell's error.  A float,
+    or for a leading cell axis a list of each cell's float alone.
     """
     _log(base)
     probs = ensemble.probs
-    means = ensemble.means.reshape(-1, probs.size, 4)
-    centred = means - (probs @ means)[:, None, :]
+    parts, exponent = _unit_parts(ensemble.constellation)
+    centred = parts - probs @ parts
+    spread = float((probs @ (centred * centred)).sum())
+    # p_j p_k (cross_jk / spread)^2 <= 1/4; a spread of 0 leaves each cross 0
+    cross = np.multiply.outer(centred[:, 0], centred[:, 1])
+    cross = (cross - cross.T) / max(spread, sys.float_info.min)
+    det = float(probs @ (cross * cross) @ probs) / 2
+    split = math.sqrt(1 - 4 * det) if det < 0.25 else 0.0
+    f1 = (1 + split) / 2
+    f2 = det / f1
     # (T1, T2) per cell
-    traces = (probs @ (centred * centred)).reshape(-1, 2, 2).sum(axis=-1)
-    # det per cell: each p_j p_k (cross_jk / T1)^2 is at most 1/4, so no
-    # square overflows, and a T1 of 0 leaves every cross 0
-    cross = centred[:, :, None, 0] * centred[:, None, :, 1]
-    cross = (cross - cross.swapaxes(-1, -2)) / np.maximum(traces[:, :1, None], sys.float_info.min)
-    # p^T (cross o cross) p / 2 as one product per cell, as a cell alone
-    # takes it; a (cells, K) matrix product rounds cells differently
-    dets = (probs @ ((cross * cross) @ probs)[..., None])[:, 0] / 2
-    stacked = ensemble.means.ndim > 2
-    cells = zip(traces.tolist(), dets.tolist(), ensemble.nu1p.tolist() if stacked else [float(ensemble.nu1p)])
+    traces = (4 * np.ldexp(ensemble.scales, exponent) ** 2 * spread).reshape(-1, 2)
     unit = math.log(2) if base == "bits" else 1.0
     values = []
-    for (t1, t2), det, nu1p in cells:
+    for (t1, t2), nu1p in zip(traces.tolist(), np.ravel(ensemble.nu1p).tolist()):
         nu = 2 * nu1p + 1
         larger, smaller = nu, 1.0
         if t1 > 0:
-            split = math.sqrt(1 - 4 * det) if det < 0.25 else 0.0
-            f1 = (1 + split) / 2
-            f2 = det / f1
             # r T1 and k T1
             rt, kt = nu * t1 + t2, t1 - t2
             # nu+^2 - nu-^2 = sqrt(gap^2 + ee (ee + 2 r T1 + 4 nu)), taken at
@@ -358,7 +353,7 @@ def gaussian_extremality_entropy(ensemble, base="bits"):
         # `symplectic_entropy((larger, smaller), base)`, bit for bit, without
         # its call and check of the base in every cell of a scan
         values.append(_thermal_entropy((larger - 1) / 2, unit) + _thermal_entropy((smaller - 1) / 2, unit))
-    return values if stacked else values[0]
+    return values if ensemble.scales.ndim > 1 else values[0]
 
 
 def bm_get_entropy(constellation, params, base="bits"):

@@ -42,8 +42,8 @@ import numpy as np
 from . import fock
 from .blochmessiah import bloch_messiah, factors_to_circuit
 from .bounds import (
-    _cyclic_cells,
     _cyclic_spectra,
+    _is_cyclic,
     bm_get_entropy,
     eb_qpsk_entropy,
     gaussian_extremality_entropy,
@@ -289,22 +289,21 @@ def check_estimator_ordering():
 
 def check_gram_validity():
     # QPSK's Gram matrix is circulant, so `bm_gme_entropy` takes its
-    # spectrum from the transform of its first row; each cell's must be
-    # cyclic and match the eigensolve of the full matrix.
+    # spectrum from the transform of its first row; it must be cyclic, and
+    # each cell's transform match the eigensolve of the full matrix.
     worst = 0.0
     constellation = qpsk(1.0)
     for tau in (0.2, 0.6, 0.9):
         ens = displaced_thermal_ensemble(constellation, ChannelParams(tau=tau, nbar=0.02))
         gram = gram_matrix(ens)
         eigs = np.linalg.eigvalsh(gram)
-        amps = ens.mode_amplitudes()
-        _, spectrum = _cyclic_spectra(amps[None], ens.probs[0])
+        _, spectrum = _cyclic_spectra(ens.mode_amplitudes()[None], ens.probs[0])
         worst = _worst(
             worst,
             max_abs(gram - gram.conj().T),
             abs(float(np.trace(gram).real) - 1.0),
             -float(eigs.min()),
-            max_abs(np.sort_complex(spectrum[0]) - eigs) if _cyclic_cells(amps, ens.probs) else math.inf,
+            max_abs(np.sort_complex(spectrum[0]) - eigs) if _is_cyclic(constellation) else math.inf,
         )
     return CheckResult("gram-validity", worst, 1e-8)
 

@@ -9,12 +9,12 @@ two-mode state is Gaussian with an amplitude-independent covariance, so it
 reduces to a fixed Gaussian unitary acting on a displaced pair of thermal
 modes; only the displacement carries the signal.
 
-`displaced_thermal_ensemble`, `initial_covariance` and `bs_symplectic`
-take one `ChannelParams` or a sequence of them.  A sequence gives one
-ensemble for all the cells at once: its thermal photon numbers have shape
-(cells,) and its means (cells, K, 4), and the ensemble's methods carry
-that leading cell axis through.  The initial covariances and beam
-splitters of a sequence are (cells, 6, 6) stacks.
+The ensemble, `DisplacedThermalEnsemble`, is one constellation plus the
+channel cells it is sent through.  It, `initial_covariance` and
+`bs_symplectic` take one `ChannelParams` or a sequence of them.  A
+sequence gives one ensemble for all the cells at once, whose views carry
+a leading cell axis, and (cells, 6, 6) stacks of initial covariances and
+beam splitters.
 
 `_rotation_orbits` finds a constellation's rotation symmetry and one
 amplitude per orbit; the Fock oracle (`fock.eve_exact_entropy`) takes its
@@ -22,12 +22,12 @@ entropy from those representatives alone.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .linalg import max_abs, require_at_least, require_distribution, require_finite
+from .linalg import max_abs, require_distribution, require_finite
 from .states import (
     StandardTwoModeCov,
     SymplecticMap,
@@ -98,6 +98,16 @@ def qpsk(alpha):
     return Constellation(amplitudes=alpha * QPSK_PHASES, probs=np.full(4, 0.25))
 
 
+def _read_only(constellation):
+    """A copy of a constellation with read-only arrays, not validated again."""
+    copy = object.__new__(Constellation)
+    for name in ("amplitudes", "probs"):
+        array = getattr(constellation, name).copy()
+        array.flags.writeable = False
+        object.__setattr__(copy, name, array)
+    return copy
+
+
 # `_rotation_orbits` pairs an amplitude's rotated image with an amplitude
 # that lies within this of it, relative to max(1, max |alpha|).
 SYMMETRY_RTOL = 1e-12
@@ -152,10 +162,7 @@ def _orbits_by_value(amplitudes, probs):
             walk.append(image[walk[-1]])
         reps = np.flatnonzero(np.min(walk[:-1], axis=0) == walk[0])
         if np.array_equal(walk[-1], walk[0]) and reps.size * order == n:
-            representatives = Constellation(amplitudes=amps[reps], probs=order * probs[reps])
-            for arr in (representatives.amplitudes, representatives.probs):
-                arr.flags.writeable = False
-            return order, representatives
+            return order, _read_only(Constellation(amplitudes=amps[reps], probs=order * probs[reps]))
     return 1, None
 
 
@@ -166,56 +173,64 @@ def _orbits_by_value(amplitudes, probs):
 MEAN_LIMIT = 1e153
 
 
-def _require_mean_limit(values, scale):
-    """Raise the ensemble's precision error unless the means `scale` *
-    `values` all lie below `MEAN_LIMIT` in magnitude; the test is made on
-    `values`, so it never forms an overflowing product."""
-    largest = max_abs(values)
-    if not largest < MEAN_LIMIT / scale:  # so NaN is caught too
-        require_finite(values, "ensemble means")
-        raise ValueError(
-            f"ensemble means beyond double precision: max |mean| = {scale * largest:.3e}, "
-            f"the limit is {MEAN_LIMIT:.0e}"
-        )
-
-
 @dataclass(frozen=True)
 class DisplacedThermalEnsemble:
-    """Equal-covariance displaced two-mode thermal ensemble.
+    """Equal-covariance displaced two-mode thermal ensemble: a
+    constellation sent through one `ChannelParams` or a sequence of them.
 
-    nu1p is the thermal photon number (nu1 - 1)/2 of the larger symplectic
+    Member k is displaced by (-w1 r alpha_k, w2 r conj(alpha_k)).  nu1p is
+    the thermal photon number (nu1 - 1)/2 of the larger symplectic
     eigenvalue of the eavesdropper covariance.  The other eigenvalue is 1,
-    so mode 1 (the beam-splitter output she keeps, which carries the large
-    displacement -w1 r alpha_i) is pure by construction, and mode 2 (the
-    retained squeezed-vacuum arm, displaced by w2 r conj(alpha_i)) is
-    thermal with nu1p.  That pairing is the one whose transformed moments
-    match the Fock-space reference.  Every member's mode-2 displacement is
-    thus the same real multiple, -w2 / w1, of the conjugate of its mode-1
-    displacement, which `bounds.gaussian_extremality_entropy` relies on.
+    so mode 1 (the beam-splitter output she keeps) is pure by construction,
+    and mode 2 (the retained squeezed-vacuum arm) is thermal with nu1p.
+    That pairing is the one whose transformed moments match the Fock-space
+    reference.
 
-    One ensemble has a float nu1p and K x 4 means.  A stack of ensembles
-    over grid cells that share the probabilities has nu1p of shape (cells,)
-    and means of shape (cells, K, 4); every method then returns its result
-    with that leading axis.
+    The build takes nu1p and `scales` = (-w1 r, w2 r) per cell
+    (`eve_thermal_weights`) and checks the means (twice the parts of the
+    displacements) once, as max |scale| max |part of alpha| < MEAN_LIMIT / 2,
+    with no overflowing product.  It keeps its own read-only copy of the
+    constellation.  `probs`, `means` (K x 4), `mode_amplitudes()`,
+    `common_covariance()` and `average_covariance()` derive from them; for
+    a sequence of cells, nu1p, `scales` and every view lead with a cell axis.
     """
 
-    nu1p: float
-    means: np.ndarray
-    probs: np.ndarray
+    constellation: Constellation
+    cells: object
+    nu1p: object = field(init=False)
+    scales: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "means", np.atleast_2d(np.asarray(self.means, dtype=float)))
-        object.__setattr__(self, "probs", np.atleast_1d(np.asarray(self.probs, dtype=float)))
-        nu1p = np.asarray(self.nu1p, dtype=float)
-        require_at_least(nu1p.min(), 0, "thermal photon number must be >= 0, got {1}", self.nu1p)
-        _require_mean_limit(self.means, 1)
-        if self.means.shape != nu1p.shape + (self.probs.size, 4):
-            raise ValueError("means must be K x 4 per cell for a two-mode ensemble")
+        cells = self.cells if isinstance(self.cells, ChannelParams) else tuple(self.cells)
+        constellation = _read_only(self.constellation)
+        tau, nbar = _tau_nbar(cells)
+        w1, w2, nu1p = _thermal_weights(tau, nbar)
+        r = np.sqrt(1 - tau)
+        scales = np.stack([-w1 * r, w2 * r], axis=-1)
+        largest = max_abs(scales) * max_abs(constellation.amplitudes.view(float))
+        if not largest < MEAN_LIMIT / 2:  # so NaN is caught too
+            require_finite(constellation.amplitudes, "ensemble means")
+            raise ValueError(
+                f"ensemble means beyond double precision: max |mean| = {2 * largest:.3e}, "
+                f"the limit is {MEAN_LIMIT:.0e}"
+            )
+        for name, value in dict(constellation=constellation, cells=cells, nu1p=nu1p, scales=scales).items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def probs(self):
+        """The constellation's K probabilities, read-only."""
+        return self.constellation.probs
+
+    @property
+    def means(self):
+        """K x 4 means per cell, twice the parts of `mode_amplitudes()`."""
+        return 2 * self.mode_amplitudes().view(float)
 
     def common_covariance(self):
         """Shared covariance diag(1, 1, nu1, nu1) of the ensemble, per cell."""
         nu1 = 2 * self.nu1p + 1
-        cov = np.zeros(self.means.shape[:-2] + (4, 4))
+        cov = np.zeros(np.shape(self.nu1p) + (4, 4))
         cov[..., 0, 0] = cov[..., 1, 1] = 1.0
         cov[..., 2, 2] = cov[..., 3, 3] = nu1
         return cov
@@ -227,7 +242,10 @@ class DisplacedThermalEnsemble:
 
     def mode_amplitudes(self):
         """K x 2 complex displacement amplitudes per cell, one column per mode."""
-        return (self.means[..., 0::2] + 1j * self.means[..., 1::2]) / 2
+        amps = self.scales[..., None, :] * self.constellation.amplitudes[:, None]
+        # s2 conj(alpha) as conj(s2 alpha), s2 being real
+        np.conjugate(amps[..., 1], out=amps[..., 1])
+        return amps
 
 
 def _tau_nbar(params):
@@ -325,18 +343,5 @@ def displaced_thermal_ensemble(constellation, params):
 
     `params` is one `ChannelParams`, or a sequence of them for a stack of
     ensembles with a leading cell axis (`DisplacedThermalEnsemble`).
-
-    The means are twice the real and imaginary parts of the displacements,
-    which are checked against `MEAN_LIMIT / 2` first, so a displacement
-    too large to double raises the ensemble's precision error, not a numpy
-    overflow.
     """
-    tau, nbar = _tau_nbar(params)
-    w1, w2, nu1p = _thermal_weights(tau, nbar)
-    r = np.sqrt(1 - tau)
-    amps = constellation.amplitudes
-    # (..., K, 2) complex, viewed as (..., K, 4) floats in the means' order
-    # (Re, Im of mode 1, then of mode 2).
-    halves = np.stack([(-w1 * r)[..., None] * amps, (w2 * r)[..., None] * np.conj(amps)], axis=-1).view(float)
-    _require_mean_limit(halves, 2)
-    return DisplacedThermalEnsemble(nu1p=nu1p, means=2 * halves, probs=constellation.probs.copy())
+    return DisplacedThermalEnsemble(constellation, params)

@@ -159,19 +159,32 @@ class TestGaussianExtremalityBound:
         (1e200, ChannelParams(tau=0.5, nbar=0.01), bm_gme_entropy),
     ], ids=["1e+150-params0", "1e+77-params1", "1e+200-bm-get", "1e+200-bm-gme"])
     def test_covariance_beyond_double_precision_raises(self, alpha, params, entropy):
-        # (a - b)^2 of the average covariance overflows from alpha of about
-        # 9.4e76 at (tau, nbar) = (0.25, 5); it must raise a named error,
-        # not give nan or a bare "math domain error".  At 1e200 the
-        # ensemble's means pass its MEAN_LIMIT, where the Gram matrix and
-        # the average covariance would overflow in numpy.
+        # nu+^2 + nu-^2 overflows from alpha of about 9.4e76 at
+        # (tau, nbar) = (0.25, 5), where T1 = 3.789e+154 at 1e77; bm-get
+        # forms no average covariance.  It must raise a named error, not
+        # give nan or a bare "math domain error".  At 1e200 the ensemble's
+        # means pass its MEAN_LIMIT, where the Gram matrix and the
+        # ensemble's average covariance would overflow in numpy.
         with pytest.raises(ValueError, match="beyond double precision"):
             entropy(qpsk(alpha), params)
 
+    def test_amplitudes_scaled_by_a_power_of_two(self):
+        # The spread is taken on the amplitudes over a power of two: alpha^2
+        # is not a double at either cell.  At tau = 1 the scales are 0, and
+        # at 1e155 the displacements stay inside MEAN_LIMIT while
+        # nu+^2 + nu-^2 overflows.
+        params = ChannelParams(tau=1.0, nbar=0.01)
+        assert bm_get_entropy(qpsk(1e200), params) == 0.0
+        assert bm_gme_entropy(qpsk(1e200), params) == 0.0
+        with pytest.raises(ValueError, match=r"beyond double precision.*T1 = 4\.000e\+300"):
+            bm_get_entropy(qpsk(1e155), ChannelParams(tau=0.9999999999, nbar=0.0))
+
     def test_large_amplitude_value(self):
-        # The determinant of the average covariance cancelled to a negative
-        # value here and bm-get raised; the closed-form invariants keep it.
-        # 120-digit arithmetic gives 61.4617099195364.  Just below the
-        # overflow of (a - b)^2 the value is still finite.
+        # The determinant of the average covariance once cancelled to a
+        # negative value here and bm-get raised; the one closed form, from
+        # the ensemble's moments, cancels nothing there.  120-digit
+        # arithmetic gives 61.4617099195364.  Just below the overflow of
+        # nu+^2 + nu-^2 the value is still finite.
         params = ChannelParams(tau=0.25, nbar=5.0)
         assert bm_get_entropy(qpsk(3.23e8), params) == pytest.approx(61.4617099195364, rel=1e-14, abs=0)
         assert math.isfinite(bm_get_entropy(qpsk(8e76), params))

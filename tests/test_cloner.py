@@ -8,7 +8,6 @@ from evebounds.cloner import (
     MEAN_LIMIT,
     ChannelParams,
     Constellation,
-    DisplacedThermalEnsemble,
     bs_symplectic,
     displaced_thermal_ensemble,
     eve_reduced_covariance,
@@ -181,11 +180,18 @@ class TestConditionalMean:
 
 
 class TestDisplacedThermalEnsemble:
-    def test_negative_thermal_number_rejected(self):
-        # (1 - tau) nbar is never negative, so the gate needs no slack
-        for nu1p in (-1e-13, math.nan):
-            with pytest.raises(ValueError, match="thermal photon number"):
-                DisplacedThermalEnsemble(nu1p=nu1p, means=np.zeros((1, 4)), probs=[1.0])
+    def test_own_read_only_constellation(self):
+        # Editing the constellation after the build changes neither the
+        # ensemble's amplitudes nor gets round its check of the means.
+        constellation = qpsk(1.0)
+        ens = displaced_thermal_ensemble(constellation, ChannelParams(tau=0.5, nbar=0.01))
+        means = ens.means.copy()
+        constellation.amplitudes[:] = 1e200
+        constellation.probs[:] = [1.0, 0.0, 0.0, 0.0]
+        assert np.array_equal(ens.means, means) and np.array_equal(ens.probs, np.full(4, 0.25))
+        for array in (ens.constellation.amplitudes, ens.probs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
     def test_unit_transmittance_trivial(self):
         ens = displaced_thermal_ensemble(qpsk(1.0), ChannelParams(tau=1.0, nbar=0.05))

@@ -1,15 +1,16 @@
 """The scan's stacked kernels against the per-cell library calls: the rows
 `run_scan` prints from one ensemble per scan equal, string for string, the
 values the library returns cell by cell, and each stacked kernel equals
-its per-cell result bit for bit, on both routes of the Gram entropy: the
-transform of a cyclic cell's first row and the eigensolve of any other
-cell's full matrix."""
+its per-cell result bit for bit, on both routes of the Gram entropy, which
+is decided once per constellation: the transform of each cell's first row
+for a cyclic constellation and the eigensolve of each cell's full matrix
+for any other."""
 
 import numpy as np
 import pytest
 
 from evebounds.bounds import (
-    _cyclic_cells,
+    _is_cyclic,
     bm_get_entropy,
     bm_gme_entropy,
     eb_qpsk_entropy,
@@ -128,17 +129,17 @@ class TestStackedKernels:
             assert bits(entropies[i]) == bits(bm_gme_entropy(TWELVE_STATES, params, base))
 
     @pytest.mark.parametrize("base", ["bits", "nats"])
-    @pytest.mark.parametrize("constellation, cyclic", [
-        # unequal weights: no cell is cyclic, not even at tau = 1
-        (THREE_STATES, [False] * len(CELLS)),
-        # QPSK listed clockwise: only the tau = 1 cells, whose displacements
-        # are all 0, are cyclic, so one stack takes both routes
-        (Constellation(amplitudes=np.conj(qpsk(0.6).amplitudes), probs=np.full(4, 0.25)),
-         [p.tau == 1.0 for p in CELLS]),
+    @pytest.mark.parametrize("constellation", [
+        # unequal weights
+        THREE_STATES,
+        # QPSK listed clockwise: the route is the constellation's, so every
+        # cell takes the full Gram matrix, the tau = 1 cells included, whose
+        # displacements are all 0
+        Constellation(amplitudes=np.conj(qpsk(0.6).amplitudes), probs=np.full(4, 0.25)),
     ], ids=["three-states", "clockwise-qpsk"])
-    def test_full_gram_stack_equals_cells(self, constellation, cyclic, base):
+    def test_full_gram_stack_equals_cells(self, constellation, base):
         stacked = displaced_thermal_ensemble(constellation, CELLS)
-        assert _cyclic_cells(stacked.mode_amplitudes(), stacked.probs).tolist() == cyclic
+        assert not _is_cyclic(stacked.constellation)
         entropies = gram_ensemble_entropy(stacked, base)
         for i, params in enumerate(CELLS):
             assert bits(entropies[i]) == bits(bm_gme_entropy(constellation, params, base))
@@ -177,41 +178,26 @@ class TestStackedKernels:
             cell = eb_qpsk_entropy(alpha, params, base)
             assert isinstance(cell, float) and bits(value) == bits(cell)
 
-    # The sum of the squared symplectic eigenvalues overflows at both cells,
-    # with a different mode-1 spread T1 in each message (test_bounds.py
-    # raises each alone).
-    FAILING = [(1e77, ChannelParams(tau=0.25, nbar=5.0)), (1e150, ChannelParams(tau=0.5, nbar=0.01))]
-
-    @staticmethod
-    def _stack(cells):
-        return type(cells[0])(nu1p=np.array([c.nu1p for c in cells]),
-                              means=np.array([c.means for c in cells]), probs=cells[0].probs)
+    # The sum of the squared symplectic eigenvalues overflows at both cells
+    # of a qpsk(1e150) stack, with a different mode-1 spread T1 in each
+    # message.
+    FAILING = [ChannelParams(tau=0.25, nbar=5.0), ChannelParams(tau=0.5, nbar=0.01)]
+    FAILING_T1 = ["T1 = 3.789e+300", "T1 = 2.010e+300"]
 
     @pytest.mark.parametrize("order", [[0, 1], [1, 0]])
     def test_first_failing_cell_raises(self, order):
-        cells = [displaced_thermal_ensemble(qpsk(alpha), params)
-                 for alpha, params in (self.FAILING[i] for i in order)]
+        cells = [self.FAILING[i] for i in order]
         errors = []
-        for ensemble in (*cells, self._stack(cells)):
+        for params in (*cells, cells):
             with pytest.raises(ValueError, match="beyond double precision") as raised:
-                gaussian_extremality_entropy(ensemble)
+                gaussian_extremality_entropy(displaced_thermal_ensemble(qpsk(1e150), params))
             errors.append(str(raised.value))
-        assert errors[2] == errors[0] != errors[1]
+        assert errors[2] == errors[0]
+        assert [error.split(", ")[-1] for error in errors[:2]] == [self.FAILING_T1[i] for i in order]
 
     def test_large_amplitude_cell_in_a_stack(self):
         # bm-get raised at (alpha, nbar, tau) = (3.23e8, 5, 0.25) when its
         # determinant cancelled; 120 digits give 61.4617099195364.
-        cells = [displaced_thermal_ensemble(qpsk(alpha), ChannelParams(tau=0.25, nbar=5.0))
-                 for alpha in (3.23e8, 1.0)]
-        values = gaussian_extremality_entropy(self._stack(cells))
-        assert values == [gaussian_extremality_entropy(cell) for cell in cells]
+        values = gaussian_extremality_entropy(displaced_thermal_ensemble(qpsk(3.23e8), self.FAILING))
+        assert values == [bm_get_entropy(qpsk(3.23e8), params) for params in self.FAILING]
         assert values[0] == pytest.approx(61.4617099195364, rel=1e-14, abs=0)
-
-    def test_ensemble_rejects_bad_cells(self):
-        stacked = displaced_thermal_ensemble(THREE_STATES, CELLS)
-        nu1p = stacked.nu1p.copy()
-        nu1p[3] = np.nan
-        with pytest.raises(ValueError, match="thermal photon number"):
-            type(stacked)(nu1p=nu1p, means=stacked.means, probs=stacked.probs)
-        with pytest.raises(ValueError, match="K x 4 per cell"):
-            type(stacked)(nu1p=stacked.nu1p[:-1], means=stacked.means, probs=stacked.probs)
