@@ -52,8 +52,7 @@ What each estimator assumes, and so what it is:
   through `gram_ensemble_entropy`, which takes them for every
   constellation but the cyclic ones, QPSK's among them: their Gram matrix
   is circulant, so its spectrum is the transform of its first row, with
-  the same gates and no eigensolve.  `eb` takes its entropy through
-  `states.symplectic_entropy`, and `bm-get` the same sum inline.
+  the same gates and no eigensolve.
 * The Fock oracle, `fock.eve_exact_entropy`, is no bound: it is the
   brute-force check of the others where it converges.
 
@@ -68,14 +67,13 @@ to within 1e-6 bits.
 The ensemble, `gram_matrix`, `gram_entropy`, `gram_ensemble_entropy` and
 `gaussian_extremality_entropy` also take a leading axis of grid cells (see
 `cloner.DisplacedThermalEnsemble`), and `eb_qpsk_entropy` a sequence of
-cells.  What belongs to the constellation is taken once: a scan of QPSK
-builds its cells' Gram first rows as one (cells, K) stack and transforms
-and checks them together, another constellation's Gram matrices go as
-one (cells, K, K) stack through one `eigvalsh`, `bm-get` takes the
-spread and determinant once, and `eb_qpsk_entropy` X and Z4.  The
-closed-form tails of the last two run on floats per cell.  The library
-calls run the same code on one cell, so a scan's value for a cell is
-the one the library returns for it.
+cells.  What belongs to the constellation is taken once: QPSK's Gram
+first rows, from the constellation's part and two numbers per cell, are
+transformed and checked as one (cells, K) stack, other Gram matrices go
+through one `eigvalsh`, `bm-get` takes the spread and determinant once
+and `eb_qpsk_entropy` X and Z4, and both add `states.symplectic_entropy`'s
+sum inline on floats per cell.  The library calls run the same code on
+one cell, so a scan's value for a cell is the one the library returns.
 
 The estimators import nothing from `fock`, the brute-force oracle that
 checks them.
@@ -101,7 +99,6 @@ from .states import (
     _thermal_entropy,
     _physical_standard_spectrum,
     spectrum_entropy,
-    symplectic_entropy,
 )
 
 __all__ = [
@@ -192,14 +189,13 @@ def gram_ensemble_entropy(ensemble, base="bits"):
     circulant, G_jl = g_(l-j mod K), so its spectrum is the discrete
     Fourier transform of its first row, lambda_q = sum_l G_0l w^(ql) with
     w = e^(2 pi i / K), and no K x K matrix is built or diagonalized.  The
-    row is `gram_matrix`'s formula,
-    G_0l = p exp(-|b_l - b_0|^2 / 2 + i sum_modes Im(conj(b_0) b_l)), and
+    row is `gram_matrix`'s formula, in two parts (`_cyclic_spectra`), and
     the transform is a product with a root table cached per K
     (`_dft_table`).  `gram_entropy`'s gates apply with their messages,
     except that |Im lambda| <= `linalg.ATOL_CONSTRUCT` stands in for the
     Hermitian check: the trace to 1e-9, the eigenvalue floor -1e-8, then
     the clipped, renormalized spectrum's `states.spectrum_entropy`.  The
-    closed form and `eigvalsh` of the full matrix agree to 2.2e-16 on
+    closed form and `eigvalsh` of the full matrix agree to 1.5e-16 on
     `checks.check_gram_validity`'s cells.
 
     Accuracy at nbar = 0, where the spectrum is the mod-4 class weights of
@@ -213,18 +209,16 @@ def gram_ensemble_entropy(ensemble, base="bits"):
     route is decided once per constellation, and each cell's row is
     transformed by its own vector-matrix product, so a stack's value for a
     cell is bit for bit the one that cell gives alone.  A float for one
-    ensemble; for an ensemble with a leading cell axis, an array of shape
-    (cells,).
+    ensemble, and for a leading cell axis an array of shape (cells,).
     """
     _log(base)
     if not _is_cyclic(ensemble.constellation):
         return gram_entropy(gram_matrix(ensemble), base)
-    amps = ensemble.mode_amplitudes()
-    rows, spectra = _cyclic_spectra(amps.reshape(-1, *amps.shape[-2:]), ensemble.probs[0])
+    rows, spectra = _cyclic_spectra(ensemble.constellation, ensemble.scales)
     require_at_most(max_abs(spectra.imag), ATOL_CONSTRUCT, _NOT_CONSTRUCT,
                     "Gram matrix", "Hermitian", "Im lambda")
     values = _spectrum_entropy_checked(rows.shape[-1] * rows[:, 0].real, spectra.real, base)
-    return values if amps.ndim > 2 else float(values[0])
+    return values if ensemble.scales.ndim > 1 else float(values[0])
 
 
 @lru_cache(maxsize=16)
@@ -253,17 +247,22 @@ def _is_cyclic(constellation):
     return max_abs(amps - _dft_table(probs.size)[1 % probs.size] * amps[0]) <= CIRCULAR_RTOL * abs(amps[0])
 
 
-def _cyclic_spectra(amps, p):
-    """(rows, spectra) of the Gram matrices of a (cells, K, 2) stack of
-    cyclic cells of probability `p` each: their first rows, by
-    `gram_matrix`'s formula, and the rows' transforms, both complex."""
-    first = amps[:, :1, :]
-    sq = (np.abs(amps - first) ** 2).sum(axis=-1)
-    x = (first.real * amps.imag - first.imag * amps.real).sum(axis=-1)
-    rows = p * np.exp(-0.5 * sq + 1j * x)
+def _cyclic_spectra(constellation, scales):
+    """(rows, spectra), both (cells, K) complex: a cyclic constellation's
+    Gram first rows at cells of `scales` (2,) or (cells, 2), and their
+    transforms.  Displacements (s1 alpha, s2 conj(alpha)) make `gram_matrix`'s
+    row G_0l = p exp(-A d_l / 2 + i B m_l), with d_l = |u_l - u_0|^2 and
+    m_l = Im(conj(u_0) u_l) of u = alpha / 2^e (`_unit_parts`) taken once
+    and only A, B = (s1 2^e)^2 +- (s2 2^e)^2 per cell."""
+    parts, exponent = _unit_parts(constellation)
+    d = ((parts - parts[0]) ** 2).sum(axis=-1)
+    # real products keep m_0 exactly 0, which a fused complex product need not
+    m = parts[0, 0] * parts[:, 1] - parts[0, 1] * parts[:, 0]
+    sq1, sq2 = np.ldexp(scales, exponent).reshape(-1, 2).T[..., None] ** 2
+    rows = constellation.probs[0] * np.exp(-0.5 * (sq1 + sq2) * d + 1j * ((sq1 - sq2) * m))
     # (cells, 1, K) @ (K, K): one vector-matrix product per cell, as a
     # cell alone takes; a (cells, K) matrix product rounds rows differently
-    return rows, (rows[:, None, :] @ _dft_table(amps.shape[-2]))[:, 0, :]
+    return rows, (rows[:, None, :] @ _dft_table(d.size))[:, 0, :]
 
 
 def gaussian_extremality_entropy(ensemble, base="bits"):
@@ -350,8 +349,7 @@ def gaussian_extremality_entropy(ensemble, base="bits"):
             raise ValueError(
                 f"two-mode covariance beyond double precision: its symplectic spectrum is not finite, T1 = {t1:.3e}"
             )
-        # `symplectic_entropy((larger, smaller), base)`, bit for bit, without
-        # its call and check of the base in every cell of a scan
+        # `symplectic_entropy((larger, smaller), base)`, bit for bit
         values.append(_thermal_entropy((larger - 1) / 2, unit) + _thermal_entropy((smaller - 1) / 2, unit))
     return values if ensemble.scales.ndim > 1 else values[0]
 
@@ -404,12 +402,13 @@ def eb_qpsk_entropy(alpha, params, base="bits"):
         raise ValueError(f"eb is defined for 0 < alpha <= {EB_ALPHA_MAX:g}, got {alpha}")
     x = 1 + 2 * alpha * alpha
     z4 = eb_z4(alpha)
+    unit = math.log(2) if base == "bits" else 1.0
     single = isinstance(params, ChannelParams)
     values = []
     for p in [params] if single else params:
         bob = p.tau * x + (1 - p.tau) * (2 * p.nbar + 1)
-        nus = _physical_standard_spectrum(x, bob, math.sqrt(p.tau) * z4)
-        values.append(symplectic_entropy(nus, base))
+        nu1, nu2 = _physical_standard_spectrum(x, bob, math.sqrt(p.tau) * z4)
+        values.append(_thermal_entropy((nu1 - 1) / 2, unit) + _thermal_entropy((nu2 - 1) / 2, unit))
     return values[0] if single else values
 
 

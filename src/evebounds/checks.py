@@ -297,7 +297,7 @@ def check_gram_validity():
         ens = displaced_thermal_ensemble(constellation, ChannelParams(tau=tau, nbar=0.02))
         gram = gram_matrix(ens)
         eigs = np.linalg.eigvalsh(gram)
-        _, spectrum = _cyclic_spectra(ens.mode_amplitudes()[None], ens.probs[0])
+        _, spectrum = _cyclic_spectra(ens.constellation, ens.scales)
         worst = _worst(
             worst,
             max_abs(gram - gram.conj().T),

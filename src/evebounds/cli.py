@@ -14,9 +14,10 @@ Each method runs over all grid cells at once.  `eb` takes X and Z4 once
 per scan.  `bm-get` and `bm-gme` share one displaced-thermal ensemble
 stacked over the cells: `bm-get` takes the cells' displacement moments
 together, and `bm-gme` takes the spectra of QPSK's circulant Gram matrices
-as the discrete Fourier transforms of their first rows, for all cells at
-once and with no eigensolve (`bounds.gram_ensemble_entropy`).  The
-closed-form tails of `eb` and `bm-get` then run on floats per cell.  The oracle runs per cell,
+as the discrete Fourier transforms of their first rows, with no
+eigensolve, from the constellation's part and two numbers per cell
+(`bounds.gram_ensemble_entropy`).  The closed-form tails of `eb` and
+`bm-get` then run on floats per cell.  The oracle runs per cell,
 tau-major, so the cells that share a transmittance reuse its cached beam
 splitter (`fock._bs_slot_values`).  Every value is the one the library
 call returns for that cell alone.

@@ -233,9 +233,9 @@ def _physical_standard_spectrum(a, b, c):
     it in `bounds.eb_qpsk_entropy` at large nbar.  Squares are taken
     as products, so an (a + b)^2 past the largest double raises the named
     "beyond double precision" error, not OverflowError."""
-    for name, value in (("a", a), ("b", b), ("c", c)):
-        if not math.isfinite(value):
-            raise ValueError(f"standard-form entry {name} is not finite")
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        name = next(name for name, value in zip("abc", (a, b, c)) if not math.isfinite(value))
+        raise ValueError(f"standard-form entry {name} is not finite")
     require_at_least(min(a, b), 1 - PHYSICALITY_ATOL, "standard form needs a, b >= 1, got a={1}, b={2}", a, b)
     total = (a + b) * (a + b)
     if total == math.inf:

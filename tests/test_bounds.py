@@ -18,10 +18,11 @@ from evebounds.bounds import (
 from evebounds.cloner import (
     ChannelParams,
     Constellation,
+    DisplacedThermalEnsemble,
     displaced_thermal_ensemble,
     qpsk,
 )
-from evebounds.states import entropy_from_cov, thermal_entropy
+from evebounds.states import _physical_standard_spectrum, entropy_from_cov, symplectic_entropy, thermal_entropy
 from reference import coherent_ket, named_constellation
 
 # 1.42e-11 leaves the thermal decomposition a squeezing so small that the
@@ -567,7 +568,10 @@ class TestCyclicGram:
     @pytest.mark.parametrize("alpha", [0.2, 1.0])
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 12])
     def test_matches_full_gram(self, k, alpha, monkeypatch):
-        cells = [ChannelParams(tau=tau, nbar=nbar) for tau in (0.0, 0.37, 1.0) for nbar in (0.0, 0.01, 5.0)]
+        # at tau = 0.999 and nbar = 1e6 a row's phase scale B = 1 - tau is
+        # the difference of two squared scales near 1
+        cells = [ChannelParams(tau=tau, nbar=nbar)
+                 for tau in (0.0, 0.37, 0.999, 1.0) for nbar in (0.0, 0.01, 5.0, 1e6)]
         ensembles = [displaced_thermal_ensemble(ring(k, alpha), params) for params in cells]
         want = [gram_entropy(gram_matrix(ens)) for ens in ensembles]
         forbid(monkeypatch, "gram_matrix")
@@ -575,6 +579,20 @@ class TestCyclicGram:
             got = gram_ensemble_entropy(ens)
             assert isinstance(got, float)
             assert abs(got - value) <= 1e-13 * max(1.0, value)
+
+    def test_stack_builds_no_mode_amplitudes(self, monkeypatch):
+        # The constellation's half of each row is taken once; a cell adds
+        # only its two scales, with no (cells, K, 2) amplitude stack.
+        cells = [ChannelParams(tau=tau, nbar=nbar) for tau in (0.0, 0.37, 0.999, 1.0) for nbar in (0.0, 0.01, 1e6)]
+        ensemble = displaced_thermal_ensemble(qpsk(0.8), cells)
+        want = np.array([gram_entropy(gram_matrix(displaced_thermal_ensemble(qpsk(0.8), p))) for p in cells])
+
+        def fail(self):
+            raise AssertionError("DisplacedThermalEnsemble.mode_amplitudes was called")
+        monkeypatch.setattr(DisplacedThermalEnsemble, "mode_amplitudes", fail)
+        got = gram_ensemble_entropy(ensemble)
+        assert got.shape == want.shape
+        assert (abs(got - want) <= 1e-13 * np.maximum(1.0, want)).all()
 
     @pytest.mark.parametrize("constellation", [
         # QPSK listed clockwise: each state is the one before it turned by -pi/2
@@ -782,6 +800,21 @@ class TestEntangledBasedBound:
         values = [eb_qpsk_entropy(alpha, ChannelParams(tau=tau, nbar=nbar))
                   for nbar in (1e8, 9e15, 1e18, 7e21, 1e150)]
         assert all(map(math.isfinite, values)) and values == sorted(values)
+
+    @pytest.mark.parametrize("base", ["bits", "nats"])
+    @pytest.mark.parametrize("alpha", [0.05, 1.0])
+    def test_stack_equals_symplectic_entropy(self, alpha, base):
+        # The cell loop adds the two thermal entropies inline; on the edge
+        # grid each cell is bit for bit `symplectic_entropy` of the checked
+        # standard-form spectrum, the route it replaced.
+        x, z4 = 1 + 2 * alpha * alpha, eb_z4(alpha)
+        cells = [ChannelParams(tau=tau, nbar=nbar)
+                 for nbar in (0.0, 1e-12, 1e6) for tau in np.linspace(0.0, 1.0, 201).tolist()]
+        want = []
+        for p in cells:
+            bob = p.tau * x + (1 - p.tau) * (2 * p.nbar + 1)
+            want.append(symplectic_entropy(_physical_standard_spectrum(x, bob, math.sqrt(p.tau) * z4), base))
+        assert eb_qpsk_entropy(alpha, cells, base) == want
 
     def test_nbar_past_double_precision_raises(self):
         # (a + b)^2 overflows: this stopped on an OverflowError

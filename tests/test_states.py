@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,6 +210,23 @@ class TestStandardFormPhysicality:
             assert _accepts(StandardTwoModeCov, a, b, c) == expected, (a, b, c)
             outcomes.append(expected)
         assert 500 < sum(outcomes) < len(outcomes) - 500
+
+    @pytest.mark.parametrize("a, b, c, message", [
+        (math.nan, 2.0, 0.0, "standard-form entry a is not finite"),
+        (2.0, math.inf, 0.0, "standard-form entry b is not finite"),
+        (2.0, 2.0, -math.inf, "standard-form entry c is not finite"),
+        # the first entry that is not finite is named
+        (2.0, math.nan, math.nan, "standard-form entry b is not finite"),
+        (0.5, 2.0, 0.0, "standard form needs a, b >= 1, got a=0.5, b=2.0"),
+        (2.0, 0.5, 0.0, "standard form needs a, b >= 1, got a=2.0, b=0.5"),
+        (1e155, 1e155, 0.0, "standard form beyond double precision: (a+b)^2 is not finite, a=1e+155, b=1e+155"),
+        (1.0, 1.0, 1.5, "unphysical standard form: (a+b)^2 - 4c^2 = -5.000e+00 must be positive"),
+        (1.0, 1.0, 1.0, "unphysical standard form: (a+b)^2 - 4c^2 = 0.000e+00 must be positive"),
+        (2.0, 2.0, 1.9, "unphysical standard form: symplectic eigenvalue 0.62449979984 below 1"),
+    ])
+    def test_rejections_keep_their_messages(self, a, b, c, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StandardTwoModeCov(a=a, b=b, c=c)
 
     @pytest.mark.parametrize("tau", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("nbar", [0.0, 5.0])
