@@ -19,7 +19,7 @@ eigensolve, from the constellation's part and two numbers per cell
 (`bounds.gram_ensemble_entropy`).  The closed-form tails of `eb` and
 `bm-get` then run on floats per cell.  The oracle runs per cell,
 tau-major, so the cells that share a transmittance reuse its cached beam
-splitter (`fock._bs_slot_values`).  Every value is the one the library
+splitter (`fock._eve_bs_values`).  Every value is the one the library
 call returns for that cell alone.
 """
 
@@ -123,7 +123,7 @@ def _column(method, cfg, constellation, cells, ensemble):
         return gram_ensemble_entropy(ensemble, base=cfg.log_base).tolist()
     if method == "oracle":
         # tau-major, so each tau's beam splitter is built once for all nbars:
-        # this relies on `fock._bs_slot_values` holding one tau's two cutoffs
+        # this relies on `fock._eve_bs_values` holding one tau's two cutoffs
         values = [None] * len(cells)
         for i in sorted(range(len(cells)), key=lambda i: cells[i].tau):
             with suppress(FockConvergenceError):

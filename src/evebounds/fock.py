@@ -18,13 +18,15 @@ A map of the module; each argument is made once, in the docstring named.
 - The beam splitter's real eigenbasis, `_sector_blocks` of `_BS_PHI` on
   the `_packed_sectors` layout, is cached per cutoff (`_bs_basis`) and
   shared by `apply_rotation` and the oracle's gather arrays
-  (`_bs_sectors`); its in-sector entries at one transmittance are cached
-  per (tau, cutoff) (`_bs_slot_values`), and the dense `fock_bs` goes
-  through `apply_rotation`.
+  (`_bs_sectors`), and the dense `fock_bs` goes through `apply_rotation`.
 - The oracle, `eve_exact_entropy`, takes the eavesdropper's entropy from
   the Gram side of her real factor (`_eve_factor` argues the real
   arithmetic), reduced to one amplitude per rotation orbit
   (`cloner._rotation_orbits`; `eve_exact_entropy` argues the reduction).
+  Both cutoffs of its sweep take their inputs from one run of each
+  recurrence (`_sweep_inputs`), and each factor is one gather of them
+  (`_eve_layout`) times the beam splitter's entries at one transmittance,
+  cached per (tau, cutoff, K) in the factor's layout (`_eve_bs_values`).
 - `fock_entropy` serves the `--check` suites.
 The module runs on numpy alone; the sparse and scipy references it is
 checked against live in `tests/reference.py`.
@@ -102,10 +104,13 @@ def _tmsv_schmidt(nbar, cutoff):
     the q-q correlation of the two arms positive, matching the phase-space
     convention used for the covariance matrices in this package.  The
     deficit is 1 once 1 - lam^2 rounds to 0 (nbar >~ 1e17)."""
+    return _normalized(_tmsv_series(nbar, cutoff))
+
+
+def _tmsv_series(nbar, cutoff):
     lam = math.tanh(0.5 * math.acosh(2 * nbar + 1))
     d = cutoff + 1
-    c = math.sqrt(max(1 - lam * lam, 0.0)) * lam ** np.arange(d) if lam > 0 else np.eye(1, d, 0)[0]
-    return _normalized(c)
+    return math.sqrt(max(1 - lam * lam, 0.0)) * lam ** np.arange(d) if lam > 0 else np.eye(1, d)[0]
 
 
 def _modulus_ket(modulus, cutoff):
@@ -124,11 +129,31 @@ def _modulus_ket(modulus, cutoff):
     exact zeros, so c_n = c_(n-1) modulus (1 / sqrt(n)) is the complex
     recurrence.  The norm is summed over a complex copy, so it takes the
     same BLAS sum as the complex ket's."""
+    ket, deficit = _normalized(_coherent_series(modulus, cutoff))
+    return ket.real, deficit
+
+
+def _coherent_series(modulus, cutoff):
     c = [math.exp(-0.5 * (modulus * modulus))]
     for n in range(1, cutoff + 1):
         c.append(c[-1] * modulus * (1.0 / math.sqrt(n)))
-    ket, deficit = _normalized(np.array(c, dtype=complex))
-    return ket.real, deficit
+    return np.array(c, dtype=complex)
+
+
+def _sweep_inputs(moduli, nbar, cutoff):
+    """[(kets, lam, deficit)] at `cutoff` and at cutoff - `SWEEP_STEP`:
+    the (R, d) kets of the R moduli and the d Schmidt coefficients, bit for
+    bit `_modulus_ket` and `_tmsv_schmidt` there, and their worst deficit.
+    Each builder's series runs once, at `cutoff`; its first levels are its
+    series at a lower cutoff, so the check cutoff normalizes them alone."""
+    coherent = [_coherent_series(m, cutoff) for m in moduli]
+    schmidt = _tmsv_series(nbar, cutoff)
+    inputs = []
+    for d in (cutoff + 1, cutoff + 1 - SWEEP_STEP):
+        lam, deficit = _normalized(schmidt[:d])
+        kets, deficits = zip(*(_normalized(c[:d]) for c in coherent))
+        inputs.append((np.array(kets).real, lam, max(deficit, *deficits)))
+    return inputs
 
 
 class SqueezeGenerator(NamedTuple):
@@ -523,22 +548,12 @@ def _bs_sectors(cutoff):
     return vecs, vecs_t, vals, index, sign, row, col
 
 
-# Eight keys: a tau-major scan (`cli`) needs one tau's two cutoffs, and a
-# replayed grid of three taus, as in the oracle-scan benchmark, needs six.
-# Each key costs 36 KB at cutoff 18 and 14 KB at 13.  A kept result is not
-# reused as scratch, so each miss writes to memory the last calls did not
-# touch: a scan in which no tau repeats runs 1-4 % slower than uncached.
-@lru_cache(maxsize=8)
 def _bs_slot_values(tau, cutoff):
     """The in-sector entries of the real beam splitter
     exp(theta (a^dag b - a b^dag)), in the order of the `_bs_sectors` row
     and column labels: one stacked product of the cached blocks scaled by
     cos(theta vals) and sin(theta vals), one gather and the parity signs.
-
-    Cached by (tau, cutoff) and read-only, since every caller shares it.
-    The transmittance is the beam splitter's only parameter, so cells of a
-    scan that differ in nbar or alpha alone reuse the entries.  An invalid
-    tau raises, and exceptions are not cached."""
+    An invalid tau raises."""
     vecs, vecs_t, vals, index, sign, _, _ = _bs_sectors(cutoff)
     angle = _bs_angle(tau) * vals
     trig = np.empty((2, cutoff + 1, 1, cutoff + 1))
@@ -546,7 +561,6 @@ def _bs_slot_values(tau, cutoff):
     np.sin(angle, out=trig[1, :, 0])
     values = ((vecs * trig) @ vecs_t).take(index)
     values *= sign
-    values.flags.writeable = False
     return values
 
 
@@ -585,25 +599,28 @@ class OracleEntropy:
 
 @lru_cache(maxsize=16)
 def _eve_layout(order, cutoff):
-    """(dest, top, shift): where each in-sector entry of the beam splitter
-    lands in the eavesdropper's factor, split into the K = `order` rotation
-    classes of her columns.  d = cutoff + 1.
+    """(slot, column, faces, top, shift): what each position of the
+    eavesdropper's factor reads, as (K, d, width) blocks of the K = `order`
+    rotation classes of her columns, and where its leakage lies.
 
     The entry of `_bs_sectors` in row (b, c') and column (a, e) carries the
     factor's entry at row b and column (c', e), with a = b + c' - e.  Her
     columns fall into the classes q = (c' - e) mod K, each listed in
     increasing order of c' d + e and padded with zeros to the width of the
-    largest; `dest` is the flat index of the entry in the (K, d, width)
-    class blocks, and `shift` holds the (K, width) offsets c' - e of the
-    class columns (0 in the padding).  `top`, 0 to 3, counts how many of b,
-    c' and e sit at the top level `cutoff`, so sum top |entry|^2 is the
-    population on the three top faces of the output, the leakage.
+    largest (d = cutoff + 1).  At each flat position of the blocks, `slot`
+    indexes its entry among the `_bs_slot_values` and `column` its input
+    weight ket[a] lam_e, at a (d + 1) + e in a (d, d + 1) grid whose last
+    column is zero; a position no entry lands on points at one appended
+    zero entry and at that zero weight.  `faces` lists the positions where
+    `top`, 1 to 3, of b, c' and e sit at the top level `cutoff`, so
+    sum top |entry|^2 over them is the leakage.  `shift` holds the
+    (K, width) offsets c' - e of the class columns (0 in the padding).
     Read-only, since every caller shares it.
     """
     d = cutoff + 1
     *_, row, col = _bs_sectors(cutoff)
     b, c = np.divmod(row, d)
-    e = col % d
+    a, e = np.divmod(col, d)
     offsets = np.subtract.outer(np.arange(d), np.arange(d)).reshape(-1)
     classes = offsets % order
     sizes = np.bincount(classes, minlength=order)
@@ -613,28 +630,51 @@ def _eve_layout(order, cutoff):
         members = np.flatnonzero(classes == q)
         rank[members] = np.arange(members.size)
         shift[q, : members.size] = offsets[members]
-    column = c * d + e
-    dest = (classes[column] * d + b) * shift.shape[1] + rank[column]
+    ce = c * d + e  # her column (c', e)
+    dest = (classes[ce] * d + b) * shift.shape[1] + rank[ce]
+    slot = np.full(d * shift.size, row.size)
+    slot[dest] = np.arange(row.size)
+    column = np.append(a * (d + 1) + e, d).take(slot)
     top = np.add.reduce([b == cutoff, c == cutoff, e == cutoff], dtype=float)
-    for arr in (dest, top, shift):
+    faces = np.flatnonzero(top)
+    faces, top = dest[faces], top[faces]
+    for arr in (slot, column, faces, top, shift):
         arr.flags.writeable = False
-    return dest, top, shift
+    return slot, column, faces, top, shift
 
 
-def _eve_factor(representatives, order, params, cutoff):
+# Eight keys: a tau-major scan (`cli`) needs one tau's two cutoffs, and a
+# replayed grid of three taus, as in the oracle-scan benchmark, needs six.
+# A QPSK key costs 55 KB at cutoff 18 and 22 KB at 13.  A kept result is
+# not reused as scratch, so each miss writes to memory the last calls did
+# not touch.
+@lru_cache(maxsize=8)
+def _eve_bs_values(tau, cutoff, order):
+    """The beam splitter's in-sector entries (`_bs_slot_values`) at each
+    position of the `_eve_layout` blocks of K = `order` classes, 0 where
+    no entry lands.  Cached by (tau, cutoff, order) and read-only, since
+    every caller shares it: cells of a scan that differ in nbar or alpha
+    alone reuse it.  An invalid tau raises, and exceptions are not cached."""
+    values = np.append(_bs_slot_values(tau, cutoff), 0.0).take(_eve_layout(order, cutoff)[0])
+    values.flags.writeable = False
+    return values
+
+
+def _eve_factor(representatives, order, tau, inputs):
     """(blocks, leak): the real factor of the eavesdropper's state for the
-    R orbit representatives of `cloner._rotation_orbits`, as an (R, K, d, width)
-    stack of her K = `order` rotation-class blocks (`_eve_layout`), and
-    the worst truncation leakage.
+    R orbit representatives of `cloner._rotation_orbits`, as an
+    (R, K, d, width) stack of her K = `order` rotation-class blocks
+    (`_eve_layout`), and the worst truncation leakage, at the cutoff of
+    one of the `_sweep_inputs`.
 
     For each amplitude alpha: coherent (x) TMSV on modes (A, C, E), beam
     splitter on (A, C), and the output tensor's rows indexed by the first
     output b, weighted by sqrt(p).  The TMSV is diagonal,
     lam_e |e>_C |e>_E, so the input |a, e, e> lies in photon-number sector
     a + e, and each output entry is one product with no sum:
-    out[b, c', e] = ket[a] lam_e U[(b, c'), (a, e)], with a = b + c' - e,
-    and the input weight ket[a] lam_e is read at the column label a d + e
-    of the beam splitter's entry.
+    out[b, c', e] = ket[a] lam_e U[(b, c'), (a, e)], with a = b + c' - e.
+    So the blocks are one gather of the input weights ket[a] lam_e times
+    the beam splitter's entries in the same layout (`_eve_bs_values`).
 
     The oracle's arithmetic is real.  The beam splitter's generator
     a^dag b - a b^dag is real and antisymmetric in the Fock basis, so U is
@@ -648,46 +688,39 @@ def _eve_factor(representatives, order, params, cutoff):
     the representatives' phases differ does `_eve_entropy` apply the
     relative column phases exp(i (c' - e) (arg alpha_k - arg alpha_0)) and
     form complex blocks.  The leakage, which no phase changes, is taken
-    from the real blocks.  The real inputs come from their closed forms:
-    the d Schmidt coefficients lam_e (`_tmsv_schmidt`) and the real ket of
-    each |alpha| (`_modulus_ket`).
+    from the real blocks.  The real inputs, the kets of each |alpha| and
+    the Schmidt coefficients lam_e, come from `_sweep_inputs`.
     """
-    d = cutoff + 1
-    dest, top, shift = _eve_layout(order, cutoff)
-    col = _bs_sectors(cutoff)[-1]
-    lam, tmsv_deficit = _tmsv_schmidt(params.nbar, cutoff)
-    moduli = np.abs(representatives.amplitudes).tolist()
-    kets, deficits = zip(*(_modulus_ket(m, cutoff) for m in moduli))
-    weights = np.multiply.outer(np.array(kets), lam).reshape(len(kets), d * d)
-    entries = weights.take(col, axis=1)
+    kets, lam, deficit = inputs
+    cutoff = lam.size - 1
+    _, column, faces, top, _ = _eve_layout(order, cutoff)
+    weights = np.multiply.outer(kets, np.append(lam, 0.0)).reshape(len(kets), -1)
+    blocks = weights.take(column, axis=1)
     # a float key: a 0-d array tau would be unhashable
-    entries *= _bs_slot_values(float(params.tau), cutoff)
-    leaks = (entries * entries) @ top
-    entries *= np.sqrt(representatives.probs)[:, None]
-    blocks = np.zeros((len(kets), order * d * shift.shape[1]))
-    blocks[:, dest] = entries
-    worst_leak = max(tmsv_deficit, *deficits, *leaks.tolist())
-    return blocks.reshape(len(kets), order, d, -1), worst_leak
+    blocks *= _eve_bs_values(float(tau), cutoff, order)
+    leaks = np.square(blocks.take(faces, axis=1)) @ top
+    blocks *= np.sqrt(representatives.probs)[:, None]
+    return blocks.reshape(len(kets), order, cutoff + 1, -1), max(deficit, *leaks.tolist())
 
 
-def _eve_entropy(representatives, order, params, cutoff, base):
-    """Eavesdropper entropy at one cutoff from the orbit representatives of
-    `cloner._rotation_orbits`: the sum, over the K = `order` rotation
+def _eve_entropy(representatives, order, blocks, base):
+    """Eavesdropper entropy at one cutoff from the `_eve_factor` blocks of
+    the orbit representatives of `cloner._rotation_orbits`, which have
+    passed their leakage gate: the sum, over the K = `order` rotation
     classes, of the entropy of the Gram block conj(M_q) M_q^T of the
-    class-q columns M_q of the representatives' factor (`_eve_factor`,
-    which argues when the relative column phases applied here are needed).
-    All K Gram blocks come from one stacked product and one stacked
-    `eigvalsh`, and their K spectra go through one `states.spectrum_entropy`
-    pass, which floors each block's entropy at 0 on its own."""
-    blocks, leak = _eve_factor(representatives, order, params, cutoff)
-    _require_deficit(leak, f"the oracle state at cutoff {cutoff}")
+    class-q columns M_q (`_eve_factor` argues when the relative column
+    phases applied here are needed).  All K Gram blocks come from one
+    stacked product and one stacked `eigvalsh`, and their K spectra go
+    through one `states.spectrum_entropy` pass, which floors each block's
+    entropy at 0 on its own."""
     phase = np.angle(representatives.amplitudes)
     if np.any(phase != phase[0]):
-        shift = _eve_layout(order, cutoff)[-1]
+        shift = _eve_layout(order, blocks.shape[2] - 1)[-1]
         blocks = blocks * np.exp(1j * np.multiply.outer(phase - phase[0], shift))[:, :, None, :]
     count, _, d, width = blocks.shape
     blocks = blocks.transpose(1, 0, 2, 3).reshape(order, count * d, width)
-    spectra = np.linalg.eigvalsh(blocks.conj() @ blocks.transpose(0, 2, 1))
+    rows = blocks.conj() if np.iscomplexobj(blocks) else blocks
+    spectra = np.linalg.eigvalsh(rows @ blocks.transpose(0, 2, 1))
     return float(spectrum_entropy(spectra, base).sum())
 
 
@@ -716,11 +749,13 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
     and summed together (`_eve_entropy`).
 
     The same entropy is recomputed at cutoff - `SWEEP_STEP` (5 levels
-    lower); the run only counts as converged if the two values agree
-    within `DRIFT_LIMIT` = 1e-4 and the truncation leakage stays below
-    `DEFICIT_LIMIT` = 1e-6, otherwise FockConvergenceError is raised and
-    no value is returned.  `cutoff` must be an integer, not a bool, and at
-    least 7, or ValueError is raised.
+    lower), from the first levels of the same input series
+    (`_sweep_inputs`).  The truncation leakage must stay below
+    `DEFICIT_LIMIT` = 1e-6 at the cutoff, then at the check cutoff, gated
+    before either Gram block is diagonalized, and the two values must
+    agree within `DRIFT_LIMIT` = 1e-4; otherwise FockConvergenceError is
+    raised and no value is returned.  `cutoff` must be an integer, not a
+    bool, and at least 7, or ValueError is raised.
 
     Returns:
         OracleEntropy: entropy in `base` units plus the sweep record.
@@ -732,9 +767,13 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
         raise ValueError(f"cutoff must be >= 7 to allow the convergence sweep, got {cutoff}")
     order, representatives = _rotation_orbits(constellation)
     check_cutoff = cutoff - SWEEP_STEP
-    value, value_check = (
-        _eve_entropy(representatives, order, params, c, base) for c in (cutoff, check_cutoff)
-    )
+    moduli = np.abs(representatives.amplitudes).tolist()
+    factors = []
+    for c, inputs in zip((cutoff, check_cutoff), _sweep_inputs(moduli, params.nbar, cutoff)):
+        blocks, leak = _eve_factor(representatives, order, params.tau, inputs)
+        _require_deficit(leak, f"the oracle state at cutoff {c}")
+        factors.append(blocks)
+    value, value_check = (_eve_entropy(representatives, order, f, base) for f in factors)
     result = OracleEntropy(
         value=value, value_check=value_check, cutoff=cutoff, check_cutoff=check_cutoff
     )

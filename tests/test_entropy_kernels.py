@@ -18,6 +18,7 @@ from evebounds.states import (
     symplectic_entropy,
     thermal_entropy,
 )
+from test_fock import oracle_factor
 
 PURE = ChannelParams(tau=1.0, nbar=0.0)
 
@@ -175,7 +176,7 @@ class TestSpectrumEntropy:
 def oracle_class_spectra(tau, nbar, alpha, cutoff):
     """The stacked spectra of the oracle's rotation-class Gram blocks."""
     order, reps = _rotation_orbits(qpsk(alpha))
-    blocks, _ = fock._eve_factor(reps, order, ChannelParams(tau=tau, nbar=nbar), cutoff)
+    blocks, _ = oracle_factor(reps, order, ChannelParams(tau=tau, nbar=nbar), cutoff)
     count, _, d, width = blocks.shape
     blocks = blocks.transpose(1, 0, 2, 3).reshape(order, count * d, width)
     return np.linalg.eigvalsh(blocks @ blocks.transpose(0, 2, 1))
@@ -269,4 +270,5 @@ def test_class_gram_reference_keeps_its_per_class_loop(monkeypatch):
     params = ChannelParams(tau=0.5, nbar=0.01)
     got = reference.class_gram_oracle_entropy(reps, order, params, 7)
     assert shapes == [(8, 8)] * 4
-    assert got == pytest.approx(fock._eve_entropy(reps, order, params, 7, "bits"), abs=1e-13)
+    blocks, _ = oracle_factor(reps, order, params, 7)
+    assert got == pytest.approx(fock._eve_entropy(reps, order, blocks, "bits"), abs=1e-13)

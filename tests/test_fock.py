@@ -34,6 +34,14 @@ from reference import (
 from test_golden import ORACLE_RTOL
 
 
+def oracle_factor(representatives, order, params, cutoff):
+    """`fock._eve_factor` at `cutoff` alone: (blocks, leak) from the first
+    of the oracle's `_sweep_inputs`, before its leakage gate."""
+    moduli = np.abs(representatives.amplitudes).tolist()
+    inputs = fock._sweep_inputs(moduli, params.nbar, cutoff)[0]
+    return fock._eve_factor(representatives, order, params.tau, inputs)
+
+
 class TestStates:
     def test_coherent_vacuum(self):
         ket, deficit = coherent_ket(0.0, 10)
@@ -479,7 +487,7 @@ class TestEveExact:
                   for name in ("two-ring-z4", "skewed-three", "with-origin")]
         for constellation, nbar in cases:
             params = ChannelParams(tau=tau, nbar=nbar)
-            blocks, leak = fock._eve_factor(constellation, 1, params, cutoff)
+            blocks, leak = oracle_factor(constellation, 1, params, cutoff)
             assert blocks.dtype == np.float64
             phi = np.angle(constellation.amplitudes)[:, None, None]
             m = blocks[:, 0] * np.exp(1j * phi * (b + c - e))
@@ -523,22 +531,22 @@ class TestEveExact:
         def run(cutoff, tau, constellation):
             params = ChannelParams(tau=tau, nbar=0.01)
             order, reps = _rotation_orbits(constellation)
-            blocks, leak = fock._eve_factor(reps, order, params, cutoff)
+            blocks, leak = oracle_factor(reps, order, params, cutoff)
             oracle = fock.eve_exact_entropy(constellation, params, cutoff=cutoff)
             return blocks, leak, oracle.value, oracle.value_check
 
         interleaved = [run(*call) for call in calls]
         for call, first in zip(calls, interleaved):
             fock._bs_sectors.cache_clear()
-            fock._bs_slot_values.cache_clear()
+            fock._eve_bs_values.cache_clear()
             fock._eve_layout.cache_clear()
             fresh = run(*call)
             assert np.array_equal(first[0], fresh[0])
             assert first[1:] == fresh[1:]
 
     def test_slot_values_cached_and_read_only(self):
-        first = fock._bs_slot_values(0.3, 13)
-        assert fock._bs_slot_values(0.3, 13) is first
+        first = fock._eve_bs_values(0.3, 13, 4)
+        assert fock._eve_bs_values(0.3, 13, 4) is first
         with pytest.raises(ValueError, match="read-only"):
             first[0] = 0
 
@@ -546,31 +554,31 @@ class TestEveExact:
         # exceptions are not cached
         for _ in range(2):
             with pytest.raises(ValueError, match="transmittance must lie in"):
-                fock._bs_slot_values(1.5, 7)
+                fock._eve_bs_values(1.5, 7, 4)
 
     def test_scan_reuses_each_tau_and_matches_single_cells(self):
         # each of the 5 taus misses at cutoffs 18 and 13 for the first nbar
         # and hits for the second; every row is bit for bit the one of its
         # cell run alone, with the cache warm and cold
         cfg = ScanConfig(nbars=[0.01, 0.1], tau_steps=5, methods=["oracle"])
-        fock._bs_slot_values.cache_clear()
+        fock._eve_bs_values.cache_clear()
         rows = run_scan(cfg)
-        info = fock._bs_slot_values.cache_info()
+        info = fock._eve_bs_values.cache_info()
         assert (info.misses, info.hits) == (10, 10)
         assert run_scan(cfg) == rows
         cells = [(tau, nbar) for nbar in cfg.nbars for tau in cfg.tau_grid().tolist()]
         for (tau, nbar), row in zip(cells, rows, strict=True):
             alone = ScanConfig(tau_min=tau, tau_max=tau, tau_steps=1, nbars=[nbar], methods=["oracle"])
             warm = run_scan(alone)
-            fock._bs_slot_values.cache_clear()
+            fock._eve_bs_values.cache_clear()
             assert warm == run_scan(alone) == [row]
 
     def test_default_oracle_scan_hits_once_per_tau_and_cutoff(self):
         # visited nbar-major, the default grid's 100 keys would outnumber the
         # cache's 8 and no call would hit; tau-major, the second nbar hits
-        fock._bs_slot_values.cache_clear()
+        fock._eve_bs_values.cache_clear()
         run_scan(ScanConfig(methods=["oracle"]))
-        info = fock._bs_slot_values.cache_info()
+        info = fock._eve_bs_values.cache_info()
         assert (info.misses, info.hits) == (100, 100)
 
     # the alpha = 2 cells of the oracle grid that cutoff 18 leaves
@@ -589,11 +597,31 @@ class TestEveExact:
             fock.eve_exact_entropy(qpsk(2.2), ChannelParams(tau=0.5, nbar=0.01), cutoff=7)
 
     def test_nan_drift_raises(self, monkeypatch):
-        # a NaN entropy at either cutoff is no convergence
+        # a NaN entropy at either cutoff is no convergence; the cell passes
+        # both leakage gates (qpsk(1.0) leaks 1.125e-06 at cutoff 8)
         values = iter([1.0, math.nan])
         monkeypatch.setattr(fock, "_eve_entropy", lambda *args: next(values))
         with pytest.raises(fock.FockConvergenceError, match="entropy drift nan"):
-            fock.eve_exact_entropy(qpsk(1.0), ChannelParams(tau=0.5, nbar=0.01), cutoff=13)
+            fock.eve_exact_entropy(qpsk(0.5), ChannelParams(tau=0.5, nbar=0.01), cutoff=13)
+
+    def test_both_leakage_gates_run_before_any_eigensolve(self, monkeypatch):
+        # the cell passes the cutoff-18 gate and fails the cutoff-13 one, so
+        # no Gram block is diagonalized
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        with pytest.raises(fock.FockConvergenceError) as error:
+            fock.eve_exact_entropy(qpsk(2.0), ChannelParams(tau=0.5, nbar=0.01))
+        assert str(error.value) == ("truncation leakage 7.633e-05 > 1e-06 for the oracle state "
+                                    "at cutoff 13; raise the cutoff")
+        assert calls == []
+        fock.eve_exact_entropy(qpsk(0.5), ChannelParams(tau=0.5, nbar=0.01))
+        assert calls == [(4, 19, 19), (4, 14, 14)]
 
     def test_cutoff_floor(self):
         with pytest.raises(ValueError, match="cutoff"):
@@ -857,6 +885,24 @@ class TestOracleInputs:
             assert ket.dtype == np.float64 and ket.shape == (cutoff + 1,)
             assert np.array_equal(ket, want.real) and deficit == want_deficit
 
+    # 40 underflows, and 1e155 squares to inf; nbar = 1e17 loses all of
+    # the trace
+    @pytest.mark.parametrize("cutoff", [7, 13, 18, 30])
+    def test_sweep_inputs_are_the_builders_at_both_cutoffs(self, cutoff):
+        moduli = [0.0, 0.5, 2.0, 40.0, 1e155]
+        for nbar in (0.0, 1e-12, 2.0, 1e17):
+            inputs = fock._sweep_inputs(moduli, nbar, cutoff)
+            assert len(inputs) == 2
+            for (kets, lam, deficit), c in zip(inputs, (cutoff, cutoff - fock.SWEEP_STEP)):
+                want = [fock._modulus_ket(m, c) for m in moduli]
+                want_lam, want_deficit = fock._tmsv_schmidt(nbar, c)
+                assert kets.shape == (len(moduli), c + 1) and kets.dtype == np.float64
+                assert np.array_equal(kets, np.array([ket for ket, _ in want]))
+                assert np.array_equal(lam, want_lam)
+                assert deficit == max(want_deficit, *(d for _, d in want))
+            if nbar == 1e17:
+                assert inputs[0][2] == inputs[1][2] == 1.0
+
     def test_modulus_ket_underflow(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -889,7 +935,8 @@ class TestStackedClassGrams:
         assert got_order == order
         params = ChannelParams(tau=tau, nbar=nbar)
         for cutoff in (18, 13):
-            got = fock._eve_entropy(reps, order, params, cutoff, "bits")
+            blocks, _ = oracle_factor(reps, order, params, cutoff)
+            got = fock._eve_entropy(reps, order, blocks, "bits")
             want = class_gram_oracle_entropy(reps, order, params, cutoff)
             assert abs(got - want) < 1e-13
 
@@ -898,32 +945,59 @@ class TestStackedClassGrams:
     ])
     def test_class_columns_padded(self, order, widths):
         d, width = 19, max(widths)
-        dest, top, shift = fock._eve_layout(order, 18)
+        slot, column, faces, top, shift = fock._eve_layout(order, 18)
         assert shift.shape == (order, width)
+        assert slot.shape == column.shape == (order * d * width,)
         *_, row, col = fock._bs_sectors(18)
-        b, c = np.divmod(row, d)
-        e = col % d
-        q, b_dest, place = np.unravel_index(dest, (order, d, width))
-        assert np.array_equal(b_dest, b) and np.unique(dest).size == dest.size
-        assert np.all((c - e) % order == q)
+        q, b_dest, place = np.unravel_index(np.arange(slot.size), (order, d, width))
+        # every beam-splitter entry lands on one position, in its row b and
+        # in the class of its column (c', e); the other positions read the
+        # appended zero entry and the zero weight column d
+        hit = slot < row.size
+        assert np.array_equal(np.sort(slot[hit]), np.arange(row.size))
+        b, c = np.divmod(row[slot[hit]], d)
+        a, e = np.divmod(col[slot[hit]], d)
+        assert np.array_equal(b_dest[hit], b)
+        assert np.all((c - e) % order == q[hit])
+        assert np.array_equal(column[hit], a * (d + 1) + e)
+        assert np.all(column[~hit] == d)
+        # the leakage positions: any of b, c' and e at the top level, and
+        # how many
+        count = np.zeros(slot.size)
+        count[hit] = (b == 18) * 1.0 + (c == 18) + (e == 18)
+        assert np.array_equal(np.sort(faces), np.flatnonzero(count))
+        assert np.array_equal(top, count[faces])
         # each column (c', e) has exactly one place in its class, the class
         # lists its columns in increasing order from place 0, and the rest
         # of the class block is padding
-        column, slot = np.unique(c * d + e, return_index=True)
-        assert np.array_equal(column, np.arange(d * d))
-        places = q[slot] * width + place[slot]
+        columns, first = np.unique(c * d + e, return_index=True)
+        assert np.array_equal(columns, np.arange(d * d))
+        places = (q[hit] * width + place[hit])[first]
         assert np.unique(places).size == d * d
-        assert np.bincount(q[slot], minlength=order).tolist() == widths
+        assert np.bincount(q[hit][first], minlength=order).tolist() == widths
         for k in range(order):
-            assert np.array_equal(np.sort(place[slot][q[slot] == k]), np.arange(widths[k]))
-            assert np.all(np.diff(column[q[slot] == k]) > 0)
-            assert np.all(np.diff(place[slot][q[slot] == k]) > 0)
+            in_class = q[hit][first] == k
+            assert np.array_equal(np.sort(place[hit][first][in_class]), np.arange(widths[k]))
+            assert np.all(np.diff(columns[in_class]) > 0)
+            assert np.all(np.diff(place[hit][first][in_class]) > 0)
         # shift holds c' - e of each class column, 0 in the padding
-        assert np.array_equal(shift.reshape(-1)[places], (c - e)[slot])
+        assert np.array_equal(shift.reshape(-1)[places], (c - e)[first])
         padding = np.ones(order * width, dtype=bool)
         padding[places] = False
         assert np.all(shift.reshape(-1)[padding] == 0)
-        assert np.array_equal(top, (b == 18) * 1.0 + (c == 18) + (e == 18))
+        # the padding columns take no entry in any row
+        assert not hit.reshape(order, d, width).transpose(0, 2, 1).reshape(-1, d)[padding].any()
+
+    @pytest.mark.parametrize("order", [1, 4])
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 1.0])
+    def test_cached_values_are_the_entries_in_the_layout(self, order, tau):
+        values = fock._eve_bs_values(tau, 13, order)
+        slot = fock._eve_layout(order, 13)[0]
+        entries = fock._bs_slot_values(tau, 13)
+        assert values.shape == slot.shape
+        hit = slot < entries.size
+        assert np.array_equal(values[hit], entries[slot[hit]])
+        assert np.all(values[~hit] == 0)
 
 
 def qpsk_purification_moments(alpha, cutoff=40):

@@ -13,6 +13,7 @@ from evebounds.bounds import bm_get_entropy, bm_gme_entropy, eb_qpsk_entropy
 from evebounds.checks import run_checks
 from evebounds.cli import ScanConfig, run_scan, write_csv
 from evebounds.cloner import ChannelParams, qpsk
+from evebounds.fock import FockConvergenceError, eve_exact_entropy
 
 # SHA-256 of the default 300-row scan (README reference settings).
 REFERENCE_SCAN_SHA256 = "d4d84f5ee0f506c4f21ac7a7bb84dd38dae93861a50891edc64be258b74f31dc"
@@ -50,6 +51,49 @@ def test_oracle_scan_matches_golden(want):
         assert got[5] == ""
     else:
         assert float(got[5]) == pytest.approx(float(exp[5]), rel=ORACLE_RTOL, abs=0)
+
+
+# `fock.eve_exact_entropy` on the benchmark's oracle grid at cutoff 18, as
+# `repr` prints it: (tau, nbar, alpha, value, value_check) for the 15 cells
+# that converge, and (tau, nbar, alpha, message) for the 5 that do not.  A
+# change to how the oracle is evaluated, not to what it computes, leaves
+# these bit for bit on the same BLAS.
+ORACLE_VALUES = [
+    (0.2, 0.01, 0.5, 0.8417366300143301, 0.8417366300143304),
+    (0.5, 0.01, 0.5, 0.6140229590228371, 0.614022959022837),
+    (0.8, 0.01, 0.5, 0.31527366689891223, 0.3152736668989131),
+    (0.2, 0.1, 0.5, 1.2017109697373243, 1.2017109697371604),
+    (0.5, 0.1, 0.5, 0.8915143803000037, 0.8915143802998291),
+    (0.8, 0.1, 0.5, 0.46812358061614306, 0.46812358061600523),
+    (0.2, 0.5, 0.5, 2.0315778672902836, 2.031572920739029),
+    (0.5, 0.5, 0.5, 1.5818567653300375, 1.5818524081361864),
+    (0.8, 0.5, 0.5, 0.9011061663394229, 0.901103041795674),
+    (0.2, 0.01, 1.0, 1.7002025898546125, 1.7002025899334148),
+    (0.5, 0.01, 1.0, 1.3752716361562738, 1.375271636307256),
+    (0.8, 0.01, 1.0, 0.8054968918798702, 0.8054968919474863),
+    (0.2, 0.1, 1.0, 2.063084431571306, 2.0630844316188615),
+    (0.5, 0.1, 1.0, 1.6780427125155253, 1.6780427126382027),
+    (0.8, 0.1, 1.0, 1.0081772549570398, 1.0081772549831676),
+]
+ORACLE_ERRORS = [
+    *((tau, 0.01, 2.0, "truncation leakage 7.633e-05 > 1e-06 for the oracle state at cutoff 13; "
+                       "raise the cutoff") for tau in (0.2, 0.5, 0.8)),
+    *((tau, 2.0, 1.0, "truncation leakage 4.511e-04 > 1e-06 for the oracle state at cutoff 18; "
+                      "raise the cutoff") for tau in (0.2, 0.8)),
+]
+
+
+@pytest.mark.parametrize("tau,nbar,alpha,value,value_check", ORACLE_VALUES)
+def test_oracle_values_bit_for_bit(tau, nbar, alpha, value, value_check):
+    got = eve_exact_entropy(qpsk(alpha), ChannelParams(tau=tau, nbar=nbar))
+    assert (got.value, got.value_check) == (value, value_check)
+
+
+@pytest.mark.parametrize("tau,nbar,alpha,message", ORACLE_ERRORS)
+def test_oracle_errors_word_for_word(tau, nbar, alpha, message):
+    with pytest.raises(FockConvergenceError) as error:
+        eve_exact_entropy(qpsk(alpha), ChannelParams(tau=tau, nbar=nbar))
+    assert str(error.value) == message
 
 
 POINT_GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden" / "point-queries.json"
