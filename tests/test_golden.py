@@ -96,6 +96,45 @@ def test_oracle_errors_word_for_word(tau, nbar, alpha, message):
     assert str(error.value) == message
 
 
+# The same on three `SYMMETRY_CASES` of `tests/test_fock.py` that QPSK's
+# real path does not reach: (name, tau, nbar, value, value_check) at two
+# cells each, for K = 1 with R = 3 representatives, K = 4 with R = 2 at
+# different phases (the complex blocks) and K = 8, and (name, tau, nbar,
+# message) for a non-QPSK cell that fails the check cutoff's gate.
+ORACLE_SYMMETRY_VALUES = [
+    ("skewed-three", 0.2, 0.01, 1.0253184289789712, 1.0253184289790715),
+    ("skewed-three", 0.5, 0.5, 1.7635024867872757, 1.763498177406807),
+    ("two-ring-z4", 0.2, 0.01, 1.2622135887770787, 1.2622135888036292),
+    ("two-ring-z4", 0.5, 0.5, 1.9701471150762413, 1.9701415776933935),
+    ("8psk-offset", 0.2, 0.01, 1.2399468764751207, 1.239946876475125),
+    ("8psk-offset", 0.5, 0.5, 1.9533247887184795, 1.9533196292881838),
+]
+ORACLE_SYMMETRY_ERRORS = [
+    ("two-ring-z4", 0.2, 0.5, "truncation leakage 1.237e-06 > 1e-06 for the oracle state at cutoff 13; "
+                              "raise the cutoff"),
+]
+
+
+def symmetry_case(name):
+    # imported here, as `test_fock` imports this module
+    from test_fock import SYMMETRY_CASES
+
+    return SYMMETRY_CASES[name][0]
+
+
+@pytest.mark.parametrize("name,tau,nbar,value,value_check", ORACLE_SYMMETRY_VALUES)
+def test_oracle_symmetry_values_bit_for_bit(name, tau, nbar, value, value_check):
+    got = eve_exact_entropy(symmetry_case(name), ChannelParams(tau=tau, nbar=nbar))
+    assert (got.value, got.value_check) == (value, value_check)
+
+
+@pytest.mark.parametrize("name,tau,nbar,message", ORACLE_SYMMETRY_ERRORS)
+def test_oracle_symmetry_errors_word_for_word(name, tau, nbar, message):
+    with pytest.raises(FockConvergenceError) as error:
+        eve_exact_entropy(symmetry_case(name), ChannelParams(tau=tau, nbar=nbar))
+    assert str(error.value) == message
+
+
 POINT_GOLDEN = Path(__file__).resolve().parent.parent / "bench" / "golden" / "point-queries.json"
 # The benchmark's rule for the point golden: |got - want| <= 1e-9 max(1, |want|).
 POINT_TOL = 1e-9
