@@ -19,7 +19,8 @@ eigensolve, from the constellation's part and two numbers per cell
 (`bounds.gram_ensemble_entropy`).  The closed-form tails of `eb` and
 `bm-get` then run on floats per cell.  The oracle runs per cell,
 tau-major, so the cells that share a transmittance reuse its cached beam
-splitter (`fock._eve_bs_values`).  Every value is the one the library
+splitter, one key per tau for both cutoffs of the sweep
+(`fock._eve_bs_values`).  Every value is the one the library
 call returns for that cell alone.
 """
 
@@ -123,7 +124,7 @@ def _column(method, cfg, constellation, cells, ensemble):
         return gram_ensemble_entropy(ensemble, base=cfg.log_base).tolist()
     if method == "oracle":
         # tau-major, so each tau's beam splitter is built once for all nbars:
-        # this relies on `fock._eve_bs_values` holding one tau's two cutoffs
+        # this relies on `fock._eve_bs_values` holding one key per tau
         values = [None] * len(cells)
         for i in sorted(range(len(cells)), key=lambda i: cells[i].tau):
             with suppress(FockConvergenceError):

@@ -20,13 +20,16 @@ A map of the module; each argument is made once, in the docstring named.
   shared by `apply_rotation` and the oracle's gather arrays
   (`_bs_sectors`), and the dense `fock_bs` goes through `apply_rotation`.
 - The oracle, `eve_exact_entropy`, takes the eavesdropper's entropy from
-  the Gram side of her real factor (`_eve_factor` argues the real
+  the Gram side of her real factor (`_sweep_factors` argues the real
   arithmetic), reduced to one amplitude per rotation orbit
   (`cloner._rotation_orbits`; `eve_exact_entropy` argues the reduction).
-  Both cutoffs of its sweep take their inputs from one run of each
-  recurrence (`_sweep_inputs`), and each factor is one gather of them
-  (`_eve_layout`) times the beam splitter's entries at one transmittance,
-  cached per (tau, cutoff, K) in the factor's layout (`_eve_bs_values`).
+  Its sweep of two cutoffs is one unit: both take their inputs from one
+  run of each recurrence (`_sweep_inputs`), one layout places both
+  factors and their top faces (`_sweep_layout`), and the beam splitter's
+  entries at one transmittance are cached with one key per tau, both
+  cutoffs in the factors' layout (`_eve_bs_values`).  The leakage is
+  gated from the top faces alone (`_sweep_leaks`), before the gather of
+  both factors (`_sweep_factors`).
 - `fock_entropy` serves the `--check` suites.
 The module runs on numpy alone; the sparse and scipy references it is
 checked against live in `tests/reference.py`.
@@ -141,19 +144,34 @@ def _coherent_series(modulus, cutoff):
 
 
 def _sweep_inputs(moduli, nbar, cutoff):
-    """[(kets, lam, deficit)] at `cutoff` and at cutoff - `SWEEP_STEP`:
-    the (R, d) kets of the R moduli and the d Schmidt coefficients, bit for
-    bit `_modulus_ket` and `_tmsv_schmidt` there, and their worst deficit.
+    """(kets, lam, deficits) of a sweep from `cutoff`: the kets of the R
+    moduli and the Schmidt coefficients at `cutoff`, then at cutoff -
+    `SWEEP_STEP`, side by side in one real (R, d + d') array and one
+    (d + d' + 1,) array closed by a zero, bit for bit `_modulus_ket` and
+    `_tmsv_schmidt` at each cutoff, and each cutoff's worst deficit.  Their
+    outer product is the weight vector that `_sweep_layout` gathers from.
+
     Each builder's series runs once, at `cutoff`; its first levels are its
-    series at a lower cutoff, so the check cutoff normalizes them alone."""
+    series at a lower cutoff, so the check cutoff normalizes them alone.
+    A ket keeps the complex norm of `_normalized` and scales its real part
+    by 1 / sqrt(norm2), which is how numpy divides a complex number by a
+    real one (`_modulus_ket`)."""
     coherent = [_coherent_series(m, cutoff) for m in moduli]
     schmidt = _tmsv_series(nbar, cutoff)
-    inputs = []
+    levels = 2 * (cutoff + 1) - SWEEP_STEP
+    kets = np.empty((len(coherent), levels))
+    lam = np.zeros(levels + 1)
+    deficits = []
+    first = 0
     for d in (cutoff + 1, cutoff + 1 - SWEEP_STEP):
-        lam, deficit = _normalized(schmidt[:d])
-        kets, deficits = zip(*(_normalized(c[:d]) for c in coherent))
-        inputs.append((np.array(kets).real, lam, max(deficit, *deficits)))
-    return inputs
+        lam[first : first + d], deficit = _normalized(schmidt[:d])
+        for ket, c in zip(kets, coherent):
+            norm2 = float(np.vdot(c[:d], c[:d]).real)
+            np.multiply(c[:d].real, 1 / math.sqrt(norm2) if norm2 > 0 else 1.0, out=ket[first : first + d])
+            deficit = max(deficit, 1.0 - norm2)
+        deficits.append(deficit)
+        first += d
+    return kets, lam, deficits
 
 
 class SqueezeGenerator(NamedTuple):
@@ -597,26 +615,20 @@ class OracleEntropy:
         return abs(self.value - self.value_check)
 
 
-@lru_cache(maxsize=16)
-def _eve_layout(order, cutoff):
-    """(slot, column, faces, top, shift): what each position of the
-    eavesdropper's factor reads, as (K, d, width) blocks of the K = `order`
-    rotation classes of her columns, and where its leakage lies.
+def _class_positions(order, cutoff):
+    """(dest, a, e, top, shift): where each entry of `_bs_sectors` at
+    `cutoff` lands in the eavesdropper's factor, as (K, d, width) blocks of
+    the K = `order` rotation classes of her columns, and what it reads.
 
-    The entry of `_bs_sectors` in row (b, c') and column (a, e) carries the
-    factor's entry at row b and column (c', e), with a = b + c' - e.  Her
-    columns fall into the classes q = (c' - e) mod K, each listed in
-    increasing order of c' d + e and padded with zeros to the width of the
-    largest (d = cutoff + 1).  At each flat position of the blocks, `slot`
-    indexes its entry among the `_bs_slot_values` and `column` its input
-    weight ket[a] lam_e, at a (d + 1) + e in a (d, d + 1) grid whose last
-    column is zero; a position no entry lands on points at one appended
-    zero entry and at that zero weight.  `faces` lists the positions where
-    `top`, 1 to 3, of b, c' and e sit at the top level `cutoff`, so
-    sum top |entry|^2 over them is the leakage.  `shift` holds the
-    (K, width) offsets c' - e of the class columns (0 in the padding).
-    Read-only, since every caller shares it.
-    """
+    The entry in row (b, c') and column (a, e) carries the factor's entry
+    at row b and column (c', e), with a = b + c' - e.  Her columns fall
+    into the classes q = (c' - e) mod K, each listed in increasing order of
+    c' d + e and padded with zeros to the width of the largest
+    (d = cutoff + 1).  `dest` is each entry's flat position in the blocks,
+    a and e index its input weight ket[a] lam_e, and `top`, 0 to 3, counts
+    how many of b, c' and e sit at the top level `cutoff`, so
+    sum top |entry|^2 is the leakage.  `shift` holds the (K, width) offsets
+    c' - e of the class columns (0 in the padding)."""
     d = cutoff + 1
     *_, row, col = _bs_sectors(cutoff)
     b, c = np.divmod(row, d)
@@ -632,40 +644,100 @@ def _eve_layout(order, cutoff):
         shift[q, : members.size] = offsets[members]
     ce = c * d + e  # her column (c', e)
     dest = (classes[ce] * d + b) * shift.shape[1] + rank[ce]
-    slot = np.full(d * shift.size, row.size)
-    slot[dest] = np.arange(row.size)
-    column = np.append(a * (d + 1) + e, d).take(slot)
     top = np.add.reduce([b == cutoff, c == cutoff, e == cutoff], dtype=float)
-    faces = np.flatnonzero(top)
-    faces, top = dest[faces], top[faces]
-    for arr in (slot, column, faces, top, shift):
+    return dest, a, e, top, shift
+
+
+class SweepLayout(NamedTuple):
+    """What each position of a sweep's two factors and of their leakage
+    reads, for K = `order` rotation classes and a top cutoff
+    (`_sweep_layout`).
+
+    The positions are the top cutoff's (K, d, width) blocks, the check
+    cutoff's (K, d', width') blocks, then the top faces of each: the
+    positions where any of b, c' and e sits at its cutoff, in the order of
+    the `_bs_sectors` entries, `ends` closing each of the four runs.  At
+    each position `slot` indexes its entry among both cutoffs'
+    `_bs_slot_values` (-1, an appended zero, in the padding) and `column`
+    its weight ket[a] lam_e in the flat outer product of the
+    `_sweep_inputs`, the appended zero lam in the padding.  `top` holds each
+    cutoff's face counts and `shift` its (K, width) class offsets
+    (`_class_positions`).  Read-only, since every caller shares it."""
+
+    slot: np.ndarray
+    column: np.ndarray
+    ends: tuple
+    top: tuple
+    shift: tuple
+
+
+@lru_cache(maxsize=16)
+def _sweep_layout(order, cutoff):
+    """The `SweepLayout` of K = `order` classes for a sweep from `cutoff`."""
+    levels = 2 * (cutoff + 1) - SWEEP_STEP  # the kets' levels, d + d'
+    slots, columns, faces, tops, shifts = [], [], [], [], []
+    entries = first = size = 0  # the earlier cutoff's entries, levels and positions
+    for c in (cutoff, cutoff - SWEEP_STEP):
+        dest, a, e, top, shift = _class_positions(order, c)
+        slot = np.full(order * (c + 1) * shift.shape[1], -1)
+        slot[dest] = entries + np.arange(dest.size)
+        column = np.full(slot.size, levels)
+        column[dest] = (first + a) * (levels + 1) + first + e
+        face = np.flatnonzero(top)
+        slots.append(slot)
+        columns.append(column)
+        faces.append(size + dest[face])
+        tops.append(top[face])
+        shifts.append(shift)
+        entries, first, size = entries + dest.size, first + c + 1, size + slot.size
+    faces = np.concatenate(faces)
+    slot, column = np.concatenate(slots), np.concatenate(columns)
+    slot, column = np.append(slot, slot[faces]), np.append(column, column[faces])
+    ends = tuple(np.cumsum([run.size for run in (*slots, *tops)]).tolist())
+    for arr in (slot, column, *tops, *shifts):
         arr.flags.writeable = False
-    return slot, column, faces, top, shift
+    return SweepLayout(slot, column, ends, tuple(tops), tuple(shifts))
 
 
-# Eight keys: a tau-major scan (`cli`) needs one tau's two cutoffs, and a
-# replayed grid of three taus, as in the oracle-scan benchmark, needs six.
-# A QPSK key costs 55 KB at cutoff 18 and 22 KB at 13.  A kept result is
-# not reused as scratch, so each miss writes to memory the last calls did
-# not touch.
-@lru_cache(maxsize=8)
+# Four keys, one per tau: a tau-major scan (`cli`) needs one, and a
+# replayed grid of three taus, as in the oracle-scan benchmark, needs
+# three.  A QPSK key at cutoff 18 costs 84 KB: 55 KB of cutoff-18 blocks,
+# 22 KB of cutoff-13 blocks and 7 KB of faces.  A kept result is not
+# reused as scratch, so each miss writes to memory the last calls did not
+# touch.
+@lru_cache(maxsize=4)
 def _eve_bs_values(tau, cutoff, order):
-    """The beam splitter's in-sector entries (`_bs_slot_values`) at each
-    position of the `_eve_layout` blocks of K = `order` classes, 0 where
-    no entry lands.  Cached by (tau, cutoff, order) and read-only, since
-    every caller shares it: cells of a scan that differ in nbar or alpha
-    alone reuse it.  An invalid tau raises, and exceptions are not cached."""
-    values = np.append(_bs_slot_values(tau, cutoff), 0.0).take(_eve_layout(order, cutoff)[0])
+    """The beam splitter's in-sector entries (`_bs_slot_values`) of both
+    cutoffs of a sweep from `cutoff` at each position of its
+    `_sweep_layout` of K = `order` classes, 0 in the padding: one key per
+    tau.  Cached by (tau, cutoff, order) and read-only, since every caller
+    shares it: cells of a scan that differ in nbar or alpha alone reuse
+    it.  An invalid tau raises, and exceptions are not cached."""
+    entries = [_bs_slot_values(tau, c) for c in (cutoff, cutoff - SWEEP_STEP)]
+    values = np.concatenate([*entries, [0.0]]).take(_sweep_layout(order, cutoff).slot)
     values.flags.writeable = False
     return values
 
 
-def _eve_factor(representatives, order, tau, inputs):
-    """(blocks, leak): the real factor of the eavesdropper's state for the
-    R orbit representatives of `cloner._rotation_orbits`, as an
-    (R, K, d, width) stack of her K = `order` rotation-class blocks
-    (`_eve_layout`), and the worst truncation leakage, at the cutoff of
-    one of the `_sweep_inputs`.
+def _sweep_leaks(weights, values, layout):
+    """Each cutoff's (R,) truncation leakage of the R representatives, from
+    the top faces of its factor alone: the same products ket[a] lam_e U as
+    the factor's (`_sweep_factors`) and the same dot of their squares with
+    the face counts."""
+    blocks_end, top_end = layout.ends[1:3]
+    faces = weights.take(layout.column[blocks_end:], axis=1)
+    faces *= values[blocks_end:]
+    np.square(faces, out=faces)
+    split = top_end - blocks_end
+    return faces[:, :split] @ layout.top[0], faces[:, split:] @ layout.top[1]
+
+
+def _sweep_factors(representatives, weights, values, layout):
+    """The eavesdropper's factors at both cutoffs of a sweep, for the R
+    orbit representatives of `cloner._rotation_orbits`, each an
+    (R, K, d, width) stack of her K rotation-class blocks
+    (`_class_positions`), from the outer product `weights` of the
+    `_sweep_inputs` and the cached entries `values` (`_eve_bs_values`).
 
     For each amplitude alpha: coherent (x) TMSV on modes (A, C, E), beam
     splitter on (A, C), and the output tensor's rows indexed by the first
@@ -673,8 +745,9 @@ def _eve_factor(representatives, order, tau, inputs):
     lam_e |e>_C |e>_E, so the input |a, e, e> lies in photon-number sector
     a + e, and each output entry is one product with no sum:
     out[b, c', e] = ket[a] lam_e U[(b, c'), (a, e)], with a = b + c' - e.
-    So the blocks are one gather of the input weights ket[a] lam_e times
-    the beam splitter's entries in the same layout (`_eve_bs_values`).
+    So both factors are one gather of the input weights ket[a] lam_e
+    times the beam splitter's entries in the same layout, one multiply
+    and one sqrt(p) scale, taken only once both leakage gates have passed.
 
     The oracle's arithmetic is real.  The beam splitter's generator
     a^dag b - a b^dag is real and antisymmetric in the Fock basis, so U is
@@ -685,38 +758,35 @@ def _eve_factor(representatives, order, tau, inputs):
     unitary similarity of each Gram block conj(M_q) M_q^T, and the column
     phases cancel in it when every representative has the same arg alpha,
     so the real blocks have the spectra of the complex ones.  Only where
-    the representatives' phases differ does `_eve_entropy` apply the
-    relative column phases exp(i (c' - e) (arg alpha_k - arg alpha_0)) and
-    form complex blocks.  The leakage, which no phase changes, is taken
-    from the real blocks.  The real inputs, the kets of each |alpha| and
-    the Schmidt coefficients lam_e, come from `_sweep_inputs`.
-    """
-    kets, lam, deficit = inputs
-    cutoff = lam.size - 1
-    _, column, faces, top, _ = _eve_layout(order, cutoff)
-    weights = np.multiply.outer(kets, np.append(lam, 0.0)).reshape(len(kets), -1)
-    blocks = weights.take(column, axis=1)
-    # a float key: a 0-d array tau would be unhashable
-    blocks *= _eve_bs_values(float(tau), cutoff, order)
-    leaks = np.square(blocks.take(faces, axis=1)) @ top
+    the representatives' phases differ, tested once per cell and never for
+    one representative, are the relative column phases
+    exp(i (c' - e) (arg alpha_k - arg alpha_0)) applied, making complex
+    blocks.  The leakage, which no phase changes, is taken from the real
+    entries (`_sweep_leaks`)."""
+    count = len(weights)
+    blocks_end = layout.ends[1]
+    blocks = weights.take(layout.column[:blocks_end], axis=1)
+    blocks *= values[:blocks_end]
     blocks *= np.sqrt(representatives.probs)[:, None]
-    return blocks.reshape(len(kets), order, cutoff + 1, -1), max(deficit, *leaks.tolist())
+    top_end = layout.ends[0]
+    factors = [f.reshape(count, len(s), -1, s.shape[1])
+               for f, s in zip((blocks[:, :top_end], blocks[:, top_end:]), layout.shift)]
+    if count > 1:
+        phase = np.angle(representatives.amplitudes)
+        if np.any(phase != phase[0]):
+            factors = [f * np.exp(1j * np.multiply.outer(phase - phase[0], s))[:, :, None, :]
+                       for f, s in zip(factors, layout.shift)]
+    return factors
 
 
-def _eve_entropy(representatives, order, blocks, base):
-    """Eavesdropper entropy at one cutoff from the `_eve_factor` blocks of
-    the orbit representatives of `cloner._rotation_orbits`, which have
-    passed their leakage gate: the sum, over the K = `order` rotation
-    classes, of the entropy of the Gram block conj(M_q) M_q^T of the
-    class-q columns M_q (`_eve_factor` argues when the relative column
-    phases applied here are needed).  All K Gram blocks come from one
-    stacked product and one stacked `eigvalsh`, and their K spectra go
-    through one `states.spectrum_entropy` pass, which floors each block's
-    entropy at 0 on its own."""
-    phase = np.angle(representatives.amplitudes)
-    if np.any(phase != phase[0]):
-        shift = _eve_layout(order, blocks.shape[2] - 1)[-1]
-        blocks = blocks * np.exp(1j * np.multiply.outer(phase - phase[0], shift))[:, :, None, :]
+def _eve_entropy(order, blocks, base):
+    """Eavesdropper entropy at one cutoff from the `_sweep_factors` blocks
+    of the orbit representatives, which have passed their leakage gate:
+    the sum, over the K = `order` rotation classes, of the entropy of the
+    Gram block conj(M_q) M_q^T of the class-q columns M_q.  All K Gram
+    blocks come from one stacked product and one stacked `eigvalsh`, and
+    their K spectra go through one `states.spectrum_entropy` pass, which
+    floors each block's entropy at 0 on its own."""
     count, _, d, width = blocks.shape
     blocks = blocks.transpose(1, 0, 2, 3).reshape(order, count * d, width)
     rows = blocks.conj() if np.iscomplexobj(blocks) else blocks
@@ -730,7 +800,7 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
 
     The state of the eavesdropper's two modes is rho = M^T conj(M), with M
     the K*d x d^2 factor of the K amplitudes (d = cutoff+1 levels) that
-    `_eve_factor` builds.  Its entropy is taken from the Gram side
+    `_sweep_factors` builds.  Its entropy is taken from the Gram side
     conj(M) M^T, which has the same nonzero spectrum, reduced by the
     constellation's rotation symmetry (`cloner._rotation_orbits`,
     amplitudes paired within `cloner.SYMMETRY_RTOL` = 1e-12 relative to
@@ -745,14 +815,16 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
     instead of one 76 x 76; with no symmetry (K = 1) it is the single
     K*d x K*d Gram.  The leakage is taken from the representatives, which
     is exact because a rotation keeps photon numbers.  M is real
-    (`_eve_factor` argues why), and the K blocks are formed, diagonalized
-    and summed together (`_eve_entropy`).
+    (`_sweep_factors` argues why), and the K blocks are formed,
+    diagonalized and summed together (`_eve_entropy`).
 
     The same entropy is recomputed at cutoff - `SWEEP_STEP` (5 levels
     lower), from the first levels of the same input series
-    (`_sweep_inputs`).  The truncation leakage must stay below
-    `DEFICIT_LIMIT` = 1e-6 at the cutoff, then at the check cutoff, gated
-    before either Gram block is diagonalized, and the two values must
+    (`_sweep_inputs`), with the beam splitter's entries of both cutoffs
+    under one key per tau (`_eve_bs_values`).  The truncation leakage must
+    stay below `DEFICIT_LIMIT` = 1e-6 at the cutoff, then at the check
+    cutoff, taken from the factors' top faces alone and gated before the
+    gather of either factor (`_sweep_leaks`), and the two values must
     agree within `DRIFT_LIMIT` = 1e-4; otherwise FockConvergenceError is
     raised and no value is returned.  `cutoff` must be an integer, not a
     bool, and at least 7, or ValueError is raised.
@@ -767,13 +839,15 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
         raise ValueError(f"cutoff must be >= 7 to allow the convergence sweep, got {cutoff}")
     order, representatives = _rotation_orbits(constellation)
     check_cutoff = cutoff - SWEEP_STEP
-    moduli = np.abs(representatives.amplitudes).tolist()
-    factors = []
-    for c, inputs in zip((cutoff, check_cutoff), _sweep_inputs(moduli, params.nbar, cutoff)):
-        blocks, leak = _eve_factor(representatives, order, params.tau, inputs)
-        _require_deficit(leak, f"the oracle state at cutoff {c}")
-        factors.append(blocks)
-    value, value_check = (_eve_entropy(representatives, order, f, base) for f in factors)
+    layout = _sweep_layout(order, cutoff)
+    kets, lam, deficits = _sweep_inputs(np.abs(representatives.amplitudes).tolist(), params.nbar, cutoff)
+    weights = np.multiply.outer(kets, lam).reshape(len(kets), -1)
+    # a float key: a 0-d array tau would be unhashable
+    values = _eve_bs_values(float(params.tau), cutoff, order)
+    for c, deficit, leaks in zip((cutoff, check_cutoff), deficits, _sweep_leaks(weights, values, layout)):
+        _require_deficit(max(deficit, *leaks.tolist()), f"the oracle state at cutoff {c}")
+    factors = _sweep_factors(representatives, weights, values, layout)
+    value, value_check = (_eve_entropy(order, f, base) for f in factors)
     result = OracleEntropy(
         value=value, value_check=value_check, cutoff=cutoff, check_cutoff=check_cutoff
     )

@@ -271,4 +271,4 @@ def test_class_gram_reference_keeps_its_per_class_loop(monkeypatch):
     got = reference.class_gram_oracle_entropy(reps, order, params, 7)
     assert shapes == [(8, 8)] * 4
     blocks, _ = oracle_factor(reps, order, params, 7)
-    assert got == pytest.approx(fock._eve_entropy(reps, order, blocks, "bits"), abs=1e-13)
+    assert got == pytest.approx(fock._eve_entropy(order, blocks, "bits"), abs=1e-13)

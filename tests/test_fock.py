@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,12 +35,25 @@ from reference import (
 from test_golden import ORACLE_RTOL
 
 
-def oracle_factor(representatives, order, params, cutoff):
-    """`fock._eve_factor` at `cutoff` alone: (blocks, leak) from the first
-    of the oracle's `_sweep_inputs`, before its leakage gate."""
+def oracle_sweep(representatives, order, params, cutoff):
+    """(weights, values, layout, deficits): what a cell of the oracle
+    sweeping from `cutoff` gathers its factors and leakage from."""
     moduli = np.abs(representatives.amplitudes).tolist()
-    inputs = fock._sweep_inputs(moduli, params.nbar, cutoff)[0]
-    return fock._eve_factor(representatives, order, params.tau, inputs)
+    kets, lam, deficits = fock._sweep_inputs(moduli, params.nbar, cutoff)
+    weights = np.multiply.outer(kets, lam).reshape(len(kets), -1)
+    return weights, fock._eve_bs_values(float(params.tau), cutoff, order), fock._sweep_layout(order, cutoff), deficits
+
+
+def oracle_factor(representatives, order, params, cutoff, real=False):
+    """(blocks, leak) of the oracle at `cutoff`, the top of its sweep:
+    `fock._sweep_factors` and the worst leakage, before the leakage gate.
+    With `real`, the factor of the moduli alone, with no column phase."""
+    weights, values, layout, deficits = oracle_sweep(representatives, order, params, cutoff)
+    leak = max(deficits[0], *fock._sweep_leaks(weights, values, layout)[0].tolist())
+    if real:
+        representatives = SimpleNamespace(amplitudes=np.abs(representatives.amplitudes),
+                                          probs=representatives.probs)
+    return fock._sweep_factors(representatives, weights, values, layout)[0], leak
 
 
 class TestStates:
@@ -487,7 +501,7 @@ class TestEveExact:
                   for name in ("two-ring-z4", "skewed-three", "with-origin")]
         for constellation, nbar in cases:
             params = ChannelParams(tau=tau, nbar=nbar)
-            blocks, leak = oracle_factor(constellation, 1, params, cutoff)
+            blocks, leak = oracle_factor(constellation, 1, params, cutoff, real=True)
             assert blocks.dtype == np.float64
             phi = np.angle(constellation.amplitudes)[:, None, None]
             m = blocks[:, 0] * np.exp(1j * phi * (b + c - e))
@@ -517,9 +531,9 @@ class TestEveExact:
         assert vecs.shape == vecs_t.shape == (14, 14, 14) and vals.shape == (14, 14)
         assert vecs.dtype == vecs_t.dtype == np.float64
         assert index.shape == sign.shape == row.shape == col.shape
-        layout = fock._eve_layout(4, 13)
-        assert fock._eve_layout(4, 13) is layout
-        for arr in (*cache, *layout):
+        layout = fock._sweep_layout(4, 13)
+        assert fock._sweep_layout(4, 13) is layout
+        for arr in (*cache, layout.slot, layout.column, *layout.top, *layout.shift):
             with pytest.raises(ValueError, match="read-only"):
                 arr.flat[0] = 0
         # cutoff 18 also sweeps 13, cutoff 13 also sweeps 8; QPSK takes the
@@ -539,7 +553,7 @@ class TestEveExact:
         for call, first in zip(calls, interleaved):
             fock._bs_sectors.cache_clear()
             fock._eve_bs_values.cache_clear()
-            fock._eve_layout.cache_clear()
+            fock._sweep_layout.cache_clear()
             fresh = run(*call)
             assert np.array_equal(first[0], fresh[0])
             assert first[1:] == fresh[1:]
@@ -557,14 +571,14 @@ class TestEveExact:
                 fock._eve_bs_values(1.5, 7, 4)
 
     def test_scan_reuses_each_tau_and_matches_single_cells(self):
-        # each of the 5 taus misses at cutoffs 18 and 13 for the first nbar
-        # and hits for the second; every row is bit for bit the one of its
+        # each of the 5 taus misses once, for both cutoffs of its sweep,
+        # for the first nbar and hits for the second; every row is bit for bit the one of its
         # cell run alone, with the cache warm and cold
         cfg = ScanConfig(nbars=[0.01, 0.1], tau_steps=5, methods=["oracle"])
         fock._eve_bs_values.cache_clear()
         rows = run_scan(cfg)
         info = fock._eve_bs_values.cache_info()
-        assert (info.misses, info.hits) == (10, 10)
+        assert (info.misses, info.hits) == (5, 5)
         assert run_scan(cfg) == rows
         cells = [(tau, nbar) for nbar in cfg.nbars for tau in cfg.tau_grid().tolist()]
         for (tau, nbar), row in zip(cells, rows, strict=True):
@@ -573,13 +587,13 @@ class TestEveExact:
             fock._eve_bs_values.cache_clear()
             assert warm == run_scan(alone) == [row]
 
-    def test_default_oracle_scan_hits_once_per_tau_and_cutoff(self):
-        # visited nbar-major, the default grid's 100 keys would outnumber the
-        # cache's 8 and no call would hit; tau-major, the second nbar hits
+    def test_default_oracle_scan_hits_once_per_tau(self):
+        # visited nbar-major, the default grid's 50 keys would outnumber the
+        # cache's 4 and no call would hit; tau-major, the second nbar hits
         fock._eve_bs_values.cache_clear()
         run_scan(ScanConfig(methods=["oracle"]))
         info = fock._eve_bs_values.cache_info()
-        assert (info.misses, info.hits) == (100, 100)
+        assert (info.misses, info.hits) == (50, 50)
 
     # the alpha = 2 cells of the oracle grid that cutoff 18 leaves
     # not-converged
@@ -605,23 +619,53 @@ class TestEveExact:
             fock.eve_exact_entropy(qpsk(0.5), ChannelParams(tau=0.5, nbar=0.01), cutoff=13)
 
     def test_both_leakage_gates_run_before_any_eigensolve(self, monkeypatch):
-        # the cell passes the cutoff-18 gate and fails the cutoff-13 one, so
-        # no Gram block is diagonalized
-        calls = []
-        eigvalsh = np.linalg.eigvalsh
+        # the first cell passes the cutoff-18 gate and fails the cutoff-13
+        # one, the second fails the cutoff-18 one, so neither gathers its
+        # factors or diagonalizes a Gram block
+        calls, gathers = [], []
+        eigvalsh, sweep_factors = np.linalg.eigvalsh, fock._sweep_factors
 
         def counting(a, *args, **kwargs):
             calls.append(a.shape)
             return eigvalsh(a, *args, **kwargs)
 
+        def gathering(*args):
+            gathers.append(args[1].shape)
+            return sweep_factors(*args)
+
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        with pytest.raises(fock.FockConvergenceError) as error:
-            fock.eve_exact_entropy(qpsk(2.0), ChannelParams(tau=0.5, nbar=0.01))
-        assert str(error.value) == ("truncation leakage 7.633e-05 > 1e-06 for the oracle state "
-                                    "at cutoff 13; raise the cutoff")
-        assert calls == []
+        monkeypatch.setattr(fock, "_sweep_factors", gathering)
+        for alpha, nbar, cutoff, leak in [(2.0, 0.01, 13, "7.633e-05"), (1.0, 2.0, 18, "4.511e-04")]:
+            with pytest.raises(fock.FockConvergenceError) as error:
+                fock.eve_exact_entropy(qpsk(alpha), ChannelParams(tau=0.5, nbar=nbar))
+            assert str(error.value) == (f"truncation leakage {leak} > 1e-06 for the oracle state "
+                                        f"at cutoff {cutoff}; raise the cutoff")
+        assert calls == gathers == []
         fock.eve_exact_entropy(qpsk(0.5), ChannelParams(tau=0.5, nbar=0.01))
         assert calls == [(4, 19, 19), (4, 14, 14)]
+        assert len(gathers) == 1
+
+    @pytest.mark.parametrize("name", ["qpsk", "skewed-three", "two-ring-z4"])
+    def test_face_leakage_is_the_full_blocks_top_face_leakage(self, name):
+        # R = 1 for QPSK; R = 3 and 2 take the dot over a column slice of
+        # the faces of both cutoffs
+        order, reps = _rotation_orbits(SYMMETRY_CASES[name][0])
+        weights, values, layout, _ = oracle_sweep(reps, order, ChannelParams(tau=0.3, nbar=0.1), 18)
+        leaks = fock._sweep_leaks(weights, values, layout)
+        blocks_end = layout.ends[1]
+        blocks = weights.take(layout.column[:blocks_end], axis=1) * values[:blocks_end]
+        runs = [(0, layout.ends[0]), (layout.ends[0], blocks_end)]
+        faces = np.split(layout.slot[blocks_end:], [layout.ends[2] - blocks_end])
+        for (lo, hi), face, top, leak in zip(runs, faces, layout.top, leaks):
+            # each face's position within its own cutoff's blocks
+            slot = layout.slot[lo:hi]
+            position = np.full(layout.slot.max() + 1, -1)
+            position[slot[slot >= 0]] = np.flatnonzero(slot >= 0)
+            place = position[face]
+            assert np.all(place >= 0)
+            want = np.square(blocks[:, lo:hi].take(place, axis=1)) @ top
+            assert leak.shape == (len(reps.amplitudes),)
+            assert np.array_equal(leak, want)
 
     def test_cutoff_floor(self):
         with pytest.raises(ValueError, match="cutoff"):
@@ -891,9 +935,13 @@ class TestOracleInputs:
     def test_sweep_inputs_are_the_builders_at_both_cutoffs(self, cutoff):
         moduli = [0.0, 0.5, 2.0, 40.0, 1e155]
         for nbar in (0.0, 1e-12, 2.0, 1e17):
-            inputs = fock._sweep_inputs(moduli, nbar, cutoff)
-            assert len(inputs) == 2
-            for (kets, lam, deficit), c in zip(inputs, (cutoff, cutoff - fock.SWEEP_STEP)):
+            all_kets, all_lam, deficits = fock._sweep_inputs(moduli, nbar, cutoff)
+            assert all_kets.shape == (len(moduli), 2 * cutoff + 2 - fock.SWEEP_STEP)
+            assert all_lam.shape == (all_kets.shape[1] + 1,) and all_lam[-1] == 0
+            first = 0
+            for deficit, c in zip(deficits, (cutoff, cutoff - fock.SWEEP_STEP)):
+                kets, lam = all_kets[:, first : first + c + 1], all_lam[first : first + c + 1]
+                first += c + 1
                 want = [fock._modulus_ket(m, c) for m in moduli]
                 want_lam, want_deficit = fock._tmsv_schmidt(nbar, c)
                 assert kets.shape == (len(moduli), c + 1) and kets.dtype == np.float64
@@ -901,7 +949,7 @@ class TestOracleInputs:
                 assert np.array_equal(lam, want_lam)
                 assert deficit == max(want_deficit, *(d for _, d in want))
             if nbar == 1e17:
-                assert inputs[0][2] == inputs[1][2] == 1.0
+                assert deficits == [1.0, 1.0]
 
     def test_modulus_ket_underflow(self):
         with warnings.catch_warnings():
@@ -936,7 +984,7 @@ class TestStackedClassGrams:
         params = ChannelParams(tau=tau, nbar=nbar)
         for cutoff in (18, 13):
             blocks, _ = oracle_factor(reps, order, params, cutoff)
-            got = fock._eve_entropy(reps, order, blocks, "bits")
+            got = fock._eve_entropy(order, blocks, "bits")
             want = class_gram_oracle_entropy(reps, order, params, cutoff)
             assert abs(got - want) < 1e-13
 
@@ -944,29 +992,37 @@ class TestStackedClassGrams:
         (1, [361]), (2, [181, 180]), (4, [91, 90, 90, 90]), (8, [47, 46, 45, 44, 44, 44, 45, 46]),
     ])
     def test_class_columns_padded(self, order, widths):
-        d, width = 19, max(widths)
-        slot, column, faces, top, shift = fock._eve_layout(order, 18)
+        # the cutoff-18 run of the sweep layout from 18, whose weights are
+        # the outer product of 33 levels (19 + 14) with 34 (a closing zero)
+        d, width, levels = 19, max(widths), 33
+        layout = fock._sweep_layout(order, 18)
+        shift = layout.shift[0]
         assert shift.shape == (order, width)
+        slot, column = layout.slot[: layout.ends[0]], layout.column[: layout.ends[0]]
         assert slot.shape == column.shape == (order * d * width,)
         *_, row, col = fock._bs_sectors(18)
         q, b_dest, place = np.unravel_index(np.arange(slot.size), (order, d, width))
         # every beam-splitter entry lands on one position, in its row b and
         # in the class of its column (c', e); the other positions read the
-        # appended zero entry and the zero weight column d
-        hit = slot < row.size
+        # appended zero entry (-1) and the closing zero weight
+        hit = slot >= 0
         assert np.array_equal(np.sort(slot[hit]), np.arange(row.size))
         b, c = np.divmod(row[slot[hit]], d)
         a, e = np.divmod(col[slot[hit]], d)
         assert np.array_equal(b_dest[hit], b)
         assert np.all((c - e) % order == q[hit])
-        assert np.array_equal(column[hit], a * (d + 1) + e)
-        assert np.all(column[~hit] == d)
+        assert np.array_equal(column[hit], a * (levels + 1) + e)
+        assert np.all(slot[~hit] == -1) and np.all(column[~hit] == levels)
         # the leakage positions: any of b, c' and e at the top level, and
         # how many
         count = np.zeros(slot.size)
         count[hit] = (b == 18) * 1.0 + (c == 18) + (e == 18)
+        position = np.empty(row.size, dtype=int)
+        position[slot[hit]] = np.flatnonzero(hit)
+        faces = position[layout.slot[layout.ends[1] : layout.ends[2]]]
         assert np.array_equal(np.sort(faces), np.flatnonzero(count))
-        assert np.array_equal(top, count[faces])
+        assert np.array_equal(layout.top[0], count[faces])
+        assert np.array_equal(layout.column[layout.ends[1] : layout.ends[2]], column[faces])
         # each column (c', e) has exactly one place in its class, the class
         # lists its columns in increasing order from place 0, and the rest
         # of the class block is padding
@@ -991,11 +1047,12 @@ class TestStackedClassGrams:
     @pytest.mark.parametrize("order", [1, 4])
     @pytest.mark.parametrize("tau", [0.0, 0.3, 1.0])
     def test_cached_values_are_the_entries_in_the_layout(self, order, tau):
+        # one key holds both cutoffs of the sweep from 13, and their faces
         values = fock._eve_bs_values(tau, 13, order)
-        slot = fock._eve_layout(order, 13)[0]
-        entries = fock._bs_slot_values(tau, 13)
+        slot = fock._sweep_layout(order, 13).slot
+        entries = np.concatenate([fock._bs_slot_values(tau, 13), fock._bs_slot_values(tau, 8)])
         assert values.shape == slot.shape
-        hit = slot < entries.size
+        hit = slot >= 0
         assert np.array_equal(values[hit], entries[slot[hit]])
         assert np.all(values[~hit] == 0)
 
