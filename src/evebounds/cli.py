@@ -20,8 +20,9 @@ eigensolve, from the constellation's part and two numbers per cell
 `bm-get` then run on floats per cell.  The oracle runs per cell,
 tau-major, so the cells that share a transmittance reuse its cached beam
 splitter, one key per tau for both cutoffs of the sweep
-(`fock._eve_bs_values`).  Every value is the one the library
-call returns for that cell alone.
+(`fock._eve_bs_values`), and, for up to eight nbars, the cells that
+share an nbar reuse their cached inputs (`fock._sweep_weights`).  Every
+value is the one the library call returns for that cell alone.
 """
 
 import argparse
@@ -123,8 +124,10 @@ def _column(method, cfg, constellation, cells, ensemble):
     if method == "bm-gme":
         return gram_ensemble_entropy(ensemble, base=cfg.log_base).tolist()
     if method == "oracle":
-        # tau-major, so each tau's beam splitter is built once for all nbars:
-        # this relies on `fock._eve_bs_values` holding one key per tau
+        # tau-major, so each tau's beam splitter is built once for all nbars
+        # and, for up to eight nbars, each nbar's inputs once for all taus:
+        # this relies on `fock._eve_bs_values` holding one key per tau and
+        # `fock._sweep_weights` eight keys
         values = [None] * len(cells)
         for i in sorted(range(len(cells)), key=lambda i: cells[i].tau):
             with suppress(FockConvergenceError):

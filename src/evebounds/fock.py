@@ -27,9 +27,12 @@ A map of the module; each argument is made once, in the docstring named.
   run of each recurrence (`_sweep_inputs`), one layout places both
   factors and their top faces (`_sweep_layout`), and the beam splitter's
   entries at one transmittance are cached with one key per tau, both
-  cutoffs in the factors' layout (`_eve_bs_values`).  The leakage is
-  gated from the top faces alone (`_sweep_leaks`), before the gather of
-  both factors (`_sweep_factors`).
+  cutoffs in the factors' layout (`_eve_bs_values`).  The inputs' weight
+  vector and deficits, which no transmittance changes, are cached beside
+  them with one key per (moduli, nbar, cutoff) (`_sweep_weights`), so a
+  cell's own work is its leakage, gated from the top faces alone
+  (`_sweep_leaks`), the gather of both factors (`_sweep_factors`) and
+  their eigensolves.
 - `fock_entropy` serves the `--check` suites.
 The module runs on numpy alone; the sparse and scipy references it is
 checked against live in `tests/reference.py`.
@@ -149,7 +152,9 @@ def _sweep_inputs(moduli, nbar, cutoff):
     `SWEEP_STEP`, side by side in one real (R, d + d') array and one
     (d + d' + 1,) array closed by a zero, bit for bit `_modulus_ket` and
     `_tmsv_schmidt` at each cutoff, and each cutoff's worst deficit.  Their
-    outer product is the weight vector that `_sweep_layout` gathers from.
+    outer product is the weight vector that `_sweep_layout` gathers from,
+    taken with the deficits once per (moduli, nbar, cutoff)
+    (`_sweep_weights`).
 
     Each builder's series runs once, at `cutoff`; its first levels are its
     series at a lower cutoff, so the check cutoff normalizes them alone.
@@ -699,12 +704,15 @@ def _sweep_layout(order, cutoff):
     return SweepLayout(slot, column, ends, tuple(tops), tuple(shifts))
 
 
-# Four keys, one per tau: a tau-major scan (`cli`) needs one, and a
-# replayed grid of three taus, as in the oracle-scan benchmark, needs
-# three.  A QPSK key at cutoff 18 costs 84 KB: 55 KB of cutoff-18 blocks,
-# 22 KB of cutoff-13 blocks and 7 KB of faces.  A kept result is not
-# reused as scratch, so each miss writes to memory the last calls did not
-# touch.
+# The oracle's two per-key caches.  `_eve_bs_values` keeps four keys, one
+# per tau: a tau-major scan (`cli`) needs one, and a replayed grid of three
+# taus, as in the oracle-scan benchmark, needs three.  A QPSK key at
+# cutoff 18 costs 84 KB: 55 KB of cutoff-18 blocks, 22 KB of cutoff-13
+# blocks and 7 KB of faces.  `_sweep_weights` keeps eight keys, one per
+# (moduli, nbar, cutoff): a tau-major scan of up to eight nbars reuses each
+# for every tau, and a QPSK key at cutoff 18 costs 9 KB, 33 x 34 weights.
+# A kept result is not reused as scratch, so each miss writes to memory
+# the last calls did not touch.
 @lru_cache(maxsize=4)
 def _eve_bs_values(tau, cutoff, order):
     """The beam splitter's in-sector entries (`_bs_slot_values`) of both
@@ -717,6 +725,20 @@ def _eve_bs_values(tau, cutoff, order):
     values = np.concatenate([*entries, [0.0]]).take(_sweep_layout(order, cutoff).slot)
     values.flags.writeable = False
     return values
+
+
+@lru_cache(maxsize=8)
+def _sweep_weights(moduli, nbar, cutoff):
+    """(weights, deficits): the (R, (d + d') (d + d' + 1)) outer product of
+    the `_sweep_inputs` kets and lam, read-only since every caller shares
+    it, and the two cutoffs' worst deficits.  Cached by (moduli, nbar,
+    cutoff), none of which a transmittance changes: cells of a scan that
+    differ in tau alone reuse it.  It holds inputs only; each cell still
+    takes its own leakage and runs both gates."""
+    kets, lam, deficits = _sweep_inputs(moduli, nbar, cutoff)
+    weights = np.multiply.outer(kets, lam).reshape(len(kets), -1)
+    weights.flags.writeable = False
+    return weights, tuple(deficits)
 
 
 def _sweep_leaks(weights, values, layout):
@@ -821,12 +843,15 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
     The same entropy is recomputed at cutoff - `SWEEP_STEP` (5 levels
     lower), from the first levels of the same input series
     (`_sweep_inputs`), with the beam splitter's entries of both cutoffs
-    under one key per tau (`_eve_bs_values`).  The truncation leakage must
-    stay below `DEFICIT_LIMIT` = 1e-6 at the cutoff, then at the check
-    cutoff, taken from the factors' top faces alone and gated before the
-    gather of either factor (`_sweep_leaks`), and the two values must
-    agree within `DRIFT_LIMIT` = 1e-4; otherwise FockConvergenceError is
-    raised and no value is returned.  `cutoff` must be an integer, not a
+    under one key per tau (`_eve_bs_values`) and the inputs' weights and
+    deficits under one key per (moduli, nbar, cutoff) (`_sweep_weights`);
+    only inputs are cached, so every call takes its own leakage and runs
+    both gates.  The truncation leakage must stay below `DEFICIT_LIMIT` =
+    1e-6 at the cutoff, then at the check cutoff, taken from the factors'
+    top faces alone and gated before the gather of either factor
+    (`_sweep_leaks`), and the two values must agree within `DRIFT_LIMIT` =
+    1e-4; otherwise FockConvergenceError is raised and no value is
+    returned.  `cutoff` must be an integer, not a
     bool, and at least 7, or ValueError is raised.
 
     Returns:
@@ -840,9 +865,9 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
     order, representatives = _rotation_orbits(constellation)
     check_cutoff = cutoff - SWEEP_STEP
     layout = _sweep_layout(order, cutoff)
-    kets, lam, deficits = _sweep_inputs(np.abs(representatives.amplitudes).tolist(), params.nbar, cutoff)
-    weights = np.multiply.outer(kets, lam).reshape(len(kets), -1)
-    # a float key: a 0-d array tau would be unhashable
+    # float keys: a 0-d array tau or nbar would be unhashable
+    moduli = tuple(np.abs(representatives.amplitudes).tolist())
+    weights, deficits = _sweep_weights(moduli, float(params.nbar), cutoff)
     values = _eve_bs_values(float(params.tau), cutoff, order)
     for c, deficit, leaks in zip((cutoff, check_cutoff), deficits, _sweep_leaks(weights, values, layout)):
         _require_deficit(max(deficit, *leaks.tolist()), f"the oracle state at cutoff {c}")

@@ -554,6 +554,7 @@ class TestEveExact:
             fock._bs_sectors.cache_clear()
             fock._eve_bs_values.cache_clear()
             fock._sweep_layout.cache_clear()
+            fock._sweep_weights.cache_clear()
             fresh = run(*call)
             assert np.array_equal(first[0], fresh[0])
             assert first[1:] == fresh[1:]
@@ -589,11 +590,34 @@ class TestEveExact:
 
     def test_default_oracle_scan_hits_once_per_tau(self):
         # visited nbar-major, the default grid's 50 keys would outnumber the
-        # cache's 4 and no call would hit; tau-major, the second nbar hits
+        # cache's 4 and no call would hit; tau-major, the second nbar hits.
+        # The inputs miss once per nbar and hit for every other tau
         fock._eve_bs_values.cache_clear()
+        fock._sweep_weights.cache_clear()
         run_scan(ScanConfig(methods=["oracle"]))
         info = fock._eve_bs_values.cache_info()
         assert (info.misses, info.hits) == (50, 50)
+        info = fock._sweep_weights.cache_info()
+        assert (info.misses, info.hits) == (2, 98)
+
+    def test_scan_of_more_nbars_than_inputs_cached_matches_single_cells(self):
+        # tau-major over nine nbars, one more than `_sweep_weights` keeps,
+        # every input lookup misses; every row is bit for bit the one of
+        # its cell run alone with every oracle cache cleared
+        nbars = [0.0, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1, 2.0]
+        cfg = ScanConfig(nbars=nbars, tau_steps=3, methods=["oracle"])
+        fock._sweep_weights.cache_clear()
+        rows = run_scan(cfg)
+        info = fock._sweep_weights.cache_info()
+        assert (info.misses, info.hits) == (27, 0)
+        assert {row.rsplit(",", 1)[1] for row in rows} == {"ok", "not-converged"}
+        cells = [(tau, nbar) for nbar in nbars for tau in cfg.tau_grid().tolist()]
+        for (tau, nbar), row in zip(cells, rows, strict=True):
+            for cache in (fock._bs_basis, fock._bs_sectors, fock._sweep_layout,
+                          fock._eve_bs_values, fock._sweep_weights, _orbits_by_value):
+                cache.cache_clear()
+            alone = ScanConfig(tau_min=tau, tau_max=tau, tau_steps=1, nbars=[nbar], methods=["oracle"])
+            assert run_scan(alone) == [row]
 
     # the alpha = 2 cells of the oracle grid that cutoff 18 leaves
     # not-converged
@@ -635,11 +659,16 @@ class TestEveExact:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         monkeypatch.setattr(fock, "_sweep_factors", gathering)
-        for alpha, nbar, cutoff, leak in [(2.0, 0.01, 13, "7.633e-05"), (1.0, 2.0, 18, "4.511e-04")]:
-            with pytest.raises(fock.FockConvergenceError) as error:
-                fock.eve_exact_entropy(qpsk(alpha), ChannelParams(tau=0.5, nbar=nbar))
-            assert str(error.value) == (f"truncation leakage {leak} > 1e-06 for the oracle state "
-                                        f"at cutoff {cutoff}; raise the cutoff")
+        # each gate runs with the cached inputs missing, then hitting
+        fock._sweep_weights.cache_clear()
+        for _ in range(2):
+            for alpha, nbar, cutoff, leak in [(2.0, 0.01, 13, "7.633e-05"), (1.0, 2.0, 18, "4.511e-04")]:
+                with pytest.raises(fock.FockConvergenceError) as error:
+                    fock.eve_exact_entropy(qpsk(alpha), ChannelParams(tau=0.5, nbar=nbar))
+                assert str(error.value) == (f"truncation leakage {leak} > 1e-06 for the oracle state "
+                                            f"at cutoff {cutoff}; raise the cutoff")
+        info = fock._sweep_weights.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
         assert calls == gathers == []
         fock.eve_exact_entropy(qpsk(0.5), ChannelParams(tau=0.5, nbar=0.01))
         assert calls == [(4, 19, 19), (4, 14, 14)]
@@ -950,6 +979,30 @@ class TestOracleInputs:
                 assert deficit == max(want_deficit, *(d for _, d in want))
             if nbar == 1e17:
                 assert deficits == [1.0, 1.0]
+
+    # the same moduli and nbars, R = 4 and each modulus alone
+    @pytest.mark.parametrize("cutoff", [7, 13, 18, 30])
+    def test_cached_weights_are_the_inputs_outer_product(self, cutoff):
+        fock._sweep_weights.cache_clear()
+        moduli = (0.5, 2.0, 40.0, 1e155)
+        for key in (moduli, *((m,) for m in moduli)):
+            for nbar in (0.0, 1e-12, 2.0, 1e17):
+                kets, lam, deficits = fock._sweep_inputs(key, nbar, cutoff)
+                weights, got = fock._sweep_weights(key, nbar, cutoff)
+                assert np.array_equal(weights, np.multiply.outer(kets, lam).reshape(len(key), -1))
+                assert got == tuple(deficits)
+                assert fock._sweep_weights(key, nbar, cutoff)[0] is weights
+                with pytest.raises(ValueError, match="read-only"):
+                    weights[0, 0] = 0
+
+    def test_numpy_nbar_reaches_the_float_key(self):
+        # a 0-d array nbar is unhashable; each form shares the float's key
+        fock._sweep_weights.cache_clear()
+        want = fock.eve_exact_entropy(qpsk(0.5), ChannelParams(tau=0.5, nbar=0.01))
+        for nbar in (np.float64(0.01), np.array(0.01)):
+            assert fock.eve_exact_entropy(qpsk(0.5), ChannelParams(tau=0.5, nbar=nbar)) == want
+        info = fock._sweep_weights.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_modulus_ket_underflow(self):
         with warnings.catch_warnings():
