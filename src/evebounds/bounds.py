@@ -44,15 +44,13 @@ What each estimator assumes, and so what it is:
     whose nonzero spectrum is that of the Gram matrix;
   - that channel is a mixture of unitaries, and by the concavity of the
     entropy a mixture of unitaries cannot lower it.
-  `gram_matrix` returns the K x K array, a closed-form expression over the
-  K x M displacement amplitudes (K states, M modes), and `gram_entropy`
-  checks it (Hermitian, unit trace, no eigenvalue below -1e-8) with the
-  one eigensolve that gives its entropy, the `states.spectrum_entropy` of
-  its spectrum (one row per cell of a stack).  `bm_gme_entropy` goes
-  through `gram_ensemble_entropy`, which takes them for every
-  constellation but the cyclic ones, QPSK's among them: their Gram matrix
-  is circulant, so its spectrum is the transform of its first row, with
-  the same gates and no eigensolve.
+  `gram_matrix` returns the n x n array and `gram_entropy` checks it
+  (Hermitian, unit trace, no eigenvalue below -1e-8) with the one
+  eigensolve that gives its entropy, the `states.spectrum_entropy` of its
+  spectrum (one row per cell of a stack).  `bm_gme_entropy` goes through
+  `gram_ensemble_entropy`, which takes that spectrum, with those gates,
+  from K blocks of R x R of the constellation's rotation symmetry; one
+  builder, `_gram_rows`, gives the entries of both.
 * The Fock oracle, `fock.eve_exact_entropy`, is no bound: it is the
   brute-force check of the others where it converges.
 
@@ -67,12 +65,12 @@ to within 1e-6 bits.
 The ensemble, `gram_matrix`, `gram_entropy`, `gram_ensemble_entropy` and
 `gaussian_extremality_entropy` also take a leading axis of grid cells (see
 `cloner.DisplacedThermalEnsemble`), and `eb_qpsk_entropy` a sequence of
-cells.  What belongs to the constellation is taken once: QPSK's Gram
-first rows, from the constellation's part and two numbers per cell, are
-transformed and checked as one (cells, K) stack, other Gram matrices go
-through one `eigvalsh`, `bm-get` takes the spread and determinant once
-and `eb_qpsk_entropy` X and Z4, and both add `states.symplectic_entropy`'s
-sum inline on floats per cell.  The library calls run the same code on
+cells.  What belongs to the constellation is taken once: the Gram first
+block rows, from the constellation's part and two numbers per cell, are
+transformed, checked and diagonalized as one (cells, K, R, R) stack,
+`bm-get` takes the spread and determinant once and `eb_qpsk_entropy` X
+and Z4, and both add `states.symplectic_entropy`'s sum inline on floats
+per cell.  The library calls run the same code on
 one cell, so a scan's value for a cell is the one the library returns.
 
 The estimators import nothing from `fock`, the brute-force oracle that
@@ -85,10 +83,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cloner import ChannelParams, displaced_thermal_ensemble
+from .cloner import ChannelParams, _rotation_orbits, displaced_thermal_ensemble
 from .linalg import (
-    _NOT_CONSTRUCT,
-    ATOL_CONSTRUCT,
     max_abs,
     require_at_least,
     require_at_most,
@@ -116,29 +112,18 @@ __all__ = [
 def gram_matrix(ensemble):
     """Gram matrix of a displaced-thermal ensemble.
 
-    Entries sqrt(p_m p_n) <psi_m|psi_n>, with the complex coherent-state
+    Entries sqrt(p_j p_k) <psi_j|psi_k>, with the complex coherent-state
     overlap <a|b> = exp(-|b - a|^2 / 2 + i Im(conj(a) b)) taken per mode and
-    multiplied over the modes.  Exact whenever the thermal photon numbers
-    vanish; for mixed ensembles it deliberately drops the thermal
-    covariance, keeping the overlap phases, and its entropy is then a lower
-    bound on the true entropy (the module docstring gives the argument).
-
-    The modulus is taken from |b - a|^2, not |a|^2 + |b|^2 - 2 Re(conj(a) b),
-    which cancels for large amplitudes, and the phase as 0.5 (X - X^T) with
-    X = Re a Im b - Im a Re b summed over the modes, antisymmetric by
-    construction; so the matrix is Hermitian with a unit-modulus diagonal
-    at any amplitude.
-
-    Returns the K x K complex array unchecked, or a (cells, K, K) stack for
-    an ensemble with a leading cell axis; `gram_entropy` checks it.
+    multiplied over the modes (`_gram_rows`, in the constellation's order).
+    Exact whenever the thermal photon numbers vanish; for mixed ensembles
+    it deliberately drops the thermal covariance, keeping the overlap
+    phases, and its entropy is then a lower bound on the true entropy (the
+    module docstring gives the argument).  The n x n complex array, or a
+    (cells, n, n) stack for a leading cell axis, unchecked; `gram_entropy`
+    checks it.
     """
-    amps = ensemble.mode_amplitudes()
-    root_p = np.sqrt(ensemble.probs)
-    a, b = amps[..., :, None, :], amps[..., None, :, :]
-    sq = (np.abs(b - a) ** 2).sum(axis=-1)
-    x = (a.real * b.imag - a.imag * b.real).sum(axis=-1)
-    phase = x - x.swapaxes(-1, -2)
-    return root_p[:, None] * root_p[None, :] * np.exp(-0.5 * sq + 0.5j * phase)
+    rows = _gram_rows(ensemble.constellation, ensemble.scales, np.arange(ensemble.probs.size)[None, :])[..., 0]
+    return rows if ensemble.scales.ndim > 1 else rows[0]
 
 
 def gram_entropy(matrix, base="bits"):
@@ -169,34 +154,29 @@ def _spectrum_entropy_checked(traces, eigs, base):
     worst = float(traces.flat[abs(traces - 1.0).argmax()])
     require_at_most(abs(worst - 1.0), 1e-9, "Gram matrix trace is {1!r}, expected 1 within 1e-9", worst)
     require_at_least(eigs.min(), -1e-8, "Gram matrix has eigenvalue {:.3e} below -1e-8")
-    eigs = eigs.clip(0.0)
+    eigs = np.maximum(eigs, 0.0)
     return spectrum_entropy(eigs / eigs.sum(axis=-1, keepdims=True), base)
 
 
-# The relative tolerance of `gram_ensemble_entropy`'s cyclic test: a
-# constellation is cyclic when alpha_k = w^k alpha_0 (w = e^(2 pi i / K))
-# to within this times |alpha_0|; rounding leaves QPSK's near 1e-16.
-CIRCULAR_RTOL = 1e-12
-
-
 def gram_ensemble_entropy(ensemble, base="bits"):
-    """`gram_entropy(gram_matrix(ensemble))`, with the Gram matrix of a
-    cyclic constellation diagonalized in closed form.
+    """`gram_entropy(gram_matrix(ensemble))`, from K Gram blocks of R x R.
 
-    A constellation is cyclic when its probabilities are all exactly equal
-    and its amplitudes go round one rotation in list order
-    (`CIRCULAR_RTOL`), as QPSK's do.  Then each cell's Gram matrix is
-    circulant, G_jl = g_(l-j mod K), so its spectrum is the discrete
-    Fourier transform of its first row, lambda_q = sum_l G_0l w^(ql) with
-    w = e^(2 pi i / K), and no K x K matrix is built or diagonalized.  The
-    row is `gram_matrix`'s formula, in two parts (`_cyclic_spectra`), and
-    the transform is a product with a root table cached per K
-    (`_dft_table`).  `gram_entropy`'s gates apply with their messages,
-    except that |Im lambda| <= `linalg.ATOL_CONSTRUCT` stands in for the
-    Hermitian check: the trace to 1e-9, the eigenvalue floor -1e-8, then
-    the clipped, renormalized spectrum's `states.spectrum_entropy`.  The
-    closed form and `eigvalsh` of the full matrix agree to 1.5e-16 on
-    `checks.check_gram_validity`'s cells.
+    Listed as the K turns of R orbits of the constellation's rotation
+    symmetry (`cloner._rotation_orbits`; K = 1 for none), each cell's Gram
+    matrix is block-circulant, G_((l,r),(l',s)) = G_((0,r),(l'-l mod K,s)),
+    because a turn of both modes keeps every overlap.  So its spectrum is
+    that of the K blocks B_q = sum_l w^(ql) G_((0,.),(l,.)),
+    w = e^(2 pi i / K): only the first block row is built (`_gram_rows`),
+    transformed by one product with a root table cached per K
+    (`_dft_table`) and diagonalized by one stacked `eigvalsh`.  K = 1 is
+    the full matrix, bit for bit `gram_entropy(gram_matrix(...))`.  R = 1,
+    as for QPSK, is the discrete Fourier transform of the first row, whose
+    1 x 1 blocks are their own eigenvalues, so no eigensolve runs there.
+    `gram_entropy`'s gates apply to the blocks with their messages:
+    Hermitian to `linalg.ATOL_CONSTRUCT` (at R = 1 the residual is
+    2 |Im lambda|), the trace K sum_r G_((0,r),(0,r)) to 1e-9 and the
+    eigenvalue floor -1e-8.  The blocks' spectra and `eigvalsh` of the full
+    matrix agree to 1e-15 on `checks.check_gram_validity`'s cells.
 
     Accuracy at nbar = 0, where the spectrum is the mod-4 class weights of
     x = (1 - tau) alpha^2 for QPSK: against 50-digit arithmetic (alpha from
@@ -205,20 +185,28 @@ def gram_ensemble_entropy(ensemble, base="bits"):
     eigenvalues are differences of numbers near 1/4 (2.3e-3 relative at
     alpha = 1e-6).
 
-    Any other constellation takes `gram_entropy(gram_matrix(...))`.  The
-    route is decided once per constellation, and each cell's row is
-    transformed by its own vector-matrix product, so a stack's value for a
-    cell is bit for bit the one that cell gives alone.  A float for one
-    ensemble, and for a leading cell axis an array of shape (cells,).
+    The symmetry is found once per constellation, and each cell's rows are
+    transformed by their own products, so a stack's value for a cell is
+    bit for bit the one that cell gives alone.  A float for one ensemble,
+    and for a leading cell axis an array of shape (cells,).
     """
     _log(base)
-    if not _is_cyclic(ensemble.constellation):
-        return gram_entropy(gram_matrix(ensemble), base)
-    rows, spectra = _cyclic_spectra(ensemble.constellation, ensemble.scales)
-    require_at_most(max_abs(spectra.imag), ATOL_CONSTRUCT, _NOT_CONSTRUCT,
-                    "Gram matrix", "Hermitian", "Im lambda")
-    values = _spectrum_entropy_checked(rows.shape[-1] * rows[:, 0].real, spectra.real, base)
+    values = _spectrum_entropy_checked(*_gram_spectra(ensemble), base)
     return values if ensemble.scales.ndim > 1 else float(values[0])
+
+
+def _gram_spectra(ensemble):
+    """(traces, spectra), (cells,) and (cells, n), of
+    `gram_ensemble_entropy`'s blocks, checked Hermitian; the spectra run
+    over the blocks in order, each ascending."""
+    order, perm = _rotation_orbits(ensemble.constellation)
+    rows = _gram_rows(ensemble.constellation, ensemble.scales, perm)
+    # one (R, K) x (K, K) product per cell and orbit, as a cell alone takes
+    blocks = (rows @ _dft_table(order)).transpose(0, 3, 1, 2)
+    require_hermitian(blocks, "Gram matrix")
+    # a 1 x 1 block's eigenvalue is its real part, as `eigvalsh` gives it
+    spectra = blocks.real if perm.shape[1] == 1 else np.linalg.eigvalsh(blocks)
+    return order * rows[..., 0].trace(0, -2, -1).real, spectra.reshape(len(spectra), -1)
 
 
 @lru_cache(maxsize=16)
@@ -231,38 +219,40 @@ def _dft_table(k):
 
 
 def _unit_parts(constellation):
-    """(parts, e): a constellation's amplitudes as K x 2 real parts over
+    """(parts, e): a constellation's amplitudes as n x 2 real parts over
     2^e, e the `math.frexp` exponent of the largest; exact, all below 1."""
     parts = np.ascontiguousarray(constellation.amplitudes).view(float).reshape(-1, 2)
     exponent = math.frexp(max_abs(parts))[1]
     return np.ldexp(parts, -exponent), exponent
 
 
-def _is_cyclic(constellation):
-    """Whether a constellation is cyclic (`gram_ensemble_entropy`)."""
-    probs = constellation.probs
-    if not (probs == probs[0]).all():
-        return False
-    amps = _unit_parts(constellation)[0].view(complex)[:, 0]
-    return max_abs(amps - _dft_table(probs.size)[1 % probs.size] * amps[0]) <= CIRCULAR_RTOL * abs(amps[0])
+def _gram_rows(constellation, scales, perm):
+    """(cells, R, R, K) complex: rows[c, r, s, l] = G_((0,r),(l,s)) at the
+    cells of `scales` (2,) or (cells, 2), the amplitude (l, s) being
+    perm[l, s] of `perm` (K, R) (`cloner._rotation_orbits`).
 
-
-def _cyclic_spectra(constellation, scales):
-    """(rows, spectra), both (cells, K) complex: a cyclic constellation's
-    Gram first rows at cells of `scales` (2,) or (cells, 2), and their
-    transforms.  Displacements (s1 alpha, s2 conj(alpha)) make `gram_matrix`'s
-    row G_0l = p exp(-A d_l / 2 + i B m_l), with d_l = |u_l - u_0|^2 and
-    m_l = Im(conj(u_0) u_l) of u = alpha / 2^e (`_unit_parts`) taken once
-    and only A, B = (s1 2^e)^2 +- (s2 2^e)^2 per cell."""
+    Displacements (s1 alpha, s2 conj(alpha)) make each entry
+    G_jk = sqrt(p_j p_k) exp(-A d_jk / 2 + i B m_jk), with
+    d_jk = |u_k - u_j|^2 and m_jk = Im(conj(u_j) u_k) of u = alpha / 2^e
+    (`_unit_parts`) taken once and only A, B = (s1 2^e)^2 +- (s2 2^e)^2 per
+    cell.  d is a sum of squared differences, which does not cancel for
+    large amplitudes, and m a difference of real products, exactly
+    antisymmetric and 0 on the diagonal (a complex product, which numpy
+    may fuse, left B m_jj a phase of 0.24 rad at alpha = 1e150); so the
+    full matrix is Hermitian with diagonal p_j at any amplitude."""
     parts, exponent = _unit_parts(constellation)
-    d = ((parts - parts[0]) ** 2).sum(axis=-1)
-    # real products keep m_0 exactly 0, which a fused complex product need not
-    m = parts[0, 0] * parts[:, 1] - parts[0, 1] * parts[:, 0]
+    # turned[s, l] is u of orbit s turned l times; d, m, weights flat over (r, s, l)
+    turned = parts[perm.T]
+    first = turned[:, None, :1]
+    diff = turned - first
+    diff *= diff
+    d = (diff[..., 0] + diff[..., 1]).ravel()
+    m = (first[..., 0] * turned[..., 1] - first[..., 1] * turned[..., 0]).ravel()
+    probs = constellation.probs[perm[0]]
+    root_p = np.sqrt(probs[:, None] * probs).repeat(len(perm))
     sq1, sq2 = np.ldexp(scales, exponent).reshape(-1, 2).T[..., None] ** 2
-    rows = constellation.probs[0] * np.exp(-0.5 * (sq1 + sq2) * d + 1j * ((sq1 - sq2) * m))
-    # (cells, 1, K) @ (K, K): one vector-matrix product per cell, as a
-    # cell alone takes; a (cells, K) matrix product rounds rows differently
-    return rows, (rows[:, None, :] @ _dft_table(d.size))[:, 0, :]
+    rows = root_p * np.exp(-0.5 * (sq1 + sq2) * d + 1j * ((sq1 - sq2) * m))
+    return rows.reshape(-1, len(probs), len(probs), len(perm))
 
 
 def gaussian_extremality_entropy(ensemble, base="bits"):

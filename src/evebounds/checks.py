@@ -42,8 +42,7 @@ import numpy as np
 from . import fock
 from .blochmessiah import bloch_messiah, factors_to_circuit
 from .bounds import (
-    _cyclic_spectra,
-    _is_cyclic,
+    _gram_spectra,
     bm_get_entropy,
     eb_qpsk_entropy,
     gaussian_extremality_entropy,
@@ -52,6 +51,7 @@ from .bounds import (
 )
 from .cloner import (
     ChannelParams,
+    Constellation,
     bs_symplectic,
     displaced_thermal_ensemble,
     eve_reduced_covariance,
@@ -288,22 +288,22 @@ def check_estimator_ordering():
 
 
 def check_gram_validity():
-    # QPSK's Gram matrix is circulant, so `bm_gme_entropy` takes its
-    # spectrum from the transform of its first row; it must be cyclic, and
-    # each cell's transform match the eigensolve of the full matrix.
+    # `bm_gme_entropy` takes each cell's Gram spectrum from K blocks of R x R:
+    # QPSK's are 1 x 1, its first rows' transforms, and 16 states on a square
+    # grid give 4 x 4; each must match the eigensolve of the full matrix.
     worst = 0.0
-    constellation = qpsk(1.0)
-    for tau in (0.2, 0.6, 0.9):
-        ens = displaced_thermal_ensemble(constellation, ChannelParams(tau=tau, nbar=0.02))
+    grid = 0.3 * np.array([-3, -1, 1, 3])
+    qam = Constellation(amplitudes=np.add.outer(grid, 1j * grid).ravel(), probs=np.full(16, 1 / 16))
+    for constellation in (qpsk(1.0), qam):
+        ens = displaced_thermal_ensemble(constellation, [ChannelParams(tau=t, nbar=0.02) for t in (0.2, 0.6, 0.9)])
         gram = gram_matrix(ens)
         eigs = np.linalg.eigvalsh(gram)
-        _, spectrum = _cyclic_spectra(ens.constellation, ens.scales)
         worst = _worst(
             worst,
-            max_abs(gram - gram.conj().T),
-            abs(float(np.trace(gram).real) - 1.0),
+            max_abs(gram - _dagger(gram)),
+            max_abs(gram.trace(0, -2, -1).real - 1.0),
             -float(eigs.min()),
-            max_abs(np.sort_complex(spectrum[0]) - eigs) if _is_cyclic(constellation) else math.inf,
+            max_abs(np.sort(_gram_spectra(ens)[1]) - eigs),
         )
     return CheckResult("gram-validity", worst, 1e-8)
 

@@ -16,11 +16,14 @@ sequence gives one ensemble for all the cells at once, whose views carry
 a leading cell axis, and (cells, 6, 6) stacks of initial covariances and
 beam splitters.
 
-`_rotation_orbits` finds a constellation's rotation symmetry and one
-amplitude per orbit; the Fock oracle (`fock.eve_exact_entropy`) takes its
-entropy from those representatives alone.
+`_rotation_orbits` finds a constellation's rotation symmetry and lists
+its amplitudes as K turns of R orbits.  The Fock oracle
+(`fock.eve_exact_entropy`) takes its entropy from the first amplitude of
+each orbit alone, and `bounds.gram_ensemble_entropy` its Gram spectrum
+from K blocks of R x R.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -98,78 +101,78 @@ def qpsk(alpha):
     return Constellation(amplitudes=alpha * QPSK_PHASES, probs=np.full(4, 0.25))
 
 
-def _read_only(constellation):
-    """A copy of a constellation with read-only arrays, not validated again."""
-    copy = object.__new__(Constellation)
-    for name in ("amplitudes", "probs"):
-        array = getattr(constellation, name).copy()
-        array.flags.writeable = False
-        object.__setattr__(copy, name, array)
-    return copy
-
-
-# `_rotation_orbits` pairs an amplitude's rotated image with an amplitude
-# that lies within this of it, relative to max(1, max |alpha|).
+# `_rotation_orbits` pairs an amplitude turned by 2 pi / K with an
+# amplitude that lies within this of it, relative to max(1, max |alpha|).
 SYMMETRY_RTOL = 1e-12
 
 
 def _rotation_orbits(constellation):
-    """(K, representatives): the rotation order of a constellation and one
-    amplitude per orbit.
+    """(K, perm): a constellation's rotation order and its amplitudes as K
+    turns of R = n / K orbits, perm[l, r] the index of orbit r's amplitude
+    turned l times, in a read-only (K, R) integer array.
 
-    K is the largest divisor of the number of amplitudes such that rotating
-    every amplitude by 2 pi / K lands, within `SYMMETRY_RTOL`
-    max(1, max |alpha|), on an amplitude of exactly the same probability,
-    with every orbit of that rotation K amplitudes long (an amplitude at
-    the origin is its own image, so it leaves K = 1).  The representatives
-    are the lowest-indexed amplitude of each orbit, weighted by K p, as a
-    `Constellation` with read-only arrays.  With K = 1 it is the
-    constellation itself.
-
-    The result depends only on the amplitudes and probabilities, so it is
-    cached by their bytes (`_orbits_by_value`), not by the object: a scan
-    builds an equal constellation for every cell, and a constellation
-    changed in place gets the orbits of its new values.
+    K is the largest divisor of the number n of amplitudes for which each
+    perm[l, r] is the first amplitude within `SYMMETRY_RTOL`
+    max(1, max |alpha|) of w^l times amplitude perm[0, r], w = e^(2 pi i / K),
+    of exactly its probability and in no other orbit (so an amplitude at
+    the origin, its own turn, or one listed twice leaves K = 1).  perm[0]
+    is the lowest index of each orbit, in increasing order.  Cached by the
+    values (`_orbits_by_value`), not the object: a scan builds an equal
+    constellation for every cell, and one changed in place gets the orbits
+    of its new values.
     """
-    order, representatives = _orbits_by_value(
-        constellation.amplitudes.tobytes(), constellation.probs.tobytes()
-    )
-    return order, (representatives if order > 1 else constellation)
+    return _orbits_by_value(tuple(constellation.amplitudes.tolist()), tuple(constellation.probs.tolist()))
 
 
 @lru_cache(maxsize=32)
 def _orbits_by_value(amplitudes, probs):
-    """`_rotation_orbits` of the amplitudes and probabilities given as the
-    bytes of their complex and float arrays; (1, None) with no symmetry."""
-    amps, probs = np.frombuffer(amplitudes, dtype=complex), np.frombuffer(probs)
-    n = amps.size
-    # Distances are taken between amplitudes scaled to at most 1, so that
-    # amplitudes near the largest double do not overflow a difference.
-    unit = amps / max(1.0, float(np.abs(amps).max()))
-    for order in range(n, 1, -1):
-        if n % order:
-            continue
-        dist = np.abs(unit[:, None] * np.exp(2j * math.pi / order) - unit)
-        image = dist.argmin(axis=1)
-        if dist[np.arange(n), image].max() > SYMMETRY_RTOL or not np.array_equal(probs[image], probs):
-            continue
-        # walk[j] is the index of each amplitude's j-th image.  If the K-th
-        # image is the amplitude itself, `image` is a permutation whose
-        # cycles divide K, and there are n / K of them only if each has K
-        # members; each cycle is represented by its lowest index.
-        walk = [np.arange(n)]
-        for _ in range(order):
-            walk.append(image[walk[-1]])
-        reps = np.flatnonzero(np.min(walk[:-1], axis=0) == walk[0])
-        if np.array_equal(walk[-1], walk[0]) and reps.size * order == n:
-            return order, _read_only(Constellation(amplitudes=amps[reps], probs=order * probs[reps]))
-    return 1, None
+    """`_rotation_orbits` of amplitude and probability tuples, in plain
+    Python (cheaper than numpy calls on a few amplitudes), on amplitudes
+    scaled to at most 1 so that no difference overflows."""
+    scale = max(1.0, *map(abs, amplitudes))
+    points = [p / scale for p in amplitudes]
+    for order in range(len(points), 1, -1):
+        orbits = len(points) % order == 0 and _orbits(points, probs, order)
+        if orbits:
+            break
+    else:
+        order, orbits = 1, [[j] for j in range(len(points))]
+    perm = np.array(list(zip(*orbits)), dtype=np.intp)
+    perm.flags.writeable = False
+    return order, perm
 
 
-# An ensemble's means must stay below this in magnitude.  `bounds.gram_matrix`
-# sums |b - a|^2 over both modes and `average_covariance` the spread of the
-# means; each is at most 4 max |mean|^2, which this keeps below 4e306, under
-# the largest double (1.8e308), so neither overflows in numpy.
+def _orbits(points, weights, order):
+    """The orbits of a turn by 2 pi / `order`, each from its lowest index,
+    or None if `_rotation_orbits`' conditions fail (at the first bad member)."""
+    orbits, taken = [], set()
+    for start, point in enumerate(points):
+        if start in taken:
+            continue
+        orbits.append([])
+        for turn in _turns(order):
+            target = turn * point
+            for k, other in enumerate(points):
+                if abs(other - target) <= SYMMETRY_RTOL:
+                    break
+            else:
+                return None
+            if k in taken or weights[k] != weights[start]:
+                return None
+            taken.add(k)
+            orbits[-1].append(k)
+    return orbits
+
+
+@lru_cache(maxsize=16)
+def _turns(order):
+    """w^l for l = 0..K-1, w = e^(2 pi i / K), K = `order`, as Python numbers."""
+    return [cmath.exp(2j * math.pi * l / order) for l in range(order)]
+
+
+# An ensemble's means must stay below this in magnitude: `average_covariance`
+# sums their spread, at most 4 max |mean|^2 < 4e306, under the largest double,
+# and `bounds._gram_rows` squares s 2^e < 1e153 (2^e <= 2 max |part of alpha|).
 MEAN_LIMIT = 1e153
 
 
@@ -202,12 +205,17 @@ class DisplacedThermalEnsemble:
 
     def __post_init__(self):
         cells = self.cells if isinstance(self.cells, ChannelParams) else tuple(self.cells)
-        constellation = _read_only(self.constellation)
+        # a read-only copy of the constellation, not validated again
+        constellation = object.__new__(Constellation)
+        for name in ("amplitudes", "probs"):
+            array = getattr(self.constellation, name).copy()
+            array.flags.writeable = False
+            object.__setattr__(constellation, name, array)
         tau, nbar = _tau_nbar(cells)
         w1, w2, nu1p = _thermal_weights(tau, nbar)
         r = np.sqrt(1 - tau)
-        scales = np.stack([-w1 * r, w2 * r], axis=-1)
-        largest = max_abs(scales) * max_abs(constellation.amplitudes.view(float))
+        scales = np.ascontiguousarray(np.array([-w1 * r, w2 * r]).T)
+        largest = max_abs(np.multiply.outer(scales, constellation.amplitudes.view(float)))
         if not largest < MEAN_LIMIT / 2:  # so NaN is caught too
             require_finite(constellation.amplitudes, "ensemble means")
             raise ValueError(

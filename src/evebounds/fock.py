@@ -21,7 +21,7 @@ A map of the module; each argument is made once, in the docstring named.
   (`_bs_sectors`), and the dense `fock_bs` goes through `apply_rotation`.
 - The oracle, `eve_exact_entropy`, takes the eavesdropper's entropy from
   the Gram side of her real factor (`_sweep_factors` argues the real
-  arithmetic), reduced to one amplitude per rotation orbit
+  arithmetic), reduced to the first amplitude of each rotation orbit
   (`cloner._rotation_orbits`; `eve_exact_entropy` argues the reduction).
   Its sweep of two cutoffs is one unit: both take their inputs from one
   run of each recurrence (`_sweep_inputs`), one layout places both
@@ -754,10 +754,10 @@ def _sweep_leaks(weights, values, layout):
     return faces[:, :split] @ layout.top[0], faces[:, split:] @ layout.top[1]
 
 
-def _sweep_factors(representatives, weights, values, layout):
+def _sweep_factors(amplitudes, probs, weights, values, layout):
     """The eavesdropper's factors at both cutoffs of a sweep, for the R
-    orbit representatives of `cloner._rotation_orbits`, each an
-    (R, K, d, width) stack of her K rotation-class blocks
+    orbit representatives of `cloner._rotation_orbits`, weighted by K p,
+    each an (R, K, d, width) stack of her K rotation-class blocks
     (`_class_positions`), from the outer product `weights` of the
     `_sweep_inputs` and the cached entries `values` (`_eve_bs_values`).
 
@@ -789,12 +789,12 @@ def _sweep_factors(representatives, weights, values, layout):
     blocks_end = layout.ends[1]
     blocks = weights.take(layout.column[:blocks_end], axis=1)
     blocks *= values[:blocks_end]
-    blocks *= np.sqrt(representatives.probs)[:, None]
+    blocks *= np.sqrt(probs)[:, None]
     top_end = layout.ends[0]
     factors = [f.reshape(count, len(s), -1, s.shape[1])
                for f, s in zip((blocks[:, :top_end], blocks[:, top_end:]), layout.shift)]
     if count > 1:
-        phase = np.angle(representatives.amplitudes)
+        phase = np.angle(amplitudes)
         if np.any(phase != phase[0]):
             factors = [f * np.exp(1j * np.multiply.outer(phase - phase[0], s))[:, :, None, :]
                        for f, s in zip(factors, layout.shift)]
@@ -862,16 +862,17 @@ def eve_exact_entropy(constellation, params, cutoff=18, base="bits"):
         raise ValueError(f"cutoff must be an integer, got {cutoff!r}")
     if cutoff < 7:
         raise ValueError(f"cutoff must be >= 7 to allow the convergence sweep, got {cutoff}")
-    order, representatives = _rotation_orbits(constellation)
+    order, perm = _rotation_orbits(constellation)
+    amplitudes, probs = constellation.amplitudes[perm[0]], order * constellation.probs[perm[0]]
     check_cutoff = cutoff - SWEEP_STEP
     layout = _sweep_layout(order, cutoff)
     # float keys: a 0-d array tau or nbar would be unhashable
-    moduli = tuple(np.abs(representatives.amplitudes).tolist())
+    moduli = tuple(np.abs(amplitudes).tolist())
     weights, deficits = _sweep_weights(moduli, float(params.nbar), cutoff)
     values = _eve_bs_values(float(params.tau), cutoff, order)
     for c, deficit, leaks in zip((cutoff, check_cutoff), deficits, _sweep_leaks(weights, values, layout)):
         _require_deficit(max(deficit, *leaks.tolist()), f"the oracle state at cutoff {c}")
-    factors = _sweep_factors(representatives, weights, values, layout)
+    factors = _sweep_factors(amplitudes, probs, weights, values, layout)
     value, value_check = (_eve_entropy(order, f, base) for f in factors)
     result = OracleEntropy(
         value=value, value_check=value_check, cutoff=cutoff, check_cutoff=check_cutoff

@@ -13,8 +13,9 @@ unitary and Bloch-Messiah displacements with their per-operation,
 per-part and per-amplitude references, and the oracle's complex factor
 through the dense beam-splitter unitary, with the entropy from its
 single Gram matrix of all amplitudes or from one eigensolve per rotation
-class, and the constellations without rotation symmetry that the bm-get
-tests draw."""
+class, the orbit representatives that the oracle takes from
+`evebounds.cloner._rotation_orbits`, the constellations without rotation
+symmetry that the bm-get tests draw, and 16 states on a square grid."""
 
 import math
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from evebounds.blochmessiah import bloch_messiah, factors_to_circuit
 from evebounds.checks import _circuit_amplitudes, _composed_pairs, _draw_pair, _switched_displacement
-from evebounds.cloner import ChannelParams, Constellation, eve_reduced_covariance
+from evebounds.cloner import ChannelParams, Constellation, _rotation_orbits, eve_reduced_covariance
 from evebounds.fock import (
     _bs_angle,
     _ladder_terms,
@@ -102,6 +103,22 @@ def named_constellation(name, alpha):
     if name == "3-ask":
         return Constellation(amplitudes=[0.0, alpha, 2 * alpha], probs=[1 / 3, 1 / 3, 1 / 3])
     raise ValueError(f"unknown constellation {name!r}")
+
+
+def qam16(scale, order=range(16)):
+    """16 equiprobable states scale (x + i y), x and y in {-3, -1, 1, 3},
+    listed in `order`: four orbits of four turns by pi / 2."""
+    grid = scale * np.array([-3, -1, 1, 3])
+    return Constellation(amplitudes=np.add.outer(grid, 1j * grid).ravel()[list(order)], probs=np.full(16, 1 / 16))
+
+
+def orbit_representatives(constellation):
+    """(K, representatives): `evebounds.cloner._rotation_orbits`' order and
+    the amplitudes perm[0] with their probabilities weighted by K, as the
+    oracle takes them."""
+    order, perm = _rotation_orbits(constellation)
+    reps = perm[0]
+    return order, Constellation(amplitudes=constellation.amplitudes[reps], probs=order * constellation.probs[reps])
 
 
 def eve_conditional_mean(alpha_i, params):

@@ -23,7 +23,8 @@ from evebounds.cloner import (
     qpsk,
 )
 from evebounds.states import _physical_standard_spectrum, entropy_from_cov, symplectic_entropy, thermal_entropy
-from reference import coherent_ket, named_constellation
+from reference import coherent_ket, named_constellation, qam16
+from test_fock import SYMMETRY_CASES
 
 # 1.42e-11 leaves the thermal decomposition a squeezing so small that the
 # matched SVD of the Bloch-Messiah route raised at most taus of the grid.
@@ -559,11 +560,33 @@ def forbid(monkeypatch, name):
     monkeypatch.setattr(bounds, name, fail)
 
 
+# (constellation, K, R): the rotation-symmetry cases of the oracle's tests
+# and two listings whose orbits are not in list order, 16-QAM scrambled and
+# QPSK clockwise, all with |alpha| <= 1
+BLOCK_CASES = {
+    **{name: (c, order, count) for name, (c, order, count) in SYMMETRY_CASES.items()},
+    "qam16-scrambled": (qam16(0.2, np.random.default_rng(3).permutation(16)), 4, 4),
+    "qpsk-clockwise": (Constellation(amplitudes=np.conj(qpsk(0.8).amplitudes), probs=np.full(4, 0.25)), 4, 1),
+}
+
+
 class TestCyclicGram:
-    """`gram_ensemble_entropy`'s transform for cyclic cells against the
-    eigensolve of the full Gram matrix.  Alpha <= 1 keeps the overlaps of
-    neighbouring states large: at alpha = 6 every phase choice agrees, so a
-    comparison there proves nothing."""
+    """`gram_ensemble_entropy`'s K blocks of R x R against the eigensolve
+    of the full Gram matrix.  Alpha <= 1 keeps the overlaps of neighbouring
+    states large: at alpha = 6 every phase choice agrees, so a comparison
+    there proves nothing."""
+
+    @pytest.mark.parametrize("name", BLOCK_CASES)
+    def test_block_spectra_match_full_gram(self, name):
+        constellation, order, count = BLOCK_CASES[name]
+        assert bounds._rotation_orbits(constellation)[1].shape == (order, count)
+        cells = [ChannelParams(tau=tau, nbar=nbar) for tau in (0.0, 0.37, 1.0) for nbar in (0.0, 0.01, 1e6)]
+        ensemble = displaced_thermal_ensemble(constellation, cells)
+        traces, spectra = bounds._gram_spectra(ensemble)
+        want = np.linalg.eigvalsh(gram_matrix(ensemble))
+        assert spectra.shape == want.shape
+        assert np.abs(np.sort(spectra) - want).max() <= 1e-14
+        assert np.abs(traces - 1.0).max() <= 1e-15
 
     @pytest.mark.parametrize("alpha", [0.2, 1.0])
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 12])
@@ -594,30 +617,44 @@ class TestCyclicGram:
         assert got.shape == want.shape
         assert (abs(got - want) <= 1e-13 * np.maximum(1.0, want)).all()
 
-    @pytest.mark.parametrize("constellation", [
-        # QPSK listed clockwise: each state is the one before it turned by -pi/2
-        Constellation(amplitudes=np.conj(qpsk(0.8).amplitudes), probs=np.full(4, 0.25)),
-        Constellation(amplitudes=qpsk(0.8).amplitudes, probs=[0.3, 0.2, 0.25, 0.25]),
-        Constellation(amplitudes=[*qpsk(0.8).amplitudes, 0.0], probs=np.full(5, 0.2)),
-        Constellation(amplitudes=[0.0, *qpsk(0.8).amplitudes], probs=np.full(5, 0.2)),
+    @pytest.mark.parametrize("constellation, order", [
+        # QPSK listed clockwise: each state is the one before it turned by
+        # -pi/2, so the turn by pi/2 pairs them in the other order
+        (Constellation(amplitudes=np.conj(qpsk(0.8).amplitudes), probs=np.full(4, 0.25)), 4),
+        (Constellation(amplitudes=qpsk(0.8).amplitudes, probs=[0.3, 0.2, 0.25, 0.25]), 1),
+        (Constellation(amplitudes=[*qpsk(0.8).amplitudes, 0.0], probs=np.full(5, 0.2)), 1),
+        (Constellation(amplitudes=[0.0, *qpsk(0.8).amplitudes], probs=np.full(5, 0.2)), 1),
     ], ids=["clockwise", "unequal-probabilities", "origin-last", "origin-first"])
-    def test_other_cells_take_full_gram(self, constellation, monkeypatch):
+    def test_other_cells_take_full_gram(self, constellation, order):
+        # K = 1 is the full Gram matrix itself, bit for bit; clockwise QPSK
+        # takes K = 4 blocks like QPSK, to rounding
         params = ChannelParams(tau=0.37, nbar=0.01)
         want = gram_entropy(gram_matrix(displaced_thermal_ensemble(constellation, params)))
-        forbid(monkeypatch, "_cyclic_spectra")
-        assert bm_gme_entropy(constellation, params) == want
+        assert bounds._rotation_orbits(constellation)[0] == order
+        got = bm_gme_entropy(constellation, params)
+        assert got == want if order == 1 else abs(got - want) <= 1e-14
 
     @pytest.mark.parametrize("shift, message", [
-        (1e-9j, r"Gram matrix is not Hermitian: max \|Im lambda\| = 1\.000e-09 > 1e-10"),
+        pytest.param(1e-9j, r"Gram matrix is not Hermitian: max \|M - M\^dag\| = 2\.000e-09 > 1e-10",
+                     id="1e-09j-block-residual"),
         (-0.5, "Gram matrix has eigenvalue -[0-9.e-]+ below -1e-8"),
     ])
     def test_gates_keep_their_messages(self, shift, message, monkeypatch):
-        spectra = bounds._cyclic_spectra
+        # Each block B_q = sum_l w^(ql) G_(0,l) moves by a multiple of I that
+        # leaves the trace K sum_r G_((0,r),(0,r)) alone: the imaginary part
+        # of the shift, on the diagonal of the first row's l = 0 block, moves
+        # every block by it (at R = 1 the block residual M - M^dag is then
+        # 2 Im lambda), and the real part, on that of the l >= 1 blocks,
+        # moves B_0 by (K - 1) shift and every other block by -shift.
+        gram_rows = bounds._gram_rows
 
-        def shifted(amps, p):
-            rows, lam = spectra(amps, p)
-            return rows, lam + shift
-        monkeypatch.setattr(bounds, "_cyclic_spectra", shifted)
+        def shifted_rows(*args):
+            rows = gram_rows(*args)
+            diagonal = np.eye(rows.shape[1])
+            rows[..., 0] += 1j * shift.imag * diagonal
+            rows[..., 1:] += shift.real * diagonal[..., None]
+            return rows
+        monkeypatch.setattr(bounds, "_gram_rows", shifted_rows)
         with pytest.raises(ValueError, match=message):
             bm_gme_entropy(qpsk(1.0), ChannelParams(tau=0.5, nbar=0.01))
 

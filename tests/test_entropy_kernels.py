@@ -9,7 +9,7 @@ import pytest
 import reference
 from evebounds import fock, states
 from evebounds.bounds import bm_get_entropy, bm_gme_entropy, eb_qpsk_entropy, gram_entropy
-from evebounds.cloner import ChannelParams, _rotation_orbits, qpsk
+from evebounds.cloner import ChannelParams, qpsk
 from evebounds.fock import eve_exact_entropy, fock_entropy
 from evebounds.states import (
     LOG_BASES,
@@ -18,6 +18,7 @@ from evebounds.states import (
     symplectic_entropy,
     thermal_entropy,
 )
+from reference import orbit_representatives
 from test_fock import oracle_factor
 
 PURE = ChannelParams(tau=1.0, nbar=0.0)
@@ -175,7 +176,7 @@ class TestSpectrumEntropy:
 
 def oracle_class_spectra(tau, nbar, alpha, cutoff):
     """The stacked spectra of the oracle's rotation-class Gram blocks."""
-    order, reps = _rotation_orbits(qpsk(alpha))
+    order, reps = orbit_representatives(qpsk(alpha))
     blocks, _ = oracle_factor(reps, order, ChannelParams(tau=tau, nbar=nbar), cutoff)
     count, _, d, width = blocks.shape
     blocks = blocks.transpose(1, 0, 2, 3).reshape(order, count * d, width)
@@ -266,7 +267,7 @@ def test_class_gram_reference_keeps_its_per_class_loop(monkeypatch):
         return fock_entropy(rho, base)
 
     monkeypatch.setattr(reference, "fock_entropy", counting)
-    order, reps = _rotation_orbits(qpsk(0.5))
+    order, reps = orbit_representatives(qpsk(0.5))
     params = ChannelParams(tau=0.5, nbar=0.01)
     got = reference.class_gram_oracle_entropy(reps, order, params, 7)
     assert shapes == [(8, 8)] * 4

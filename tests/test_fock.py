@@ -1,6 +1,5 @@
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +9,15 @@ from hypothesis import strategies as st
 from evebounds import bounds, fock
 from evebounds.blochmessiah import _hermitian_phase
 from evebounds.cli import ScanConfig, run_scan
-from evebounds.cloner import ChannelParams, Constellation, _orbits_by_value, _rotation_orbits, qpsk
+from evebounds.cloner import (
+    SYMMETRY_RTOL,
+    ChannelParams,
+    Constellation,
+    _orbits_by_value,
+    _rotation_orbits,
+    displaced_thermal_ensemble,
+    qpsk,
+)
 from evebounds.states import entropy_from_cov
 from evebounds.unitaries import expm_i_hermitian
 from reference import (
@@ -27,6 +34,8 @@ from reference import (
     full_gram_oracle_entropy,
     ladder_matrix,
     make_thermal,
+    orbit_representatives,
+    qam16,
     rotation_generator,
     sparse_squeeze_generator,
     squeeze_generator_kron,
@@ -50,10 +59,8 @@ def oracle_factor(representatives, order, params, cutoff, real=False):
     With `real`, the factor of the moduli alone, with no column phase."""
     weights, values, layout, deficits = oracle_sweep(representatives, order, params, cutoff)
     leak = max(deficits[0], *fock._sweep_leaks(weights, values, layout)[0].tolist())
-    if real:
-        representatives = SimpleNamespace(amplitudes=np.abs(representatives.amplitudes),
-                                          probs=representatives.probs)
-    return fock._sweep_factors(representatives, weights, values, layout)[0], leak
+    amplitudes = np.abs(representatives.amplitudes) if real else representatives.amplitudes
+    return fock._sweep_factors(amplitudes, representatives.probs, weights, values, layout)[0], leak
 
 
 class TestStates:
@@ -544,7 +551,7 @@ class TestEveExact:
 
         def run(cutoff, tau, constellation):
             params = ChannelParams(tau=tau, nbar=0.01)
-            order, reps = _rotation_orbits(constellation)
+            order, reps = orbit_representatives(constellation)
             blocks, leak = oracle_factor(reps, order, params, cutoff)
             oracle = fock.eve_exact_entropy(constellation, params, cutoff=cutoff)
             return blocks, leak, oracle.value, oracle.value_check
@@ -654,7 +661,7 @@ class TestEveExact:
             return eigvalsh(a, *args, **kwargs)
 
         def gathering(*args):
-            gathers.append(args[1].shape)
+            gathers.append(args[2].shape)
             return sweep_factors(*args)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
@@ -678,7 +685,7 @@ class TestEveExact:
     def test_face_leakage_is_the_full_blocks_top_face_leakage(self, name):
         # R = 1 for QPSK; R = 3 and 2 take the dot over a column slice of
         # the faces of both cutoffs
-        order, reps = _rotation_orbits(SYMMETRY_CASES[name][0])
+        order, reps = orbit_representatives(SYMMETRY_CASES[name][0])
         weights, values, layout, _ = oracle_sweep(reps, order, ChannelParams(tau=0.3, nbar=0.1), 18)
         leaks = fock._sweep_leaks(weights, values, layout)
         blocks_end = layout.ends[1]
@@ -828,6 +835,22 @@ SYMMETRY_CASES = {
 }
 
 
+# The lowest index of each orbit, as the oracle's representatives have
+# always been taken.
+REPRESENTATIVES = {
+    "qpsk": [0], "bpsk": [0], "8psk-offset": [0], "two-ring-z4": [0, 4], "skewed-three": [0, 1, 2],
+    "qpsk-unequal": [0, 1, 2, 3], "with-origin": [0, 1, 2, 3],
+}
+
+# SYMMETRY_CASES and two listings whose orbits are not in list order:
+# 16-QAM in a scrambled order (K = 4, R = 4) and QPSK listed clockwise.
+DETECTOR_CASES = {
+    **{name: case[:2] for name, case in SYMMETRY_CASES.items()},
+    "qam16-scrambled": (qam16(0.3, np.random.default_rng(7).permutation(16)), 4),
+    "qpsk-clockwise": (Constellation(amplitudes=np.conj(qpsk(0.8).amplitudes), probs=np.full(4, 0.25)), 4),
+}
+
+
 class TestRotationSymmetry:
     """The oracle's rotation-class blocks against the single Gram matrix of
     all amplitudes (`reference.full_gram_oracle_entropy`)."""
@@ -835,15 +858,29 @@ class TestRotationSymmetry:
     @pytest.mark.parametrize("name", SYMMETRY_CASES)
     def test_orbits(self, name):
         constellation, order, count = SYMMETRY_CASES[name]
-        got, reps = _rotation_orbits(constellation)
-        assert (got, reps.amplitudes.size) == (order, count)
-        if order == 1:
-            assert reps is constellation
-        else:
-            # each representative is a member weighted by K p
-            for amp, weight in zip(reps.amplitudes, reps.probs):
-                (k,) = np.flatnonzero(constellation.amplitudes == amp)
-                assert weight == order * constellation.probs[k]
+        got, perm = _rotation_orbits(constellation)
+        assert (got, perm.shape) == (order, (order, count))
+        assert perm[0].tolist() == REPRESENTATIVES[name]
+        # each representative is a member weighted by K p
+        _, reps = orbit_representatives(constellation)
+        for amp, weight in zip(reps.amplitudes, reps.probs):
+            (k,) = np.flatnonzero(constellation.amplitudes == amp)
+            assert weight == order * constellation.probs[k]
+
+    @pytest.mark.parametrize("name", DETECTOR_CASES)
+    def test_perm_lists_turns_of_each_orbit(self, name):
+        # perm is a permutation of range(n); amplitude perm[l, r] is within
+        # SYMMETRY_RTOL of amplitude perm[0, r] turned l times, with its
+        # probability
+        constellation, order = DETECTOR_CASES[name]
+        amps, probs = constellation.amplitudes, constellation.probs
+        got, perm = _rotation_orbits(constellation)
+        assert got == order and perm.shape[0] == order
+        assert sorted(perm.ravel().tolist()) == list(range(amps.size))
+        turns = np.exp(2j * np.pi * np.arange(order) / order)[:, None]
+        scale = max(1.0, np.abs(amps).max())
+        assert np.abs(amps[perm] - turns * amps[perm[0]]).max() <= SYMMETRY_RTOL * scale
+        assert (probs[perm] == probs[perm[0]]).all()
 
     @pytest.mark.parametrize("tau,nbar", [(0.5, 0.1), (0.2, 0.01), (0.8, 0.0)])
     @pytest.mark.parametrize("name", SYMMETRY_CASES)
@@ -872,6 +909,20 @@ class TestRotationSymmetry:
         bpsk = Constellation(amplitudes=[0.5, -0.5], probs=[0.5 + 1e-15, 0.5 - 1e-15])
         assert _rotation_orbits(bpsk)[0] == 1
 
+    @pytest.mark.parametrize("scale, order", [(1e-13, 1), (1e-12, 4)])
+    def test_near_origin_pairing_costs_bm_gme_nothing(self, scale, order):
+        # Four amplitudes with no symmetry, each within SYMMETRY_RTOL of the
+        # turn of the one before it: near 1e-13 each is also within it of its
+        # own turn, so none is free (K = 1), and near 1e-12 they are paired
+        # as K = 4.  Every overlap is 1 to rounding, so the blocks give the
+        # full Gram's entropy either way.
+        amplitudes = scale * np.array([1.0, 0.1 + 1.2j, -0.9 + 0.2j, -0.1 - 1.1j])
+        constellation = Constellation(amplitudes=amplitudes, probs=np.full(4, 0.25))
+        assert _rotation_orbits(constellation)[0] == order
+        for params in [ChannelParams(tau=tau, nbar=nbar) for tau in (0.0, 0.37) for nbar in (0.0, 0.01)]:
+            full = bounds.gram_entropy(bounds.gram_matrix(displaced_thermal_ensemble(constellation, params)))
+            assert abs(bounds.bm_gme_entropy(constellation, params) - full) <= 1e-15
+
 
 class TestOrbitCache:
     """`_rotation_orbits` is cached by the constellation's values, not by
@@ -881,16 +932,16 @@ class TestOrbitCache:
         _orbits_by_value.cache_clear()
         first, second = qpsk(0.7), qpsk(0.7)
         assert first is not second
-        order, reps = _rotation_orbits(first)
-        assert _rotation_orbits(second) == (order, reps)
-        assert _rotation_orbits(second)[1] is reps
+        order, perm = _rotation_orbits(first)
+        assert _rotation_orbits(second)[0] == order
+        assert _rotation_orbits(second)[1] is perm
         assert _orbits_by_value.cache_info().misses == 1
 
     def test_changed_probability_misses(self):
         base = qpsk(0.7)
         assert _rotation_orbits(base)[0] == 4
         skewed = Constellation(amplitudes=base.amplitudes, probs=[0.4, 0.1, 0.4, 0.1])
-        order, reps = _rotation_orbits(skewed)
+        order, reps = orbit_representatives(skewed)
         assert order == 2 and np.array_equal(reps.probs, [0.8, 0.2])
 
     def test_changed_amplitude_misses(self):
@@ -898,7 +949,7 @@ class TestOrbitCache:
         _rotation_orbits(base)
         amps = base.amplitudes.copy()
         amps[0] *= 1 + 1e-14  # still a 4-fold symmetry, within SYMMETRY_RTOL
-        order, reps = _rotation_orbits(Constellation(amplitudes=amps, probs=base.probs))
+        order, reps = orbit_representatives(Constellation(amplitudes=amps, probs=base.probs))
         assert order == 4 and reps.amplitudes[0] == amps[0] != base.amplitudes[0]
 
     def test_constellation_changed_in_place_gets_its_own_orbits(self):
@@ -908,19 +959,18 @@ class TestOrbitCache:
         constellation.probs[:] = [0.4, 0.1, 0.4, 0.1]
         assert _rotation_orbits(constellation)[0] == 2
         constellation.amplitudes[1] = 0.3
-        order, reps = _rotation_orbits(constellation)
-        assert order == 1 and reps is constellation
+        order, perm = _rotation_orbits(constellation)
+        assert order == 1 and perm.tolist() == [[0, 1, 2, 3]]
         fresh = Constellation(amplitudes=constellation.amplitudes.copy(),
                               probs=constellation.probs.copy())
         got = fock.eve_exact_entropy(constellation, params, cutoff=13)
         assert got == fock.eve_exact_entropy(fresh, params, cutoff=13)
 
     def test_representatives_read_only(self):
-        for name in ("qpsk", "two-ring-z4", "8psk-offset"):
-            _, reps = _rotation_orbits(SYMMETRY_CASES[name][0])
-            for arr in (reps.amplitudes, reps.probs):
-                with pytest.raises(ValueError, match="read-only"):
-                    arr[0] = 0
+        for name in ("qpsk", "two-ring-z4", "8psk-offset", "skewed-three"):
+            _, perm = _rotation_orbits(SYMMETRY_CASES[name][0])
+            with pytest.raises(ValueError, match="read-only"):
+                perm[0, 0] = 0
 
     def test_call_order_free(self):
         # K = 4, 2 and 1 constellations, each built afresh for every call
@@ -931,9 +981,9 @@ class TestOrbitCache:
             constellation = SYMMETRY_CASES[name][0]
             constellation = Constellation(amplitudes=constellation.amplitudes.copy(),
                                           probs=constellation.probs.copy())
-            order, reps = _rotation_orbits(constellation)
+            order, perm = _rotation_orbits(constellation)
             oracle = fock.eve_exact_entropy(constellation, params)
-            return order, reps.amplitudes.tolist(), reps.probs.tolist(), oracle
+            return order, perm.tolist(), oracle
 
         interleaved = [run(name) for name in names]
         for name, first in zip(names, interleaved):
@@ -1032,7 +1082,7 @@ class TestStackedClassGrams:
     ])
     def test_matches_per_class_eigensolves(self, name, order, tau, nbar):
         constellation = SYMMETRY_CASES[name][0]
-        got_order, reps = _rotation_orbits(constellation)
+        got_order, reps = orbit_representatives(constellation)
         assert got_order == order
         params = ChannelParams(tau=tau, nbar=nbar)
         for cutoff in (18, 13):

@@ -34,8 +34,10 @@ def test_every_public_name_is_at_the_top_level_once():
 
 
 # Public names that nothing in the package calls: documented library
-# calls, and `fock_bs`, which the benchmark's tracer wraps.
-LIBRARY_ONLY = {"bm_gme_entropy", "thermal_entropy", "fock_bs"}
+# calls, among them `gram_entropy`, which checks a Gram matrix given as an
+# array (`gram_ensemble_entropy` applies its gates to its blocks), and
+# `fock_bs`, which the benchmark's tracer wraps.
+LIBRARY_ONLY = {"bm_gme_entropy", "gram_entropy", "thermal_entropy", "fock_bs"}
 
 
 def test_every_public_name_has_a_package_caller():

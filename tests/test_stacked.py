@@ -1,16 +1,17 @@
 """The scan's stacked kernels against the per-cell library calls: the rows
 `run_scan` prints from one ensemble per scan equal, string for string, the
 values the library returns cell by cell, and each stacked kernel equals
-its per-cell result bit for bit, on both routes of the Gram entropy, which
-is decided once per constellation: the transform of each cell's first row
-for a cyclic constellation and the eigensolve of each cell's full matrix
-for any other."""
+its per-cell result bit for bit.  The Gram entropy takes K blocks of R x R
+from the constellation's rotation symmetry, found once per constellation:
+QPSK's are the transform of each cell's first row (R = 1), 16-QAM's four
+4 x 4 blocks and a constellation with no symmetry the full matrix
+(K = 1)."""
 
 import numpy as np
 import pytest
 
 from evebounds.bounds import (
-    _is_cyclic,
+    _rotation_orbits,
     bm_get_entropy,
     bm_gme_entropy,
     eb_qpsk_entropy,
@@ -22,6 +23,7 @@ from evebounds.bounds import (
 from evebounds.cli import ScanConfig, _fmt, run_scan
 from evebounds.cloner import ChannelParams, Constellation, displaced_thermal_ensemble, qpsk
 from evebounds.states import average_covariance
+from reference import qam16
 
 TAUS = [0.0, 0.37, 1.0]
 NBARS = [0.0, 1e-12, 5.0, 1e6]
@@ -74,6 +76,10 @@ CELLS = [ChannelParams(tau=tau, nbar=nbar) for nbar in NBARS for tau in TAUS + [
 # Twelve equiprobable states, each a turn of pi / 6 from the one before it.
 TWELVE_STATES = Constellation(amplitudes=0.7 * np.exp(2j * np.pi * np.arange(12) / 12),
                               probs=np.full(12, 1 / 12))
+
+
+# 16 states on a square grid: four orbits of four turns.
+QAM16 = qam16(0.3)
 
 
 def bits(array):
@@ -130,19 +136,26 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("base", ["bits", "nats"])
     @pytest.mark.parametrize("constellation", [
-        # unequal weights
+        # unequal weights and no symmetry: the full Gram matrix (K = 1)
         THREE_STATES,
-        # QPSK listed clockwise: the route is the constellation's, so every
-        # cell takes the full Gram matrix, the tau = 1 cells included, whose
-        # displacements are all 0
+        # QPSK listed clockwise: K = 4 blocks, the tau = 1 cells included,
+        # whose displacements are all 0
         Constellation(amplitudes=np.conj(qpsk(0.6).amplitudes), probs=np.full(4, 0.25)),
     ], ids=["three-states", "clockwise-qpsk"])
     def test_full_gram_stack_equals_cells(self, constellation, base):
         stacked = displaced_thermal_ensemble(constellation, CELLS)
-        assert not _is_cyclic(stacked.constellation)
         entropies = gram_ensemble_entropy(stacked, base)
         for i, params in enumerate(CELLS):
             assert bits(entropies[i]) == bits(bm_gme_entropy(constellation, params, base))
+
+    @pytest.mark.parametrize("base", ["bits", "nats"])
+    def test_qam16_gram_stack_equals_cells(self, base):
+        # four 4 x 4 blocks per cell, each block row a product of its own
+        assert _rotation_orbits(QAM16)[1].shape == (4, 4)
+        entropies = gram_ensemble_entropy(displaced_thermal_ensemble(QAM16, CELLS), base)
+        assert entropies.shape == (len(CELLS),)
+        for i, params in enumerate(CELLS):
+            assert bits(entropies[i]) == bits(bm_gme_entropy(QAM16, params, base))
 
     @pytest.mark.parametrize("base", ["bits", "nats"])
     def test_gram_matrix_and_entropy(self, base):
